@@ -360,7 +360,9 @@ func RunFig6(opts Options) (*Experiment, error) {
 	defer cleanup()
 	e := &Experiment{ID: "fig6", Title: "JNDI-DNS provider, lookup (read) ops/s"}
 	factory := func(client int) (func(ctx context.Context) error, func(), error) {
-		nc, rest, err := core.OpenURL(context.Background(), "dns://"+srv.Addr()+"/global", nil)
+		// One resolver (one socket) per client, as N independent JNDI
+		// clients have: the provider pools resolvers by pool ID.
+		nc, rest, err := core.OpenURL(context.Background(), "dns://"+srv.Addr()+"/global", map[string]any{core.EnvPoolID: client})
 		if err != nil {
 			return nil, nil, err
 		}

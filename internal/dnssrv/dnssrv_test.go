@@ -2,10 +2,13 @@ package dnssrv
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"net"
 	"net/netip"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -400,4 +403,56 @@ func contains(s []string, v string) bool {
 		}
 	}
 	return false
+}
+
+// TestNewServerPortZeroRetriesWhenUDPPortHeld: the port TCP hands out for
+// ":0" may be held by a UDP socket. The first candidate here always is.
+func TestNewServerPortZeroRetriesWhenUDPPortHeld(t *testing.T) {
+	var held []*net.UDPConn
+	defer func() {
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	calls := 0
+	// holdFirst is net.Listen, except that it occupies the UDP port of
+	// the first listener it returns.
+	holdFirst := func(network, addr string) (net.Listener, error) {
+		l, err := net.Listen(network, addr)
+		if calls++; err != nil || calls > 1 {
+			return l, err
+		}
+		u, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(l.Addr().(*net.TCPAddr).AddrPort()))
+		if err != nil {
+			t.Fatalf("hold udp %s: %v", l.Addr(), err)
+		}
+		held = append(held, u)
+		return l, nil
+	}
+	tcp, udp, err := listenPair("127.0.0.1:0", holdFirst)
+	if err != nil {
+		t.Fatalf("listenPair with the first UDP port held: %v", err)
+	}
+	defer tcp.Close()
+	defer udp.Close()
+	if calls != 2 {
+		t.Errorf("%d TCP listens, want 2 (one retry)", calls)
+	}
+	if tp, up := tcp.Addr().(*net.TCPAddr).Port, udp.LocalAddr().(*net.UDPAddr).Port; tp != up || tp == held[0].LocalAddr().(*net.UDPAddr).Port {
+		t.Errorf("tcp port %d, udp port %d, held port %d", tp, up, held[0].LocalAddr().(*net.UDPAddr).Port)
+	}
+
+	// A port the caller named is not swapped for another one.
+	calls = 0
+	counted := func(network, addr string) (net.Listener, error) {
+		calls++
+		return net.Listen(network, addr)
+	}
+	fixed := held[0].LocalAddr().String()
+	if _, _, err := listenPair(fixed, counted); !errors.Is(err, syscall.EADDRINUSE) {
+		t.Errorf("listenPair(%s) with its UDP port held: %v, want EADDRINUSE", fixed, err)
+	}
+	if calls != 1 {
+		t.Errorf("fixed port: %d TCP listens, want 1", calls)
+	}
 }

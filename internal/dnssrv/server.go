@@ -2,11 +2,13 @@ package dnssrv
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"gondi/internal/admission"
@@ -52,19 +54,8 @@ func WithAdmission(c *admission.Controller) ServerOption {
 // NewServer starts a server on addr (e.g. "127.0.0.1:0"); UDP and TCP
 // listeners share the chosen port. costs may be nil for full speed.
 func NewServer(addr string, costs *costmodel.Costs, opts ...ServerOption) (*Server, error) {
-	tcp, err := net.Listen("tcp", addr)
+	tcp, udp, err := listenPair(addr, net.Listen)
 	if err != nil {
-		return nil, err
-	}
-	udpAddr := tcp.Addr().String()
-	uaddr, err := net.ResolveUDPAddr("udp", udpAddr)
-	if err != nil {
-		tcp.Close()
-		return nil, err
-	}
-	udp, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		tcp.Close()
 		return nil, err
 	}
 	s := &Server{zones: map[string]*Zone{}, costs: costs, udp: udp, tcp: tcp}
@@ -75,6 +66,36 @@ func NewServer(addr string, costs *costmodel.Costs, opts ...ServerOption) (*Serv
 	go s.serveUDP()
 	go s.serveTCP()
 	return s, nil
+}
+
+// listenPair binds TCP (through listen) and then UDP on the port TCP got.
+// When addr asks for port 0 the kernel picks that port from the TCP space
+// alone, and some UDP socket — a resolver's — may hold the same number:
+// the pair is then retried on a fresh port. A fixed port is tried once.
+func listenPair(addr string, listen func(network, addr string) (net.Listener, error)) (net.Listener, *net.UDPConn, error) {
+	attempts := 1
+	if _, port, err := net.SplitHostPort(addr); err == nil && (port == "0" || port == "") {
+		attempts = 10
+	}
+	for attempt := 1; ; attempt++ {
+		tcp, err := listen("tcp", addr)
+		if err != nil {
+			return nil, nil, err
+		}
+		uaddr, err := net.ResolveUDPAddr("udp", tcp.Addr().String())
+		if err != nil {
+			tcp.Close()
+			return nil, nil, err
+		}
+		udp, err := net.ListenUDP("udp", uaddr)
+		if err == nil {
+			return tcp, udp, nil
+		}
+		tcp.Close()
+		if attempt == attempts || !errors.Is(err, syscall.EADDRINUSE) {
+			return nil, nil, err
+		}
+	}
 }
 
 // Addr returns the server address (host:port), identical for UDP and TCP.

@@ -1,6 +1,8 @@
 package ldapsrv
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -9,10 +11,15 @@ import (
 	"gondi/internal/filter"
 )
 
-// ditEntry is one stored entry.
+// ditEntry is one stored entry. key, parent and children are fixed when
+// the entry is written (Add, ModifyDN), so reads never normalize a stored
+// DN or test containment: they follow the links.
 type ditEntry struct {
-	dn    DN
-	attrs map[string]EntryAttr // key: lowercase type
+	dn       DN
+	key      string               // dn.Normalize()
+	attrs    map[string]EntryAttr // key: lowercase type
+	parent   *ditEntry            // nil for the base entry
+	children map[string]*ditEntry // by key; nil until the first child
 }
 
 func (e *ditEntry) values() filter.Values {
@@ -48,8 +55,9 @@ func (e *ditEntry) toEntry(selectAttrs []string, typesOnly bool) Entry {
 	return out
 }
 
-// DIT is the directory information tree: a flat index of entries keyed by
-// normalized DN, with structural parent checks. Safe for concurrent use.
+// DIT is the directory information tree: an index of entries keyed by
+// normalized DN, each linked to its parent and children, so an operation
+// costs its scope and not the directory. Safe for concurrent use.
 type DIT struct {
 	mu      sync.RWMutex
 	base    DN
@@ -70,7 +78,8 @@ func NewDIT(baseDN string) (*DIT, error) {
 	if leaf, ok := base.Leaf(); ok {
 		rootAttrs[strings.ToLower(leaf.Type)] = EntryAttr{Type: leaf.Type, Vals: []string{leaf.Value}}
 	}
-	d.entries[base.Normalize()] = &ditEntry{dn: base, attrs: rootAttrs}
+	key := base.Normalize()
+	d.entries[key] = &ditEntry{dn: base, key: key, attrs: rootAttrs}
 	return d, nil
 }
 
@@ -114,8 +123,9 @@ func (d *DIT) Add(dnStr string, attrs []EntryAttr) Result {
 	if _, exists := d.entries[key]; exists {
 		return Result{Code: ResultEntryAlreadyExists}
 	}
+	var parent *ditEntry
 	if !dn.Equal(d.base) {
-		if _, ok := d.entries[dn.Parent().Normalize()]; !ok {
+		if parent = d.entries[dn.Parent().Normalize()]; parent == nil {
 			return Result{Code: ResultNoSuchObject, MatchedDN: d.deepestExistingLocked(dn).String(), Message: "parent missing"}
 		}
 	}
@@ -136,8 +146,27 @@ func (d *DIT) Add(dnStr string, attrs []EntryAttr) Result {
 			m[lk] = ex
 		}
 	}
-	d.entries[key] = &ditEntry{dn: dn, attrs: m}
+	d.linkLocked(&ditEntry{dn: dn, key: key, attrs: m, parent: parent})
 	return Result{Code: ResultSuccess}
+}
+
+// linkLocked indexes e under its key and in its parent's children.
+func (d *DIT) linkLocked(e *ditEntry) {
+	d.entries[e.key] = e
+	if e.parent != nil {
+		if e.parent.children == nil {
+			e.parent.children = map[string]*ditEntry{}
+		}
+		e.parent.children[e.key] = e
+	}
+}
+
+// unlinkLocked removes e from both indexes.
+func (d *DIT) unlinkLocked(e *ditEntry) {
+	delete(d.entries, e.key)
+	if e.parent != nil {
+		delete(e.parent.children, e.key)
+	}
 }
 
 func (d *DIT) deepestExistingLocked(dn DN) DN {
@@ -157,24 +186,15 @@ func (d *DIT) Delete(dnStr string) Result {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	key := dn.Normalize()
-	if _, ok := d.entries[key]; !ok {
+	e, ok := d.entries[dn.Normalize()]
+	if !ok {
 		return Result{Code: ResultNoSuchObject}
 	}
-	if d.hasChildrenLocked(dn) {
+	if len(e.children) > 0 {
 		return Result{Code: ResultNotAllowedOnNonLea}
 	}
-	delete(d.entries, key)
+	d.unlinkLocked(e)
 	return Result{Code: ResultSuccess}
-}
-
-func (d *DIT) hasChildrenLocked(dn DN) bool {
-	for _, e := range d.entries {
-		if len(e.dn) == len(dn)+1 && e.dn.IsUnder(dn) {
-			return true
-		}
-	}
-	return false
 }
 
 // HasChildren reports whether the entry has children.
@@ -185,7 +205,8 @@ func (d *DIT) HasChildren(dnStr string) bool {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.hasChildrenLocked(dn)
+	e, ok := d.entries[dn.Normalize()]
+	return ok && len(e.children) > 0
 }
 
 // ModifyChange is one change of a Modify operation.
@@ -281,11 +302,12 @@ func (d *DIT) ModifyDN(dnStr, newRDN string, deleteOldRDN bool) Result {
 	if !ok {
 		return Result{Code: ResultNoSuchObject}
 	}
-	if d.hasChildrenLocked(dn) {
+	if len(e.children) > 0 {
 		return Result{Code: ResultNotAllowedOnNonLea}
 	}
 	newDN := dn.Parent().Child(rdnDN[0].Type, rdnDN[0].Value)
-	if _, exists := d.entries[newDN.Normalize()]; exists {
+	newKey := newDN.Normalize()
+	if _, exists := d.entries[newKey]; exists {
 		return Result{Code: ResultEntryAlreadyExists}
 	}
 	if oldLeaf, ok := dn.Leaf(); ok && deleteOldRDN {
@@ -321,9 +343,9 @@ func (d *DIT) ModifyDN(dnStr, newRDN string, deleteOldRDN bool) Result {
 		ex.Vals = append(ex.Vals, rdnDN[0].Value)
 	}
 	e.attrs[nk] = ex
-	delete(d.entries, dn.Normalize())
-	e.dn = newDN
-	d.entries[newDN.Normalize()] = e
+	d.unlinkLocked(e)
+	e.dn, e.key = newDN, newKey
+	d.linkLocked(e)
 	return Result{Code: ResultSuccess}
 }
 
@@ -344,7 +366,8 @@ func (d *DIT) Get(dnStr string) (Entry, bool) {
 
 // Search evaluates a filter under baseDN with the given scope; it returns
 // matching entries (sorted shallow-first then lexicographically) and the
-// result. sizeLimit 0 means unlimited.
+// result. sizeLimit 0 means unlimited. It visits only the scope: the base
+// entry, its children, or the subtree below it.
 func (d *DIT) Search(baseDN string, scope int, f *filter.Node, sizeLimit int, timeLimit time.Duration, attrs []string, typesOnly bool) ([]Entry, Result) {
 	var deadline time.Time
 	if timeLimit > 0 {
@@ -355,56 +378,51 @@ func (d *DIT) Search(baseDN string, scope int, f *filter.Node, sizeLimit int, ti
 		return nil, Result{Code: ResultInvalidDNSyntax, Message: err.Error()}
 	}
 	d.mu.RLock()
-	if _, ok := d.entries[base.Normalize()]; !ok {
-		matched := d.deepestExistingLocked(base).String()
-		d.mu.RUnlock()
-		return nil, Result{Code: ResultNoSuchObject, MatchedDN: matched}
+	defer d.mu.RUnlock()
+	root, ok := d.entries[base.Normalize()]
+	if !ok {
+		return nil, Result{Code: ResultNoSuchObject, MatchedDN: d.deepestExistingLocked(base).String()}
 	}
-	type hit struct {
+	// Depths of the walk from root that are candidates, per scope.
+	minDepth, maxDepth := 0, 0
+	switch scope {
+	case ScopeBaseObject:
+	case ScopeSingleLevel:
+		minDepth, maxDepth = 1, 1
+	case ScopeWholeSubtree:
+		maxDepth = math.MaxInt
+	default:
+		return nil, Result{Code: ResultProtocolError, Message: "bad scope"}
+	}
+	type visit struct {
 		depth int
-		key   string
 		e     *ditEntry
 	}
-	var hits []hit
+	queue := []visit{{0, root}}
+	var hits []visit
 	timedOut := false
-	checked := 0
-	for key, e := range d.entries {
-		// Check the clock periodically, not per entry, to keep the scan
-		// cheap on big DITs.
-		if !deadline.IsZero() {
-			if checked++; checked%64 == 0 && time.Now().After(deadline) {
-				timedOut = true
-				break
-			}
+	for i := 0; i < len(queue); i++ {
+		// Check the clock periodically, not per entry, to keep the walk
+		// cheap on big subtrees.
+		if !deadline.IsZero() && (i+1)%64 == 0 && time.Now().After(deadline) {
+			timedOut = true
+			break
 		}
-		if !e.dn.IsUnder(base) {
-			continue
+		v := queue[i]
+		if v.depth >= minDepth && (f == nil || f.Matches(v.e.values())) {
+			hits = append(hits, v)
 		}
-		depth := e.dn.Depth(base)
-		switch scope {
-		case ScopeBaseObject:
-			if depth != 0 {
-				continue
+		if v.depth < maxDepth {
+			for _, c := range v.e.children {
+				queue = append(queue, visit{v.depth + 1, c})
 			}
-		case ScopeSingleLevel:
-			if depth != 1 {
-				continue
-			}
-		case ScopeWholeSubtree:
-			// all depths
-		default:
-			d.mu.RUnlock()
-			return nil, Result{Code: ResultProtocolError, Message: "bad scope"}
-		}
-		if f == nil || f.Matches(e.values()) {
-			hits = append(hits, hit{depth: depth, key: key, e: e})
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].depth != hits[j].depth {
-			return hits[i].depth < hits[j].depth
+	slices.SortFunc(hits, func(a, b visit) int {
+		if a.depth != b.depth {
+			return a.depth - b.depth
 		}
-		return hits[i].key < hits[j].key
+		return strings.Compare(a.e.key, b.e.key)
 	})
 	res := Result{Code: ResultSuccess}
 	if !deadline.IsZero() && (timedOut || time.Now().After(deadline)) {
@@ -418,7 +436,6 @@ func (d *DIT) Search(baseDN string, scope int, f *filter.Node, sizeLimit int, ti
 	for i, h := range hits {
 		out[i] = h.e.toEntry(attrs, typesOnly)
 	}
-	d.mu.RUnlock()
 	return out, res
 }
 

@@ -115,45 +115,73 @@ func unhex(c byte) byte {
 	}
 }
 
-// EscapeDNValue escapes a value for inclusion in a DN string.
+// needsDNEscape reports whether byte i of v must be escaped in a DN string.
+func needsDNEscape(v string, i int) bool {
+	switch c := v[i]; c {
+	case ',', '+', '"', '\\', '<', '>', ';', '=':
+		return true
+	case '#':
+		return i == 0
+	case ' ':
+		return i == 0 || i == len(v)-1
+	default:
+		return c < 0x20
+	}
+}
+
+// EscapeDNValue escapes a value for inclusion in a DN string. A value with
+// nothing to escape is returned as is.
 func EscapeDNValue(v string) string {
+	first := 0
+	for first < len(v) && !needsDNEscape(v, first) {
+		first++
+	}
+	if first == len(v) {
+		return v
+	}
 	var b strings.Builder
-	for i := 0; i < len(v); i++ {
+	b.Grow(len(v) + 2)
+	b.WriteString(v[:first])
+	for i := first; i < len(v); i++ {
 		c := v[i]
 		switch {
-		case c == ',' || c == '+' || c == '"' || c == '\\' || c == '<' || c == '>' || c == ';' || c == '=':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		case c == '#' && i == 0, c == ' ' && (i == 0 || i == len(v)-1):
-			b.WriteByte('\\')
+		case !needsDNEscape(v, i):
 			b.WriteByte(c)
 		case c < 0x20:
 			fmt.Fprintf(&b, "\\%02x", c)
 		default:
+			b.WriteByte('\\')
 			b.WriteByte(c)
 		}
 	}
 	return b.String()
 }
 
-// String renders the DN in RFC 4514 form.
-func (d DN) String() string {
-	parts := make([]string, len(d))
-	for i, r := range d {
-		parts[i] = r.Type + "=" + EscapeDNValue(r.Value)
+// render joins the RDNs as type=value, each part passed through fold.
+func (d DN) render(fold func(string) string) string {
+	n := len(d)
+	for _, r := range d {
+		n += len(r.Type) + len(r.Value) + 1
 	}
-	return strings.Join(parts, ",")
+	var b strings.Builder
+	b.Grow(n)
+	for i, r := range d {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(fold(r.Type))
+		b.WriteByte('=')
+		b.WriteString(fold(EscapeDNValue(r.Value)))
+	}
+	return b.String()
 }
+
+// String renders the DN in RFC 4514 form.
+func (d DN) String() string { return d.render(func(s string) string { return s }) }
 
 // Normalize returns the canonical (lower-cased) key form used for DIT
 // indexing and comparison.
-func (d DN) Normalize() string {
-	parts := make([]string, len(d))
-	for i, r := range d {
-		parts[i] = strings.ToLower(r.Type) + "=" + strings.ToLower(EscapeDNValue(r.Value))
-	}
-	return strings.Join(parts, ",")
-}
+func (d DN) Normalize() string { return d.render(strings.ToLower) }
 
 // Equal compares DNs case-insensitively.
 func (d DN) Equal(o DN) bool { return d.Normalize() == o.Normalize() }

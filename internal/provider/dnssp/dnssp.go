@@ -56,13 +56,47 @@ func Register() {
 			}
 		}
 		dc := &Context{
-			resolver: dnssrv.NewResolver(server),
+			resolver: resolverFor(server, env),
 			url:      "dns://" + u.Authority,
 			env:      env,
 			ttl:      newTTLMemo(),
 		}
 		return obs.Instrument(dc, "provider", "dns"), u.Path, nil
 	}))
+}
+
+// The resolver pool: one dnssrv.Resolver per (server, core.EnvPoolID),
+// shared by every context opened with that key. A Resolver pipelines
+// concurrent exchanges over one socket and closes that socket and its
+// reader goroutine itself after a second with no query outstanding, so
+// the pool needs no reference count and contexts need no Close: an entry
+// nobody queries is a struct. (A resolver per context would hold a socket,
+// a goroutine and a 64 KB buffer per open for that second, and
+// InitialContext opens a context per URL operation.)
+type poolKey struct{ server, id string }
+
+var (
+	poolMu sync.Mutex
+	pool   = map[poolKey]*dnssrv.Resolver{}
+)
+
+func resolverFor(server string, env map[string]any) *dnssrv.Resolver {
+	key := poolKey{server: server}
+	switch id := env[core.EnvPoolID].(type) {
+	case nil:
+	case string:
+		key.id = id
+	default:
+		key.id = fmt.Sprint(id)
+	}
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	r, ok := pool[key]
+	if !ok {
+		r = dnssrv.NewResolver(server)
+		pool[key] = r
+	}
+	return r
 }
 
 // Context implements a read-only core.DirContext over a DNS server.
@@ -641,7 +675,8 @@ func (c *Context) NameInNamespace() (string, error) { return c.base.String(), ni
 // Environment implements core.Context.
 func (c *Context) Environment() map[string]any { return c.env }
 
-// Close implements core.Context (resolvers are connectionless).
+// Close implements core.Context: nothing to release, the pooled resolver
+// drops its own socket when idle.
 func (c *Context) Close() error { return nil }
 
 // Reference implements core.Referenceable.
@@ -652,6 +687,3 @@ func (c *Context) Reference() (*core.Reference, error) {
 	}
 	return core.NewContextReference(url), nil
 }
-
-// SetTimeout tunes the resolver (benchmark harness).
-func (c *Context) SetTimeout(d time.Duration) { c.resolver.Timeout = d }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"runtime"
+	"strings"
 	"testing"
 
 	"gondi/internal/core"
@@ -276,5 +278,100 @@ func TestDomainMapping(t *testing.T) {
 	}
 	if got := relPath("global.", "global."); got != "" {
 		t.Errorf("relPath self = %q", got)
+	}
+}
+
+// resolverLoops counts live dnssrv.Resolver read loops. A loop owns
+// exactly one UDP socket (it closes it on exit), so this is also the
+// number of resolver sockets open.
+func resolverLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "dnssrv.(*Resolver).readLoop")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestOpensShareOneResolver: opening a context per operation, as
+// InitialContext does for every URL name, must not open a socket and a
+// reader goroutine per operation.
+func TestOpensShareOneResolver(t *testing.T) {
+	s := newWorld(t)
+	Register()
+	ctx := context.Background()
+	before := resolverLoops()
+	for i := 0; i < 200; i++ {
+		nc, rest, err := core.OpenURL(ctx, "dns://"+s.Addr()+"/global/emory", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrs, err := nc.(core.DirContext).GetAttributes(ctx, rest.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attrs.GetFirst("TXT") != "Emory University" {
+			t.Fatalf("open %d: attrs = %v", i, attrs)
+		}
+		nc.Close()
+	}
+	if n := resolverLoops() - before; n > 1 {
+		t.Fatalf("%d resolver read loops (and sockets) alive after 200 sequential opens, want at most 1", n)
+	}
+}
+
+func TestPoolIDsPartitionResolvers(t *testing.T) {
+	a := resolverFor("127.0.0.1:53", map[string]any{core.EnvPoolID: "a"})
+	if resolverFor("127.0.0.1:53", map[string]any{core.EnvPoolID: "a"}) != a {
+		t.Error("same server and pool ID: different resolvers")
+	}
+	for name, env := range map[string]map[string]any{
+		"other id":  {core.EnvPoolID: "b"},
+		"int id":    {core.EnvPoolID: 7},
+		"no id":     nil,
+		"no id set": {},
+	} {
+		if resolverFor("127.0.0.1:53", env) == a {
+			t.Errorf("%s: shares pool a's resolver", name)
+		}
+	}
+	if resolverFor("127.0.0.1:54", map[string]any{core.EnvPoolID: "a"}) == a {
+		t.Error("other server: shares the resolver")
+	}
+	if resolverFor("127.0.0.1:53", map[string]any{core.EnvPoolID: 7}) != resolverFor("127.0.0.1:53", map[string]any{core.EnvPoolID: 7}) {
+		t.Error("int pool ID: not pooled")
+	}
+}
+
+var getAttrsSink *core.Attributes
+
+// BenchmarkDNSSPOpenGetAttributes is the dnssp rung of the layer ladder as
+// InitialContext drives it: open the provider for a URL, one GetAttributes,
+// close.
+func BenchmarkDNSSPOpenGetAttributes(b *testing.B) {
+	s, err := dnssrv.NewServer("127.0.0.1:0", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	z := dnssrv.NewZone("global")
+	z.Add(dnssrv.RR{Name: "emory.global", Type: dnssrv.TypeTXT, Txt: []string{"Emory University"}})
+	s.AddZone(z)
+	Register()
+	ctx := context.Background()
+	url := "dns://" + s.Addr() + "/global/emory"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nc, rest, err := core.OpenURL(ctx, url, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if getAttrsSink, err = nc.(core.DirContext).GetAttributes(ctx, rest.String()); err != nil {
+			b.Fatal(err)
+		}
+		nc.Close()
 	}
 }

@@ -461,6 +461,9 @@ func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *
 	return c.rebindAttrs(ctx, name, obj, attrs)
 }
 
+// rebindAttempts bounds the delete+add pairs one rebind issues.
+const rebindAttempts = 16
+
 func (c *Context) rebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
 	full, err := c.full(ctx, name)
 	if err != nil {
@@ -472,15 +475,25 @@ func (c *Context) rebindAttrs(ctx context.Context, name string, obj any, attrs *
 			attrs = entryAttrs(e)
 		}
 	}
-	dn := c.dnFor(full)
-	if derr := c.mapResultErr(c.sh.conn.Delete(ctx, dn)); derr != nil && derr != core.ErrNotFound {
-		return core.Errf("rebind", name, derr)
-	}
 	la, err := ldapAttrs(attrs, obj, false)
 	if err != nil {
 		return core.Errf("rebind", name, err)
 	}
-	err = c.mapResultErr(c.sh.conn.Add(ctx, dn, la))
+	dn := c.dnFor(full)
+	// Delete-then-add is two requests. When the add finds the name taken,
+	// another client's rebind landed in between: this one lost a race,
+	// the name was not "already bound" in the caller's sense, so redo the
+	// pair. Each loss is another rebind completing, so the bound is only
+	// reached under a stream of them.
+	for attempt := 1; ; attempt++ {
+		if derr := c.mapResultErr(c.sh.conn.Delete(ctx, dn)); derr != nil && derr != core.ErrNotFound {
+			return core.Errf("rebind", name, derr)
+		}
+		err = c.mapResultErr(c.sh.conn.Add(ctx, dn, la))
+		if err != core.ErrAlreadyBound || attempt == rebindAttempts {
+			break
+		}
+	}
 	if err == core.ErrNotFound {
 		if cpe := c.boundary(ctx, full); cpe != nil {
 			return cpe

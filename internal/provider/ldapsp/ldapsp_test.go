@@ -269,3 +269,76 @@ func must(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentRebindOfOneName: rebind is delete-then-add, so rebinders of
+// one name race into the add's entryAlreadyExists. A lost race is redone,
+// not reported: every rebind succeeds and one entry remains.
+func TestConcurrentRebindOfOneName(t *testing.T) {
+	const clients, rounds = 8, 20
+	ctx := context.Background()
+	s := newServer(t)
+	ctxs := make([]*Context, clients)
+	for i := range ctxs {
+		// Own pool, own connection: a shared one would serialize them.
+		c, err := Open(ctx, s.Addr(), "dc=mathcs,dc=emory,dc=edu", map[string]any{core.EnvPoolID: fmt.Sprintf("rebinder-%d", i)})
+		must(t, err)
+		defer c.Close()
+		ctxs[i] = c
+	}
+	attrs := core.NewAttributes("type", "race")
+	// Every rebinder rebinds once per round and the round is awaited, so
+	// one rebind loses at most clients-1 races: below rebindAttempts.
+	for round := 0; round < rounds; round++ {
+		start := make(chan struct{})
+		errs := make(chan error, clients)
+		for i, c := range ctxs {
+			go func(i int, c *Context) {
+				<-start
+				errs <- c.RebindAttrs(ctx, "shared", i, attrs)
+			}(i, c)
+		}
+		close(start)
+		for range ctxs {
+			if err := <-errs; err != nil {
+				t.Errorf("round %d: rebind: %v", round, err)
+			}
+		}
+	}
+	got, err := ctxs[0].Lookup(ctx, "shared")
+	if v, ok := got.(int); err != nil || !ok || v < 0 || v >= clients {
+		t.Errorf("lookup after the rebinds = %v, %v", got, err)
+	}
+	if n := s.DIT().Len(); n != 2 {
+		t.Errorf("%d entries in the directory, want the base and the one name", n)
+	}
+}
+
+var lookupSink any
+
+// BenchmarkLDAPSPLookup is the ldapsp rung of the layer ladder: one Lookup
+// (a base-object search) in a directory of 1 100 entries, over loopback.
+func BenchmarkLDAPSPLookup(b *testing.B) {
+	ctx := context.Background()
+	s, err := ldapsrv.NewServer("127.0.0.1:0", ldapsrv.ServerConfig{BaseDN: "dc=bench"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Open(ctx, s.Addr(), "dc=bench", map[string]any{core.EnvPoolID: "bench-lookup"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 1100; i++ {
+		if err := c.Bind(ctx, fmt.Sprintf("k%04d", i), "value"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if lookupSink, err = c.Lookup(ctx, "k0550"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,7 +6,7 @@
 #   sh scripts/check.sh fmt vet lint    # just those stages
 #   sh scripts/check.sh test            # race-enabled tests + coverage gate
 #
-# Stages: fmt vet lint build test allocs chaos durability overload vuln bench benchdiff
+# Stages: fmt vet lint build benchmod test allocs chaos durability overload vuln bench benchdiff
 # Set CHECK_SKIP_BENCH=1 to skip the (slow) bench stage in a full run;
 # the vuln stage always runs. benchdiff is CI-only (it needs fresh
 # BENCH_issue*_ci.json quick reports next to the committed baselines).
@@ -43,6 +43,14 @@ stage_build() {
     echo "== go build (incl. examples) =="
     go build ./...
     go build ./examples/...
+}
+
+stage_benchmod() {
+    # bench/ is a module of its own (replace gondi => ../), so the root
+    # go build/vet/test ./... never compile it: a changed signature in a
+    # layer's public functions would break the benchmark unseen.
+    echo "== nested benchmark module: vet + generator hygiene tests =="
+    (cd bench && go vet . && go test -count=1 .)
 }
 
 stage_test() {
@@ -83,6 +91,14 @@ stage_allocs() {
     # or every call on the hot path pays the GC back.
     echo "== rpc codec zero-alloc gate =="
     go test -count=1 -run 'TestFrameCodecZeroAlloc' ./internal/rpc/
+
+    # O(operation) gates: a base-object search must allocate the same in
+    # a 10-entry and a 10 000-entry DIT (the children index, not a scan),
+    # and 200 sequential dns:// opens must leave at most one resolver
+    # socket and read loop alive (the resolver pool, not one per open).
+    echo "== DIT search + dnssp open alloc gates =="
+    go test -count=1 -run 'TestDITBaseSearchAllocsIndependentOfSize' ./internal/ldapsrv/
+    go test -count=1 -run 'TestOpensShareOneResolver' ./internal/provider/dnssp/
 
     # Codec fuzz targets over their checked-in seed corpora: the frame
     # reader and the WAL record codec must reject exactly and recover
@@ -212,6 +228,7 @@ if [ $# -eq 0 ]; then
     stage_vet
     stage_lint
     stage_build
+    stage_benchmod
     stage_test
     stage_allocs
     stage_chaos
@@ -224,9 +241,9 @@ if [ $# -eq 0 ]; then
 else
     for s in "$@"; do
         case "$s" in
-            fmt|vet|lint|build|test|allocs|chaos|durability|overload|vuln|bench|benchdiff) "stage_$s" ;;
+            fmt|vet|lint|build|benchmod|test|allocs|chaos|durability|overload|vuln|bench|benchdiff) "stage_$s" ;;
             *)
-                echo "unknown stage: $s (stages: fmt vet lint build test allocs chaos durability overload vuln bench benchdiff)" >&2
+                echo "unknown stage: $s (stages: fmt vet lint build benchmod test allocs chaos durability overload vuln bench benchdiff)" >&2
                 exit 2
                 ;;
         esac
