@@ -4,7 +4,9 @@ package gondi
 // design choices DESIGN.md calls out. These measure the real, uncalibrated
 // implementation (per-operation latency and allocations of each provider
 // path); the calibrated throughput *curves* of Figures 2-7 are regenerated
-// by `go run ./cmd/ippsbench` (or the shape tests in internal/benchmark).
+// by `go run ./cmd/ippsbench` (or the shape tests in internal/benchmark),
+// and the end-to-end and per-layer cost of this code under load by the
+// nested bench/ module (`bash bench/run.sh`, bench/README.md).
 
 import (
 	"context"

@@ -9,13 +9,6 @@
 //	ippsbench -exp ablation-queue
 //	ippsbench -quick          # short sweep and windows (smoke run)
 //	ippsbench -clients 1,10,50 -warm 2s -measure 3s
-//	ippsbench -issue2         # cache speedup + baseline diff → BENCH_issue2.json
-//	ippsbench -issue3         # obs overhead + server-side view → BENCH_issue3.json
-//	ippsbench -issue5         # self-healing vs collapse under a replica crash → BENCH_issue5.json
-//	ippsbench -issue6         # lockstep vs pipelined vs batched wire path → BENCH_issue6.json
-//	ippsbench -issue7         # open-loop 2x overload, admission on vs off → BENCH_issue7.json
-//	ippsbench -issue8         # 4-group shard scale-out + WAL crash restart → BENCH_issue8.json
-//	ippsbench -issue10        # crash-point matrix + corrupted-replica auto-repair → BENCH_issue10.json
 //
 // Absolute numbers depend on the calibrated cost model (see DESIGN.md);
 // the curve shapes — who saturates where, the strict-bind penalty, the
@@ -41,16 +34,6 @@ func main() {
 	warm := flag.Duration("warm", 0, "warmup per point (0 = per-experiment default)")
 	measure := flag.Duration("measure", 0, "measurement window per point (0 = per-experiment default)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	issue2 := flag.Bool("issue2", false, "run the cache speedup report (cache-lookup + figs 2/4/6/7 at 100 clients) and write -out")
-	issue3 := flag.Bool("issue3", false, "run the observability overhead report (obs enabled vs disabled at 100 clients) and write -out")
-	issue5 := flag.Bool("issue5", false, "run the self-healing report (replica crash with/without failover at 100 clients) and write -out")
-	issue6 := flag.Bool("issue6", false, "run the wire-path report (lockstep vs pipelined vs batched at 100 and 1000 clients) and write -out")
-	issue7 := flag.Bool("issue7", false, "run the overload-survival report (open-loop 2x capacity, 10k clients, admission on vs off) and write -out")
-	issue8 := flag.Bool("issue8", false, "run the shard report (4-group write scale-out vs one group, WAL crash restart) and write -out")
-	issue9 := flag.Bool("issue9", false, "run the mirroring report (mirrored vs direct reads through a full origin outage) and write -out")
-	issue10 := flag.Bool("issue10", false, "run the durability report (crash-point matrix + corrupted-replica auto-repair) and write -out")
-	baseline := flag.String("baseline", "BENCH_issue1.json", "issue1 baseline file for -issue2")
-	out := flag.String("out", "", "output file for -issue2 / -issue3 / -issue5 / -issue6 / -issue7 / -issue8 / -issue9 / -issue10 (default BENCH_issue<N>.json)")
 	flag.Parse()
 
 	if *list {
@@ -81,95 +64,6 @@ func main() {
 	}
 	if *measure > 0 {
 		opts.Measure = *measure
-	}
-
-	if *issue2 {
-		path := *out
-		if path == "" {
-			path = "BENCH_issue2.json"
-		}
-		if err := runIssue2(opts, *baseline, path); err != nil {
-			fmt.Fprintf(os.Stderr, "ippsbench: issue2: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *issue3 {
-		path := *out
-		if path == "" {
-			path = "BENCH_issue3.json"
-		}
-		if err := runIssue3(opts, path); err != nil {
-			fmt.Fprintf(os.Stderr, "ippsbench: issue3: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *issue5 {
-		path := *out
-		if path == "" {
-			path = "BENCH_issue5.json"
-		}
-		if err := runIssue5(opts, path); err != nil {
-			fmt.Fprintf(os.Stderr, "ippsbench: issue5: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *issue6 {
-		path := *out
-		if path == "" {
-			path = "BENCH_issue6.json"
-		}
-		if err := runIssue6(opts, path); err != nil {
-			fmt.Fprintf(os.Stderr, "ippsbench: issue6: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *issue7 {
-		path := *out
-		if path == "" {
-			path = "BENCH_issue7.json"
-		}
-		if err := runIssue7(*quick, path); err != nil {
-			fmt.Fprintf(os.Stderr, "ippsbench: issue7: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *issue8 {
-		path := *out
-		if path == "" {
-			path = "BENCH_issue8.json"
-		}
-		if err := runIssue8(*quick, path); err != nil {
-			fmt.Fprintf(os.Stderr, "ippsbench: issue8: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *issue9 {
-		path := *out
-		if path == "" {
-			path = "BENCH_issue9.json"
-		}
-		if err := runIssue9(*quick, path); err != nil {
-			fmt.Fprintf(os.Stderr, "ippsbench: issue9: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *issue10 {
-		path := *out
-		if path == "" {
-			path = "BENCH_issue10.json"
-		}
-		if err := runIssue10(*quick, path); err != nil {
-			fmt.Fprintf(os.Stderr, "ippsbench: issue10: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	ids := benchmark.OrderedIDs

@@ -16,7 +16,8 @@
 // plus filesystem and in-memory providers, federation of all of the
 // above into one composite URL-named space, and a benchmark harness
 // (internal/benchmark, cmd/ippsbench) that regenerates the paper's
-// Figures 2-7.
+// Figures 2-7 on a calibrated cost model. What this code itself costs
+// is measured by the nested bench/ module (bench/README.md).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the paper-versus-measured comparison.

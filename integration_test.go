@@ -12,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"gondi/internal/breaker"
 	"gondi/internal/core"
 	"gondi/internal/costmodel"
 	"gondi/internal/dnssrv"
+	"gondi/internal/fault"
 	"gondi/internal/hdns"
 	"gondi/internal/jgroups"
 	"gondi/internal/jini"
@@ -297,6 +299,93 @@ func TestFederationSurvivesReplicaCrash(t *testing.T) {
 			t.Fatalf("lookup after crash: %v, %v", obj, err)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// A multi-endpoint authority heals around a dead replica without any
+// administrative action: node 0 sits behind a fault.Proxy, and once the
+// proxy is cut "hdns://proxy,node1" keeps resolving — directly and as a
+// DNS-anchored federation hop — through the provider's breaker-ranked
+// failover.Open, while "hdns://proxy" alone fails typed.
+func TestFederationFailsOverToReplica(t *testing.T) {
+	ctx := context.Background()
+	w := buildWorld(t)
+	proxy, err := fault.NewProxy(w.nodes[0].Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		proxy.Close()
+		// Breakers are process-wide and keyed by address; a later run
+		// may be handed the same ephemeral port.
+		breaker.For(proxy.Addr()).Reset()
+	})
+	healing := "hdns://" + proxy.Addr() + "," + w.nodes[1].Addr()
+	solo := "hdns://" + proxy.Addr()
+	zone, _ := w.dns.Zone("global")
+	zone.Add(dnssrv.RR{Name: "healing.emory.global", Type: dnssrv.TypeTXT, Txt: []string{healing}})
+	zone.Add(dnssrv.RR{Name: "solo.emory.global", Type: dnssrv.TypeTXT, Txt: []string{solo}})
+	anchor := "dns://" + w.dns.Addr() + "/global/emory"
+	healingURLs := []string{healing + "/printer", anchor + "/healing/printer"}
+	soloURLs := []string{solo + "/printer", anchor + "/solo/printer"}
+
+	ic, err := core.Open(ctx, core.WithPoolID(t.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
+
+	// The replica must hold the binding before the primary can crash:
+	// watch it, bind through the proxy, wait for the replicated event.
+	replicated := make(chan core.NamingEvent, 8)
+	cancel, err := ic.Watch(ctx, "hdns://"+w.nodes[1].Addr()+"/", core.ScopeSubtree,
+		func(e core.NamingEvent) { replicated <- e })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if err := ic.Bind(ctx, healing+"/printer", "ready"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-replicated:
+	case <-time.After(5 * time.Second):
+		t.Fatal("bind never reached the replica")
+	}
+	for _, u := range append(healingURLs, soloURLs...) {
+		if obj, err := ic.Lookup(ctx, u); err != nil || obj != "ready" {
+			t.Fatalf("before the cut: %s = %v, %v", u, obj, err)
+		}
+	}
+
+	proxy.Cut()
+	// The pooled connection through the proxy dies asynchronously; the
+	// cut has been observed once the single-endpoint URL, which shares
+	// that pool entry, fails typed. Each attempt is a wire round trip,
+	// so the loop needs no pause of its own.
+	var unavailable *core.ServiceUnavailableError
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := ic.Lookup(ctx, soloURLs[0])
+		if errors.As(err, &unavailable) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("single endpoint behind a cut proxy: want ServiceUnavailableError, got %v", err)
+		}
+	}
+
+	for i := 0; i < 20; i++ {
+		for _, u := range healingURLs {
+			if obj, err := ic.Lookup(ctx, u); err != nil || obj != "ready" {
+				t.Fatalf("lookup %d after the cut: %s = %v, %v", i, u, obj, err)
+			}
+		}
+		for _, u := range soloURLs {
+			if _, err := ic.Lookup(ctx, u); !errors.As(err, &unavailable) {
+				t.Fatalf("lookup %d after the cut: %s: want ServiceUnavailableError, got %v", i, u, err)
+			}
+		}
 	}
 }
 

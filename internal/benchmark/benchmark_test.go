@@ -29,7 +29,7 @@ func find(e *Experiment, label string) Series {
 
 func TestHarnessClosedLoop(t *testing.T) {
 	// A no-op workload must track the ideal 20 Hz per-thread line.
-	p, err := RunClosedLoop(5, 100*time.Millisecond, 500*time.Millisecond, 0, 0,
+	p, err := RunClosedLoop(5, 100*time.Millisecond, 500*time.Millisecond, 0,
 		func(int) (func(ctx context.Context) error, func(), error) {
 			return func(context.Context) error { return nil }, nil, nil
 		})
@@ -46,7 +46,7 @@ func TestHarnessClosedLoop(t *testing.T) {
 
 func TestHarnessErrorsCounted(t *testing.T) {
 	boom := errors.New("boom")
-	p, err := RunClosedLoop(2, 50*time.Millisecond, 300*time.Millisecond, 0, 0,
+	p, err := RunClosedLoop(2, 50*time.Millisecond, 300*time.Millisecond, 0,
 		func(int) (func(ctx context.Context) error, func(), error) {
 			return func(context.Context) error { return boom }, nil, nil
 		})
@@ -59,7 +59,7 @@ func TestHarnessErrorsCounted(t *testing.T) {
 }
 
 func TestHarnessFactoryFailure(t *testing.T) {
-	_, err := RunClosedLoop(1, 10*time.Millisecond, 10*time.Millisecond, 0, 0,
+	_, err := RunClosedLoop(1, 10*time.Millisecond, 10*time.Millisecond, 0,
 		func(int) (func(ctx context.Context) error, func(), error) {
 			return nil, nil, errors.New("cannot connect")
 		})
@@ -148,7 +148,7 @@ func TestFig4Shape(t *testing.T) {
 	raw := find(e, "hdns")
 	spi := find(e, "hdns-spi")
 	if raw.PeakOps() < 1200 {
-		t.Errorf("HDNS read peak = %.0f, want >1500", raw.PeakOps())
+		t.Errorf("HDNS read peak = %.0f, want >=1200", raw.PeakOps())
 	}
 	// Near-ideal at 60 clients (ideal 1200).
 	if raw.At(60) < 800 {
@@ -200,7 +200,7 @@ func TestFig6Shape(t *testing.T) {
 	e.Print(os.Stderr)
 	s := find(e, "dns")
 	if s.PeakOps() < 1200 {
-		t.Errorf("DNS peak = %.0f, want >1500", s.PeakOps())
+		t.Errorf("DNS peak = %.0f, want >=1200", s.PeakOps())
 	}
 	if s.At(60) < 800 {
 		t.Errorf("DNS at 60 = %.0f, want near 1200", s.At(60))
@@ -290,7 +290,7 @@ func TestFederationDepthAblation(t *testing.T) {
 func TestHarnessOpTimeout(t *testing.T) {
 	// An op that never returns on its own must be cut loose by the
 	// per-operation deadline instead of wedging its client thread.
-	p, err := RunClosedLoop(2, 20*time.Millisecond, 200*time.Millisecond, 10*time.Millisecond, 0,
+	p, err := RunClosedLoop(2, 20*time.Millisecond, 200*time.Millisecond, 10*time.Millisecond,
 		func(int) (func(ctx context.Context) error, func(), error) {
 			return func(ctx context.Context) error {
 				<-ctx.Done()

@@ -655,12 +655,10 @@ var Experiments = map[string]func(Options) (*Experiment, error){
 	"ablation-stack":      RunAblationHDNSStack,
 	"ablation-queue":      RunAblationQueueBound,
 	"ablation-federation": RunAblationFederationDepth,
-	"cache-lookup":        RunCacheLookup,
 }
 
 // OrderedIDs lists the experiments in presentation order.
 var OrderedIDs = []string{
 	"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 	"ablation-bind", "ablation-stack", "ablation-queue", "ablation-federation",
-	"cache-lookup",
 }

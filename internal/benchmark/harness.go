@@ -40,11 +40,6 @@ type Options struct {
 	// OpTimeout is the per-operation deadline handed to each client op
 	// as a context; zero means DefaultOpTimeout.
 	OpTimeout time.Duration
-	// Think is the pause between a client's requests: zero means the
-	// paper's ThinkTime, negative means none at all (a hot loop — used
-	// by the cache experiments, where the interesting quantity is the
-	// resolution cost itself rather than the 20 Hz think-time ceiling).
-	Think time.Duration
 }
 
 // DefaultOptions mirror the paper's sweep with short windows suitable for
@@ -78,20 +73,13 @@ type Series struct {
 type ClientFactory func(client int) (op func(ctx context.Context) error, cleanup func(), err error)
 
 // RunClosedLoop measures one sweep point: n client threads issuing op,
-// pausing think between requests (zero = the paper's ThinkTime, negative
-// = hot loop), counting completions inside the measure window. Each op
-// call runs under its own opTimeout deadline (DefaultOpTimeout when
-// zero), so one wedged backend cannot stall a client thread past the
-// window.
-func RunClosedLoop(n int, warmup, measure, opTimeout, think time.Duration, factory ClientFactory) (Point, error) {
+// pausing ThinkTime between requests, counting completions inside the
+// measure window. Each op call runs under its own opTimeout deadline
+// (DefaultOpTimeout when zero), so one wedged backend cannot stall a
+// client thread past the window.
+func RunClosedLoop(n int, warmup, measure, opTimeout time.Duration, factory ClientFactory) (Point, error) {
 	if opTimeout <= 0 {
 		opTimeout = DefaultOpTimeout
-	}
-	switch {
-	case think == 0:
-		think = ThinkTime
-	case think < 0:
-		think = 0
 	}
 	type client struct {
 		op      func(ctx context.Context) error
@@ -124,14 +112,10 @@ func RunClosedLoop(n int, warmup, measure, opTimeout, think time.Duration, facto
 			rng := rand.New(rand.NewSource(int64(i)*7919 + 1))
 			// Stagger starts so the closed loop does not proceed in
 			// lockstep bursts (real clients desynchronize naturally).
-			stagger := think
-			if stagger <= 0 {
-				stagger = time.Millisecond
-			}
 			select {
 			case <-stop:
 				return
-			case <-time.After(time.Duration(rng.Int63n(int64(stagger)))):
+			case <-time.After(time.Duration(rng.Int63n(int64(ThinkTime)))):
 			}
 			for {
 				select {
@@ -149,14 +133,12 @@ func RunClosedLoop(n int, warmup, measure, opTimeout, think time.Duration, facto
 						failed.Add(1)
 					}
 				}
-				// Think time with ±25% jitter around the configured pause.
-				if think > 0 {
-					pause := think*3/4 + time.Duration(rng.Int63n(int64(think)/2))
-					select {
-					case <-stop:
-						return
-					case <-time.After(pause):
-					}
+				// Think time with ±25% jitter around the paper's pause.
+				pause := ThinkTime*3/4 + time.Duration(rng.Int63n(int64(ThinkTime)/2))
+				select {
+				case <-stop:
+					return
+				case <-time.After(pause):
 				}
 			}
 		}(i, clients[i])
@@ -180,7 +162,7 @@ func RunClosedLoop(n int, warmup, measure, opTimeout, think time.Duration, facto
 func Sweep(label string, opts Options, factory ClientFactory) (Series, error) {
 	s := Series{Label: label}
 	for _, n := range opts.Clients {
-		p, err := RunClosedLoop(n, opts.Warmup, opts.Measure, opts.OpTimeout, opts.Think, factory)
+		p, err := RunClosedLoop(n, opts.Warmup, opts.Measure, opts.OpTimeout, factory)
 		if err != nil {
 			return s, err
 		}

@@ -1,7 +1,6 @@
 // Package fault is the deterministic fault-injection layer used by the
-// chaos tests (ptest.RunFaultConformance), the self-healing integration
-// tests, and the -issue5 availability benchmark. It injects failures at
-// the stack's transport seams:
+// chaos tests (ptest.RunFaultConformance) and the self-healing
+// integration tests. It injects failures at the stack's transport seams:
 //
 //   - Conn / Listener wrap net connections and inject latency, dropped
 //     writes, connection resets, short writes, and one-way partitions,

@@ -21,8 +21,8 @@ import (
 // boundaries in the same order every run, so crash point k means the
 // same torn operation every time and a failure reproduces exactly.
 
-// CrashDrillConfig shapes the drill's workload.
-type CrashDrillConfig struct {
+// crashDrillConfig shapes the drill's workload.
+type crashDrillConfig struct {
 	// Entries is the number of synced binds the workload performs.
 	Entries int
 	// CompactAt lists op indices after which a full compaction (rotate,
@@ -31,8 +31,8 @@ type CrashDrillConfig struct {
 	CompactAt []int
 }
 
-// CrashPointResult summarizes a crash-point matrix run.
-type CrashPointResult struct {
+// crashPointResult summarizes a crash-point matrix run.
+type crashPointResult struct {
 	// Boundaries is the number of durability boundaries the intact
 	// workload crosses — the size of the matrix.
 	Boundaries int
@@ -54,11 +54,6 @@ type CrashPointResult struct {
 	BrokenChains int
 }
 
-// Failed reports whether the matrix found a durability violation.
-func (r *CrashPointResult) Failed() bool {
-	return r.LostAcked > 0 || r.Quarantines > 0 || r.BrokenChains > 0
-}
-
 func crashDrillEntry(i int) []string { return []string{fmt.Sprintf("e%05d", i)} }
 
 // crashWorkload runs the drill's serialized workload through fsys:
@@ -66,7 +61,7 @@ func crashDrillEntry(i int) []string { return []string{fmt.Sprintf("e%05d", i)} 
 // close. acked tracks the highest version whose fsync succeeded. The
 // returned error is expected (ErrCrashed) on crash runs; the caller
 // inspects the disk, not the error.
-func crashWorkload(fsys wal.FS, dir string, cfg CrashDrillConfig, acked *uint64) error {
+func crashWorkload(fsys wal.FS, dir string, cfg crashDrillConfig, acked *uint64) error {
 	compact := make(map[int]bool, len(cfg.CompactAt))
 	for _, i := range cfg.CompactAt {
 		compact[i] = true
@@ -102,12 +97,12 @@ func crashWorkload(fsys wal.FS, dir string, cfg CrashDrillConfig, acked *uint64)
 	return p.close(st)
 }
 
-// RunCrashPointDrill sizes the matrix with an intact dry run, then
+// runCrashPointDrill sizes the matrix with an intact dry run, then
 // replays the identical workload once per boundary with power loss
 // injected exactly there, restarting from the survived files each time
 // and checking the durability contract. root must be an empty scratch
 // directory; each crash point works in its own subdirectory.
-func RunCrashPointDrill(root string, cfg CrashDrillConfig) (*CrashPointResult, error) {
+func runCrashPointDrill(root string, cfg crashDrillConfig) (*crashPointResult, error) {
 	if cfg.Entries <= 0 {
 		cfg.Entries = 48
 	}
@@ -116,7 +111,7 @@ func RunCrashPointDrill(root string, cfg CrashDrillConfig) (*CrashPointResult, e
 	if err := crashWorkload(dry, filepath.Join(root, "dry"), cfg, &acked); err != nil {
 		return nil, fmt.Errorf("hdns: crash drill dry run: %w", err)
 	}
-	res := &CrashPointResult{Boundaries: int(dry.Boundaries())}
+	res := &crashPointResult{Boundaries: int(dry.Boundaries())}
 	for k := 1; k <= res.Boundaries; k++ {
 		ffs := fault.NewFS(wal.OS, fault.FSConfig{})
 		ffs.SetCrashPoint(uint64(k))

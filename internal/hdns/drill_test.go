@@ -2,13 +2,13 @@ package hdns
 
 import "fmt"
 
-// BuildShardState fabricates a shard's on-disk durable state for
+// buildShardState fabricates a shard's on-disk durable state for
 // restart drills: entries flat bindings of which the last walTail live
 // only in the WAL, everything earlier covered by the snapshot. The
 // layout matches a crash mid-epoch — the last compaction snapshotted
 // at version entries-walTail and the node died with a synced tail —
 // which is exactly what RestoreStore must rebuild.
-func BuildShardState(snapshotPath, walDir string, entries, walTail int) error {
+func buildShardState(snapshotPath, walDir string, entries, walTail int) error {
 	if walTail < 0 || walTail > entries {
 		return fmt.Errorf("hdns: walTail %d out of range for %d entries", walTail, entries)
 	}

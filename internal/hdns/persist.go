@@ -300,8 +300,7 @@ type RestoreInfo struct {
 // RestoreStoreFS rebuilds a shard's store from its durable state through
 // an explicit filesystem — snapshot verification plus WAL scrub with
 // torn-tail healing and corruption quarantine. This is exactly the
-// restart path NewNode runs; the crash-point harness and the issue-8
-// restart drill both drive it.
+// restart path NewNode runs; the crash-point matrix test drives it.
 func RestoreStoreFS(fsys wal.FS, snapshotPath, walDir string) (*Store, *RestoreInfo, error) {
 	p, store, damage, err := openPersistence(fsys, snapshotPath, walDir, 0)
 	if err != nil {

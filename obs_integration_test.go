@@ -113,8 +113,8 @@ func TestObservabilityTwoHopTrace(t *testing.T) {
 }
 
 // TestObservabilityOverheadGate spot-checks that disabling obs turns the
-// whole layer into no-ops (the -issue3 benchmark measures the enabled
-// cost; this guards the off switch).
+// whole layer into no-ops (bench/'s obs.overhead_ratio measures the
+// enabled cost; this guards the off switch).
 func TestObservabilityDisabledIsInert(t *testing.T) {
 	ctx := context.Background()
 	w := buildWorld(t)

@@ -2,14 +2,13 @@
 # Tier-1.5 gate, split into composable stages so CI jobs and local runs
 # share one entry point.
 #
-#   sh scripts/check.sh                 # every stage (bench last)
+#   sh scripts/check.sh                 # every stage
 #   sh scripts/check.sh fmt vet lint    # just those stages
 #   sh scripts/check.sh test            # race-enabled tests + coverage gate
 #
-# Stages: fmt vet lint build benchmod test allocs chaos durability overload vuln bench benchdiff
-# Set CHECK_SKIP_BENCH=1 to skip the (slow) bench stage in a full run;
-# the vuln stage always runs. benchdiff is CI-only (it needs fresh
-# BENCH_issue*_ci.json quick reports next to the committed baselines).
+# Stages: fmt vet lint build benchmod test allocs chaos durability overload vuln
+# allocs is the per-commit real-number gate; wall-clock costs are
+# measured by bench/run.sh (see bench/README.md), not gated here.
 set -e
 
 # Minimum statement coverage for internal/obs (enforced by the test stage:
@@ -150,7 +149,7 @@ stage_durability() {
 
 stage_vuln() {
     # Vulnerability + static-analysis gate. Runs unconditionally (its
-    # own CI job; CHECK_SKIP_BENCH never skips it). govulncheck is not
+    # own CI job; no skip knob reaches it). govulncheck is not
     # vendored: when the binary is absent locally the scan is skipped
     # with a notice — CI installs it — but go vet always runs, so the
     # stage never silently no-ops.
@@ -168,59 +167,12 @@ stage_vuln() {
 
 stage_overload() {
     # Overload contract at reduced scale: every daemon sheds typed and
-    # drains (admission conformance), the jgroups send window holds a
-    # slow consumer's buffers bounded, and the -quick issue7 gate shows
-    # graceful degradation at 2x open-loop overload vs collapse.
+    # drains (admission conformance) and the jgroups send window holds a
+    # slow consumer's buffers bounded.
     echo "== admission conformance: shed typed, never hang, drain (-race) =="
     go test -race -count=1 -run 'AdmissionConformance' ./internal/provider/ptest/
     echo "== bounded-buffer storm (-race) =="
     go test -race -count=1 -run 'TestBoundedBufferStormSurvives' ./internal/jgroups/
-    echo "== overload survival smoke (writes BENCH_issue7_smoke.json) =="
-    go run ./cmd/ippsbench -issue7 -quick -out BENCH_issue7_smoke.json
-}
-
-stage_bench() {
-    echo "== cache benchmark diff (writes BENCH_issue2.json) =="
-    go run ./cmd/ippsbench -issue2
-    echo "== obs overhead report (writes BENCH_issue3.json) =="
-    go run ./cmd/ippsbench -issue3
-    echo "== self-healing report (writes BENCH_issue5.json) =="
-    go run ./cmd/ippsbench -issue5
-    echo "== wire-path report (writes BENCH_issue6.json) =="
-    go run ./cmd/ippsbench -issue6
-    echo "== overload survival report (writes BENCH_issue7.json) =="
-    go run ./cmd/ippsbench -issue7
-    echo "== shard scale-out + WAL restart report (writes BENCH_issue8.json) =="
-    go run ./cmd/ippsbench -issue8
-    echo "== cross-registry mirroring report (writes BENCH_issue9.json) =="
-    go run ./cmd/ippsbench -issue9
-    echo "== durability report (writes BENCH_issue10.json) =="
-    go run ./cmd/ippsbench -issue10
-}
-
-stage_benchdiff() {
-    # Bench regression gate: fresh -quick reports against the committed
-    # full baselines, >20% ops/s drop fails (scripts/benchdiff). Issues
-    # 2 and 6 are hot-loop micro-benches (cache hits, wire frames) whose
-    # quick windows under-measure CPU-bound ops/s on shared runners, so
-    # only the cost-model-bound reports — where quick and full saturate
-    # the same calibrated ceilings — are diffed; 2 and 6 keep their own
-    # -quick verdict gates.
-    echo "== bench regression diff (>20% ops/s drop fails) =="
-    compared=0
-    for n in 3 5 7 8 9 10; do
-        fresh="BENCH_issue${n}_ci.json"
-        if [ ! -f "$fresh" ]; then
-            echo "benchdiff: $fresh missing (go run ./cmd/ippsbench -issue$n -quick -out $fresh); skipping"
-            continue
-        fi
-        go run ./scripts/benchdiff "BENCH_issue$n.json" "$fresh"
-        compared=1
-    done
-    if [ "$compared" -eq 0 ]; then
-        echo "benchdiff: no fresh BENCH_issue*_ci.json reports found" >&2
-        exit 1
-    fi
 }
 
 if [ $# -eq 0 ]; then
@@ -235,15 +187,12 @@ if [ $# -eq 0 ]; then
     stage_durability
     stage_overload
     stage_vuln
-    if [ -z "$CHECK_SKIP_BENCH" ]; then
-        stage_bench
-    fi
 else
     for s in "$@"; do
         case "$s" in
-            fmt|vet|lint|build|benchmod|test|allocs|chaos|durability|overload|vuln|bench|benchdiff) "stage_$s" ;;
+            fmt|vet|lint|build|benchmod|test|allocs|chaos|durability|overload|vuln) "stage_$s" ;;
             *)
-                echo "unknown stage: $s (stages: fmt vet lint build benchmod test allocs chaos durability overload vuln bench benchdiff)" >&2
+                echo "unknown stage: $s (stages: fmt vet lint build benchmod test allocs chaos durability overload vuln)" >&2
                 exit 2
                 ;;
         esac
