@@ -9,8 +9,6 @@ import (
 	"gondi/internal/obs"
 )
 
-var _ core.BatchContext = (*CachedContext)(nil)
-
 // batchPlan is the per-item outcome of classifying a batch against the
 // entry table under one lock acquisition.
 type batchPlan struct {
@@ -124,12 +122,11 @@ func (r *root) abortLeads(p batchPlan, keys []string, err error) {
 // cachedBatch is the shared read path for LookupMany/GetAttributesMany:
 // hits serve from the table, concurrent misses collapse into in-flight
 // unary fills, and the remaining misses go to the provider as ONE batched
-// call (core.LookupMany-style helper passed as fill).
+// call (fill, given the positions to fetch).
 func (r *root) cachedBatch(
 	ctx context.Context,
 	keys []string, bases []core.Name, out []core.BatchResult, skip []bool,
 	fill func(inner core.Context, idxs []int) ([]core.BatchResult, error),
-	refill func(inner core.Context, i int) core.BatchResult,
 ) ([]core.BatchResult, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
@@ -166,7 +163,11 @@ func (r *root) cachedBatch(
 			// it is not ours to inherit while our context is still alive.
 			if cl.err != nil && ctx.Err() == nil &&
 				(errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded)) {
-				out[i] = refill(p.inner, i)
+				if res, err := fill(p.inner, []int{i}); err != nil {
+					out[i] = core.BatchResult{Err: err}
+				} else {
+					out[i] = res[0]
+				}
 				continue
 			}
 			out[i] = core.BatchResult{Value: cl.val, Err: cl.err}
@@ -177,11 +178,17 @@ func (r *root) cachedBatch(
 	return out, nil
 }
 
-// LookupMany implements core.BatchContext: cache hits are served locally,
-// and every miss rides one batched provider call (native batch frames
-// when the provider supports them, a loop otherwise), each miss settling
-// its own singleflight entry.
-func (cc *CachedContext) LookupMany(ctx context.Context, names []string) ([]core.BatchResult, error) {
+// readMany is LookupMany and GetAttributesMany: cache hits are served
+// locally, and every miss rides one batched provider call (native batch
+// frames when the provider supports them, a loop otherwise), each miss
+// settling its own singleflight entry. Keys are the unary reads' keys, and
+// served attribute sets are cloned exactly as the unary path clones.
+func (cc *CachedContext) readMany(ctx context.Context, op core.Op) ([]core.BatchResult, error) {
+	if inner := cc.r.getInner(); !core.Supports(inner, op) {
+		res, err := core.Do(ctx, inner, op)
+		return res.Batch, err
+	}
+	names := op.Names
 	out := make([]core.BatchResult, len(names))
 	skip := make([]bool, len(names))
 	keys := make([]string, len(names))
@@ -193,70 +200,27 @@ func (cc *CachedContext) LookupMany(ctx context.Context, names []string) ([]core
 			wire[i] = name // unkeyable: pass through raw, uncached
 			continue
 		}
-		if name == "" {
-			out[i] = core.BatchResult{Value: &CachedContext{r: cc.r, base: cc.base}}
+		if op.Kind == core.OpLookupMany && name == "" {
+			out[i] = core.BatchResult{Value: newView(cc.r, cc.base)}
 			skip[i] = true
 			continue
 		}
-		keys[i] = opKey('l', full, "")
-		bases[i] = full
-		wire[i] = full.String()
-	}
-	return cc.r.cachedBatch(ctx, keys, bases, out, skip,
-		func(inner core.Context, idxs []int) ([]core.BatchResult, error) {
-			sub := make([]string, len(idxs))
-			for k, i := range idxs {
-				sub[k] = wire[i]
-			}
-			return core.LookupMany(ctx, inner, sub)
-		},
-		func(inner core.Context, i int) core.BatchResult {
-			v, err := inner.Lookup(ctx, wire[i])
-			return core.BatchResult{Value: v, Err: err}
-		})
-}
-
-// GetAttributesMany implements core.BatchContext with the same hit/join/
-// batched-fill split, keyed per requested attribute-ID set. Served
-// attribute sets are cloned, exactly as the unary path clones.
-func (cc *CachedContext) GetAttributesMany(ctx context.Context, names []string, attrIDs ...string) ([]core.BatchResult, error) {
-	if _, ok := cc.r.getInner().(core.DirContext); !ok {
-		return nil, core.Errf("getAttributesMany", "", core.ErrNotSupported)
-	}
-	out := make([]core.BatchResult, len(names))
-	skip := make([]bool, len(names))
-	keys := make([]string, len(names))
-	bases := make([]core.Name, len(names))
-	wire := make([]string, len(names))
-	extra := joinIDs(attrIDs)
-	for i, name := range names {
-		full, ok := cc.fullName(name)
-		if !ok {
-			wire[i] = name
-			continue
-		}
-		keys[i] = opKey('a', full, extra)
+		keys[i] = readKey(op.Item(i), full)
 		bases[i] = full
 		wire[i] = full.String()
 	}
 	res, err := cc.r.cachedBatch(ctx, keys, bases, out, skip,
 		func(inner core.Context, idxs []int) ([]core.BatchResult, error) {
-			sub := make([]string, len(idxs))
+			sub := op
+			sub.Names = make([]string, len(idxs))
 			for k, i := range idxs {
-				sub[k] = wire[i]
+				sub.Names[k] = wire[i]
 			}
-			return core.GetAttributesMany(ctx, inner, sub, attrIDs...)
-		},
-		func(inner core.Context, i int) core.BatchResult {
-			di, ok := inner.(core.DirContext)
-			if !ok {
-				return core.BatchResult{Err: core.Errf("getAttributes", names[i], core.ErrNotSupported)}
-			}
-			v, err := di.GetAttributes(ctx, wire[i], attrIDs...)
-			return core.BatchResult{Value: v, Err: err}
+			res, err := core.Do(ctx, inner, sub)
+			return res.Batch, err
 		})
-	if err != nil {
-		return nil, err
+	if err != nil || op.Kind == core.OpLookupMany {
+		return res, err
 	}
 	for i := range res {
 		if a, ok := res[i].Value.(*core.Attributes); ok {
@@ -266,30 +230,15 @@ func (cc *CachedContext) GetAttributesMany(ctx context.Context, names []string, 
 	return res, nil
 }
 
-// joinIDs mirrors the unary GetAttributes cache key's attr-ID component.
-func joinIDs(ids []string) string {
-	s := ""
-	for k, id := range ids {
-		if k > 0 {
-			s += "\x1f"
-		}
-		s += id
-	}
-	return s
-}
-
-// BindMany implements core.BatchContext: writes pass through to the
-// provider in one batched call, then every successfully bound name
-// invalidates overlapping entries (one table sweep for the whole batch).
-func (cc *CachedContext) BindMany(ctx context.Context, reqs []core.BindRequest) ([]core.BatchResult, error) {
+// bindMany is BindMany: writes pass through to the provider in one
+// batched call, then every successfully bound name invalidates
+// overlapping entries (one table sweep for the whole batch).
+func (cc *CachedContext) bindMany(ctx context.Context, reqs []core.BindRequest) ([]core.BatchResult, error) {
 	resolved := make([]core.BindRequest, len(reqs))
-	targets := make([]string, len(reqs))
 	for i, r := range reqs {
 		resolved[i] = r
-		targets[i] = r.Name
 		if full, ok := cc.fullName(r.Name); ok {
 			resolved[i].Name = full.String()
-			targets[i] = full.String()
 		}
 	}
 	out, err := core.BindMany(ctx, cc.r.getInner(), resolved)
@@ -299,7 +248,7 @@ func (cc *CachedContext) BindMany(ctx context.Context, reqs []core.BindRequest) 
 	var written []string
 	for i := range out {
 		if out[i].Err == nil {
-			written = append(written, targets[i])
+			written = append(written, resolved[i].Name)
 		}
 	}
 	if len(written) > 0 {

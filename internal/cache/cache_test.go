@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gondi/internal/core"
+	"gondi/internal/provider/memsp"
 )
 
 // fakeCtx is an in-package event-capable DirContext with call counting.
@@ -707,5 +708,41 @@ func TestCloseStopsEverything(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Error("second Close must be a no-op:", err)
+	}
+}
+
+func TestUnparseableNameGoesToProviderAsGiven(t *testing.T) {
+	// A name the cache cannot key must reach the provider exactly as given
+	// — and so fail there — never be rewritten to the root.
+	ctx := context.Background()
+	mem := memsp.NewContext(memsp.NewTree(), nil, "")
+	if err := mem.Bind(ctx, "svc", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{}, nil)
+	defer c.Close()
+	w := c.Wrap(mem)
+	if _, err := w.Lookup(ctx, "svc"); err != nil {
+		t.Fatal(err)
+	}
+	evictions := c.Stats().Evictions
+
+	mods := []core.AttributeMod{{Op: core.ModReplace, Attr: core.Attribute{ID: "owner", Values: []string{"x"}}}}
+	var ine *core.InvalidNameError
+	if err := w.ModifyAttributes(ctx, `a\`, mods); !errors.As(err, &ine) {
+		t.Fatalf("ModifyAttributes(%q) = %v, want *core.InvalidNameError", `a\`, err)
+	}
+	if err := w.BindAttrs(ctx, `a\`, "v", core.NewAttributes("owner", "x")); !errors.As(err, &ine) {
+		t.Fatalf("BindAttrs(%q) = %v, want *core.InvalidNameError", `a\`, err)
+	}
+	attrs, err := mem.GetAttributes(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := attrs.Get("owner"); ok {
+		t.Errorf("the write landed on the root: %v", attrs)
+	}
+	if got := c.Stats().Evictions; got != evictions {
+		t.Errorf("a refused write evicted %d entries", got-evictions)
 	}
 }

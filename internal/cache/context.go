@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gondi/internal/core"
@@ -13,19 +14,40 @@ import (
 // entries are keyed by full root-relative names, so a hit populated
 // through one view serves every other.
 //
-// Read operations (Lookup, List, ListBindings, GetAttributes, Search) are
-// cached; write operations pass straight through to the provider and then
-// invalidate overlapping entries; LookupLink and Watch pass through
-// untouched (links are resolution-sensitive, watches are live channels).
+// Its typed surface is core.BatchOpContext over Do, which treats an
+// operation by what it does to the name space:
+//
+//   - reads (Lookup, List, ListBindings, GetAttributes, Search) are served
+//     read-through from the entry table;
+//   - writes pass straight through to the provider — its atomic
+//     test-and-set runs untouched — and then evict every overlapping entry,
+//     including a cached ErrNotFound for the name;
+//   - LookupLink and Watch are rebased onto the root and passed through:
+//     link-sensitive resolution must see the provider's current link
+//     object, and a watch is a live channel, independent of the cache's
+//     own invalidation watch;
+//   - a name the cache cannot key (URL form, unparseable) goes to the
+//     provider exactly as given, whatever the kind;
+//   - the batch kinds split into hits and one batched fill (batch.go).
 type CachedContext struct {
+	core.BatchOpContext
 	r    *root
 	base core.Name
 }
 
 var (
 	_ core.DirContext    = (*CachedContext)(nil)
+	_ core.EventContext  = (*CachedContext)(nil)
+	_ core.BatchContext  = (*CachedContext)(nil)
 	_ core.ContextViewer = (*CachedContext)(nil)
 )
+
+// newView is the wrapper for the subtree of r at base.
+func newView(r *root, base core.Name) *CachedContext {
+	cc := &CachedContext{r: r, base: base}
+	cc.Doer = cc
+	return cc
+}
 
 // View implements core.ContextViewer: it rebases the wrapper onto a
 // subtree without a wire round trip, keeping the shared entry table.
@@ -33,7 +55,7 @@ func (cc *CachedContext) View(rest core.Name) core.Context {
 	if rest.IsEmpty() {
 		return cc
 	}
-	return &CachedContext{r: cc.r, base: cc.base.Concat(rest)}
+	return newView(cc.r, cc.base.Concat(rest))
 }
 
 // fullName resolves name against the view base. ok is false for names the
@@ -54,123 +76,23 @@ func opKey(kind byte, full core.Name, extra string) string {
 	return string(kind) + "\x00" + full.String() + "\x00" + extra
 }
 
-// Lookup implements core.Context with read-through caching.
-func (cc *CachedContext) Lookup(ctx context.Context, name string) (any, error) {
-	full, ok := cc.fullName(name)
-	if !ok {
-		return cc.r.getInner().Lookup(ctx, name)
+// readKey is the entry key of a read the cache serves — GetAttributes
+// keyed per requested attribute-ID set, Search per (filter, controls) —
+// and "" for every other kind.
+func readKey(op core.Op, full core.Name) string {
+	switch op.Kind {
+	case core.OpLookup:
+		return opKey('l', full, "")
+	case core.OpList:
+		return opKey('L', full, "")
+	case core.OpListBindings:
+		return opKey('B', full, "")
+	case core.OpGetAttributes:
+		return opKey('a', full, strings.Join(op.AttrIDs, "\x1f"))
+	case core.OpSearch:
+		return opKey('s', full, op.Filter+"\x1f"+controlsKey(op.Controls))
 	}
-	if name == "" {
-		// JNDI: looking up the empty name yields a new context sharing this
-		// one's state. The view is exactly that, with caching kept.
-		return &CachedContext{r: cc.r, base: cc.base}, nil
-	}
-	return cc.r.cachedOp(ctx, opKey('l', full, ""), full,
-		func(inner core.Context) (any, error) {
-			return inner.Lookup(ctx, full.String())
-		})
-}
-
-// LookupLink passes through uncached: link-sensitive resolution must see
-// the provider's current link object.
-func (cc *CachedContext) LookupLink(ctx context.Context, name string) (any, error) {
-	full, ok := cc.fullName(name)
-	if !ok {
-		return cc.r.getInner().LookupLink(ctx, name)
-	}
-	return cc.r.getInner().LookupLink(ctx, full.String())
-}
-
-// List implements core.Context with read-through caching.
-func (cc *CachedContext) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	full, ok := cc.fullName(name)
-	if !ok {
-		return cc.r.getInner().List(ctx, name)
-	}
-	v, err := cc.r.cachedOp(ctx, opKey('L', full, ""), full,
-		func(inner core.Context) (any, error) {
-			return inner.List(ctx, full.String())
-		})
-	if err != nil {
-		return nil, err
-	}
-	pairs := v.([]core.NameClassPair)
-	out := make([]core.NameClassPair, len(pairs))
-	copy(out, pairs)
-	return out, nil
-}
-
-// ListBindings implements core.Context with read-through caching.
-func (cc *CachedContext) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	full, ok := cc.fullName(name)
-	if !ok {
-		return cc.r.getInner().ListBindings(ctx, name)
-	}
-	v, err := cc.r.cachedOp(ctx, opKey('B', full, ""), full,
-		func(inner core.Context) (any, error) {
-			return inner.ListBindings(ctx, full.String())
-		})
-	if err != nil {
-		return nil, err
-	}
-	bs := v.([]core.Binding)
-	out := make([]core.Binding, len(bs))
-	copy(out, bs)
-	return out, nil
-}
-
-// GetAttributes implements core.DirContext with read-through caching,
-// keyed per requested attribute-ID set.
-func (cc *CachedContext) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	d, full, ok := cc.dirInner("getAttributes", name)
-	if !ok {
-		return nil, core.Errf("getAttributes", name, core.ErrNotSupported)
-	}
-	if full.IsEmpty() && core.IsURLName(name) {
-		return d.GetAttributes(ctx, name, attrIDs...)
-	}
-	v, err := cc.r.cachedOp(ctx, opKey('a', full, strings.Join(attrIDs, "\x1f")), full,
-		func(inner core.Context) (any, error) {
-			di, ok := inner.(core.DirContext)
-			if !ok {
-				return nil, core.Errf("getAttributes", name, core.ErrNotSupported)
-			}
-			return di.GetAttributes(ctx, full.String(), attrIDs...)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Attributes).Clone(), nil
-}
-
-// Search implements core.DirContext with read-through caching, keyed per
-// (base, filter, controls).
-func (cc *CachedContext) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	d, full, ok := cc.dirInner("search", name)
-	if !ok {
-		return nil, core.Errf("search", name, core.ErrNotSupported)
-	}
-	if full.IsEmpty() && core.IsURLName(name) {
-		return d.Search(ctx, name, filterStr, controls)
-	}
-	v, err := cc.r.cachedOp(ctx, opKey('s', full, filterStr+"\x1f"+controlsKey(controls)), full,
-		func(inner core.Context) (any, error) {
-			di, ok := inner.(core.DirContext)
-			if !ok {
-				return nil, core.Errf("search", name, core.ErrNotSupported)
-			}
-			return di.Search(ctx, full.String(), filterStr, controls)
-		})
-	if err != nil {
-		return nil, err
-	}
-	rs := v.([]core.SearchResult)
-	out := make([]core.SearchResult, len(rs))
-	copy(out, rs)
-	for i := range out {
-		out[i].Attributes = out[i].Attributes.Clone()
-	}
-	return out, nil
+	return ""
 }
 
 // controlsKey serializes the cache-relevant fields of SearchControls.
@@ -181,186 +103,98 @@ func controlsKey(c *core.SearchControls) string {
 	return fmt.Sprintf("%d|%d|%d|%v|%v", c.Scope, c.CountLimit, c.TimeLimit, c.ReturnAttrs, c.ReturnObject)
 }
 
-// --- write path: pass through, then invalidate -------------------------
-
-// Bind implements core.Context; the provider's atomic test-and-set runs
-// untouched, then overlapping entries (including a cached ErrNotFound for
-// this name) are evicted.
-func (cc *CachedContext) Bind(ctx context.Context, name string, obj any) error {
-	full, ok := cc.fullName(name)
-	if !ok {
-		return cc.r.getInner().Bind(ctx, name, obj)
+// Do implements core.Doer; see the type comment for the rule per kind.
+func (cc *CachedContext) Do(ctx context.Context, op core.Op) (core.Result, error) {
+	switch op.Kind {
+	case core.OpLookupMany, core.OpGetAttributesMany:
+		out, err := cc.readMany(ctx, op)
+		return core.Result{Batch: out}, err
+	case core.OpBindMany:
+		out, err := cc.bindMany(ctx, op.Binds)
+		return core.Result{Batch: out}, err
 	}
-	if err := cc.r.getInner().Bind(ctx, full.String(), obj); err != nil {
-		return err
+	full, keyable := cc.fullName(op.Name)
+	var newFull core.Name
+	if keyable && op.Kind == core.OpRename {
+		newFull, keyable = cc.fullName(op.NewName)
 	}
-	cc.r.invalidate(full.String())
-	return nil
-}
-
-// BindAttrs implements core.DirContext.
-func (cc *CachedContext) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	d, full, ok := cc.dirInner("bind", name)
-	if !ok {
-		return core.Errf("bind", name, core.ErrNotSupported)
-	}
-	target := name
-	if !(full.IsEmpty() && core.IsURLName(name)) {
-		target = full.String()
-	}
-	if err := d.BindAttrs(ctx, target, obj, attrs); err != nil {
-		return err
-	}
-	cc.r.invalidate(target)
-	return nil
-}
-
-// Rebind implements core.Context.
-func (cc *CachedContext) Rebind(ctx context.Context, name string, obj any) error {
-	full, ok := cc.fullName(name)
-	if !ok {
-		return cc.r.getInner().Rebind(ctx, name, obj)
-	}
-	if err := cc.r.getInner().Rebind(ctx, full.String(), obj); err != nil {
-		return err
-	}
-	cc.r.invalidate(full.String())
-	return nil
-}
-
-// RebindAttrs implements core.DirContext.
-func (cc *CachedContext) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	d, full, ok := cc.dirInner("rebind", name)
-	if !ok {
-		return core.Errf("rebind", name, core.ErrNotSupported)
-	}
-	target := name
-	if !(full.IsEmpty() && core.IsURLName(name)) {
-		target = full.String()
-	}
-	if err := d.RebindAttrs(ctx, target, obj, attrs); err != nil {
-		return err
-	}
-	cc.r.invalidate(target)
-	return nil
-}
-
-// Unbind implements core.Context.
-func (cc *CachedContext) Unbind(ctx context.Context, name string) error {
-	full, ok := cc.fullName(name)
-	if !ok {
-		return cc.r.getInner().Unbind(ctx, name)
-	}
-	if err := cc.r.getInner().Unbind(ctx, full.String()); err != nil {
-		return err
-	}
-	cc.r.invalidate(full.String())
-	return nil
-}
-
-// Rename implements core.Context; both the old and new names invalidate.
-func (cc *CachedContext) Rename(ctx context.Context, oldName, newName string) error {
-	oldFull, ok1 := cc.fullName(oldName)
-	newFull, ok2 := cc.fullName(newName)
-	if !ok1 || !ok2 {
-		return cc.r.getInner().Rename(ctx, oldName, newName)
-	}
-	if err := cc.r.getInner().Rename(ctx, oldFull.String(), newFull.String()); err != nil {
-		return err
-	}
-	cc.r.invalidate(oldFull.String(), newFull.String())
-	return nil
-}
-
-// CreateSubcontext implements core.Context. The created context is
-// returned unwrapped-equivalent: a cached view of the new subtree.
-func (cc *CachedContext) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	full, ok := cc.fullName(name)
-	if !ok {
-		return cc.r.getInner().CreateSubcontext(ctx, name)
-	}
-	if _, err := cc.r.getInner().CreateSubcontext(ctx, full.String()); err != nil {
-		return nil, err
-	}
-	cc.r.invalidate(full.String())
-	return &CachedContext{r: cc.r, base: full}, nil
-}
-
-// CreateSubcontextAttrs implements core.DirContext.
-func (cc *CachedContext) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	d, full, ok := cc.dirInner("createSubcontext", name)
-	if !ok {
-		return nil, core.Errf("createSubcontext", name, core.ErrNotSupported)
-	}
-	if full.IsEmpty() && core.IsURLName(name) {
-		return d.CreateSubcontextAttrs(ctx, name, attrs)
-	}
-	if _, err := d.CreateSubcontextAttrs(ctx, full.String(), attrs); err != nil {
-		return nil, err
-	}
-	cc.r.invalidate(full.String())
-	return &CachedContext{r: cc.r, base: full}, nil
-}
-
-// DestroySubcontext implements core.Context.
-func (cc *CachedContext) DestroySubcontext(ctx context.Context, name string) error {
-	full, ok := cc.fullName(name)
-	if !ok {
-		return cc.r.getInner().DestroySubcontext(ctx, name)
-	}
-	if err := cc.r.getInner().DestroySubcontext(ctx, full.String()); err != nil {
-		return err
-	}
-	cc.r.invalidate(full.String())
-	return nil
-}
-
-// ModifyAttributes implements core.DirContext.
-func (cc *CachedContext) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	d, full, ok := cc.dirInner("modifyAttributes", name)
-	if !ok {
-		return core.Errf("modifyAttributes", name, core.ErrNotSupported)
-	}
-	target := name
-	if !(full.IsEmpty() && core.IsURLName(name)) {
-		target = full.String()
-	}
-	if err := d.ModifyAttributes(ctx, target, mods); err != nil {
-		return err
-	}
-	cc.r.invalidate(target)
-	return nil
-}
-
-// dirInner resolves the provider as a DirContext plus the full name for
-// name. ok is false only when the provider has no directory support; a
-// name the cache cannot key comes back with an empty full name (callers
-// detect that via full.IsEmpty() && IsURLName and pass name through raw).
-func (cc *CachedContext) dirInner(op, name string) (core.DirContext, core.Name, bool) {
-	d, ok := cc.r.getInner().(core.DirContext)
-	if !ok {
-		return nil, core.Name{}, false
-	}
-	full, keyable := cc.fullName(name)
 	if !keyable {
-		return d, core.Name{}, true
+		return core.Do(ctx, cc.r.getInner(), op)
 	}
-	return d, full, true
+	if op.Kind == core.OpLookup && op.Name == "" {
+		// JNDI: looking up the empty name yields a new context sharing this
+		// one's state. The view is exactly that, with caching kept.
+		return core.Result{Value: newView(cc.r, cc.base)}, nil
+	}
+	if key := readKey(op, full); key != "" {
+		return cc.read(ctx, op, full, key)
+	}
+	inner := cc.r.getInner()
+	if !core.Supports(inner, op) {
+		return core.Do(ctx, inner, op) // refused against the caller's name
+	}
+	op.Name = full.String()
+	if op.Kind == core.OpRename {
+		op.NewName = newFull.String()
+	}
+	res, err := core.Do(ctx, inner, op)
+	switch {
+	case err != nil, op.Kind == core.OpLookupLink, op.Kind == core.OpWatch:
+		return res, err
+	case op.Kind == core.OpRename:
+		cc.r.invalidate(op.Name, op.NewName)
+	default:
+		cc.r.invalidate(op.Name)
+	}
+	if op.Kind == core.OpCreateSubcontext {
+		// The created context is handed back as a cached view of the new
+		// subtree.
+		res.Context = newView(cc.r, full)
+	}
+	return res, nil
 }
 
-// Watch implements core.EventContext by delegating to the provider when it
-// supports events: the caller gets live provider events for the subtree,
-// independent of the cache's own invalidation watch.
-func (cc *CachedContext) Watch(ctx context.Context, target string, scope core.SearchScope, l core.Listener) (func(), error) {
-	ec, ok := cc.r.getInner().(core.EventContext)
-	if !ok {
-		return nil, core.Errf("watch", target, core.ErrNotSupported)
+// read serves one cacheable read: from the entry table, else from the
+// provider under the root-relative name. An entry holds the one Result
+// field the kind fills; what is served is copied out of it, so callers
+// cannot alias the table.
+func (cc *CachedContext) read(ctx context.Context, op core.Op, full core.Name, key string) (core.Result, error) {
+	v, err := cc.r.cachedOp(ctx, key, full, func(inner core.Context) (any, error) {
+		op.Name = full.String()
+		res, err := core.Do(ctx, inner, op)
+		if err != nil {
+			return nil, err
+		}
+		switch op.Kind {
+		case core.OpList:
+			return res.Pairs, nil
+		case core.OpListBindings:
+			return res.Bindings, nil
+		case core.OpGetAttributes:
+			return res.Attrs, nil
+		case core.OpSearch:
+			return res.Found, nil
+		}
+		return res.Value, nil
+	})
+	if err != nil {
+		return core.Result{}, err
 	}
-	full, keyable := cc.fullName(target)
-	if keyable {
-		target = full.String()
+	switch op.Kind {
+	case core.OpList:
+		return core.Result{Pairs: slices.Clone(v.([]core.NameClassPair))}, nil
+	case core.OpListBindings:
+		return core.Result{Bindings: slices.Clone(v.([]core.Binding))}, nil
+	case core.OpGetAttributes:
+		return core.Result{Attrs: v.(*core.Attributes).Clone()}, nil
+	case core.OpSearch:
+		out := slices.Clone(v.([]core.SearchResult))
+		for i := range out {
+			out[i].Attributes = out[i].Attributes.Clone()
+		}
+		return core.Result{Found: out}, nil
 	}
-	return ec.Watch(ctx, target, scope, l)
+	return core.Result{Value: v}, nil
 }
 
 // Reference implements core.Referenceable when the provider does, so a

@@ -68,7 +68,7 @@ func (c *Cache) newRoot(ctx context.Context, key, url string, inner core.Context
 		lru:     list.New(),
 		flight:  map[string]*call{},
 	}
-	r.wrapper = &CachedContext{r: r}
+	r.wrapper = newView(r, core.Name{})
 	if !c.cfg.DisableEvents {
 		if ec, ok := inner.(core.EventContext); ok {
 			if unwatch, err := ec.Watch(ctx, "", core.ScopeSubtree, r.onEvent); err == nil {

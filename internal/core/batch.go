@@ -40,73 +40,25 @@ type BatchContext interface {
 }
 
 // LookupMany looks up many names on c, natively batched when c implements
-// BatchContext, per-item otherwise. Results are positional: out[i] is
-// names[i]'s object or typed error.
+// BatchContext, per-item otherwise (see Do). Results are positional:
+// out[i] is names[i]'s object or typed error.
 func LookupMany(ctx context.Context, c Context, names []string) ([]BatchResult, error) {
-	if bc, ok := c.(BatchContext); ok {
-		return bc.LookupMany(ctx, names)
-	}
-	out := make([]BatchResult, len(names))
-	for i, name := range names {
-		if err := CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		out[i].Value, out[i].Err = c.Lookup(ctx, name)
-	}
-	return out, nil
+	res, err := Do(ctx, c, Op{Kind: OpLookupMany, Names: names})
+	return res.Batch, err
 }
 
 // BindMany binds many name/object pairs on c, natively batched when c
 // implements BatchContext. Each result's Err carries that item's typed
 // failure; Value is always nil.
 func BindMany(ctx context.Context, c Context, reqs []BindRequest) ([]BatchResult, error) {
-	if bc, ok := c.(BatchContext); ok {
-		return bc.BindMany(ctx, reqs)
-	}
-	out := make([]BatchResult, len(reqs))
-	for i, r := range reqs {
-		if err := CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		out[i].Err = bindOne(ctx, c, r)
-	}
-	return out, nil
-}
-
-// bindOne dispatches one BindRequest to Bind or BindAttrs.
-func bindOne(ctx context.Context, c Context, r BindRequest) error {
-	if r.Attrs != nil {
-		dc, ok := c.(DirContext)
-		if !ok {
-			return Errf("bind", r.Name, ErrNotSupported)
-		}
-		return dc.BindAttrs(ctx, r.Name, r.Obj, r.Attrs)
-	}
-	return c.Bind(ctx, r.Name, r.Obj)
+	res, err := Do(ctx, c, Op{Kind: OpBindMany, Binds: reqs})
+	return res.Batch, err
 }
 
 // GetAttributesMany fetches attributes for many names on c, natively
 // batched when c implements BatchContext. Each success's Value is the
 // item's *Attributes.
 func GetAttributesMany(ctx context.Context, c Context, names []string, attrIDs ...string) ([]BatchResult, error) {
-	if bc, ok := c.(BatchContext); ok {
-		return bc.GetAttributesMany(ctx, names, attrIDs...)
-	}
-	dc, ok := c.(DirContext)
-	if !ok {
-		return nil, Errf("getAttributes", "", ErrNotSupported)
-	}
-	out := make([]BatchResult, len(names))
-	for i, name := range names {
-		if err := CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		attrs, err := dc.GetAttributes(ctx, name, attrIDs...)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Value = attrs
-	}
-	return out, nil
+	res, err := Do(ctx, c, Op{Kind: OpGetAttributesMany, Names: names, AttrIDs: attrIDs})
+	return res.Batch, err
 }

@@ -18,6 +18,8 @@ const maxFederationHops = 16
 // propagating the caller's context.Context across every hop so a single
 // deadline bounds the whole chain.
 type InitialContext struct {
+	BatchOpContext // the typed surface, spelled over Do
+
 	env map[string]any
 
 	mu       sync.Mutex // guards the lazy default-context fields
@@ -41,7 +43,9 @@ func NewInitialContext(env map[string]any) *InitialContext {
 	for k, v := range env {
 		e[k] = v
 	}
-	return &InitialContext{env: e}
+	ic := &InitialContext{env: e}
+	ic.Doer = ic
+	return ic
 }
 
 // Environment returns the environment map (shared, not a copy).
@@ -220,26 +224,33 @@ func (ic *InitialContext) continueCtx(ctx context.Context, cpe *CannotProceedErr
 	}
 }
 
-// withContinuations runs op against (c, rest), following federation
-// continuations until op succeeds or fails with a non-continuation error.
-// The caller's ctx is checked before every hop, so a deadline or cancel
-// fires between hops even when each individual hop is fast.
-func (ic *InitialContext) withContinuations(ctx context.Context, c Context, rest Name, op func(Context, Name) error) error {
+// run dispatches op to (c, rest), following federation continuations
+// until it succeeds or fails with a non-continuation error. The caller's
+// ctx is checked before every hop, so a deadline or cancel fires between
+// hops even when each individual hop is fast. op.Name is the caller's name
+// on entry — a hop that lacks the capability is reported against it — and
+// each hop then sees the name relative to itself.
+func (ic *InitialContext) run(ctx context.Context, c Context, rest Name, op Op) (Result, error) {
+	name := op.Name
 	for hop := 0; ; hop++ {
 		if hop > maxFederationHops {
-			return fmt.Errorf("naming: too many federation hops (cycle?)")
+			return Result{}, fmt.Errorf("naming: too many federation hops (cycle?)")
 		}
 		if err := CtxErr(ctx); err != nil {
-			return err
+			return Result{}, err
 		}
-		err := op(c, rest)
+		if !Supports(c, op) {
+			return Result{}, Errf(op.Kind.String(), name, ErrNotSupported)
+		}
+		op.Name = rest.String()
+		res, err := Do(ctx, c, op)
 		var cpe *CannotProceedError
 		if !errors.As(err, &cpe) {
-			return err
+			return res, err
 		}
 		next, cerr := ic.continueCtx(ctx, cpe)
 		if cerr != nil {
-			return cerr
+			return Result{}, cerr
 		}
 		c, rest = next, cpe.RemainingName
 	}
@@ -265,14 +276,8 @@ func (ic *InitialContext) postProcess(ctx context.Context, obj any, name string,
 	return obj, nil
 }
 
-// Lookup resolves name across the federated name space and returns the
-// bound object, running object factories and following links.
-func (ic *InitialContext) Lookup(ctx context.Context, name string) (out any, err error) {
-	ctx, finish := ic.begin(ctx, "lookup", name)
-	defer func() { finish(err) }()
-	return ic.lookupDepth(ctx, name, 0)
-}
-
+// lookupDepth is Lookup below the BeginOp bracket: resolve, walk the
+// federation, then run object factories and follow links.
 func (ic *InitialContext) lookupDepth(ctx context.Context, name string, depth int) (any, error) {
 	if depth > maxFederationHops {
 		return nil, fmt.Errorf("naming: reference/link chain too deep (cycle?) at %q after %d hops", name, depth)
@@ -281,291 +286,100 @@ func (ic *InitialContext) lookupDepth(ctx context.Context, name string, depth in
 	if err != nil {
 		return nil, Errf("lookup", name, err)
 	}
-	var out any
-	err = ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		var e error
-		out, e = c.Lookup(ctx, n.String())
-		return e
-	})
+	res, err := ic.run(ctx, c, rest, Op{Kind: OpLookup, Name: name})
 	if err != nil {
 		return nil, err
 	}
-	return ic.postProcess(ctx, out, name, depth)
+	return ic.postProcess(ctx, res.Value, name, depth)
 }
 
-// LookupLink is Lookup without following a terminal link.
-func (ic *InitialContext) LookupLink(ctx context.Context, name string) (_ any, rerr error) {
-	ctx, finish := ic.begin(ctx, "lookupLink", name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return nil, Errf("lookupLink", name, err)
+// stateToBind runs the state factories on obj and merges the attributes
+// they add over the caller's (GetStateToBind contract).
+func (ic *InitialContext) stateToBind(obj any, attrs *Attributes, rest Name) (any, *Attributes, error) {
+	state, extra, err := GetStateToBind(obj, rest, ic.env)
+	if err != nil || extra == nil {
+		return state, attrs, err
 	}
-	var out any
-	err = ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		var e error
-		out, e = c.LookupLink(ctx, n.String())
-		return e
-	})
-	if err != nil {
-		return nil, err
+	merged := attrs.Clone() // nil-safe, so attrs == nil works too
+	for _, a := range extra.All() {
+		merged.Put(a.ID, a.Values...)
 	}
-	// Run object factories (a stored link Reference becomes a LinkRef)
-	// but do not follow the link itself.
-	if ref, ok := out.(*Reference); ok {
-		return GetObjectInstance(ctx, ref, Name{}, ic.env)
-	}
-	return out, nil
+	return state, merged, nil
 }
 
-// Bind binds name to obj (atomic: fails if bound), applying state
-// factories first.
-func (ic *InitialContext) Bind(ctx context.Context, name string, obj any) error {
-	return ic.bindOp(ctx, "bind", name, obj, nil, false)
-}
-
-// Rebind binds name to obj, replacing any existing binding.
-func (ic *InitialContext) Rebind(ctx context.Context, name string, obj any) error {
-	return ic.bindOp(ctx, "rebind", name, obj, nil, true)
-}
-
-// BindAttrs binds with initial attributes (directory providers only).
-func (ic *InitialContext) BindAttrs(ctx context.Context, name string, obj any, attrs *Attributes) error {
-	return ic.bindOp(ctx, "bind", name, obj, attrs, false)
-}
-
-// RebindAttrs rebinds with attributes.
-func (ic *InitialContext) RebindAttrs(ctx context.Context, name string, obj any, attrs *Attributes) error {
-	return ic.bindOp(ctx, "rebind", name, obj, attrs, true)
-}
-
-func (ic *InitialContext) bindOp(ctx context.Context, op, name string, obj any, attrs *Attributes, overwrite bool) (rerr error) {
-	ctx, finish := ic.begin(ctx, op, name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return Errf(op, name, err)
-	}
-	state, extraAttrs, err := GetStateToBind(obj, rest, ic.env)
-	if err != nil {
-		return Errf(op, name, err)
-	}
-	if extraAttrs != nil {
-		// State-factory attributes merge over the caller's (GetStateToBind
-		// contract); Clone is nil-safe, so attrs == nil works too.
-		merged := attrs.Clone()
-		for _, a := range extraAttrs.All() {
-			merged.Put(a.ID, a.Values...)
-		}
-		attrs = merged
-	}
-	return ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		if attrs != nil {
-			dc, ok := c.(DirContext)
-			if !ok {
-				return Errf(op, name, ErrNotSupported)
-			}
-			if overwrite {
-				return dc.RebindAttrs(ctx, n.String(), state, attrs)
-			}
-			return dc.BindAttrs(ctx, n.String(), state, attrs)
-		}
-		if overwrite {
-			return c.Rebind(ctx, n.String(), state)
-		}
-		return c.Bind(ctx, n.String(), state)
-	})
-}
-
-// Unbind removes a binding.
-func (ic *InitialContext) Unbind(ctx context.Context, name string) (rerr error) {
-	ctx, finish := ic.begin(ctx, "unbind", name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return Errf("unbind", name, err)
-	}
-	return ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		return c.Unbind(ctx, n.String())
-	})
-}
-
-// Rename moves a binding; both names must resolve within one naming system.
-func (ic *InitialContext) Rename(ctx context.Context, oldName, newName string) (rerr error) {
-	ctx, finish := ic.begin(ctx, "rename", oldName)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, oldName)
-	if err != nil {
-		return Errf("rename", oldName, err)
-	}
-	// The new name must live in the same system; for URL names, require
-	// the same scheme+authority and use the path part.
-	var newRest Name
+// renameTarget maps Rename's new name into the naming system the old name
+// resolved to: both must be plain, or URL names with one scheme and
+// authority, of which the path part is used.
+func renameTarget(oldName, newName string) (Name, error) {
 	if IsURLName(oldName) != IsURLName(newName) {
-		return Errf("rename", newName, fmt.Errorf("old and new names in different naming systems"))
+		return Name{}, fmt.Errorf("old and new names in different naming systems")
 	}
-	if IsURLName(newName) {
-		ou, _ := ParseURLName(oldName)
-		nu, err := ParseURLName(newName)
-		if err != nil {
-			return Errf("rename", newName, err)
-		}
-		if ou.Scheme != nu.Scheme || ou.Authority != nu.Authority {
-			return Errf("rename", newName, fmt.Errorf("cannot rename across naming systems"))
-		}
-		newRest = nu.Path
-	} else {
-		newRest, err = ParseName(newName)
-		if err != nil {
-			return Errf("rename", newName, err)
-		}
+	if !IsURLName(newName) {
+		return ParseName(newName)
 	}
-	return ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		return c.Rename(ctx, n.String(), newRest.String())
-	})
-}
-
-// List enumerates names and classes in the named context.
-func (ic *InitialContext) List(ctx context.Context, name string) (_ []NameClassPair, rerr error) {
-	ctx, finish := ic.begin(ctx, "list", name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
+	ou, _ := ParseURLName(oldName)
+	nu, err := ParseURLName(newName)
 	if err != nil {
-		return nil, Errf("list", name, err)
+		return Name{}, err
 	}
-	var out []NameClassPair
-	err = ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		var e error
-		out, e = c.List(ctx, n.String())
-		return e
-	})
-	return out, err
+	if ou.Scheme != nu.Scheme || ou.Authority != nu.Authority {
+		return Name{}, fmt.Errorf("cannot rename across naming systems")
+	}
+	return nu.Path, nil
 }
 
-// ListBindings enumerates names, classes and objects.
-func (ic *InitialContext) ListBindings(ctx context.Context, name string) (_ []Binding, rerr error) {
-	ctx, finish := ic.begin(ctx, "listBindings", name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return nil, Errf("listBindings", name, err)
+// Do is every operation of the composite name space: bracket it with the
+// middleware's BeginOp hooks, resolve the name to (context, remaining
+// name), and run it across the federation. What differs per kind:
+//
+//   - Lookup runs object factories on the result and follows links;
+//     LookupLink runs the factories but returns a terminal link as is.
+//   - Bind and Rebind apply state factories first; attributes — the
+//     caller's or the factories' — make it the directory variant.
+//   - Rename moves a binding within one naming system.
+//   - The batch kinds group their items by target (initial_batch.go).
+//   - Directory kinds and Watch fail with ErrNotSupported, against the
+//     caller's name, on a hop whose context lacks the capability.
+func (ic *InitialContext) Do(ctx context.Context, op Op) (res Result, err error) {
+	label, name := op.Kind.String(), op.Name
+	switch op.Kind {
+	case OpLookupMany, OpGetAttributesMany:
+		name = fmt.Sprintf("[%d names]", len(op.Names))
+	case OpBindMany:
+		name = fmt.Sprintf("[%d names]", len(op.Binds))
 	}
-	var out []Binding
-	err = ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		var e error
-		out, e = c.ListBindings(ctx, n.String())
-		return e
-	})
-	return out, err
-}
-
-// CreateSubcontext creates a subcontext.
-func (ic *InitialContext) CreateSubcontext(ctx context.Context, name string) (_ Context, rerr error) {
-	ctx, finish := ic.begin(ctx, "createSubcontext", name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return nil, Errf("createSubcontext", name, err)
-	}
-	var out Context
-	err = ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		var e error
-		out, e = c.CreateSubcontext(ctx, n.String())
-		return e
-	})
-	return out, err
-}
-
-// DestroySubcontext removes an empty subcontext.
-func (ic *InitialContext) DestroySubcontext(ctx context.Context, name string) (rerr error) {
-	ctx, finish := ic.begin(ctx, "destroySubcontext", name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return Errf("destroySubcontext", name, err)
-	}
-	return ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		return c.DestroySubcontext(ctx, n.String())
-	})
-}
-
-// GetAttributes returns a name's attributes (directory providers only).
-func (ic *InitialContext) GetAttributes(ctx context.Context, name string, attrIDs ...string) (_ *Attributes, rerr error) {
-	ctx, finish := ic.begin(ctx, "getAttributes", name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return nil, Errf("getAttributes", name, err)
-	}
-	var out *Attributes
-	err = ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		dc, ok := c.(DirContext)
-		if !ok {
-			return Errf("getAttributes", name, ErrNotSupported)
-		}
-		var e error
-		out, e = dc.GetAttributes(ctx, n.String(), attrIDs...)
-		return e
-	})
-	return out, err
-}
-
-// ModifyAttributes applies attribute modifications.
-func (ic *InitialContext) ModifyAttributes(ctx context.Context, name string, mods []AttributeMod) (rerr error) {
-	ctx, finish := ic.begin(ctx, "modifyAttributes", name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return Errf("modifyAttributes", name, err)
-	}
-	return ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		dc, ok := c.(DirContext)
-		if !ok {
-			return Errf("modifyAttributes", name, ErrNotSupported)
-		}
-		return dc.ModifyAttributes(ctx, n.String(), mods)
-	})
-}
-
-// Search runs a filter search under the named context.
-func (ic *InitialContext) Search(ctx context.Context, name, filterStr string, controls *SearchControls) (_ []SearchResult, rerr error) {
-	ctx, finish := ic.begin(ctx, "search", name)
-	defer func() { finish(rerr) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return nil, Errf("search", name, err)
-	}
-	var out []SearchResult
-	err = ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		dc, ok := c.(DirContext)
-		if !ok {
-			return Errf("search", name, ErrNotSupported)
-		}
-		var e error
-		out, e = dc.Search(ctx, n.String(), filterStr, controls)
-		return e
-	})
-	return out, err
-}
-
-// Watch registers a listener on a watchable provider.
-func (ic *InitialContext) Watch(ctx context.Context, name string, scope SearchScope, l Listener) (cancel func(), err error) {
-	ctx, finish := ic.begin(ctx, "watch", name)
+	ctx, finish := ic.begin(ctx, label, name)
 	defer func() { finish(err) }()
-	c, rest, err := ic.resolve(ctx, name)
-	if err != nil {
-		return nil, Errf("watch", name, err)
+	switch op.Kind {
+	case OpLookupMany, OpBindMany, OpGetAttributesMany:
+		res.Batch, err = ic.doBatch(ctx, op)
+		return res, err
+	case OpLookup:
+		res.Value, err = ic.lookupDepth(ctx, op.Name, 0)
+		return res, err
 	}
-	err = ic.withContinuations(ctx, c, rest, func(c Context, n Name) error {
-		ec, ok := c.(EventContext)
-		if !ok {
-			return Errf("watch", name, ErrNotSupported)
+	c, rest, err := ic.resolve(ctx, op.Name)
+	if err != nil {
+		return Result{}, Errf(label, op.Name, err)
+	}
+	switch op.Kind {
+	case OpBind, OpRebind:
+		if op.Obj, op.Attrs, err = ic.stateToBind(op.Obj, op.Attrs, rest); err != nil {
+			return Result{}, Errf(label, op.Name, err)
 		}
-		var e error
-		cancel, e = ec.Watch(ctx, n.String(), scope, l)
-		return e
-	})
-	return cancel, err
+		op.Dir = op.Attrs != nil
+	case OpRename:
+		newRest, err := renameTarget(op.Name, op.NewName)
+		if err != nil {
+			return Result{}, Errf(label, op.NewName, err)
+		}
+		op.NewName = newRest.String()
+	}
+	res, err = ic.run(ctx, c, rest, op)
+	if ref, ok := res.Value.(*Reference); ok && err == nil && op.Kind == OpLookupLink {
+		res.Value, err = GetObjectInstance(ctx, ref, Name{}, ic.env)
+	}
+	return res, err
 }
 
 // Close closes the default context, if one was created, and shuts down any

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 )
 
 // batchGroup collects the batch positions that resolved to one target
@@ -14,19 +13,21 @@ type batchGroup struct {
 	rests []Name
 }
 
-// groupByTarget resolves every name and buckets the resolvable ones by
-// target context (URL names share cached roots, plain names share the
-// default context). Unresolvable names fail in place in out.
-func (ic *InitialContext) groupByTarget(ctx context.Context, op string, names []string, out []BatchResult) ([]*batchGroup, error) {
+// groupByTarget resolves every item's name and buckets the resolvable
+// ones by target context (URL names share cached roots, plain names share
+// the default context). Unresolvable names fail in place in out, as the
+// item's unary operation would.
+func (ic *InitialContext) groupByTarget(ctx context.Context, op Op, out []BatchResult) ([]*batchGroup, error) {
 	groups := map[Context]*batchGroup{}
 	var order []*batchGroup
-	for i, name := range names {
-		c, rest, err := ic.resolve(ctx, name)
+	for i := range out {
+		item := op.Item(i)
+		c, rest, err := ic.resolve(ctx, item.Name)
 		if err != nil {
 			if cerr := CtxErr(ctx); cerr != nil {
 				return nil, cerr
 			}
-			out[i].Err = Errf(op, name, err)
+			out[i].Err = Errf(item.Kind.String(), item.Name, err)
 			continue
 		}
 		g := groups[c]
@@ -41,170 +42,59 @@ func (ic *InitialContext) groupByTarget(ctx context.Context, op string, names []
 	return order, nil
 }
 
-// followCPE resumes one item's federation walk from the continuation its
-// batched call returned, using op to run the terminal operation.
-func (ic *InitialContext) followCPE(ctx context.Context, cpe *CannotProceedError, op func(Context, Name) error) error {
-	next, err := ic.continueCtx(ctx, cpe)
-	if err != nil {
-		return err
-	}
-	return ic.withContinuations(ctx, next, cpe.RemainingName, op)
-}
-
-// LookupMany resolves every name across the federated name space with one
+// doBatch runs a batch kind across the federated name space with one
 // batched call per target naming system. Results come back in input
-// order; items fail independently, and any item whose answer is a
-// federation continuation finishes its walk with unary hops (boundary
-// crossings are per item by nature — only the common trunk batches).
-func (ic *InitialContext) LookupMany(ctx context.Context, names []string) (_ []BatchResult, rerr error) {
-	ctx, finish := ic.begin(ctx, "lookupMany", fmt.Sprintf("[%d names]", len(names)))
-	defer func() { finish(rerr) }()
-	out := make([]BatchResult, len(names))
-	order, err := ic.groupByTarget(ctx, "lookup", names, out)
+// order and items fail independently. Binds run the state factories per
+// item exactly as unary Bind does; an item whose factory fails is answered
+// in place and left out of the call. An item whose answer is a federation
+// continuation finishes its walk with unary hops (boundary crossings are
+// per item by nature — only the common trunk batches), and looked-up
+// objects go through the object factories like unary Lookup's.
+func (ic *InitialContext) doBatch(ctx context.Context, op Op) ([]BatchResult, error) {
+	out := make([]BatchResult, op.Len())
+	groups, err := ic.groupByTarget(ctx, op, out)
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range order {
-		sub := make([]string, len(g.rests))
-		for k, r := range g.rests {
-			sub[k] = r.String()
-		}
-		res, err := LookupMany(ctx, g.c, sub)
-		if err != nil {
-			return nil, err
-		}
+	for _, g := range groups {
+		sub := Op{Kind: op.Kind, AttrIDs: op.AttrIDs}
+		live := make([]int, 0, len(g.idxs))
 		for k, i := range g.idxs {
-			out[i] = res[k]
-			var cpe *CannotProceedError
-			if out[i].Err != nil && errors.As(out[i].Err, &cpe) {
-				var v any
-				ferr := ic.followCPE(ctx, cpe, func(c Context, n Name) error {
-					var e error
-					v, e = c.Lookup(ctx, n.String())
-					return e
-				})
-				out[i] = BatchResult{Value: v, Err: ferr}
-			}
-			if out[i].Err == nil {
-				out[i].Value, out[i].Err = ic.postProcess(ctx, out[i].Value, names[i], 0)
-			}
-		}
-	}
-	return out, nil
-}
-
-// BindMany binds every request with one batched call per target naming
-// system. State factories run per item exactly as unary Bind runs them;
-// per-item failures (already bound, invalid name) land in that item's
-// result, and continuations finish with unary hops.
-func (ic *InitialContext) BindMany(ctx context.Context, reqs []BindRequest) (_ []BatchResult, rerr error) {
-	ctx, finish := ic.begin(ctx, "bindMany", fmt.Sprintf("[%d names]", len(reqs)))
-	defer func() { finish(rerr) }()
-	out := make([]BatchResult, len(reqs))
-	names := make([]string, len(reqs))
-	for i, r := range reqs {
-		names[i] = r.Name
-	}
-	order, err := ic.groupByTarget(ctx, "bind", names, out)
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range order {
-		sub := make([]BindRequest, len(g.idxs))
-		skip := make([]bool, len(g.idxs))
-		for k, i := range g.idxs {
-			r := reqs[i]
-			state, extraAttrs, serr := GetStateToBind(r.Obj, g.rests[k], ic.env)
-			if serr != nil {
-				out[i].Err = Errf("bind", r.Name, serr)
-				skip[k] = true
-				continue
-			}
-			attrs := r.Attrs
-			if extraAttrs != nil {
-				merged := attrs.Clone()
-				for _, a := range extraAttrs.All() {
-					merged.Put(a.ID, a.Values...)
+			rest := g.rests[k]
+			if op.Kind == OpBindMany {
+				r := op.Binds[i]
+				state, attrs, err := ic.stateToBind(r.Obj, r.Attrs, rest)
+				if err != nil {
+					out[i].Err = Errf("bind", r.Name, err)
+					continue
 				}
-				attrs = merged
+				sub.Binds = append(sub.Binds, BindRequest{Name: rest.String(), Obj: state, Attrs: attrs})
+			} else {
+				sub.Names = append(sub.Names, rest.String())
 			}
-			sub[k] = BindRequest{Name: g.rests[k].String(), Obj: state, Attrs: attrs}
-		}
-		// Compact out the items whose state factory already failed.
-		live := make([]BindRequest, 0, len(sub))
-		liveIdx := make([]int, 0, len(sub))
-		for k := range sub {
-			if !skip[k] {
-				live = append(live, sub[k])
-				liveIdx = append(liveIdx, k)
-			}
+			live = append(live, i)
 		}
 		if len(live) == 0 {
 			continue
 		}
-		res, err := BindMany(ctx, g.c, live)
+		res, err := Do(ctx, g.c, sub)
 		if err != nil {
 			return nil, err
 		}
-		for m, k := range liveIdx {
-			i := g.idxs[k]
-			out[i] = res[m]
+		for m, i := range live {
+			out[i] = res.Batch[m]
 			var cpe *CannotProceedError
-			if out[i].Err != nil && errors.As(out[i].Err, &cpe) {
-				req := live[m]
-				out[i] = BatchResult{Err: ic.followCPE(ctx, cpe, func(c Context, n Name) error {
-					if req.Attrs != nil {
-						dc, ok := c.(DirContext)
-						if !ok {
-							return Errf("bind", reqs[i].Name, ErrNotSupported)
-						}
-						return dc.BindAttrs(ctx, n.String(), req.Obj, req.Attrs)
-					}
-					return c.Bind(ctx, n.String(), req.Obj)
-				})}
-			}
-		}
-	}
-	return out, nil
-}
-
-// GetAttributesMany reads attributes for every name with one batched call
-// per target naming system; continuations finish with unary hops.
-func (ic *InitialContext) GetAttributesMany(ctx context.Context, names []string, attrIDs ...string) (_ []BatchResult, rerr error) {
-	ctx, finish := ic.begin(ctx, "getAttributesMany", fmt.Sprintf("[%d names]", len(names)))
-	defer func() { finish(rerr) }()
-	out := make([]BatchResult, len(names))
-	order, err := ic.groupByTarget(ctx, "getAttributes", names, out)
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range order {
-		sub := make([]string, len(g.rests))
-		for k, r := range g.rests {
-			sub[k] = r.String()
-		}
-		res, err := GetAttributesMany(ctx, g.c, sub, attrIDs...)
-		if err != nil {
-			return nil, err
-		}
-		for k, i := range g.idxs {
-			out[i] = res[k]
-			var cpe *CannotProceedError
-			if out[i].Err != nil && errors.As(out[i].Err, &cpe) {
-				var v *Attributes
-				ferr := ic.followCPE(ctx, cpe, func(c Context, n Name) error {
-					dc, ok := c.(DirContext)
-					if !ok {
-						return Errf("getAttributes", names[i], ErrNotSupported)
-					}
-					var e error
-					v, e = dc.GetAttributes(ctx, n.String(), attrIDs...)
-					return e
-				})
-				out[i] = BatchResult{Value: v, Err: ferr}
-				if ferr != nil {
-					out[i].Value = nil
+			if errors.As(out[i].Err, &cpe) {
+				item := sub.Item(m)
+				item.Name = op.Item(i).Name // run reports against the caller's name
+				if next, err := ic.continueCtx(ctx, cpe); err != nil {
+					out[i] = BatchResult{Err: err}
+				} else {
+					out[i] = itemResult(ic.run(ctx, next, cpe.RemainingName, item))
 				}
+			}
+			if op.Kind == OpLookupMany && out[i].Err == nil {
+				out[i].Value, out[i].Err = ic.postProcess(ctx, out[i].Value, op.Names[i], 0)
 			}
 		}
 	}

@@ -244,6 +244,25 @@ func ParseURLName(s string) (URLName, error) {
 	return URLName{Scheme: scheme, Authority: authority, Path: p}, nil
 }
 
+// ParseLocalName parses a name handed to a provider context. A plain name
+// parses as a composite name; a URL-form name is foreign to a non-initial
+// context, so it comes back as the federation continuation to that URL's
+// naming system (Resolved "scheme://authority", the path remaining).
+func ParseLocalName(name string) (Name, error) {
+	if !IsURLName(name) {
+		return ParseName(name)
+	}
+	u, err := ParseURLName(name)
+	if err != nil {
+		return Name{}, err
+	}
+	return Name{}, &CannotProceedError{
+		Resolved:      u.Scheme + "://" + u.Authority,
+		RemainingName: u.Path,
+		AltName:       name,
+	}
+}
+
 // SplitName parses s either as a URL name (returning ok=true and the URL)
 // or as a plain composite name.
 func SplitName(s string) (u URLName, n Name, isURL bool, err error) {

@@ -1,0 +1,391 @@
+package core
+
+import "context"
+
+// A naming operation as a value. The typed Context/DirContext/
+// EventContext/BatchContext surface is what callers and providers speak;
+// everything in between — InitialContext, metering, caching, mirror
+// fallback — handles an Op. This file is the only place that knows how
+// the two map onto each other: Do turns an Op into the typed call,
+// OpContext/BatchOpContext turn the typed calls back into Ops.
+
+// OpKind names an operation. The *Attrs variants of Bind, Rebind and
+// CreateSubcontext are the same kind with Op.Dir set, which is why they
+// meter, trace and fail under the base name.
+type OpKind uint8
+
+// The operation kinds, in the order of the interfaces that declare them:
+// Context, DirContext, EventContext, BatchContext.
+const (
+	OpLookup OpKind = iota
+	OpLookupLink
+	OpBind
+	OpRebind
+	OpUnbind
+	OpRename
+	OpList
+	OpListBindings
+	OpCreateSubcontext
+	OpDestroySubcontext
+	OpGetAttributes
+	OpModifyAttributes
+	OpSearch
+	OpWatch
+	OpLookupMany
+	OpBindMany
+	OpGetAttributesMany
+	NumOpKinds
+)
+
+var opKindNames = [NumOpKinds]string{
+	"lookup", "lookupLink", "bind", "rebind", "unbind", "rename",
+	"list", "listBindings", "createSubcontext", "destroySubcontext",
+	"getAttributes", "modifyAttributes", "search", "watch",
+	"lookupMany", "bindMany", "getAttributesMany",
+}
+
+// String is the operation's label in errors, metrics and traces.
+func (k OpKind) String() string {
+	if k < NumOpKinds {
+		return opKindNames[k]
+	}
+	return "?"
+}
+
+// Op is one operation's arguments. Only the fields its Kind reads are
+// set; it is passed by value and never retained.
+type Op struct {
+	Kind OpKind
+	// Dir selects the DirContext variant of Bind, Rebind and
+	// CreateSubcontext (BindAttrs, RebindAttrs, CreateSubcontextAttrs);
+	// no other kind has one.
+	Dir      bool
+	Name     string // every unary kind; Watch's target
+	NewName  string // Rename
+	Obj      any    // Bind, Rebind
+	Attrs    *Attributes
+	AttrIDs  []string       // GetAttributes, GetAttributesMany
+	Mods     []AttributeMod // ModifyAttributes
+	Filter   string         // Search
+	Controls *SearchControls
+	Scope    SearchScope   // Watch
+	Listener Listener      // Watch
+	Names    []string      // LookupMany, GetAttributesMany
+	Binds    []BindRequest // BindMany
+}
+
+// Result is one operation's value. Kinds that return only an error leave
+// it zero.
+type Result struct {
+	Value    any             // Lookup, LookupLink
+	Pairs    []NameClassPair // List
+	Bindings []Binding       // ListBindings
+	Context  Context         // CreateSubcontext (a DirContext when Op.Dir)
+	Attrs    *Attributes     // GetAttributes
+	Found    []SearchResult  // Search
+	Cancel   func()          // Watch
+	Batch    []BatchResult   // the three batch kinds
+}
+
+// Doer handles operations as values: the one method a decorator writes.
+type Doer interface {
+	Do(ctx context.Context, op Op) (Result, error)
+}
+
+// needsDir reports whether op can only run on a DirContext.
+func needsDir(op Op) bool {
+	switch op.Kind {
+	case OpGetAttributes, OpModifyAttributes, OpSearch:
+		return true
+	}
+	return op.Dir
+}
+
+// Supports reports whether c has the capability op needs: DirContext for
+// the directory kinds, EventContext for Watch, DirContext or BatchContext
+// for GetAttributesMany. Do fails an unsupported op with ErrNotSupported;
+// a decorator asks first when the refusal must not count as work (obs
+// does not meter it) or must name the caller's name rather than a
+// rewritten one (InitialContext).
+func Supports(c Context, op Op) bool {
+	var ok bool
+	switch {
+	case op.Kind == OpWatch:
+		_, ok = c.(EventContext)
+	case op.Kind == OpGetAttributesMany:
+		if _, ok = c.(BatchContext); !ok {
+			_, ok = c.(DirContext)
+		}
+	case needsDir(op):
+		_, ok = c.(DirContext)
+	default:
+		ok = true
+	}
+	return ok
+}
+
+// Do runs op on c through c's typed method. A batch kind uses c's native
+// BatchContext when it has one and a per-item loop otherwise, so batching
+// is an optimization, never a semantic change.
+func Do(ctx context.Context, c Context, op Op) (Result, error) {
+	if !Supports(c, op) {
+		return Result{}, Errf(op.Kind.String(), op.Name, ErrNotSupported)
+	}
+	var res Result
+	var err error
+	if needsDir(op) {
+		d := c.(DirContext)
+		switch op.Kind {
+		case OpBind:
+			err = d.BindAttrs(ctx, op.Name, op.Obj, op.Attrs)
+		case OpRebind:
+			err = d.RebindAttrs(ctx, op.Name, op.Obj, op.Attrs)
+		case OpCreateSubcontext:
+			var sub DirContext
+			if sub, err = d.CreateSubcontextAttrs(ctx, op.Name, op.Attrs); err == nil {
+				res.Context = sub
+			}
+		case OpGetAttributes:
+			res.Attrs, err = d.GetAttributes(ctx, op.Name, op.AttrIDs...)
+		case OpModifyAttributes:
+			err = d.ModifyAttributes(ctx, op.Name, op.Mods)
+		case OpSearch:
+			res.Found, err = d.Search(ctx, op.Name, op.Filter, op.Controls)
+		default:
+			err = Errf(op.Kind.String(), op.Name, ErrNotSupported)
+		}
+		return res, err
+	}
+	switch op.Kind {
+	case OpLookup:
+		res.Value, err = c.Lookup(ctx, op.Name)
+	case OpLookupLink:
+		res.Value, err = c.LookupLink(ctx, op.Name)
+	case OpBind:
+		err = c.Bind(ctx, op.Name, op.Obj)
+	case OpRebind:
+		err = c.Rebind(ctx, op.Name, op.Obj)
+	case OpUnbind:
+		err = c.Unbind(ctx, op.Name)
+	case OpRename:
+		err = c.Rename(ctx, op.Name, op.NewName)
+	case OpList:
+		res.Pairs, err = c.List(ctx, op.Name)
+	case OpListBindings:
+		res.Bindings, err = c.ListBindings(ctx, op.Name)
+	case OpCreateSubcontext:
+		res.Context, err = c.CreateSubcontext(ctx, op.Name)
+	case OpDestroySubcontext:
+		err = c.DestroySubcontext(ctx, op.Name)
+	case OpWatch:
+		res.Cancel, err = c.(EventContext).Watch(ctx, op.Name, op.Scope, op.Listener)
+	case OpLookupMany, OpBindMany, OpGetAttributesMany:
+		res.Batch, err = doBatch(ctx, c, op)
+	default:
+		err = Errf(op.Kind.String(), op.Name, ErrNotSupported)
+	}
+	return res, err
+}
+
+// doBatch runs a batch kind natively when c is a BatchContext, else item
+// by item through the matching unary kind; the caller's ctx is checked
+// between items.
+func doBatch(ctx context.Context, c Context, op Op) ([]BatchResult, error) {
+	if bc, ok := c.(BatchContext); ok {
+		switch op.Kind {
+		case OpLookupMany:
+			return bc.LookupMany(ctx, op.Names)
+		case OpBindMany:
+			return bc.BindMany(ctx, op.Binds)
+		default:
+			return bc.GetAttributesMany(ctx, op.Names, op.AttrIDs...)
+		}
+	}
+	out := make([]BatchResult, op.Len())
+	for i := range out {
+		if err := CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		out[i] = itemResult(Do(ctx, c, op.Item(i)))
+	}
+	return out, nil
+}
+
+// itemResult is a unary result as one position of a batch: the looked-up
+// object or the *Attributes as Value, nothing for a bind or a failure.
+func itemResult(res Result, err error) BatchResult {
+	switch {
+	case err != nil:
+		return BatchResult{Err: err}
+	case res.Attrs != nil:
+		return BatchResult{Value: res.Attrs}
+	}
+	return BatchResult{Value: res.Value}
+}
+
+// Len is the number of items of a batch op.
+func (op Op) Len() int {
+	if op.Kind == OpBindMany {
+		return len(op.Binds)
+	}
+	return len(op.Names)
+}
+
+// Item is the unary operation for position i of a batch op: Lookup, Bind
+// (BindAttrs when the request carries attributes) or GetAttributes.
+func (op Op) Item(i int) Op {
+	switch op.Kind {
+	case OpLookupMany:
+		return Op{Kind: OpLookup, Name: op.Names[i]}
+	case OpBindMany:
+		r := op.Binds[i]
+		return Op{Kind: OpBind, Dir: r.Attrs != nil, Name: r.Name, Obj: r.Obj, Attrs: r.Attrs}
+	default:
+		return Op{Kind: OpGetAttributes, Name: op.Names[i], AttrIDs: op.AttrIDs}
+	}
+}
+
+// OpContext spells Context, DirContext and EventContext over a Doer. A
+// decorator embeds it, points Doer at itself once at construction, and
+// writes Do plus NameInNamespace, Environment and Close. It deliberately
+// lacks the BatchContext methods: core.LookupMany and friends then reach
+// the decorator one item at a time, which is what a Do that decides per
+// item (the mirror fallback) needs.
+type OpContext struct {
+	Doer Doer
+}
+
+// BatchOpContext is OpContext plus BatchContext, for decorators whose Do
+// handles the three batch kinds as whole batches.
+type BatchOpContext struct {
+	OpContext
+}
+
+// Lookup implements Context.
+func (o *OpContext) Lookup(ctx context.Context, name string) (any, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpLookup, Name: name})
+	return res.Value, err
+}
+
+// LookupLink implements Context.
+func (o *OpContext) LookupLink(ctx context.Context, name string) (any, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpLookupLink, Name: name})
+	return res.Value, err
+}
+
+// Bind implements Context.
+func (o *OpContext) Bind(ctx context.Context, name string, obj any) error {
+	_, err := o.Doer.Do(ctx, Op{Kind: OpBind, Name: name, Obj: obj})
+	return err
+}
+
+// Rebind implements Context.
+func (o *OpContext) Rebind(ctx context.Context, name string, obj any) error {
+	_, err := o.Doer.Do(ctx, Op{Kind: OpRebind, Name: name, Obj: obj})
+	return err
+}
+
+// Unbind implements Context.
+func (o *OpContext) Unbind(ctx context.Context, name string) error {
+	_, err := o.Doer.Do(ctx, Op{Kind: OpUnbind, Name: name})
+	return err
+}
+
+// Rename implements Context.
+func (o *OpContext) Rename(ctx context.Context, oldName, newName string) error {
+	_, err := o.Doer.Do(ctx, Op{Kind: OpRename, Name: oldName, NewName: newName})
+	return err
+}
+
+// List implements Context.
+func (o *OpContext) List(ctx context.Context, name string) ([]NameClassPair, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpList, Name: name})
+	return res.Pairs, err
+}
+
+// ListBindings implements Context.
+func (o *OpContext) ListBindings(ctx context.Context, name string) ([]Binding, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpListBindings, Name: name})
+	return res.Bindings, err
+}
+
+// CreateSubcontext implements Context.
+func (o *OpContext) CreateSubcontext(ctx context.Context, name string) (Context, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpCreateSubcontext, Name: name})
+	return res.Context, err
+}
+
+// DestroySubcontext implements Context.
+func (o *OpContext) DestroySubcontext(ctx context.Context, name string) error {
+	_, err := o.Doer.Do(ctx, Op{Kind: OpDestroySubcontext, Name: name})
+	return err
+}
+
+// BindAttrs implements DirContext.
+func (o *OpContext) BindAttrs(ctx context.Context, name string, obj any, attrs *Attributes) error {
+	_, err := o.Doer.Do(ctx, Op{Kind: OpBind, Dir: true, Name: name, Obj: obj, Attrs: attrs})
+	return err
+}
+
+// RebindAttrs implements DirContext.
+func (o *OpContext) RebindAttrs(ctx context.Context, name string, obj any, attrs *Attributes) error {
+	_, err := o.Doer.Do(ctx, Op{Kind: OpRebind, Dir: true, Name: name, Obj: obj, Attrs: attrs})
+	return err
+}
+
+// GetAttributes implements DirContext.
+func (o *OpContext) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*Attributes, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpGetAttributes, Name: name, AttrIDs: attrIDs})
+	return res.Attrs, err
+}
+
+// ModifyAttributes implements DirContext.
+func (o *OpContext) ModifyAttributes(ctx context.Context, name string, mods []AttributeMod) error {
+	_, err := o.Doer.Do(ctx, Op{Kind: OpModifyAttributes, Name: name, Mods: mods})
+	return err
+}
+
+// Search implements DirContext.
+func (o *OpContext) Search(ctx context.Context, name, filterStr string, controls *SearchControls) ([]SearchResult, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpSearch, Name: name, Filter: filterStr, Controls: controls})
+	return res.Found, err
+}
+
+// CreateSubcontextAttrs implements DirContext. A Do that answers a Dir
+// create with a context lacking the directory surface has not created a
+// DirContext; that is reported, not returned as a nil interface.
+func (o *OpContext) CreateSubcontextAttrs(ctx context.Context, name string, attrs *Attributes) (DirContext, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpCreateSubcontext, Dir: true, Name: name, Attrs: attrs})
+	if err != nil {
+		return nil, err
+	}
+	d, ok := res.Context.(DirContext)
+	if !ok {
+		return nil, Errf("createSubcontext", name, ErrNotSupported)
+	}
+	return d, nil
+}
+
+// Watch implements EventContext.
+func (o *OpContext) Watch(ctx context.Context, target string, scope SearchScope, l Listener) (func(), error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpWatch, Name: target, Scope: scope, Listener: l})
+	return res.Cancel, err
+}
+
+// LookupMany implements BatchContext.
+func (o *BatchOpContext) LookupMany(ctx context.Context, names []string) ([]BatchResult, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpLookupMany, Names: names})
+	return res.Batch, err
+}
+
+// BindMany implements BatchContext.
+func (o *BatchOpContext) BindMany(ctx context.Context, reqs []BindRequest) ([]BatchResult, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpBindMany, Binds: reqs})
+	return res.Batch, err
+}
+
+// GetAttributesMany implements BatchContext.
+func (o *BatchOpContext) GetAttributesMany(ctx context.Context, names []string, attrIDs ...string) ([]BatchResult, error) {
+	res, err := o.Doer.Do(ctx, Op{Kind: OpGetAttributesMany, Names: names, AttrIDs: attrIDs})
+	return res.Batch, err
+}

@@ -23,17 +23,11 @@ type opMetrics struct {
 	lat  *Histogram
 }
 
-// InstrumentSet holds one system's pre-registered op instruments so the
-// per-call path is two pointer chases, no registry lookups.
+// InstrumentSet holds one system's pre-registered op instruments, one per
+// core.OpKind (whose String is the op label), so the per-call path is an
+// array index, no registry lookups.
 type InstrumentSet struct {
-	byOp map[string]*opMetrics
-}
-
-// opNames is the closed set of naming operations the wrapper meters.
-var opNames = []string{
-	"lookup", "lookupLink", "bind", "rebind", "unbind", "rename",
-	"list", "listBindings", "createSubcontext", "destroySubcontext",
-	"getAttributes", "modifyAttributes", "search", "watch",
+	byOp [core.NumOpKinds]opMetrics
 }
 
 // NewInstrumentSet registers (or re-uses) the op instruments for one
@@ -43,10 +37,10 @@ var opNames = []string{
 //	gondi_<subsystem>_errors_total{system=..., op=...}
 //	gondi_<subsystem>_op_seconds{system=..., op=...}
 func NewInstrumentSet(r *Registry, subsystem, system string) *InstrumentSet {
-	s := &InstrumentSet{byOp: make(map[string]*opMetrics, len(opNames))}
-	for _, op := range opNames {
-		labels := []Label{{"system", system}, {"op", op}}
-		s.byOp[op] = &opMetrics{
+	s := &InstrumentSet{}
+	for k := range s.byOp {
+		labels := []Label{{"system", system}, {"op", core.OpKind(k).String()}}
+		s.byOp[k] = opMetrics{
 			ops:  r.Counter("gondi_"+subsystem+"_ops_total", "naming operations by system and op", labels...),
 			errs: r.Counter("gondi_"+subsystem+"_errors_total", "failed naming operations (federation continuations excluded)", labels...),
 			lat:  r.Histogram("gondi_"+subsystem+"_op_seconds", "naming operation latency", labels...),
@@ -56,8 +50,8 @@ func NewInstrumentSet(r *Registry, subsystem, system string) *InstrumentSet {
 }
 
 // setCache memoizes instrument sets on the Default registry, so wrapping
-// a context per federation hop costs one sync.Map hit, not 14 registry
-// registrations.
+// a context per federation hop costs one sync.Map hit, not a registry
+// registration per op kind.
 var setCache sync.Map // "subsystem\x00system" -> *InstrumentSet
 
 func defaultSet(subsystem, system string) *InstrumentSet {
@@ -71,11 +65,8 @@ func defaultSet(subsystem, system string) *InstrumentSet {
 }
 
 // record meters one finished op and annotates the current trace hop.
-func (s *InstrumentSet) record(ctx context.Context, op string, start time.Time, err error) {
-	m := s.byOp[op]
-	if m == nil {
-		return
-	}
+func (s *InstrumentSet) record(ctx context.Context, kind core.OpKind, start time.Time, err error) {
+	m := &s.byOp[kind]
 	m.ops.Inc()
 	m.lat.Since(start)
 	HopOp(ctx)
@@ -117,16 +108,19 @@ func newInstCtx(inner core.Context, set *InstrumentSet) core.Context {
 		}
 	}
 	w := &InstCtx{inner: inner, set: set}
+	w.Doer = w
 	if _, ok := inner.(core.ContextViewer); ok {
 		return &instViewerCtx{w}
 	}
 	return w
 }
 
-// InstCtx is the instrumented wrapper. It implements the full DirContext
-// + EventContext surface and defers capability checks to the inner
-// context, mirroring the cache wrapper's contract.
+// InstCtx is the instrumented wrapper. It has the full DirContext +
+// EventContext + BatchContext surface (core.BatchOpContext over Do) and
+// defers capability checks to the inner context, mirroring the cache
+// wrapper's contract.
 type InstCtx struct {
+	core.BatchOpContext
 	inner core.Context
 	set   *InstrumentSet
 }
@@ -142,8 +136,35 @@ type instViewerCtx struct {
 var (
 	_ core.DirContext    = (*InstCtx)(nil)
 	_ core.EventContext  = (*InstCtx)(nil)
+	_ core.BatchContext  = (*InstCtx)(nil)
 	_ core.ContextViewer = (*instViewerCtx)(nil)
 )
+
+// Do runs op on the inner context and meters it: every kind the same way,
+// a batch as one op (natively batched or per item, as core.Do decides).
+// An op inner lacks the capability for is refused by core.Do without
+// being metered — a refusal is not work. Contexts that come back (a
+// looked-up context, a created subcontext) stay instrumented; the
+// listener's event deliveries of a Watch are not metered (they are
+// pushes, not ops).
+func (w *InstCtx) Do(ctx context.Context, op core.Op) (core.Result, error) {
+	if !core.Supports(w.inner, op) {
+		return core.Do(ctx, w.inner, op)
+	}
+	start := time.Now()
+	res, err := core.Do(ctx, w.inner, op)
+	w.set.record(ctx, op.Kind, start, err)
+	if err != nil {
+		return res, err
+	}
+	if c, ok := res.Value.(core.Context); ok && op.Kind == core.OpLookup {
+		res.Value = newInstCtx(c, w.set)
+	}
+	if res.Context != nil {
+		res.Context = newInstCtx(res.Context, w.set)
+	}
+	return res, nil
+}
 
 // Unwrap returns the wrapped context (tests and diagnostics).
 func (w *InstCtx) Unwrap() core.Context { return w.inner }
@@ -160,189 +181,6 @@ func Uninstrument(c core.Context) core.Context {
 		}
 		c = w.Unwrap()
 	}
-}
-
-func (w *InstCtx) dir(op, name string) (core.DirContext, error) {
-	d, ok := w.inner.(core.DirContext)
-	if !ok {
-		return nil, core.Errf(op, name, core.ErrNotSupported)
-	}
-	return d, nil
-}
-
-// Lookup implements core.Context.
-func (w *InstCtx) Lookup(ctx context.Context, name string) (any, error) {
-	start := time.Now()
-	v, err := w.inner.Lookup(ctx, name)
-	w.set.record(ctx, "lookup", start, err)
-	if c, ok := v.(core.Context); ok && err == nil {
-		return newInstCtx(c, w.set), nil
-	}
-	return v, err
-}
-
-// LookupLink implements core.Context.
-func (w *InstCtx) LookupLink(ctx context.Context, name string) (any, error) {
-	start := time.Now()
-	v, err := w.inner.LookupLink(ctx, name)
-	w.set.record(ctx, "lookupLink", start, err)
-	return v, err
-}
-
-// Bind implements core.Context.
-func (w *InstCtx) Bind(ctx context.Context, name string, obj any) error {
-	start := time.Now()
-	err := w.inner.Bind(ctx, name, obj)
-	w.set.record(ctx, "bind", start, err)
-	return err
-}
-
-// Rebind implements core.Context.
-func (w *InstCtx) Rebind(ctx context.Context, name string, obj any) error {
-	start := time.Now()
-	err := w.inner.Rebind(ctx, name, obj)
-	w.set.record(ctx, "rebind", start, err)
-	return err
-}
-
-// Unbind implements core.Context.
-func (w *InstCtx) Unbind(ctx context.Context, name string) error {
-	start := time.Now()
-	err := w.inner.Unbind(ctx, name)
-	w.set.record(ctx, "unbind", start, err)
-	return err
-}
-
-// Rename implements core.Context.
-func (w *InstCtx) Rename(ctx context.Context, oldName, newName string) error {
-	start := time.Now()
-	err := w.inner.Rename(ctx, oldName, newName)
-	w.set.record(ctx, "rename", start, err)
-	return err
-}
-
-// List implements core.Context.
-func (w *InstCtx) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	start := time.Now()
-	v, err := w.inner.List(ctx, name)
-	w.set.record(ctx, "list", start, err)
-	return v, err
-}
-
-// ListBindings implements core.Context.
-func (w *InstCtx) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	start := time.Now()
-	v, err := w.inner.ListBindings(ctx, name)
-	w.set.record(ctx, "listBindings", start, err)
-	return v, err
-}
-
-// CreateSubcontext implements core.Context.
-func (w *InstCtx) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	start := time.Now()
-	c, err := w.inner.CreateSubcontext(ctx, name)
-	w.set.record(ctx, "createSubcontext", start, err)
-	if err != nil {
-		return nil, err
-	}
-	return newInstCtx(c, w.set), nil
-}
-
-// DestroySubcontext implements core.Context.
-func (w *InstCtx) DestroySubcontext(ctx context.Context, name string) error {
-	start := time.Now()
-	err := w.inner.DestroySubcontext(ctx, name)
-	w.set.record(ctx, "destroySubcontext", start, err)
-	return err
-}
-
-// BindAttrs implements core.DirContext.
-func (w *InstCtx) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	d, err := w.dir("bind", name)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	err = d.BindAttrs(ctx, name, obj, attrs)
-	w.set.record(ctx, "bind", start, err)
-	return err
-}
-
-// RebindAttrs implements core.DirContext.
-func (w *InstCtx) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	d, err := w.dir("rebind", name)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	err = d.RebindAttrs(ctx, name, obj, attrs)
-	w.set.record(ctx, "rebind", start, err)
-	return err
-}
-
-// GetAttributes implements core.DirContext.
-func (w *InstCtx) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	d, err := w.dir("getAttributes", name)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	v, err := d.GetAttributes(ctx, name, attrIDs...)
-	w.set.record(ctx, "getAttributes", start, err)
-	return v, err
-}
-
-// ModifyAttributes implements core.DirContext.
-func (w *InstCtx) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	d, err := w.dir("modifyAttributes", name)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	err = d.ModifyAttributes(ctx, name, mods)
-	w.set.record(ctx, "modifyAttributes", start, err)
-	return err
-}
-
-// Search implements core.DirContext.
-func (w *InstCtx) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	d, err := w.dir("search", name)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	v, err := d.Search(ctx, name, filterStr, controls)
-	w.set.record(ctx, "search", start, err)
-	return v, err
-}
-
-// CreateSubcontextAttrs implements core.DirContext.
-func (w *InstCtx) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	d, err := w.dir("createSubcontext", name)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	c, err := d.CreateSubcontextAttrs(ctx, name, attrs)
-	w.set.record(ctx, "createSubcontext", start, err)
-	if err != nil {
-		return nil, err
-	}
-	return newInstCtx(c, w.set).(core.DirContext), nil
-}
-
-// Watch implements core.EventContext when inner does; the registration is
-// metered, the listener's event deliveries are not (they are pushes, not
-// ops).
-func (w *InstCtx) Watch(ctx context.Context, target string, scope core.SearchScope, l core.Listener) (func(), error) {
-	ec, ok := w.inner.(core.EventContext)
-	if !ok {
-		return nil, core.Errf("watch", target, core.ErrNotSupported)
-	}
-	start := time.Now()
-	cancel, err := ec.Watch(ctx, target, scope, l)
-	w.set.record(ctx, "watch", start, err)
-	return cancel, err
 }
 
 // View implements core.ContextViewer by rebasing inner, keeping the
@@ -392,29 +230,3 @@ func (w *InstCtx) Environment() map[string]any { return w.inner.Environment() }
 
 // Close implements core.Context.
 func (w *InstCtx) Close() error { return w.inner.Close() }
-
-// LookupMany implements core.BatchContext, metering the batch as one op
-// and delegating to inner's native batch (or the per-item fallback) via
-// the core helper.
-func (w *InstCtx) LookupMany(ctx context.Context, names []string) ([]core.BatchResult, error) {
-	start := time.Now()
-	out, err := core.LookupMany(ctx, w.inner, names)
-	w.set.record(ctx, "lookupMany", start, err)
-	return out, err
-}
-
-// BindMany implements core.BatchContext.
-func (w *InstCtx) BindMany(ctx context.Context, reqs []core.BindRequest) ([]core.BatchResult, error) {
-	start := time.Now()
-	out, err := core.BindMany(ctx, w.inner, reqs)
-	w.set.record(ctx, "bindMany", start, err)
-	return out, err
-}
-
-// GetAttributesMany implements core.BatchContext.
-func (w *InstCtx) GetAttributesMany(ctx context.Context, names []string, attrIDs ...string) ([]core.BatchResult, error) {
-	start := time.Now()
-	out, err := core.GetAttributesMany(ctx, w.inner, names, attrIDs...)
-	w.set.record(ctx, "getAttributesMany", start, err)
-	return out, err
-}

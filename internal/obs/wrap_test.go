@@ -289,3 +289,19 @@ func TestInstrumentPassthroughs(t *testing.T) {
 		t.Error("AdviseTTL on plain inner must report false")
 	}
 }
+
+func TestInstrumentMetersBatchAsOneOp(t *testing.T) {
+	// A batch is one op under its own label, however many items it carries
+	// and whether or not inner batches natively.
+	c := Instrument(&fakeCtx{}, "test", "batch")
+	out, err := core.LookupMany(context.Background(), c, []string{"a", "b", "c"})
+	if err != nil || len(out) != 3 || out[2].Value != "v:c" {
+		t.Fatalf("LookupMany = %+v, %v", out, err)
+	}
+	if ops, errs, lat := instCounters(t, "batch", "lookupMany"); ops != 1 || errs != 0 || lat != 1 {
+		t.Fatalf("lookupMany: ops=%d errs=%d lat=%d, want 1/0/1", ops, errs, lat)
+	}
+	if ops, _, _ := instCounters(t, "batch", "lookup"); ops != 0 {
+		t.Errorf("batch items metered as %d unary lookups", ops)
+	}
+}

@@ -178,28 +178,13 @@ func (c *Context) child(base core.Name) *Context {
 	return &Context{resolver: c.resolver, url: c.url, base: base, env: c.env, ttl: c.ttl}
 }
 
-func (c *Context) parse(name string) (core.Name, error) {
-	if core.IsURLName(name) {
-		u, err := core.ParseURLName(name)
-		if err != nil {
-			return core.Name{}, err
-		}
-		return core.Name{}, &core.CannotProceedError{
-			Resolved:      u.Scheme + "://" + u.Authority,
-			RemainingName: u.Path,
-			AltName:       name,
-		}
-	}
-	return core.ParseName(name)
-}
-
 // full parses name under the context base, front-checking ctx so every
 // operation fails fast once the caller's budget is gone.
 func (c *Context) full(ctx context.Context, name string) (core.Name, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return core.Name{}, err
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return core.Name{}, err
 	}

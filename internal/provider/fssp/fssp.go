@@ -68,19 +68,10 @@ type record struct {
 	Attrs map[string][]string
 }
 
+// parse is core.ParseLocalName plus the filesystem's own rule: no
+// component may climb out of, or address a path below, its directory.
 func (c *Context) parse(name string) (core.Name, error) {
-	if core.IsURLName(name) {
-		u, err := core.ParseURLName(name)
-		if err != nil {
-			return core.Name{}, err
-		}
-		return core.Name{}, &core.CannotProceedError{
-			Resolved:      u.Scheme + "://" + u.Authority,
-			RemainingName: u.Path,
-			AltName:       name,
-		}
-	}
-	n, err := core.ParseName(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return core.Name{}, err
 	}

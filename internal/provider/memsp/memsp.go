@@ -234,28 +234,12 @@ func (c *Context) lookupEntry(n core.Name) (*entry, error) {
 	return cur, nil
 }
 
-func (c *Context) parse(name string) (core.Name, error) {
-	if core.IsURLName(name) {
-		// A URL name given to a non-initial context is a foreign name.
-		u, err := core.ParseURLName(name)
-		if err != nil {
-			return core.Name{}, err
-		}
-		return core.Name{}, &core.CannotProceedError{
-			Resolved:      u.Scheme + "://" + u.Authority,
-			RemainingName: u.Path,
-			AltName:       name,
-		}
-	}
-	return core.ParseName(name)
-}
-
 // Lookup implements core.Context.
 func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
 	if err := c.check(ctx); err != nil {
 		return nil, core.Errf("lookup", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return nil, core.Errf("lookup", name, err)
 	}
@@ -288,7 +272,7 @@ func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *co
 	if err := c.check(ctx); err != nil {
 		return core.Errf("bind", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return core.Errf("bind", name, err)
 	}
@@ -324,7 +308,7 @@ func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.
 	if err := c.check(ctx); err != nil {
 		return core.Errf("rebind", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return core.Errf("rebind", name, err)
 	}
@@ -367,7 +351,7 @@ func (c *Context) Unbind(ctx context.Context, name string) error {
 	if err := c.check(ctx); err != nil {
 		return core.Errf("unbind", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return core.Errf("unbind", name, err)
 	}
@@ -393,11 +377,11 @@ func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
 	if err := c.check(ctx); err != nil {
 		return core.Errf("rename", oldName, err)
 	}
-	on, err := c.parse(oldName)
+	on, err := core.ParseLocalName(oldName)
 	if err != nil {
 		return core.Errf("rename", oldName, err)
 	}
-	nn, err := c.parse(newName)
+	nn, err := core.ParseLocalName(newName)
 	if err != nil {
 		return core.Errf("rename", newName, err)
 	}
@@ -452,7 +436,7 @@ func (c *Context) list(ctx context.Context, name string, withObj bool) ([]core.B
 	if err := c.check(ctx); err != nil {
 		return nil, core.Errf("list", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return nil, core.Errf("list", name, err)
 	}
@@ -499,7 +483,7 @@ func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs 
 	if err := c.check(ctx); err != nil {
 		return nil, core.Errf("createSubcontext", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return nil, core.Errf("createSubcontext", name, err)
 	}
@@ -527,7 +511,7 @@ func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
 	if err := c.check(ctx); err != nil {
 		return core.Errf("destroySubcontext", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return core.Errf("destroySubcontext", name, err)
 	}
@@ -562,7 +546,7 @@ func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...str
 	if err := c.check(ctx); err != nil {
 		return nil, core.Errf("getAttributes", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return nil, core.Errf("getAttributes", name, err)
 	}
@@ -580,7 +564,7 @@ func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core
 	if err := c.check(ctx); err != nil {
 		return core.Errf("modifyAttributes", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return core.Errf("modifyAttributes", name, err)
 	}
@@ -611,7 +595,7 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 	if err := c.check(ctx); err != nil {
 		return nil, core.Errf("search", name, err)
 	}
-	n, err := c.parse(name)
+	n, err := core.ParseLocalName(name)
 	if err != nil {
 		return nil, core.Errf("search", name, err)
 	}
@@ -704,7 +688,7 @@ func (c *Context) Watch(ctx context.Context, target string, scope core.SearchSco
 	if err := c.check(ctx); err != nil {
 		return nil, core.Errf("watch", target, err)
 	}
-	n, err := c.parse(target)
+	n, err := core.ParseLocalName(target)
 	if err != nil {
 		return nil, core.Errf("watch", target, err)
 	}

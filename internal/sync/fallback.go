@@ -87,7 +87,7 @@ func (m *middleware) OpenURLNext(ctx context.Context, rawURL string, env map[str
 	}
 	if err == nil {
 		if coversAuthority(u.Scheme, u.Authority) {
-			return &fbCtx{inner: c, scheme: u.Scheme, authority: u.Authority}, rest, nil
+			return newFbCtx(c, u.Scheme, u.Authority, core.Name{}), rest, nil
 		}
 		return c, rest, nil
 	}
@@ -95,7 +95,23 @@ func (m *middleware) OpenURLNext(ctx context.Context, rawURL string, env map[str
 		return c, rest, err
 	}
 	obs.MirrorEvent(ctx, "open")
-	return &mirrorRoot{scheme: u.Scheme, authority: u.Authority, origErr: err}, u.Path, nil
+	r := &mirrorRoot{scheme: u.Scheme, authority: u.Authority, origErr: err}
+	r.Doer = r
+	return r, u.Path, nil
+}
+
+// divertible reports whether op is a read a mirror may answer. Writes
+// never divert: a mirror never accepts writes on the origin's behalf (that
+// would fork the namespace — the origin heals and the divergence has no
+// merge rule). Watch never diverts: a mirror cannot observe origin changes
+// the origin is too dead to emit.
+func divertible(op core.Op) bool {
+	switch op.Kind {
+	case core.OpLookup, core.OpLookupLink, core.OpList, core.OpListBindings,
+		core.OpGetAttributes, core.OpSearch:
+		return true
+	}
+	return false
 }
 
 // serve answers one read op from the mirror covering full, if any.
@@ -103,31 +119,37 @@ func (m *middleware) OpenURLNext(ctx context.Context, rawURL string, env map[str
 // legitimate semantic error like ErrNotFound — and (_, false) when no
 // mirror covers the name or the mirror itself is unreachable (the
 // caller then surfaces the origin's error, not the mirror's).
-func serve[T any](ctx context.Context, scheme, authority, op string, full core.Name,
-	read func(m *Mirror, dest core.Name) (T, error)) (T, error, bool) {
-	var zero T
+func serve(ctx context.Context, scheme, authority string, full core.Name, op core.Op) (core.Result, error, bool) {
 	m, rel, ok := lookupMirror(scheme, authority, full)
 	if !ok {
-		return zero, nil, false
+		return core.Result{}, nil, false
 	}
-	v, err := read(m, m.destBase.Concat(rel))
+	op.Name = m.destBase.Concat(rel).String()
+	res, err := core.Do(ctx, m.destRoot, op)
 	if err != nil && transportClass(err) {
-		return zero, nil, false
+		return core.Result{}, nil, false
 	}
 	m.serves.Add(1)
 	obs.Default.Counter("gondi_sync_mirror_serves_total",
 		"Reads answered from a mirror because the origin was unreachable.",
-		obs.Label{K: "mirror", V: m.name}, obs.Label{K: "op", V: op}).Inc()
+		obs.Label{K: "mirror", V: m.name}, obs.Label{K: "op", V: op.Kind.String()}).Inc()
 	obs.MirrorEvent(ctx, "serve")
-	return v, err, true
+	return res, err, true
 }
 
-// fbCtx wraps an origin context opened while its authority is mirrored:
-// reads that fail transport-class divert to the mirror; writes, watches
-// and everything else pass straight through. base tracks how deep this
-// wrapper sits below the provider root, so relative names map into the
-// mirror registry's provider-root-relative namespace.
+// fbCtx wraps an origin context opened while its authority is mirrored.
+// Its Do runs every op on the origin first; a read (see divertible) that
+// fails transport-class is then answered by the mirror covering the name,
+// and everything else — writes, watches, semantic errors, uncovered names
+// — comes back exactly as the origin gave it. Contexts the origin hands
+// out (looked up or created) are wrapped again one level deeper. base
+// tracks how deep this wrapper sits below the provider root, so relative
+// names map into the mirror registry's provider-root-relative namespace.
+//
+// It embeds core.OpContext, not BatchOpContext: core.LookupMany must
+// reach Do one item at a time, so each item can divert on its own.
 type fbCtx struct {
+	core.OpContext
 	inner     core.Context
 	scheme    string
 	authority string
@@ -137,205 +159,45 @@ type fbCtx struct {
 var _ core.DirContext = (*fbCtx)(nil)
 var _ core.EventContext = (*fbCtx)(nil)
 
+func newFbCtx(inner core.Context, scheme, authority string, base core.Name) *fbCtx {
+	f := &fbCtx{inner: inner, scheme: scheme, authority: authority, base: base}
+	f.Doer = f
+	return f
+}
+
 // Unwrap lets obs.Uninstrument strip the wrapper.
 func (f *fbCtx) Unwrap() core.Context { return f.inner }
 
-func (f *fbCtx) full(name string) (core.Name, bool) {
+// child wraps a context the origin handed out under name one level
+// deeper; under a name that does not parse it stays unwrapped.
+func (f *fbCtx) child(name string, c core.Context) core.Context {
 	n, err := core.ParseName(name)
 	if err != nil {
-		return core.Name{}, false
+		return c
 	}
-	return f.base.Concat(n), true
+	return newFbCtx(c, f.scheme, f.authority, f.base.Concat(n))
 }
 
-func (f *fbCtx) wrapChild(name string, v any) any {
-	c, ok := v.(core.Context)
-	if !ok {
-		return v
-	}
-	full, ok := f.full(name)
-	if !ok {
-		return v
-	}
-	return &fbCtx{inner: c, scheme: f.scheme, authority: f.authority, base: full}
-}
-
-func (f *fbCtx) Lookup(ctx context.Context, name string) (any, error) {
-	v, err := f.inner.Lookup(ctx, name)
-	if err == nil {
-		return f.wrapChild(name, v), nil
-	}
-	if !transportClass(err) {
-		return v, err
-	}
-	full, ok := f.full(name)
-	if !ok {
-		return v, err
-	}
-	if mv, merr, served := serve(ctx, f.scheme, f.authority, "lookup", full,
-		func(m *Mirror, dest core.Name) (any, error) { return m.destRoot.Lookup(ctx, dest.String()) }); served {
-		return mv, merr
-	}
-	return v, err
-}
-
-func (f *fbCtx) LookupLink(ctx context.Context, name string) (any, error) {
-	v, err := f.inner.LookupLink(ctx, name)
-	if err == nil || !transportClass(err) {
-		return v, err
-	}
-	full, ok := f.full(name)
-	if !ok {
-		return v, err
-	}
-	if mv, merr, served := serve(ctx, f.scheme, f.authority, "lookupLink", full,
-		func(m *Mirror, dest core.Name) (any, error) { return m.destRoot.LookupLink(ctx, dest.String()) }); served {
-		return mv, merr
-	}
-	return v, err
-}
-
-func (f *fbCtx) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	v, err := f.inner.List(ctx, name)
-	if err == nil || !transportClass(err) {
-		return v, err
-	}
-	full, ok := f.full(name)
-	if !ok {
-		return v, err
-	}
-	if mv, merr, served := serve(ctx, f.scheme, f.authority, "list", full,
-		func(m *Mirror, dest core.Name) ([]core.NameClassPair, error) {
-			return m.destRoot.List(ctx, dest.String())
-		}); served {
-		return mv, merr
-	}
-	return v, err
-}
-
-func (f *fbCtx) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	v, err := f.inner.ListBindings(ctx, name)
-	if err == nil || !transportClass(err) {
-		return v, err
-	}
-	full, ok := f.full(name)
-	if !ok {
-		return v, err
-	}
-	if mv, merr, served := serve(ctx, f.scheme, f.authority, "listBindings", full,
-		func(m *Mirror, dest core.Name) ([]core.Binding, error) {
-			return m.destRoot.ListBindings(ctx, dest.String())
-		}); served {
-		return mv, merr
-	}
-	return v, err
-}
-
-func (f *fbCtx) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	d, ok := f.inner.(core.DirContext)
-	if !ok {
-		return nil, core.Errf("getAttributes", name, core.ErrNotSupported)
-	}
-	v, err := d.GetAttributes(ctx, name, attrIDs...)
-	if err == nil || !transportClass(err) {
-		return v, err
-	}
-	full, fok := f.full(name)
-	if !fok {
-		return v, err
-	}
-	if mv, merr, served := serve(ctx, f.scheme, f.authority, "getAttributes", full,
-		func(m *Mirror, dest core.Name) (*core.Attributes, error) {
-			return m.destDir.GetAttributes(ctx, dest.String(), attrIDs...)
-		}); served {
-		return mv, merr
-	}
-	return v, err
-}
-
-func (f *fbCtx) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	d, ok := f.inner.(core.DirContext)
-	if !ok {
-		return nil, core.Errf("search", name, core.ErrNotSupported)
-	}
-	v, err := d.Search(ctx, name, filterStr, controls)
-	if err == nil || !transportClass(err) {
-		return v, err
-	}
-	full, fok := f.full(name)
-	if !fok {
-		return v, err
-	}
-	if mv, merr, served := serve(ctx, f.scheme, f.authority, "search", full,
-		func(m *Mirror, dest core.Name) ([]core.SearchResult, error) {
-			return m.destDir.Search(ctx, dest.String(), filterStr, controls)
-		}); served {
-		return mv, merr
-	}
-	return v, err
-}
-
-// Writes pass through untouched: a mirror never accepts writes on the
-// origin's behalf (that would fork the namespace — the origin heals and
-// the divergence has no merge rule).
-
-func (f *fbCtx) Bind(ctx context.Context, name string, obj any) error {
-	return f.inner.Bind(ctx, name, obj)
-}
-func (f *fbCtx) Rebind(ctx context.Context, name string, obj any) error {
-	return f.inner.Rebind(ctx, name, obj)
-}
-func (f *fbCtx) Unbind(ctx context.Context, name string) error { return f.inner.Unbind(ctx, name) }
-func (f *fbCtx) Rename(ctx context.Context, oldName, newName string) error {
-	return f.inner.Rename(ctx, oldName, newName)
-}
-func (f *fbCtx) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	c, err := f.inner.CreateSubcontext(ctx, name)
+// Do implements core.Doer; see the type comment.
+func (f *fbCtx) Do(ctx context.Context, op core.Op) (core.Result, error) {
+	res, err := core.Do(ctx, f.inner, op)
 	if err != nil {
-		return nil, err
+		if divertible(op) && transportClass(err) {
+			if n, perr := core.ParseName(op.Name); perr == nil {
+				if mres, merr, served := serve(ctx, f.scheme, f.authority, f.base.Concat(n), op); served {
+					return mres, merr
+				}
+			}
+		}
+		return res, err
 	}
-	return f.wrapChild(name, c).(core.Context), nil
-}
-func (f *fbCtx) DestroySubcontext(ctx context.Context, name string) error {
-	return f.inner.DestroySubcontext(ctx, name)
-}
-func (f *fbCtx) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	if d, ok := f.inner.(core.DirContext); ok {
-		return d.BindAttrs(ctx, name, obj, attrs)
+	if c, ok := res.Value.(core.Context); ok && op.Kind == core.OpLookup {
+		res.Value = f.child(op.Name, c)
 	}
-	return core.Errf("bind", name, core.ErrNotSupported)
-}
-func (f *fbCtx) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	if d, ok := f.inner.(core.DirContext); ok {
-		return d.RebindAttrs(ctx, name, obj, attrs)
+	if res.Context != nil {
+		res.Context = f.child(op.Name, res.Context)
 	}
-	return core.Errf("rebind", name, core.ErrNotSupported)
-}
-func (f *fbCtx) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	if d, ok := f.inner.(core.DirContext); ok {
-		return d.ModifyAttributes(ctx, name, mods)
-	}
-	return core.Errf("modifyAttributes", name, core.ErrNotSupported)
-}
-func (f *fbCtx) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	d, ok := f.inner.(core.DirContext)
-	if !ok {
-		return nil, core.Errf("createSubcontext", name, core.ErrNotSupported)
-	}
-	c, err := d.CreateSubcontextAttrs(ctx, name, attrs)
-	if err != nil {
-		return nil, err
-	}
-	return f.wrapChild(name, c).(core.DirContext), nil
-}
-
-// Watch never diverts: a mirror cannot observe origin changes the
-// origin is too dead to emit.
-func (f *fbCtx) Watch(ctx context.Context, target string, scope core.SearchScope, l core.Listener) (func(), error) {
-	if ec, ok := f.inner.(core.EventContext); ok {
-		return ec.Watch(ctx, target, scope, l)
-	}
-	return nil, core.Errf("watch", target, core.ErrNotSupported)
+	return res, nil
 }
 
 // AdviseTTL and SyncCursor forward structurally (the cache sits outside
@@ -361,11 +223,13 @@ func (f *fbCtx) NameInNamespace() (string, error) { return f.inner.NameInNamespa
 func (f *fbCtx) Environment() map[string]any      { return f.inner.Environment() }
 func (f *fbCtx) Close() error                     { return f.inner.Close() }
 
-// mirrorRoot stands in for an origin whose OPEN already failed: every
-// read is answered from whichever mirror covers the name; everything
+// mirrorRoot stands in for an origin whose OPEN already failed: its Do
+// answers every read from whichever mirror covers the name; everything
 // else — writes, watches, uncovered names — fails with the ORIGIN's
-// typed error, so callers see exactly what is degraded and why.
+// typed error, so callers see exactly what is degraded and why. Like
+// fbCtx it is not a BatchContext, so batches divert per item.
 type mirrorRoot struct {
+	core.OpContext
 	scheme    string
 	authority string
 	origErr   error
@@ -373,107 +237,18 @@ type mirrorRoot struct {
 
 var _ core.DirContext = (*mirrorRoot)(nil)
 
-func (r *mirrorRoot) full(name string) (core.Name, bool) {
-	n, err := core.ParseName(name)
-	if err != nil {
-		return core.Name{}, false
-	}
-	return n, true
-}
-
-func (r *mirrorRoot) Lookup(ctx context.Context, name string) (any, error) {
-	if full, ok := r.full(name); ok {
-		if v, err, served := serve(ctx, r.scheme, r.authority, "lookup", full,
-			func(m *Mirror, dest core.Name) (any, error) { return m.destRoot.Lookup(ctx, dest.String()) }); served {
-			return v, err
+// Do implements core.Doer; see the type comment.
+func (r *mirrorRoot) Do(ctx context.Context, op core.Op) (core.Result, error) {
+	if divertible(op) {
+		if full, err := core.ParseName(op.Name); err == nil {
+			if res, err, served := serve(ctx, r.scheme, r.authority, full, op); served {
+				return res, err
+			}
 		}
 	}
-	return nil, r.origErr
+	return core.Result{}, r.origErr
 }
 
-func (r *mirrorRoot) LookupLink(ctx context.Context, name string) (any, error) {
-	if full, ok := r.full(name); ok {
-		if v, err, served := serve(ctx, r.scheme, r.authority, "lookupLink", full,
-			func(m *Mirror, dest core.Name) (any, error) { return m.destRoot.LookupLink(ctx, dest.String()) }); served {
-			return v, err
-		}
-	}
-	return nil, r.origErr
-}
-
-func (r *mirrorRoot) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	if full, ok := r.full(name); ok {
-		if v, err, served := serve(ctx, r.scheme, r.authority, "list", full,
-			func(m *Mirror, dest core.Name) ([]core.NameClassPair, error) {
-				return m.destRoot.List(ctx, dest.String())
-			}); served {
-			return v, err
-		}
-	}
-	return nil, r.origErr
-}
-
-func (r *mirrorRoot) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	if full, ok := r.full(name); ok {
-		if v, err, served := serve(ctx, r.scheme, r.authority, "listBindings", full,
-			func(m *Mirror, dest core.Name) ([]core.Binding, error) {
-				return m.destRoot.ListBindings(ctx, dest.String())
-			}); served {
-			return v, err
-		}
-	}
-	return nil, r.origErr
-}
-
-func (r *mirrorRoot) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	if full, ok := r.full(name); ok {
-		if v, err, served := serve(ctx, r.scheme, r.authority, "getAttributes", full,
-			func(m *Mirror, dest core.Name) (*core.Attributes, error) {
-				return m.destDir.GetAttributes(ctx, dest.String(), attrIDs...)
-			}); served {
-			return v, err
-		}
-	}
-	return nil, r.origErr
-}
-
-func (r *mirrorRoot) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	if full, ok := r.full(name); ok {
-		if v, err, served := serve(ctx, r.scheme, r.authority, "search", full,
-			func(m *Mirror, dest core.Name) ([]core.SearchResult, error) {
-				return m.destDir.Search(ctx, dest.String(), filterStr, controls)
-			}); served {
-			return v, err
-		}
-	}
-	return nil, r.origErr
-}
-
-func (r *mirrorRoot) Bind(ctx context.Context, name string, obj any) error   { return r.origErr }
-func (r *mirrorRoot) Rebind(ctx context.Context, name string, obj any) error { return r.origErr }
-func (r *mirrorRoot) Unbind(ctx context.Context, name string) error          { return r.origErr }
-func (r *mirrorRoot) Rename(ctx context.Context, oldName, newName string) error {
-	return r.origErr
-}
-func (r *mirrorRoot) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	return nil, r.origErr
-}
-func (r *mirrorRoot) DestroySubcontext(ctx context.Context, name string) error { return r.origErr }
-func (r *mirrorRoot) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return r.origErr
-}
-func (r *mirrorRoot) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return r.origErr
-}
-func (r *mirrorRoot) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	return r.origErr
-}
-func (r *mirrorRoot) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	return nil, r.origErr
-}
-func (r *mirrorRoot) Watch(ctx context.Context, target string, scope core.SearchScope, l core.Listener) (func(), error) {
-	return nil, r.origErr
-}
 func (r *mirrorRoot) NameInNamespace() (string, error) { return "", r.origErr }
 func (r *mirrorRoot) Environment() map[string]any      { return nil }
 func (r *mirrorRoot) Close() error                     { return nil }

@@ -295,6 +295,42 @@ func TestFallbackServesReadsThroughOriginOutage(t *testing.T) {
 	}
 }
 
+func TestFallbackServesBatchLookupPerItem(t *testing.T) {
+	// The fallback wrappers are deliberately not BatchContexts: a batch
+	// must reach them one item at a time, so every item can divert to the
+	// mirror on its own instead of failing with the origin's error.
+	registerTestProviders()
+	space := "outage-batch"
+	startMirror(t, space, map[string]string{"svc0": "v0", "svc1": "v1"})
+
+	ctx := context.Background()
+	ic, err := core.Open(ctx, core.WithMirrorFallback())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
+	names := []string{"flk://" + space + "/data/svc0", "flk://" + space + "/data/svc1"}
+	check := func(when string) {
+		t.Helper()
+		out, err := ic.LookupMany(ctx, names)
+		if err != nil || len(out) != 2 {
+			t.Fatalf("%s: LookupMany = %+v, %v", when, out, err)
+		}
+		for i, want := range []string{"v0", "v1"} {
+			if out[i].Err != nil || out[i].Value != want {
+				t.Errorf("%s: item %d = %v, %v; want %q", when, i, out[i].Value, out[i].Err, want)
+			}
+		}
+	}
+	check("healthy")
+	f := flakySpace(space)
+	t.Cleanup(func() { f.opDown.Store(false); f.openDown.Store(false) })
+	f.opDown.Store(true)
+	check("origin ops down")
+	f.openDown.Store(true)
+	check("origin opens down")
+}
+
 func TestFallbackStaysTypedWhenMirrorAlsoDown(t *testing.T) {
 	registerTestProviders()
 	space := "outage-b"

@@ -7,8 +7,11 @@
 #   sh scripts/check.sh test            # race-enabled tests + coverage gate
 #
 # Stages: fmt vet lint build benchmod test allocs chaos durability overload vuln
-# allocs is the per-commit real-number gate; wall-clock costs are
-# measured by bench/run.sh (see bench/README.md), not gated here.
+# lint is ctxfirst plus the one-surface guard (the typed naming surface
+# is spelled in internal/core/op.go and by providers, nowhere else).
+# allocs is the per-commit real-number gate (operations as values, rpc
+# codec, DIT search, dnssp opens); wall-clock costs are measured by
+# bench/run.sh (see bench/README.md), not gated here.
 set -e
 
 # Minimum statement coverage for internal/obs (enforced by the test stage:
@@ -36,6 +39,12 @@ stage_vet() {
 stage_lint() {
     echo "== lint: ctxfirst =="
     go run ./scripts/lint/ctxfirst $(git ls-files '*.go')
+    echo "== lint: one typed surface (a decorator embeds core.OpContext and writes Do) =="
+    if git ls-files 'internal/*.go' 'cmd/*.go' | grep -v -e '_test\.go$' -e '^internal/core/op\.go$' -e '^internal/provider/' |
+        xargs grep -n '^func (.*) ListBindings(' /dev/null; then
+        echo "a non-provider type hand-writes the naming surface; embed core.OpContext or core.BatchOpContext" >&2
+        exit 1
+    fi
 }
 
 stage_build() {
@@ -85,6 +94,12 @@ stage_test() {
 }
 
 stage_allocs() {
+    # Operations as values must stay free: a typed call through
+    # OpContext -> a decorator's Do -> core.Do -> the inner typed method
+    # puts an Op and a Result on the stack and nothing on the heap.
+    echo "== core.Op round trip zero-alloc gate =="
+    go test -count=1 -run 'TestOpContextLookupZeroAlloc' ./internal/core/
+
     # Wire-path allocation gate: the rpc frame codec must encode and
     # decode with zero steady-state allocations (testing.AllocsPerRun)
     # or every call on the hot path pays the GC back.
