@@ -1,9 +1,7 @@
 package hdns
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"sync"
 	"time"
@@ -48,8 +46,8 @@ func DialContext(ctx context.Context, addr, secret string, timeout time.Duration
 		if method != mEvent {
 			return
 		}
-		var msg EventMsg
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&msg); err != nil {
+		msg, err := decodeEvent(body)
+		if err != nil {
 			return
 		}
 		c.mu.Lock()
@@ -89,19 +87,16 @@ func (c *Client) Closed() bool { return c.rc.Closed() }
 func (c *Client) Done() <-chan struct{} { return c.rc.Done() }
 
 func (c *Client) call(ctx context.Context, method string, req *Req) (*Rsp, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		return nil, err
-	}
-	body, err := c.rc.Call(ctx, method, buf.Bytes())
+	// rpc copies the body into its own frame buffer before Call returns,
+	// so the encode buffer goes straight back to the pool.
+	buf := encBufPool.Get().(*[]byte)
+	*buf = appendReq((*buf)[:0], req)
+	body, err := c.rc.Call(ctx, method, *buf)
+	encBufPool.Put(buf)
 	if err != nil {
 		return nil, err
 	}
-	var rsp Rsp
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rsp); err != nil {
-		return nil, err
-	}
-	return &rsp, nil
+	return decodeRsp(body)
 }
 
 // Lookup reads the entry at name.
@@ -265,15 +260,24 @@ type BatchRsp struct {
 // and each item fails independently; the call-level error is reserved for
 // transport failures and whole-batch shedding.
 func (c *Client) CallMany(ctx context.Context, ops []BatchOp) ([]BatchRsp, error) {
+	// Every body is encoded back to back into one pooled buffer and sliced
+	// out once the buffer has stopped growing.
+	buf := encBufPool.Get().(*[]byte)
+	b := (*buf)[:0]
 	items := make([]rpc.BatchItem, len(ops))
+	ends := make([]int, len(ops))
 	for i, op := range ops {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(op.Req); err != nil {
-			return nil, err
-		}
-		items[i] = rpc.BatchItem{Method: op.Method, Body: buf.Bytes()}
+		b = appendReq(b, op.Req)
+		ends[i] = len(b)
+	}
+	start := 0
+	for i, op := range ops {
+		items[i] = rpc.BatchItem{Method: op.Method, Body: b[start:ends[i]:ends[i]]}
+		start = ends[i]
 	}
 	results, err := c.rc.CallBatch(ctx, items)
+	*buf = b
+	encBufPool.Put(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -283,12 +287,7 @@ func (c *Client) CallMany(ctx context.Context, ops []BatchOp) ([]BatchRsp, error
 			out[i].Err = res.Err
 			continue
 		}
-		var rsp Rsp
-		if err := gob.NewDecoder(bytes.NewReader(res.Body)).Decode(&rsp); err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Rsp = &rsp
+		out[i].Rsp, out[i].Err = decodeRsp(res.Body)
 	}
 	return out, nil
 }

@@ -222,10 +222,15 @@ func testStack() jgroups.Config {
 
 func startTestNode(t *testing.T, f *jgroups.Fabric, name, group string, snapshotPath string) *Node {
 	t.Helper()
+	return startNode(t, f, name, group, snapshotPath, testStack())
+}
+
+func startNode(t *testing.T, f *jgroups.Fabric, name, group, snapshotPath string, stack jgroups.Config) *Node {
+	t.Helper()
 	n, err := NewNode(NodeConfig{
 		Group:            group,
 		Transport:        f.Endpoint(jgroups.Address(name)),
-		Stack:            testStack(),
+		Stack:            stack,
 		ListenAddr:       "127.0.0.1:0",
 		SnapshotPath:     snapshotPath,
 		SnapshotInterval: 200 * time.Millisecond,

@@ -424,13 +424,11 @@ func (n *Node) fanOut(c Change) {
 	if len(targets) == 0 {
 		return
 	}
+	var buf []byte // Push has written the frame when it returns
 	for _, t := range targets {
 		msg := EventMsg{WatchID: t.id, Kind: c.Kind, Name: c.Name, Obj: c.Obj, Old: c.Old}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-			continue
-		}
-		_ = t.conn.Push(mEvent, buf.Bytes())
+		buf = appendEvent(buf[:0], &msg)
+		_ = t.conn.Push(mEvent, buf)
 	}
 }
 
@@ -586,22 +584,6 @@ func (n *Node) Close() error {
 
 // --- RPC handlers ---
 
-func decodeReq(body []byte) (*Req, error) {
-	var r Req
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-func encodeRsp(r *Rsp) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 func (n *Node) authed(sc *rpc.ServerConn) bool {
 	if n.cfg.Secret == "" {
 		return true
@@ -669,7 +651,9 @@ func (n *Node) registerHandlers() {
 			if err != nil {
 				return nil, err
 			}
-			return encodeRsp(rsp)
+			// rpc writes the body after this handler returns, so it cannot
+			// come from a pool; size it for the common (lookup) answer.
+			return appendRsp(make([]byte, 0, 64+len(rsp.View.Obj)), rsp), nil
 		})
 	}
 

@@ -335,18 +335,20 @@ func (p *persister) appendOp(version uint64, op *Op) error {
 	if p.log == nil {
 		return nil
 	}
-	buf := walBufPool.Get().(*[]byte)
+	buf := encBufPool.Get().(*[]byte)
 	b := appendWALOp((*buf)[:0], version, op)
 	err := p.log.Append(b)
 	if err != nil {
 		mWALAppendErrs.Inc()
 	}
 	*buf = b
-	walBufPool.Put(buf)
+	encBufPool.Put(buf)
 	return err
 }
 
-var walBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+// encBufPool recycles encode buffers whose bytes the callee is done with
+// on return: WAL appends here, request bodies in Client.call.
+var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 // maybeCompact kicks a background compaction when the WAL has outgrown
 // the threshold — or when a storage failure sealed it, since compaction

@@ -38,11 +38,7 @@ func appendWALOp(dst []byte, version uint64, op *Op) []byte {
 	dst = appendWALStrings(dst, op.Name)
 	dst = appendWALStrings(dst, op.Name2)
 	dst = appendWALString(dst, string(op.Obj))
-	dst = binary.AppendUvarint(dst, uint64(len(op.Attrs)))
-	for k, vals := range op.Attrs {
-		dst = appendWALString(dst, k)
-		dst = appendWALStrings(dst, vals)
-	}
+	dst = appendWALAttrs(dst, op.Attrs)
 	dst = binary.AppendUvarint(dst, uint64(len(op.Mods)))
 	for _, m := range op.Mods {
 		dst = append(dst, byte(m.Op))
@@ -89,25 +85,8 @@ func decodeWALOp(b []byte) (version uint64, op *Op, err error) {
 	if obj != "" {
 		op.Obj = []byte(obj)
 	}
-	if u, b, err = takeUvarint(b); err != nil {
+	if op.Attrs, b, err = takeWALAttrs(b); err != nil {
 		return 0, nil, err
-	}
-	if u > uint64(len(b)) { // each entry needs ≥1 byte; cheap bound check
-		return 0, nil, errWALRecTruncated
-	}
-	if u > 0 {
-		op.Attrs = make(map[string][]string, u)
-		for i := uint64(0); i < u; i++ {
-			var k string
-			var vals []string
-			if k, b, err = takeWALString(b); err != nil {
-				return 0, nil, err
-			}
-			if vals, b, err = takeWALStrings(b); err != nil {
-				return 0, nil, err
-			}
-			op.Attrs[k] = vals
-		}
 	}
 	if u, b, err = takeUvarint(b); err != nil {
 		return 0, nil, err
@@ -135,7 +114,9 @@ func decodeWALOp(b []byte) (version uint64, op *Op, err error) {
 	return version, op, nil
 }
 
-var errWALRecTruncated = errors.New("hdns: truncated wal record")
+// errWALRecTruncated is shared with the request codec (wirecodec.go),
+// which decodes with the same take* helpers.
+var errWALRecTruncated = errors.New("hdns: truncated record")
 
 func boolByte(v bool) byte {
 	if v {
@@ -153,6 +134,15 @@ func appendWALStrings(dst []byte, ss []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ss)))
 	for _, s := range ss {
 		dst = appendWALString(dst, s)
+	}
+	return dst
+}
+
+func appendWALAttrs(dst []byte, attrs map[string][]string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(attrs)))
+	for k, vals := range attrs {
+		dst = appendWALString(dst, k)
+		dst = appendWALStrings(dst, vals)
 	}
 	return dst
 }
@@ -196,4 +186,31 @@ func takeWALStrings(b []byte) ([]string, []byte, error) {
 		out = append(out, s)
 	}
 	return out, b, nil
+}
+
+// takeWALAttrs consumes an attribute map; an empty one yields nil.
+func takeWALAttrs(b []byte) (map[string][]string, []byte, error) {
+	n, b, err := takeUvarint(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > uint64(len(b)) { // each entry needs ≥1 byte; cheap bound check
+		return nil, nil, errWALRecTruncated
+	}
+	if n == 0 {
+		return nil, b, nil
+	}
+	attrs := make(map[string][]string, n)
+	for i := uint64(0); i < n; i++ {
+		var k string
+		var vals []string
+		if k, b, err = takeWALString(b); err != nil {
+			return nil, nil, err
+		}
+		if vals, b, err = takeWALStrings(b); err != nil {
+			return nil, nil, err
+		}
+		attrs[k] = vals
+	}
+	return attrs, b, nil
 }

@@ -1,7 +1,56 @@
 package hdns
 
-// Wire types exchanged between HDNS clients and nodes over the rpc
-// substrate (gob-encoded).
+// Wire types exchanged between HDNS clients and nodes as rpc frame
+// bodies, in the hand-rolled binary encoding of wirecodec.go (the
+// replication frame between nodes, opEnvelope, is still gob).
+//
+// Field encodings: str is a uvarint length + bytes, strs a uvarint
+// count + that many str, bytes a str that decodes aliasing the body,
+// attrs a uvarint count, then per entry a key str and a vals strs; bool
+// is one byte, 0 or 1; varint is zig-zag (signed), uvarint unsigned. A
+// zero-length bytes/strs/attrs/list decodes to nil, as gob's omitted
+// zero values did. Fields follow in the order listed with no tags, so a
+// new field means a new line here, in the codec and nowhere else — the
+// reflection-filled round trip in wirecodec_test.go fails until it has one.
+//
+// Req:
+//
+//	name     strs
+//	name2    strs
+//	obj      bytes
+//	attrs    attrs
+//	replace  bool        (ReplaceAttrs)
+//	mods     uvarint count, then per entry: op varint, id str, vals strs
+//	filter   str
+//	scope    varint
+//	limit    varint
+//	lease    varint      (LeaseMillis)
+//	watchID  uvarint
+//	secret   str
+//
+// Rsp:
+//
+//	view     flags uint8 (1 Exists, 2 IsCtx), obj bytes, attrs attrs
+//	list     uvarint count, then per entry: name str, isCtx bool, obj bytes
+//	hits     uvarint count, then per entry: name strs, isCtx bool,
+//	         obj bytes, attrs attrs
+//	watchID  uvarint
+//	expiry   varint
+//	info     addr str, group str, members strs, coordinator bool,
+//	         entries varint, version uvarint, mode str,
+//	         shardGroups varint, shardIndex varint, walBytes varint,
+//	         needsRepair bool, quarantined varint, repairs uvarint
+//
+// EventMsg:
+//
+//	watchID  uvarint
+//	kind     uint8
+//	name     strs
+//	obj      bytes
+//	old      bytes
+//
+// Trailing bytes after the last field are a decode error, as in the rpc
+// frame codec: a message parses exactly or is rejected.
 
 // Req is the universal request body.
 type Req struct {

@@ -41,7 +41,39 @@ var (
 		"RPC calls shed by a server's in-flight window.")
 	mBatchSize = obs.Default.Histogram("gondi_rpc_batch_size_items",
 		"RPC batch sizes; recorded as 1µs per item, so p50 in µs is the median batch size.")
+	mBatchCalls = obs.Default.Counter("gondi_rpc_batch_calls_total",
+		"RPC batch round-trips issued.")
+	mBatchLat = obs.Default.Histogram("gondi_rpc_batch_seconds",
+		"RPC batch round-trip latency.")
+	mBatchErrs = obs.Default.Counter("gondi_rpc_batch_errors_total",
+		"RPC batch round-trips that failed.")
 )
+
+// callMetrics holds one method's labelled instruments. A labelled
+// registry lookup renders and escapes its labels on every call, so
+// Client.Call resolves the three once per method and keeps the handles.
+type callMetrics struct {
+	calls, errs *obs.Counter
+	lat         *obs.Histogram
+}
+
+var callMetricsByMethod sync.Map // method string -> *callMetrics
+
+func metricsFor(method string) *callMetrics {
+	if m, ok := callMetricsByMethod.Load(method); ok {
+		return m.(*callMetrics)
+	}
+	label := obs.Label{K: "method", V: method}
+	m, _ := callMetricsByMethod.LoadOrStore(method, &callMetrics{
+		calls: obs.Default.Counter("gondi_rpc_calls_total",
+			"RPC round-trips issued, by method.", label),
+		errs: obs.Default.Counter("gondi_rpc_call_errors_total",
+			"RPC round-trips that failed, by method.", label),
+		lat: obs.Default.Histogram("gondi_rpc_call_seconds",
+			"RPC round-trip latency, by method.", label),
+	})
+	return m.(*callMetrics)
+}
 
 // Frame kinds.
 const (
@@ -732,14 +764,12 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) (_ []byte
 	if obs.On() {
 		start := time.Now()
 		obs.AddWireRT(ctx)
+		m := metricsFor(method)
 		defer func() {
-			obs.Default.Counter("gondi_rpc_calls_total",
-				"RPC round-trips issued, by method.", obs.Label{K: "method", V: method}).Inc()
-			obs.Default.Histogram("gondi_rpc_call_seconds",
-				"RPC round-trip latency, by method.", obs.Label{K: "method", V: method}).Since(start)
+			m.calls.Inc()
+			m.lat.Since(start)
 			if rerr != nil {
-				obs.Default.Counter("gondi_rpc_call_errors_total",
-					"RPC round-trips that failed, by method.", obs.Label{K: "method", V: method}).Inc()
+				m.errs.Inc()
 			}
 		}()
 	}
@@ -790,13 +820,10 @@ func (c *Client) CallBatch(ctx context.Context, items []BatchItem) (_ []BatchRes
 		obs.AddBatch(ctx, len(items))
 		mBatchSize.Observe(time.Duration(len(items)) * time.Microsecond)
 		defer func() {
-			obs.Default.Counter("gondi_rpc_batch_calls_total",
-				"RPC batch round-trips issued.").Inc()
-			obs.Default.Histogram("gondi_rpc_batch_seconds",
-				"RPC batch round-trip latency.").Since(start)
+			mBatchCalls.Inc()
+			mBatchLat.Since(start)
 			if rerr != nil {
-				obs.Default.Counter("gondi_rpc_batch_errors_total",
-					"RPC batch round-trips that failed.").Inc()
+				mBatchErrs.Inc()
 			}
 		}()
 	}

@@ -323,3 +323,32 @@ func TestReadLoopExitsOnClose(t *testing.T) {
 		}
 	}
 }
+
+// TestCallMetricsResolvedOnce is an allocations gate cited by check.sh:
+// with obs on, Call takes its method-labelled instruments from a handle
+// resolved at the method's first call, so a steady-state loopback round
+// trip (both sides; AllocsPerRun counts the process) stays ≤ 12
+// allocations. Three labelled registry lookups per call put it at 33.
+func TestCallMetricsResolvedOnce(t *testing.T) {
+	s, c := newPair(t)
+	s.Handle("echo", func(_ *ServerConn, body []byte) ([]byte, error) { return body, nil })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	body := make([]byte, 256)
+	call := func() {
+		if _, err := c.Call(ctx, "echo", body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // resolves the handle, warms pooled buffers
+	if metricsFor("echo") != metricsFor("echo") {
+		t.Fatal("per-method handle is not stable")
+	}
+	before := metricsFor("echo").calls.Value()
+	if n := testing.AllocsPerRun(200, call); n > 12 {
+		t.Fatalf("loopback Call allocates %.1f per op, want <= 12", n)
+	}
+	if got := metricsFor("echo").calls.Value() - before; got != 201 {
+		t.Fatalf("gondi_rpc_calls_total{method=echo} moved by %d over 201 calls", got)
+	}
+}

@@ -10,8 +10,9 @@
 # lint is ctxfirst plus the one-surface guard (the typed naming surface
 # is spelled in internal/core/op.go and by providers, nowhere else).
 # allocs is the per-commit real-number gate (operations as values, rpc
-# codec, DIT search, dnssp opens); wall-clock costs are measured by
-# bench/run.sh (see bench/README.md), not gated here.
+# codec + per-call metrics, hdns request codec, DIT search, dnssp
+# opens); wall-clock costs are measured by bench/run.sh (see
+# bench/README.md), not gated here.
 set -e
 
 # Minimum statement coverage for internal/obs (enforced by the test stage:
@@ -106,6 +107,14 @@ stage_allocs() {
     echo "== rpc codec zero-alloc gate =="
     go test -count=1 -run 'TestFrameCodecZeroAlloc' ./internal/rpc/
 
+    # One uncached hdns lookup pays the request codec four times and the
+    # rpc client's per-method metrics once: the hand codec's whole share
+    # is <= 12 allocations, and so is a loopback Call with obs on (its
+    # labelled instruments are resolved once per method, not per call).
+    echo "== hdns request codec + rpc per-call metrics alloc gates =="
+    go test -count=1 -run 'TestLookupWireAllocs' ./internal/hdns/
+    go test -count=1 -run 'TestCallMetricsResolvedOnce' ./internal/rpc/
+
     # O(operation) gates: a base-object search must allocate the same in
     # a 10-entry and a 10 000-entry DIT (the children index, not a scan),
     # and 200 sequential dns:// opens must leave at most one resolver
@@ -115,18 +124,20 @@ stage_allocs() {
     go test -count=1 -run 'TestOpensShareOneResolver' ./internal/provider/dnssp/
 
     # Codec fuzz targets over their checked-in seed corpora: the frame
-    # reader and the WAL record codec must reject exactly and recover
-    # from torn tails. Deterministic here; set CHECK_FUZZ_TIME=10s to
-    # actually explore locally.
-    echo "== frame + WAL record + snapshot container fuzz seeds =="
+    # reader, the WAL record codec and the hdns request codec (whose
+    # target also feeds the hdns WAL op decoder) must reject exactly and
+    # recover from torn tails. Deterministic here; set
+    # CHECK_FUZZ_TIME=10s to actually explore locally.
+    echo "== frame + WAL record + snapshot container + hdns wire fuzz seeds =="
     go test -count=1 -run 'FuzzReadFrame' ./internal/rpc/
     go test -count=1 -run 'FuzzWALRecord' ./internal/wal/
-    go test -count=1 -run 'FuzzSnapshotDecode' ./internal/hdns/
+    go test -count=1 -run 'FuzzSnapshotDecode|FuzzHDNSWire' ./internal/hdns/
     if [ -n "$CHECK_FUZZ_TIME" ]; then
         echo "== fuzzing for $CHECK_FUZZ_TIME each =="
         go test -count=1 -run '^$' -fuzz 'FuzzReadFrame' -fuzztime "$CHECK_FUZZ_TIME" ./internal/rpc/
         go test -count=1 -run '^$' -fuzz 'FuzzWALRecord' -fuzztime "$CHECK_FUZZ_TIME" ./internal/wal/
         go test -count=1 -run '^$' -fuzz 'FuzzSnapshotDecode' -fuzztime "$CHECK_FUZZ_TIME" ./internal/hdns/
+        go test -count=1 -run '^$' -fuzz 'FuzzHDNSWire' -fuzztime "$CHECK_FUZZ_TIME" ./internal/hdns/
     fi
 }
 
