@@ -9,6 +9,7 @@ import (
 
 	"gondi/internal/breaker"
 	"gondi/internal/core"
+	"gondi/internal/failover"
 	"gondi/internal/obs"
 	"gondi/internal/retry"
 )
@@ -201,12 +202,14 @@ func (r *root) staleEligible(err error) bool {
 }
 
 // serveStale serves an expired entry after a failed refill, provided the
-// failure was transport-class and the entry is still inside its stale
-// window. The entry's freshness is extended briefly (capped by the window)
-// so a burst during the outage rides the ordinary hit path instead of
-// re-probing the dead backend per call.
+// failure was transport-class (failover.TransportClass: an admission shed
+// in particular is exactly the moment a slightly stale answer beats
+// piling more load onto the saturated server) and the entry is still
+// inside its stale window. The entry's freshness is extended briefly
+// (capped by the window) so a burst during the outage rides the ordinary
+// hit path instead of re-probing the dead backend per call.
 func (r *root) serveStale(key string, fillErr error) (any, error, bool) {
-	if !transportClass(fillErr) {
+	if !failover.TransportClass(fillErr) {
 		return nil, nil, false
 	}
 	now := time.Now()
@@ -225,23 +228,6 @@ func (r *root) serveStale(key string, fillErr error) (any, error, bool) {
 	r.c.staleServes.Add(1)
 	mStaleServes.Inc()
 	return e.val, e.err, true
-}
-
-// transportClass reports whether err means "the backend did not answer"
-// (dial/connection failure, breaker open, busy shed, transient net error)
-// as opposed to a semantic answer from a live backend or the caller's own
-// context expiring. Only transport-class failures trigger serve-stale: an
-// admission shed in particular is exactly the moment a slightly stale
-// answer beats piling more load onto the saturated server.
-func transportClass(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var ce *core.CommunicationError
-	var sue *core.ServiceUnavailableError
-	var sbe *core.ServerBusyError
-	return errors.As(err, &ce) || errors.As(err, &sue) || errors.As(err, &sbe) ||
-		errors.Is(err, breaker.ErrOpen) || retry.Transient(err)
 }
 
 // cacheable decides whether a fill result may be remembered and until

@@ -17,6 +17,7 @@ import (
 
 	"gondi/internal/breaker"
 	"gondi/internal/core"
+	"gondi/internal/retry"
 )
 
 // DialFunc opens a context against one concrete endpoint. A DialFunc is
@@ -38,6 +39,22 @@ func Endpoints(authority string) []string {
 		}
 	}
 	return out
+}
+
+// TransportClass reports whether err means "the backend did not answer"
+// — dial or connection failure, breaker open, busy shed, unavailable,
+// transient net error — so the caller should go elsewhere (a mirror, a
+// stale cache entry). A semantic answer from a live backend and the
+// caller's own context ending are not transport-class.
+func TransportClass(err error) bool {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	var ce *core.CommunicationError
+	var sue *core.ServiceUnavailableError
+	var sbe *core.ServerBusyError
+	return errors.As(err, &ce) || errors.As(err, &sue) || errors.As(err, &sbe) ||
+		errors.Is(err, breaker.ErrOpen) || retry.Transient(err)
 }
 
 // Open tries dial against each endpoint of authority in order. Endpoints

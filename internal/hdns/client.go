@@ -2,7 +2,6 @@ package hdns
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -16,7 +15,10 @@ var dialPolicy = retry.Policy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond, 
 
 // Client is a connection to one HDNS node. Reads are served by that node
 // alone (read-any); writes propagate to the whole replication group
-// before the call returns.
+// before the call returns. A failed call's error carries its rpc status:
+// test it with errors.Is against core's sentinels (core.ErrNotFound,
+// core.ErrAlreadyBound, ...) or errors.As for *core.ServiceUnavailableError
+// (wrong shard, sealed WAL) and *core.ServerBusyError.
 type Client struct {
 	rc *rpc.Client
 
@@ -204,42 +206,6 @@ func (c *Client) Info(ctx context.Context) (NodeInfo, error) {
 		return NodeInfo{}, err
 	}
 	return rsp.Info, nil
-}
-
-// IsNotFound reports whether an HDNS error is the not-found condition.
-func IsNotFound(err error) bool { return hasMsg(err, errNotFound) }
-
-// IsAlreadyBound reports whether an HDNS error is the already-bound
-// condition (the atomic-bind failure).
-func IsAlreadyBound(err error) bool { return hasMsg(err, errBound) }
-
-// IsNotContext reports whether an HDNS error is the not-a-context
-// condition.
-func IsNotContext(err error) bool { return hasMsg(err, errNotCtx) }
-
-// IsContextNotEmpty reports whether an HDNS error is the non-empty
-// context condition.
-func IsContextNotEmpty(err error) bool { return hasMsg(err, errCtxNotEmpty) }
-
-// IsWrongShard reports whether a sharded node refused the op because
-// the ring routes its name to a different replica group.
-func IsWrongShard(err error) bool { return hasMsg(err, errWrongShard) }
-
-// IsStorageUnavailable reports whether a write was refused because the
-// replica's WAL is sealed after a storage failure (ENOSPC, failed
-// fsync): the op may be applied on other replicas but this node will not
-// promise durability. Callers should fail over or back off.
-func IsStorageUnavailable(err error) bool { return hasMsg(err, errStorageUnavailable) }
-
-func hasMsg(err error, msg string) bool {
-	if err == nil {
-		return false
-	}
-	var re *rpc.RemoteError
-	if errors.As(err, &re) {
-		return re.Msg == msg
-	}
-	return err.Error() == msg
 }
 
 // BatchOp is one operation in a CallMany batch.

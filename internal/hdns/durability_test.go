@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,7 +273,7 @@ func TestSealedWALSurfacesStorageUnavailable(t *testing.T) {
 
 	ffs.SetEnabled(true) // every write now fails: the disk is full
 	err = c.Bind(ctx, []string{"doomed"}, []byte("x"), nil, 0)
-	if !IsStorageUnavailable(err) {
+	if !refused(err, errStorageUnavailable) {
 		t.Fatalf("write on sealed WAL: err=%v, want storage-unavailable", err)
 	}
 	if n.pers.log.Sealed() == nil {
@@ -286,4 +287,11 @@ func TestSealedWALSurfacesStorageUnavailable(t *testing.T) {
 	if err := c.Bind(ctx, []string{"after"}, []byte("x"), nil, 0); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
+}
+
+// refused reports whether err is the node's "go elsewhere" refusal, a
+// *core.ServiceUnavailableError, for reason.
+func refused(err, reason error) bool {
+	var sue *core.ServiceUnavailableError
+	return errors.As(err, &sue) && strings.Contains(err.Error(), reason.Error())
 }

@@ -2,6 +2,7 @@ package hdns
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gondi/internal/core"
 	"gondi/internal/filter"
 	"gondi/internal/jgroups"
 )
@@ -274,7 +276,7 @@ func TestNodeSingleBasicOps(t *testing.T) {
 	if err := c.Bind(ctx, []string{"svc"}, []byte("obj"), map[string][]string{"type": {"db"}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Bind(ctx, []string{"svc"}, nil, nil, 0); !IsAlreadyBound(err) {
+	if err := c.Bind(ctx, []string{"svc"}, nil, nil, 0); !errors.Is(err, core.ErrAlreadyBound) {
 		t.Errorf("dup bind: %v", err)
 	}
 	v, err := c.Lookup(ctx, []string{"svc"})
@@ -357,7 +359,7 @@ func TestReplicationReadAnyWriteAll(t *testing.T) {
 	for _, e := range []error{e1, e2} {
 		if e == nil {
 			wins++
-		} else if !IsAlreadyBound(e) {
+		} else if !errors.Is(e, core.ErrAlreadyBound) {
 			t.Errorf("unexpected bind error: %v", e)
 		}
 	}
@@ -580,8 +582,8 @@ func TestNodeAuth(t *testing.T) {
 	}
 	defer n.Close()
 	// Wrong secret: connection refused at auth.
-	if _, err := Dial(n.Addr(), "wrong", time.Second); err == nil {
-		t.Fatal("bad secret accepted")
+	if _, err := Dial(n.Addr(), "wrong", time.Second); !errors.Is(err, core.ErrNoPermission) {
+		t.Fatalf("bad secret: err=%v, want core.ErrNoPermission", err)
 	}
 	// No secret: reads work, writes denied.
 	c, err := Dial(n.Addr(), "", time.Second)
@@ -592,8 +594,8 @@ func TestNodeAuth(t *testing.T) {
 	if _, err := c.Lookup(ctx, []string{"x"}); err != nil {
 		t.Fatalf("anonymous read: %v", err)
 	}
-	if err := c.Bind(ctx, []string{"x"}, nil, nil, 0); err == nil {
-		t.Fatal("anonymous write accepted")
+	if err := c.Bind(ctx, []string{"x"}, nil, nil, 0); !errors.Is(err, core.ErrNoPermission) {
+		t.Fatalf("anonymous write: err=%v, want core.ErrNoPermission", err)
 	}
 	// Correct secret: writes work.
 	c2, err := Dial(n.Addr(), "s3cret", time.Second)

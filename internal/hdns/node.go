@@ -83,7 +83,7 @@ type Node struct {
 	srv   *rpc.Server
 
 	mu        sync.Mutex
-	pending   map[string]chan string // opID -> apply error string
+	pending   map[string]chan error // opID -> apply outcome
 	watches   map[*rpc.ServerConn]map[uint64]watchSpec
 	nextOp    uint64
 	nextWatch uint64
@@ -148,7 +148,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		store:   store,
 		pers:    pers,
 		damage:  damage,
-		pending: map[string]chan string{},
+		pending: map[string]chan error{},
 		watches: map[*rpc.ServerConn]map[uint64]watchSpec{},
 		replC:   make(chan *Op, 2*cfg.ReplBatch),
 		done:    make(chan struct{}),
@@ -309,20 +309,21 @@ func (n *Node) deliver(src jgroups.Address, payload []byte) {
 	for i := range env.Ops {
 		op := &env.Ops[i]
 		changes, version, errStr := n.store.ApplyVersioned(op)
+		err := storeErr(errStr)
 		// Log failures too: they consumed a version, and replay must
 		// reproduce the exact version stream to detect real gaps. A
 		// sealed log (ENOSPC, failed fsync) turns the ack into storage
 		// unavailability: the op is applied in memory and on the other
 		// replicas, but this node cannot promise it durable, and a client
 		// told "ok" must never lose the write to a local power cut.
-		if aerr := n.pers.appendOp(version, op); aerr != nil && errors.Is(aerr, wal.ErrSealed) && errStr == "" {
-			errStr = errStorageUnavailable
+		if aerr := n.pers.appendOp(version, op); aerr != nil && errors.Is(aerr, wal.ErrSealed) && err == nil {
+			err = n.unavailable(errStorageUnavailable)
 		}
 		n.applied.Add(1)
 		n.mu.Lock()
 		if ch, ok := n.pending[op.ID]; ok {
 			delete(n.pending, op.ID)
-			ch <- errStr
+			ch <- err
 		}
 		n.mu.Unlock()
 		for _, c := range changes {
@@ -381,22 +382,22 @@ func (n *Node) maybeDrain() {
 		mReplBatch.Observe(time.Duration(len(ops)) * time.Microsecond)
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&opEnvelope{Ops: ops}); err != nil {
-			n.failOps(ops, err.Error())
+			n.failOps(ops, err)
 			continue
 		}
 		if err := n.ch.Send(buf.Bytes()); err != nil {
-			n.failOps(ops, err.Error())
+			n.failOps(ops, err)
 		}
 	}
 }
 
 // failOps settles every submitter in a frame that never made it out.
-func (n *Node) failOps(ops []Op, errStr string) {
+func (n *Node) failOps(ops []Op, err error) {
 	n.mu.Lock()
 	for i := range ops {
 		if ch, ok := n.pending[ops[i].ID]; ok {
 			delete(n.pending, ops[i].ID)
-			ch <- errStr
+			ch <- err
 		}
 	}
 	n.mu.Unlock()
@@ -453,16 +454,16 @@ func watchMatches(w watchSpec, name []string) bool {
 }
 
 // submit replicates a write and waits for its local delivery.
-func (n *Node) submit(op *Op) string {
+func (n *Node) submit(op *Op) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return "node closed"
+		return errNodeClosed
 	}
 	n.nextOp++
 	op.ID = fmt.Sprintf("%s-%d", n.ch.Addr(), n.nextOp)
 	op.Now = time.Now().UnixMilli()
-	ack := make(chan string, 1)
+	ack := make(chan error, 1)
 	n.pending[op.ID] = ack
 	n.mu.Unlock()
 
@@ -475,24 +476,24 @@ func (n *Node) submit(op *Op) string {
 		n.mu.Lock()
 		delete(n.pending, op.ID)
 		n.mu.Unlock()
-		return "write timed out"
+		return errWriteTimeout
 	case <-n.done:
 		n.mu.Lock()
 		delete(n.pending, op.ID)
 		n.mu.Unlock()
-		return "node closed"
+		return errNodeClosed
 	}
 	n.maybeDrain()
 	select {
-	case errStr := <-ack:
-		return errStr
+	case err := <-ack:
+		return err
 	case <-time.After(n.cfg.WriteTimeout):
 		n.mu.Lock()
 		delete(n.pending, op.ID)
 		n.mu.Unlock()
-		return "write timed out"
+		return errWriteTimeout
 	case <-n.done:
-		return "node closed"
+		return errNodeClosed
 	}
 }
 
@@ -593,28 +594,60 @@ func (n *Node) authed(sc *rpc.ServerConn) bool {
 	return ok
 }
 
-var errDenied = errors.New("hdns: authentication required")
+// Node failures. Each semantic one wraps the core error it stands for,
+// which is what crosses the wire (as an rpc status) and what clients
+// test with errors.Is/errors.As.
+var (
+	errDenied    = fmt.Errorf("hdns: authentication required: %w", core.ErrNoPermission)
+	errBadSecret = fmt.Errorf("hdns: bad secret: %w", core.ErrNoPermission)
+	// errWrongShard guards against split prefixes: a sharded node refuses
+	// ops for names the ring routes to another group, so a client with a
+	// stale or hand-rolled routing table fails loudly instead of
+	// scattering one prefix across groups.
+	errWrongShard = errors.New("hdns: wrong shard")
+	// errStorageUnavailable refuses a write this replica applied in memory
+	// but could not append to its sealed WAL (ENOSPC, failed fsync): the
+	// node will not promise durability it cannot deliver.
+	errStorageUnavailable = errors.New("hdns: storage unavailable (wal sealed)")
+	errNodeClosed         = errors.New("node closed")
+	errWriteTimeout       = errors.New("write timed out")
+)
 
-// errWrongShard is the guard against split prefixes: a sharded node
-// refuses ops for names the ring routes to another group, so a client
-// with a stale or hand-rolled routing table fails loudly instead of
-// scattering one prefix across groups. Clients detect it via
-// IsWrongShard and re-route.
-const errWrongShard = "hdns: wrong shard"
+// storeErr gives a store error its core error: the one place an hdns
+// failure acquires its type. Text outside the store's vocabulary stays an
+// internal failure.
+func storeErr(errStr string) error {
+	switch errStr {
+	case "":
+		return nil
+	case errNotFound:
+		return core.ErrNotFound
+	case errBound:
+		return core.ErrAlreadyBound
+	case errNotCtx:
+		return core.ErrNotContext
+	case errCtxNotEmpty:
+		return core.ErrContextNotEmpty
+	case errEmptyName:
+		return core.ErrInvalidNameEmpty
+	case errUnsupportedK:
+		return core.ErrNotSupported
+	}
+	return errors.New(errStr)
+}
 
-// errStorageUnavailable is acked for a write this replica applied in
-// memory but could not append to its sealed WAL (ENOSPC, failed fsync):
-// the node will not promise durability it cannot deliver. Clients detect
-// it via IsStorageUnavailable; the provider maps it to
-// core.ServiceUnavailableError so callers fail over or back off instead
-// of treating it as a semantic naming error.
-const errStorageUnavailable = "hdns: storage unavailable (wal sealed)"
+// unavailable is a refusal that says "go elsewhere": wrong shard or a
+// sealed WAL. Callers fail over or back off instead of treating it as a
+// naming answer.
+func (n *Node) unavailable(reason error) error {
+	return &core.ServiceUnavailableError{Endpoint: n.Addr(), Err: reason}
+}
 
 func (n *Node) guardShard(name []string) error {
 	if n.cfg.Shard.Owns(name) {
 		return nil
 	}
-	return errors.New(errWrongShard)
+	return n.unavailable(errWrongShard)
 }
 
 // stationBusyRetryAfter is the hint attached when a calibrated cost
@@ -659,7 +692,7 @@ func (n *Node) registerHandlers() {
 
 	h(mAuth, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
 		if n.cfg.Secret != "" && req.Secret != n.cfg.Secret {
-			return nil, errors.New("hdns: bad secret")
+			return nil, errBadSecret
 		}
 		sc.Set("authed", true)
 		return &Rsp{}, nil
@@ -698,8 +731,8 @@ func (n *Node) registerHandlers() {
 				Attrs: req.Attrs, ReplaceAttrs: req.ReplaceAttrs,
 				Mods: req.Mods, LeaseMillis: req.LeaseMillis,
 			}
-			if errStr := n.submit(op); errStr != "" {
-				return nil, errors.New(errStr)
+			if err := n.submit(op); err != nil {
+				return nil, err
 			}
 			rsp := &Rsp{}
 			if req.LeaseMillis > 0 {
@@ -725,8 +758,8 @@ func (n *Node) registerHandlers() {
 			return nil, n.busy(mList)
 		}
 		list, errStr := n.store.List(req.Name)
-		if errStr != "" {
-			return nil, errors.New(errStr)
+		if err := storeErr(errStr); err != nil {
+			return nil, err
 		}
 		return &Rsp{List: list}, nil
 	})
@@ -743,8 +776,8 @@ func (n *Node) registerHandlers() {
 			return nil, err
 		}
 		hits, errStr := n.store.Search(req.Name, f, req.Scope, req.Limit)
-		if errStr != "" {
-			return nil, errors.New(errStr)
+		if err := storeErr(errStr); err != nil {
+			return nil, err
 		}
 		return &Rsp{Hits: hits}, nil
 	})

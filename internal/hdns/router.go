@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"strings"
 	"sync"
 
+	"gondi/internal/core"
 	"gondi/internal/shard"
 )
 
@@ -103,22 +105,12 @@ func (r *Router) Unbind(ctx context.Context, name []string) error {
 	return r.pick(name).Unbind(ctx, name)
 }
 
-// errCrossShardRename marks the one cross-group composite the router
-// refuses: renaming a context across groups. The string is the wire/
-// client-side contract — IsCrossShardRename classifies it, and the
-// provider maps it onto the typed core.CrossShardRenameError so
-// federation callers can branch on the refusal.
-const errCrossShardRename = "hdns: cross-shard rename of a context"
-
-// IsCrossShardRename reports whether err is the router's typed refusal
-// to move a context between shard groups.
-func IsCrossShardRename(err error) bool { return hasMsg(err, errCrossShardRename) }
-
 // Rename within one group is the group's atomic rename. Across groups
 // it is emulated as lookup + atomic bind + unbind: the destination bind
 // keeps the "fail if bound" contract, but a crash between bind and
 // unbind can leave the object visible under both names (resolved by
-// retrying the rename or unbinding the source).
+// retrying the rename or unbinding the source). Moving a context across
+// groups is refused with *core.CrossShardRenameError.
 func (r *Router) Rename(ctx context.Context, oldName, newName []string) error {
 	src, dst := r.ring.RouteName(oldName), r.ring.RouteName(newName)
 	if src == dst {
@@ -129,12 +121,12 @@ func (r *Router) Rename(ctx context.Context, oldName, newName []string) error {
 		return err
 	}
 	if !view.Exists {
-		return errors.New(errNotFound)
+		return core.ErrNotFound
 	}
 	if view.IsCtx {
 		// Moving a whole subtree between groups is a rebalance, not a
 		// rename; refuse typed rather than half-copy a context.
-		return errors.New(errCrossShardRename)
+		return &core.CrossShardRenameError{OldName: strings.Join(oldName, "/"), NewName: strings.Join(newName, "/")}
 	}
 	if err := r.conns[dst].Bind(ctx, newName, view.Obj, view.Attrs, 0); err != nil {
 		return err

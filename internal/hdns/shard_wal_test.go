@@ -2,11 +2,13 @@ package hdns
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"gondi/internal/core"
 	"gondi/internal/jgroups"
 	"gondi/internal/shard"
 )
@@ -71,7 +73,7 @@ func TestWALCrashRestartReplay(t *testing.T) {
 		}
 	}
 	// A failed op consumes a version too; replay must reproduce it.
-	if err := c.Bind(ctx, []string{"svc0"}, nil, nil, 0); !IsAlreadyBound(err) {
+	if err := c.Bind(ctx, []string{"svc0"}, nil, nil, 0); !errors.Is(err, core.ErrAlreadyBound) {
 		t.Fatalf("dup bind: %v", err)
 	}
 	n.pers.sync()
@@ -217,10 +219,10 @@ func TestNodeRejectsWrongShard(t *testing.T) {
 		}
 	}
 	c := dialNode(t, nodes[0])
-	if err := c.Bind(ctx, name, []byte("x"), nil, 0); !IsWrongShard(err) {
+	if err := c.Bind(ctx, name, []byte("x"), nil, 0); !refused(err, errWrongShard) {
 		t.Fatalf("misrouted bind: err=%v, want wrong-shard", err)
 	}
-	if _, err := c.Lookup(ctx, name); !IsWrongShard(err) {
+	if _, err := c.Lookup(ctx, name); !refused(err, errWrongShard) {
 		t.Fatalf("misrouted lookup: err=%v, want wrong-shard", err)
 	}
 	// The router, by construction, never misroutes.
@@ -279,10 +281,11 @@ func TestRouterCrossShardContextRenameTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := r.Rename(ctx, src, dst)
-	if !IsCrossShardRename(err) {
+	var csr *core.CrossShardRenameError
+	if !errors.As(err, &csr) {
 		t.Fatalf("cross-group context rename: err=%v, want cross-shard-rename", err)
 	}
-	if IsNotContext(err) {
+	if errors.Is(err, core.ErrNotContext) {
 		t.Fatalf("refusal still reads as not-a-context: %v", err)
 	}
 	// The context must be untouched by the refusal.

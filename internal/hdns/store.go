@@ -79,8 +79,8 @@ type Change struct {
 	Old  []byte
 }
 
-// Store errors mirror the core sentinel names; the provider maps the
-// strings back onto core errors.
+// Store errors: an op's failure as Apply reports it. The node gives each
+// its core error (storeErr) before it leaves the process.
 const (
 	errNotFound     = "not found"
 	errBound        = "already bound"

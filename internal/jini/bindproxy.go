@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"errors"
+	"fmt"
 	"sync"
 	"time"
 
+	"gondi/internal/core"
 	"gondi/internal/rpc"
 )
 
@@ -30,8 +31,9 @@ type BindProxy struct {
 	mu sync.Mutex
 }
 
-// ErrProxyBound is the proxy's already-bound failure.
-var ErrProxyBound = errors.New("jini: already bound")
+// ErrProxyBound is the proxy's already-bound failure; clients see it as
+// core.ErrAlreadyBound.
+var ErrProxyBound = fmt.Errorf("jini: already bound: %w", core.ErrAlreadyBound)
 
 // NewBindProxy starts a proxy on listenAddr serving atomic registrations
 // against the LUS at lusAddr.
@@ -132,7 +134,7 @@ func (c *ProxyClient) Close() error { return c.rc.Close() }
 func (c *ProxyClient) Closed() bool { return c.rc.Closed() }
 
 // Register performs an atomic registration through the proxy. With
-// onlyNew, it fails (IsAlreadyBound) when the item ID is taken.
+// onlyNew, it fails with core.ErrAlreadyBound when the item ID is taken.
 func (c *ProxyClient) Register(ctx context.Context, item ServiceItem, lease time.Duration, onlyNew bool) (Registration, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(proxyReq{
@@ -149,16 +151,4 @@ func (c *ProxyClient) Register(ctx context.Context, item ServiceItem, lease time
 		return Registration{}, err
 	}
 	return rsp.Reg, nil
-}
-
-// IsAlreadyBound reports whether a proxy error is the bound-conflict.
-func IsAlreadyBound(err error) bool {
-	if err == nil {
-		return false
-	}
-	var re *rpc.RemoteError
-	if errors.As(err, &re) {
-		return re.Msg == ErrProxyBound.Error()
-	}
-	return errors.Is(err, ErrProxyBound)
 }

@@ -2,10 +2,13 @@ package jini
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"gondi/internal/core"
 )
 
 func newProxyWorld(t *testing.T) (*LUS, *BindProxy, *ProxyClient) {
@@ -38,7 +41,7 @@ func TestProxyAtomicRegister(t *testing.T) {
 	// Second only-new registration fails atomically.
 	item.Service = []byte("second")
 	_, err := pc.Register(ctx, item, time.Minute, true)
-	if !IsAlreadyBound(err) {
+	if !errors.Is(err, core.ErrAlreadyBound) {
 		t.Fatalf("want already-bound, got %v", err)
 	}
 	// The item is untouched.
@@ -82,7 +85,7 @@ func TestProxyConcurrentAtomicity(t *testing.T) {
 			item := ServiceItem{ID: "race", Service: []byte(fmt.Sprintf("racer-%d", i))}
 			if _, err := pc.Register(ctx, item, time.Minute, true); err == nil {
 				wins <- i
-			} else if !IsAlreadyBound(err) {
+			} else if !errors.Is(err, core.ErrAlreadyBound) {
 				t.Errorf("racer %d: %v", i, err)
 			}
 		}(i)

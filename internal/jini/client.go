@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gondi/internal/breaker"
+	"gondi/internal/core"
 	"gondi/internal/retry"
 	"gondi/internal/rpc"
 )
@@ -283,12 +284,12 @@ func (m *LeaseRenewalManager) Manage(reg *Registrar, id ServiceID, lease time.Du
 				t.Reset(m.interval(lease))
 				continue
 			}
-			var re *rpc.RemoteError
-			if errors.As(err, &re) || time.Now().After(expiry) {
+			if errors.Is(err, core.ErrNotFound) || time.Now().After(expiry) {
 				m.lost(id, err)
 				return
 			}
-			// The LUS may return before the lease actually runs out;
+			// Any other failure — transport, or a remote error that is not
+			// "no such lease" — may clear before the lease runs out;
 			// re-check on a short period without burning the breaker.
 			short := lease / 8
 			if short > 500*time.Millisecond {

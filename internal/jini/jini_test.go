@@ -1,10 +1,18 @@
 package jini
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"gondi/internal/core"
+	"gondi/internal/rpc"
 )
 
 func TestEntryMatching(t *testing.T) {
@@ -316,6 +324,74 @@ func TestLeaseRenewalManager(t *testing.T) {
 			t.Fatal("forgotten lease never expired")
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// The renewer gives a lease up only when the registrar says it does not
+// exist (or the lease really expired): any other remote error is retried
+// on the short period, like a transport error.
+func TestLeaseRenewerLosesLeaseOnlyOnNotFound(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		fail     error
+		wantLost bool
+	}{
+		{"internal", errors.New("registrar hiccup"), false},
+		{"not-found", fmt.Errorf("renew: %w", core.ErrNotFound), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := rpc.NewServer("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			ok := func(*rpc.ServerConn, []byte) ([]byte, error) {
+				var buf bytes.Buffer
+				err := gob.NewEncoder(&buf).Encode(&wireRsp{Expiry: time.Now().Add(time.Second)})
+				return buf.Bytes(), err
+			}
+			var renewals atomic.Int32
+			srv.Handle(mGroups, ok)
+			srv.Handle(mRenew, func(sc *rpc.ServerConn, body []byte) ([]byte, error) {
+				if renewals.Add(1) == 1 {
+					return nil, tc.fail
+				}
+				return ok(sc, body)
+			})
+			r, err := DialRegistrar(srv.Addr(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { r.Close() })
+			lost := make(chan error, 1)
+			m := NewLeaseRenewalManager()
+			m.OnLost = func(_ ServiceID, err error) { lost <- err }
+			defer m.Stop()
+			m.Manage(r, "svc", 400*time.Millisecond)
+
+			deadline := time.After(5 * time.Second)
+			for renewals.Load() < 3 {
+				select {
+				case err := <-lost:
+					if !tc.wantLost {
+						t.Fatalf("lease given up after %v", err)
+					}
+					if !errors.Is(err, core.ErrNotFound) {
+						t.Fatalf("OnLost err = %v, want core.ErrNotFound", err)
+					}
+					return
+				case <-deadline:
+					t.Fatalf("%d renewals in 5s", renewals.Load())
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			if tc.wantLost {
+				t.Fatalf("lease still renewed (%d renewals) after the registrar said not found", renewals.Load())
+			}
+			if m.Count() != 1 {
+				t.Fatalf("Count = %d, want the lease still managed", m.Count())
+			}
+		})
 	}
 }
 

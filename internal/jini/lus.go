@@ -3,11 +3,12 @@ package jini
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
+	"fmt"
 	"sync"
 	"time"
 
 	"gondi/internal/admission"
+	"gondi/internal/core"
 	"gondi/internal/costmodel"
 	"gondi/internal/obs"
 	"gondi/internal/rpc"
@@ -223,7 +224,7 @@ func (l *LUS) lookup(t ServiceTemplate, max int) []ServiceItem {
 	return out
 }
 
-var errNoSuchLease = errors.New("jini: unknown or expired lease")
+var errNoSuchLease = fmt.Errorf("jini: unknown or expired lease: %w", core.ErrNotFound)
 
 func (l *LUS) renew(id ServiceID, leaseMs int64) (time.Time, error) {
 	l.mu.Lock()

@@ -21,12 +21,14 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"gondi/internal/admission"
+	"gondi/internal/core"
 	"gondi/internal/retry"
 	"gondi/internal/rpc"
 )
@@ -53,14 +55,16 @@ type Advertisement struct {
 	Expiry int64
 }
 
-// Errors.
+// Errors. Each wraps the core error it stands for, which is what a Peer
+// sees across the wire (test with errors.Is against core's sentinels).
 var (
-	ErrNoSuchGroup   = errors.New("jxta: no such peer group")
-	ErrGroupExists   = errors.New("jxta: peer group already exists")
-	ErrAdvExists     = errors.New("jxta: advertisement already published")
-	ErrNoSuchAdv     = errors.New("jxta: no such advertisement")
-	ErrGroupNotEmpty = errors.New("jxta: peer group not empty")
-	ErrBadGroupPath  = errors.New("jxta: malformed group path")
+	ErrNoSuchGroup   = fmt.Errorf("jxta: no such peer group: %w", core.ErrNotFound)
+	ErrGroupExists   = fmt.Errorf("jxta: peer group already exists: %w", core.ErrAlreadyBound)
+	ErrAdvExists     = fmt.Errorf("jxta: advertisement already published: %w", core.ErrAlreadyBound)
+	ErrNoSuchAdv     = fmt.Errorf("jxta: no such advertisement: %w", core.ErrNotFound)
+	ErrGroupNotEmpty = fmt.Errorf("jxta: peer group not empty: %w", core.ErrContextNotEmpty)
+	// ErrBadGroupPath is a path with an empty component.
+	ErrBadGroupPath = fmt.Errorf("jxta: malformed group path: %w", core.ErrInvalidNameEmpty)
 )
 
 func newID() string {

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 	"time"
 
 	"gondi/internal/core"
@@ -431,7 +432,8 @@ func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
 		return core.Errf("destroySubcontext", name, core.ErrNotContext)
 	}
 	err = os.Remove(dir)
-	if err != nil && strings.Contains(err.Error(), "not empty") {
+	// POSIX lets rmdir of a non-empty directory fail either way.
+	if errors.Is(err, syscall.ENOTEMPTY) || errors.Is(err, syscall.EEXIST) {
 		return core.Errf("destroySubcontext", name, core.ErrContextNotEmpty)
 	}
 	return core.Errf("destroySubcontext", name, err)

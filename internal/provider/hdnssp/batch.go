@@ -2,10 +2,10 @@ package hdnssp
 
 import (
 	"context"
-	"errors"
 
 	"gondi/internal/core"
 	"gondi/internal/hdns"
+	"gondi/internal/rpc"
 )
 
 var _ core.BatchContext = (*Context)(nil)
@@ -16,11 +16,7 @@ func (c *Context) batchErr(ctx context.Context, op string, err error) error {
 	if cerr := core.CtxErr(ctx); cerr != nil {
 		return cerr
 	}
-	var busy *core.ServerBusyError
-	if errors.As(err, &busy) {
-		return err
-	}
-	return core.Errf(op, "", &core.CommunicationError{Endpoint: c.sh.url, Err: err})
+	return core.Errf(op, "", rpc.CoreError(c.sh.url, err))
 }
 
 // lookupResult converts one wire lookup outcome into the value Lookup

@@ -9,6 +9,7 @@ package hdnssp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"gondi/internal/failover"
 	"gondi/internal/hdns"
 	"gondi/internal/obs"
+	"gondi/internal/rpc"
 	"gondi/internal/shard"
 )
 
@@ -58,7 +60,7 @@ func Register() {
 		hc, err := failover.Open(ctx, u.Authority, func(ctx context.Context, ep string) (*Context, error) {
 			c, oerr := Open(ctx, ep, env)
 			if oerr != nil {
-				return nil, &core.CommunicationError{Endpoint: ep, Err: oerr}
+				return nil, rpc.CoreError(ep, oerr)
 			}
 			return c, nil
 		})
@@ -160,7 +162,7 @@ func dialConn(ctx context.Context, authority, secret string) (hdns.Conn, error) 
 		c, err := failover.Open(ctx, ga, func(ctx context.Context, ep string) (*hdns.Client, error) {
 			cl, derr := hdns.DialContext(ctx, ep, secret, 10*time.Second)
 			if derr != nil {
-				return nil, &core.CommunicationError{Endpoint: ep, Err: derr}
+				return nil, rpc.CoreError(ep, derr)
 			}
 			return cl, nil
 		})
@@ -199,33 +201,18 @@ func (c *Context) closed() bool {
 	return c.sh.closed
 }
 
-// mapErr converts HDNS wire errors to core sentinels and handles the
-// federation boundary for NotContext failures.
+// mapErr surfaces an HDNS failure as the core error its rpc status
+// stands for (rpc.CoreError: a status-less one is a CommunicationError).
+// A not-context answer first probes for a federation boundary.
 func (c *Context) mapErr(ctx context.Context, err error, full core.Name) error {
-	switch {
-	case err == nil:
-		return nil
-	case hdns.IsNotFound(err):
-		return core.ErrNotFound
-	case hdns.IsAlreadyBound(err):
-		return core.ErrAlreadyBound
-	case hdns.IsContextNotEmpty(err):
-		return core.ErrContextNotEmpty
-	case hdns.IsNotContext(err):
+	if errors.Is(err, core.ErrNotContext) {
 		// A mid-name component is a value; if it is a Reference or a
 		// context, this is a federation boundary.
 		if cpe := c.boundary(ctx, full); cpe != nil {
 			return cpe
 		}
-		return core.ErrNotContext
-	case hdns.IsStorageUnavailable(err):
-		// The replica's WAL sealed after a storage failure: the write is
-		// refused rather than acked without durability. Terminal for this
-		// endpoint — fail over or back off, don't retry it blindly.
-		return &core.ServiceUnavailableError{Endpoint: c.sh.url, Err: err}
-	default:
-		return &core.CommunicationError{Endpoint: c.sh.url, Err: err}
 	}
+	return rpc.CoreError(c.sh.url, err)
 }
 
 // boundary scans the prefixes of full for a bound Reference, producing a
@@ -425,10 +412,10 @@ func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
 		return core.Errf("rename", newName, err)
 	}
 	err = c.sh.client.Rename(ctx, oldC, newC)
-	if hdns.IsCrossShardRename(err) {
+	if errors.As(err, new(*core.CrossShardRenameError)) {
 		// The router's refusal to move a context between replica groups is
 		// a deliberate semantic limit, not a transport fault: surface it
-		// typed so callers can branch (copy explicitly, or re-route).
+		// typed, with the names as this caller gave them.
 		return core.Errf("rename", oldName, &core.CrossShardRenameError{OldName: oldName, NewName: newName})
 	}
 	return core.Errf("rename", oldName, c.mapErr(ctx, err, oldF))
@@ -641,7 +628,7 @@ func (c *Context) Watch(ctx context.Context, target string, scope core.SearchSco
 		l(core.NamingEvent{Type: typ, Name: rel, NewValue: newV, OldValue: oldV})
 	})
 	if err != nil {
-		return nil, core.Errf("watch", target, &core.CommunicationError{Endpoint: c.sh.url, Err: err})
+		return nil, core.Errf("watch", target, rpc.CoreError(c.sh.url, err))
 	}
 	// Server-side watches die with the connection; surface that to the
 	// listener as EventWatchLost so caches layered on this registration

@@ -2,7 +2,6 @@ package jinisp
 
 import (
 	"context"
-	"errors"
 
 	"gondi/internal/core"
 	"gondi/internal/jini"
@@ -15,10 +14,6 @@ var _ core.BatchContext = (*Context)(nil)
 func (c *Context) batchErr(ctx context.Context, op string, err error) error {
 	if cerr := core.CtxErr(ctx); cerr != nil {
 		return cerr
-	}
-	var busy *core.ServerBusyError
-	if errors.As(err, &busy) {
-		return err
 	}
 	return core.Errf(op, "", c.commErr(err))
 }

@@ -38,6 +38,7 @@ import (
 	"gondi/internal/jini"
 	"gondi/internal/lock"
 	"gondi/internal/obs"
+	"gondi/internal/rpc"
 )
 
 // Environment property keys.
@@ -89,7 +90,7 @@ func Register() {
 			}
 			c, oerr := Open(ctx, loc.Addr(), env)
 			if oerr != nil {
-				return nil, &core.CommunicationError{Endpoint: loc.Addr(), Err: oerr}
+				return nil, rpc.CoreError(loc.Addr(), oerr)
 			}
 			return c, nil
 		})
@@ -338,20 +339,19 @@ func itemName(item *jini.ServiceItem) string {
 	return ""
 }
 
-// commErr classifies a transport failure: breaker-open means the LUS is
-// known-dead and retrying is pointless (*core.ServiceUnavailableError);
-// anything else is a plain CommunicationError.
+// commErr classifies a registrar call's failure: breaker-open means the
+// LUS is known-dead and retrying is pointless
+// (*core.ServiceUnavailableError); otherwise rpc.CoreError returns an
+// error that carries a status as its core error and wraps the rest in a
+// CommunicationError.
 func (c *Context) commErr(err error) error {
-	if err == nil {
-		return nil
-	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err // the caller's own budget, not a transport failure
 	}
 	if errors.Is(err, breaker.ErrOpen) {
 		return &core.ServiceUnavailableError{Endpoint: c.sh.url, Err: err}
 	}
-	return &core.CommunicationError{Endpoint: c.sh.url, Err: err}
+	return rpc.CoreError(c.sh.url, err)
 }
 
 // fetch retrieves the item bound at path, if any.
@@ -569,9 +569,6 @@ func (c *Context) register(ctx context.Context, item jini.ServiceItem) error {
 func (c *Context) proxyRegister(ctx context.Context, item jini.ServiceItem, onlyNew bool) error {
 	_, err := c.sh.proxy.Register(ctx, item, c.sh.lease, onlyNew)
 	if err != nil {
-		if jini.IsAlreadyBound(err) {
-			return core.ErrAlreadyBound
-		}
 		return c.commErr(err)
 	}
 	c.sh.lrm.Manage(c.sh.reg, item.ID, c.sh.lease)

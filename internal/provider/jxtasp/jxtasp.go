@@ -12,6 +12,7 @@ package jxtasp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -42,7 +43,7 @@ func Register() {
 		jc, err := failover.Open(ctx, u.Authority, func(ctx context.Context, ep string) (*Context, error) {
 			c, oerr := Open(ctx, ep, env)
 			if oerr != nil {
-				return nil, &core.CommunicationError{Endpoint: ep, Err: oerr}
+				return nil, rpc.CoreError(ep, oerr)
 			}
 			return c, nil
 		})
@@ -149,16 +150,6 @@ func groupOf(n core.Name) string {
 	return jxta.NetGroup + "/" + strings.Join(n.Components(), "/")
 }
 
-func isRemote(err error, sentinel error) bool {
-	if err == nil {
-		return false
-	}
-	if re, ok := err.(*rpc.RemoteError); ok {
-		return re.Msg == sentinel.Error()
-	}
-	return err.Error() == sentinel.Error()
-}
-
 // fetchAdv retrieves the advertisement bound at path, if any.
 func (c *Context) fetchAdv(ctx context.Context, path core.Name) (*jxta.Advertisement, bool, error) {
 	if path.IsEmpty() {
@@ -166,10 +157,10 @@ func (c *Context) fetchAdv(ctx context.Context, path core.Name) (*jxta.Advertise
 	}
 	advs, err := c.sh.peer.Discover(ctx, groupOf(path.Prefix(path.Size()-1)), path.Last(), nil, 1)
 	if err != nil {
-		if isRemote(err, jxta.ErrNoSuchGroup) {
+		if errors.Is(err, core.ErrNotFound) {
 			return nil, false, nil
 		}
-		return nil, false, &core.CommunicationError{Endpoint: c.sh.url, Err: err}
+		return nil, false, rpc.CoreError(c.sh.url, err)
 	}
 	if len(advs) == 0 {
 		return nil, false, nil
@@ -180,10 +171,10 @@ func (c *Context) fetchAdv(ctx context.Context, path core.Name) (*jxta.Advertise
 func (c *Context) groupExists(ctx context.Context, path core.Name) (bool, error) {
 	_, err := c.sh.peer.SubGroups(ctx, groupOf(path))
 	if err != nil {
-		if isRemote(err, jxta.ErrNoSuchGroup) {
+		if errors.Is(err, core.ErrNotFound) {
 			return false, nil
 		}
-		return false, &core.CommunicationError{Endpoint: c.sh.url, Err: err}
+		return false, rpc.CoreError(c.sh.url, err)
 	}
 	return true, nil
 }
@@ -309,17 +300,12 @@ func (c *Context) publish(ctx context.Context, full core.Name, obj any, attrs *c
 		Payload: data,
 	}
 	if _, err := c.sh.peer.Publish(ctx, adv, c.sh.lease, onlyNew); err != nil {
-		switch {
-		case isRemote(err, jxta.ErrAdvExists):
-			return core.ErrAlreadyBound
-		case isRemote(err, jxta.ErrNoSuchGroup):
+		if errors.Is(err, core.ErrNotFound) {
 			if cpe := c.boundary(ctx, full, false); cpe != nil {
 				return cpe
 			}
-			return core.ErrNotFound
-		default:
-			return &core.CommunicationError{Endpoint: c.sh.url, Err: err}
 		}
+		return rpc.CoreError(c.sh.url, err)
 	}
 	c.startRenewal(adv.Group, adv.Name, full.String())
 	return nil
@@ -381,16 +367,12 @@ func (c *Context) Unbind(ctx context.Context, name string) error {
 	}
 	c.stopRenewal(full.String())
 	err = c.sh.peer.Flush(ctx, groupOf(full.Prefix(full.Size()-1)), full.Last())
-	if err != nil && !isRemote(err, jxta.ErrNoSuchGroup) {
-		return core.Errf("unbind", name, &core.CommunicationError{Endpoint: c.sh.url, Err: err})
-	}
-	if isRemote(err, jxta.ErrNoSuchGroup) {
+	if errors.Is(err, core.ErrNotFound) {
 		if cpe := c.boundary(ctx, full, false); cpe != nil {
 			return cpe
 		}
-		return core.Errf("unbind", name, core.ErrNotFound)
 	}
-	return nil
+	return core.Errf("unbind", name, rpc.CoreError(c.sh.url, err))
 }
 
 // Rename implements core.Context (fetch + bind + unbind).
@@ -440,17 +422,16 @@ func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding
 	}
 	subs, err := c.sh.peer.SubGroups(ctx, groupOf(full))
 	if err != nil {
-		if isRemote(err, jxta.ErrNoSuchGroup) {
+		if errors.Is(err, core.ErrNotFound) {
 			if _, ok, _ := c.fetchAdv(ctx, full); ok {
 				return nil, core.Errf("list", name, core.ErrNotContext)
 			}
-			return nil, core.Errf("list", name, core.ErrNotFound)
 		}
-		return nil, core.Errf("list", name, &core.CommunicationError{Endpoint: c.sh.url, Err: err})
+		return nil, core.Errf("list", name, rpc.CoreError(c.sh.url, err))
 	}
 	advs, err := c.sh.peer.Discover(ctx, groupOf(full), "", nil, 0)
 	if err != nil {
-		return nil, core.Errf("list", name, &core.CommunicationError{Endpoint: c.sh.url, Err: err})
+		return nil, core.Errf("list", name, rpc.CoreError(c.sh.url, err))
 	}
 	var out []core.Binding
 	for _, g := range subs {
@@ -494,14 +475,7 @@ func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs 
 		return nil, core.Errf("createSubcontext", name, core.ErrAlreadyBound)
 	}
 	if err := c.sh.peer.CreateGroup(ctx, groupOf(full)); err != nil {
-		switch {
-		case isRemote(err, jxta.ErrGroupExists):
-			return nil, core.Errf("createSubcontext", name, core.ErrAlreadyBound)
-		case isRemote(err, jxta.ErrNoSuchGroup):
-			return nil, core.Errf("createSubcontext", name, core.ErrNotFound)
-		default:
-			return nil, core.Errf("createSubcontext", name, &core.CommunicationError{Endpoint: c.sh.url, Err: err})
-		}
+		return nil, core.Errf("createSubcontext", name, rpc.CoreError(c.sh.url, err))
 	}
 	return c.child(full), nil
 }
@@ -512,13 +486,8 @@ func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
 	if err != nil {
 		return core.Errf("destroySubcontext", name, err)
 	}
-	if err := c.sh.peer.DestroyGroup(ctx, groupOf(full)); err != nil {
-		if isRemote(err, jxta.ErrGroupNotEmpty) {
-			return core.Errf("destroySubcontext", name, core.ErrContextNotEmpty)
-		}
-		return core.Errf("destroySubcontext", name, &core.CommunicationError{Endpoint: c.sh.url, Err: err})
-	}
-	return nil
+	err = c.sh.peer.DestroyGroup(ctx, groupOf(full))
+	return core.Errf("destroySubcontext", name, rpc.CoreError(c.sh.url, err))
 }
 
 // GetAttributes implements core.DirContext.
@@ -605,7 +574,7 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 		}
 		advs, err := c.sh.peer.Discover(ctx, groupOf(path), "", nil, 0)
 		if err != nil {
-			return &core.CommunicationError{Endpoint: c.sh.url, Err: err}
+			return rpc.CoreError(c.sh.url, err)
 		}
 		for i := range advs {
 			d := depth + 1

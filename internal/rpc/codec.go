@@ -20,7 +20,7 @@ import (
 //
 //	kind    uint8
 //	id      uint64 big-endian   (kindCredit: the advertised window)
-//	code    uint8               (codeOK | codeErr | codeBusy)
+//	code    uint8               (a status; see status.go)
 //	method  uvarint len + bytes
 //	err     uvarint len + bytes
 //	body    uvarint len + bytes
@@ -31,13 +31,6 @@ import (
 // Trailing bytes after the last field are a decode error: a frame either
 // parses exactly or is rejected, so corruption cannot smuggle state
 // between frames.
-
-// Response codes.
-const (
-	codeOK   = 0
-	codeErr  = 1 // Err carries the handler's error message
-	codeBusy = 2 // shed by the server's in-flight window; no handler ran
-)
 
 // maxBatchItems bounds the item count in one batch frame, guarding the
 // decoder against a corrupt count allocating unbounded item slices.

@@ -39,7 +39,7 @@ func TestCodecBatchRoundTrip(t *testing.T) {
 		ID:   42,
 		Items: []frameItem{
 			{Code: codeOK, Body: []byte("one")},
-			{Code: codeErr, Err: []byte("not found")},
+			{Code: codeInternal, Err: []byte("not found")},
 			{Code: codeOK, Method: []byte("m"), Body: nil},
 		},
 	}
@@ -48,7 +48,7 @@ func TestCodecBatchRoundTrip(t *testing.T) {
 		t.Fatalf("items = %d", len(g.Items))
 	}
 	if !bytes.Equal(g.Items[0].Body, []byte("one")) ||
-		g.Items[1].Code != codeErr || string(g.Items[1].Err) != "not found" ||
+		g.Items[1].Code != codeInternal || string(g.Items[1].Err) != "not found" ||
 		string(g.Items[2].Method) != "m" {
 		t.Fatalf("batch round trip: %+v", g.Items)
 	}

@@ -12,7 +12,7 @@ import (
 func sampleFrames() []*frame {
 	return []*frame{
 		{Kind: kindRequest, ID: 1, Method: []byte("hdns.lookup"), Body: []byte("body")},
-		{Kind: kindResponse, ID: 2, Code: codeErr, Err: []byte("not found")},
+		{Kind: kindResponse, ID: 2, Code: codeInternal, Err: []byte("not found")},
 		{Kind: kindPush, Method: []byte("event"), Body: []byte("data")},
 		{Kind: kindCredit, ID: 256},
 		{Kind: kindBatchRequest, ID: 3, Items: []frameItem{
@@ -21,7 +21,7 @@ func sampleFrames() []*frame {
 		}},
 		{Kind: kindBatchResponse, ID: 4, Code: codeBusy, Items: []frameItem{
 			{Code: codeOK, Body: []byte("x")},
-			{Code: codeErr, Err: []byte("boom")},
+			{Code: codeInternal, Err: []byte("boom")},
 		}},
 	}
 }
@@ -109,6 +109,11 @@ func TestReadFrameUnknownKind(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	for _, sf := range sampleFrames() {
 		f.Add(wireBytes(sf))
+	}
+	// One response seed per status beyond ok/internal/busy, so the corpus
+	// covers the whole code vocabulary.
+	for code := uint8(codeNotFound); code <= codeUnavailable; code++ {
+		f.Add(wireBytes(&frame{Kind: kindResponse, ID: uint64(code), Code: code, Err: []byte("status text")}))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})

@@ -10,13 +10,11 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gondi/internal/breaker"
-	"gondi/internal/core"
 	"gondi/internal/obs"
 	"gondi/internal/retry"
 )
@@ -94,37 +92,6 @@ const maxFrame = 64 << 20
 // admission-control sheds carry a measured drain estimate instead.
 const hardCapRetryAfter = 50 * time.Millisecond
 
-// busyErrBytes renders a RetryAfter hint as the busy frame's Err payload:
-// decimal milliseconds. Reusing the Err field keeps the frame layout —
-// and the zero-alloc codec — untouched.
-func busyErrBytes(d time.Duration) []byte {
-	ms := d.Milliseconds()
-	if ms <= 0 {
-		return nil
-	}
-	return strconv.AppendInt(nil, ms, 10)
-}
-
-// parseBusyHint inverts busyErrBytes; malformed or absent payloads mean
-// "no hint" (zero).
-func parseBusyHint(s string) time.Duration {
-	ms, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
-// asBusy extracts a *core.ServerBusyError from a handler error so the
-// server can answer codeBusy (with the hint on the wire) instead of a
-// generic codeErr — the admission controller's sheds stay typed across
-// the connection.
-func asBusy(err error) (*core.ServerBusyError, bool) {
-	var sbe *core.ServerBusyError
-	ok := errors.As(err, &sbe)
-	return sbe, ok
-}
-
 // Flow-control windows. The server advertises its window in a credit
 // frame at accept time; until that arrives the client restrains itself to
 // the conservative default. The server enforces twice what it advertises:
@@ -158,15 +125,21 @@ var ErrConnClosed = errors.New("rpc: connection closed")
 // connection.
 var ErrClientClosed = errors.New("rpc: client closed")
 
-// RemoteError carries an error string produced by a server handler.
+// RemoteError is a failure answered by a server handler. Msg is the
+// handler's text, for display only; Unwrap yields the core error the
+// response's status stands for (nil for an internal failure), so callers
+// classify with errors.Is/errors.As instead of comparing Msg.
 type RemoteError struct {
 	Method string
 	Msg    string
+	err    error
 }
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("rpc: remote %s: %s", e.Method, e.Msg)
 }
+
+func (e *RemoteError) Unwrap() error { return e.err }
 
 // Handler processes one request on a server. conn identifies the calling
 // connection and supports Push for event delivery; body is the request
@@ -255,10 +228,17 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// handler returns method's handler; an unregistered method gets one that
+// fails internal.
 func (s *Server) handler(method []byte) Handler {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.handlers[string(method)]
+	h := s.handlers[string(method)]
+	s.mu.Unlock()
+	if h == nil {
+		err := errors.New("unknown method " + string(method))
+		return func(*ServerConn, []byte) ([]byte, error) { return nil, err }
+	}
+	return h
 }
 
 func (s *Server) serveConn(sc *ServerConn) {
@@ -289,15 +269,13 @@ func (s *Server) serveConn(sc *ServerConn) {
 		case kindRequest:
 			if sc.inflight.Load() >= hardCap {
 				mBusy.Inc()
-				_ = writeFrame(sc.conn, &sc.writeMu, &frame{Kind: kindResponse, ID: f.ID, Code: codeBusy,
-					Err: busyErrBytes(hardCapRetryAfter)})
+				_ = writeFrame(sc.conn, &sc.writeMu, &frame{Kind: kindResponse, ID: f.ID, Code: codeBusy, Err: hardCapBusy})
 				continue
 			}
 			// The decode buffer is reused by the next read: copy what the
 			// handler goroutine keeps.
 			h := s.handler(f.Method)
 			id := f.ID
-			method := string(f.Method)
 			body := append([]byte(nil), f.Body...)
 			sc.inflight.Add(1)
 			s.wg.Add(1)
@@ -305,23 +283,7 @@ func (s *Server) serveConn(sc *ServerConn) {
 				defer s.wg.Done()
 				defer sc.inflight.Add(-1)
 				resp := &frame{Kind: kindResponse, ID: id}
-				if h == nil {
-					resp.Code = codeErr
-					resp.Err = []byte("unknown method " + method)
-				} else {
-					out, herr := h(sc, body)
-					switch sbe, busy := asBusy(herr); {
-					case busy:
-						mBusy.Inc()
-						resp.Code = codeBusy
-						resp.Err = busyErrBytes(sbe.RetryAfter)
-					case herr != nil:
-						resp.Code = codeErr
-						resp.Err = []byte(herr.Error())
-					default:
-						resp.Body = out
-					}
-				}
+				resp.Code, resp.Body, resp.Err = serve(sc, h, body)
 				_ = writeFrame(sc.conn, &sc.writeMu, resp)
 			}()
 		case kindBatchRequest:
@@ -329,8 +291,7 @@ func (s *Server) serveConn(sc *ServerConn) {
 			// sequentially so responses preserve submission order.
 			if sc.inflight.Load() >= hardCap {
 				mBusy.Inc()
-				_ = writeFrame(sc.conn, &sc.writeMu, &frame{Kind: kindBatchResponse, ID: f.ID, Code: codeBusy,
-					Err: busyErrBytes(hardCapRetryAfter)})
+				_ = writeFrame(sc.conn, &sc.writeMu, &frame{Kind: kindBatchResponse, ID: f.ID, Code: codeBusy, Err: hardCapBusy})
 				continue
 			}
 			mBatchSize.Observe(time.Duration(len(f.Items)) * time.Microsecond)
@@ -349,26 +310,8 @@ func (s *Server) serveConn(sc *ServerConn) {
 				defer sc.inflight.Add(-1)
 				resp := &frame{Kind: kindBatchResponse, ID: id, Items: make([]frameItem, len(items))}
 				for i := range items {
-					h := s.handler(items[i].Method)
 					out := &resp.Items[i]
-					if h == nil {
-						out.Code = codeErr
-						out.Err = []byte("unknown method " + string(items[i].Method))
-						continue
-					}
-					body, herr := h(sc, items[i].Body)
-					if sbe, busy := asBusy(herr); busy {
-						mBusy.Inc()
-						out.Code = codeBusy
-						out.Err = busyErrBytes(sbe.RetryAfter)
-						continue
-					}
-					if herr != nil {
-						out.Code = codeErr
-						out.Err = []byte(herr.Error())
-						continue
-					}
-					out.Body = body
+					out.Code, out.Body, out.Err = serve(sc, s.handler(items[i].Method), items[i].Body)
 				}
 				_ = writeFrame(sc.conn, &sc.writeMu, resp)
 			}()
@@ -783,11 +726,8 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) (_ []byte
 	if err != nil {
 		return nil, err
 	}
-	switch res.code {
-	case codeBusy:
-		return nil, &core.ServerBusyError{Endpoint: c.addr, Op: method, RetryAfter: parseBusyHint(res.err)}
-	case codeErr:
-		return nil, &RemoteError{Method: method, Msg: res.err}
+	if res.code != codeOK {
+		return nil, c.decodeErr(method, res.code, res.err)
 	}
 	return res.body, nil
 }
@@ -840,23 +780,16 @@ func (c *Client) CallBatch(ctx context.Context, items []BatchItem) (_ []BatchRes
 	if err != nil {
 		return nil, err
 	}
-	if res.code == codeBusy {
-		return nil, &core.ServerBusyError{Endpoint: c.addr, Op: "batch", RetryAfter: parseBusyHint(res.err)}
-	}
-	if res.code == codeErr {
-		return nil, &RemoteError{Method: "batch", Msg: res.err}
+	if res.code != codeOK {
+		return nil, c.decodeErr("batch", res.code, res.err)
 	}
 	if len(res.items) != len(items) {
 		return nil, fmt.Errorf("rpc: batch answered %d of %d items", len(res.items), len(items))
 	}
 	out := make([]BatchResult, len(items))
 	for i, it := range res.items {
-		if it.code == codeBusy {
-			out[i].Err = &core.ServerBusyError{Endpoint: c.addr, Op: items[i].Method, RetryAfter: parseBusyHint(it.err)}
-			continue
-		}
 		if it.code != codeOK {
-			out[i].Err = &RemoteError{Method: items[i].Method, Msg: it.err}
+			out[i].Err = c.decodeErr(items[i].Method, it.code, it.err)
 			continue
 		}
 		out[i].Body = it.body

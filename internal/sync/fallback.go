@@ -2,14 +2,12 @@ package sync
 
 import (
 	"context"
-	"errors"
 	stdsync "sync"
 	"time"
 
-	"gondi/internal/breaker"
 	"gondi/internal/core"
+	"gondi/internal/failover"
 	"gondi/internal/obs"
-	"gondi/internal/retry"
 )
 
 // The mirror-fallback middleware: graceful degradation for reads. It
@@ -44,23 +42,6 @@ func publishStatus() {
 	})
 }
 
-// transportClass mirrors the cache's classification: failures that mean
-// "the backend is unreachable", as opposed to semantic naming errors.
-// Context cancellation is the caller's choice, never grounds to divert.
-func transportClass(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var ce *core.CommunicationError
-	var sue *core.ServiceUnavailableError
-	var sbe *core.ServerBusyError
-	return errors.As(err, &ce) || errors.As(err, &sue) || errors.As(err, &sbe) ||
-		errors.Is(err, breaker.ErrOpen) || retry.Transient(err)
-}
-
 // middleware implements core.Middleware + core.ChainedMiddleware.
 type middleware struct{}
 
@@ -91,7 +72,7 @@ func (m *middleware) OpenURLNext(ctx context.Context, rawURL string, env map[str
 		}
 		return c, rest, nil
 	}
-	if !transportClass(err) || !coversAuthority(u.Scheme, u.Authority) {
+	if !failover.TransportClass(err) || !coversAuthority(u.Scheme, u.Authority) {
 		return c, rest, err
 	}
 	obs.MirrorEvent(ctx, "open")
@@ -126,7 +107,7 @@ func serve(ctx context.Context, scheme, authority string, full core.Name, op cor
 	}
 	op.Name = m.destBase.Concat(rel).String()
 	res, err := core.Do(ctx, m.destRoot, op)
-	if err != nil && transportClass(err) {
+	if err != nil && failover.TransportClass(err) {
 		return core.Result{}, nil, false
 	}
 	m.serves.Add(1)
@@ -182,7 +163,7 @@ func (f *fbCtx) child(name string, c core.Context) core.Context {
 func (f *fbCtx) Do(ctx context.Context, op core.Op) (core.Result, error) {
 	res, err := core.Do(ctx, f.inner, op)
 	if err != nil {
-		if divertible(op) && transportClass(err) {
+		if divertible(op) && failover.TransportClass(err) {
 			if n, perr := core.ParseName(op.Name); perr == nil {
 				if mres, merr, served := serve(ctx, f.scheme, f.authority, f.base.Concat(n), op); served {
 					return mres, merr

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"gondi/internal/core"
+	"gondi/internal/failover"
 	"gondi/internal/obs"
 	"gondi/internal/retry"
 )
@@ -410,7 +411,7 @@ func (m *Mirror) run(ctx context.Context) {
 			return m.resync(ctx)
 		}
 		for ctx.Err() == nil {
-			err := retry.DoClassify(ctx, m.cfg.Retry, transportClass, func() error {
+			err := retry.DoClassify(ctx, m.cfg.Retry, failover.TransportClass, func() error {
 				err := attempt()
 				m.noteCycle(err)
 				return err
@@ -443,7 +444,7 @@ func (m *Mirror) run(ctx context.Context) {
 			}
 			if err := m.applyEvent(ctx, ev); err != nil {
 				m.noteCycle(err)
-				if transportClass(err) {
+				if failover.TransportClass(err) {
 					m.dropSource()
 					establish()
 				}
@@ -454,7 +455,7 @@ func (m *Mirror) run(ctx context.Context) {
 			err := m.cycle(ctx, true)
 			m.noteCycle(err)
 			done <- err
-			if err != nil && transportClass(err) {
+			if err != nil && failover.TransportClass(err) {
 				m.dropSource()
 			}
 		case <-tick.C:
@@ -463,7 +464,7 @@ func (m *Mirror) run(ctx context.Context) {
 				// so only a full walk restores convergence.
 				if err := m.resync(ctx); err != nil {
 					m.noteCycle(err)
-					if transportClass(err) {
+					if failover.TransportClass(err) {
 						m.dropSource()
 						establish()
 					}
@@ -489,7 +490,7 @@ func (m *Mirror) run(ctx context.Context) {
 			}
 			err := m.cycle(ctx, false)
 			m.noteCycle(err)
-			if err != nil && transportClass(err) {
+			if err != nil && failover.TransportClass(err) {
 				m.dropSource()
 				establish()
 			}
@@ -566,11 +567,11 @@ func (m *Mirror) probe(ctx context.Context) bool {
 		if _, _, err := cs.SyncCursor(pctx, m.srcBase.String()); err == nil {
 			return true
 		} else {
-			return !transportClass(err)
+			return !failover.TransportClass(err)
 		}
 	}
 	_, err := src.Lookup(pctx, m.srcBase.String())
-	return err == nil || !transportClass(err)
+	return err == nil || !failover.TransportClass(err)
 }
 
 // cycle runs one delta-pull cycle: consult the source cursor, skip the
@@ -818,7 +819,7 @@ func (m *Mirror) walk(ctx context.Context, root core.Context, base core.Name) (m
 // isTransportOrCtx reports errors that must abort a walk (as opposed to
 // per-entry semantic errors like not-supported attributes).
 func isTransportOrCtx(err error) bool {
-	return transportClass(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return failover.TransportClass(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // upsertDest writes one entry at the relative path p, given what the

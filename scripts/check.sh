@@ -8,7 +8,9 @@
 #
 # Stages: fmt vet lint build benchmod test allocs chaos durability overload vuln
 # lint is ctxfirst plus the one-surface guard (the typed naming surface
-# is spelled in internal/core/op.go and by providers, nowhere else).
+# is spelled in internal/core/op.go and by providers, nowhere else) and
+# the error-text guard (no product code classifies an error by its
+# message; failures cross the wire as rpc status codes).
 # allocs is the per-commit real-number gate (operations as values, rpc
 # codec + per-call metrics, hdns request codec, DIT search, dnssp
 # opens); wall-clock costs are measured by bench/run.sh (see
@@ -44,6 +46,14 @@ stage_lint() {
     if git ls-files 'internal/*.go' 'cmd/*.go' | grep -v -e '_test\.go$' -e '^internal/core/op\.go$' -e '^internal/provider/' |
         xargs grep -n '^func (.*) ListBindings(' /dev/null; then
         echo "a non-provider type hand-writes the naming surface; embed core.OpContext or core.BatchOpContext" >&2
+        exit 1
+    fi
+    echo "== lint: failures are classified by type, never by their text =="
+    if git ls-files '*.go' | grep -v -e '_test\.go$' -e '^bench/' |
+        xargs grep -nE -e 'Error\(\) *[!=]=' -e '[!=]= *[A-Za-z0-9_.]*\.Error\(\)' \
+            -e '\.Msg *[!=]=' -e '[!=]= *[A-Za-z0-9_.]*\.Msg([^A-Za-z0-9_]|$)' \
+            -e 'strings\.(Contains|HasPrefix|HasSuffix|EqualFold)\([^,]*\.Error\(\)' /dev/null; then
+        echo "an error is classified by its message; return a core error (an rpc status on the wire) and use errors.Is/errors.As" >&2
         exit 1
     fi
 }
