@@ -265,3 +265,25 @@ func TestInitialContextNoFactory(t *testing.T) {
 		t.Error("unregistered initial factory should fail")
 	}
 }
+
+func TestEnvIntAndString(t *testing.T) {
+	env := map[string]any{
+		"int": 400, "int64": int64(400), "string": "400",
+		"junk": "4O0", "float": 400.0, "empty": "", "name": "relaxed",
+	}
+	for key, want := range map[string]int{
+		"int": 400, "int64": 400, "string": 400,
+		"junk": 7, "float": 7, "missing": 7,
+	} {
+		if got := EnvInt(env, key, 7); got != want {
+			t.Errorf("EnvInt(%s) = %d, want %d", key, got, want)
+		}
+	}
+	for key, want := range map[string]string{
+		"name": "relaxed", "empty": "def", "int": "def", "missing": "def",
+	} {
+		if got := EnvString(env, key, "def"); got != want {
+			t.Errorf("EnvString(%s) = %q, want %q", key, got, want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -26,6 +27,31 @@ const (
 	// opened contexts default to the shared pool.
 	EnvPoolID = "gondi.pool.id"
 )
+
+// EnvInt reads an integer environment property given as an int, an int64
+// or a decimal string; anything else, or an absent key, yields def.
+func EnvInt(env map[string]any, key string, def int) int {
+	switch v := env[key].(type) {
+	case int:
+		return v
+	case int64:
+		return int(v)
+	case string:
+		if n, err := strconv.Atoi(v); err == nil {
+			return n
+		}
+	}
+	return def
+}
+
+// EnvString reads a string environment property; a missing, empty or
+// non-string value yields def.
+func EnvString(env map[string]any, key, def string) string {
+	if v, ok := env[key].(string); ok && v != "" {
+		return v
+	}
+	return def
+}
 
 // Provider is the service provider interface: given a URL-form name it
 // opens a context rooted at the named service and returns the still

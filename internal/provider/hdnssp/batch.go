@@ -47,7 +47,7 @@ func (c *Context) lookupResult(ctx context.Context, name string, full core.Name,
 // error its unary Lookup would produce (including per-item federation
 // continuations for URL names).
 func (c *Context) LookupMany(ctx context.Context, names []string) ([]core.BatchResult, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("lookupMany", "", core.ErrClosed)
 	}
 	out := make([]core.BatchResult, len(names))
@@ -84,7 +84,7 @@ func (c *Context) LookupMany(ctx context.Context, names []string) ([]core.BatchR
 // BindMany implements core.BatchContext: one batch frame carries every
 // bind, applied sequentially and atomically per item by the node.
 func (c *Context) BindMany(ctx context.Context, reqs []core.BindRequest) ([]core.BatchResult, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("bindMany", "", core.ErrClosed)
 	}
 	out := make([]core.BatchResult, len(reqs))
@@ -136,7 +136,7 @@ func (c *Context) BindMany(ctx context.Context, reqs []core.BindRequest) ([]core
 // from the same node view a lookup reads, so the wire batch is a
 // LookupMany with attribute projection applied client-side.
 func (c *Context) GetAttributesMany(ctx context.Context, names []string, attrIDs ...string) ([]core.BatchResult, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("getAttributesMany", "", core.ErrClosed)
 	}
 	out := make([]core.BatchResult, len(names))

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"gondi/internal/connpool"
 	"gondi/internal/core"
 	"gondi/internal/failover"
 	"gondi/internal/hdns"
@@ -74,20 +75,22 @@ func Register() {
 // shared is pooled per (authority, environment) so that federation hops
 // reuse one node connection instead of leaking one per resolution.
 type shared struct {
+	connpool.Entry
 	client hdns.Conn
 	url    string
 	lease  time.Duration
-
-	poolKey string
-	refs    int
-
-	mu       sync.Mutex
-	closed   bool
-	renewals map[string]chan struct{} // name -> stop
+	renew  connpool.Renewals // keyed by full name
 }
 
-var poolMu sync.Mutex
-var pool = map[string]*shared{}
+func (sh *shared) Closed() bool { return sh.client.Closed() }
+
+// Close stops lease renewals, then drops the connection.
+func (sh *shared) Close() error {
+	sh.renew.StopAll()
+	return sh.client.Close()
+}
+
+var pool connpool.Pool[*shared]
 
 // Context implements core.DirContext, core.EventContext and
 // core.Referenceable over one HDNS node.
@@ -95,7 +98,8 @@ type Context struct {
 	sh    *shared
 	base  core.Name
 	env   map[string]any
-	owner bool
+	owner bool // only a root context holds a pool reference
+	ref   connpool.Ref
 }
 
 var _ core.DirContext = (*Context)(nil)
@@ -108,44 +112,23 @@ func Open(ctx context.Context, authority string, env map[string]any) (*Context, 
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	secret, _ := env[EnvSecret].(string)
-	leaseMs := int64(0)
-	switch v := env[EnvLeaseMs].(type) {
-	case int:
-		leaseMs = int64(v)
-	case int64:
-		leaseMs = v
-	}
+	secret := core.EnvString(env, EnvSecret, "")
+	leaseMs := core.EnvInt(env, EnvLeaseMs, 0)
 	key := fmt.Sprintf("%s|%s|%d|%v", authority, secret, leaseMs, env[core.EnvPoolID])
-	poolMu.Lock()
-	if sh, ok := pool[key]; ok {
-		sh.mu.Lock()
-		alive := !sh.closed && !sh.client.Closed()
-		sh.mu.Unlock()
-		if alive {
-			sh.refs++
-			poolMu.Unlock()
-			return &Context{sh: sh, env: env, owner: true}, nil
+	sh, err := pool.Get(key, func() (*shared, error) {
+		client, err := dialConn(ctx, authority, secret)
+		if err != nil {
+			return nil, err
 		}
-		delete(pool, key)
-	}
-	poolMu.Unlock()
-
-	client, err := dialConn(ctx, authority, secret)
+		return &shared{
+			client: client,
+			url:    "hdns://" + authority,
+			lease:  time.Duration(leaseMs) * time.Millisecond,
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	sh := &shared{
-		client:   client,
-		url:      "hdns://" + authority,
-		lease:    time.Duration(leaseMs) * time.Millisecond,
-		renewals: map[string]chan struct{}{},
-		poolKey:  key,
-		refs:     1,
-	}
-	poolMu.Lock()
-	pool[key] = sh
-	poolMu.Unlock()
 	return &Context{sh: sh, env: env, owner: true}, nil
 }
 
@@ -193,12 +176,6 @@ func (c *Context) full(ctx context.Context, name string) ([]string, core.Name, e
 	}
 	f := c.base.Concat(n)
 	return f.Components(), f, nil
-}
-
-func (c *Context) closed() bool {
-	c.sh.mu.Lock()
-	defer c.sh.mu.Unlock()
-	return c.sh.closed
 }
 
 // mapErr surfaces an HDNS failure as the core error its rpc status
@@ -257,7 +234,7 @@ func (c *Context) boundaryUpTo(ctx context.Context, full core.Name, limit int) *
 
 // Lookup implements core.Context.
 func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("lookup", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
@@ -289,44 +266,17 @@ func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
 	return c.Lookup(ctx, name)
 }
 
-// startRenewal keeps the binding's lease alive until unbind or Close.
+// startRenewal keeps the binding's lease alive until unbind or the last
+// Close.
 func (c *Context) startRenewal(comps []string, key string) {
-	if c.sh.lease <= 0 {
-		return
+	sh := c.sh
+	if sh.lease <= 0 {
+		return // no lease, and no closure to allocate on the write path
 	}
-	stop := make(chan struct{})
-	c.sh.mu.Lock()
-	if old, ok := c.sh.renewals[key]; ok {
-		close(old)
-	}
-	c.sh.renewals[key] = stop
-	c.sh.mu.Unlock()
-	go func() {
-		t := time.NewTicker(c.sh.lease / 2)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				rctx, cancel := context.WithTimeout(context.Background(), c.sh.lease/2)
-				_, err := c.sh.client.RenewLease(rctx, comps, c.sh.lease.Milliseconds())
-				cancel()
-				if err != nil {
-					return
-				}
-			}
-		}
-	}()
-}
-
-func (c *Context) stopRenewal(key string) {
-	c.sh.mu.Lock()
-	if stop, ok := c.sh.renewals[key]; ok {
-		close(stop)
-		delete(c.sh.renewals, key)
-	}
-	c.sh.mu.Unlock()
+	sh.renew.Start(key, sh.lease, func(ctx context.Context) error {
+		_, err := sh.client.RenewLease(ctx, comps, sh.lease.Milliseconds())
+		return err
+	})
 }
 
 // Bind implements core.Context — natively atomic in HDNS (§5.2).
@@ -336,7 +286,7 @@ func (c *Context) Bind(ctx context.Context, name string, obj any) error {
 
 // BindAttrs implements core.DirContext.
 func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("bind", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
@@ -366,7 +316,7 @@ func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *
 }
 
 func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.Attributes, replace bool) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("rebind", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
@@ -387,20 +337,20 @@ func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.
 
 // Unbind implements core.Context.
 func (c *Context) Unbind(ctx context.Context, name string) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("unbind", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
 	if err != nil {
 		return core.Errf("unbind", name, err)
 	}
-	c.stopRenewal(full.String())
+	c.sh.renew.Stop(full.String())
 	return core.Errf("unbind", name, c.mapErr(ctx, c.sh.client.Unbind(ctx, comps), full))
 }
 
 // Rename implements core.Context — atomic server-side.
 func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("rename", oldName, core.ErrClosed)
 	}
 	oldC, oldF, err := c.full(ctx, oldName)
@@ -436,7 +386,7 @@ func (c *Context) List(ctx context.Context, name string) ([]core.NameClassPair, 
 
 // ListBindings implements core.Context.
 func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("list", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
@@ -480,7 +430,7 @@ func (c *Context) CreateSubcontext(ctx context.Context, name string) (core.Conte
 
 // CreateSubcontextAttrs implements core.DirContext.
 func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("createSubcontext", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
@@ -495,7 +445,7 @@ func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs 
 
 // DestroySubcontext implements core.Context.
 func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("destroySubcontext", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
@@ -507,7 +457,7 @@ func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
 
 // GetAttributes implements core.DirContext.
 func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("getAttributes", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
@@ -529,7 +479,7 @@ func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...str
 
 // ModifyAttributes implements core.DirContext — atomic server-side.
 func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("modifyAttributes", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
@@ -545,7 +495,7 @@ func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core
 
 // Search implements core.DirContext server-side.
 func (c *Context) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("search", name, core.ErrClosed)
 	}
 	comps, full, err := c.full(ctx, name)
@@ -592,7 +542,7 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 // Watch implements core.EventContext through HDNS's distributed event
 // notification (inherited from the H2O event mechanism in the paper).
 func (c *Context) Watch(ctx context.Context, target string, scope core.SearchScope, l core.Listener) (func(), error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("watch", target, core.ErrClosed)
 	}
 	comps, fullName, err := c.full(ctx, target)
@@ -665,29 +615,7 @@ func (c *Context) Close() error {
 	if !c.owner {
 		return nil
 	}
-	poolMu.Lock()
-	c.sh.mu.Lock()
-	if c.sh.closed {
-		c.sh.mu.Unlock()
-		poolMu.Unlock()
-		return nil
-	}
-	c.sh.refs--
-	last := c.sh.refs <= 0
-	if last {
-		c.sh.closed = true
-		for k, stop := range c.sh.renewals {
-			close(stop)
-			delete(c.sh.renewals, k)
-		}
-		delete(pool, c.sh.poolKey)
-	}
-	c.sh.mu.Unlock()
-	poolMu.Unlock()
-	if !last {
-		return nil
-	}
-	return c.sh.client.Close()
+	return pool.Release(c.sh, &c.ref)
 }
 
 // Reference implements core.Referenceable for federation.
@@ -706,7 +634,7 @@ func (c *Context) Reference() (*core.Reference, error) {
 // cheap query. The name argument is ignored: HDNS versions are per node,
 // not per subtree, which only ever errs toward resyncing too often.
 func (c *Context) SyncCursor(ctx context.Context, name string) (string, bool, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return "", false, core.Errf("syncCursor", name, core.ErrClosed)
 	}
 	info, err := c.sh.client.Info(ctx)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gondi/internal/admission"
 	"gondi/internal/core"
 	"gondi/internal/hdns"
 	"gondi/internal/jgroups"
@@ -186,30 +187,121 @@ func TestWatch(t *testing.T) {
 	}
 }
 
+// The lease is read as any integer environment value is: an int or a
+// decimal string both grant it.
 func TestLeases(t *testing.T) {
-	ctx := context.Background()
-	n := newNode(t, "p5")
-	c := openCtx(t, n, map[string]any{EnvLeaseMs: 400})
-	must(t, c.Bind(ctx, "leased", "v"))
-	// Renewal keeps it alive.
-	time.Sleep(900 * time.Millisecond)
-	if _, err := c.Lookup(ctx, "leased"); err != nil {
-		t.Fatalf("lease lapsed despite renewal: %v", err)
+	for name, lease := range map[string]any{"int": 400, "string": "400"} {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			n := newNode(t, "p5"+name)
+			c := openCtx(t, n, map[string]any{EnvLeaseMs: lease})
+			must(t, c.Bind(ctx, "leased", "v"))
+			// Renewal keeps it alive.
+			time.Sleep(900 * time.Millisecond)
+			if _, err := c.Lookup(ctx, "leased"); err != nil {
+				t.Fatalf("lease lapsed despite renewal: %v", err)
+			}
+			// Close stops renewals; reaper collects.
+			observer := openCtx(t, n, nil)
+			must(t, c.Close())
+			waitNotFound(t, observer, "leased")
+		})
 	}
-	// Close stops renewals; reaper collects.
-	observer := openCtx(t, n, nil)
-	must(t, c.Close())
+}
+
+func waitNotFound(t *testing.T, c *Context, name string) {
+	t.Helper()
 	deadline := time.Now().Add(6 * time.Second)
 	for {
-		_, err := observer.Lookup(ctx, "leased")
+		_, err := c.Lookup(context.Background(), name)
 		if errors.Is(err, core.ErrNotFound) {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("lease never reaped")
+			t.Fatalf("%s never reaped (last lookup: %v)", name, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// One renewal shed busy must not end renewal for good: the write class
+// refills one token per 600 ms, so every renewal due at lease/2 (500 ms)
+// after the previous write is shed and succeeds on a retry well inside
+// the 1 s lease.
+func TestLeaseRenewalRetriesBusyShed(t *testing.T) {
+	ctx := context.Background()
+	n, err := hdns.NewNode(hdns.NodeConfig{
+		Group:      "renew-busy",
+		Transport:  jgroups.NewFabric().Endpoint("n1"),
+		Stack:      jgroups.DefaultConfig(),
+		ListenAddr: "127.0.0.1:0",
+		Admission: admission.NewController(admission.NewOptions(
+			admission.WithServer("renew-busy"), admission.WithRate(admission.Write, 1/0.6, 1))),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	c := openCtx(t, n, map[string]any{EnvLeaseMs: 1000, core.EnvPoolID: t.Name()})
+	must(t, c.Bind(ctx, "leased", "v"))
+	time.Sleep(3 * time.Second)
+	if _, err := c.Lookup(ctx, "leased"); err != nil {
+		t.Fatalf("binding lost after a shed renewal: %v", err)
+	}
+}
+
+// Closing one root context twice releases one reference, not two: the
+// other holder of the pooled connection keeps working.
+func TestDoubleCloseKeepsSharedConnection(t *testing.T) {
+	ctx := context.Background()
+	n := newNode(t, "double-close")
+	env := map[string]any{core.EnvPoolID: t.Name()}
+	a := openCtx(t, n, env)
+	b := openCtx(t, n, env)
+	must(t, b.Bind(ctx, "x", "v"))
+	must(t, a.Close())
+	must(t, a.Close())
+	if got, err := b.Lookup(ctx, "x"); err != nil || got != "v" {
+		t.Fatalf("other holder after a double close: %v, %v", got, err)
+	}
+}
+
+// The last holder of a dead connection closing it must not evict the live
+// connection that replaced it.
+func TestDeadEntryDoesNotEvictReplacement(t *testing.T) {
+	n := newNode(t, "stale")
+	env := map[string]any{core.EnvPoolID: t.Name()}
+	a := openCtx(t, n, env)
+	a.sh.client.Close()
+	b := openCtx(t, n, env)
+	if b.sh == a.sh {
+		t.Fatal("a dead connection was handed out again")
+	}
+	must(t, a.Close())
+	c := openCtx(t, n, env)
+	if c.sh != b.sh {
+		t.Fatal("the dead entry's last close evicted its replacement: a second connection was dialled")
+	}
+}
+
+// InitialContext opens the provider for every URL name, so a warm open
+// sits on every hdns operation's path.
+func TestPooledOpenAllocs(t *testing.T) {
+	ctx := context.Background()
+	n := newNode(t, "open-allocs")
+	env := map[string]any{core.EnvPoolID: "open-allocs"}
+	openCtx(t, n, env) // keeps the connection warm
+	allocs := testing.AllocsPerRun(200, func() {
+		c, err := Open(ctx, n.Addr(), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	})
+	if allocs > 6 {
+		t.Fatalf("warm Open+Close allocates %.1f per op, want <= 6", allocs)
+	}
+	t.Logf("warm Open+Close: %.1f allocs", allocs)
 }
 
 func TestFederationBoundary(t *testing.T) {

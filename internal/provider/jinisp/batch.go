@@ -70,7 +70,7 @@ func prefixMatch(items []jini.ServiceItem, path core.Name) bool {
 // independently with the same typed error its unary Lookup would produce
 // (including per-item federation continuations for URL names).
 func (c *Context) LookupMany(ctx context.Context, names []string) ([]core.BatchResult, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("lookupMany", "", core.ErrClosed)
 	}
 	out := make([]core.BatchResult, len(names))
@@ -134,7 +134,7 @@ func (c *Context) LookupMany(ctx context.Context, names []string) ([]core.BatchR
 // change the atomicity unit), and proxy mode keeps the proxy's per-item
 // test-and-set, so both fall back to the unary loop.
 func (c *Context) BindMany(ctx context.Context, reqs []core.BindRequest) ([]core.BatchResult, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("bindMany", "", core.ErrClosed)
 	}
 	out := make([]core.BatchResult, len(reqs))
@@ -222,7 +222,7 @@ func (c *Context) BindMany(ctx context.Context, reqs []core.BindRequest) ([]core
 // every named item; attributes project client-side exactly as the unary
 // GetAttributes does.
 func (c *Context) GetAttributesMany(ctx context.Context, names []string, attrIDs ...string) ([]core.BatchResult, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("getAttributesMany", "", core.ErrClosed)
 	}
 	out := make([]core.BatchResult, len(names))

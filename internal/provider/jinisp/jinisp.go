@@ -26,12 +26,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"gondi/internal/breaker"
+	"gondi/internal/connpool"
 	"gondi/internal/core"
 	"gondi/internal/failover"
 	"gondi/internal/filter"
@@ -107,6 +107,7 @@ func Register() {
 // one registrar connection per lookup service instead of leaking one per
 // resolution.
 type shared struct {
+	connpool.Entry
 	reg       *jini.Registrar
 	proxy     *jini.ProxyClient // non-nil under "proxy" bind semantics
 	lrm       *jini.LeaseRenewalManager
@@ -117,17 +118,25 @@ type shared struct {
 	lease     time.Duration
 	lockLease time.Duration
 
-	poolKey string
-	refs    int
-
-	mu     sync.Mutex
-	closed bool
-
 	// Active watch listeners, notified with EventWatchLost when the
 	// renewal manager gives a lease up (LUS unreachable past expiry).
 	subMu   sync.Mutex
 	subs    map[int]core.Listener
 	nextSub int
+}
+
+func (sh *shared) Closed() bool {
+	return sh.reg.Closed() || (sh.proxy != nil && sh.proxy.Closed())
+}
+
+// Close stops lease renewals ("until the Java VM exits"), then drops the
+// proxy and the registrar.
+func (sh *shared) Close() error {
+	sh.lrm.Stop()
+	if sh.proxy != nil {
+		_ = sh.proxy.Close()
+	}
+	return sh.reg.Close()
 }
 
 // notifyLost fires EventWatchLost at every active watcher — their view
@@ -147,8 +156,7 @@ func (sh *shared) notifyLost() {
 	}
 }
 
-var poolMu sync.Mutex
-var pool = map[string]*shared{}
+var pool connpool.Pool[*shared]
 
 // Context implements core.DirContext, core.EventContext and
 // core.Referenceable over one lookup service.
@@ -156,33 +164,13 @@ type Context struct {
 	sh    *shared
 	base  core.Name
 	env   map[string]any
-	owner bool // only the root context closes the connection
+	owner bool // only a root context holds a pool reference
+	ref   connpool.Ref
 }
 
 var _ core.DirContext = (*Context)(nil)
 var _ core.EventContext = (*Context)(nil)
 var _ core.Referenceable = (*Context)(nil)
-
-func envString(env map[string]any, key, def string) string {
-	if v, ok := env[key].(string); ok && v != "" {
-		return v
-	}
-	return def
-}
-
-func envInt(env map[string]any, key string, def int) int {
-	switch v := env[key].(type) {
-	case int:
-		return v
-	case int64:
-		return int(v)
-	case string:
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
 
 // Open connects to (or reuses a pooled connection for) the LUS at addr
 // and returns the provider root context; the dial honours ctx.
@@ -190,68 +178,52 @@ func Open(ctx context.Context, addr string, env map[string]any) (*Context, error
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%s|%s|%s|%d|%d|%d|%d|%v", addr,
-		envString(env, EnvBind, "strict"), envString(env, EnvProxyAddr, ""),
-		envInt(env, EnvLockSlots, 16), envInt(env, EnvLockSlot, 0),
-		envInt(env, EnvLeaseMs, 30000), envInt(env, EnvLockLeaseMs, 0),
-		env[core.EnvPoolID])
-	poolMu.Lock()
-	if sh, ok := pool[key]; ok {
-		sh.mu.Lock()
-		alive := !sh.closed && !sh.reg.Closed() &&
-			(sh.proxy == nil || !sh.proxy.Closed())
-		sh.mu.Unlock()
-		if alive {
-			sh.refs++
-			poolMu.Unlock()
-			return &Context{sh: sh, env: env, owner: true}, nil
+	mode := core.EnvString(env, EnvBind, "strict")
+	proxyAddr := core.EnvString(env, EnvProxyAddr, "")
+	slots := core.EnvInt(env, EnvLockSlots, 16)
+	slot := core.EnvInt(env, EnvLockSlot, 0)
+	leaseMs := core.EnvInt(env, EnvLeaseMs, 30000)
+	lockLeaseMs := core.EnvInt(env, EnvLockLeaseMs, 0)
+	key := fmt.Sprintf("%s|%s|%s|%d|%d|%d|%d|%v", addr, mode, proxyAddr,
+		slots, slot, leaseMs, lockLeaseMs, env[core.EnvPoolID])
+	sh, err := pool.Get(key, func() (*shared, error) {
+		reg, err := jini.DialRegistrarContext(ctx, addr, 10*time.Second)
+		if err != nil {
+			return nil, err
 		}
-		delete(pool, key)
-	}
-	poolMu.Unlock()
-
-	reg, err := jini.DialRegistrarContext(ctx, addr, 10*time.Second)
+		var proxy *jini.ProxyClient
+		if mode == "proxy" {
+			if proxyAddr == "" {
+				reg.Close()
+				return nil, fmt.Errorf("jinisp: %q bind semantics require %s", mode, EnvProxyAddr)
+			}
+			proxy, err = jini.DialProxy(proxyAddr, 10*time.Second)
+			if err != nil {
+				reg.Close()
+				return nil, err
+			}
+		}
+		sh := &shared{
+			reg:       reg,
+			proxy:     proxy,
+			lrm:       jini.NewLeaseRenewalManager(),
+			url:       "jini://" + addr,
+			strict:    mode == "strict",
+			slots:     max(slots, 1),
+			slot:      slot,
+			lease:     time.Duration(leaseMs) * time.Millisecond,
+			lockLease: time.Duration(lockLeaseMs) * time.Millisecond,
+			subs:      map[int]core.Listener{},
+		}
+		if sh.slot < 0 || sh.slot >= sh.slots {
+			sh.slot = 0
+		}
+		sh.lrm.OnLost = func(jini.ServiceID, error) { sh.notifyLost() }
+		return sh, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	mode := envString(env, EnvBind, "strict")
-	var proxy *jini.ProxyClient
-	if mode == "proxy" {
-		proxyAddr := envString(env, EnvProxyAddr, "")
-		if proxyAddr == "" {
-			reg.Close()
-			return nil, fmt.Errorf("jinisp: %q bind semantics require %s", mode, EnvProxyAddr)
-		}
-		proxy, err = jini.DialProxy(proxyAddr, 10*time.Second)
-		if err != nil {
-			reg.Close()
-			return nil, err
-		}
-	}
-	sh := &shared{
-		reg:       reg,
-		proxy:     proxy,
-		lrm:       jini.NewLeaseRenewalManager(),
-		url:       "jini://" + addr,
-		strict:    mode == "strict",
-		slots:     envInt(env, EnvLockSlots, 16),
-		slot:      envInt(env, EnvLockSlot, 0),
-		lease:     time.Duration(envInt(env, EnvLeaseMs, 30000)) * time.Millisecond,
-		lockLease: time.Duration(envInt(env, EnvLockLeaseMs, 0)) * time.Millisecond,
-		poolKey:   key,
-		refs:      1,
-		subs:      map[int]core.Listener{},
-	}
-	if sh.slots < 1 {
-		sh.slots = 1
-	}
-	if sh.slot < 0 || sh.slot >= sh.slots {
-		sh.slot = 0
-	}
-	sh.lrm.OnLost = func(jini.ServiceID, error) { sh.notifyLost() }
-	poolMu.Lock()
-	pool[key] = sh
-	poolMu.Unlock()
 	return &Context{sh: sh, env: env, owner: true}, nil
 }
 
@@ -429,12 +401,6 @@ func (c *Context) full(ctx context.Context, name string) (core.Name, error) {
 	return c.base.Concat(n), nil
 }
 
-func (c *Context) closed() bool {
-	c.sh.mu.Lock()
-	defer c.sh.mu.Unlock()
-	return c.sh.closed
-}
-
 func (c *Context) child(base core.Name) *Context {
 	return &Context{sh: c.sh, base: base, env: c.env}
 }
@@ -459,7 +425,7 @@ func (c *Context) hasChildren(ctx context.Context, path core.Name) (bool, error)
 
 // Lookup implements core.Context.
 func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("lookup", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -583,7 +549,7 @@ func (c *Context) Bind(ctx context.Context, name string, obj any) error {
 
 // BindAttrs implements core.DirContext.
 func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("bind", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -636,7 +602,7 @@ func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *
 }
 
 func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.Attributes, replaceAttrs bool) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("rebind", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -706,7 +672,7 @@ func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.
 
 // Unbind implements core.Context.
 func (c *Context) Unbind(ctx context.Context, name string) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("unbind", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -765,7 +731,7 @@ func (c *Context) List(ctx context.Context, name string) ([]core.NameClassPair, 
 
 // ListBindings implements core.Context via a registry scan.
 func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("list", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -859,7 +825,7 @@ func (c *Context) CreateSubcontext(ctx context.Context, name string) (core.Conte
 
 // CreateSubcontextAttrs implements core.DirContext.
 func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("createSubcontext", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -903,7 +869,7 @@ func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs 
 
 // DestroySubcontext implements core.Context.
 func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("destroySubcontext", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -935,7 +901,7 @@ func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
 
 // GetAttributes implements core.DirContext.
 func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("getAttributes", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -962,7 +928,7 @@ func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...str
 // ModifyAttributes implements core.DirContext (read-modify-register;
 // atomic only under strict semantics).
 func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	if c.closed() {
+	if c.sh.Released() {
 		return core.Errf("modifyAttributes", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -1006,7 +972,7 @@ func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core
 
 // Search implements core.DirContext by scanning bindings under the base.
 func (c *Context) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("search", name, core.ErrClosed)
 	}
 	full, err := c.full(ctx, name)
@@ -1104,7 +1070,7 @@ func sortResults(rs []core.SearchResult) {
 
 // Watch implements core.EventContext over the LUS remote-event machinery.
 func (c *Context) Watch(ctx context.Context, target string, scope core.SearchScope, l core.Listener) (func(), error) {
-	if c.closed() {
+	if c.sh.Released() {
 		return nil, core.Errf("watch", target, core.ErrClosed)
 	}
 	full, err := c.full(ctx, target)
@@ -1221,29 +1187,7 @@ func (c *Context) Close() error {
 	if !c.owner {
 		return nil
 	}
-	poolMu.Lock()
-	c.sh.mu.Lock()
-	if c.sh.closed {
-		c.sh.mu.Unlock()
-		poolMu.Unlock()
-		return nil
-	}
-	c.sh.refs--
-	last := c.sh.refs <= 0
-	if last {
-		c.sh.closed = true
-		delete(pool, c.sh.poolKey)
-	}
-	c.sh.mu.Unlock()
-	poolMu.Unlock()
-	if !last {
-		return nil
-	}
-	c.sh.lrm.Stop()
-	if c.sh.proxy != nil {
-		_ = c.sh.proxy.Close()
-	}
-	return c.sh.reg.Close()
+	return pool.Release(c.sh, &c.ref)
 }
 
 // Reference implements core.Referenceable for federation.

@@ -452,3 +452,36 @@ func TestProxyModeRequiresAddr(t *testing.T) {
 		t.Fatal("proxy mode without address accepted")
 	}
 }
+
+// Closing one root context twice releases one reference, not two: the
+// other holder of the pooled registrar keeps working.
+func TestDoubleCloseKeepsSharedConnection(t *testing.T) {
+	ctx := context.Background()
+	l := newLUS(t)
+	env := map[string]any{EnvBind: "relaxed", core.EnvPoolID: t.Name()}
+	a := openCtx(t, l, env)
+	b := openCtx(t, l, env)
+	must(t, b.Bind(ctx, "x", "v"))
+	must(t, a.Close())
+	must(t, a.Close())
+	if got, err := b.Lookup(ctx, "x"); err != nil || got != "v" {
+		t.Fatalf("other holder after a double close: %v, %v", got, err)
+	}
+}
+
+// The last holder of a dead registrar closing it must not evict the live
+// connection that replaced it.
+func TestDeadEntryDoesNotEvictReplacement(t *testing.T) {
+	l := newLUS(t)
+	env := map[string]any{core.EnvPoolID: t.Name()}
+	a := openCtx(t, l, env)
+	a.sh.reg.Close()
+	b := openCtx(t, l, env)
+	if b.sh == a.sh {
+		t.Fatal("a dead connection was handed out again")
+	}
+	must(t, a.Close())
+	if c := openCtx(t, l, env); c.sh != b.sh {
+		t.Fatal("the dead entry's last close evicted its replacement: a second connection was dialled")
+	}
+}

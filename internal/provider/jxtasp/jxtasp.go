@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"gondi/internal/connpool"
 	"gondi/internal/core"
 	"gondi/internal/failover"
 	"gondi/internal/filter"
@@ -55,27 +55,30 @@ func Register() {
 }
 
 type shared struct {
+	connpool.Entry
 	peer  *jxta.Peer
 	url   string
 	lease time.Duration
-
-	poolKey string
-	refs    int
-
-	mu       sync.Mutex
-	closed   bool
-	renewals map[string]chan struct{}
+	renew connpool.Renewals // keyed by full name
 }
 
-var poolMu sync.Mutex
-var pool = map[string]*shared{}
+func (sh *shared) Closed() bool { return sh.peer.Closed() }
+
+// Close stops advertisement renewals, then drops the connection.
+func (sh *shared) Close() error {
+	sh.renew.StopAll()
+	return sh.peer.Close()
+}
+
+var pool connpool.Pool[*shared]
 
 // Context implements core.DirContext over one rendezvous.
 type Context struct {
 	sh    *shared
 	base  core.Name // group path under net
 	env   map[string]any
-	owner bool
+	owner bool // only a root context holds a pool reference
+	ref   connpool.Ref
 }
 
 var _ core.DirContext = (*Context)(nil)
@@ -87,43 +90,22 @@ func Open(ctx context.Context, authority string, env map[string]any) (*Context, 
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	leaseMs := int64(120000)
-	switch v := env[EnvLeaseMs].(type) {
-	case int:
-		leaseMs = int64(v)
-	case int64:
-		leaseMs = v
-	}
+	leaseMs := core.EnvInt(env, EnvLeaseMs, 120000)
 	key := fmt.Sprintf("%s|%d|%v", authority, leaseMs, env[core.EnvPoolID])
-	poolMu.Lock()
-	if sh, ok := pool[key]; ok {
-		sh.mu.Lock()
-		alive := !sh.closed && !sh.peer.Closed()
-		sh.mu.Unlock()
-		if alive {
-			sh.refs++
-			poolMu.Unlock()
-			return &Context{sh: sh, env: env, owner: true}, nil
+	sh, err := pool.Get(key, func() (*shared, error) {
+		peer, err := jxta.DialPeerContext(ctx, authority, 10*time.Second)
+		if err != nil {
+			return nil, err
 		}
-		delete(pool, key)
-	}
-	poolMu.Unlock()
-
-	peer, err := jxta.DialPeerContext(ctx, authority, 10*time.Second)
+		return &shared{
+			peer:  peer,
+			url:   "jxta://" + authority,
+			lease: time.Duration(leaseMs) * time.Millisecond,
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	sh := &shared{
-		peer:     peer,
-		url:      "jxta://" + authority,
-		lease:    time.Duration(leaseMs) * time.Millisecond,
-		renewals: map[string]chan struct{}{},
-		poolKey:  key,
-		refs:     1,
-	}
-	poolMu.Lock()
-	pool[key] = sh
-	poolMu.Unlock()
 	return &Context{sh: sh, env: env, owner: true}, nil
 }
 
@@ -249,42 +231,6 @@ func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
 	return c.Lookup(ctx, name)
 }
 
-func (c *Context) startRenewal(group, advName, key string) {
-	stop := make(chan struct{})
-	c.sh.mu.Lock()
-	if old, ok := c.sh.renewals[key]; ok {
-		close(old)
-	}
-	c.sh.renewals[key] = stop
-	c.sh.mu.Unlock()
-	go func() {
-		t := time.NewTicker(c.sh.lease / 2)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				rctx, cancel := context.WithTimeout(context.Background(), c.sh.lease/2)
-				_, err := c.sh.peer.Renew(rctx, group, advName, c.sh.lease)
-				cancel()
-				if err != nil {
-					return
-				}
-			}
-		}
-	}()
-}
-
-func (c *Context) stopRenewal(key string) {
-	c.sh.mu.Lock()
-	if stop, ok := c.sh.renewals[key]; ok {
-		close(stop)
-		delete(c.sh.renewals, key)
-	}
-	c.sh.mu.Unlock()
-}
-
 func (c *Context) publish(ctx context.Context, full core.Name, obj any, attrs *core.Attributes, onlyNew bool) error {
 	if full.IsEmpty() {
 		return core.ErrInvalidNameEmpty
@@ -307,7 +253,11 @@ func (c *Context) publish(ctx context.Context, full core.Name, obj any, attrs *c
 		}
 		return rpc.CoreError(c.sh.url, err)
 	}
-	c.startRenewal(adv.Group, adv.Name, full.String())
+	sh := c.sh
+	sh.renew.Start(full.String(), sh.lease, func(ctx context.Context) error {
+		_, err := sh.peer.Renew(ctx, adv.Group, adv.Name, sh.lease)
+		return err
+	})
 	return nil
 }
 
@@ -365,7 +315,7 @@ func (c *Context) Unbind(ctx context.Context, name string) error {
 	if full.IsEmpty() {
 		return core.Errf("unbind", name, core.ErrInvalidNameEmpty)
 	}
-	c.stopRenewal(full.String())
+	c.sh.renew.Stop(full.String())
 	err = c.sh.peer.Flush(ctx, groupOf(full.Prefix(full.Size()-1)), full.Last())
 	if errors.Is(err, core.ErrNotFound) {
 		if cpe := c.boundary(ctx, full, false); cpe != nil {
@@ -661,29 +611,7 @@ func (c *Context) Close() error {
 	if !c.owner {
 		return nil
 	}
-	poolMu.Lock()
-	c.sh.mu.Lock()
-	if c.sh.closed {
-		c.sh.mu.Unlock()
-		poolMu.Unlock()
-		return nil
-	}
-	c.sh.refs--
-	last := c.sh.refs <= 0
-	if last {
-		c.sh.closed = true
-		for k, stop := range c.sh.renewals {
-			close(stop)
-			delete(c.sh.renewals, k)
-		}
-		delete(pool, c.sh.poolKey)
-	}
-	c.sh.mu.Unlock()
-	poolMu.Unlock()
-	if !last {
-		return nil
-	}
-	return c.sh.peer.Close()
+	return pool.Release(c.sh, &c.ref)
 }
 
 // Reference implements core.Referenceable for federation.

@@ -207,3 +207,34 @@ func must(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// Closing one root context twice releases one reference, not two: the
+// other holder of the pooled peer keeps working.
+func TestDoubleCloseKeepsSharedConnection(t *testing.T) {
+	ctx := context.Background()
+	r := newRendezvous(t)
+	a := openCtx(t, r)
+	b := openCtx(t, r)
+	must(t, b.Bind(ctx, "x", "v"))
+	must(t, a.Close())
+	must(t, a.Close())
+	if got, err := b.Lookup(ctx, "x"); err != nil || got != "v" {
+		t.Fatalf("other holder after a double close: %v, %v", got, err)
+	}
+}
+
+// The last holder of a dead peer closing it must not evict the live
+// connection that replaced it.
+func TestDeadEntryDoesNotEvictReplacement(t *testing.T) {
+	r := newRendezvous(t)
+	a := openCtx(t, r)
+	a.sh.peer.Close()
+	b := openCtx(t, r)
+	if b.sh == a.sh {
+		t.Fatal("a dead connection was handed out again")
+	}
+	must(t, a.Close())
+	if c := openCtx(t, r); c.sh != b.sh {
+		t.Fatal("the dead entry's last close evicted its replacement: a second connection was dialled")
+	}
+}

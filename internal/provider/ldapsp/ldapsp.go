@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
+	"gondi/internal/connpool"
 	"gondi/internal/core"
 	"gondi/internal/failover"
 	"gondi/internal/ldapsrv"
@@ -87,25 +87,25 @@ func Register() {
 // pooled connection serialize their requests; pass a distinct
 // core.EnvPoolID to force separate connections.
 type shared struct {
+	connpool.Entry
 	conn   *ldapsrv.Conn
 	url    string
 	baseDN ldapsrv.DN
-
-	poolKey string
-	refs    int
-	mu      sync.Mutex
-	closed  bool
 }
 
-var poolMu sync.Mutex
-var pool = map[string]*shared{}
+func (sh *shared) Closed() bool { return sh.conn.Dead() }
+
+func (sh *shared) Close() error { return sh.conn.Close() }
+
+var pool connpool.Pool[*shared]
 
 // Context implements core.DirContext over one LDAP server.
 type Context struct {
 	sh    *shared
 	base  core.Name
 	env   map[string]any
-	owner bool
+	owner bool // only a root context holds a pool reference
+	ref   connpool.Ref
 }
 
 var _ core.DirContext = (*Context)(nil)
@@ -120,51 +120,29 @@ func Open(ctx context.Context, authority, baseDN string, env map[string]any) (*C
 	if !strings.Contains(authority, ":") {
 		authority += ":389"
 	}
-	principal := envStr(env, EnvPrincipal, envStr(env, core.EnvPrincipal, ""))
-	credentials := envStr(env, EnvCredentials, envStr(env, core.EnvCredentials, ""))
+	principal := core.EnvString(env, EnvPrincipal, core.EnvString(env, core.EnvPrincipal, ""))
+	credentials := core.EnvString(env, EnvCredentials, core.EnvString(env, core.EnvCredentials, ""))
 	key := fmt.Sprintf("%s|%s|%s|%s|%v", authority, baseDN, principal, credentials, env[core.EnvPoolID])
-	poolMu.Lock()
-	if sh, ok := pool[key]; ok {
-		sh.mu.Lock()
-		alive := !sh.closed && !sh.conn.Dead()
-		sh.mu.Unlock()
-		if alive {
-			sh.refs++
-			poolMu.Unlock()
-			return &Context{sh: sh, env: env, owner: true}, nil
+	sh, err := pool.Get(key, func() (*shared, error) {
+		conn, err := ldapsrv.DialContext(ctx, authority)
+		if err != nil {
+			return nil, err
 		}
-		delete(pool, key)
-	}
-	poolMu.Unlock()
-
-	conn, err := ldapsrv.DialContext(ctx, authority)
+		if err := conn.Bind(ctx, principal, credentials); err != nil {
+			conn.Close()
+			return nil, err
+		}
+		dn, err := ldapsrv.ParseDN(baseDN)
+		if err != nil {
+			conn.Close()
+			return nil, err
+		}
+		return &shared{conn: conn, url: "ldap://" + authority + "/" + baseDN, baseDN: dn}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.Bind(ctx, principal, credentials); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	dn, err := ldapsrv.ParseDN(baseDN)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	sh := &shared{
-		conn: conn, url: "ldap://" + authority + "/" + baseDN, baseDN: dn,
-		poolKey: key, refs: 1,
-	}
-	poolMu.Lock()
-	pool[key] = sh
-	poolMu.Unlock()
 	return &Context{sh: sh, env: env, owner: true}, nil
-}
-
-func envStr(env map[string]any, key, def string) string {
-	if v, ok := env[key].(string); ok && v != "" {
-		return v
-	}
-	return def
 }
 
 func (c *Context) child(base core.Name) *Context {
@@ -757,15 +735,7 @@ func (c *Context) Environment() map[string]any { return c.env }
 // AdviseTTL implements the caching layer's TTLAdvisor contract using the
 // operator-configured EnvCacheTTLMs staleness budget.
 func (c *Context) AdviseTTL(string) (time.Duration, bool) {
-	var ms int64
-	switch v := c.env[EnvCacheTTLMs].(type) {
-	case int:
-		ms = int64(v)
-	case int64:
-		ms = v
-	default:
-		return 0, false
-	}
+	ms := core.EnvInt(c.env, EnvCacheTTLMs, 0)
 	if ms <= 0 {
 		return 0, false
 	}
@@ -778,25 +748,7 @@ func (c *Context) Close() error {
 	if !c.owner {
 		return nil
 	}
-	poolMu.Lock()
-	c.sh.mu.Lock()
-	if c.sh.closed {
-		c.sh.mu.Unlock()
-		poolMu.Unlock()
-		return nil
-	}
-	c.sh.refs--
-	last := c.sh.refs <= 0
-	if last {
-		c.sh.closed = true
-		delete(pool, c.sh.poolKey)
-	}
-	c.sh.mu.Unlock()
-	poolMu.Unlock()
-	if !last {
-		return nil
-	}
-	return c.sh.conn.Close()
+	return pool.Release(c.sh, &c.ref)
 }
 
 // Reference implements core.Referenceable for federation.

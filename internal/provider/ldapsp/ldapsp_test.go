@@ -342,3 +342,34 @@ func BenchmarkLDAPSPLookup(b *testing.B) {
 		}
 	}
 }
+
+// Closing one root context twice releases one reference, not two: the
+// other holder of the pooled connection keeps working.
+func TestDoubleCloseKeepsSharedConnection(t *testing.T) {
+	ctx := context.Background()
+	s := newServer(t)
+	a := openCtx(t, s)
+	b := openCtx(t, s)
+	must(t, b.Bind(ctx, "x", "v"))
+	must(t, a.Close())
+	must(t, a.Close())
+	if got, err := b.Lookup(ctx, "x"); err != nil || got != "v" {
+		t.Fatalf("other holder after a double close: %v, %v", got, err)
+	}
+}
+
+// The last holder of a dead connection closing it must not evict the live
+// connection that replaced it.
+func TestDeadEntryDoesNotEvictReplacement(t *testing.T) {
+	s := newServer(t)
+	a := openCtx(t, s)
+	a.sh.conn.Close()
+	b := openCtx(t, s)
+	if b.sh == a.sh {
+		t.Fatal("a dead connection was handed out again")
+	}
+	must(t, a.Close())
+	if c := openCtx(t, s); c.sh != b.sh {
+		t.Fatal("the dead entry's last close evicted its replacement: a second connection was dialled")
+	}
+}

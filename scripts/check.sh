@@ -10,11 +10,12 @@
 # lint is ctxfirst plus the one-surface guard (the typed naming surface
 # is spelled in internal/core/op.go and by providers, nowhere else) and
 # the error-text guard (no product code classifies an error by its
-# message; failures cross the wire as rpc status codes).
+# message; failures cross the wire as rpc status codes), and the
+# one-pool guard (no reference count outside internal/connpool).
 # allocs is the per-commit real-number gate (operations as values, rpc
 # codec + per-call metrics, hdns request codec, DIT search, dnssp
-# opens); wall-clock costs are measured by bench/run.sh (see
-# bench/README.md), not gated here.
+# opens, pooled hdnssp opens); wall-clock costs are measured by
+# bench/run.sh (see bench/README.md), not gated here.
 set -e
 
 # Minimum statement coverage for internal/obs (enforced by the test stage:
@@ -54,6 +55,12 @@ stage_lint() {
             -e '\.Msg *[!=]=' -e '[!=]= *[A-Za-z0-9_.]*\.Msg([^A-Za-z0-9_]|$)' \
             -e 'strings\.(Contains|HasPrefix|HasSuffix|EqualFold)\([^,]*\.Error\(\)' /dev/null; then
         echo "an error is classified by its message; return a core error (an rpc status on the wire) and use errors.Is/errors.As" >&2
+        exit 1
+    fi
+    echo "== lint: one connection pool (reference counts live in internal/connpool) =="
+    if git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/connpool/' |
+        xargs grep -nE 'refs *(\+\+|--)' /dev/null; then
+        echo "a hand-kept reference count; pool the connection with internal/connpool" >&2
         exit 1
     fi
 }
@@ -132,6 +139,11 @@ stage_allocs() {
     echo "== DIT search + dnssp open alloc gates =="
     go test -count=1 -run 'TestDITBaseSearchAllocsIndependentOfSize' ./internal/ldapsrv/
     go test -count=1 -run 'TestOpensShareOneResolver' ./internal/provider/dnssp/
+
+    # InitialContext opens the provider for every URL name, so a warm
+    # pooled hdnssp.Open (+ Close) is on every hdns operation's path: <= 6.
+    echo "== pooled provider open alloc gate =="
+    go test -count=1 -run 'TestPooledOpenAllocs' ./internal/provider/hdnssp/
 
     # Codec fuzz targets over their checked-in seed corpora: the frame
     # reader, the WAL record codec and the hdns request codec (whose
