@@ -26,9 +26,8 @@ func main() {
 	defer cancelCtx()
 
 	lus, err := jini.NewLUS(jini.LUSConfig{
-		ListenAddr:   "127.0.0.1:0",
-		Groups:       []string{"building-3"},
-		ReapInterval: 100 * time.Millisecond,
+		ListenAddr: "127.0.0.1:0",
+		Groups:     []string{"building-3"},
 	})
 	if err != nil {
 		log.Fatal(err)

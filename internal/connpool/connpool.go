@@ -1,8 +1,9 @@
 // Package connpool owns the connection lifecycle the wire providers
 // share. A JNDI client's contexts share what it opened: one connection
 // per server (and environment), held by every root context that asked for
-// it, and the leases of every entry bound through it, renewed "until they
-// are explicitly removed, or until the Java VM exits" (§5.1) — here, until
+// it. The pooled value's Close stops the lease renewals (internal/lease)
+// of every entry bound through it, so leases live "until they are
+// explicitly removed, or until the Java VM exits" (§5.1) — here, until
 // the last holder releases the connection.
 package connpool
 

@@ -9,14 +9,14 @@ import (
 	"testing"
 	"time"
 
-	"gondi/internal/core"
+	"gondi/internal/lease"
 )
 
 type fakeConn struct {
 	Entry
 	dead   atomic.Bool
 	closes atomic.Int32
-	renew  Renewals
+	renew  lease.Set
 }
 
 func (f *fakeConn) Closed() bool { return f.dead.Load() }
@@ -88,13 +88,18 @@ func TestOpenCloseCyclesLeaveNothing(t *testing.T) {
 	var made []*fakeConn
 	dial := dialer(&mu, &made)
 	noop := func(context.Context) error { return nil }
+	renew := func(s *lease.Set, key string) {
+		if ctx, end, ok := s.Begin(key); ok {
+			go func() { defer end(); _ = lease.Renew(ctx, time.Hour, noop, nil) }()
+		}
+	}
 	for i := 0; i < 1000; i++ {
 		v, err := p.Get("k", dial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.renew.Start("a", time.Hour, noop)
-		v.renew.Start("b", time.Hour, noop)
+		renew(&v.renew, "a")
+		renew(&v.renew, "b")
 		var r Ref
 		if err := p.Release(v, &r); err != nil {
 			t.Fatal(err)
@@ -113,8 +118,8 @@ func TestOpenCloseCyclesLeaveNothing(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for _, f := range made {
-		if len(f.renew.loops) != 0 {
-			t.Fatalf("renewal set still holds %d loops", len(f.renew.loops))
+		if n := f.renew.Len(); n != 0 {
+			t.Fatalf("renewal set still holds %d loops", n)
 		}
 	}
 }
@@ -190,93 +195,4 @@ func TestDeadEntryReplacedNotEvicted(t *testing.T) {
 	if repl.closes.Load() != 1 || entries(&p) != 0 {
 		t.Fatalf("replacement: closes=%d entries=%d", repl.closes.Load(), entries(&p))
 	}
-}
-
-// renewCounter counts renew calls and answers them from a script; once
-// the script runs out every call succeeds.
-type renewCounter struct {
-	mu     sync.Mutex
-	calls  int
-	script []error
-}
-
-func (c *renewCounter) renew(context.Context) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.calls++
-	if len(c.script) == 0 {
-		return nil
-	}
-	err := c.script[0]
-	c.script = c.script[1:]
-	return err
-}
-
-func (c *renewCounter) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls
-}
-
-func waitLoops(t *testing.T, r *Renewals, want int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		r.mu.Lock()
-		n := len(r.loops)
-		r.mu.Unlock()
-		if n == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d renewal loops, want %d", n, want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestRenewalRetriesTransientFailures(t *testing.T) {
-	var r Renewals
-	defer r.StopAll()
-	busy := &core.ServerBusyError{Op: "renew"}
-	c := &renewCounter{script: []error{busy, busy, busy}}
-	r.Start("k", 80*time.Millisecond, c.renew)
-	deadline := time.Now().Add(2 * time.Second)
-	for c.count() < 6 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d renewals: the loop stopped after a transient failure", c.count())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	waitLoops(t, &r, 1)
-}
-
-func TestRenewalGivesUpOnNotFound(t *testing.T) {
-	var r Renewals
-	defer r.StopAll()
-	c := &renewCounter{script: []error{core.ErrNotFound}}
-	r.Start("k", 40*time.Millisecond, c.renew)
-	waitLoops(t, &r, 0)
-	if n := c.count(); n != 1 {
-		t.Fatalf("%d renewals after a not-found answer, want 1", n)
-	}
-}
-
-func TestRenewalGivesUpOnceExpired(t *testing.T) {
-	var r Renewals
-	defer r.StopAll()
-	down := errors.New("connection refused")
-	c := &renewCounter{script: make([]error, 1000)}
-	for i := range c.script {
-		c.script[i] = down
-	}
-	r.Start("k", 40*time.Millisecond, c.renew)
-	waitLoops(t, &r, 0)
-}
-
-func TestStopAllStopsLaterStarts(t *testing.T) {
-	var r Renewals
-	r.StopAll()
-	r.Start("k", time.Hour, func(context.Context) error { return nil })
-	waitLoops(t, &r, 0)
 }

@@ -63,9 +63,12 @@ func TransportClass(err error) bool {
 // pair, and Cancel on caller cancellation — is owned by the dial layer,
 // exactly once per endpoint; Open itself records nothing, so a dial
 // failure counts once against the trip threshold and the single half-open
-// probe slot is consumed only by the attempt that touches the wire. When
-// every endpoint fails — or every breaker refused to admit an attempt —
-// the error is a *core.ServiceUnavailableError wrapping the last failure.
+// probe slot is consumed only by the attempt that touches the wire. An
+// endpoint that answers — a refused secret, a bad locator — ends the
+// loop with its error as-is: every replica would answer the same. When
+// every endpoint fails to answer — or every breaker refused to admit an
+// attempt — the error is a *core.ServiceUnavailableError wrapping the
+// last failure.
 func Open[T any](ctx context.Context, authority string, dial DialFunc[T]) (T, error) {
 	var zero T
 	eps := Endpoints(authority)
@@ -87,6 +90,10 @@ func Open[T any](ctx context.Context, authority string, dial DialFunc[T]) (T, er
 		v, err := dial(ctx, ep)
 		if err == nil {
 			return v, nil
+		}
+		// A dial timeout is no answer; the caller's own ctx ends the loop above.
+		if !TransportClass(err) && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+			return zero, err
 		}
 		lastErr, lastEp = err, ep
 	}

@@ -10,6 +10,7 @@ import (
 
 	"gondi/internal/breaker"
 	"gondi/internal/core"
+	"gondi/internal/rpc"
 )
 
 func TestEndpointsSplitsAndTrims(t *testing.T) {
@@ -26,7 +27,7 @@ func TestOpenFailsOverToHealthyEndpoint(t *testing.T) {
 	v, err := Open(context.Background(), "dead:1,live:2", func(ctx context.Context, ep string) (string, error) {
 		tried = append(tried, ep)
 		if ep == "dead:1" {
-			return "", errors.New("connection refused")
+			return "", &core.CommunicationError{Endpoint: ep, Err: errors.New("connection refused")}
 		}
 		return "ctx@" + ep, nil
 	})
@@ -65,7 +66,7 @@ func TestOpenAllDownIsServiceUnavailable(t *testing.T) {
 	breaker.ResetAll()
 	boom := errors.New("boom")
 	_, err := Open(context.Background(), "a:1,b:2", func(ctx context.Context, ep string) (string, error) {
-		return "", fmt.Errorf("dial %s: %w", ep, boom)
+		return "", &core.CommunicationError{Endpoint: ep, Err: fmt.Errorf("dial %s: %w", ep, boom)}
 	})
 	var sue *core.ServiceUnavailableError
 	if !errors.As(err, &sue) {
@@ -76,6 +77,35 @@ func TestOpenAllDownIsServiceUnavailable(t *testing.T) {
 	}
 	if !errors.Is(err, boom) {
 		t.Fatal("underlying cause not preserved")
+	}
+}
+
+// An endpoint that answers ends the search: a wrong secret through
+// "hdns://a,b" is refused once, as itself, and b is never dialled.
+func TestOpenStopsAtFirstAnswer(t *testing.T) {
+	breaker.ResetAll()
+	second := breaker.Configure("b:2", breaker.Config{Threshold: 1, Cooldown: time.Minute})
+	refused := remoteErr(t, fmt.Errorf("hdns: bad secret: %w", core.ErrNoPermission))
+	var tried []string
+	_, err := Open(context.Background(), "a:1,b:2", func(ctx context.Context, ep string) (string, error) {
+		tried = append(tried, ep)
+		if ep == "a:1" {
+			return "", instrumented(ep, rpc.CoreError(ep, refused))
+		}
+		return "", instrumented(ep, &core.CommunicationError{Endpoint: ep, Err: errors.New("unreachable")})
+	})
+	if !reflect.DeepEqual(tried, []string{"a:1"}) {
+		t.Fatalf("tried = %v, want only the endpoint that answered", tried)
+	}
+	if second.State() != breaker.Closed {
+		t.Fatalf("second endpoint's breaker = %v, want untouched", second.State())
+	}
+	if !errors.Is(err, core.ErrNoPermission) {
+		t.Fatalf("err = %v, want core.ErrNoPermission", err)
+	}
+	var sue *core.ServiceUnavailableError
+	if errors.As(err, &sue) {
+		t.Fatalf("err = %v: an answer wrapped as service unavailable", err)
 	}
 }
 

@@ -149,8 +149,12 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	if !v.Exists || string(v.Obj) != "payload" || !reflect.DeepEqual(v.Attrs["a"], []string{"1", "2"}) {
 		t.Fatalf("restored = %+v", v)
 	}
-	if exp, ok := s2.LeaseExpiry([]string{"c", "x"}); !ok || exp != 61000 {
-		t.Errorf("lease expiry = %d %v", exp, ok)
+	// The restored lease (expiry 61000) is what the reaper's scan finds.
+	if due := s2.ExpiredLeases(61000); len(due) != 0 {
+		t.Errorf("due at its expiry: %v", due)
+	}
+	if due := s2.ExpiredLeases(61001); len(due) != 1 || !reflect.DeepEqual(due[0], []string{"c", "x"}) {
+		t.Errorf("due after its expiry: %v, want [[c x]]", due)
 	}
 	if s2.Version() != s.Version() || s2.Len() != s.Len() {
 		t.Error("metadata mismatch")

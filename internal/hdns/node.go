@@ -497,7 +497,9 @@ func (n *Node) submit(op *Op) error {
 	}
 }
 
-// housekeeping runs snapshots and the lease reaper.
+// housekeeping runs snapshots and the lease reaper. The reaper runs
+// inline, so a pass still waiting for an ack delays the next one rather
+// than overlapping it.
 func (n *Node) housekeeping() {
 	defer n.wg.Done()
 	snap := time.NewTicker(n.cfg.SnapshotInterval)
@@ -513,14 +515,22 @@ func (n *Node) housekeeping() {
 			n.pers.maybeCompact(n.store)
 		case <-leases.C:
 			// The coordinator reaps expired leases for the whole
-			// group so that exactly one replica issues the unbind.
-			if !n.ch.IsCoordinator() {
-				continue
+			// group so that exactly one replica issues the expiry.
+			if n.ch.IsCoordinator() {
+				n.reap(n.store.ExpiredLeases(time.Now().UnixMilli()))
 			}
-			for _, name := range n.store.ExpiredLeases(time.Now().UnixMilli()) {
-				op := &Op{Kind: OpUnbind, Name: name}
-				go n.submit(op)
-			}
+		}
+	}
+}
+
+// reap expires the names a lease scan found due. Each OpExpire re-checks
+// the lease when it applies, so a renewal or rebind sequenced after the
+// scan keeps its name. A failed submit ends the pass: the names left are
+// still due, and the next pass retries them.
+func (n *Node) reap(names [][]string) {
+	for _, name := range names {
+		if n.submit(&Op{Kind: OpExpire, Name: name}) != nil {
+			return
 		}
 	}
 }

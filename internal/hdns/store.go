@@ -12,9 +12,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gondi/internal/filter"
 )
@@ -32,11 +34,15 @@ const (
 	OpDestroyCtx
 	OpModAttrs
 	OpLeaseRenew
+	// OpExpire removes Name if its lease is still expired at Now: the
+	// coordinator's reaper issues it, and a renewal or rebind sequenced
+	// after the reaper's scan wins. It has no wire method.
+	OpExpire
 )
 
 func (k OpKind) String() string {
 	names := [...]string{"?", "bind", "rebind", "unbind", "rename",
-		"createCtx", "destroyCtx", "modAttrs", "leaseRenew"}
+		"createCtx", "destroyCtx", "modAttrs", "leaseRenew", "expire"}
 	if int(k) < len(names) {
 		return names[k]
 	}
@@ -111,6 +117,9 @@ type Store struct {
 	root *entry
 	// version counts applied ops (diagnostics, snapshot naming).
 	version uint64
+	// leased is false only while no entry holds a lease: applies (write
+	// lock) set it, a scan (read lock) that finds none clears it.
+	leased atomic.Bool
 }
 
 // NewStore creates an empty store.
@@ -174,6 +183,9 @@ func (s *Store) ApplyVersioned(op *Op) (changes []Change, version uint64, errStr
 	defer s.mu.Unlock()
 	s.version++
 	version = s.version
+	if op.LeaseMillis > 0 {
+		s.leased.Store(true)
+	}
 	changes, errStr = s.applyLocked(op)
 	return
 }
@@ -324,6 +336,14 @@ func (s *Store) applyLocked(op *Op) (changes []Change, errStr string) {
 			ent.LeaseExpiry = 0
 		}
 		return nil, ""
+	case OpExpire:
+		if parent, last, e := s.resolveParent(op.Name); e == "" {
+			if old, ok := parent.Children[last]; ok && old.LeaseExpiry > 0 && old.LeaseExpiry <= op.Now {
+				delete(parent.Children, last)
+				return []Change{{Kind: OpUnbind, Name: op.Name, Old: old.Obj}}, ""
+			}
+		}
+		return nil, "" // renewed, rebound without a lease, or gone
 	default:
 		return nil, errUnsupportedK
 	}
@@ -459,37 +479,38 @@ func (s *Store) Search(name []string, f *filter.Node, scope int, limit int) ([]S
 	return hits, ""
 }
 
-// ExpiredLeases returns names whose lease expiry precedes nowMillis.
+// ExpiredLeases returns names whose lease expiry precedes nowMillis. A
+// store that holds no leased entry is not walked.
 func (s *Store) ExpiredLeases(nowMillis int64) [][]string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if !s.leased.Load() {
+		return nil
+	}
 	var out [][]string
-	var walk func(ent *entry, path []string)
-	walk = func(ent *entry, path []string) {
+	var path []string // reused: only a hit is copied
+	leased := false
+	var walk func(ent *entry)
+	walk = func(ent *entry) {
 		for n, c := range ent.Children {
-			p := append(append([]string(nil), path...), n)
-			if c.LeaseExpiry > 0 && c.LeaseExpiry < nowMillis {
-				out = append(out, p)
+			path = append(path, n)
+			if c.LeaseExpiry > 0 {
+				leased = true
+				if c.LeaseExpiry < nowMillis {
+					out = append(out, slices.Clone(path))
+				}
 			}
 			if c.isCtx() {
-				walk(c, p)
+				walk(c)
 			}
+			path = path[:len(path)-1]
 		}
 	}
-	walk(s.root, nil)
-	return out
-}
-
-// LeaseExpiry returns the expiry of name's lease (0 = none) and whether
-// the entry exists.
-func (s *Store) LeaseExpiry(name []string) (int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ent, e := s.find(name)
-	if e != "" {
-		return 0, false
+	walk(s.root)
+	if !leased {
+		s.leased.Store(false)
 	}
-	return ent.LeaseExpiry, true
+	return out
 }
 
 // Snapshot serializes the full tree (persistence and state transfer).
@@ -529,6 +550,7 @@ func (s *Store) Restore(b []byte) error {
 	}
 	s.root = snap.Root
 	s.version = snap.Version
+	s.leased.Store(true) // the next scan finds out
 	return nil
 }
 

@@ -247,6 +247,7 @@ func FuzzHDNSWire(f *testing.F) {
 	f.Add(appendEvent(nil, &EventMsg{WatchID: 1, Kind: OpUnbind, Name: []string{"a"}, Old: []byte("x")}))
 	f.Add(appendWALOp(nil, 7, &Op{Kind: OpBind, ID: "n1-3", Name: []string{"a", "b"}, Obj: []byte("o"),
 		Attrs: map[string][]string{"t": {"v"}}, Mods: []ModRec{{Op: 2, ID: "gone"}}, LeaseMillis: 5000, Now: 1234567}))
+	f.Add(appendWALOp(nil, 8, &Op{Kind: OpExpire, ID: "n1-4", Name: []string{"a", "b"}, Now: 1234567}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if req, err := decodeReq(b); err == nil {

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"errors"
-	"math/rand"
 	"sync"
 	"time"
 
 	"gondi/internal/breaker"
-	"gondi/internal/core"
-	"gondi/internal/retry"
+	"gondi/internal/lease"
 	"gondi/internal/rpc"
 )
 
@@ -175,173 +172,64 @@ func (r *Registrar) ServiceGroups(ctx context.Context) ([]string, error) {
 // — how the JNDI Jini provider keeps bound entries alive (§5.1 "the
 // provider automatically renews leases of all entries that it has
 // previously bound, until they are explicitly removed, or until the Java
-// VM exits").
+// VM exits"). It is the Jini face of internal/lease: one goroutine per
+// lease, renewing by lease.Renew's rule.
 type LeaseRenewalManager struct {
 	// OnLost, when set before the first Manage, is invoked once for each
 	// lease the manager gives up on: the registration is gone at the LUS
 	// (it answered "unknown") or the lease expired while the LUS was
 	// unreachable. Watch holders use it to surface the loss (the JNDI
-	// provider fires an EventWatchLost). Called outside the manager's
-	// lock.
+	// provider fires an EventWatchLost). It runs after the lease has left
+	// the manager, so it may call Stop.
 	OnLost func(id ServiceID, err error)
 
-	mu      sync.Mutex
-	tracked map[ServiceID]*trackedLease
-	stopped bool
-	rng     *rand.Rand
-}
-
-// renewPolicy retries a transiently failing renewal a few times inside
-// the lease/2 window before giving the registration up for dead.
-var renewPolicy = retry.Policy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 500 * time.Millisecond}
-
-type trackedLease struct {
-	reg    *Registrar
-	lease  time.Duration
-	cancel chan struct{}
+	leases lease.Set
 }
 
 // NewLeaseRenewalManager builds an empty manager.
 func NewLeaseRenewalManager() *LeaseRenewalManager {
-	return &LeaseRenewalManager{tracked: map[ServiceID]*trackedLease{}}
+	return &LeaseRenewalManager{}
 }
 
-// interval is the jittered renewal period: lease/2 shortened by up to
-// 20%, so a fleet of providers whose leases were granted together (e.g.
-// after an LUS restart) doesn't renew in lockstep.
-func (m *LeaseRenewalManager) interval(lease time.Duration) time.Duration {
-	base := lease / 2
-	m.mu.Lock()
-	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+// Manage renews id's lease of duration d through reg until Forget or
+// Stop. Renewals are gated by the LUS endpoint's circuit breaker: while it
+// is open the manager skips the wire, giving the lease up (via OnLost)
+// only once it has actually expired. Only the breaker's state is read —
+// the rpc dial layer owns the Allow/Record pair, so a renewal that times
+// out cannot strand the half-open probe slot. An LUS that answers
+// "unknown registration" loses the lease immediately.
+func (m *LeaseRenewalManager) Manage(reg *Registrar, id ServiceID, d time.Duration) {
+	if d <= 0 {
+		d = DefaultLease
 	}
-	j := time.Duration(m.rng.Int63n(int64(base/5) + 1))
-	m.mu.Unlock()
-	return base - j
-}
-
-// Manage renews id's lease through reg on a jittered half-lease period
-// until Forget or Stop. Renewals are gated by the LUS endpoint's circuit
-// breaker: while it is open the manager skips the wire entirely and
-// re-checks shortly, giving the lease up (via OnLost) only once its
-// granted duration has actually expired. An LUS that answers "unknown
-// registration" loses the lease immediately.
-func (m *LeaseRenewalManager) Manage(reg *Registrar, id ServiceID, lease time.Duration) {
-	if lease <= 0 {
-		lease = DefaultLease
-	}
-	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
+	ctx, end, ok := m.leases.Begin(string(id))
+	if !ok {
 		return
 	}
-	if old, ok := m.tracked[id]; ok {
-		close(old.cancel)
+	var ready func() bool
+	if addr := reg.Addr(); addr != "" {
+		ready = breaker.For(addr).Ready
 	}
-	tl := &trackedLease{reg: reg, lease: lease, cancel: make(chan struct{})}
-	m.tracked[id] = tl
-	m.mu.Unlock()
 	go func() {
-		// The renewal loop's context dies with the tracked lease, so
-		// Stop/Forget abort an in-flight renewal instead of waiting it
-		// out.
-		ctx, cancelCtx := context.WithCancel(context.Background())
-		defer cancelCtx()
-		go func() {
-			<-tl.cancel
-			cancelCtx()
-		}()
-		expiry := time.Now().Add(lease)
-		t := time.NewTimer(m.interval(lease))
-		defer t.Stop()
-		for {
-			select {
-			case <-tl.cancel:
-				return
-			case <-t.C:
-			}
-			var err error
-			if addr := reg.Addr(); addr != "" && !breaker.For(addr).Ready() {
-				// The LUS endpoint's breaker is rejecting traffic; skip
-				// the wire entirely. Only read the state here — the rpc
-				// dial layer owns the Allow/Record pair, so a renewal
-				// that times out (ctx.Done with no response frame) cannot
-				// strand the single half-open probe slot and wedge the
-				// breaker permanently.
-				err = breaker.ErrOpen
-			} else {
-				// Bound each renewal round (including retries) to the
-				// half-lease window it must fit inside.
-				rctx, cancel := context.WithTimeout(ctx, lease/2)
-				err = retry.Do(rctx, renewPolicy, func() error {
-					_, rerr := reg.Renew(rctx, id, lease)
-					return rerr
-				})
-				cancel()
-			}
-			if err == nil {
-				expiry = time.Now().Add(lease)
-				t.Reset(m.interval(lease))
-				continue
-			}
-			if errors.Is(err, core.ErrNotFound) || time.Now().After(expiry) {
-				m.lost(id, err)
-				return
-			}
-			// Any other failure — transport, or a remote error that is not
-			// "no such lease" — may clear before the lease runs out;
-			// re-check on a short period without burning the breaker.
-			short := lease / 8
-			if short > 500*time.Millisecond {
-				short = 500 * time.Millisecond
-			}
-			t.Reset(short)
+		err := lease.Renew(ctx, d, func(ctx context.Context) error {
+			_, err := reg.Renew(ctx, id, d)
+			return err
+		}, ready)
+		end()
+		if err != nil && m.OnLost != nil {
+			m.OnLost(id, err)
 		}
 	}()
 }
 
-// lost drops the lease and reports it, exactly once, to OnLost.
-func (m *LeaseRenewalManager) lost(id ServiceID, err error) {
-	m.mu.Lock()
-	tl, ok := m.tracked[id]
-	onLost := m.OnLost
-	if ok {
-		close(tl.cancel)
-		delete(m.tracked, id)
-	}
-	m.mu.Unlock()
-	if ok && onLost != nil {
-		onLost(id, err)
-	}
-}
-
 // Forget stops renewing id (without cancelling the registration).
-func (m *LeaseRenewalManager) Forget(id ServiceID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if tl, ok := m.tracked[id]; ok {
-		close(tl.cancel)
-		delete(m.tracked, id)
-	}
-}
+func (m *LeaseRenewalManager) Forget(id ServiceID) { m.leases.Stop(string(id)) }
 
-// Stop ends all renewals (provider close / "VM exit").
-func (m *LeaseRenewalManager) Stop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stopped = true
-	for id, tl := range m.tracked {
-		close(tl.cancel)
-		delete(m.tracked, id)
-	}
-}
+// Stop ends all renewals (provider close / "VM exit") and waits for them.
+func (m *LeaseRenewalManager) Stop() { m.leases.StopAll() }
 
 // Count reports managed leases (diagnostics).
-func (m *LeaseRenewalManager) Count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.tracked)
-}
+func (m *LeaseRenewalManager) Count() int { return m.leases.Len() }
 
 // BatchOp is one operation in a CallMany batch against the LUS.
 type BatchOp struct {

@@ -69,7 +69,7 @@ func TestTemplateMatching(t *testing.T) {
 
 func newTestLUS(t *testing.T) (*LUS, *Registrar) {
 	t.Helper()
-	l, err := NewLUS(LUSConfig{ListenAddr: "127.0.0.1:0", ReapInterval: 50 * time.Millisecond})
+	l, err := NewLUS(LUSConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +159,22 @@ func TestLeaseExpiryAndRenewal(t *testing.T) {
 	// Renew after expiry fails.
 	if _, err := r.Renew(ctx, reg.ID, time.Minute); err == nil {
 		t.Fatal("renew of expired lease succeeded")
+	}
+}
+
+// An expired lease is gone from the moment it expires, not from the next
+// reaper sweep: Jini answers "unknown lease".
+func TestExpiredLeaseGoneBeforeReap(t *testing.T) {
+	l, _ := newTestLUS(t)
+	reg := l.register(ServiceItem{ID: "lapsed", Types: []string{"t.T"}}, time.Minute.Milliseconds())
+	l.mu.Lock()
+	l.items[reg.ID].expiry = time.Now().Add(-time.Millisecond)
+	l.mu.Unlock()
+	if _, err := l.renew(reg.ID, time.Minute.Milliseconds()); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("renew of an expired, unreaped lease: %v, want core.ErrNotFound", err)
+	}
+	if items := l.lookup(ServiceTemplate{Types: []string{"t.T"}}, 0); len(items) != 0 {
+		t.Fatalf("lookup returned %d expired items", len(items))
 	}
 }
 
@@ -392,6 +408,36 @@ func TestLeaseRenewerLosesLeaseOnlyOnNotFound(t *testing.T) {
 				t.Fatalf("Count = %d, want the lease still managed", m.Count())
 			}
 		})
+	}
+}
+
+// OnLost runs after the lease has left the manager, so a holder that
+// closes everything when a lease is lost (Stop waits for every renewal)
+// does not wait for itself.
+func TestOnLostMayStopManager(t *testing.T) {
+	ctx := context.Background()
+	_, r := newTestLUS(t)
+	m := NewLeaseRenewalManager()
+	stopped := make(chan struct{})
+	m.OnLost = func(ServiceID, error) {
+		m.Stop()
+		close(stopped)
+	}
+	reg, err := r.Register(ctx, ServiceItem{ID: "doomed"}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Cancel(ctx, reg.ID); err != nil {
+		t.Fatal(err)
+	}
+	m.Manage(r, reg.ID, 100*time.Millisecond)
+	select {
+	case <-stopped:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Stop called from OnLost did not return")
+	}
+	if m.Count() != 0 {
+		t.Fatalf("Count = %d after the lease was lost", m.Count())
 	}
 }
 

@@ -22,8 +22,6 @@ type LUSConfig struct {
 	Groups []string
 	// Costs injects calibrated service times (nil = full speed).
 	Costs *costmodel.Costs
-	// ReapInterval is the lease-expiry sweep period (default 250ms).
-	ReapInterval time.Duration
 	// Admission gates every handler; nil admits everything.
 	Admission *admission.Controller
 }
@@ -55,11 +53,13 @@ type watcher struct {
 	conn     *rpc.ServerConn
 }
 
+// reapInterval is the lease-expiry sweep period. An expired item is gone
+// to renew and lookup from the moment it expires; the sweep only removes
+// it and fires its MatchNoMatch events.
+const reapInterval = 250 * time.Millisecond
+
 // NewLUS starts a lookup service.
 func NewLUS(cfg LUSConfig) (*LUS, error) {
-	if cfg.ReapInterval <= 0 {
-		cfg.ReapInterval = 250 * time.Millisecond
-	}
 	srv, err := rpc.NewServer(cfg.ListenAddr)
 	if err != nil {
 		return nil, err
@@ -107,7 +107,7 @@ func (l *LUS) Close() error {
 // reaper expires leases, firing MatchNoMatch events.
 func (l *LUS) reaper() {
 	defer l.wg.Done()
-	t := time.NewTicker(l.cfg.ReapInterval)
+	t := time.NewTicker(reapInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -210,11 +210,12 @@ func (l *LUS) register(item ServiceItem, leaseMs int64) Registration {
 
 // lookup returns matching items, bounded by max (0 = all).
 func (l *LUS) lookup(t ServiceTemplate, max int) []ServiceItem {
+	now := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []ServiceItem
 	for _, si := range l.items {
-		if t.Matches(&si.item) {
+		if now.Before(si.expiry) && t.Matches(&si.item) {
 			out = append(out, si.item.Clone())
 			if max > 0 && len(out) >= max {
 				break
@@ -229,11 +230,12 @@ var errNoSuchLease = fmt.Errorf("jini: unknown or expired lease: %w", core.ErrNo
 func (l *LUS) renew(id ServiceID, leaseMs int64) (time.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	now := time.Now()
 	si, ok := l.items[id]
-	if !ok {
+	if !ok || !now.Before(si.expiry) {
 		return time.Time{}, errNoSuchLease
 	}
-	si.expiry = time.Now().Add(clampLease(leaseMs))
+	si.expiry = now.Add(clampLease(leaseMs))
 	return si.expiry, nil
 }
 

@@ -18,6 +18,7 @@ import (
 	"gondi/internal/core"
 	"gondi/internal/failover"
 	"gondi/internal/hdns"
+	"gondi/internal/lease"
 	"gondi/internal/obs"
 	"gondi/internal/rpc"
 	"gondi/internal/shard"
@@ -79,7 +80,7 @@ type shared struct {
 	client hdns.Conn
 	url    string
 	lease  time.Duration
-	renew  connpool.Renewals // keyed by full name
+	renew  lease.Set // keyed by full name
 }
 
 func (sh *shared) Closed() bool { return sh.client.Closed() }
@@ -267,16 +268,21 @@ func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
 }
 
 // startRenewal keeps the binding's lease alive until unbind or the last
-// Close.
+// Close. A lost lease just ends the loop: the node reaps the binding.
 func (c *Context) startRenewal(comps []string, key string) {
 	sh := c.sh
 	if sh.lease <= 0 {
 		return // no lease, and no closure to allocate on the write path
 	}
-	sh.renew.Start(key, sh.lease, func(ctx context.Context) error {
-		_, err := sh.client.RenewLease(ctx, comps, sh.lease.Milliseconds())
-		return err
-	})
+	if ctx, end, ok := sh.renew.Begin(key); ok {
+		go func() {
+			defer end()
+			_ = lease.Renew(ctx, sh.lease, func(ctx context.Context) error {
+				_, err := sh.client.RenewLease(ctx, comps, sh.lease.Milliseconds())
+				return err
+			}, nil)
+		}()
+	}
 }
 
 // Bind implements core.Context — natively atomic in HDNS (§5.2).

@@ -15,7 +15,7 @@ import (
 
 func newLUS(t *testing.T) *jini.LUS {
 	t.Helper()
-	l, err := jini.NewLUS(jini.LUSConfig{ListenAddr: "127.0.0.1:0", ReapInterval: 50 * time.Millisecond})
+	l, err := jini.NewLUS(jini.LUSConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

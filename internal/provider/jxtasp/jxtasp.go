@@ -23,6 +23,7 @@ import (
 	"gondi/internal/failover"
 	"gondi/internal/filter"
 	"gondi/internal/jxta"
+	"gondi/internal/lease"
 	"gondi/internal/obs"
 	"gondi/internal/rpc"
 )
@@ -59,7 +60,7 @@ type shared struct {
 	peer  *jxta.Peer
 	url   string
 	lease time.Duration
-	renew connpool.Renewals // keyed by full name
+	renew lease.Set // keyed by full name
 }
 
 func (sh *shared) Closed() bool { return sh.peer.Closed() }
@@ -253,11 +254,21 @@ func (c *Context) publish(ctx context.Context, full core.Name, obj any, attrs *c
 		}
 		return rpc.CoreError(c.sh.url, err)
 	}
+	// Renew until unbind or the last Close. A lost lease just ends the
+	// loop: the rendezvous expires the advertisement.
 	sh := c.sh
-	sh.renew.Start(full.String(), sh.lease, func(ctx context.Context) error {
-		_, err := sh.peer.Renew(ctx, adv.Group, adv.Name, sh.lease)
-		return err
-	})
+	if sh.lease <= 0 {
+		return nil
+	}
+	if rctx, end, ok := sh.renew.Begin(full.String()); ok {
+		go func() {
+			defer end()
+			_ = lease.Renew(rctx, sh.lease, func(ctx context.Context) error {
+				_, err := sh.peer.Renew(ctx, adv.Group, adv.Name, sh.lease)
+				return err
+			}, nil)
+		}()
+	}
 	return nil
 }
 

@@ -217,6 +217,9 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add(bytes.Repeat([]byte{0xab}, 300), uint16(299))
 	f.Add(AppendRecord(nil, []byte("framed")), uint16(5))
+	// An hdns OpExpire record: version 8, kind 9, no lease, now 1234567,
+	// id "n1-4", name [a b], nothing else.
+	f.Add(AppendRecord(nil, []byte{8, 9, 0, 0, 0x87, 0xad, 0x4b, 4, 'n', '1', '-', '4', 2, 1, 'a', 1, 'b', 0, 0, 0, 0}), uint16(12))
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
 		// Arbitrary bytes: decode must not panic; success implies exact
 		// re-encode of the consumed prefix.

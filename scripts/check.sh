@@ -10,12 +10,13 @@
 # lint is ctxfirst plus the one-surface guard (the typed naming surface
 # is spelled in internal/core/op.go and by providers, nowhere else) and
 # the error-text guard (no product code classifies an error by its
-# message; failures cross the wire as rpc status codes), and the
-# one-pool guard (no reference count outside internal/connpool).
+# message; failures cross the wire as rpc status codes), the one-pool
+# guard (no reference count outside internal/connpool), and the
+# one-lease guard (no renewal schedule outside internal/lease).
 # allocs is the per-commit real-number gate (operations as values, rpc
 # codec + per-call metrics, hdns request codec, DIT search, dnssp
-# opens, pooled hdnssp opens); wall-clock costs are measured by
-# bench/run.sh (see bench/README.md), not gated here.
+# opens, pooled hdnssp opens, hdns lease scan); wall-clock costs are
+# measured by bench/run.sh (see bench/README.md), not gated here.
 set -e
 
 # Minimum statement coverage for internal/obs (enforced by the test stage:
@@ -61,6 +62,12 @@ stage_lint() {
     if git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/connpool/' |
         xargs grep -nE 'refs *(\+\+|--)' /dev/null; then
         echo "a hand-kept reference count; pool the connection with internal/connpool" >&2
+        exit 1
+    fi
+    echo "== lint: one lease renewal rule (the schedule lives in internal/lease) =="
+    if git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/lease/' |
+        xargs grep -nE 'lease *\/ *[28]([^0-9]|$)' /dev/null | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//'; then
+        echo "a hand-written renewal schedule; renew with lease.Renew and track loops with lease.Set" >&2
         exit 1
     fi
 }
@@ -144,6 +151,11 @@ stage_allocs() {
     # pooled hdnssp.Open (+ Close) is on every hdns operation's path: <= 6.
     echo "== pooled provider open alloc gate =="
     go test -count=1 -run 'TestPooledOpenAllocs' ./internal/provider/hdnssp/
+
+    # The hdns lease reaper scans on every 500 ms tick: 0 allocations on
+    # a store that holds no lease, <= 4 with one due among 10 000 entries.
+    echo "== hdns lease scan alloc gate =="
+    go test -count=1 -run 'TestReapScanAllocs' ./internal/hdns/
 
     # Codec fuzz targets over their checked-in seed corpora: the frame
     # reader, the WAL record codec and the hdns request codec (whose
