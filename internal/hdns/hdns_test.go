@@ -13,6 +13,7 @@ import (
 	"gondi/internal/core"
 	"gondi/internal/filter"
 	"gondi/internal/jgroups"
+	"gondi/internal/rpc"
 )
 
 func apply(t *testing.T, s *Store, op *Op) []Change {
@@ -320,6 +321,11 @@ func TestNodeSingleBasicOps(t *testing.T) {
 	}
 }
 
+// Writes through either node reach the other on the default (bimodal)
+// stack. Two binds of one name racing through both nodes are
+// TestContestedBindOneWinnerOnVirtualSynchrony's: bimodal multicast
+// applies each node's own write before a peer's that raced it, so both
+// binds can win here until writes enter through one node (ROADMAP 1).
 func TestReplicationReadAnyWriteAll(t *testing.T) {
 	ctx := context.Background()
 	f := jgroups.NewFabric()
@@ -347,28 +353,56 @@ func TestReplicationReadAnyWriteAll(t *testing.T) {
 		v, err := c1.Lookup(ctx, []string{"replicated"})
 		return err == nil && string(v.Obj) == "v2"
 	})
-	// Atomic bind races: exactly one of two concurrent binds wins. The
-	// winner is decided by gossip convergence outrunning the second
-	// node's existence check — reliable on non-instrumented builds, but
-	// the race detector's slowdown lets both checks pass first.
-	if raceEnabled {
-		return
-	}
-	errs := make(chan error, 2)
-	for _, c := range []*Client{c1, c2} {
-		go func(c *Client) { errs <- c.Bind(ctx, []string{"contested"}, []byte("x"), nil, 0) }(c)
-	}
-	e1, e2 := <-errs, <-errs
-	wins := 0
-	for _, e := range []error{e1, e2} {
-		if e == nil {
-			wins++
-		} else if !errors.Is(e, core.ErrAlreadyBound) {
-			t.Errorf("unexpected bind error: %v", e)
+}
+
+// Atomic bind races: of two binds of one name entering through both
+// nodes at once, exactly one wins, and both replicas keep the winner's
+// object. Virtual synchrony applies the pair in one order everywhere.
+func TestContestedBindOneWinnerOnVirtualSynchrony(t *testing.T) {
+	ctx := context.Background()
+	f := jgroups.NewFabric()
+	stack := testStack()
+	stack.Mode = jgroups.ModeVirtualSynchrony
+	n1 := startNode(t, f, "n1", "g2", "", stack)
+	n2 := startNode(t, f, "n2", "g2", "", stack)
+	waitFor(t, 4*time.Second, "2-node group", func() bool {
+		v := n1.Channel().View()
+		return v != nil && len(v.Members) == 2
+	})
+	clients := []*Client{dialNode(t, n1), dialNode(t, n2)}
+	for round := 0; round < 20; round++ {
+		name := []string{fmt.Sprintf("contested%d", round)}
+		errs := make([]error, len(clients))
+		var wg sync.WaitGroup
+		for i, c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = c.Bind(ctx, name, []byte(fmt.Sprintf("n%d", i+1)), nil, 0)
+			}()
 		}
-	}
-	if wins != 1 {
-		t.Errorf("atomic bind: %d winners (errs: %v / %v)", wins, e1, e2)
+		wg.Wait()
+		winner := -1
+		for i, e := range errs {
+			if e == nil {
+				if winner >= 0 {
+					t.Fatalf("round %d: both binds won", round)
+				}
+				winner = i
+			} else if !errors.Is(e, core.ErrAlreadyBound) {
+				t.Fatalf("round %d: unexpected bind error: %v", round, e)
+			}
+		}
+		if winner < 0 {
+			t.Fatalf("round %d: no bind won (%v / %v)", round, errs[0], errs[1])
+		}
+		want := fmt.Sprintf("n%d", winner+1)
+		for _, c := range clients {
+			waitFor(t, 3*time.Second, "winner replicated", func() bool {
+				v, err := c.Lookup(ctx, name)
+				return err == nil && string(v.Obj) == want
+			})
+		}
 	}
 }
 
@@ -642,4 +676,44 @@ func TestConcurrentWritesConverge(t *testing.T) {
 	waitFor(t, 6*time.Second, "convergence", func() bool {
 		return n1.Store().Len() == 2*per && n2.Store().Len() == 2*per
 	})
+}
+
+// A write the group could not replicate reaches the client typed: a
+// send window that stayed full is busy with a retry hint, and a closed,
+// unjoined or never-settling group, or a closed node, is unavailable.
+func TestReplicationFailuresCrossTheWireTyped(t *testing.T) {
+	f := jgroups.NewFabric()
+	n := startTestNode(t, f, "rt-n1", "rt", "")
+	closed := startTestNode(t, f, "rt-n2", "rt-closed", "")
+	closed.Close()
+	isBusy := func(err error) bool {
+		var busy *core.ServerBusyError
+		return errors.As(err, &busy) && busy.RetryAfter > 0
+	}
+	isUnavailable := func(err error) bool { return errors.As(err, new(*core.ServiceUnavailableError)) }
+	cases := []struct {
+		what string
+		err  func() error
+		is   func(error) bool
+	}{
+		{"window full", func() error { return n.replErr(jgroups.ErrSendWindowFull) }, isBusy},
+		{"flush timeout", func() error { return n.replErr(jgroups.ErrFlushTimeout) }, isUnavailable},
+		{"channel closed", func() error { return n.replErr(jgroups.ErrChanClosed) }, isUnavailable},
+		{"not connected", func() error { return n.replErr(jgroups.ErrNotConnected) }, isUnavailable},
+		{"node closed", func() error { return closed.submit(&Op{Kind: OpBind, Name: []string{"x"}}) }, isUnavailable},
+	}
+	c, err := rpc.Dial(n.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, tc := range cases {
+		method := fmt.Sprintf("test.repl%d", i)
+		n.srv.Handle(method, func(*rpc.ServerConn, []byte) ([]byte, error) {
+			return nil, tc.err()
+		})
+		if _, err := c.Call(context.Background(), method, nil); !tc.is(err) {
+			t.Errorf("%s crossed the wire as %v (%T)", tc.what, err, err)
+		}
+	}
 }

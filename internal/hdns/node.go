@@ -393,6 +393,7 @@ func (n *Node) maybeDrain() {
 
 // failOps settles every submitter in a frame that never made it out.
 func (n *Node) failOps(ops []Op, err error) {
+	err = n.replErr(err)
 	n.mu.Lock()
 	for i := range ops {
 		if ch, ok := n.pending[ops[i].ID]; ok {
@@ -458,7 +459,7 @@ func (n *Node) submit(op *Op) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return errNodeClosed
+		return n.unavailable(errNodeClosed)
 	}
 	n.nextOp++
 	op.ID = fmt.Sprintf("%s-%d", n.ch.Addr(), n.nextOp)
@@ -481,7 +482,7 @@ func (n *Node) submit(op *Op) error {
 		n.mu.Lock()
 		delete(n.pending, op.ID)
 		n.mu.Unlock()
-		return errNodeClosed
+		return n.unavailable(errNodeClosed)
 	}
 	n.maybeDrain()
 	select {
@@ -493,7 +494,7 @@ func (n *Node) submit(op *Op) error {
 		n.mu.Unlock()
 		return errWriteTimeout
 	case <-n.done:
-		return errNodeClosed
+		return n.unavailable(errNodeClosed)
 	}
 }
 
@@ -651,6 +652,20 @@ func storeErr(errStr string) error {
 // naming answer.
 func (n *Node) unavailable(reason error) error {
 	return &core.ServiceUnavailableError{Endpoint: n.Addr(), Err: reason}
+}
+
+// replErr types a send the group refused. A send window that stayed
+// full is busy: retry once heartbeats have carried acks. A closed,
+// unjoined or never-settling group is unavailable here.
+func (n *Node) replErr(err error) error {
+	switch {
+	case errors.Is(err, jgroups.ErrSendWindowFull):
+		return &core.ServerBusyError{Endpoint: n.Addr(), Op: "replicate", RetryAfter: n.cfg.Stack.HeartbeatInterval}
+	case errors.Is(err, jgroups.ErrFlushTimeout), errors.Is(err, jgroups.ErrChanClosed),
+		errors.Is(err, jgroups.ErrNotConnected):
+		return n.unavailable(err)
+	}
+	return err
 }
 
 func (n *Node) guardShard(name []string) error {

@@ -2,9 +2,8 @@ package jgroups
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"gondi/internal/obs"
@@ -15,9 +14,12 @@ var (
 	ErrNotConnected = errors.New("jgroups: channel not connected")
 	ErrChanClosed   = errors.New("jgroups: channel closed")
 	ErrJoinTimeout  = errors.New("jgroups: join timed out")
-	// ErrSendWindowFull reports that Send blocked on the credit window
+	// ErrSendWindowFull reports that Send waited on the credit window
 	// longer than JoinTimeout — the group is not draining.
 	ErrSendWindowFull = errors.New("jgroups: send window full")
+	// ErrFlushTimeout reports that Send waited on a view-change flush
+	// longer than JoinTimeout — the group is not settling on a view.
+	ErrFlushTimeout = errors.New("jgroups: send blocked by flush too long")
 )
 
 var (
@@ -30,12 +32,11 @@ var (
 // bimodalStoreMax bounds the per-sender gossip repair store.
 const bimodalStoreMax = 4096
 
-type chanState int
-
+// Discovery probes: a joiner broadcasts this many, this far apart, before
+// it concludes the group is empty and founds it.
 const (
-	stateIdle chanState = iota
-	stateConnected
-	stateClosed
+	discoverProbes = 3
+	discoverWait   = 150 * time.Millisecond
 )
 
 // senderState tracks per-sender FIFO delivery (bimodal mode).
@@ -58,18 +59,63 @@ type pendingFlush struct {
 	deadline time.Time
 }
 
-// Channel is a group communication endpoint, the JChannel analog.
-type Channel struct {
-	cfg Config
-	tr  Transport
+// sendReq is one message waiting to go out: a local Send, whose caller
+// waits on reply, or at the coordinator a member's forwarded send, whose
+// caller already returned (reply nil).
+type sendReq struct {
+	from    Address
+	payload []byte
+	reply   chan error
+	// Set when parked: since when, and the answer if it waits too long
+	// (ErrFlushTimeout or ErrSendWindowFull, by what held it back).
+	since  time.Time
+	expiry error
+}
 
-	mu       sync.Mutex
-	state    chanState
-	group    string
-	recv     Receiver
-	view     *View
-	flushing bool
-	flushC   *sync.Cond
+func (r *sendReq) answer(err error) {
+	if r.reply != nil {
+		r.reply <- err
+	}
+}
+
+// statePull is an outstanding kStateReq. Its answer completes a join
+// (merge nil) or comes before a non-primary member's Merge callback.
+type statePull struct {
+	since time.Time
+	merge *MergeEvent
+}
+
+// Channel is a group communication endpoint, the JChannel analog.
+//
+// The channel is one event loop: run owns every protocol field and
+// handles packets, timer ticks and posted work (Send, founding) one at a
+// time, invoking every Receiver callback itself. Callbacks therefore see
+// exactly the protocol's order, and no lock guards protocol state. Other
+// goroutines read only the snapshot run publishes after each event.
+type Channel struct {
+	cfg   Config
+	tr    Transport
+	group string   // set by Connect before run starts
+	recv  Receiver // likewise
+
+	calls   chan func()   // work posted to the loop
+	joined  chan error    // Connect's answer, sent once
+	done    chan struct{} // closed by Close
+	stopped chan struct{} // closed when run returns
+	started atomic.Bool
+	closed  atomic.Bool
+
+	// The published snapshot.
+	pubView        atomic.Pointer[View]
+	pubPending     atomic.Int64
+	pubOutstanding atomic.Int64
+
+	// Owned by run from here on.
+	view      *View   // nil until joined; replaced, never mutated
+	joinCoord Address // the coordinator a join request went to
+	flushing  bool
+	parked    []*sendReq // FIFO: sends held back by a flush or the window
+	pull      *statePull
 
 	// Virtual-synchrony data path.
 	nextSeq   uint64             // coordinator: next global seq to assign
@@ -95,14 +141,7 @@ type Channel struct {
 	flush    *pendingFlush
 	joiners  []Address // queued while a flush is in progress
 
-	// Connect/state-transfer rendezvous.
-	discoverC chan Address
-	viewC     chan *View
-	stateC    chan []byte
-
-	done chan struct{}
-	wg   sync.WaitGroup
-	rng  *rand.Rand
+	rng *rand.Rand
 }
 
 // NewChannel builds a channel over the given transport.
@@ -113,254 +152,266 @@ func NewChannel(tr Transport, cfg Config) *Channel {
 	if cfg.SendWindow == 0 {
 		cfg.SendWindow = DefaultSendWindow
 	}
-	c := &Channel{
+	return &Channel{
 		cfg:      cfg,
 		tr:       tr,
+		calls:    make(chan func()),
+		joined:   make(chan error, 1),
+		done:     make(chan struct{}),
+		stopped:  make(chan struct{}),
 		pending:  map[uint64]*Packet{},
 		msgStore: map[uint64]*Packet{},
 		ackSeq:   map[Address]uint64{},
 		senders:  map[Address]*senderState{},
 		peerAckB: map[Address]uint64{},
 		lastSeen: map[Address]time.Time{},
-		done:     make(chan struct{}),
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(len(tr.Addr())))),
 	}
-	c.flushC = sync.NewCond(&c.mu)
-	return c
 }
 
 // Addr returns this member's address.
 func (c *Channel) Addr() Address { return c.tr.Addr() }
 
-// View returns the current view (a copy).
-func (c *Channel) View() *View {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.view.Clone()
-}
+// View returns the current view (a copy); nil before Connect succeeds.
+func (c *Channel) View() *View { return c.pubView.Load().Clone() }
 
 // IsCoordinator reports whether this member coordinates the group.
-func (c *Channel) IsCoordinator() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.view.Coord() == c.Addr()
-}
+func (c *Channel) IsCoordinator() bool { return c.pubView.Load().Coord() == c.Addr() }
+
+// PendingLen reports buffered out-of-order packets across all senders —
+// a diagnostic for the bounded-buffer tests.
+func (c *Channel) PendingLen() int { return int(c.pubPending.Load()) }
+
+// Outstanding reports the credit window in use (windowUsed): in bimodal
+// mode this member's messages its slowest peer has not acknowledged; in
+// virtual synchrony the sequenced messages the slowest member has not
+// acknowledged at the coordinator, and 0 on a member. Diagnostic.
+func (c *Channel) Outstanding() int { return int(c.pubOutstanding.Load()) }
 
 // Connect discovers the group coordinator (or founds the group), joins,
 // and — when r.SetState is set and another member already coordinates —
 // pulls the application state.
 func (c *Channel) Connect(group string, r Receiver) error {
-	c.mu.Lock()
-	if c.state != stateIdle {
-		c.mu.Unlock()
-		return fmt.Errorf("jgroups: Connect on %v channel", c.state)
-	}
-	c.group = group
-	c.recv = r
-	c.discoverC = make(chan Address, 8)
-	c.viewC = make(chan *View, 1)
-	c.stateC = make(chan []byte, 1)
-	c.mu.Unlock()
-
-	c.wg.Add(1)
-	go c.run()
-
-	deadline := time.Now().Add(c.cfg.JoinTimeout)
-	coord := c.discover(deadline)
-	if coord == "" {
-		// Found the group.
-		c.mu.Lock()
-		c.view = &View{ID: 1, Members: []Address{c.Addr()}}
-		c.state = stateConnected
-		view := c.view.Clone()
-		cb := c.recv.ViewChange
-		c.mu.Unlock()
-		if cb != nil {
-			cb(view)
-		}
-		return nil
-	}
-	// Join via the coordinator.
-	if err := c.tr.Send(coord, &Packet{Kind: kJoinReq, Group: group}); err != nil {
-		return err
-	}
-	select {
-	case v := <-c.viewC:
-		c.mu.Lock()
-		c.state = stateConnected
-		cb := c.recv.ViewChange
-		view := v.Clone()
-		c.mu.Unlock()
-		if cb != nil {
-			cb(view)
-		}
-	case <-time.After(time.Until(deadline)):
-		return ErrJoinTimeout
-	case <-c.done:
+	if c.closed.Load() {
 		return ErrChanClosed
 	}
-	// State transfer.
-	if r.SetState != nil {
-		if err := c.pullState(deadline); err != nil {
+	if !c.started.CompareAndSwap(false, true) {
+		return errors.New("jgroups: Connect on a used channel")
+	}
+	c.group, c.recv = group, r
+	go c.run()
+
+	// The loop answers the first kDiscoverRsp with a join request; when
+	// no coordinator answers any probe, this member founds the group.
+	deadline := time.After(c.cfg.JoinTimeout)
+	await := func(probe <-chan time.Time) (answered bool, err error) {
+		select {
+		case err := <-c.joined:
+			return true, err
+		case <-probe:
+			return false, nil
+		case <-deadline:
+			return true, ErrJoinTimeout
+		case <-c.stopped:
+			return true, ErrChanClosed
+		}
+	}
+	for i := 0; i < discoverProbes; i++ {
+		_ = c.tr.Broadcast(&Packet{Kind: kDiscover, Group: group})
+		if answered, err := await(time.After(discoverWait)); answered {
 			return err
 		}
 	}
-	return nil
-}
-
-// discover broadcasts discovery probes until a coordinator answers or the
-// probe budget expires; it returns "" when the group seems empty.
-func (c *Channel) discover(deadline time.Time) Address {
-	probes := 3
-	for i := 0; i < probes; i++ {
-		_ = c.tr.Broadcast(&Packet{Kind: kDiscover, Group: c.group})
-		wait := 150 * time.Millisecond
-		if rem := time.Until(deadline); rem < wait {
-			wait = rem
-		}
-		select {
-		case coord := <-c.discoverC:
-			return coord
-		case <-time.After(wait):
-		case <-c.done:
-			return ""
-		}
-	}
-	return ""
-}
-
-func (c *Channel) pullState(deadline time.Time) error {
-	c.mu.Lock()
-	coord := c.view.Coord()
-	c.mu.Unlock()
-	if coord == c.Addr() {
-		return nil
-	}
-	if err := c.tr.Send(coord, &Packet{Kind: kStateReq, Group: c.group}); err != nil {
-		return err
-	}
-	select {
-	case st := <-c.stateC:
-		c.recv.SetState(st)
-		return nil
-	case <-time.After(time.Until(deadline)):
-		return fmt.Errorf("jgroups: state transfer timed out")
-	case <-c.done:
+	if !c.post(c.found) {
 		return ErrChanClosed
+	}
+	_, err := await(nil)
+	return err
+}
+
+// found makes this member the founder of a one-member group, unless a
+// coordinator answered discovery meanwhile.
+func (c *Channel) found() {
+	if c.view != nil || c.joinCoord != "" {
+		return
+	}
+	c.view = &View{ID: 1, Members: []Address{c.Addr()}}
+	c.viewChanged()
+	c.finishJoin()
+}
+
+// finishJoin publishes the joined view, then releases Connect.
+func (c *Channel) finishJoin() {
+	c.publish()
+	c.joined <- nil
+}
+
+// post hands f to the loop; false once the loop has stopped.
+func (c *Channel) post(f func()) bool {
+	select {
+	case c.calls <- f:
+		return true
+	case <-c.stopped:
+		return false
 	}
 }
 
 // Send multicasts payload to the group; the sender receives its own
 // message through Deliver as well. In virtual-synchrony mode messages are
 // totally ordered; in bimodal mode they are FIFO per sender.
+//
+// A bimodal send, or a virtual-synchrony send from the coordinator,
+// returns once the message was delivered locally; a member's
+// virtual-synchrony send returns once it was forwarded to the
+// coordinator. While a flush quiesces the group or the credit window is
+// exhausted (the slowest member is SendWindow of our own messages
+// behind), Send waits: that backpressure is the anti-collapse mechanism,
+// running the sender at the group's drain rate instead of burying a
+// lagging receiver under an unbounded queue. After JoinTimeout it gives
+// up with ErrSendWindowFull or ErrFlushTimeout.
 func (c *Channel) Send(payload []byte) error {
-	c.mu.Lock()
-	if c.state != stateConnected {
-		c.mu.Unlock()
+	if c.pubView.Load() == nil {
 		return ErrNotConnected
 	}
-	// Block while a flush quiesces the group (VS semantics) or while the
-	// sender credit window is exhausted (the slowest member is
-	// SendWindow messages behind on our own traffic). Backpressure here
-	// is the anti-collapse mechanism: instead of burying a lagging
-	// receiver under an unbounded queue, the sender runs at the group's
-	// drain rate. Acks advance via heartbeat/gossip digests, each of
-	// which broadcasts flushC.
-	waited := time.Now()
-	stalled := false
-	for c.state == stateConnected && (c.flushing || c.sendStalledLocked()) {
-		if !c.flushing && !stalled {
-			stalled = true
-			mSendStalls.Inc()
-		}
-		c.flushC.Wait()
-		if time.Since(waited) > c.cfg.JoinTimeout {
-			c.mu.Unlock()
-			if stalled {
-				return ErrSendWindowFull
-			}
-			return fmt.Errorf("jgroups: send blocked by flush for too long")
-		}
-	}
-	if c.state != stateConnected {
-		c.mu.Unlock()
+	req := &sendReq{from: c.Addr(), payload: payload, reply: make(chan error, 1)}
+	if !c.post(func() { c.submit(req) }) {
 		return ErrChanClosed
 	}
+	return <-req.reply
+}
 
-	if c.cfg.Mode == ModeBimodal {
+// submit sends req now or parks it. A flush holds back every send. The
+// credit window holds back only local ones, in FIFO order: a forwarded
+// send was already answered at its member, so parking it would queue
+// without backpressure (members' sends are not windowed, ROADMAP 19).
+func (c *Channel) submit(req *sendReq) {
+	switch {
+	case c.view == nil:
+		req.answer(ErrNotConnected)
+		return
+	case c.flushing:
+		req.expiry = ErrFlushTimeout
+	case req.reply != nil && (len(c.parked) > 0 || c.windowFull()):
+		mSendStalls.Inc()
+		req.expiry = ErrSendWindowFull
+	default:
+		c.emit(req)
+		return
+	}
+	req.since = time.Now()
+	c.parked = append(c.parked, req)
+}
+
+// windowFull reports that the sender credit window is exhausted.
+func (c *Channel) windowFull() bool {
+	w := c.cfg.SendWindow
+	return w > 0 && c.windowUsed() >= uint64(w)
+}
+
+// drainParked sends, once no flush is running, every parked forwarded
+// send and the local ones, oldest first, until the window holds the next
+// back. The loop runs it after every event, since acks, views and flush
+// ends are what unblock them; so outside a flush only local sends stay
+// parked, at most one per caller blocked in Send.
+func (c *Channel) drainParked() {
+	if c.flushing {
+		return
+	}
+	kept := c.parked[:0]
+	for _, req := range c.parked {
+		if req.reply == nil || (len(kept) == 0 && !c.windowFull()) {
+			c.emit(req)
+		} else {
+			kept = append(kept, req)
+		}
+	}
+	clear(c.parked[len(kept):])
+	c.parked = kept
+}
+
+// expireParked answers local sends parked longer than JoinTimeout. A
+// forwarded send has no caller here to answer — its sender was already
+// told it went out — so it waits for the flush to end instead.
+func (c *Channel) expireParked() {
+	kept := c.parked[:0]
+	for _, req := range c.parked {
+		if req.reply != nil && time.Since(req.since) > c.cfg.JoinTimeout {
+			req.answer(req.expiry)
+		} else {
+			kept = append(kept, req)
+		}
+	}
+	clear(c.parked[len(kept):])
+	c.parked = kept
+}
+
+// emit sends one message. The coordinator sequences its own sends and
+// forwarded ones with the same code; a member forwards to it.
+func (c *Channel) emit(req *sendReq) {
+	var err error
+	switch {
+	case c.cfg.Mode == ModeBimodal:
 		c.sendSeqB++
-		p := &Packet{Kind: kDataBimodal, Group: c.group, From: c.Addr(), Seq: c.sendSeqB, Payload: payload}
-		members := c.view.Members
-		var deliver []delivery
-		c.handleBimodalDataLocked(p, &deliver)
-		for _, m := range members {
-			if m != c.Addr() {
-				_ = c.tr.Send(m, p)
-			}
-		}
-		c.mu.Unlock()
-		c.fire(deliver)
-		return nil
+		p := &Packet{Kind: kDataBimodal, Group: c.group, From: c.Addr(), Seq: c.sendSeqB, Payload: req.payload}
+		c.multicast(p)
+		c.handleBimodalData(p)
+	case c.view.Coord() == c.Addr():
+		c.nextSeq++
+		p := &Packet{Kind: kData, Group: c.group, From: req.from, Seq: c.nextSeq, Payload: req.payload}
+		c.msgStore[p.Seq] = p
+		c.multicast(p)
+		c.handleData(p)
+	default:
+		err = c.tr.Send(c.view.Coord(), &Packet{Kind: kDataFwd, Group: c.group, From: req.from, Payload: req.payload})
 	}
-
-	// Virtual synchrony: the coordinator sequences.
-	if c.view.Coord() == c.Addr() {
-		var deliver []delivery
-		c.sequenceLocked(&Packet{Kind: kData, Group: c.group, From: c.Addr(), Payload: payload}, &deliver)
-		c.mu.Unlock()
-		c.fire(deliver)
-		return nil
-	}
-	coord := c.view.Coord()
-	c.mu.Unlock()
-	return c.tr.Send(coord, &Packet{Kind: kDataFwd, Group: c.group, From: c.Addr(), Payload: payload})
+	req.answer(err)
 }
 
-// delivery is a deferred application callback.
-type delivery struct {
-	src     Address
-	payload []byte
-}
-
-func (c *Channel) fire(ds []delivery) {
-	for _, d := range ds {
-		if c.recv.Deliver != nil {
-			c.recv.Deliver(d.src, d.payload)
-		}
-	}
-}
-
-// sequenceLocked (coordinator) assigns the next global seq and multicasts.
-func (c *Channel) sequenceLocked(p *Packet, deliver *[]delivery) {
-	c.nextSeq++
-	p.Seq = c.nextSeq
-	p.Kind = kData
-	stored := *p
-	c.msgStore[p.Seq] = &stored
+// multicast unicasts p to every other view member.
+func (c *Channel) multicast(p *Packet) {
 	for _, m := range c.view.Members {
 		if m != c.Addr() {
 			_ = c.tr.Send(m, p)
 		}
 	}
-	c.handleDataLocked(p, deliver)
 }
 
-// handleDataLocked performs in-order global-seq delivery (VS mode).
-func (c *Channel) handleDataLocked(p *Packet, deliver *[]delivery) {
+// deliverFrom hands the application the contiguous run of pending
+// messages after *delivered, in sequence order: the one place Deliver is
+// called, for both data paths. A non-nil store keeps each delivered
+// message for gossip repair (bimodal).
+func (c *Channel) deliverFrom(pending map[uint64]*Packet, delivered *uint64, store map[uint64]*Packet) {
+	for {
+		next, ok := pending[*delivered+1]
+		if !ok {
+			return
+		}
+		delete(pending, *delivered+1)
+		*delivered++
+		if store != nil {
+			store[next.Seq] = next
+		}
+		if c.recv.Deliver != nil {
+			c.recv.Deliver(next.From, next.Payload)
+		}
+	}
+}
+
+// viewChanged hands the installed view to the application.
+func (c *Channel) viewChanged() {
+	if c.recv.ViewChange != nil {
+		c.recv.ViewChange(c.view.Clone())
+	}
+}
+
+// handleData performs in-order global-seq delivery (VS mode).
+func (c *Channel) handleData(p *Packet) {
 	if p.Seq <= c.delivered {
 		return // duplicate
 	}
 	cp := *p
 	c.pending[p.Seq] = &cp
-	for {
-		next, ok := c.pending[c.delivered+1]
-		if !ok {
-			break
-		}
-		delete(c.pending, c.delivered+1)
-		c.delivered++
-		*deliver = append(*deliver, delivery{src: next.From, payload: next.Payload})
-	}
+	c.deliverFrom(c.pending, &c.delivered, nil)
 	if mp := c.cfg.MaxPending; mp > 0 && len(c.pending) > mp {
 		dropNewestPending(c.pending)
 	}
@@ -373,9 +424,9 @@ func (c *Channel) handleDataLocked(p *Packet, deliver *[]delivery) {
 	}
 }
 
-// handleBimodalDataLocked performs per-sender FIFO delivery and stores
+// handleBimodalData performs per-sender FIFO delivery and stores
 // messages for gossip repair.
-func (c *Channel) handleBimodalDataLocked(p *Packet, deliver *[]delivery) {
+func (c *Channel) handleBimodalData(p *Packet) {
 	ss := c.senders[p.From]
 	if ss == nil {
 		ss = newSenderState()
@@ -389,16 +440,7 @@ func (c *Channel) handleBimodalDataLocked(p *Packet, deliver *[]delivery) {
 	}
 	cp := *p
 	ss.pending[p.Seq] = &cp
-	for {
-		next, ok := ss.pending[ss.delivered+1]
-		if !ok {
-			break
-		}
-		delete(ss.pending, ss.delivered+1)
-		ss.delivered++
-		ss.store[next.Seq] = next
-		*deliver = append(*deliver, delivery{src: next.From, payload: next.Payload})
-	}
+	c.deliverFrom(ss.pending, &ss.delivered, ss.store)
 	// Bound the out-of-order buffer: shed the newest buffered packet —
 	// the gap blocking delivery is older, and gossip repair re-fetches
 	// whatever is dropped once the gap closes. Memory stays bounded
@@ -427,9 +469,15 @@ func dropNewestPending(pending map[uint64]*Packet) {
 	mPendingDrops.Inc()
 }
 
-// run is the protocol main loop.
+// run is the protocol loop: the one goroutine that touches protocol
+// state and calls the application.
 func (c *Channel) run() {
-	defer c.wg.Done()
+	defer func() {
+		for _, req := range c.parked {
+			req.answer(ErrChanClosed)
+		}
+		close(c.stopped)
+	}()
 	heartbeat := time.NewTicker(c.cfg.HeartbeatInterval)
 	defer heartbeat.Stop()
 	gossip := time.NewTicker(c.cfg.GossipInterval)
@@ -448,6 +496,8 @@ func (c *Channel) run() {
 				return
 			}
 			c.handlePacket(p)
+		case f := <-c.calls:
+			f()
 		case <-heartbeat.C:
 			c.tickHeartbeat()
 		case <-gossip.C:
@@ -457,50 +507,58 @@ func (c *Channel) run() {
 		case <-retrans.C:
 			c.tickRetransmit()
 		}
+		c.drainParked()
+		c.publish()
 	}
+}
+
+// publish stores the snapshot the accessors read.
+func (c *Channel) publish() {
+	c.pubView.Store(c.view)
+	n := len(c.pending)
+	for _, ss := range c.senders {
+		n += len(ss.pending)
+	}
+	c.pubPending.Store(int64(n))
+	c.pubOutstanding.Store(int64(c.windowUsed()))
 }
 
 func (c *Channel) handlePacket(p *Packet) {
 	if p.Group != c.group {
 		return
 	}
-	var deliver []delivery
-	var viewCB *View
-	var mergeCB *MergeEvent
-
-	c.mu.Lock()
-	if c.state == stateClosed {
-		c.mu.Unlock()
-		return
-	}
 	c.lastSeen[p.Src] = time.Now()
+	connected := c.view != nil
+	isCoord := connected && c.view.Coord() == c.Addr()
 	switch p.Kind {
 	case kDiscover:
-		if c.state == stateConnected && c.view.Coord() == c.Addr() && p.Src != c.Addr() {
+		if isCoord && p.Src != c.Addr() {
 			_ = c.tr.Send(p.Src, &Packet{Kind: kDiscoverRsp, Group: c.group})
 		}
 	case kDiscoverRsp:
-		select {
-		case c.discoverC <- p.Src:
-		default:
+		if !connected && c.joinCoord == "" {
+			c.joinCoord = p.Src
+			_ = c.tr.Send(p.Src, &Packet{Kind: kJoinReq, Group: c.group})
 		}
 	case kJoinReq:
-		c.handleJoinLocked(p.Src)
+		c.handleJoin(p.Src)
 	case kLeave:
-		if c.state == stateConnected && c.view.Coord() == c.Addr() && c.view.Contains(p.Src) {
-			c.startFlushLocked(c.removeMemberView(p.Src))
+		if isCoord && c.view.Contains(p.Src) {
+			c.startFlush(c.removeMemberView(p.Src))
 		}
 	case kData:
-		if c.state == stateConnected {
-			c.handleDataLocked(p, &deliver)
+		if connected {
+			c.handleData(p)
 		}
 	case kDataFwd:
-		if c.state == stateConnected && c.view.Coord() == c.Addr() && !c.flushing {
-			c.sequenceLocked(p, &deliver)
+		// Parked while a flush runs: the member's Send already
+		// returned, so dropping it would lose the message.
+		if isCoord {
+			c.submit(&sendReq{from: p.From, payload: p.Payload})
 		}
 	case kDataBimodal:
-		if c.state == stateConnected {
-			c.handleBimodalDataLocked(p, &deliver)
+		if connected {
+			c.handleBimodalData(p)
 		}
 	case kNakReq:
 		for _, seq := range p.Seqs {
@@ -510,82 +568,62 @@ func (c *Channel) handlePacket(p *Packet) {
 		}
 	case kFlushStart:
 		c.flushing = true
-		_ = c.tr.Send(p.Src, &Packet{Kind: kFlushAck, Group: c.group, Seq: c.delivered, Digest: c.bimodalDigestLocked()})
+		_ = c.tr.Send(p.Src, &Packet{Kind: kFlushAck, Group: c.group, Seq: c.delivered, Digest: c.bimodalDigest()})
 	case kFlushAck:
-		c.handleFlushAckLocked(p)
+		c.handleFlushAck(p)
 	case kView:
-		viewCB = c.installViewLocked(p)
+		c.installView(p)
 	case kHeartbeat:
-		c.handleHeartbeatLocked(p)
+		c.handleHeartbeat(p)
 	case kGossip:
-		c.handleGossipLocked(p)
+		c.handleGossip(p)
 	case kGossipRsp:
 		for _, m := range p.Packets {
-			c.handleBimodalDataLocked(m, &deliver)
+			c.handleBimodalData(m)
 		}
 	case kStateReq:
 		if c.recv.GetState != nil {
-			st := c.recv.GetState()
-			_ = c.tr.Send(p.Src, &Packet{Kind: kStateRsp, Group: c.group, Payload: st})
+			_ = c.tr.Send(p.Src, &Packet{Kind: kStateRsp, Group: c.group, Payload: c.recv.GetState()})
 		}
 	case kStateRsp:
-		select {
-		case c.stateC <- p.Payload:
-		default:
-		}
+		c.endPull(p.Payload, true)
 	case kMergeAnnounce:
-		c.handleMergeAnnounceLocked(p)
+		c.handleMergeAnnounce(p)
 	case kMergeView:
-		viewCB, mergeCB = c.handleMergeViewLocked(p)
-	}
-	c.mu.Unlock()
-
-	c.fire(deliver)
-	if viewCB != nil && c.recv.ViewChange != nil {
-		c.recv.ViewChange(viewCB)
-	}
-	if mergeCB != nil {
-		// Resynchronize off the protocol loop: resyncState waits for a
-		// kStateRsp that this loop must keep running to receive.
-		go c.completeMerge(*mergeCB)
+		c.installMergeView(p)
 	}
 }
 
-// completeMerge pulls authoritative state on non-primary members, then
-// fires the application Merge callback.
-func (c *Channel) completeMerge(e MergeEvent) {
-	if !e.Primary && c.recv.SetState != nil {
-		c.resyncState()
-	}
-	if c.recv.Merge != nil {
-		c.recv.Merge(e)
-	}
+// startPull asks the coordinator for the application state. A pull
+// still outstanding is given up first, so its join or Merge still ends.
+func (c *Channel) startPull(merge *MergeEvent) {
+	c.endPull(nil, false)
+	c.pull = &statePull{since: time.Now(), merge: merge}
+	_ = c.tr.Send(c.view.Coord(), &Packet{Kind: kStateReq, Group: c.group})
 }
 
-func (c *Channel) resyncState() {
-	c.mu.Lock()
-	coord := c.view.Coord()
-	c.mu.Unlock()
-	if coord == c.Addr() {
+// endPull completes the outstanding state pull: SetState with the answer
+// (none when it timed out, which keeps the member's state), then the
+// join or the Merge callback the pull was for.
+func (c *Channel) endPull(state []byte, answered bool) {
+	pull := c.pull
+	if pull == nil {
 		return
 	}
-	// Drop any stale buffered state from an earlier transfer.
-	select {
-	case <-c.stateC:
-	default:
+	c.pull = nil
+	if answered {
+		c.recv.SetState(state)
 	}
-	_ = c.tr.Send(coord, &Packet{Kind: kStateReq, Group: c.group})
-	select {
-	case st := <-c.stateC:
-		c.recv.SetState(st)
-	case <-time.After(c.cfg.JoinTimeout):
-	case <-c.done:
+	if pull.merge == nil {
+		c.finishJoin()
+	} else if c.recv.Merge != nil {
+		c.recv.Merge(*pull.merge)
 	}
 }
 
-// handleJoinLocked (coordinator) starts a flush to admit a joiner.
-func (c *Channel) handleJoinLocked(joiner Address) {
-	if c.state != stateConnected || c.view.Coord() != c.Addr() {
+// handleJoin (coordinator) starts a flush to admit a joiner.
+func (c *Channel) handleJoin(joiner Address) {
+	if c.view == nil || c.view.Coord() != c.Addr() {
 		return
 	}
 	if c.view.Contains(joiner) {
@@ -600,7 +638,7 @@ func (c *Channel) handleJoinLocked(joiner Address) {
 	nv := c.view.Clone()
 	nv.ID++
 	nv.Members = append(nv.Members, joiner)
-	c.startFlushLocked(nv)
+	c.startFlush(nv)
 }
 
 func (c *Channel) removeMemberView(gone ...Address) *View {
@@ -619,8 +657,8 @@ func (c *Channel) removeMemberView(gone ...Address) *View {
 	return nv
 }
 
-// startFlushLocked (coordinator) quiesces the group before installing nv.
-func (c *Channel) startFlushLocked(nv *View) {
+// startFlush (coordinator) quiesces the group before installing nv.
+func (c *Channel) startFlush(nv *View) {
 	c.flushing = true
 	waiting := map[Address]bool{}
 	for _, m := range c.view.Members {
@@ -636,25 +674,25 @@ func (c *Channel) startFlushLocked(nv *View) {
 		deadline: time.Now().Add(c.cfg.SuspectAfter),
 	}
 	if len(waiting) == 0 {
-		c.finishFlushLocked()
+		c.finishFlush()
 	}
 }
 
-func (c *Channel) handleFlushAckLocked(p *Packet) {
-	c.recordPeerAckLocked(p.Src, p.Digest)
+func (c *Channel) handleFlushAck(p *Packet) {
+	c.recordPeerAck(p.Src, p.Digest)
 	if c.flush == nil || !c.flush.waiting[p.Src] {
 		return
 	}
 	delete(c.flush.waiting, p.Src)
 	c.flush.digests[p.Src] = p.Seq
 	if len(c.flush.waiting) == 0 {
-		c.finishFlushLocked()
+		c.finishFlush()
 	}
 }
 
-// finishFlushLocked (coordinator) retransmits what stragglers miss, then
+// finishFlush (coordinator) retransmits what stragglers miss, then
 // installs the new view everywhere.
-func (c *Channel) finishFlushLocked() {
+func (c *Channel) finishFlush() {
 	f := c.flush
 	c.flush = nil
 	if c.cfg.Mode == ModeVirtualSynchrony {
@@ -672,57 +710,52 @@ func (c *Channel) finishFlushLocked() {
 		}
 	}
 	c.view = f.newView.Clone()
-	c.syncPeerAckLocked()
+	c.syncPeerAck()
 	c.flushing = false
-	c.flushC.Broadcast()
 	for _, m := range c.view.Members {
 		c.lastSeen[m] = time.Now()
 	}
-	view := c.view.Clone()
-	cb := c.recv.ViewChange
+	c.viewChanged()
 	// Queued joiners start the next flush.
 	if len(c.joiners) > 0 {
 		next := c.joiners[0]
 		c.joiners = c.joiners[1:]
-		c.handleJoinLocked(next)
-	}
-	if cb != nil {
-		go cb(view)
+		c.handleJoin(next)
 	}
 }
 
-// installViewLocked (member) applies a kView from the coordinator.
-func (c *Channel) installViewLocked(p *Packet) *View {
-	if p.View == nil {
-		return nil
+// installView (member) applies a kView from the coordinator; the first
+// one completes a join.
+func (c *Channel) installView(p *Packet) {
+	if p.View == nil || !p.View.Contains(c.Addr()) {
+		return // excluded (false suspicion); we'll re-merge later
 	}
-	if c.view != nil && p.View.ID <= c.view.ID && c.state == stateConnected {
-		return nil // stale
-	}
-	if !p.View.Contains(c.Addr()) {
-		return nil // excluded (false suspicion); we'll re-merge later
+	joining := c.view == nil
+	if !joining && p.View.ID <= c.view.ID {
+		return // stale
 	}
 	c.view = p.View.Clone()
-	c.syncPeerAckLocked()
+	c.syncPeerAck()
 	c.flushing = false
-	c.flushC.Broadcast()
 	for _, m := range c.view.Members {
 		c.lastSeen[m] = time.Now()
 	}
-	if c.state != stateConnected {
-		// Joining: adopt the coordinator's sequence position.
+	if joining {
+		// Adopt the coordinator's sequence position.
 		c.delivered = p.Seq
 		c.nextSeq = p.Seq
-		select {
-		case c.viewC <- c.view.Clone():
-		default:
-		}
-		return nil
 	}
-	return c.view.Clone()
+	c.viewChanged()
+	switch {
+	case !joining:
+	case c.recv.SetState != nil && c.view.Coord() != c.Addr():
+		c.startPull(nil)
+	default:
+		c.finishJoin()
+	}
 }
 
-func (c *Channel) bimodalDigestLocked() map[Address]uint64 {
+func (c *Channel) bimodalDigest() map[Address]uint64 {
 	d := map[Address]uint64{}
 	for a, ss := range c.senders {
 		d[a] = ss.delivered
@@ -733,24 +766,23 @@ func (c *Channel) bimodalDigestLocked() map[Address]uint64 {
 	return d
 }
 
-// recordPeerAckLocked folds a peer's digest of OUR messages into the
+// recordPeerAck folds a peer's digest of OUR messages into the
 // credit-window floor. Acks are monotonic: a joiner's backfill digest
 // never retracts credit already granted.
-func (c *Channel) recordPeerAckLocked(src Address, digest map[Address]uint64) {
+func (c *Channel) recordPeerAck(src Address, digest map[Address]uint64) {
 	if c.cfg.Mode != ModeBimodal || digest == nil || src == c.Addr() {
 		return
 	}
 	if n := digest[c.Addr()]; n > c.peerAckB[src] {
 		c.peerAckB[src] = n
-		c.flushC.Broadcast()
 	}
 }
 
-// syncPeerAckLocked reconciles the ack table with a newly installed
-// view: departed members stop holding the window down, and joiners are
+// syncPeerAck reconciles the ack table with a newly installed view:
+// departed members stop holding the window down, and joiners are
 // granted credit from the current send position (they backfill history
 // via gossip, which must not stall new sends).
-func (c *Channel) syncPeerAckLocked() {
+func (c *Channel) syncPeerAck() {
 	if c.cfg.Mode != ModeBimodal {
 		return
 	}
@@ -770,37 +802,33 @@ func (c *Channel) syncPeerAckLocked() {
 			}
 		}
 	}
-	c.flushC.Broadcast()
 }
 
-// sendStalledLocked reports whether the sender credit window is
-// exhausted: the slowest member is SendWindow of our own messages
-// behind. In virtual synchrony only the coordinator (the sequencer, and
-// the only member with the group ack floor) applies the window; member
-// sends are forwarded and bounded at the coordinator.
-func (c *Channel) sendStalledLocked() bool {
-	w := c.cfg.SendWindow
-	if w <= 0 || len(c.view.Members) < 2 {
-		return false
+// windowUsed is how many of this member's own messages the slowest view
+// member has not acknowledged: the sender credit window in use. In
+// virtual synchrony only the coordinator (the sequencer, and the only
+// member with the group ack floor) counts, and only its own sends wait
+// on it; member sends are forwarded unwindowed.
+func (c *Channel) windowUsed() uint64 {
+	if c.view == nil || len(c.view.Members) < 2 {
+		return 0
 	}
+	me := c.Addr()
 	if c.cfg.Mode == ModeBimodal {
 		low := c.sendSeqB
 		for _, m := range c.view.Members {
-			if m == c.Addr() {
-				continue
-			}
-			if a := c.peerAckB[m]; a < low {
-				low = a
+			if m != me && c.peerAckB[m] < low {
+				low = c.peerAckB[m]
 			}
 		}
-		return c.sendSeqB-low >= uint64(w)
+		return c.sendSeqB - low
 	}
-	if c.view.Coord() != c.Addr() {
-		return false
+	if c.view.Coord() != me {
+		return 0
 	}
 	low := c.nextSeq
 	for _, m := range c.view.Members {
-		if m == c.Addr() {
+		if m == me {
 			continue
 		}
 		if a, ok := c.ackSeq[m]; !ok {
@@ -809,66 +837,23 @@ func (c *Channel) sendStalledLocked() bool {
 			low = a
 		}
 	}
-	return c.nextSeq-low >= uint64(w)
-}
-
-// PendingLen reports buffered out-of-order packets across all senders —
-// a diagnostic for the bounded-buffer tests.
-func (c *Channel) PendingLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.pending)
-	for _, ss := range c.senders {
-		n += len(ss.pending)
-	}
-	return n
-}
-
-// Outstanding reports this member's unacknowledged own messages (the
-// credit window in use). Diagnostic.
-func (c *Channel) Outstanding() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.view.Members) < 2 {
-		return 0
-	}
-	if c.cfg.Mode == ModeBimodal {
-		low := c.sendSeqB
-		for _, m := range c.view.Members {
-			if m == c.Addr() {
-				continue
-			}
-			if a := c.peerAckB[m]; a < low {
-				low = a
-			}
-		}
-		return int(c.sendSeqB - low)
-	}
-	return int(c.nextSeq - c.delivered)
+	return c.nextSeq - low
 }
 
 func (c *Channel) tickHeartbeat() {
-	var deliver []delivery
-	c.mu.Lock()
-	if c.state != stateConnected {
-		c.mu.Unlock()
+	if c.view == nil {
 		return
 	}
 	me := c.Addr()
-	isCoord := c.view.Coord() == me
 	hb := &Packet{Kind: kHeartbeat, Group: c.group, Seq: c.delivered}
 	if c.cfg.Mode == ModeBimodal {
 		// Heartbeats double as delivery acks: the digest advances every
 		// peer's credit-window floor once per beat, independent of the
 		// (random-peer) gossip schedule.
-		hb.Digest = c.bimodalDigestLocked()
+		hb.Digest = c.bimodalDigest()
 	}
-	if isCoord {
-		for _, m := range c.view.Members {
-			if m != me {
-				_ = c.tr.Send(m, hb)
-			}
-		}
+	if c.view.Coord() == me {
+		c.multicast(hb)
 		// Prune the retransmission store below the group-wide ack floor.
 		if len(c.view.Members) > 1 {
 			low := c.delivered
@@ -904,16 +889,15 @@ func (c *Channel) tickHeartbeat() {
 			}
 		}
 		if len(gone) > 0 && c.flush == nil {
-			c.startFlushLocked(c.removeMemberView(gone...))
+			c.startFlush(c.removeMemberView(gone...))
 		}
 	} else {
 		_ = c.tr.Send(c.view.Coord(), hb)
 		// Coordinator failure: the senior surviving member takes over.
 		coord := c.view.Coord()
 		if seen, ok := c.lastSeen[coord]; ok && time.Since(seen) > c.cfg.SuspectAfter {
-			if c.flush == nil && c.seniorSurvivorLocked() == me {
-				nv := c.removeMemberView(coord)
-				c.startFlushLocked(nv)
+			if c.flush == nil && c.seniorSurvivor() == me {
+				c.startFlush(c.removeMemberView(coord))
 			}
 		}
 	}
@@ -926,20 +910,19 @@ func (c *Channel) tickHeartbeat() {
 			delete(c.flush.waiting, m)
 		}
 		if len(c.flush.waiting) == 0 {
-			c.finishFlushLocked()
+			c.finishFlush()
 		}
 	}
-	// Wake Send waiters every beat so blocked senders re-check their
-	// timeout even if no ack or flush event arrives (e.g. every peer
-	// just died and failure detection hasn't resolved yet).
-	c.flushC.Broadcast()
-	c.mu.Unlock()
-	c.fire(deliver)
+	// Sends and a state pull give up after JoinTimeout, checked once a
+	// beat so they fail even if no ack or view event arrives.
+	c.expireParked()
+	if c.pull != nil && time.Since(c.pull.since) > c.cfg.JoinTimeout {
+		c.endPull(nil, false)
+	}
 }
 
-// seniorSurvivorLocked returns the first view member not currently
-// suspected.
-func (c *Channel) seniorSurvivorLocked() Address {
+// seniorSurvivor returns the first view member not currently suspected.
+func (c *Channel) seniorSurvivor() Address {
 	for _, m := range c.view.Members {
 		if m == c.Addr() {
 			return m
@@ -961,11 +944,11 @@ func removeAddr(in []Address, rm Address) []Address {
 	return out
 }
 
-func (c *Channel) handleHeartbeatLocked(p *Packet) {
-	if c.state != stateConnected {
+func (c *Channel) handleHeartbeat(p *Packet) {
+	if c.view == nil {
 		return
 	}
-	c.recordPeerAckLocked(p.Src, p.Digest)
+	c.recordPeerAck(p.Src, p.Digest)
 	if c.view.Coord() == c.Addr() {
 		c.ackSeq[p.Src] = p.Seq
 		return
@@ -984,9 +967,7 @@ func (c *Channel) handleHeartbeatLocked(p *Packet) {
 }
 
 func (c *Channel) tickGossip() {
-	c.mu.Lock()
-	if c.state != stateConnected || c.cfg.Mode != ModeBimodal || len(c.view.Members) < 2 {
-		c.mu.Unlock()
+	if c.view == nil || c.cfg.Mode != ModeBimodal || len(c.view.Members) < 2 {
 		return
 	}
 	// Pick a random peer.
@@ -997,17 +978,15 @@ func (c *Channel) tickGossip() {
 		}
 	}
 	peer := peers[c.rng.Intn(len(peers))]
-	digest := c.bimodalDigestLocked()
-	c.mu.Unlock()
-	_ = c.tr.Send(peer, &Packet{Kind: kGossip, Group: c.group, Digest: digest})
+	_ = c.tr.Send(peer, &Packet{Kind: kGossip, Group: c.group, Digest: c.bimodalDigest()})
 }
 
-// handleGossipLocked replies with the messages the peer's digest misses.
-func (c *Channel) handleGossipLocked(p *Packet) {
+// handleGossip replies with the messages the peer's digest misses.
+func (c *Channel) handleGossip(p *Packet) {
 	if c.cfg.Mode != ModeBimodal {
 		return
 	}
-	c.recordPeerAckLocked(p.Src, p.Digest)
+	c.recordPeerAck(p.Src, p.Digest)
 	var repair []*Packet
 	for sender, ss := range c.senders {
 		have := ss.delivered
@@ -1024,10 +1003,8 @@ func (c *Channel) handleGossipLocked(p *Packet) {
 }
 
 func (c *Channel) tickRetransmit() {
-	c.mu.Lock()
-	if c.state != stateConnected || c.cfg.Mode != ModeVirtualSynchrony ||
+	if c.view == nil || c.cfg.Mode != ModeVirtualSynchrony ||
 		c.gapSince.IsZero() || time.Since(c.gapSince) < c.cfg.RetransmitTimeout {
-		c.mu.Unlock()
 		return
 	}
 	// Request every missing seq up to the highest sequence we know of:
@@ -1045,29 +1022,23 @@ func (c *Channel) tickRetransmit() {
 			missing = append(missing, s)
 		}
 	}
-	coord := c.view.Coord()
-	c.mu.Unlock()
-	if len(missing) > 0 && coord != c.Addr() {
+	if coord := c.view.Coord(); len(missing) > 0 && coord != c.Addr() {
 		_ = c.tr.Send(coord, &Packet{Kind: kNakReq, Group: c.group, Seqs: missing})
 	}
 }
 
 func (c *Channel) tickMerge() {
-	c.mu.Lock()
-	if c.state != stateConnected || c.view.Coord() != c.Addr() {
-		c.mu.Unlock()
+	if c.view == nil || c.view.Coord() != c.Addr() {
 		return
 	}
-	view := c.view.Clone()
-	c.mu.Unlock()
-	_ = c.tr.Broadcast(&Packet{Kind: kMergeAnnounce, Group: c.group, View: view})
+	_ = c.tr.Broadcast(&Packet{Kind: kMergeAnnounce, Group: c.group, View: c.view})
 }
 
-// handleMergeAnnounceLocked runs on a coordinator that sees a foreign
+// handleMergeAnnounce runs on a coordinator that sees a foreign
 // coordinator's announcement. The PRIMARY PARTITION rule picks the
 // authoritative side; its coordinator leads the merge.
-func (c *Channel) handleMergeAnnounceLocked(p *Packet) {
-	if c.state != stateConnected || c.view.Coord() != c.Addr() || p.View == nil {
+func (c *Channel) handleMergeAnnounce(p *Packet) {
+	if c.view == nil || c.view.Coord() != c.Addr() || p.View == nil {
 		return
 	}
 	if p.Src == c.Addr() || c.view.Contains(p.Src) {
@@ -1078,7 +1049,7 @@ func (c *Channel) handleMergeAnnounceLocked(p *Packet) {
 		return // the other coordinator leads
 	}
 	// Build the merged view: primary members keep seniority.
-	nv := &View{ID: maxU64(mine.ID, theirs.ID) + 1}
+	nv := &View{ID: max(mine.ID, theirs.ID) + 1}
 	nv.Members = append(nv.Members, mine.Members...)
 	for _, m := range theirs.Members {
 		if !nv.Contains(m) {
@@ -1089,18 +1060,7 @@ func (c *Channel) handleMergeAnnounceLocked(p *Packet) {
 	for _, m := range nv.Members {
 		pkt := &Packet{Kind: kMergeView, Group: c.group, View: nv, Addrs: primary, Seq: c.nextSeq}
 		if m == c.Addr() {
-			// Handle our own merge view inline (can't loop back).
-			viewCB, mergeCB := c.handleMergeViewLocked(pkt)
-			if viewCB != nil || mergeCB != nil {
-				go func() {
-					if viewCB != nil && c.recv.ViewChange != nil {
-						c.recv.ViewChange(viewCB)
-					}
-					if mergeCB != nil {
-						c.completeMerge(*mergeCB)
-					}
-				}()
-			}
+			c.installMergeView(pkt) // our own copy cannot loop back
 			continue
 		}
 		_ = c.tr.Send(m, pkt)
@@ -1117,20 +1077,12 @@ func primaryOf(mine, theirs *View, me, other Address) bool {
 	return me < other
 }
 
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// handleMergeViewLocked installs a merged view and resets the data path.
-func (c *Channel) handleMergeViewLocked(p *Packet) (*View, *MergeEvent) {
-	if c.state != stateConnected || p.View == nil || !p.View.Contains(c.Addr()) {
-		return nil, nil
-	}
-	if c.view != nil && p.View.ID <= c.view.ID {
-		return nil, nil
+// installMergeView installs a merged view and resets the data path. A
+// member of the non-primary partition pulls the authoritative state
+// before its Merge callback.
+func (c *Channel) installMergeView(p *Packet) {
+	if c.view == nil || p.View == nil || !p.View.Contains(c.Addr()) || p.View.ID <= c.view.ID {
+		return
 	}
 	wasPrimary := false
 	for _, a := range p.Addrs {
@@ -1140,7 +1092,6 @@ func (c *Channel) handleMergeViewLocked(p *Packet) (*View, *MergeEvent) {
 	}
 	c.view = p.View.Clone()
 	c.flushing = false
-	c.flushC.Broadcast()
 	for _, m := range c.view.Members {
 		c.lastSeen[m] = time.Now()
 	}
@@ -1158,31 +1109,29 @@ func (c *Channel) handleMergeViewLocked(p *Packet) (*View, *MergeEvent) {
 	// The bimodal seq space restarted: stale acks would exceed the new
 	// send position, so the credit table restarts with it.
 	c.peerAckB = map[Address]uint64{}
-	c.syncPeerAckLocked()
-	return c.view.Clone(), &MergeEvent{Primary: wasPrimary, View: c.view.Clone()}
+	c.syncPeerAck()
+	c.viewChanged()
+	e := &MergeEvent{Primary: wasPrimary, View: c.view.Clone()}
+	if !wasPrimary && c.recv.SetState != nil && c.view.Coord() != c.Addr() {
+		c.startPull(e)
+	} else if c.recv.Merge != nil {
+		c.recv.Merge(*e)
+	}
 }
 
-// Close leaves the group and releases the transport.
+// Close leaves the group and releases the transport. It must not be
+// called from a Receiver callback: it waits for the loop that runs them.
 func (c *Channel) Close() error {
-	c.mu.Lock()
-	if c.state == stateClosed {
-		c.mu.Unlock()
+	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	wasConnected := c.state == stateConnected
-	var coord Address
-	if wasConnected && c.view != nil {
-		coord = c.view.Coord()
-	}
-	c.state = stateClosed
-	c.flushC.Broadcast()
-	c.mu.Unlock()
-
-	if wasConnected && coord != "" && coord != c.Addr() {
-		_ = c.tr.Send(coord, &Packet{Kind: kLeave, Group: c.group})
+	if v := c.pubView.Load(); v != nil && v.Coord() != c.Addr() {
+		_ = c.tr.Send(v.Coord(), &Packet{Kind: kLeave, Group: c.group})
 	}
 	close(c.done)
 	err := c.tr.Close()
-	c.wg.Wait()
+	if c.started.Load() {
+		<-c.stopped
+	}
 	return err
 }

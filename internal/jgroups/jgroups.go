@@ -229,6 +229,13 @@ type MergeEvent struct {
 }
 
 // Receiver is the application-facing callback set.
+//
+// All callbacks run on one goroutine, the channel's protocol loop, one
+// at a time and in delivery order: each member sees a view change at the
+// same point of the message stream, and a non-primary member's SetState
+// comes before its Merge. No callback may call Send, Close or Connect on
+// its channel; each waits on that loop and would deadlock it. The
+// accessors (View, IsCoordinator, PendingLen, Outstanding) are safe.
 type Receiver struct {
 	// Deliver is called with each delivered group message (including
 	// the member's own), in delivery order. Required.

@@ -29,6 +29,7 @@ type node struct {
 
 	mu     sync.Mutex
 	log    []string // "src:payload"
+	stream []string // log with each installed view, "view:ID", in place
 	views  []*View
 	merges []MergeEvent
 	state  []byte
@@ -40,6 +41,12 @@ func (n *node) deliveries() []string {
 	out := make([]string, len(n.log))
 	copy(out, n.log)
 	return out
+}
+
+func (n *node) events() []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]string(nil), n.stream...)
 }
 
 func (n *node) lastView() *View {
@@ -59,19 +66,21 @@ func (n *node) mergeEvents() []MergeEvent {
 	return out
 }
 
-func startNode(t *testing.T, f *Fabric, name string, cfg Config, group string) *node {
-	t.Helper()
-	n := &node{}
-	n.ch = NewChannel(f.Endpoint(Address(name)), cfg)
-	r := Receiver{
+// newNode builds an unconnected node over tr and the receiver that
+// records into it.
+func newNode(tr Transport, cfg Config) (*node, Receiver) {
+	n := &node{ch: NewChannel(tr, cfg)}
+	return n, Receiver{
 		Deliver: func(src Address, payload []byte) {
 			n.mu.Lock()
 			n.log = append(n.log, fmt.Sprintf("%s:%s", src, payload))
+			n.stream = append(n.stream, fmt.Sprintf("%s:%s", src, payload))
 			n.mu.Unlock()
 		},
 		ViewChange: func(v *View) {
 			n.mu.Lock()
 			n.views = append(n.views, v)
+			n.stream = append(n.stream, fmt.Sprintf("view:%d", v.ID))
 			n.mu.Unlock()
 		},
 		GetState: func() []byte {
@@ -90,11 +99,30 @@ func startNode(t *testing.T, f *Fabric, name string, cfg Config, group string) *
 			n.mu.Unlock()
 		},
 	}
+}
+
+func startNode(t *testing.T, f *Fabric, name string, cfg Config, group string) *node {
+	t.Helper()
+	return startNodeOn(t, f.Endpoint(Address(name)), cfg, group)
+}
+
+func startNodeOn(t *testing.T, tr Transport, cfg Config, group string) *node {
+	t.Helper()
+	n, r := newNode(tr, cfg)
 	if err := n.ch.Connect(group, r); err != nil {
-		t.Fatalf("connect %s: %v", name, err)
+		t.Fatalf("connect %s: %v", tr.Addr(), err)
 	}
 	t.Cleanup(func() { n.ch.Close() })
 	return n
+}
+
+// onLoop runs f on the channel's protocol goroutine, where protocol
+// state may be read, and waits for it.
+func onLoop(c *Channel, f func()) {
+	done := make(chan struct{})
+	if c.post(func() { f(); close(done) }) {
+		<-done
+	}
 }
 
 // waitFor polls cond until true or the deadline elapses.
@@ -585,6 +613,125 @@ func TestJoinUnderTraffic(t *testing.T) {
 	if !reflect.DeepEqual(dc, tail) {
 		t.Fatalf("joiner log is not a suffix: joiner %v vs tail %v", dc[:min(3, len(dc))], tail[:min(3, len(tail))])
 	}
+	// View changes are part of the stream: from the view that admitted
+	// b on, a and b saw deliveries and views in one order, so the view
+	// admitting c falls at the same point in both; c's stream starts at
+	// that view.
+	for _, n := range []*node{a, b, c} {
+		n.mu.Lock()
+		for i := 1; i < len(n.views); i++ {
+			if n.views[i].ID <= n.views[i-1].ID {
+				t.Errorf("%s: view IDs not increasing: %v then %v", n.ch.Addr(), n.views[i-1], n.views[i])
+			}
+		}
+		n.mu.Unlock()
+	}
+	ea, eb, ec := a.events(), b.events(), c.events()
+	if len(eb) == 0 || len(ec) == 0 {
+		t.Fatal("b or c recorded no events")
+	}
+	from := func(ev []string, first string) []string {
+		for i, e := range ev {
+			if e == first {
+				return ev[i:]
+			}
+		}
+		return nil
+	}
+	if got := from(ea, eb[0]); !reflect.DeepEqual(got, eb) {
+		t.Errorf("a and b disagree on where views fall in the stream: a %v vs b %v", around(got, eb), around(eb, got))
+	}
+	if got := from(ea, ec[0]); !reflect.DeepEqual(got, ec) {
+		t.Errorf("c's stream is not a's from the view admitting c: a %v vs c %v", around(got, ec), around(ec, got))
+	}
+}
+
+// around returns the slice of x near its first difference from y.
+func around(x, y []string) []string {
+	i := 0
+	for i < len(x) && i < len(y) && x[i] == y[i] {
+		i++
+	}
+	return x[max(0, i-2):min(len(x), i+3)]
+}
+
+// heldLink holds back every packet a member sends to one peer until
+// release, then delivers them in order: a link delay the test ends.
+type heldLink struct {
+	Transport
+	to Address
+
+	mu      sync.Mutex
+	holding bool
+	held    []*Packet
+}
+
+func (l *heldLink) Send(dest Address, p *Packet) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.holding && dest == l.to {
+		cp := *p
+		l.held = append(l.held, &cp)
+		return nil
+	}
+	return l.Transport.Send(dest, p)
+}
+
+func (l *heldLink) hold() {
+	l.mu.Lock()
+	l.holding = true
+	l.mu.Unlock()
+}
+
+func (l *heldLink) release() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, p := range l.held {
+		_ = l.Transport.Send(l.to, p)
+	}
+	l.held, l.holding = nil, false
+}
+
+// A member's send forwarded to the coordinator that arrives while a
+// view-change flush runs is sequenced after the flush. The member's Send
+// already returned nil, so a coordinator that dropped it would lose the
+// message for good: it was never sequenced, so no NAK can recover it.
+func TestForwardedSendDuringFlushDelivered(t *testing.T) {
+	f := NewFabric()
+	cfg := testConfig(ModeVirtualSynchrony)
+	a := startNode(t, f, "a", cfg, "g")
+	link := &heldLink{Transport: f.Endpoint("b"), to: "a"}
+	b := startNodeOn(t, link, cfg, "g")
+	waitFor(t, 3*time.Second, "2-view", func() bool {
+		v := a.ch.View()
+		return v != nil && len(v.Members) == 2
+	})
+
+	// b's forward is delayed on the b->a link while c's join starts a
+	// flush at a; b's flush ack queues behind it, so the forward reaches
+	// a mid-flush.
+	link.hold()
+	if err := b.ch.Send([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	c, cr := newNode(f.Endpoint("c"), cfg)
+	joined := make(chan error, 1)
+	go func() { joined <- c.ch.Connect("g", cr) }()
+	t.Cleanup(func() { c.ch.Close() })
+	waitFor(t, 3*time.Second, "flush at the coordinator", func() bool {
+		var flushing bool
+		onLoop(a.ch, func() { flushing = a.ch.flushing })
+		return flushing
+	})
+	link.release()
+	if err := <-joined; err != nil {
+		t.Fatalf("c joins: %v", err)
+	}
+	for _, n := range []*node{a, b, c} {
+		waitFor(t, 3*time.Second, "forwarded message delivered", func() bool {
+			return reflect.DeepEqual(n.deliveries(), []string{"b:x"})
+		})
+	}
 }
 
 // Fabric delay injection slows delivery but loses nothing.
@@ -634,9 +781,8 @@ func TestMsgStorePruning(t *testing.T) {
 	// After a few heartbeat rounds the acks reach the coordinator and
 	// the store shrinks far below the message count.
 	waitFor(t, 3*time.Second, "store pruned", func() bool {
-		a.ch.mu.Lock()
-		n := len(a.ch.msgStore)
-		a.ch.mu.Unlock()
+		var n int
+		onLoop(a.ch, func() { n = len(a.ch.msgStore) })
 		return n < msgs/4
 	})
 }
@@ -659,9 +805,8 @@ func TestBimodalStoreBounded(t *testing.T) {
 	waitFor(t, 10*time.Second, "deliveries", func() bool {
 		return len(b.deliveries()) == bimodalStoreMax+500
 	})
-	b.ch.mu.Lock()
-	n := len(b.ch.senders["a"].store)
-	b.ch.mu.Unlock()
+	var n int
+	onLoop(b.ch, func() { n = len(b.ch.senders["a"].store) })
 	if n > bimodalStoreMax {
 		t.Fatalf("repair store grew to %d (cap %d)", n, bimodalStoreMax)
 	}
@@ -774,5 +919,86 @@ func TestBoundedBufferStormSurvives(t *testing.T) {
 	}
 	if got := len(a.deliveries()); got != storm {
 		t.Errorf("sender self-delivered %d of %d", got, storm)
+	}
+}
+
+// The virtual-synchrony storm: a member forwards a burst to the
+// coordinator while another member is slow, so the coordinator's window
+// stays full. Forwarded sends were already answered at their member, so
+// the coordinator sequences them at once instead of parking them behind
+// the window: what it parks stays bounded by its own callers blocked in
+// Send, and every message still reaches the slow member.
+func TestVirtualSynchronyStormParksOnlyLocalSends(t *testing.T) {
+	const (
+		senders = 2   // goroutines per sending member
+		fwd     = 200 // forwarded sends per goroutine on c
+		local   = 20  // local sends per goroutine on the coordinator
+		total   = senders * (fwd + local)
+	)
+	f := NewFabric()
+	cfg := testConfig(ModeVirtualSynchrony)
+	cfg.SendWindow = 16
+	cfg.MaxPending = 64
+	a := startNode(t, f, "a", cfg, "g")
+	var slowDelivered atomic.Int64
+	b := NewChannel(f.Endpoint("b"), cfg)
+	if err := b.Connect("g", Receiver{Deliver: func(Address, []byte) {
+		time.Sleep(time.Millisecond)
+		slowDelivered.Add(1)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	c := startNode(t, f, "c", cfg, "g")
+	waitFor(t, 3*time.Second, "3-member view", func() bool {
+		v := a.ch.View()
+		return v != nil && len(v.Members) == 3
+	})
+
+	stopWatch := make(chan struct{})
+	var maxParked int
+	watchDone := make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		for {
+			select {
+			case <-stopWatch:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+			onLoop(a.ch, func() { maxParked = max(maxParked, len(a.ch.parked)) })
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*senders)
+	for _, s := range []struct {
+		n  *node
+		of int
+	}{{c, fwd}, {a, local}} {
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < s.of; i++ {
+					if err := s.n.ch.Send([]byte("x")); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("send: %v", err)
+	}
+	waitFor(t, 15*time.Second, "every member delivers the storm", func() bool {
+		return slowDelivered.Load() == total && len(c.deliveries()) == total
+	})
+	close(stopWatch)
+	<-watchDone
+	if maxParked > senders {
+		t.Errorf("coordinator parked %d sends, its own callers are %d", maxParked, senders)
 	}
 }

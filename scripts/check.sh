@@ -11,8 +11,10 @@
 # is spelled in internal/core/op.go and by providers, nowhere else) and
 # the error-text guard (no product code classifies an error by its
 # message; failures cross the wire as rpc status codes), the one-pool
-# guard (no reference count outside internal/connpool), and the
-# one-lease guard (no renewal schedule outside internal/lease).
+# guard (no reference count outside internal/connpool), the one-lease
+# guard (no renewal schedule outside internal/lease), and the
+# one-goroutine guard (internal/jgroups/channel.go is one event loop: no
+# lock or condition variable, one go statement).
 # allocs is the per-commit real-number gate (operations as values, rpc
 # codec + per-call metrics, hdns request codec, DIT search, dnssp
 # opens, pooled hdnssp opens, hdns lease scan); wall-clock costs are
@@ -68,6 +70,17 @@ stage_lint() {
     if git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/lease/' |
         xargs grep -nE 'lease *\/ *[28]([^0-9]|$)' /dev/null | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//'; then
         echo "a hand-written renewal schedule; renew with lease.Renew and track loops with lease.Set" >&2
+        exit 1
+    fi
+    echo "== lint: one protocol goroutine (the jgroups channel is one event loop) =="
+    ch=internal/jgroups/channel.go
+    if grep -nE 'sync\.(Cond|Mutex|RWMutex)|\.(R?Lock|Wait)\(\)' "$ch"; then
+        echo "$ch guards protocol state with a lock or condition; post the work to the loop (Channel.post) instead" >&2
+        exit 1
+    fi
+    gos=$(grep -cE '^[[:space:]]*go [A-Za-z_(]' "$ch" || true)
+    if [ "$gos" -ne 1 ]; then
+        echo "$ch has $gos go statements; the loop (go c.run()) is the only one — run callbacks on it" >&2
         exit 1
     fi
 }
@@ -181,6 +194,9 @@ stage_chaos() {
     # robustness regression, not flake.
     echo "== chaos conformance: typed failures, no hangs, no leaks (-race) =="
     go test -race -count=1 -run 'FaultConformance' ./internal/provider/ptest/
+    echo "== virtual synchrony: one total order, views in the stream (-race, -cpu 1,2,8) =="
+    go test -race -count=20 -cpu 1,2,8 -run 'TestTotalOrder$|TestJoinUnderTraffic$' ./internal/jgroups/
+    go test -race -count=20 -cpu 1,2,8 -run 'TestConcurrentRebindsConvergeOnVirtualSynchrony$' ./internal/hdns/
     echo "== partition/crash-rejoin + crashed-lock-holder drills (-race) =="
     go test -race -count=1 -run 'TestChaosPartitionCrashRejoin' ./internal/hdns/
     go test -race -count=1 -run 'TestCrashedLockHolderDoesNotWedgeBind' ./internal/provider/jinisp/
