@@ -138,15 +138,21 @@ func (r *Resolver) readLoop(p *udpPipe) {
 		if derr != nil || !resp.Header.QR {
 			continue // garbled or not a response; keep reading
 		}
-		p.mu.Lock()
-		ch, ok := p.pending[resp.Header.ID]
-		if ok {
-			delete(p.pending, resp.Header.ID)
-		}
-		p.mu.Unlock()
-		if ok {
-			ch <- resp // buffered; remover is the only sender
-		}
+		p.deliver(resp)
+	}
+}
+
+// deliver hands resp to the exchange registered under its ID, if any,
+// and frees the ID.
+func (p *udpPipe) deliver(resp *Message) {
+	p.mu.Lock()
+	ch, ok := p.pending[resp.Header.ID]
+	if ok {
+		delete(p.pending, resp.Header.ID)
+	}
+	p.mu.Unlock()
+	if ok {
+		ch <- resp // buffered; remover is the only sender
 	}
 }
 
@@ -173,10 +179,15 @@ func (p *udpPipe) register(r *Resolver) (uint16, chan *Message, error) {
 	return 0, nil, errors.New("dnssrv: no free query ID")
 }
 
-// unregister abandons a registered exchange (timeout, cancellation).
-func (p *udpPipe) unregister(id uint16) {
+// unregister abandons a registered exchange (timeout, cancellation, or
+// after its reply). It deletes id only while ch still owns it: once
+// readLoop has matched ch's reply the ID is free, and another exchange
+// may already have claimed it.
+func (p *udpPipe) unregister(id uint16, ch chan *Message) {
 	p.mu.Lock()
-	delete(p.pending, id)
+	if p.pending[id] == ch {
+		delete(p.pending, id)
+	}
 	p.mu.Unlock()
 }
 
@@ -341,7 +352,7 @@ func (r *Resolver) exchangeUDP(ctx context.Context, pkt []byte, _ uint16) (*Mess
 	if err != nil {
 		return nil, err
 	}
-	defer p.unregister(id)
+	defer p.unregister(id, ch)
 	wire := make([]byte, len(pkt))
 	copy(wire, pkt)
 	binary.BigEndian.PutUint16(wire[:2], id)

@@ -2,18 +2,19 @@ package rpc
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
+
+	"gondi/internal/wire"
 )
 
-// The wire format is a hand-rolled binary encoding chosen over gob for
-// the hot path: encoding is a single append into a pooled buffer and
-// decoding is a zero-copy walk over the read buffer (field slices alias
-// the payload), so a steady-state encode or decode performs no heap
-// allocations (enforced by TestFrameCodecZeroAlloc and the check.sh
-// allocations gate).
+// The wire format is a hand-rolled binary encoding on internal/wire's
+// helpers, chosen over gob for the hot path: encoding is a single append
+// into a pooled buffer and decoding is a zero-copy walk over the read
+// buffer (field slices alias the payload), so a steady-state encode or
+// decode performs no heap allocations (enforced by
+// TestFrameCodecZeroAlloc and the check.sh allocations gate).
 //
 // Outer framing: 4-byte big-endian payload length, then the payload.
 // Payload layout:
@@ -44,10 +45,7 @@ type frameItem struct {
 	Body   []byte
 }
 
-var (
-	errFrameTruncated = errors.New("rpc: truncated frame")
-	errFrameTrailing  = errors.New("rpc: trailing bytes after frame")
-)
+var errFrameTruncated = fmt.Errorf("rpc: truncated frame: %w", wire.ErrMalformed)
 
 // appendFrame appends f's payload encoding to dst and returns the
 // extended slice. It never fails: every frame value has an encoding.
@@ -55,25 +53,20 @@ func appendFrame(dst []byte, f *frame) []byte {
 	dst = append(dst, f.Kind)
 	dst = binary.BigEndian.AppendUint64(dst, f.ID)
 	dst = append(dst, f.Code)
-	dst = appendBytes(dst, f.Method)
-	dst = appendBytes(dst, f.Err)
-	dst = appendBytes(dst, f.Body)
+	dst = wire.AppendBytes(dst, f.Method)
+	dst = wire.AppendBytes(dst, f.Err)
+	dst = wire.AppendBytes(dst, f.Body)
 	if f.Kind == kindBatchRequest || f.Kind == kindBatchResponse {
 		dst = binary.AppendUvarint(dst, uint64(len(f.Items)))
 		for i := range f.Items {
 			it := &f.Items[i]
 			dst = append(dst, it.Code)
-			dst = appendBytes(dst, it.Method)
-			dst = appendBytes(dst, it.Err)
-			dst = appendBytes(dst, it.Body)
+			dst = wire.AppendBytes(dst, it.Method)
+			dst = wire.AppendBytes(dst, it.Err)
+			dst = wire.AppendBytes(dst, it.Body)
 		}
 	}
 	return dst
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
 }
 
 // decodeFrame parses payload into f. Field slices alias payload — the
@@ -86,71 +79,26 @@ func decodeFrame(f *frame, payload []byte) error {
 	f.Kind = payload[0]
 	f.ID = binary.BigEndian.Uint64(payload[1:9])
 	f.Code = payload[9]
-	rest := payload[10:]
-	var err error
-	if f.Method, rest, err = takeBytes(rest); err != nil {
-		return err
-	}
-	if f.Err, rest, err = takeBytes(rest); err != nil {
-		return err
-	}
-	if f.Body, rest, err = takeBytes(rest); err != nil {
-		return err
-	}
+	d := wire.NewDecoder(payload[10:])
+	f.Method, f.Err, f.Body = d.Bytes(), d.Bytes(), d.Bytes()
 	f.Items = f.Items[:0]
 	switch f.Kind {
 	case kindRequest, kindResponse, kindPush, kindCredit:
 	case kindBatchRequest, kindBatchResponse:
-		n, used := binary.Uvarint(rest)
-		if used <= 0 {
-			return errFrameTruncated
-		}
-		rest = rest[used:]
+		n := d.Count(4) // an item is at least a code and three lengths
 		if n > maxBatchItems {
 			return fmt.Errorf("rpc: batch of %d items exceeds limit", n)
 		}
-		for i := uint64(0); i < n; i++ {
-			var it frameItem
-			if len(rest) < 1 {
-				return errFrameTruncated
-			}
-			it.Code = rest[0]
-			rest = rest[1:]
-			if it.Method, rest, err = takeBytes(rest); err != nil {
-				return err
-			}
-			if it.Err, rest, err = takeBytes(rest); err != nil {
-				return err
-			}
-			if it.Body, rest, err = takeBytes(rest); err != nil {
-				return err
-			}
-			f.Items = append(f.Items, it)
+		for i := 0; i < n; i++ {
+			f.Items = append(f.Items, frameItem{Code: d.Byte(), Method: d.Bytes(), Err: d.Bytes(), Body: d.Bytes()})
 		}
 	default:
 		return fmt.Errorf("rpc: unknown frame kind %d", f.Kind)
 	}
-	if len(rest) != 0 {
-		return errFrameTrailing
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("rpc: frame: %w", err)
 	}
 	return nil
-}
-
-// takeBytes consumes one uvarint-length-prefixed field. The returned
-// slice aliases b; a zero-length field yields nil.
-func takeBytes(b []byte) (field, rest []byte, err error) {
-	n, used := binary.Uvarint(b)
-	if used <= 0 {
-		return nil, nil, errFrameTruncated
-	}
-	b = b[used:]
-	if n > uint64(len(b)) {
-		return nil, nil, errFrameTruncated
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	return b[:n], b[n:], nil
 }
 
 // bufPool recycles write-path buffers. Stored as *[]byte so Put does not

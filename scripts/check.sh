@@ -12,12 +12,14 @@
 # the error-text guard (no product code classifies an error by its
 # message; failures cross the wire as rpc status codes), the one-pool
 # guard (no reference count outside internal/connpool), the one-lease
-# guard (no renewal schedule outside internal/lease), and the
+# guard (no renewal schedule outside internal/lease), the
 # one-goroutine guard (internal/jgroups/channel.go is one event loop: no
-# lock or condition variable, one go statement).
+# lock or condition variable, one go statement), and the one-helper-set
+# guard (length-prefix append/take helpers live in internal/wire, which
+# imports no gondi package; internal/core keeps one gob fallback pair).
 # allocs is the per-commit real-number gate (operations as values, rpc
-# codec + per-call metrics, hdns request codec, DIT search, dnssp
-# opens, pooled hdnssp opens, hdns lease scan); wall-clock costs are
+# codec + per-call metrics, hdns request codec, bound-value codec, DIT
+# search, dnssp opens, pooled hdnssp opens, hdns lease scan); wall-clock costs are
 # measured by bench/run.sh (see bench/README.md), not gated here.
 set -e
 
@@ -81,6 +83,24 @@ stage_lint() {
     gos=$(grep -cE '^[[:space:]]*go [A-Za-z_(]' "$ch" || true)
     if [ "$gos" -ne 1 ]; then
         echo "$ch has $gos go statements; the loop (go c.run()) is the only one — run callbacks on it" >&2
+        exit 1
+    fi
+    echo "== lint: one helper set (length-prefix helpers live in internal/wire) =="
+    if git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/wire/' |
+        xargs grep -nE '^func (\([^)]*\) )?([aA]ppend|[tT]ake)[A-Za-z]*(Uvarint|Varint|String|Strings|Bytes|Attrs|Bool)\(' /dev/null; then
+        echo "a length-prefix append/take helper outside internal/wire; call the one in internal/wire" >&2
+        exit 1
+    fi
+    if git ls-files 'internal/wire/*.go' | xargs grep -n '"gondi/' /dev/null; then
+        echo "internal/wire imports a gondi package; it stays a leaf every codec can call" >&2
+        exit 1
+    fi
+    codec=internal/core/codec.go
+    encs=$(grep -o 'gob\.NewEncoder' "$codec" | wc -l)
+    decs=$(grep -o 'gob\.NewDecoder' "$codec" | wc -l)
+    if git ls-files 'internal/core/*.go' | grep -v -e '_test\.go$' -e "^$codec\$" |
+        xargs grep -nE 'gob\.New(En|De)coder' /dev/null || [ "$encs" -ne 1 ] || [ "$decs" -ne 1 ]; then
+        echo "internal/core builds a gob codec outside $codec's one fallback pair ($encs encoders, $decs decoders there); tag the value in $codec" >&2
         exit 1
     fi
 }
@@ -152,6 +172,12 @@ stage_allocs() {
     go test -count=1 -run 'TestLookupWireAllocs' ./internal/hdns/
     go test -count=1 -run 'TestCallMetricsResolvedOnce' ./internal/rpc/
 
+    # Every provider lookup decodes its bound value: a string costs <= 2
+    # allocations to decode (its copy and its interface box) and 1 to
+    # encode.
+    echo "== bound-value codec alloc gate =="
+    go test -count=1 -run 'TestValueCodecAllocs' ./internal/core/
+
     # O(operation) gates: a base-object search must allocate the same in
     # a 10-entry and a 10 000-entry DIT (the children index, not a scan),
     # and 200 sequential dns:// opens must leave at most one resolver
@@ -171,20 +197,22 @@ stage_allocs() {
     go test -count=1 -run 'TestReapScanAllocs' ./internal/hdns/
 
     # Codec fuzz targets over their checked-in seed corpora: the frame
-    # reader, the WAL record codec and the hdns request codec (whose
-    # target also feeds the hdns WAL op decoder) must reject exactly and
-    # recover from torn tails. Deterministic here; set
-    # CHECK_FUZZ_TIME=10s to actually explore locally.
-    echo "== frame + WAL record + snapshot container + hdns wire fuzz seeds =="
+    # reader, the WAL record codec, the hdns request codec (whose target
+    # also feeds the hdns WAL op decoder) and the bound-value codec must
+    # reject exactly and recover from torn tails. Deterministic here;
+    # set CHECK_FUZZ_TIME=10s to actually explore locally.
+    echo "== frame + WAL record + snapshot container + hdns wire + bound-value fuzz seeds =="
     go test -count=1 -run 'FuzzReadFrame' ./internal/rpc/
     go test -count=1 -run 'FuzzWALRecord' ./internal/wal/
     go test -count=1 -run 'FuzzSnapshotDecode|FuzzHDNSWire' ./internal/hdns/
+    go test -count=1 -run 'FuzzValue' ./internal/core/
     if [ -n "$CHECK_FUZZ_TIME" ]; then
         echo "== fuzzing for $CHECK_FUZZ_TIME each =="
         go test -count=1 -run '^$' -fuzz 'FuzzReadFrame' -fuzztime "$CHECK_FUZZ_TIME" ./internal/rpc/
         go test -count=1 -run '^$' -fuzz 'FuzzWALRecord' -fuzztime "$CHECK_FUZZ_TIME" ./internal/wal/
         go test -count=1 -run '^$' -fuzz 'FuzzSnapshotDecode' -fuzztime "$CHECK_FUZZ_TIME" ./internal/hdns/
         go test -count=1 -run '^$' -fuzz 'FuzzHDNSWire' -fuzztime "$CHECK_FUZZ_TIME" ./internal/hdns/
+        go test -count=1 -run '^$' -fuzz 'FuzzValue' -fuzztime "$CHECK_FUZZ_TIME" ./internal/core/
     fi
 }
 
