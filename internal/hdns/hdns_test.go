@@ -18,7 +18,7 @@ import (
 
 func apply(t *testing.T, s *Store, op *Op) []Change {
 	t.Helper()
-	ch, errStr := s.Apply(op)
+	ch, _, errStr := s.ApplyVersioned(op)
 	if errStr != "" {
 		t.Fatalf("apply %v %v: %s", op.Kind, op.Name, errStr)
 	}
@@ -33,7 +33,7 @@ func TestStoreBindLookup(t *testing.T) {
 		t.Fatalf("view = %+v", v)
 	}
 	// Atomic bind.
-	if _, errStr := s.Apply(&Op{Kind: OpBind, Name: []string{"a"}}); errStr != errBound {
+	if _, _, errStr := s.ApplyVersioned(&Op{Kind: OpBind, Name: []string{"a"}}); errStr != errBound {
 		t.Errorf("dup bind: %q", errStr)
 	}
 	// Rebind preserves attrs by default.
@@ -62,7 +62,7 @@ func TestStoreContexts(t *testing.T) {
 	s := NewStore()
 	apply(t, s, &Op{Kind: OpCreateCtx, Name: []string{"dir"}})
 	apply(t, s, &Op{Kind: OpBind, Name: []string{"dir", "x"}, Obj: []byte("1")})
-	if _, errStr := s.Apply(&Op{Kind: OpDestroyCtx, Name: []string{"dir"}}); errStr != errCtxNotEmpty {
+	if _, _, errStr := s.ApplyVersioned(&Op{Kind: OpDestroyCtx, Name: []string{"dir"}}); errStr != errCtxNotEmpty {
 		t.Errorf("destroy non-empty: %q", errStr)
 	}
 	apply(t, s, &Op{Kind: OpUnbind, Name: []string{"dir", "x"}})
@@ -72,14 +72,14 @@ func TestStoreContexts(t *testing.T) {
 	}
 	// Intermediate non-context.
 	apply(t, s, &Op{Kind: OpBind, Name: []string{"leaf"}})
-	if _, errStr := s.Apply(&Op{Kind: OpBind, Name: []string{"leaf", "deep"}}); errStr != errNotCtx {
+	if _, _, errStr := s.ApplyVersioned(&Op{Kind: OpBind, Name: []string{"leaf", "deep"}}); errStr != errNotCtx {
 		t.Errorf("bind under leaf: %q", errStr)
 	}
 	// Unbind of absent succeeds; missing intermediate fails.
-	if _, errStr := s.Apply(&Op{Kind: OpUnbind, Name: []string{"nope"}}); errStr != "" {
+	if _, _, errStr := s.ApplyVersioned(&Op{Kind: OpUnbind, Name: []string{"nope"}}); errStr != "" {
 		t.Errorf("unbind absent: %q", errStr)
 	}
-	if _, errStr := s.Apply(&Op{Kind: OpUnbind, Name: []string{"no", "such"}}); errStr != errNotFound {
+	if _, _, errStr := s.ApplyVersioned(&Op{Kind: OpUnbind, Name: []string{"no", "such"}}); errStr != errNotFound {
 		t.Errorf("unbind deep absent: %q", errStr)
 	}
 }
@@ -180,8 +180,8 @@ func TestStoreDeterminism(t *testing.T) {
 	}
 	s1, s2 := NewStore(), NewStore()
 	for _, op := range ops {
-		_, e1 := s1.Apply(op)
-		_, e2 := s2.Apply(op)
+		_, _, e1 := s1.ApplyVersioned(op)
+		_, _, e2 := s2.ApplyVersioned(op)
 		if e1 != e2 {
 			t.Fatalf("divergent error for %v: %q vs %q", op.Kind, e1, e2)
 		}

@@ -1,8 +1,6 @@
 package hdns
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -91,7 +89,7 @@ type Node struct {
 
 	// replC queues writes awaiting replication. Whichever submitter
 	// finds no sender active becomes the sender and drains the queue
-	// into coalesced group frames (see maybeDrain); the bound
+	// into coalesced replication frames (see maybeDrain); the bound
 	// propagates jgroups send-window backpressure to later submitters.
 	replC       chan *Op
 	replSending bool
@@ -240,17 +238,12 @@ func (n *Node) onMerge(e jgroups.MergeEvent) {
 	}
 }
 
-// opEnvelope is the replication wire unit: one group frame carrying one
-// or more ops. Coalescing concurrently submitted writes into a single
-// multicast is PR 6's batch-frame discipline extended across the node
-// boundary — N queued writes cost one send (and one credit against the
-// jgroups window) instead of N.
-type opEnvelope struct {
-	Ops []Op
-}
-
-var mReplBatch = obs.Default.Histogram("gondi_hdns_repl_batch_ops",
-	"Ops coalesced per replicated HDNS group frame (count encoded as µs).")
+var (
+	mReplBatch = obs.Default.Histogram("gondi_hdns_repl_batch_ops",
+		"Ops coalesced per replicated HDNS group frame (count encoded as µs).")
+	mReplFrameErrs = obs.Default.Counter("gondi_hdns_repl_frame_errors_total",
+		"Replication frames rejected undecoded (malformed, or an unknown format byte); none of their ops applied.")
+)
 
 // gQuarantined tracks durable files quarantined by scrub-on-start and
 // not yet superseded by a repair — non-zero means some node in this
@@ -300,14 +293,16 @@ func (n *Node) MarkResynced() {
 	n.markRepaired("resync")
 }
 
-// deliver applies a replicated frame on this replica, acking each op.
+// deliver applies a replication frame on this replica, acking each op.
+// A frame that does not decode whole applies nothing and is counted.
 func (n *Node) deliver(src jgroups.Address, payload []byte) {
-	var env opEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
+	ops, err := decodeFrame(payload)
+	if err != nil {
+		mReplFrameErrs.Inc()
 		return
 	}
-	for i := range env.Ops {
-		op := &env.Ops[i]
+	for i := range ops {
+		op := &ops[i]
 		changes, version, errStr := n.store.ApplyVersioned(op)
 		err := storeErr(errStr)
 		// Log failures too: they consumed a version, and replay must
@@ -320,12 +315,7 @@ func (n *Node) deliver(src jgroups.Address, payload []byte) {
 			err = n.unavailable(errStorageUnavailable)
 		}
 		n.applied.Add(1)
-		n.mu.Lock()
-		if ch, ok := n.pending[op.ID]; ok {
-			delete(n.pending, op.ID)
-			ch <- err
-		}
-		n.mu.Unlock()
+		n.settle(op.ID, err)
 		for _, c := range changes {
 			n.fanOut(c)
 		}
@@ -338,6 +328,7 @@ const replBatchBytes = 32 << 10
 
 // maybeDrain elects the calling submitter as the replication sender if
 // none is active and drains replC into coalesced multicast frames.
+// N coalesced writes cost one send and one jgroups window credit, not N.
 // Submitters that lose the election return immediately — their op rides
 // the active sender's next frame, so an uncontended write pays no extra
 // goroutine hop while concurrent writes batch. When the jgroups send
@@ -352,14 +343,15 @@ func (n *Node) maybeDrain() {
 	}
 	n.replSending = true
 	n.mu.Unlock()
+	var ops []*Op
 	for {
-		var ops []Op
+		ops = ops[:0]
 		size := 0
 	collect:
 		for len(ops) < n.cfg.ReplBatch && size < replBatchBytes {
 			select {
 			case op := <-n.replC:
-				ops = append(ops, *op)
+				ops = append(ops, op)
 				size += len(op.Obj)
 			default:
 				break collect
@@ -380,26 +372,21 @@ func (n *Node) maybeDrain() {
 			continue
 		}
 		mReplBatch.Observe(time.Duration(len(ops)) * time.Microsecond)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&opEnvelope{Ops: ops}); err != nil {
-			n.failOps(ops, err)
-			continue
-		}
-		if err := n.ch.Send(buf.Bytes()); err != nil {
-			n.failOps(ops, err)
+		if err := n.ch.Send(encodeFrame(ops)); err != nil {
+			err = n.replErr(err) // the frame never made it out
+			for _, op := range ops {
+				n.settle(op.ID, err)
+			}
 		}
 	}
 }
 
-// failOps settles every submitter in a frame that never made it out.
-func (n *Node) failOps(ops []Op, err error) {
-	err = n.replErr(err)
+// settle answers the submitter of op id, if it is still waiting.
+func (n *Node) settle(id string, err error) {
 	n.mu.Lock()
-	for i := range ops {
-		if ch, ok := n.pending[ops[i].ID]; ok {
-			delete(n.pending, ops[i].ID)
-			ch <- err
-		}
+	if ch, ok := n.pending[id]; ok {
+		delete(n.pending, id)
+		ch <- err
 	}
 	n.mu.Unlock()
 }
@@ -454,7 +441,9 @@ func watchMatches(w watchSpec, name []string) bool {
 	}
 }
 
-// submit replicates a write and waits for its local delivery.
+// submit replicates a write and waits for its local delivery, for at
+// most WriteTimeout in all. Its one timer is stopped on return: under
+// go.mod's language version an unstopped timer lives until it fires.
 func (n *Node) submit(op *Op) error {
 	n.mu.Lock()
 	if n.closed {
@@ -467,35 +456,31 @@ func (n *Node) submit(op *Op) error {
 	ack := make(chan error, 1)
 	n.pending[op.ID] = ack
 	n.mu.Unlock()
+	timeout := time.NewTimer(n.cfg.WriteTimeout)
+	defer timeout.Stop()
 
 	// Queue the op for coalescing. The queue is bounded: when
 	// replication stalls (send window full), this blocks until
 	// WriteTimeout rather than queueing without limit.
+	err := errWriteTimeout
 	select {
 	case n.replC <- op:
-	case <-time.After(n.cfg.WriteTimeout):
-		n.mu.Lock()
-		delete(n.pending, op.ID)
-		n.mu.Unlock()
-		return errWriteTimeout
+		n.maybeDrain()
+		select {
+		case err = <-ack:
+			return err
+		case <-timeout.C:
+		case <-n.done:
+			err = n.unavailable(errNodeClosed)
+		}
+	case <-timeout.C:
 	case <-n.done:
-		n.mu.Lock()
-		delete(n.pending, op.ID)
-		n.mu.Unlock()
-		return n.unavailable(errNodeClosed)
+		err = n.unavailable(errNodeClosed)
 	}
-	n.maybeDrain()
-	select {
-	case err := <-ack:
-		return err
-	case <-time.After(n.cfg.WriteTimeout):
-		n.mu.Lock()
-		delete(n.pending, op.ID)
-		n.mu.Unlock()
-		return errWriteTimeout
-	case <-n.done:
-		return n.unavailable(errNodeClosed)
-	}
+	n.mu.Lock()
+	delete(n.pending, op.ID)
+	n.mu.Unlock()
+	return err
 }
 
 // housekeeping runs snapshots and the lease reaper. The reaper runs

@@ -157,14 +157,10 @@ func openPersistence(fsys wal.FS, snapshotPath, walDir string, compactBytes int6
 			// re-verification beyond the per-record CRC. If the marker
 			// turns out to have lied (at-rest damage since), fall back to
 			// the scrub — records already applied are version-skipped.
-			n, rerr := replayInto(store, l)
-			p.replayed += n
-			if rerr != nil {
-				if serr := p.scrubInto(store, l, damage); serr != nil {
-					l.Close()
-					return nil, nil, nil, serr
-				}
+			if _, rerr := l.Replay(func(b []byte) error { return p.applyRecord(store, b) }); rerr == nil {
+				break
 			}
+			fallthrough
 		default:
 			if serr := p.scrubInto(store, l, damage); serr != nil {
 				l.Close()
@@ -179,24 +175,7 @@ func openPersistence(fsys wal.FS, snapshotPath, walDir string, compactBytes int6
 // classification, quarantining what cannot be proven. Returns an error
 // only for I/O failures that prevent even the scrub.
 func (p *persister) scrubInto(store *Store, l *wal.Log, damage *DamageReport) error {
-	res, serr := l.Scrub(func(payload []byte) error {
-		ver, op, err := decodeWALOp(payload)
-		if err != nil {
-			return fmt.Errorf("%w: record undecodable: %v", errChainBroken, err)
-		}
-		have := store.Version()
-		if ver <= have {
-			return nil // snapshot already covers it
-		}
-		if ver != have+1 {
-			return fmt.Errorf("%w: store at %d, next record %d", errChainBroken, have, ver)
-		}
-		// Failed ops were logged too (they consumed a version); they
-		// re-fail identically here, keeping the version stream exact.
-		_, _, _ = store.ApplyVersioned(op)
-		p.replayed++
-		return nil
-	})
+	res, serr := l.Scrub(func(b []byte) error { return p.applyRecord(store, b) })
 	damage.TornTail = damage.TornTail || res.TornTail
 	if len(res.Quarantined) > 0 {
 		damage.WALQuarantined = append(damage.WALQuarantined, res.Quarantined...)
@@ -250,42 +229,41 @@ func (p *persister) writeCleanMarker() error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write([]byte("clean\n")); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeSync(f, []byte("clean\n"))
 }
 
-// replayInto applies every WAL record newer than the store's version.
-// Records are version-stamped at append time, so records the snapshot
-// already covers are skipped and a version gap — acked history missing
-// from both snapshot and log — is an error, never silence.
-func replayInto(store *Store, l *wal.Log) (int, error) {
-	applied := 0
-	_, err := l.Replay(func(payload []byte) error {
-		ver, op, err := decodeWALOp(payload)
-		if err != nil {
-			return err
-		}
-		have := store.Version()
-		if ver <= have {
-			return nil // snapshot already covers it
-		}
-		if ver != have+1 {
-			return fmt.Errorf("version gap: store at %d, next record %d", have, ver)
-		}
-		// Failed ops were logged too (they consumed a version); they
-		// re-fail identically here, keeping the version stream exact.
-		_, _, _ = store.ApplyVersioned(op)
-		applied++
+// writeSync writes b to f, fsyncs and closes it; the first failure wins.
+func writeSync(f wal.File, b []byte) error {
+	_, err := f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// applyRecord replays one WAL record onto store if it holds the store's
+// next version. Records are version-stamped at append time, so one the
+// snapshot already covers is skipped, and a version gap — acked history
+// missing from both snapshot and log — breaks the chain, never silence.
+// Failed ops were logged too (they consumed a version); they re-fail
+// identically here, keeping the version stream exact.
+func (p *persister) applyRecord(store *Store, payload []byte) error {
+	ver, op, err := decodeWALOp(payload)
+	if err != nil {
+		return fmt.Errorf("%w: record undecodable: %v", errChainBroken, err)
+	}
+	switch have := store.Version(); {
+	case ver <= have:
 		return nil
-	})
-	return applied, err
+	case ver != have+1:
+		return fmt.Errorf("%w: store at %d, next record %d", errChainBroken, have, ver)
+	}
+	_, _, _ = store.ApplyVersioned(op)
+	p.replayed++
+	return nil
 }
 
 // RestoreInfo reports what rebuilding a store from durable state found.
@@ -431,17 +409,7 @@ func (p *persister) writeSnapshot(store *Store) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		p.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		p.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
+	if err := writeSync(tmp, b); err != nil {
 		p.fs.Remove(tmp.Name())
 		return err
 	}

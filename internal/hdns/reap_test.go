@@ -154,7 +154,7 @@ func TestOpExpireAppliesOnlyWhileExpired(t *testing.T) {
 		{Kind: OpExpire, Name: []string{"no", "parent"}, Now: 5000},
 	} {
 		before := s.Version()
-		if ch, errStr := s.Apply(op); errStr != "" || len(ch) != 0 || s.Version() != before+1 {
+		if ch, _, errStr := s.ApplyVersioned(op); errStr != "" || len(ch) != 0 || s.Version() != before+1 {
 			t.Fatalf("expire %v at %d: changes %v, err %q, version %d -> %d", op.Name, op.Now, ch, errStr, before, s.Version())
 		}
 	}

@@ -85,8 +85,8 @@ type Change struct {
 	Old  []byte
 }
 
-// Store errors: an op's failure as Apply reports it. The node gives each
-// its core error (storeErr) before it leaves the process.
+// Store errors: an op's failure as ApplyVersioned reports it. The node
+// gives each its core error (storeErr) before it leaves the process.
 const (
 	errNotFound     = "not found"
 	errBound        = "already bound"
@@ -110,8 +110,9 @@ func newCtxEntry() *entry {
 
 func (e *entry) isCtx() bool { return e.Children != nil }
 
-// Store is the replicated name tree. All writes go through Apply so every
-// replica transitions identically; reads are local.
+// Store is the replicated name tree. All writes go through
+// ApplyVersioned so every replica transitions identically; reads are
+// local.
 type Store struct {
 	mu   sync.RWMutex
 	root *entry
@@ -167,15 +168,9 @@ func (s *Store) find(name []string) (*entry, string) {
 	return cur, ""
 }
 
-// Apply executes a replicated op. The returned error string is "" on
-// success; changes describe mutations for event fan-out.
-func (s *Store) Apply(op *Op) (changes []Change, errStr string) {
-	changes, _, errStr = s.ApplyVersioned(op)
-	return
-}
-
-// ApplyVersioned executes a replicated op and additionally reports the
-// store version the op produced. Every op — success or failure —
+// ApplyVersioned executes a replicated op. It reports the changes it
+// made (for event fan-out), the store version the op produced, and an
+// error string, "" on success. Every op — success or failure —
 // consumes exactly one version, so the versions stamped onto WAL
 // records stay consecutive and replay can detect gaps.
 func (s *Store) ApplyVersioned(op *Op) (changes []Change, version uint64, errStr string) {

@@ -2,7 +2,7 @@ package hdns
 
 // Wire types exchanged between HDNS clients and nodes as rpc frame
 // bodies, in the hand-rolled binary encoding of wirecodec.go (the
-// replication frame between nodes, opEnvelope, is still gob).
+// replication frame between nodes and the WAL record are in walrec.go).
 //
 // Field encodings: str is a uvarint length + bytes, strs a uvarint
 // count + that many str, bytes a str that decodes aliasing the body,

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"gondi/internal/wire"
 )
 
 // fill sets every field reachable from v to a distinct non-zero value
@@ -234,9 +236,9 @@ func TestLookupWireAllocs(t *testing.T) {
 }
 
 // FuzzHDNSWire feeds one input to every strict decoder in the package —
-// the three request-path messages and the WAL record — which must never
-// panic, and anything one of them accepts must re-encode to something
-// that decodes equal.
+// the three request-path messages, the WAL record and the replication
+// frame — which must never panic, and anything one of them accepts must
+// re-encode to something that decodes equal.
 func FuzzHDNSWire(f *testing.F) {
 	for _, c := range wireCodecs() {
 		f.Add(c.enc)
@@ -248,6 +250,12 @@ func FuzzHDNSWire(f *testing.F) {
 	f.Add(appendWALOp(nil, 7, &Op{Kind: OpBind, ID: "n1-3", Name: []string{"a", "b"}, Obj: []byte("o"),
 		Attrs: map[string][]string{"t": {"v"}}, Mods: []ModRec{{Op: 2, ID: "gone"}}, LeaseMillis: 5000, Now: 1234567}))
 	f.Add(appendWALOp(nil, 8, &Op{Kind: OpExpire, ID: "n1-4", Name: []string{"a", "b"}, Now: 1234567}))
+	for _, op := range frameOps() {
+		f.Add(encodeFrame([]*Op{op}))
+	}
+	all := encodeFrame(frameOps())
+	f.Add(all[:len(all)-3])
+	f.Add(encodeFrame(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if req, err := decodeReq(b); err == nil {
@@ -276,6 +284,13 @@ func FuzzHDNSWire(f *testing.F) {
 			if err != nil || ver2 != ver || !reflect.DeepEqual(again, op) {
 				t.Fatalf("wal op does not round trip: %d %+v / %d %+v, %v", ver, op, ver2, again, err)
 			}
+		}
+		if ops, err := decodeFrame(b); err == nil {
+			if again, err := decodeFrame(encodeFrame(refOps(ops))); err != nil || !reflect.DeepEqual(again, ops) {
+				t.Fatalf("frame does not round trip: %+v / %+v, %v", ops, again, err)
+			}
+		} else if !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("frame: untyped error %v", err)
 		}
 	})
 }

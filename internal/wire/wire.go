@@ -46,6 +46,17 @@ func AppendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// PrefixBytes makes dst[at:] a bytes field by inserting its uvarint
+// length at at, so a field can be appended in place and prefixed after.
+func PrefixBytes(dst []byte, at int) []byte {
+	var hdr [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(hdr[:], uint64(len(dst)-at))
+	dst = append(dst, hdr[:k]...)
+	copy(dst[at+k:], dst[at:len(dst)-k])
+	copy(dst[at:], hdr[:k])
+	return dst
+}
+
 // AppendString appends s with its uvarint length.
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))

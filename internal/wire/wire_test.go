@@ -34,6 +34,21 @@ func TestDecoderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrefixBytes: a field appended in place and prefixed after encodes
+// as AppendBytes writes it, across the one- to two-byte length boundary.
+func TestPrefixBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 300} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i)
+		}
+		got := PrefixBytes(append([]byte("hdr"), body...), 3)
+		if want := AppendBytes([]byte("hdr"), body); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-byte field: got %x, want %x", n, got, want)
+		}
+	}
+}
+
 // TestDecoderRejects: every failure wraps ErrMalformed and sticks, and
 // a count larger than the remaining bytes fails before it sizes
 // anything.

@@ -16,11 +16,14 @@
 # one-goroutine guard (internal/jgroups/channel.go is one event loop: no
 # lock or condition variable, one go statement), and the one-helper-set
 # guard (length-prefix append/take helpers live in internal/wire, which
-# imports no gondi package; internal/core keeps one gob fallback pair).
+# imports no gondi package; internal/core keeps one gob fallback pair),
+# and the hdns replication guard (no gob in internal/hdns outside the
+# store's snapshot codec; no time.After timer per write).
 # allocs is the per-commit real-number gate (operations as values, rpc
-# codec + per-call metrics, hdns request codec, bound-value codec, DIT
-# search, dnssp opens, pooled hdnssp opens, hdns lease scan); wall-clock costs are
-# measured by bench/run.sh (see bench/README.md), not gated here.
+# codec + per-call metrics, hdns request + replication frame codecs,
+# bound-value codec, DIT search, dnssp opens, pooled hdnssp opens, hdns
+# lease scan); wall-clock costs are measured by bench/run.sh (see
+# bench/README.md), not gated here.
 set -e
 
 # Minimum statement coverage for internal/obs (enforced by the test stage:
@@ -103,6 +106,16 @@ stage_lint() {
         echo "internal/core builds a gob codec outside $codec's one fallback pair ($encs encoders, $decs decoders there); tag the value in $codec" >&2
         exit 1
     fi
+    echo "== lint: hdns replication is binary and a write stops its timer =="
+    if git ls-files 'internal/hdns/*.go' | grep -v -e '_test\.go$' -e '^internal/hdns/store\.go$' |
+        xargs grep -n 'encoding/gob' /dev/null; then
+        echo "internal/hdns uses gob outside store.go's snapshot codec; encode with internal/wire (walrec.go holds the op layout)" >&2
+        exit 1
+    fi
+    if git ls-files 'internal/hdns/*.go' | grep -v '_test\.go$' | xargs grep -n 'time\.After(' /dev/null; then
+        echo "internal/hdns arms a time.After timer, which stays live until it fires; use time.NewTimer and Stop it" >&2
+        exit 1
+    fi
 }
 
 stage_build() {
@@ -168,8 +181,10 @@ stage_allocs() {
     # rpc client's per-method metrics once: the hand codec's whole share
     # is <= 12 allocations, and so is a loopback Call with obs on (its
     # labelled instruments are resolved once per method, not per call).
-    echo "== hdns request codec + rpc per-call metrics alloc gates =="
-    go test -count=1 -run 'TestLookupWireAllocs' ./internal/hdns/
+    # Every replica decodes every write's replication frame: a one-op
+    # frame decodes in <= 12 allocations and encodes in <= 1.
+    echo "== hdns request + replication frame codec, rpc per-call metrics alloc gates =="
+    go test -count=1 -run 'TestLookupWireAllocs|TestReplFrameAllocs' ./internal/hdns/
     go test -count=1 -run 'TestCallMetricsResolvedOnce' ./internal/rpc/
 
     # Every provider lookup decodes its bound value: a string costs <= 2
@@ -198,7 +213,8 @@ stage_allocs() {
 
     # Codec fuzz targets over their checked-in seed corpora: the frame
     # reader, the WAL record codec, the hdns request codec (whose target
-    # also feeds the hdns WAL op decoder) and the bound-value codec must
+    # also feeds the hdns WAL op and replication frame decoders) and the
+    # bound-value codec must
     # reject exactly and recover from torn tails. Deterministic here;
     # set CHECK_FUZZ_TIME=10s to actually explore locally.
     echo "== frame + WAL record + snapshot container + hdns wire + bound-value fuzz seeds =="
