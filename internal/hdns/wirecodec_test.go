@@ -4,61 +4,23 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"gondi/internal/wire"
+	"gondi/internal/wire/wiretest"
 )
-
-// fill sets every field reachable from v to a distinct non-zero value
-// (negative for signed ints, so zig-zag is exercised), so a field added
-// to a wire struct without codec support decodes to zero and fails the
-// round-trip comparison below.
-func fill(v reflect.Value, n *int) {
-	*n++
-	switch v.Kind() {
-	case reflect.Bool:
-		v.SetBool(true)
-	case reflect.Int, reflect.Int64:
-		v.SetInt(int64(-*n))
-	case reflect.Uint8, reflect.Uint64:
-		v.SetUint(uint64(*n))
-	case reflect.String:
-		v.SetString(fmt.Sprintf("s%d", *n))
-	case reflect.Slice:
-		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
-		for i := 0; i < v.Len(); i++ {
-			fill(v.Index(i), n)
-		}
-	case reflect.Map:
-		v.Set(reflect.MakeMap(v.Type()))
-		for i := 0; i < 2; i++ {
-			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
-			fill(k, n)
-			fill(e, n)
-			v.SetMapIndex(k, e)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			fill(v.Field(i), n)
-		}
-	default:
-		panic("fill: unhandled kind " + v.Kind().String())
-	}
-}
 
 func filledMessages() (*Req, *Rsp, *EventMsg) {
 	var (
 		req Req
 		rsp Rsp
 		ev  EventMsg
-		n   int
 	)
-	fill(reflect.ValueOf(&req).Elem(), &n)
-	fill(reflect.ValueOf(&rsp).Elem(), &n)
-	fill(reflect.ValueOf(&ev).Elem(), &n)
+	wiretest.Fill(&req)
+	wiretest.Fill(&rsp)
+	wiretest.Fill(&ev)
 	return &req, &rsp, &ev
 }
 

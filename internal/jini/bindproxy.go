@@ -1,9 +1,7 @@
 package jini
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -64,52 +62,31 @@ func (p *BindProxy) Close() error {
 	return err
 }
 
-type proxyReq struct {
-	Item    ServiceItem
-	LeaseMs int64
-	// OnlyNew demands atomic fail-if-bound semantics.
-	OnlyNew bool
-	// ExistingID, when set with OnlyNew=false, requires the item to
-	// already exist (atomic read-modify-write support).
-	RequireExists bool
-}
-
-type proxyRsp struct {
-	Reg Registration
-}
-
 const mProxyRegister = "jini.proxy.register"
 
 func (p *BindProxy) handlers() {
 	p.srv.Handle(mProxyRegister, func(_ *rpc.ServerConn, body []byte) ([]byte, error) {
-		var req proxyReq
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		req, err := decodeReq(body)
+		if err != nil {
 			return nil, err
 		}
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		ctx := context.Background()
-		if req.Item.ID != "" && (req.OnlyNew || req.RequireExists) {
+		if req.Item.ID != "" && req.OnlyNew {
 			_, exists, err := p.reg.LookupOne(ctx, ServiceTemplate{ID: req.Item.ID})
 			if err != nil {
 				return nil, err
 			}
-			if exists && req.OnlyNew {
+			if exists {
 				return nil, ErrProxyBound
-			}
-			if !exists && req.RequireExists {
-				return nil, errNoSuchLease
 			}
 		}
 		reg, err := p.reg.Register(ctx, req.Item, time.Duration(req.LeaseMs)*time.Millisecond)
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(proxyRsp{Reg: reg}); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return encodeRsp(&wireRsp{Reg: reg}), nil
 	})
 }
 
@@ -136,18 +113,8 @@ func (c *ProxyClient) Closed() bool { return c.rc.Closed() }
 // Register performs an atomic registration through the proxy. With
 // onlyNew, it fails with core.ErrAlreadyBound when the item ID is taken.
 func (c *ProxyClient) Register(ctx context.Context, item ServiceItem, lease time.Duration, onlyNew bool) (Registration, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(proxyReq{
-		Item: item, LeaseMs: lease.Milliseconds(), OnlyNew: onlyNew,
-	}); err != nil {
-		return Registration{}, err
-	}
-	body, err := c.rc.Call(ctx, mProxyRegister, buf.Bytes())
+	rsp, err := call(ctx, c.rc, mProxyRegister, &wireReq{Item: item, LeaseMs: lease.Milliseconds(), OnlyNew: onlyNew})
 	if err != nil {
-		return Registration{}, err
-	}
-	var rsp proxyRsp
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rsp); err != nil {
 		return Registration{}, err
 	}
 	return rsp.Reg, nil

@@ -1,9 +1,7 @@
 package jini
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"sync"
 	"time"
 
@@ -43,8 +41,8 @@ func DialRegistrarContext(ctx context.Context, addr string, defaultTimeout time.
 		if method != mJiniEvent {
 			return
 		}
-		var ev ServiceEvent
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&ev); err != nil {
+		ev, err := decodeEvent(body)
+		if err != nil {
 			return
 		}
 		r.mu.Lock()
@@ -59,7 +57,7 @@ func DialRegistrarContext(ctx context.Context, addr string, defaultTimeout time.
 	// drops), so the dial ends with a no-op Groups round-trip. Failover
 	// across "host1:port,host2:port" authorities then moves to the next
 	// registrar at dial time instead of failing the first operation.
-	if _, err := r.call(ctx, mGroups, &wireReq{}); err != nil {
+	if _, err := call(ctx, r.rc, mGroups, &wireReq{}); err != nil {
 		rc.Close()
 		return nil, err
 	}
@@ -81,26 +79,23 @@ func (r *Registrar) Closed() bool { return r.rc.Closed() }
 // on it to learn that no further events will arrive.
 func (r *Registrar) Done() <-chan struct{} { return r.rc.Done() }
 
-func (r *Registrar) call(ctx context.Context, method string, req *wireReq) (*wireRsp, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		return nil, err
-	}
-	body, err := r.rc.Call(ctx, method, buf.Bytes())
+// call is one registrar-protocol round trip over rc, shared by the
+// registrar and bind proxy clients.
+func call(ctx context.Context, rc *rpc.Client, method string, req *wireReq) (*wireRsp, error) {
+	buf := encBufPool.Get().(*[]byte)
+	*buf = appendReq((*buf)[:0], req)
+	body, err := rc.Call(ctx, method, *buf)
+	encBufPool.Put(buf)
 	if err != nil {
 		return nil, err
 	}
-	var rsp wireRsp
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rsp); err != nil {
-		return nil, err
-	}
-	return &rsp, nil
+	return decodeRsp(body)
 }
 
 // Register registers (or overwrites — Jini has no test-and-set) a service
 // item with the requested lease duration.
 func (r *Registrar) Register(ctx context.Context, item ServiceItem, lease time.Duration) (Registration, error) {
-	rsp, err := r.call(ctx, mRegister, &wireReq{Item: item, LeaseMs: lease.Milliseconds()})
+	rsp, err := call(ctx, r.rc, mRegister, &wireReq{Item: item, LeaseMs: lease.Milliseconds()})
 	if err != nil {
 		return Registration{}, err
 	}
@@ -109,7 +104,7 @@ func (r *Registrar) Register(ctx context.Context, item ServiceItem, lease time.D
 
 // Lookup returns up to max items matching the template (0 = all).
 func (r *Registrar) Lookup(ctx context.Context, t ServiceTemplate, max int) ([]ServiceItem, error) {
-	rsp, err := r.call(ctx, mLookup, &wireReq{Template: t, Max: max})
+	rsp, err := call(ctx, r.rc, mLookup, &wireReq{Template: t, Max: max})
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +122,7 @@ func (r *Registrar) LookupOne(ctx context.Context, t ServiceTemplate) (ServiceIt
 
 // Renew extends a registration's lease and returns the new expiry.
 func (r *Registrar) Renew(ctx context.Context, id ServiceID, lease time.Duration) (time.Time, error) {
-	rsp, err := r.call(ctx, mRenew, &wireReq{ID: id, LeaseMs: lease.Milliseconds()})
+	rsp, err := call(ctx, r.rc, mRenew, &wireReq{ID: id, LeaseMs: lease.Milliseconds()})
 	if err != nil {
 		return time.Time{}, err
 	}
@@ -136,14 +131,14 @@ func (r *Registrar) Renew(ctx context.Context, id ServiceID, lease time.Duration
 
 // Cancel terminates a registration immediately.
 func (r *Registrar) Cancel(ctx context.Context, id ServiceID) error {
-	_, err := r.call(ctx, mCancel, &wireReq{ID: id})
+	_, err := call(ctx, r.rc, mCancel, &wireReq{ID: id})
 	return err
 }
 
 // Notify registers an event listener for template transitions; the
 // returned cancel also deregisters the handler.
 func (r *Registrar) Notify(ctx context.Context, t ServiceTemplate, mask int, lease time.Duration, fn func(ServiceEvent)) (cancel func(), err error) {
-	rsp, err := r.call(ctx, mNotify, &wireReq{Template: t, Mask: mask, LeaseMs: lease.Milliseconds()})
+	rsp, err := call(ctx, r.rc, mNotify, &wireReq{Template: t, Mask: mask, LeaseMs: lease.Milliseconds()})
 	if err != nil {
 		return nil, err
 	}
@@ -155,13 +150,13 @@ func (r *Registrar) Notify(ctx context.Context, t ServiceTemplate, mask int, lea
 		r.mu.Lock()
 		delete(r.handlers, id)
 		r.mu.Unlock()
-		_, _ = r.call(context.Background(), mUnnotify, &wireReq{RegID: id})
+		_, _ = call(context.Background(), r.rc, mUnnotify, &wireReq{RegID: id})
 	}, nil
 }
 
 // ServiceGroups returns the LUS's discovery groups.
 func (r *Registrar) ServiceGroups(ctx context.Context) ([]string, error) {
-	rsp, err := r.call(ctx, mGroups, &wireReq{})
+	rsp, err := call(ctx, r.rc, mGroups, &wireReq{})
 	if err != nil {
 		return nil, err
 	}
@@ -247,15 +242,24 @@ type BatchRsp struct {
 // connection; the LUS executes items sequentially in submission order and
 // each item fails independently.
 func (r *Registrar) CallMany(ctx context.Context, ops []BatchOp) ([]BatchRsp, error) {
-	items := make([]rpc.BatchItem, len(ops))
+	// Every body is encoded back to back into one pooled buffer and sliced
+	// out once the buffer has stopped growing.
+	buf := encBufPool.Get().(*[]byte)
+	b := (*buf)[:0]
+	ends := make([]int, len(ops))
 	for i, op := range ops {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(op.Req); err != nil {
-			return nil, err
-		}
-		items[i] = rpc.BatchItem{Method: op.Method, Body: buf.Bytes()}
+		b = appendReq(b, op.Req)
+		ends[i] = len(b)
+	}
+	items := make([]rpc.BatchItem, len(ops))
+	start := 0
+	for i, op := range ops {
+		items[i] = rpc.BatchItem{Method: op.Method, Body: b[start:ends[i]:ends[i]]}
+		start = ends[i]
 	}
 	results, err := r.rc.CallBatch(ctx, items)
+	*buf = b
+	encBufPool.Put(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -265,12 +269,7 @@ func (r *Registrar) CallMany(ctx context.Context, ops []BatchOp) ([]BatchRsp, er
 			out[i].Err = res.Err
 			continue
 		}
-		var rsp wireRsp
-		if err := gob.NewDecoder(bytes.NewReader(res.Body)).Decode(&rsp); err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Rsp = &rsp
+		out[i].Rsp, out[i].Err = decodeRsp(res.Body)
 	}
 	return out, nil
 }

@@ -1,11 +1,10 @@
 package jini
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,6 +174,48 @@ func TestExpiredLeaseGoneBeforeReap(t *testing.T) {
 	}
 	if items := l.lookup(ServiceTemplate{Types: []string{"t.T"}}, 0); len(items) != 0 {
 		t.Fatalf("lookup returned %d expired items", len(items))
+	}
+}
+
+// A lookup by ID reads the item from the map, and answers as the scan
+// did: the expiry and the template's Types and Entries still apply.
+func TestLookupByIDMatchesScan(t *testing.T) {
+	l := &LUS{items: map[ServiceID]*storedItem{}, watchers: map[uint64]*watcher{}} // no reaper
+	l.register(ServiceItem{ID: "svc", Types: []string{"t.A", "t.B"},
+		Entries: []Entry{NewEntry("Name", "name", "printer", "floor", "2")}}, time.Minute.Milliseconds())
+	l.register(ServiceItem{ID: "other", Types: []string{"t.A"}}, time.Minute.Milliseconds())
+	scan := func(tm ServiceTemplate) []ServiceItem {
+		var out []ServiceItem
+		for _, si := range l.items {
+			if time.Now().Before(si.expiry) && tm.Matches(&si.item) {
+				out = append(out, si.item.Clone())
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		tmpl ServiceTemplate
+		hit  bool
+	}{
+		{ServiceTemplate{ID: "svc"}, true},
+		{ServiceTemplate{ID: "svc", Types: []string{"t.B"}}, true},
+		{ServiceTemplate{ID: "svc", Entries: []Entry{NewEntry("Name", "floor", "2")}}, true},
+		{ServiceTemplate{ID: "svc", Entries: []Entry{NewEntry("Name", "name", "")}}, true},
+		{ServiceTemplate{ID: "missing"}, false},
+		{ServiceTemplate{ID: "svc", Types: []string{"t.C"}}, false},
+		{ServiceTemplate{ID: "svc", Types: []string{"t.A", "t.C"}}, false},
+		{ServiceTemplate{ID: "svc", Entries: []Entry{NewEntry("Name", "name", "scanner")}}, false},
+		{ServiceTemplate{ID: "svc", Entries: []Entry{NewEntry("Location")}}, false},
+		{ServiceTemplate{ID: "other", Entries: []Entry{NewEntry("Name")}}, false},
+	} {
+		got, want := l.lookup(tc.tmpl, 1), scan(tc.tmpl)
+		if !reflect.DeepEqual(got, want) || (len(got) == 1) != tc.hit {
+			t.Errorf("lookup(%+v) = %+v, scan = %+v, want hit %v", tc.tmpl, got, want, tc.hit)
+		}
+	}
+	l.items["svc"].expiry = time.Now().Add(-time.Millisecond)
+	if got := l.lookup(ServiceTemplate{ID: "svc"}, 0); len(got) != 0 {
+		t.Fatalf("lookup by ID returned an expired, unreaped item: %+v", got)
 	}
 }
 
@@ -362,9 +403,7 @@ func TestLeaseRenewerLosesLeaseOnlyOnNotFound(t *testing.T) {
 			}
 			t.Cleanup(func() { srv.Close() })
 			ok := func(*rpc.ServerConn, []byte) ([]byte, error) {
-				var buf bytes.Buffer
-				err := gob.NewEncoder(&buf).Encode(&wireRsp{Expiry: time.Now().Add(time.Second)})
-				return buf.Bytes(), err
+				return encodeRsp(&wireRsp{Expiry: time.Now().Add(time.Second)}), nil
 			}
 			var renewals atomic.Int32
 			srv.Handle(mGroups, ok)

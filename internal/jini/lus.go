@@ -1,8 +1,6 @@
 package jini
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -166,10 +164,10 @@ func (l *LUS) transitionLocked(old, new *ServiceItem) []func() {
 		}
 		conn := w.conn
 		fire = append(fire, func() {
-			var buf bytes.Buffer
-			if gob.NewEncoder(&buf).Encode(&ev) == nil {
-				_ = conn.Push(mJiniEvent, buf.Bytes())
-			}
+			buf := encBufPool.Get().(*[]byte)
+			*buf = appendEvent((*buf)[:0], &ev)
+			_ = conn.Push(mJiniEvent, *buf)
+			encBufPool.Put(buf)
 		})
 	}
 	return fire
@@ -208,11 +206,19 @@ func (l *LUS) register(item ServiceItem, leaseMs int64) Registration {
 	return Registration{ID: item.ID, Expiry: expiry}
 }
 
-// lookup returns matching items, bounded by max (0 = all).
+// lookup returns matching items, bounded by max (0 = all). A template
+// with an ID reads that one item from the map instead of scanning.
 func (l *LUS) lookup(t ServiceTemplate, max int) []ServiceItem {
 	now := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if t.ID != "" {
+		si, ok := l.items[t.ID]
+		if !ok || !now.Before(si.expiry) || !t.Matches(&si.item) {
+			return nil
+		}
+		return []ServiceItem{si.item.Clone()}
+	}
 	var out []ServiceItem
 	for _, si := range l.items {
 		if now.Before(si.expiry) && t.Matches(&si.item) {
@@ -277,24 +283,6 @@ const (
 	mJiniEvent = "jini.event" // push
 )
 
-type wireReq struct {
-	Item     ServiceItem
-	Template ServiceTemplate
-	LeaseMs  int64
-	ID       ServiceID
-	Max      int
-	Mask     int
-	RegID    uint64
-}
-
-type wireRsp struct {
-	Reg    Registration
-	Items  []ServiceItem
-	Expiry time.Time
-	RegID  uint64
-	Groups []string
-}
-
 func (l *LUS) registerHandlers() {
 	h := func(name string, class admission.Class, fn func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error)) {
 		reqs := obs.Default.Counter("gondi_server_requests_total",
@@ -310,21 +298,17 @@ func (l *LUS) registerHandlers() {
 			}
 			defer release()
 			start := time.Now()
-			var req wireReq
-			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			req, err := decodeReq(body)
+			if err != nil {
 				return nil, err
 			}
-			rsp, err := fn(sc, &req)
+			rsp, err := fn(sc, req)
 			reqs.Inc()
 			lat.Since(start)
 			if err != nil {
 				return nil, err
 			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(rsp); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
+			return encodeRsp(rsp), nil
 		})
 	}
 

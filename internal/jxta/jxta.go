@@ -15,10 +15,8 @@
 package jxta
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -398,22 +396,6 @@ const (
 	mRenew        = "jxta.renew"
 )
 
-type wireReq struct {
-	Adv        Advertisement
-	LifetimeMs int64
-	OnlyNew    bool
-	Group      string
-	Name       string
-	Query      map[string]string
-	Limit      int
-}
-
-type wireRsp struct {
-	Adv    Advertisement
-	Advs   []Advertisement
-	Groups []string
-}
-
 func (r *Rendezvous) handlers() {
 	h := func(name string, class admission.Class, fn func(req *wireReq) (*wireRsp, error)) {
 		r.srv.Handle(name, func(_ *rpc.ServerConn, body []byte) ([]byte, error) {
@@ -422,19 +404,15 @@ func (r *Rendezvous) handlers() {
 				return nil, aerr
 			}
 			defer release()
-			var req wireReq
-			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				return nil, err
-			}
-			rsp, err := fn(&req)
+			req, err := decodeReq(body)
 			if err != nil {
 				return nil, err
 			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(rsp); err != nil {
+			rsp, err := fn(req)
+			if err != nil {
 				return nil, err
 			}
-			return buf.Bytes(), nil
+			return encodeRsp(rsp), nil
 		})
 	}
 	h(mPublish, admission.Write, func(req *wireReq) (*wireRsp, error) {
@@ -520,19 +498,14 @@ func (p *Peer) Close() error { return p.rc.Close() }
 func (p *Peer) Closed() bool { return p.rc.Closed() }
 
 func (p *Peer) call(ctx context.Context, method string, req *wireReq) (*wireRsp, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		return nil, err
-	}
-	body, err := p.rc.Call(ctx, method, buf.Bytes())
+	buf := encBufPool.Get().(*[]byte)
+	*buf = appendReq((*buf)[:0], req)
+	body, err := p.rc.Call(ctx, method, *buf)
+	encBufPool.Put(buf)
 	if err != nil {
 		return nil, err
 	}
-	var rsp wireRsp
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rsp); err != nil {
-		return nil, err
-	}
-	return &rsp, nil
+	return decodeRsp(body)
 }
 
 // Publish stores an advertisement (overwriting an existing one of the

@@ -1,6 +1,7 @@
 // Package wire holds the length-prefixed binary helpers that gondi's
 // hand-rolled formats share: the rpc frame, the hdns request messages
-// and WAL records, and core's bound-value codec.
+// and WAL records, core's bound-value codec, and the jini registrar and
+// jxta rendezvous protocols.
 //
 // Encoding appends to the caller's buffer and cannot fail: every value
 // has an encoding. Decoding parses its input exactly or fails with an
@@ -17,6 +18,7 @@
 //	string   as bytes
 //	strings  uvarint count, then a string each
 //	attrs    uvarint count, then per entry: key string, values strings
+//	strmap   uvarint count, then per entry: key string, value string
 //
 // The package imports no other gondi package.
 package wire
@@ -78,6 +80,15 @@ func AppendAttrs(dst []byte, attrs map[string][]string) []byte {
 	for k, vals := range attrs {
 		dst = AppendString(dst, k)
 		dst = AppendStrings(dst, vals)
+	}
+	return dst
+}
+
+// AppendStringMap appends a string map in iteration order.
+func AppendStringMap(dst []byte, m map[string]string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m)))
+	for k, v := range m {
+		dst = AppendString(AppendString(dst, k), v)
 	}
 	return dst
 }
@@ -185,6 +196,20 @@ func (d *Decoder) Attrs() map[string][]string {
 		attrs[k] = d.Strs()
 	}
 	return attrs
+}
+
+// StringMap reads a string map; an empty one yields nil.
+func (d *Decoder) StringMap() map[string]string {
+	n := d.Count(2) // each entry needs its key and value length bytes
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		k := d.Str()
+		m[k] = d.Str()
+	}
+	return m
 }
 
 // Byte reads one raw byte.

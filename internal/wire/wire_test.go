@@ -12,6 +12,7 @@ import (
 // back field for field, with empty lists and maps coming back nil.
 func TestDecoderRoundTrip(t *testing.T) {
 	attrs := map[string][]string{"a": {"1", "2"}, "b": nil}
+	fields := map[string]string{"k": "v", "e": ""}
 	var b []byte
 	b = binary.AppendUvarint(b, 300)
 	b = binary.AppendVarint(b, -5)
@@ -23,12 +24,14 @@ func TestDecoderRoundTrip(t *testing.T) {
 	b = AppendStrings(b, []string{})
 	b = AppendAttrs(b, attrs)
 	b = AppendAttrs(b, nil)
+	b = AppendStringMap(b, fields)
+	b = AppendStringMap(b, map[string]string{})
 	d := NewDecoder(b)
-	got := []any{d.Uvarint(), d.Varint(), d.Bool(), d.Bytes(), d.Bytes(), d.Str(), d.Strs(), d.Strs(), d.Attrs(), d.Attrs()}
+	got := []any{d.Uvarint(), d.Varint(), d.Bool(), d.Bytes(), d.Bytes(), d.Str(), d.Strs(), d.Strs(), d.Attrs(), d.Attrs(), d.StringMap(), d.StringMap()}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	want := []any{uint64(300), int64(-5), true, []byte("xy"), []byte(nil), "s", []string{"p", ""}, []string(nil), attrs, map[string][]string(nil)}
+	want := []any{uint64(300), int64(-5), true, []byte("xy"), []byte(nil), "s", []string{"p", ""}, []string(nil), attrs, map[string][]string(nil), fields, map[string]string(nil)}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %#v\nwant %#v", got, want)
 	}
@@ -61,6 +64,7 @@ func TestDecoderRejects(t *testing.T) {
 		"huge bytes":      func(d *Decoder) { d.Bytes() },
 		"huge strings":    func(d *Decoder) { d.Strs() },
 		"huge attrs":      func(d *Decoder) { d.Attrs() },
+		"huge string map": func(d *Decoder) { d.StringMap() },
 		"huge count":      func(d *Decoder) { d.Count(1) },
 		"bool out of 0/1": func(d *Decoder) { d.Bool() },
 	}

@@ -14,16 +14,17 @@
 # guard (no reference count outside internal/connpool), the one-lease
 # guard (no renewal schedule outside internal/lease), the
 # one-goroutine guard (internal/jgroups/channel.go is one event loop: no
-# lock or condition variable, one go statement), and the one-helper-set
+# lock or condition variable, one go statement), the one-helper-set
 # guard (length-prefix append/take helpers live in internal/wire, which
 # imports no gondi package; internal/core keeps one gob fallback pair),
-# and the hdns replication guard (no gob in internal/hdns outside the
-# store's snapshot codec; no time.After timer per write).
+# the hdns replication guard (no gob in internal/hdns outside the
+# store's snapshot codec; no time.After timer per write), and the
+# registrar protocol guard (no gob in internal/jini or internal/jxta).
 # allocs is the per-commit real-number gate (operations as values, rpc
 # codec + per-call metrics, hdns request + replication frame codecs,
-# bound-value codec, DIT search, dnssp opens, pooled hdnssp opens, hdns
-# lease scan); wall-clock costs are measured by bench/run.sh (see
-# bench/README.md), not gated here.
+# jini registrar codec, bound-value codec, DIT search, dnssp opens,
+# pooled hdnssp opens, hdns lease scan); wall-clock costs are measured
+# by bench/run.sh (see bench/README.md), not gated here.
 set -e
 
 # Minimum statement coverage for internal/obs (enforced by the test stage:
@@ -116,6 +117,12 @@ stage_lint() {
         echo "internal/hdns arms a time.After timer, which stays live until it fires; use time.NewTimer and Stop it" >&2
         exit 1
     fi
+    echo "== lint: the jini registrar and jxta rendezvous protocols are binary =="
+    if git ls-files 'internal/jini/*.go' 'internal/jxta/*.go' | grep -v '_test\.go$' |
+        xargs grep -n 'encoding/gob' /dev/null; then
+        echo "internal/jini or internal/jxta uses gob; encode with internal/wire (jini/wirecodec.go, jxta/wirecodec.go)" >&2
+        exit 1
+    fi
 }
 
 stage_build() {
@@ -187,6 +194,13 @@ stage_allocs() {
     go test -count=1 -run 'TestLookupWireAllocs|TestReplFrameAllocs' ./internal/hdns/
     go test -count=1 -run 'TestCallMetricsResolvedOnce' ./internal/rpc/
 
+    # Every Jini provider lookup and each register read of a strict bind
+    # is one ID lookup against the LUS: encoding its request or response
+    # costs <= 1 allocation, decoding the request <= 2 and a one-item
+    # response <= 14.
+    echo "== jini registrar codec alloc gate =="
+    go test -count=1 -run 'TestRegistrarCodecAllocs' ./internal/jini/
+
     # Every provider lookup decodes its bound value: a string costs <= 2
     # allocations to decode (its copy and its interface box) and 1 to
     # encode.
@@ -213,14 +227,15 @@ stage_allocs() {
 
     # Codec fuzz targets over their checked-in seed corpora: the frame
     # reader, the WAL record codec, the hdns request codec (whose target
-    # also feeds the hdns WAL op and replication frame decoders) and the
-    # bound-value codec must
+    # also feeds the hdns WAL op and replication frame decoders), the
+    # jini registrar codec and the bound-value codec must
     # reject exactly and recover from torn tails. Deterministic here;
     # set CHECK_FUZZ_TIME=10s to actually explore locally.
-    echo "== frame + WAL record + snapshot container + hdns wire + bound-value fuzz seeds =="
+    echo "== frame + WAL record + snapshot container + hdns wire + jini wire + bound-value fuzz seeds =="
     go test -count=1 -run 'FuzzReadFrame' ./internal/rpc/
     go test -count=1 -run 'FuzzWALRecord' ./internal/wal/
     go test -count=1 -run 'FuzzSnapshotDecode|FuzzHDNSWire' ./internal/hdns/
+    go test -count=1 -run 'FuzzJiniWire' ./internal/jini/
     go test -count=1 -run 'FuzzValue' ./internal/core/
     if [ -n "$CHECK_FUZZ_TIME" ]; then
         echo "== fuzzing for $CHECK_FUZZ_TIME each =="
@@ -228,6 +243,7 @@ stage_allocs() {
         go test -count=1 -run '^$' -fuzz 'FuzzWALRecord' -fuzztime "$CHECK_FUZZ_TIME" ./internal/wal/
         go test -count=1 -run '^$' -fuzz 'FuzzSnapshotDecode' -fuzztime "$CHECK_FUZZ_TIME" ./internal/hdns/
         go test -count=1 -run '^$' -fuzz 'FuzzHDNSWire' -fuzztime "$CHECK_FUZZ_TIME" ./internal/hdns/
+        go test -count=1 -run '^$' -fuzz 'FuzzJiniWire' -fuzztime "$CHECK_FUZZ_TIME" ./internal/jini/
         go test -count=1 -run '^$' -fuzz 'FuzzValue' -fuzztime "$CHECK_FUZZ_TIME" ./internal/core/
     fi
 }
