@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +40,6 @@ import (
 	"gondi/internal/provider/jxtasp"
 	"gondi/internal/provider/ldapsp"
 	"gondi/internal/provider/memsp"
-	syncpkg "gondi/internal/sync"
 )
 
 func usage() {
@@ -59,8 +57,6 @@ commands:
   link   <name> <url>       bind a federation reference to <url> at <name>
   watch  <name>             stream change events until interrupted
   shards <hdns-url>         print a sharded deployment's group view
-  sync   <src> <dst> [ivl]  run a foreground mirror of <src> into <dst>,
-                            printing status until interrupted
   proxy  <host:port>        faulting relay in front of a server (chaos drills)
 flags:
   -timeout                  per-operation deadline (default 10s, 0 = none)
@@ -157,7 +153,7 @@ func main() {
 		return
 	}
 	ctx := sigCtx
-	if *timeout > 0 && cmd != "watch" && cmd != "sync" {
+	if *timeout > 0 && cmd != "watch" {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
@@ -303,42 +299,6 @@ func main() {
 		defer cancel()
 		fmt.Fprintf(os.Stderr, "fedctl: watching %s (interrupt to stop)\n", name)
 		<-ctx.Done()
-	case "sync":
-		need(3)
-		cfg, err := syncpkg.ParseMirrorFlag(strings.Join(args[1:], " "))
-		die(err)
-		cfg.Name = "fedctl"
-		env := map[string]any{}
-		if *principal != "" {
-			env[core.EnvPrincipal] = *principal
-		}
-		if *credentials != "" {
-			env[core.EnvCredentials] = *credentials
-		}
-		if *secret != "" {
-			env[hdnssp.EnvSecret] = *secret
-		}
-		cfg.Env = env
-		m, err := syncpkg.New(ctx, cfg)
-		die(err)
-		die(m.Start(ctx))
-		defer m.Stop()
-		fmt.Fprintf(os.Stderr, "fedctl: mirroring %s -> %s (interrupt to stop)\n", cfg.SourceURL, cfg.DestURL)
-		tick := time.NewTicker(2 * time.Second)
-		defer tick.Stop()
-		var last string
-		for {
-			st := m.Status()
-			if line, err := json.Marshal(st); err == nil && string(line) != last {
-				last = string(line)
-				fmt.Println(last)
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
-		}
 	default:
 		usage()
 	}

@@ -12,30 +12,18 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"gondi/internal/hdns"
 	"gondi/internal/jgroups"
 	"gondi/internal/obs"
-	"gondi/internal/provider/dnssp"
-	"gondi/internal/provider/hdnssp"
-	"gondi/internal/provider/ldapsp"
 	"gondi/internal/serverutil"
 	"gondi/internal/shard"
-	syncpkg "gondi/internal/sync"
 )
-
-// mirrorFlags collects repeatable -mirror values.
-type mirrorFlags []string
-
-func (m *mirrorFlags) String() string     { return strings.Join(*m, "; ") }
-func (m *mirrorFlags) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
 	shared := serverutil.BindFlags(flag.CommandLine, "127.0.0.1:7001")
@@ -50,9 +38,6 @@ func main() {
 	compactBytes := flag.Int64("wal-compact-bytes", 0, "WAL size that triggers snapshot compaction (0 = 8 MiB)")
 	shardGroups := flag.Int("shard.groups", 0, "total replica groups the namespace is sharded across (0/1 = unsharded)")
 	shardIndex := flag.Int("shard.index", 0, "which shard this group serves (0..shard.groups-1)")
-	var mirrors mirrorFlags
-	flag.Var(&mirrors, "mirror", "mirror a source subtree into a destination: \"SRC_URL DST_URL [interval]\" (repeatable)")
-	mirrorWAL := flag.String("mirror-wal", "", "base directory for mirror resume journals (empty = none; each mirror gets a subdirectory)")
 	flag.Parse()
 	opts := shared.Options("hdns")
 	if *shardGroups > 1 && (*shardIndex < 0 || *shardIndex >= *shardGroups) {
@@ -112,56 +97,6 @@ func main() {
 	} else if osrv != nil {
 		defer osrv.Close()
 		fmt.Printf("hdnsd: observability at http://%s/metrics\n", osrv.Addr())
-	}
-
-	if len(mirrors) > 0 {
-		// Mirrors pull from arbitrary source registries into this (or any)
-		// HDNS deployment; register the providers a source URL may name
-		// and the fallback middleware + /debug/vars "sync" section.
-		hdnssp.Register()
-		dnssp.Register()
-		ldapsp.Register()
-		syncpkg.Register()
-		var ms []*syncpkg.Mirror
-		for i, spec := range mirrors {
-			cfg, err := syncpkg.ParseMirrorFlag(spec)
-			if err != nil {
-				log.Fatalf("hdnsd: %v", err)
-			}
-			cfg.Name = fmt.Sprintf("mirror%d", i)
-			if *secret != "" {
-				cfg.Env = map[string]any{hdnssp.EnvSecret: *secret}
-			}
-			if *mirrorWAL != "" {
-				cfg.WALDir = filepath.Join(*mirrorWAL, cfg.Name)
-			}
-			m, err := syncpkg.New(context.Background(), cfg)
-			if err != nil {
-				log.Fatalf("hdnsd: mirror %q: %v", spec, err)
-			}
-			if err := m.Start(context.Background()); err != nil {
-				log.Fatalf("hdnsd: mirror %q: %v", spec, err)
-			}
-			defer m.Stop()
-			ms = append(ms, m)
-			fmt.Printf("hdnsd: mirroring %s -> %s\n", cfg.SourceURL, cfg.DestURL)
-		}
-		if node.NeedsRepair() && len(ms) > 0 {
-			// A mirror destination has no replica group to pull from, but
-			// the mirror source is authoritative: force a full resync to
-			// rebuild the quarantined state.
-			fmt.Println("hdnsd: local state was quarantined; forcing mirror resync to repair")
-			go func() {
-				for _, m := range ms {
-					if err := m.Resync(context.Background()); err != nil {
-						log.Printf("hdnsd: repair resync: %v", err)
-						return
-					}
-				}
-				node.MarkResynced()
-				fmt.Println("hdnsd: repair resync complete")
-			}()
-		}
 	}
 
 	err = serverutil.AwaitShutdown("hdnsd", ctrl, 0, func() error {

@@ -188,8 +188,7 @@ func TestRegisteredTypeFallsBackToGob(t *testing.T) {
 }
 
 // TestMarshalDeterministic: equal maps give equal bytes (gob writes maps
-// in iteration order), which replica and mirror fingerprint compares
-// rely on.
+// in iteration order), which replica fingerprint compares rely on.
 func TestMarshalDeterministic(t *testing.T) {
 	ss := map[string]string{}
 	as := map[string]any{}

@@ -213,8 +213,7 @@ func (e *ServerBusyError) RetryAfterHint() time.Duration { return e.RetryAfter }
 // not match, or a version chain with a hole. The damaged files have
 // been quarantined aside — never silently replayed past — and the node
 // starts degraded and repairs from a healthy replica (jgroups state
-// transfer) or its sync source (forced resync) instead of refusing to
-// start or un-acking history.
+// transfer) instead of refusing to start or un-acking history.
 type DataCorruptionError struct {
 	// Path is the quarantined file (or the first of several).
 	Path string

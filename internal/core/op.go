@@ -4,10 +4,10 @@ import "context"
 
 // A naming operation as a value. The typed Context/DirContext/
 // EventContext/BatchContext surface is what callers and providers speak;
-// everything in between — InitialContext, metering, caching, mirror
-// fallback — handles an Op. This file is the only place that knows how
-// the two map onto each other: Do turns an Op into the typed call,
-// OpContext/BatchOpContext turn the typed calls back into Ops.
+// everything in between — InitialContext, metering, caching — handles
+// an Op. This file is the only place that knows how the two map onto
+// each other: Do turns an Op into the typed call, OpContext/
+// BatchOpContext turn the typed calls back into Ops.
 
 // OpKind names an operation. The *Attrs variants of Bind, Rebind and
 // CreateSubcontext are the same kind with Op.Dir set, which is why they
@@ -250,7 +250,7 @@ func (op Op) Item(i int) Op {
 // writes Do plus NameInNamespace, Environment and Close. It deliberately
 // lacks the BatchContext methods: core.LookupMany and friends then reach
 // the decorator one item at a time, which is what a Do that decides per
-// item (the mirror fallback) needs.
+// item needs.
 type OpContext struct {
 	Doer Doer
 }

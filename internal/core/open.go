@@ -106,35 +106,11 @@ func lookupCacheFactory() (CacheFactory, bool) {
 	return cacheFactory, cacheFactory != nil
 }
 
-// FallbackFactory builds the mirror-fallback middleware for one
-// InitialContext (see WithMirrorFallback). env is the context's
-// environment (shared, not a copy).
-type FallbackFactory func(env map[string]any) Middleware
-
-var fallbackFactoryMu sync.RWMutex
-var fallbackFactory FallbackFactory
-
-// RegisterFallbackFactory installs the factory WithMirrorFallback uses.
-// The sync package registers itself via sync.Register(); core holds only
-// this hook so the dependency points sync→core, never the reverse.
-func RegisterFallbackFactory(f FallbackFactory) {
-	fallbackFactoryMu.Lock()
-	defer fallbackFactoryMu.Unlock()
-	fallbackFactory = f
-}
-
-func lookupFallbackFactory() (FallbackFactory, bool) {
-	fallbackFactoryMu.RLock()
-	defer fallbackFactoryMu.RUnlock()
-	return fallbackFactory, fallbackFactory != nil
-}
-
 // openOptions accumulates functional options for Open.
 type openOptions struct {
-	env      map[string]any
-	cache    *CacheConfig
-	fallback bool
-	mws      []Middleware
+	env   map[string]any
+	cache *CacheConfig
+	mws   []Middleware
 }
 
 // Option configures Open.
@@ -190,20 +166,6 @@ func WithCache(cfg CacheConfig) Option {
 	return func(o *openOptions) { o.cache = &cfg }
 }
 
-// WithMirrorFallback enables graceful degradation onto cross-registry
-// mirrors: when resolution (or a read) against an origin fails with a
-// transport-class error — endpoint dead, breaker open — and an active
-// sync mirror (internal/sync) covers the name, the read is served from
-// the mirror's materialized replica instead of failing. The fallback is
-// never silent: every mirror-serve is counted in obs and annotated on
-// the federation trace, and writes never divert (the mirror is a
-// read-only degraded mode). It requires the fallback middleware to be
-// registered — import gondi/internal/sync and call sync.Register()
-// alongside the provider Register calls — otherwise Open fails.
-func WithMirrorFallback() Option {
-	return func(o *openOptions) { o.fallback = true }
-}
-
 // Open creates an initial context from typed functional options — the
 // preferred construction path. NewInitialContext remains as the
 // SPI-compatible map-based form; Open composes the same environment and
@@ -226,16 +188,6 @@ func Open(ctx context.Context, opts ...Option) (*InitialContext, error) {
 			return nil, fmt.Errorf("naming: WithCache requires the cache middleware: import gondi/internal/cache and call cache.Register()")
 		}
 		ic.installMiddleware(f(*o.cache, ic.env))
-	}
-	if o.fallback {
-		f, ok := lookupFallbackFactory()
-		if !ok {
-			return nil, fmt.Errorf("naming: WithMirrorFallback requires the sync middleware: import gondi/internal/sync and call sync.Register()")
-		}
-		// Installed after the cache so the fallback sits innermost:
-		// a cache fill that reaches a dead origin transparently fills
-		// from the mirror, and the filled entry is cached as usual.
-		ic.installMiddleware(f(ic.env))
 	}
 	return ic, nil
 }

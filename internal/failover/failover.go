@@ -43,8 +43,8 @@ func Endpoints(authority string) []string {
 
 // TransportClass reports whether err means "the backend did not answer"
 // — dial or connection failure, breaker open, busy shed, unavailable,
-// transient net error — so the caller should go elsewhere (a mirror, a
-// stale cache entry). A semantic answer from a live backend and the
+// transient net error — so the caller should go elsewhere (another
+// replica, a stale cache entry). A semantic answer from a live backend and the
 // caller's own context ending are not transport-class.
 func TransportClass(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

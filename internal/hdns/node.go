@@ -97,8 +97,8 @@ type Node struct {
 	applied atomic.Uint64
 
 	// damage is what scrub-on-start found; needsRepair stays true from a
-	// corrupt boot until a state transfer or forced resync re-anchors the
-	// store (tracked so the repair is counted exactly once).
+	// corrupt boot until a state transfer re-anchors the store (tracked
+	// so the repair is counted exactly once).
 	damage      *DamageReport
 	needsRepair atomic.Bool
 	repairs     atomic.Uint64
@@ -227,7 +227,7 @@ func (n *Node) restoreState(b []byte) {
 	n.pers.resetAfterStateTransfer(n.store)
 	// If this boot quarantined corrupt state, the transfer is its
 	// repair: the store is now anchored to the group's history again.
-	n.markRepaired("state-transfer")
+	n.markRepaired()
 }
 
 func (n *Node) onMerge(e jgroups.MergeEvent) {
@@ -251,18 +251,18 @@ var (
 var gQuarantined = obs.Default.Gauge("gondi_store_quarantined_files",
 	"Durable files quarantined by scrub-on-start, pending repair.")
 
-// markRepaired counts one completed durable-state repair and retires the
-// node's quarantine contribution from the gauge. source is
-// "state-transfer" (re-anchored from a healthy replica) or "resync"
-// (mirror destination rebuilt from its sync source).
-func (n *Node) markRepaired(source string) {
+// markRepaired counts one completed durable-state repair — a state
+// transfer from a healthy replica, still labelled source="state-transfer"
+// so existing scrapes match — and retires the node's quarantine
+// contribution from the gauge.
+func (n *Node) markRepaired() {
 	if !n.needsRepair.CompareAndSwap(true, false) {
 		return
 	}
 	n.repairs.Add(1)
 	obs.Default.Counter("gondi_store_repairs_total",
 		"Durable-state repairs completed after corruption quarantine.",
-		obs.Label{K: "source", V: source}).Inc()
+		obs.Label{K: "source", V: "state-transfer"}).Inc()
 	q := int64(len(n.damage.WALQuarantined))
 	if n.damage.SnapshotQuarantined != "" {
 		q++
@@ -279,19 +279,6 @@ func (n *Node) Damage() *DamageReport { return n.damage }
 
 // Repairs reports completed durable-state repairs on this node.
 func (n *Node) Repairs() uint64 { return n.repairs.Load() }
-
-// MarkResynced records that a forced mirror resync rebuilt this node's
-// state — the mirror-destination repair path, driven by hdnsd when the
-// node boots corrupt and has a sync source instead of replicas. The
-// resynced tree is snapshotted and the abandoned WAL lineage dropped,
-// exactly as after a state transfer.
-func (n *Node) MarkResynced() {
-	if !n.needsRepair.Load() {
-		return
-	}
-	n.pers.resetAfterStateTransfer(n.store)
-	n.markRepaired("resync")
-}
 
 // deliver applies a replication frame on this replica, acking each op.
 // A frame that does not decode whole applies nothing and is counted.

@@ -6,47 +6,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sync"
 	"time"
 )
-
-// varsSections holds extra /debug/vars sections registered by other
-// subsystems (e.g. internal/sync publishes per-mirror status here so
-// `fedctl sync` can read cursor/lag/last-error from a running daemon).
-var varsSections struct {
-	mu sync.RWMutex
-	m  map[string]func() any
-}
-
-// RegisterVarsSection publishes fn's result under the given key in every
-// /debug/vars document. Re-registering a key replaces it; a nil fn
-// removes it. fn must be safe for concurrent use.
-func RegisterVarsSection(name string, fn func() any) {
-	varsSections.mu.Lock()
-	defer varsSections.mu.Unlock()
-	if fn == nil {
-		delete(varsSections.m, name)
-		return
-	}
-	if varsSections.m == nil {
-		varsSections.m = map[string]func() any{}
-	}
-	varsSections.m[name] = fn
-}
-
-func extraVars() map[string]any {
-	varsSections.mu.RLock()
-	fns := make(map[string]func() any, len(varsSections.m))
-	for k, fn := range varsSections.m {
-		fns[k] = fn
-	}
-	varsSections.mu.RUnlock()
-	out := make(map[string]any, len(fns))
-	for k, fn := range fns {
-		out[k] = fn()
-	}
-	return out
-}
 
 // Handler returns the observability HTTP mux for a registry:
 //
@@ -72,9 +33,6 @@ func Handler(r *Registry) http.Handler {
 				"num_gc":         ms.NumGC,
 				"gc_pause_total": time.Duration(ms.PauseTotalNs).String(),
 			},
-		}
-		for k, v := range extraVars() {
-			doc[k] = v
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)

@@ -42,19 +42,6 @@ type Span struct {
 	// Batch accumulates the number of operations carried in batched wire
 	// frames while this hop was current (0 = no batching happened).
 	Batch int `json:"batch,omitempty"`
-	// Mirror marks degraded serving from a sync mirror on this hop:
-	// "serve" (a read answered from the mirror replica after the origin
-	// failed transport-class) or "open" (resolution itself diverted to the
-	// mirror). "" means the origin answered. Mirror-serves are never
-	// silent — this annotation plus the sync counters are the contract.
-	Mirror string `json:"mirror,omitempty"`
-	// Repair marks durable-state repair activity touching this hop:
-	// "state-transfer" (a corrupted replica re-anchored from the group)
-	// or "resync" (a mirror destination rebuilt from its sync source).
-	// "" means no repair was involved. Like Mirror, repair is never
-	// silent — this annotation plus gondi_store_repairs_total are the
-	// contract.
-	Repair string `json:"repair,omitempty"`
 	// Err is the hop's terminal error, "" on success. A CannotProceed
 	// continuation is not an error — it closes the hop and opens the next.
 	Err string `json:"err,omitempty"`
@@ -197,28 +184,6 @@ func AddBatch(ctx context.Context, n int) {
 	t.annotate(func(s *Span) { s.Batch += n })
 }
 
-// MirrorEvent marks the current hop as served from a sync mirror ("serve"
-// for a diverted read, "open" for diverted resolution). It is how the
-// fallback middleware keeps degraded mode visible on every trace.
-func MirrorEvent(ctx context.Context, kind string) {
-	t := TraceFrom(ctx)
-	if t == nil || !enabled.Load() {
-		return
-	}
-	t.annotate(func(s *Span) { s.Mirror = kind })
-}
-
-// RepairEvent marks durable-state repair activity on the current hop
-// ("state-transfer" for a corrupted replica re-anchoring from the group,
-// "resync" for a mirror destination rebuilt from its sync source).
-func RepairEvent(ctx context.Context, kind string) {
-	t := TraceFrom(ctx)
-	if t == nil || !enabled.Load() {
-		return
-	}
-	t.annotate(func(s *Span) { s.Repair = kind })
-}
-
 // AddWireRT counts one wire round-trip on the current hop.
 func AddWireRT(ctx context.Context) {
 	t := TraceFrom(ctx)
@@ -286,9 +251,6 @@ func (s *TraceSnapshot) String() string {
 		fmt.Fprintf(&b, "%s://%s", h.Scheme, h.Authority)
 		if h.Cache != "" {
 			fmt.Fprintf(&b, " cache=%s", h.Cache)
-		}
-		if h.Mirror != "" {
-			fmt.Fprintf(&b, " mirror=%s", h.Mirror)
 		}
 		if h.WireRTs > 0 {
 			fmt.Fprintf(&b, " rt=%d", h.WireRTs)

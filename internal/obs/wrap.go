@@ -208,20 +208,6 @@ func (w *InstCtx) AdviseTTL(name string) (time.Duration, bool) {
 	return 0, false
 }
 
-// SyncCursor forwards the sync engine's structural CursorSource interface
-// (see internal/sync), so delta-pull change checks survive the
-// instrumentation wrapper. The (not-supported, nil-error) result for
-// inner contexts without a cursor matches the capability contract.
-func (w *InstCtx) SyncCursor(ctx context.Context, name string) (string, bool, error) {
-	type cursorSource interface {
-		SyncCursor(ctx context.Context, name string) (string, bool, error)
-	}
-	if cs, ok := w.inner.(cursorSource); ok {
-		return cs.SyncCursor(ctx, name)
-	}
-	return "", false, nil
-}
-
 // NameInNamespace implements core.Context.
 func (w *InstCtx) NameInNamespace() (string, error) { return w.inner.NameInNamespace() }
 

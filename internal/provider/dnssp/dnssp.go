@@ -300,7 +300,7 @@ func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
 // AttrSOASerial is the attribute ID under which a zone apex exposes its
 // SOA serial alone. Asking for exactly this attribute takes a dedicated
 // fast path: one SOA query instead of the ANY query + full record
-// mapping, so a delta-pull sync loop can change-check a zone cheaply.
+// mapping, so a client can change-check a zone cheaply.
 const AttrSOASerial = "soa-serial"
 
 // soaSerial fetches the domain's SOA serial with a single TypeSOA query.
@@ -320,25 +320,6 @@ func (c *Context) soaSerial(ctx context.Context, n core.Name) (uint32, bool, err
 		}
 	}
 	return 0, false, nil
-}
-
-// SyncCursor implements the sync engine's change-cursor capability (see
-// internal/sync.CursorSource): the zone's SOA serial, which a conforming
-// primary bumps on every zone change, so an unchanged cursor lets a
-// delta pull skip the zone transfer entirely.
-func (c *Context) SyncCursor(ctx context.Context, name string) (string, bool, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return "", false, core.Errf("syncCursor", name, err)
-	}
-	serial, ok, err := c.soaSerial(ctx, full)
-	if err != nil {
-		return "", false, core.Errf("syncCursor", name, err)
-	}
-	if !ok {
-		return "", false, nil
-	}
-	return fmt.Sprintf("soa:%d", serial), true, nil
 }
 
 // GetAttributes implements core.DirContext: the domain's resource records

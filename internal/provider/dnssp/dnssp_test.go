@@ -137,33 +137,6 @@ func TestSOASerialAttribute(t *testing.T) {
 	}
 }
 
-// SyncCursor is the typed form of the same probe.
-func TestSyncCursor(t *testing.T) {
-	s := newWorld(t)
-	ctx := context.Background()
-	nc, _ := open(t, s, "global")
-	dc := obs.Uninstrument(nc).(*Context)
-
-	cur0, ok, err := dc.SyncCursor(ctx, "global")
-	if err != nil || !ok {
-		t.Fatalf("cursor: %q %v %v", cur0, ok, err)
-	}
-	cur1, _, _ := dc.SyncCursor(ctx, "global")
-	if cur1 != cur0 {
-		t.Fatalf("idle cursor moved: %q -> %q", cur0, cur1)
-	}
-	z, _ := s.Zone("global")
-	z.Add(dnssrv.RR{Name: "more.global", Type: dnssrv.TypeTXT, Txt: []string{"x"}})
-	cur2, ok, err := dc.SyncCursor(ctx, "global")
-	if err != nil || !ok || cur2 == cur0 {
-		t.Fatalf("cursor after change: %q (was %q) %v %v", cur2, cur0, ok, err)
-	}
-	// A non-apex name has no SOA: not supported, no error.
-	if _, ok, err := dc.SyncCursor(ctx, "global/emory"); ok || err != nil {
-		t.Fatalf("non-apex cursor: ok=%v err=%v", ok, err)
-	}
-}
-
 func TestListViaZoneTransfer(t *testing.T) {
 	s := newWorld(t)
 	ctx := context.Background()

@@ -633,23 +633,6 @@ func (c *Context) Reference() (*core.Reference, error) {
 	return core.NewContextReference(url), nil
 }
 
-// SyncCursor implements the sync engine's change-cursor capability (see
-// internal/sync.CursorSource): the node's applied-operation version — or
-// the sum across a sharded router's groups — moves on every mutation, so
-// an unchanged cursor lets a delta pull skip the subtree walk with one
-// cheap query. The name argument is ignored: HDNS versions are per node,
-// not per subtree, which only ever errs toward resyncing too often.
-func (c *Context) SyncCursor(ctx context.Context, name string) (string, bool, error) {
-	if c.sh.Released() {
-		return "", false, core.Errf("syncCursor", name, core.ErrClosed)
-	}
-	info, err := c.sh.client.Info(ctx)
-	if err != nil {
-		return "", false, core.Errf("syncCursor", name, c.mapErr(ctx, err, c.base))
-	}
-	return fmt.Sprintf("v%d", info.Version), true, nil
-}
-
 // Client exposes the underlying HDNS connection — a *hdns.Client, or a
 // *hdns.Router for a sharded authority (diagnostics, fedctl).
 func (c *Context) Client() hdns.Conn { return c.sh.client }

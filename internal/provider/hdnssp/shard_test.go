@@ -133,33 +133,6 @@ func TestCrossShardRenameTypedError(t *testing.T) {
 	}
 }
 
-// SyncCursor must move when the namespace changes and hold still when it
-// does not — the contract the sync engine's delta-pull skip relies on.
-func TestSyncCursorTracksMutations(t *testing.T) {
-	ctx := context.Background()
-	authority, _ := newShardedWorld(t, 2)
-	c, err := Open(ctx, authority, map[string]any{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	cur0, ok, err := c.SyncCursor(ctx, "")
-	if err != nil || !ok {
-		t.Fatalf("cursor: %q %v %v", cur0, ok, err)
-	}
-	cur1, _, _ := c.SyncCursor(ctx, "")
-	if cur1 != cur0 {
-		t.Fatalf("idle cursor moved: %q -> %q", cur0, cur1)
-	}
-	if err := c.Bind(ctx, "svc", "v"); err != nil {
-		t.Fatal(err)
-	}
-	cur2, ok, err := c.SyncCursor(ctx, "")
-	if err != nil || !ok || cur2 == cur0 {
-		t.Fatalf("cursor after bind: %q (was %q) %v %v", cur2, cur0, ok, err)
-	}
-}
-
 // BatchContext ops through a sharded provider keep per-item semantics
 // when items land on different groups.
 func TestShardedBatchContext(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 
 // semantic asserts err is the core error want and not a
 // *core.CommunicationError: an answer from a live server must never read
-// as an outage to the cache's serve-stale or the mirror fallback.
+// as an outage to the cache's serve-stale.
 func semantic(t *testing.T, what string, err, want error) {
 	t.Helper()
 	if !errors.Is(err, want) {

@@ -113,7 +113,7 @@ func (c *Client) decodeErr(method string, code uint8, detail string) error {
 // error that carries a status as that status's core error, and anything
 // else — transport failures, internal handler errors — wrapped in a
 // *core.CommunicationError for endpoint. A semantic answer therefore never
-// reads as an outage to the cache's serve-stale or the mirror fallback.
+// reads as an outage to the cache's serve-stale.
 func CoreError(endpoint string, err error) error {
 	if err == nil {
 		return nil

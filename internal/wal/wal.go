@@ -414,8 +414,8 @@ type ScrubResult struct {
 //
 // Records before the damage are still fed to fn: they extend the
 // restored state as far as the disk can prove it, and the caller decides
-// how to repair the rest (state transfer from a replica, forced mirror
-// resync). Scrub holds the log lock; run it before serving.
+// how to repair the rest (state transfer from a replica). Scrub holds
+// the log lock; run it before serving.
 func (l *Log) Scrub(fn func(payload []byte) error) (ScrubResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

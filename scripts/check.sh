@@ -18,8 +18,10 @@
 # guard (length-prefix append/take helpers live in internal/wire, which
 # imports no gondi package; internal/core keeps one gob fallback pair),
 # the hdns replication guard (no gob in internal/hdns outside the
-# store's snapshot codec; no time.After timer per write), and the
-# registrar protocol guard (no gob in internal/jini or internal/jxta).
+# store's snapshot codec; no time.After timer per write), the
+# registrar protocol guard (no gob in internal/jini or internal/jxta),
+# and the no-mirror guard (the sync engine and its seams stay deleted:
+# clients read live deployments, never a private copy).
 # allocs is the per-commit real-number gate (operations as values, rpc
 # codec + per-call metrics, hdns request + replication frame codecs,
 # jini registrar codec, bound-value codec, DIT search, dnssp opens,
@@ -121,6 +123,12 @@ stage_lint() {
     if git ls-files 'internal/jini/*.go' 'internal/jxta/*.go' | grep -v '_test\.go$' |
         xargs grep -n 'encoding/gob' /dev/null; then
         echo "internal/jini or internal/jxta uses gob; encode with internal/wire (jini/wirecodec.go, jxta/wirecodec.go)" >&2
+        exit 1
+    fi
+    echo "== lint: no mirror engine (clients read the live deployment) =="
+    if [ -d internal/sync ] || git ls-files '*.go' | grep -v '_test\.go$' |
+        xargs grep -nE 'gondi/internal/sync"|WithMirrorFallback|RegisterFallbackFactory|SyncCursor|MirrorEvent' /dev/null; then
+        echo "the mirror/sync engine was deleted (DESIGN.md \"Cross-registry synchronization\"); federate the live registry instead" >&2
         exit 1
     fi
 }
@@ -264,9 +272,6 @@ stage_chaos() {
     echo "== shard drills: routing stability, rebalance, partial failure, WAL restart (-race) =="
     go test -race -count=1 -run 'TestHDNSShardConformance' ./internal/provider/ptest/
     go test -race -count=1 -run 'TestWALCrashRestartReplay|TestWALCompactionKeepsTail|TestRouterBatchPartialFailureTypedPerItem' ./internal/hdns/
-    echo "== sync drills: cross-registry convergence + origin-outage mirror fallback (-race) =="
-    go test -race -count=1 -run 'SyncConformance|TestDNSSyncCursorSkipsIdleCycles' ./internal/provider/ptest/
-    go test -race -count=1 -run 'TestChaosOriginCutMidStreamMirrorKeepsServing|TestFallback' ./internal/sync/
 }
 
 stage_durability() {
