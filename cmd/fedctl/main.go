@@ -25,13 +25,11 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
 	"gondi/internal/cache"
 	"gondi/internal/core"
-	"gondi/internal/hdns"
 	"gondi/internal/obs"
 	"gondi/internal/provider/dnssp"
 	"gondi/internal/provider/fssp"
@@ -56,12 +54,9 @@ commands:
   rmctx  <name>             destroy an empty subcontext
   link   <name> <url>       bind a federation reference to <url> at <name>
   watch  <name>             stream change events until interrupted
-  shards <hdns-url>         print a sharded deployment's group view
   proxy  <host:port>        faulting relay in front of a server (chaos drills)
 flags:
   -timeout                  per-operation deadline (default 10s, 0 = none)
-  -route                    shards: also print which group each named
-                            top-level prefix routes to (comma-separated)
   -principal / -credentials authentication (where the provider supports it)
   -secret                   HDNS write secret
   -cache                    read-through federation cache for repeated resolutions
@@ -90,7 +85,6 @@ func main() {
 	cacheNegTTL := flag.Duration("cache-neg-ttl", 0, "cache: not-found entry TTL (0 = default)")
 	cacheMax := flag.Int("cache-max", 0, "cache: max entries per naming system (0 = default)")
 	cacheNoEvents := flag.Bool("cache-no-events", false, "cache: TTL-only coherence, ignore change events")
-	routePrefixes := flag.String("route", "", "shards: comma-separated top-level prefixes to route-check")
 	showTrace := flag.Bool("trace", false, "print the federation trace after the command")
 	obsAddr := flag.String("obs.addr", "", "observability HTTP address serving /metrics, /debug/vars and /debug/pprof (empty = off)")
 	obsHold := flag.Duration("obs.hold", 0, "keep serving -obs.addr this long after the command completes")
@@ -259,38 +253,6 @@ func main() {
 	case "link":
 		need(3)
 		die(ic.Bind(ctx, name, core.NewContextReference(args[2])))
-	case "shards":
-		u, err := core.ParseURLName(name)
-		die(err)
-		if u.Scheme != "hdns" {
-			die(fmt.Errorf("shards: %q is not an hdns URL", name))
-		}
-		env := map[string]any{}
-		if *secret != "" {
-			env[hdnssp.EnvSecret] = *secret
-		}
-		hc, err := hdnssp.Open(ctx, u.Authority, env)
-		die(err)
-		defer hc.Close()
-		switch cl := hc.Client().(type) {
-		case *hdns.Router:
-			v, err := cl.View(ctx)
-			die(err)
-			for _, g := range v.Groups {
-				fmt.Printf("group %d: node=%s members=%v entries=%d\n",
-					g.Index, g.Authority, g.Members, g.Entries)
-			}
-			for _, p := range strings.Split(*routePrefixes, ",") {
-				if p = strings.TrimSpace(p); p != "" {
-					fmt.Printf("route %-24s -> group %d\n", p, cl.RouteName([]string{p}))
-				}
-			}
-		default:
-			info, err := cl.Info(ctx)
-			die(err)
-			fmt.Printf("unsharded: node=%s group=%s members=%v entries=%d\n",
-				info.Addr, info.Group, info.Members, info.Entries)
-		}
 	case "watch":
 		cancel, err := ic.Watch(ctx, name, core.ScopeSubtree, func(e core.NamingEvent) {
 			fmt.Printf("%s %q new=%v old=%v\n", e.Type, e.Name, e.NewValue, e.OldValue)

@@ -22,7 +22,6 @@ import (
 	"gondi/internal/jgroups"
 	"gondi/internal/obs"
 	"gondi/internal/serverutil"
-	"gondi/internal/shard"
 )
 
 func main() {
@@ -36,13 +35,8 @@ func main() {
 	mode := flag.String("mode", "bimodal", "protocol suite: bimodal or vsync")
 	walDir := flag.String("wal", "", "write-ahead log directory (empty = snapshot-only persistence)")
 	compactBytes := flag.Int64("wal-compact-bytes", 0, "WAL size that triggers snapshot compaction (0 = 8 MiB)")
-	shardGroups := flag.Int("shard.groups", 0, "total replica groups the namespace is sharded across (0/1 = unsharded)")
-	shardIndex := flag.Int("shard.index", 0, "which shard this group serves (0..shard.groups-1)")
 	flag.Parse()
 	opts := shared.Options("hdns")
-	if *shardGroups > 1 && (*shardIndex < 0 || *shardIndex >= *shardGroups) {
-		log.Fatalf("hdnsd: -shard.index %d out of range for %d groups", *shardIndex, *shardGroups)
-	}
 
 	var peerList []string
 	if *peers != "" {
@@ -58,15 +52,9 @@ func main() {
 	} else if *mode != "bimodal" {
 		log.Fatalf("hdnsd: unknown -mode %q", *mode)
 	}
-	groupName := *group
-	if *shardGroups > 1 {
-		// Each shard is its own jgroups replication group: suffix the
-		// name so replicas of different shards can never merge.
-		groupName = fmt.Sprintf("%s-s%d", *group, *shardIndex)
-	}
 	ctrl := opts.Controller()
 	node, err := hdns.NewNode(hdns.NodeConfig{
-		Group:            groupName,
+		Group:            *group,
 		Transport:        tr,
 		Stack:            stack,
 		ListenAddr:       opts.ListenAddr,
@@ -74,7 +62,6 @@ func main() {
 		SnapshotInterval: *interval,
 		WALDir:           *walDir,
 		CompactBytes:     *compactBytes,
-		Shard:            shard.Assignment{Groups: *shardGroups, Index: *shardIndex},
 		Secret:           *secret,
 		Admission:        ctrl,
 	})
@@ -83,14 +70,10 @@ func main() {
 	}
 	view := node.Channel().View()
 	fmt.Printf("hdnsd: serving %s group=%s transport=%s members=%v\n",
-		node.Addr(), groupName, tr.Addr(), view.Members)
+		node.Addr(), *group, tr.Addr(), view.Members)
 	if d := node.Damage(); d.Corrupt() {
 		fmt.Printf("hdnsd: local state quarantined (%d files); serving degraded until repaired: %v\n",
 			len(d.WALQuarantined), d.Err)
-	}
-	if *shardGroups > 1 {
-		fmt.Printf("hdnsd: shard %d/%d (route clients with a %q-separated authority)\n",
-			*shardIndex, *shardGroups, "|")
 	}
 	if osrv, err := obs.Serve(opts.ObsAddr); err != nil {
 		log.Fatalf("hdnsd: obs: %v", err)

@@ -231,20 +231,3 @@ func (e *DataCorruptionError) Error() string {
 }
 
 func (e *DataCorruptionError) Unwrap() error { return e.Err }
-
-// CrossShardRenameError reports a Rename whose source and destination
-// route to different replica groups of a sharded namespace and whose
-// subject cannot be moved atomically: leaf renames are emulated
-// (lookup + atomic bind + unbind), but a context would have to be
-// half-copied, so the router refuses. Callers branch on this error to
-// fall back to an explicit copy (or to pick a destination the ring
-// routes to the same group) instead of retrying blindly.
-type CrossShardRenameError struct {
-	// OldName and NewName are the rename's endpoints as the caller gave
-	// them.
-	OldName, NewName string
-}
-
-func (e *CrossShardRenameError) Error() string {
-	return fmt.Sprintf("naming: rename %q -> %q crosses shard groups and the subject is a context; cross-shard subtree moves are a rebalance, not a rename", e.OldName, e.NewName)
-}

@@ -18,7 +18,7 @@ var dialPolicy = retry.Policy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond, 
 // before the call returns. A failed call's error carries its rpc status:
 // test it with errors.Is against core's sentinels (core.ErrNotFound,
 // core.ErrAlreadyBound, ...) or errors.As for *core.ServiceUnavailableError
-// (wrong shard, sealed WAL) and *core.ServerBusyError.
+// (sealed WAL) and *core.ServerBusyError.
 type Client struct {
 	rc *rpc.Client
 
@@ -208,24 +208,24 @@ func (c *Client) Info(ctx context.Context) (NodeInfo, error) {
 	return rsp.Info, nil
 }
 
-// BatchOp is one operation in a CallMany batch.
-type BatchOp struct {
+// batchOp is one operation in a callMany batch.
+type batchOp struct {
 	Method string
 	Req    *Req
 }
 
-// BatchRsp is one operation's outcome from CallMany: the decoded response
+// BatchRsp is one operation's outcome from a batch call: the decoded response
 // or that item's error, mirroring what the unary call would have produced.
 type BatchRsp struct {
 	Rsp *Rsp
 	Err error
 }
 
-// CallMany sends every operation in one batch frame over the shared rpc
+// callMany sends every operation in one batch frame over the shared rpc
 // connection. The node executes items sequentially in submission order
 // and each item fails independently; the call-level error is reserved for
 // transport failures and whole-batch shedding.
-func (c *Client) CallMany(ctx context.Context, ops []BatchOp) ([]BatchRsp, error) {
+func (c *Client) callMany(ctx context.Context, ops []batchOp) ([]BatchRsp, error) {
 	// Every body is encoded back to back into one pooled buffer and sliced
 	// out once the buffer has stopped growing.
 	buf := encBufPool.Get().(*[]byte)
@@ -261,11 +261,11 @@ func (c *Client) CallMany(ctx context.Context, ops []BatchOp) ([]BatchRsp, error
 // LookupMany reads many entries in one round trip (one BatchRsp per name,
 // in order).
 func (c *Client) LookupMany(ctx context.Context, names [][]string) ([]BatchRsp, error) {
-	ops := make([]BatchOp, len(names))
+	ops := make([]batchOp, len(names))
 	for i, name := range names {
-		ops[i] = BatchOp{Method: mLookup, Req: &Req{Name: name}}
+		ops[i] = batchOp{Method: mLookup, Req: &Req{Name: name}}
 	}
-	return c.CallMany(ctx, ops)
+	return c.callMany(ctx, ops)
 }
 
 // BindManyOp describes one bind for BindMany.
@@ -279,11 +279,11 @@ type BindManyOp struct {
 // BindMany binds many entries in one round trip; items apply sequentially
 // server-side and fail independently.
 func (c *Client) BindMany(ctx context.Context, binds []BindManyOp) ([]BatchRsp, error) {
-	ops := make([]BatchOp, len(binds))
+	ops := make([]batchOp, len(binds))
 	for i, b := range binds {
-		ops[i] = BatchOp{Method: mBind, Req: &Req{
+		ops[i] = batchOp{Method: mBind, Req: &Req{
 			Name: b.Name, Obj: b.Obj, Attrs: b.Attrs, LeaseMillis: b.LeaseMillis,
 		}}
 	}
-	return c.CallMany(ctx, ops)
+	return c.callMany(ctx, ops)
 }

@@ -2,13 +2,13 @@ package hdns
 
 import "fmt"
 
-// buildShardState fabricates a shard's on-disk durable state for
+// buildReplicaState fabricates one replica's on-disk durable state for
 // restart drills: entries flat bindings of which the last walTail live
 // only in the WAL, everything earlier covered by the snapshot. The
 // layout matches a crash mid-epoch — the last compaction snapshotted
 // at version entries-walTail and the node died with a synced tail —
 // which is exactly what RestoreStore must rebuild.
-func buildShardState(snapshotPath, walDir string, entries, walTail int) error {
+func buildReplicaState(snapshotPath, walDir string, entries, walTail int) error {
 	if walTail < 0 || walTail > entries {
 		return fmt.Errorf("hdns: walTail %d out of range for %d entries", walTail, entries)
 	}

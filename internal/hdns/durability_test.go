@@ -54,7 +54,7 @@ func seedState(t *testing.T, dir string, n, tail int) (string, string) {
 	t.Helper()
 	snap := filepath.Join(dir, "replica.snap")
 	walDir := filepath.Join(dir, "wal")
-	if err := buildShardState(snap, walDir, n, tail); err != nil {
+	if err := buildReplicaState(snap, walDir, n, tail); err != nil {
 		t.Fatal(err)
 	}
 	return snap, walDir
@@ -65,7 +65,7 @@ func seedState(t *testing.T, dir string, n, tail int) (string, string) {
 func TestOpenQuarantinesCorruptWAL(t *testing.T) {
 	dir := t.TempDir()
 	snap, walDir := seedState(t, dir, 40, 30)
-	// No clean marker was written (buildShardState closes the log
+	// No clean marker was written (buildReplicaState closes the log
 	// directly), so this boot scrubs. Corrupt an early WAL record.
 	segs, err := filepath.Glob(filepath.Join(walDir, "seg-*.wal"))
 	if err != nil || len(segs) == 0 {
@@ -200,7 +200,7 @@ func TestCorruptNodeRepairsViaStateTransfer(t *testing.T) {
 	}
 
 	// A's local durable state is damaged (unrelated lineage + bad CRC).
-	if err := buildShardState(snapA, walA, 15, 5); err != nil {
+	if err := buildReplicaState(snapA, walA, 15, 5); err != nil {
 		t.Fatal(err)
 	}
 	sb, err := os.ReadFile(snapA)

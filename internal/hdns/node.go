@@ -15,7 +15,6 @@ import (
 	"gondi/internal/jgroups"
 	"gondi/internal/obs"
 	"gondi/internal/rpc"
-	"gondi/internal/shard"
 	"gondi/internal/wal"
 )
 
@@ -37,19 +36,14 @@ type NodeConfig struct {
 	// WALDir it becomes the WAL fsync + compaction-check cadence — the
 	// log, not the snapshot, is then the unit of durability.
 	SnapshotInterval time.Duration
-	// WALDir enables the per-shard write-ahead log: every applied op is
-	// appended there and restart replays snapshot + WAL tail, so large
-	// shards restart from their last compaction point instead of their
+	// WALDir enables the replica's write-ahead log: every applied op is
+	// appended there and restart replays snapshot + WAL tail, so a large
+	// replica restarts from its last compaction point instead of its
 	// last whole-table snapshot. "" keeps snapshot-only persistence.
 	WALDir string
 	// CompactBytes triggers background snapshot compaction once the WAL
 	// outgrows it; 0 means 8 MiB.
 	CompactBytes int64
-	// Shard names this group's slice of the namespace. The zero value
-	// (unsharded) owns everything; a sharded node rejects ops for names
-	// the ring routes elsewhere so a misconfigured client can't split a
-	// prefix across groups.
-	Shard shard.Assignment
 	// Secret, when non-empty, must be presented by clients before
 	// writes are accepted (the H2O-inherited security hook).
 	Secret string
@@ -583,11 +577,6 @@ func (n *Node) authed(sc *rpc.ServerConn) bool {
 var (
 	errDenied    = fmt.Errorf("hdns: authentication required: %w", core.ErrNoPermission)
 	errBadSecret = fmt.Errorf("hdns: bad secret: %w", core.ErrNoPermission)
-	// errWrongShard guards against split prefixes: a sharded node refuses
-	// ops for names the ring routes to another group, so a client with a
-	// stale or hand-rolled routing table fails loudly instead of
-	// scattering one prefix across groups.
-	errWrongShard = errors.New("hdns: wrong shard")
 	// errStorageUnavailable refuses a write this replica applied in memory
 	// but could not append to its sealed WAL (ENOSPC, failed fsync): the
 	// node will not promise durability it cannot deliver.
@@ -619,9 +608,9 @@ func storeErr(errStr string) error {
 	return errors.New(errStr)
 }
 
-// unavailable is a refusal that says "go elsewhere": wrong shard or a
-// sealed WAL. Callers fail over or back off instead of treating it as a
-// naming answer.
+// unavailable is a refusal that says "go elsewhere": a sealed WAL or a
+// group that cannot replicate. Callers fail over or back off instead of
+// treating it as a naming answer.
 func (n *Node) unavailable(reason error) error {
 	return &core.ServiceUnavailableError{Endpoint: n.Addr(), Err: reason}
 }
@@ -638,13 +627,6 @@ func (n *Node) replErr(err error) error {
 		return n.unavailable(err)
 	}
 	return err
-}
-
-func (n *Node) guardShard(name []string) error {
-	if n.cfg.Shard.Owns(name) {
-		return nil
-	}
-	return n.unavailable(errWrongShard)
 }
 
 // stationBusyRetryAfter is the hint attached when a calibrated cost
@@ -696,9 +678,6 @@ func (n *Node) registerHandlers() {
 	})
 
 	h(mLookup, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		if err := n.guardShard(req.Name); err != nil {
-			return nil, err
-		}
 		if !n.cfg.Costs.ReadCost(0) {
 			return nil, n.busy(mLookup)
 		}
@@ -709,16 +688,6 @@ func (n *Node) registerHandlers() {
 		return func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
 			if !n.authed(sc) {
 				return nil, errDenied
-			}
-			if err := n.guardShard(req.Name); err != nil {
-				return nil, err
-			}
-			// Rename must stay within one shard; the router emulates the
-			// cross-group case as lookup+bind+unbind.
-			if kind == OpRename {
-				if err := n.guardShard(req.Name2); err != nil {
-					return nil, err
-				}
 			}
 			if !n.cfg.Costs.WriteCost(len(req.Obj)) {
 				return nil, n.busy(name)
@@ -748,9 +717,6 @@ func (n *Node) registerHandlers() {
 	h(mLease, admission.Write, write(mLease, OpLeaseRenew))
 
 	h(mList, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		if err := n.guardShard(req.Name); err != nil {
-			return nil, err
-		}
 		if !n.cfg.Costs.ReadCost(0) {
 			return nil, n.busy(mList)
 		}
@@ -762,9 +728,6 @@ func (n *Node) registerHandlers() {
 	})
 
 	h(mSearch, admission.Search, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		if err := n.guardShard(req.Name); err != nil {
-			return nil, err
-		}
 		if !n.cfg.Costs.ReadCost(0) {
 			return nil, n.busy(mSearch)
 		}
@@ -811,8 +774,6 @@ func (n *Node) registerHandlers() {
 			Entries:     n.store.Len(),
 			Version:     n.store.Version(),
 			Mode:        n.cfg.Stack.Mode.String(),
-			ShardGroups: n.cfg.Shard.Groups,
-			ShardIndex:  n.cfg.Shard.Index,
 			WALBytes:    n.pers.walBytes(),
 			NeedsRepair: n.needsRepair.Load(),
 			Repairs:     n.repairs.Load(),

@@ -14,11 +14,11 @@ import (
 )
 
 // persister owns one node's durable state: an optional whole-tree
-// snapshot file plus an optional per-shard WAL. With a WAL, the
+// snapshot file plus an optional WAL. With a WAL, the
 // snapshot stops being the unit of durability (the paper's §4.1
 // whole-table sync) and becomes a compaction artifact: every applied op
 // is appended to the log, and a restart replays snapshot + WAL tail, so
-// a shard holding millions of entries restarts from its last compaction
+// a replica holding millions of entries restarts from its last compaction
 // point instead of its last full dump.
 //
 // Compaction never blocks appliers for the duration of a snapshot. The
@@ -275,7 +275,7 @@ type RestoreInfo struct {
 	Damage *DamageReport
 }
 
-// RestoreStoreFS rebuilds a shard's store from its durable state through
+// RestoreStoreFS rebuilds a replica's store from its durable state through
 // an explicit filesystem — snapshot verification plus WAL scrub with
 // torn-tail healing and corruption quarantine. This is exactly the
 // restart path NewNode runs; the crash-point matrix test drives it.

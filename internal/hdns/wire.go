@@ -38,8 +38,8 @@ package hdns
 //	expiry   varint
 //	info     addr str, group str, members strs, coordinator bool,
 //	         entries varint, version uvarint, mode str,
-//	         shardGroups varint, shardIndex varint, walBytes varint,
-//	         needsRepair bool, quarantined varint, repairs uvarint
+//	         walBytes varint, needsRepair bool, quarantined varint,
+//	         repairs uvarint
 //
 // EventMsg:
 //
@@ -96,8 +96,6 @@ type NodeInfo struct {
 	Entries     int
 	Version     uint64
 	Mode        string
-	ShardGroups int   // ring size the node was configured with (0/1 = unsharded)
-	ShardIndex  int   // which shard of ShardGroups this group serves
 	WALBytes    int64 // on-disk WAL footprint (0 when WAL disabled)
 	NeedsRepair bool  // scrub-on-start quarantined state; repair pending
 	Quarantined int   // durable files this boot moved aside

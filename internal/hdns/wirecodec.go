@@ -114,8 +114,6 @@ func appendRsp(dst []byte, r *Rsp) []byte {
 	dst = binary.AppendVarint(dst, int64(in.Entries))
 	dst = binary.AppendUvarint(dst, in.Version)
 	dst = wire.AppendString(dst, in.Mode)
-	dst = binary.AppendVarint(dst, int64(in.ShardGroups))
-	dst = binary.AppendVarint(dst, int64(in.ShardIndex))
 	dst = binary.AppendVarint(dst, in.WALBytes)
 	dst = wire.AppendBool(dst, in.NeedsRepair)
 	dst = binary.AppendVarint(dst, int64(in.Quarantined))
@@ -149,8 +147,6 @@ func decodeRsp(body []byte) (*Rsp, error) {
 		Entries:     int(d.Varint()),
 		Version:     d.Uvarint(),
 		Mode:        d.Str(),
-		ShardGroups: int(d.Varint()),
-		ShardIndex:  int(d.Varint()),
 		WALBytes:    d.Varint(),
 		NeedsRepair: d.Bool(),
 		Quarantined: int(d.Varint()),

@@ -110,7 +110,7 @@ func TestWireCodecSemantics(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(req, in) {
 			t.Fatalf("req = %+v, %v", req, err)
 		}
-		out := &Rsp{Expiry: -5, Info: NodeInfo{Entries: -6, ShardGroups: -7, ShardIndex: -8, WALBytes: -9, Quarantined: -10}}
+		out := &Rsp{Expiry: -5, Info: NodeInfo{Entries: -6, WALBytes: -9, Quarantined: -10}}
 		rsp, err := decodeRsp(appendRsp(nil, out))
 		if err != nil || !reflect.DeepEqual(rsp, out) {
 			t.Fatalf("rsp = %+v, %v", rsp, err)

@@ -21,7 +21,6 @@ import (
 	"gondi/internal/lease"
 	"gondi/internal/obs"
 	"gondi/internal/rpc"
-	"gondi/internal/shard"
 )
 
 // Environment property keys.
@@ -37,27 +36,14 @@ const (
 // may list several replica nodes ("hdns://node1:7001,node2:7001/..."):
 // endpoints are tried in order with breaker-gated failover, and a
 // *core.ServiceUnavailableError is returned only when every node is down.
-//
-// A sharded deployment separates its replica groups with "|"
-// ("hdns://g0a:1,g0b:1|g1a:1,g1b:1/..."): the provider opens one
-// breaker-ranked failover connection per group and routes names across
-// them by the canonical consistent hash ring (see internal/shard). The
-// comma keeps its per-group failover meaning.
+// Every node behind one authority serves the same replica group; a
+// namespace spread over several groups is joined by binding a reference
+// to another group's hdns:// URL (federation).
 func Register() {
 	core.RegisterProvider("hdns", core.ProviderFunc(func(ctx context.Context, rawURL string, env map[string]any) (core.Context, core.Name, error) {
 		u, err := core.ParseURLName(rawURL)
 		if err != nil {
 			return nil, core.Name{}, err
-		}
-		if groups := shard.SplitAuthority(u.Authority); len(groups) > 1 {
-			// Per-group failover happens inside Open's router dial; the
-			// whole-authority failover loop below would mis-split the
-			// group list at its commas.
-			c, oerr := Open(ctx, u.Authority, env)
-			if oerr != nil {
-				return nil, core.Name{}, oerr
-			}
-			return obs.Instrument(c, "provider", "hdns"), u.Path, nil
 		}
 		hc, err := failover.Open(ctx, u.Authority, func(ctx context.Context, ep string) (*Context, error) {
 			c, oerr := Open(ctx, ep, env)
@@ -77,7 +63,7 @@ func Register() {
 // reuse one node connection instead of leaking one per resolution.
 type shared struct {
 	connpool.Entry
-	client hdns.Conn
+	client *hdns.Client
 	url    string
 	lease  time.Duration
 	renew  lease.Set // keyed by full name
@@ -117,7 +103,7 @@ func Open(ctx context.Context, authority string, env map[string]any) (*Context, 
 	leaseMs := core.EnvInt(env, EnvLeaseMs, 0)
 	key := fmt.Sprintf("%s|%s|%d|%v", authority, secret, leaseMs, env[core.EnvPoolID])
 	sh, err := pool.Get(key, func() (*shared, error) {
-		client, err := dialConn(ctx, authority, secret)
+		client, err := hdns.DialContext(ctx, authority, secret, 10*time.Second)
 		if err != nil {
 			return nil, err
 		}
@@ -131,34 +117,6 @@ func Open(ctx context.Context, authority string, env map[string]any) (*Context, 
 		return nil, err
 	}
 	return &Context{sh: sh, env: env, owner: true}, nil
-}
-
-// dialConn opens the wire connection behind a shared pool entry: one
-// client for a plain authority, or a shard router holding one
-// breaker-ranked failover connection per "|"-separated replica group.
-func dialConn(ctx context.Context, authority, secret string) (hdns.Conn, error) {
-	groups := shard.SplitAuthority(authority)
-	if len(groups) <= 1 {
-		return hdns.DialContext(ctx, authority, secret, 10*time.Second)
-	}
-	conns := make([]hdns.Conn, len(groups))
-	for i, ga := range groups {
-		c, err := failover.Open(ctx, ga, func(ctx context.Context, ep string) (*hdns.Client, error) {
-			cl, derr := hdns.DialContext(ctx, ep, secret, 10*time.Second)
-			if derr != nil {
-				return nil, rpc.CoreError(ep, derr)
-			}
-			return cl, nil
-		})
-		if err != nil {
-			for _, pc := range conns[:i] {
-				pc.Close()
-			}
-			return nil, err
-		}
-		conns[i] = c
-	}
-	return hdns.NewRouter(conns)
 }
 
 func (c *Context) child(base core.Name) *Context {
@@ -368,12 +326,6 @@ func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
 		return core.Errf("rename", newName, err)
 	}
 	err = c.sh.client.Rename(ctx, oldC, newC)
-	if errors.As(err, new(*core.CrossShardRenameError)) {
-		// The router's refusal to move a context between replica groups is
-		// a deliberate semantic limit, not a transport fault: surface it
-		// typed, with the names as this caller gave them.
-		return core.Errf("rename", oldName, &core.CrossShardRenameError{OldName: oldName, NewName: newName})
-	}
 	return core.Errf("rename", oldName, c.mapErr(ctx, err, oldF))
 }
 
@@ -632,10 +584,6 @@ func (c *Context) Reference() (*core.Reference, error) {
 	}
 	return core.NewContextReference(url), nil
 }
-
-// Client exposes the underlying HDNS connection — a *hdns.Client, or a
-// *hdns.Router for a sharded authority (diagnostics, fedctl).
-func (c *Context) Client() hdns.Conn { return c.sh.client }
 
 func (c *Context) String() string {
 	return fmt.Sprintf("hdnssp.Context{%s base=%q}", c.sh.url, c.base.String())

@@ -10,78 +10,59 @@ import (
 )
 
 // DurabilityWorld is a replicated naming deployment with durable state
-// under test: several replica groups behind one routed context, each
-// group anchored by a replica that persists to disk. The callbacks let
-// the suite cut power, damage disks, and watch repair without knowing
-// the substrate.
+// under test: one replica group anchored by a replica that persists to
+// disk. The callbacks let the suite cut power, damage disks, and watch
+// repair without knowing the substrate.
 type DurabilityWorld struct {
-	// Groups is the number of replica groups in the deployment.
-	Groups int
-	// Open dials a fresh routed context spanning every group, resolving
-	// the groups' CURRENT addresses (restarts move ports). id isolates
+	// Open dials a fresh context on the group, resolving the durable
+	// replica's CURRENT address (restarts move ports). id isolates
 	// connection pools between the suite's phases.
 	Open func(t *testing.T, id string) (core.DirContext, error)
-	// Route reports which group the deployment assigns a top-level
-	// prefix to, so the suite can prove its name set is non-degenerate.
-	Route func(prefix string) int
-	// SyncGroup forces group g's durable state to disk — the fsync /
+	// Sync forces the durable replica's state to disk — the fsync /
 	// snapshot pass a housekeeping tick would eventually run. After it
 	// returns, every write acked before the call must survive power loss.
-	SyncGroup func(t *testing.T, g int)
-	// CrashGroup cuts power to group g's durable replica: no exit-time
-	// persistence, no clean-shutdown marker. Redundant in-memory
-	// replicas of the group (started via AddReplica) stay up.
-	CrashGroup func(t *testing.T, g int)
-	// RestartGroup boots group g's durable replica again from whatever
-	// its disk holds. It must return once the replica serves — a boot
-	// that refuses to start on damaged state fails the suite here.
-	RestartGroup func(t *testing.T, g int)
-	// CorruptGroup flips bits in group g's at-rest durable state while
-	// the replica is down (mid-log WAL damage, not a torn tail).
-	CorruptGroup func(t *testing.T, g int)
-	// AddReplica starts one more (memory-only) replica in group g and
+	Sync func(t *testing.T)
+	// Crash cuts power to the durable replica: no exit-time persistence,
+	// no clean-shutdown marker. Redundant in-memory replicas (started via
+	// AddReplica) stay up.
+	Crash func(t *testing.T)
+	// Restart boots the durable replica again from whatever its disk
+	// holds. It must return once the replica serves — a boot that refuses
+	// to start on damaged state fails the suite here.
+	Restart func(t *testing.T)
+	// Corrupt flips bits in the durable replica's at-rest state while it
+	// is down (mid-log WAL damage, not a torn tail).
+	Corrupt func(t *testing.T)
+	// AddReplica starts one more (memory-only) replica in the group and
 	// returns once it has joined and pulled state — the redundancy the
 	// repair phase recovers from.
-	AddReplica func(t *testing.T, g int)
-	// Damaged reports whether group g's durable replica booted with
-	// quarantined state (sticky across the boot, even after repair).
-	Damaged func(g int) bool
+	AddReplica func(t *testing.T)
+	// Damaged reports whether the durable replica booted with quarantined
+	// state (sticky across the boot, even after repair).
+	Damaged func() bool
 	// Repaired reports whether that replica has completed auto-repair
 	// since booting damaged.
-	Repaired func(g int) bool
+	Repaired func() bool
 }
 
 // RunDurabilityConformance executes the storage-fault contract against
 // one live deployment:
 //
-//   - Crash safety: after a power cut on every group, a restart serves
-//     every write acked before the last durable sync — and classifies
-//     the crash as a crash, never as corruption.
+//   - Crash safety: after a power cut, a restart serves every write
+//     acked before the last durable sync — and classifies the crash as a
+//     crash, never as corruption.
 //   - Corruption handling: mid-log damage on a downed replica's disk
 //     makes the restart quarantine and boot degraded — typed damage, a
-//     serving process, never a refusal to start — while the other
-//     groups keep answering.
-//   - Auto-repair: the damaged replica pulls state from its group's
+//     serving process, never a refusal to start.
+//   - Auto-repair: the damaged replica pulls state from the group's
 //     surviving replica and returns to serving the full name set.
 func RunDurabilityConformance(t *testing.T, factory func(t *testing.T) *DurabilityWorld) {
 	CheckGoroutines(t)
 	w := factory(t)
-	if w.Groups < 2 {
-		t.Fatalf("durability conformance needs ≥2 groups, got %d", w.Groups)
-	}
 	ctx := context.Background()
 
 	const names = 40
 	name := func(i int) string { return fmt.Sprintf("dur%d", i) }
-	perGroup := make([]int, w.Groups)
-	for i := 0; i < names; i++ {
-		perGroup[w.Route(name(i))]++
-	}
-	for g, c := range perGroup {
-		if c == 0 {
-			t.Fatalf("degenerate name set: no names route to group %d; widen it", g)
-		}
-	}
 
 	t.Run("AckedWritesSurviveCrash", func(t *testing.T) {
 		c, err := w.Open(t, "dur-crash")
@@ -93,15 +74,11 @@ func RunDurabilityConformance(t *testing.T, factory func(t *testing.T) *Durabili
 				t.Fatalf("bind %s: %v", name(i), err)
 			}
 		}
-		for g := 0; g < w.Groups; g++ {
-			w.SyncGroup(t, g)
-			w.CrashGroup(t, g)
-		}
-		for g := 0; g < w.Groups; g++ {
-			w.RestartGroup(t, g)
-			if w.Damaged(g) {
-				t.Fatalf("group %d classified a pure crash as corruption", g)
-			}
+		w.Sync(t)
+		w.Crash(t)
+		w.Restart(t)
+		if w.Damaged() {
+			t.Fatal("replica classified a pure crash as corruption")
 		}
 		c2, err := w.Open(t, "dur-crash-after")
 		if err != nil {
@@ -115,44 +92,30 @@ func RunDurabilityConformance(t *testing.T, factory func(t *testing.T) *Durabili
 	})
 
 	t.Run("CorruptionQuarantinesAndRepairs", func(t *testing.T) {
-		const victim = 0
-		// Give the victim group a healthy in-memory peer: it inherits the
-		// full state now and is the donor the repair pulls from later.
-		w.AddReplica(t, victim)
-		w.SyncGroup(t, victim)
-		w.CrashGroup(t, victim)
-		w.CorruptGroup(t, victim)
-		w.RestartGroup(t, victim)
-		if !w.Damaged(victim) {
-			t.Fatalf("group %d booted from damaged disk without quarantining", victim)
-		}
-		// Degraded is not down: the other groups answer throughout.
-		c, err := w.Open(t, "dur-degraded")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < names; i++ {
-			if w.Route(name(i)) == victim {
-				continue
-			}
-			if _, err := c.Lookup(ctx, name(i)); err != nil {
-				t.Fatalf("healthy group stopped serving during group %d's repair: %s: %v", victim, name(i), err)
-			}
+		// Give the group a healthy in-memory peer: it inherits the full
+		// state now and is the donor the repair pulls from later.
+		w.AddReplica(t)
+		w.Sync(t)
+		w.Crash(t)
+		w.Corrupt(t)
+		w.Restart(t)
+		if !w.Damaged() {
+			t.Fatal("replica booted from damaged disk without quarantining")
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for !w.Repaired(victim) {
+		for !w.Repaired() {
 			if time.Now().After(deadline) {
-				t.Fatalf("group %d never auto-repaired from its surviving replica", victim)
+				t.Fatal("replica never auto-repaired from its surviving peer")
 			}
 			time.Sleep(15 * time.Millisecond)
 		}
-		// Repair restores the full name set, victim-group names included.
-		c2, err := w.Open(t, "dur-repaired")
+		// Repair restores the full name set.
+		c, err := w.Open(t, "dur-repaired")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < names; i++ {
-			if _, err := c2.Lookup(ctx, name(i)); err != nil {
+			if _, err := c.Lookup(ctx, name(i)); err != nil {
 				t.Fatalf("name lost to corruption despite repair: %s: %v", name(i), err)
 			}
 		}

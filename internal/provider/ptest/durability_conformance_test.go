@@ -13,21 +13,19 @@ import (
 	"gondi/internal/jgroups"
 	"gondi/internal/provider/hdnssp"
 	"gondi/internal/provider/ptest"
-	"gondi/internal/shard"
 )
 
 // TestHDNSDurabilityConformance runs the storage-fault contract against
-// a real 2-group HDNS deployment on the in-process fabric. Each group
-// is anchored by one durable replica (snapshot + WAL on disk); the
-// repair phase adds a memory-only peer to the victim group, cuts the
-// durable replica's power, flips bits in its WAL, and expects the
-// restart to quarantine and then re-anchor from the peer.
+// a real HDNS replica group on the in-process fabric. The group is
+// anchored by one durable replica (snapshot + WAL on disk); the repair
+// phase adds a memory-only peer, cuts the durable replica's power, flips
+// bits in its WAL, and expects the restart to quarantine and then
+// re-anchor from the peer.
 func TestHDNSDurabilityConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash/restart cycles are slow")
 	}
 	ptest.RunDurabilityConformance(t, func(rt *testing.T) *ptest.DurabilityWorld {
-		const groups = 2
 		dir := rt.TempDir()
 		f := jgroups.NewFabric()
 		stack := jgroups.DefaultConfig()
@@ -36,71 +34,63 @@ func TestHDNSDurabilityConformance(t *testing.T) {
 		stack.GossipInterval = 30 * time.Millisecond
 		stack.MergeInterval = 80 * time.Millisecond
 
-		// durable[g] is the group's disk-backed replica; peers[g] any
-		// memory-only replicas added later. epoch[g] names transport
+		// durable is the group's disk-backed replica; peers any
+		// memory-only replicas added later. epoch names transport
 		// endpoints uniquely across restarts.
-		durable := make([]*hdns.Node, groups)
-		peers := make([][]*hdns.Node, groups)
-		epoch := make([]int, groups)
-		snapPath := func(g int) string { return filepath.Join(dir, fmt.Sprintf("g%d.snap", g)) }
-		walDir := func(g int) string { return filepath.Join(dir, fmt.Sprintf("wal-g%d", g)) }
+		var (
+			durable *hdns.Node
+			peers   []*hdns.Node
+			epoch   int
+		)
+		snapPath := filepath.Join(dir, "g0.snap")
+		walDir := filepath.Join(dir, "wal-g0")
 
-		boot := func(t *testing.T, g int) {
-			epoch[g]++
+		boot := func(t *testing.T) {
+			epoch++
 			n, err := hdns.NewNode(hdns.NodeConfig{
-				Group:            fmt.Sprintf("durconf-%d", g),
-				Transport:        f.Endpoint(jgroups.Address(fmt.Sprintf("g%dd%d", g, epoch[g]))),
+				Group:            "durconf",
+				Transport:        f.Endpoint(jgroups.Address(fmt.Sprintf("d%d", epoch))),
 				Stack:            stack,
 				ListenAddr:       "127.0.0.1:0",
-				SnapshotPath:     snapPath(g),
-				WALDir:           walDir(g),
+				SnapshotPath:     snapPath,
+				WALDir:           walDir,
 				SnapshotInterval: time.Hour, // the suite syncs explicitly
 				WriteTimeout:     5 * time.Second,
-				Shard:            shard.Assignment{Groups: groups, Index: g},
 			})
 			if err != nil {
-				t.Fatalf("boot durable g%d: %v", g, err)
+				t.Fatalf("boot durable replica: %v", err)
 			}
-			durable[g] = n
+			durable = n
 			// Cleanups belong to the factory scope: a subtest-scoped one
 			// would kill a replica restarted in phase 1 as soon as that
 			// phase ends, sawing off the world under the later phases.
 			rt.Cleanup(func() { n.Kill() })
 		}
-		for g := 0; g < groups; g++ {
-			boot(rt, g)
-		}
-		ring := shard.Cached(groups)
+		boot(rt)
 
 		return &ptest.DurabilityWorld{
-			Groups: groups,
 			Open: func(t *testing.T, id string) (core.DirContext, error) {
-				auths := make([]string, groups)
-				for g := 0; g < groups; g++ {
-					auths[g] = durable[g].Addr()
-				}
-				c, err := hdnssp.Open(context.Background(), shard.JoinAuthority(auths),
+				c, err := hdnssp.Open(context.Background(), durable.Addr(),
 					map[string]any{core.EnvPoolID: t.Name() + id})
 				if err == nil {
 					t.Cleanup(func() { c.Close() })
 				}
 				return c, err
 			},
-			Route: func(prefix string) int { return ring.Route(prefix) },
-			SyncGroup: func(t *testing.T, g int) {
-				if err := durable[g].SyncDurable(); err != nil {
-					t.Fatalf("sync g%d: %v", g, err)
+			Sync: func(t *testing.T) {
+				if err := durable.SyncDurable(); err != nil {
+					t.Fatalf("sync: %v", err)
 				}
 			},
-			CrashGroup: func(t *testing.T, g int) {
-				dead := jgroups.Address(fmt.Sprintf("g%dd%d", g, epoch[g]))
-				durable[g].Kill()
+			Crash: func(t *testing.T) {
+				dead := jgroups.Address(fmt.Sprintf("d%d", epoch))
+				durable.Kill()
 				// A real restart outlives failure detection: wait for any
 				// surviving peer to suspect the dead replica and take over
 				// as coordinator, so the restarted node rejoins an existing
 				// group (and its state transfer) instead of founding a
 				// singleton next to it.
-				for _, p := range peers[g] {
+				for _, p := range peers {
 					deadline := time.Now().Add(5 * time.Second)
 					for {
 						v := p.Channel().View()
@@ -114,11 +104,11 @@ func TestHDNSDurabilityConformance(t *testing.T) {
 					}
 				}
 			},
-			RestartGroup: boot,
-			CorruptGroup: func(t *testing.T, g int) {
-				segs, err := filepath.Glob(filepath.Join(walDir(g), "seg-*.wal"))
+			Restart: boot,
+			Corrupt: func(t *testing.T) {
+				segs, err := filepath.Glob(filepath.Join(walDir, "seg-*.wal"))
 				if err != nil || len(segs) == 0 {
-					t.Fatalf("no WAL segments to corrupt in g%d: %v", g, err)
+					t.Fatalf("no WAL segments to corrupt: %v", err)
 				}
 				b, err := os.ReadFile(segs[0])
 				if err != nil {
@@ -129,30 +119,29 @@ func TestHDNSDurabilityConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			AddReplica: func(t *testing.T, g int) {
+			AddReplica: func(t *testing.T) {
 				n, err := hdns.NewNode(hdns.NodeConfig{
-					Group:      fmt.Sprintf("durconf-%d", g),
-					Transport:  f.Endpoint(jgroups.Address(fmt.Sprintf("g%dp%d", g, len(peers[g])))),
+					Group:      "durconf",
+					Transport:  f.Endpoint(jgroups.Address(fmt.Sprintf("p%d", len(peers)))),
 					Stack:      stack,
 					ListenAddr: "127.0.0.1:0",
-					Shard:      shard.Assignment{Groups: groups, Index: g},
 				})
 				if err != nil {
-					t.Fatalf("add replica g%d: %v", g, err)
+					t.Fatalf("add replica: %v", err)
 				}
 				rt.Cleanup(func() { n.Close() })
-				peers[g] = append(peers[g], n)
-				want := durable[g].Store().Len()
+				peers = append(peers, n)
+				want := durable.Store().Len()
 				deadline := time.Now().Add(5 * time.Second)
 				for n.Store().Len() < want {
 					if time.Now().After(deadline) {
-						t.Fatalf("peer never pulled g%d state (%d of %d)", g, n.Store().Len(), want)
+						t.Fatalf("peer never pulled state (%d of %d)", n.Store().Len(), want)
 					}
 					time.Sleep(15 * time.Millisecond)
 				}
 			},
-			Damaged:  func(g int) bool { return durable[g].Damage().Corrupt() },
-			Repaired: func(g int) bool { return durable[g].Repairs() > 0 },
+			Damaged:  func() bool { return durable.Damage().Corrupt() },
+			Repaired: func() bool { return durable.Repairs() > 0 },
 		}
 	})
 }

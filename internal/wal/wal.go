@@ -1,4 +1,4 @@
-// Package wal is an incremental write-ahead log for shard persistence:
+// Package wal is an incremental write-ahead log for replica persistence:
 // an append-only sequence of length-prefixed, CRC-framed records split
 // across rotating segment files. The HDNS node appends every applied
 // replicated op, so a restart replays snapshot + WAL tail instead of
