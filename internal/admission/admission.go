@@ -11,8 +11,8 @@
 // the backlog — and therefore the per-op service time — small, so a
 // server at 2x offered load still completes work at its capacity and
 // sheds the rest cheaply. Every server in this repository (hdns, jini
-// LUS, dnssrv, ldapsrv, jxta rendezvous) gates its dispatch through a
-// Controller.
+// LUS, dnssrv, ldapsrv, jxta rendezvous) admits its requests through a
+// Controller, in its serverutil pipeline.
 package admission
 
 import (

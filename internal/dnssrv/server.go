@@ -12,8 +12,9 @@ import (
 	"time"
 
 	"gondi/internal/admission"
+	"gondi/internal/core"
 	"gondi/internal/costmodel"
-	"gondi/internal/obs"
+	"gondi/internal/serverutil"
 )
 
 // maxUDPResponse is the classic RFC 1035 UDP payload limit; larger
@@ -35,6 +36,8 @@ type Server struct {
 	zones map[string]*Zone // canonical origin -> zone
 	costs *costmodel.Costs
 	adm   *admission.Controller
+	// query and axfr serve point queries and zone transfers.
+	query, axfr *serverutil.Stage
 
 	udp *net.UDPConn
 	tcp net.Listener
@@ -62,6 +65,8 @@ func NewServer(addr string, costs *costmodel.Costs, opts ...ServerOption) (*Serv
 	for _, o := range opts {
 		o(s)
 	}
+	p := serverutil.NewPipeline("dns", s.Addr(), s.adm)
+	s.query, s.axfr = p.Stage("dns.query", admission.Read), p.Stage("dns.axfr", admission.Search)
 	s.wg.Add(2)
 	go s.serveUDP()
 	go s.serveTCP()
@@ -223,17 +228,6 @@ func (s *Server) truncate(reqPkt []byte) []byte {
 // handle processes one wire-format query and returns the wire-format
 // response (nil to drop).
 func (s *Server) handle(pkt []byte) []byte {
-	if obs.On() {
-		start := time.Now()
-		defer func() {
-			obs.Default.Counter("gondi_server_requests_total",
-				"Server-side requests handled, by protocol.",
-				obs.Label{K: "proto", V: "dns"}).Inc()
-			obs.Default.Histogram("gondi_server_request_seconds",
-				"Server-side request handling latency, by protocol.",
-				obs.Label{K: "proto", V: "dns"}).Since(start)
-		}()
-	}
 	req, err := DecodeMessage(pkt)
 	if err != nil || req.Header.QR || len(req.Questions) == 0 {
 		return nil
@@ -247,19 +241,27 @@ func (s *Server) handle(pkt []byte) []byte {
 		out, _ := resp.Encode()
 		return out
 	}
-	q := req.Questions[0]
-	class := admission.Read
-	if q.Type == TypeAXFR {
-		class = admission.Search
+	st := s.query
+	if req.Questions[0].Type == TypeAXFR {
+		st = s.axfr
 	}
-	release, aerr := s.adm.Admit(class, s.Addr(), "dns.query")
-	if aerr != nil {
-		return busyResponse(req, retryAfterOf(aerr))
+	var out []byte
+	err = st.Serve(func() error {
+		out = s.answer(pkt, req, resp)
+		return nil
+	})
+	if busy, ok := err.(*core.ServerBusyError); ok {
+		return busyResponse(req, busy.RetryAfter)
 	}
-	defer release()
+	return out
+}
+
+// answer resolves an admitted query into its wire-format response.
+func (s *Server) answer(pkt []byte, req, resp *Message) []byte {
 	if !s.costs.ReadCost(len(pkt)) {
 		return busyResponse(req, stationBusyRetryAfter)
 	}
+	q := req.Questions[0]
 	z := s.findZone(q.Name)
 	if z == nil {
 		resp.Header.Rcode = RcodeRefused
@@ -312,14 +314,6 @@ func (s *Server) handle(pkt []byte) []byte {
 // station's queue cap rejects work (admission-controller sheds carry a
 // measured drain estimate instead).
 const stationBusyRetryAfter = 25 * time.Millisecond
-
-// retryAfterOf pulls the hint out of an admission shed error.
-func retryAfterOf(err error) time.Duration {
-	if h, ok := err.(interface{ RetryAfterHint() time.Duration }); ok {
-		return h.RetryAfterHint()
-	}
-	return stationBusyRetryAfter
-}
 
 // busyResponse encodes the shed answer: REFUSED plus the retry-hint TXT
 // record under busyName in the Additional section.

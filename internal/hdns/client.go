@@ -61,15 +61,10 @@ func DialContext(ctx context.Context, addr, secret string, timeout time.Duration
 	})
 	// A TCP dial can complete against a dead peer — a crashed node's
 	// accept queue, or a severed relay that accepts and drops — so the
-	// handshake always round-trips: auth when a secret is set, a no-op
-	// Info probe otherwise. Multi-endpoint failover then skips to the
-	// next replica at dial time instead of failing the first operation.
-	hello := &Req{Secret: secret}
-	method := mAuth
-	if secret == "" {
-		method = mInfo
-	}
-	if _, err := c.call(ctx, method, hello); err != nil {
+	// handshake always round-trips an auth, with the empty secret when
+	// none is set. Multi-endpoint failover then skips to the next
+	// replica at dial time instead of failing the first operation.
+	if _, err := c.call(ctx, mAuth, &Req{Secret: secret}); err != nil {
 		rc.Close()
 		return nil, err
 	}
@@ -197,15 +192,6 @@ func (c *Client) Watch(ctx context.Context, target []string, scope int, fn func(
 		c.mu.Unlock()
 		_, _ = c.call(context.Background(), mUnwatch, &Req{WatchID: id})
 	}, nil
-}
-
-// Info describes the node and its group.
-func (c *Client) Info(ctx context.Context) (NodeInfo, error) {
-	rsp, err := c.call(ctx, mInfo, &Req{})
-	if err != nil {
-		return NodeInfo{}, err
-	}
-	return rsp.Info, nil
 }
 
 // batchOp is one operation in a callMany batch.

@@ -15,6 +15,7 @@ import (
 	"gondi/internal/jgroups"
 	"gondi/internal/obs"
 	"gondi/internal/rpc"
+	"gondi/internal/serverutil"
 	"gondi/internal/wal"
 )
 
@@ -639,51 +640,6 @@ func (n *Node) busy(op string) error {
 }
 
 func (n *Node) registerHandlers() {
-	h := func(name string, class admission.Class, fn func(sc *rpc.ServerConn, req *Req) (*Rsp, error)) {
-		reqs := obs.Default.Counter("gondi_server_requests_total",
-			"Server-side requests handled, by protocol.",
-			obs.Label{K: "proto", V: "hdns"}, obs.Label{K: "method", V: name})
-		lat := obs.Default.Histogram("gondi_server_request_seconds",
-			"Server-side request handling latency, by protocol.",
-			obs.Label{K: "proto", V: "hdns"}, obs.Label{K: "method", V: name})
-		n.srv.Handle(name, func(sc *rpc.ServerConn, body []byte) ([]byte, error) {
-			release, aerr := n.cfg.Admission.Admit(class, n.Addr(), name)
-			if aerr != nil {
-				return nil, aerr
-			}
-			defer release()
-			start := time.Now()
-			req, err := decodeReq(body)
-			if err != nil {
-				return nil, err
-			}
-			rsp, err := fn(sc, req)
-			reqs.Inc()
-			lat.Since(start)
-			if err != nil {
-				return nil, err
-			}
-			// rpc writes the body after this handler returns, so it cannot
-			// come from a pool; size it for the common (lookup) answer.
-			return appendRsp(make([]byte, 0, 64+len(rsp.View.Obj)), rsp), nil
-		})
-	}
-
-	h(mAuth, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		if n.cfg.Secret != "" && req.Secret != n.cfg.Secret {
-			return nil, errBadSecret
-		}
-		sc.Set("authed", true)
-		return &Rsp{}, nil
-	})
-
-	h(mLookup, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		if !n.cfg.Costs.ReadCost(0) {
-			return nil, n.busy(mLookup)
-		}
-		return &Rsp{View: n.store.Lookup(req.Name)}, nil
-	})
-
 	write := func(name string, kind OpKind) func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
 		return func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
 			if !n.authed(sc) {
@@ -707,88 +663,83 @@ func (n *Node) registerHandlers() {
 			return rsp, nil
 		}
 	}
-	h(mBind, admission.Write, write(mBind, OpBind))
-	h(mRebind, admission.Write, write(mRebind, OpRebind))
-	h(mUnbind, admission.Write, write(mUnbind, OpUnbind))
-	h(mRename, admission.Write, write(mRename, OpRename))
-	h(mCreateCtx, admission.Write, write(mCreateCtx, OpCreateCtx))
-	h(mDestroyCtx, admission.Write, write(mDestroyCtx, OpDestroyCtx))
-	h(mModAttrs, admission.Write, write(mModAttrs, OpModAttrs))
-	h(mLease, admission.Write, write(mLease, OpLeaseRenew))
-
-	h(mList, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		if !n.cfg.Costs.ReadCost(0) {
-			return nil, n.busy(mList)
-		}
-		list, errStr := n.store.List(req.Name)
-		if err := storeErr(errStr); err != nil {
-			return nil, err
-		}
-		return &Rsp{List: list}, nil
-	})
-
-	h(mSearch, admission.Search, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		if !n.cfg.Costs.ReadCost(0) {
-			return nil, n.busy(mSearch)
-		}
-		f, err := filter.Parse(req.Filter)
-		if err != nil {
-			return nil, err
-		}
-		hits, errStr := n.store.Search(req.Name, f, req.Scope, req.Limit)
-		if err := storeErr(errStr); err != nil {
-			return nil, err
-		}
-		return &Rsp{Hits: hits}, nil
-	})
-
-	h(mWatch, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.nextWatch++
-		id := n.nextWatch
-		ws := n.watches[sc]
-		if ws == nil {
-			ws = map[uint64]watchSpec{}
-			n.watches[sc] = ws
-		}
-		ws[id] = watchSpec{target: req.Name, scope: req.Scope}
-		return &Rsp{WatchID: id}, nil
-	})
-
-	h(mUnwatch, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if ws := n.watches[sc]; ws != nil {
-			delete(ws, req.WatchID)
-		}
-		return &Rsp{}, nil
-	})
-
-	h(mInfo, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		view := n.ch.View()
-		info := NodeInfo{
-			Addr:        n.Addr(),
-			Group:       n.cfg.Group,
-			Coordinator: n.ch.IsCoordinator(),
-			Entries:     n.store.Len(),
-			Version:     n.store.Version(),
-			Mode:        n.cfg.Stack.Mode.String(),
-			WALBytes:    n.pers.walBytes(),
-			NeedsRepair: n.needsRepair.Load(),
-			Repairs:     n.repairs.Load(),
-		}
-		if n.damage.Corrupt() {
-			info.Quarantined = len(n.damage.WALQuarantined)
-			if n.damage.SnapshotQuarantined != "" {
-				info.Quarantined++
+	p := serverutil.NewPipeline("hdns", n.Addr(), n.cfg.Admission)
+	for _, m := range []struct {
+		method string
+		class  admission.Class
+		fn     func(sc *rpc.ServerConn, req *Req) (*Rsp, error)
+	}{
+		// Every dial's handshake (Client.DialContext).
+		{mAuth, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+			switch {
+			case req.Secret == "": // anonymous: reads only on a node that has a secret
+			case n.cfg.Secret != "" && req.Secret != n.cfg.Secret:
+				return nil, errBadSecret
+			default:
+				sc.Set("authed", true)
 			}
-		}
-		if view != nil {
-			for _, m := range view.Members {
-				info.Members = append(info.Members, string(m))
+			return &Rsp{}, nil
+		}},
+		{mLookup, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+			if !n.cfg.Costs.ReadCost(0) {
+				return nil, n.busy(mLookup)
 			}
-		}
-		return &Rsp{Info: info}, nil
-	})
+			return &Rsp{View: n.store.Lookup(req.Name)}, nil
+		}},
+		{mBind, admission.Write, write(mBind, OpBind)},
+		{mRebind, admission.Write, write(mRebind, OpRebind)},
+		{mUnbind, admission.Write, write(mUnbind, OpUnbind)},
+		{mRename, admission.Write, write(mRename, OpRename)},
+		{mCreateCtx, admission.Write, write(mCreateCtx, OpCreateCtx)},
+		{mDestroyCtx, admission.Write, write(mDestroyCtx, OpDestroyCtx)},
+		{mModAttrs, admission.Write, write(mModAttrs, OpModAttrs)},
+		{mLease, admission.Write, write(mLease, OpLeaseRenew)},
+		{mList, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+			if !n.cfg.Costs.ReadCost(0) {
+				return nil, n.busy(mList)
+			}
+			list, errStr := n.store.List(req.Name)
+			if err := storeErr(errStr); err != nil {
+				return nil, err
+			}
+			return &Rsp{List: list}, nil
+		}},
+		{mSearch, admission.Search, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+			if !n.cfg.Costs.ReadCost(0) {
+				return nil, n.busy(mSearch)
+			}
+			f, err := filter.Parse(req.Filter)
+			if err != nil {
+				return nil, err
+			}
+			hits, errStr := n.store.Search(req.Name, f, req.Scope, req.Limit)
+			if err := storeErr(errStr); err != nil {
+				return nil, err
+			}
+			return &Rsp{Hits: hits}, nil
+		}},
+		{mWatch, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			n.nextWatch++
+			id := n.nextWatch
+			ws := n.watches[sc]
+			if ws == nil {
+				ws = map[uint64]watchSpec{}
+				n.watches[sc] = ws
+			}
+			ws[id] = watchSpec{target: req.Name, scope: req.Scope}
+			return &Rsp{WatchID: id}, nil
+		}},
+		{mUnwatch, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			if ws := n.watches[sc]; ws != nil {
+				delete(ws, req.WatchID)
+			}
+			return &Rsp{}, nil
+		}},
+	} {
+		serverutil.HandleRPC(n.srv, p.Stage(m.method, m.class), decodeReq, encodeRsp, m.fn)
+	}
 }

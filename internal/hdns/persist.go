@@ -424,14 +424,6 @@ func (p *persister) sync() {
 	}
 }
 
-// walBytes reports the log's on-disk footprint (NodeInfo diagnostics).
-func (p *persister) walBytes() int64 {
-	if p.log == nil {
-		return 0
-	}
-	return p.log.Size()
-}
-
 // close performs the §4.1 exit persistence — a final snapshot — then
 // prunes the now-covered log, closes it, and, when every step succeeded,
 // writes the clean-shutdown marker so the next boot may skip the scrub.

@@ -36,10 +36,6 @@ package hdns
 //	         obj bytes, attrs attrs
 //	watchID  uvarint
 //	expiry   varint
-//	info     addr str, group str, members strs, coordinator bool,
-//	         entries varint, version uvarint, mode str,
-//	         walBytes varint, needsRepair bool, quarantined varint,
-//	         repairs uvarint
 //
 // EventMsg:
 //
@@ -75,7 +71,6 @@ type Rsp struct {
 	Hits    []SearchHit
 	WatchID uint64
 	Expiry  int64
-	Info    NodeInfo
 }
 
 // EventMsg is pushed to watching clients.
@@ -85,21 +80,6 @@ type EventMsg struct {
 	Name    []string
 	Obj     []byte
 	Old     []byte
-}
-
-// NodeInfo describes a node and its replication group.
-type NodeInfo struct {
-	Addr        string
-	Group       string
-	Members     []string
-	Coordinator bool
-	Entries     int
-	Version     uint64
-	Mode        string
-	WALBytes    int64 // on-disk WAL footprint (0 when WAL disabled)
-	NeedsRepair bool  // scrub-on-start quarantined state; repair pending
-	Quarantined int   // durable files this boot moved aside
-	Repairs     uint64
 }
 
 // RPC method names.
@@ -118,6 +98,5 @@ const (
 	mWatch      = "hdns.watch"
 	mUnwatch    = "hdns.unwatch"
 	mLease      = "hdns.lease"
-	mInfo       = "hdns.info"
 	mEvent      = "hdns.event" // push
 )

@@ -105,19 +105,14 @@ func appendRsp(dst []byte, r *Rsp) []byte {
 		dst = wire.AppendAttrs(dst, h.Attrs)
 	}
 	dst = binary.AppendUvarint(dst, r.WatchID)
-	dst = binary.AppendVarint(dst, r.Expiry)
-	in := &r.Info
-	dst = wire.AppendString(dst, in.Addr)
-	dst = wire.AppendString(dst, in.Group)
-	dst = wire.AppendStrings(dst, in.Members)
-	dst = wire.AppendBool(dst, in.Coordinator)
-	dst = binary.AppendVarint(dst, int64(in.Entries))
-	dst = binary.AppendUvarint(dst, in.Version)
-	dst = wire.AppendString(dst, in.Mode)
-	dst = binary.AppendVarint(dst, in.WALBytes)
-	dst = wire.AppendBool(dst, in.NeedsRepair)
-	dst = binary.AppendVarint(dst, int64(in.Quarantined))
-	return binary.AppendUvarint(dst, in.Repairs)
+	return binary.AppendVarint(dst, r.Expiry)
+}
+
+// encodeRsp encodes a node's answer. rpc writes the body after the
+// handler returns, so it cannot come from a pool; it is sized for the
+// common (lookup) answer.
+func encodeRsp(r *Rsp) []byte {
+	return appendRsp(make([]byte, 0, 64+len(r.View.Obj)), r)
 }
 
 func decodeRsp(body []byte) (*Rsp, error) {
@@ -139,19 +134,6 @@ func decodeRsp(body []byte) (*Rsp, error) {
 	}
 	r.WatchID = d.Uvarint()
 	r.Expiry = d.Varint()
-	r.Info = NodeInfo{
-		Addr:        d.Str(),
-		Group:       d.Str(),
-		Members:     d.Strs(),
-		Coordinator: d.Bool(),
-		Entries:     int(d.Varint()),
-		Version:     d.Uvarint(),
-		Mode:        d.Str(),
-		WALBytes:    d.Varint(),
-		NeedsRepair: d.Bool(),
-		Quarantined: int(d.Varint()),
-		Repairs:     d.Uvarint(),
-	}
 	if err := finish(&d, "rsp"); err != nil {
 		return nil, err
 	}

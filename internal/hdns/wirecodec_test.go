@@ -81,7 +81,6 @@ func TestWireCodecSemantics(t *testing.T) {
 		}
 		rsp, err := decodeRsp(appendRsp(nil, &Rsp{
 			View: NodeView{Obj: []byte{}, Attrs: empty}, List: []ListEntry{}, Hits: []SearchHit{},
-			Info: NodeInfo{Members: []string{}},
 		}))
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +92,7 @@ func TestWireCodecSemantics(t *testing.T) {
 		for name, v := range map[string]any{
 			"Req.Name": req.Name, "Req.Name2": req.Name2, "Req.Obj": req.Obj, "Req.Attrs": req.Attrs, "Req.Mods": req.Mods,
 			"View.Obj": rsp.View.Obj, "View.Attrs": rsp.View.Attrs, "Rsp.List": rsp.List, "Rsp.Hits": rsp.Hits,
-			"Info.Members": rsp.Info.Members, "Event.Name": ev.Name, "Event.Obj": ev.Obj, "Event.Old": ev.Old,
+			"Event.Name": ev.Name, "Event.Obj": ev.Obj, "Event.Old": ev.Old,
 		} {
 			if !reflect.ValueOf(v).IsNil() {
 				t.Errorf("%s = %#v, want nil", name, v)
@@ -110,7 +109,7 @@ func TestWireCodecSemantics(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(req, in) {
 			t.Fatalf("req = %+v, %v", req, err)
 		}
-		out := &Rsp{Expiry: -5, Info: NodeInfo{Entries: -6, WALBytes: -9, Quarantined: -10}}
+		out := &Rsp{Expiry: -5}
 		rsp, err := decodeRsp(appendRsp(nil, out))
 		if err != nil || !reflect.DeepEqual(rsp, out) {
 			t.Fatalf("rsp = %+v, %v", rsp, err)
@@ -124,8 +123,7 @@ func TestWireCodecSemantics(t *testing.T) {
 		req := &Req{Name: []string{"a", "b"}, Name2: []string{"c"}, Attrs: attrs,
 			Mods: []ModRec{{ID: "m", Vals: []string{"x"}}}, Filter: "(f=*)", Secret: "s3"}
 		rsp := &Rsp{View: NodeView{Attrs: attrs}, List: []ListEntry{{Name: "n"}},
-			Hits: []SearchHit{{Name: []string{"h"}, Attrs: attrs}},
-			Info: NodeInfo{Addr: "addr", Group: "g", Members: []string{"m1"}, Mode: "bimodal"}}
+			Hits: []SearchHit{{Name: []string{"h"}, Attrs: attrs}}}
 		ev := EventMsg{Name: []string{"e", "f"}}
 		scribble := func(b []byte) {
 			for i := range b {

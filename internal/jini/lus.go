@@ -8,8 +8,8 @@ import (
 	"gondi/internal/admission"
 	"gondi/internal/core"
 	"gondi/internal/costmodel"
-	"gondi/internal/obs"
 	"gondi/internal/rpc"
+	"gondi/internal/serverutil"
 )
 
 // LUSConfig configures a lookup service.
@@ -284,92 +284,73 @@ const (
 )
 
 func (l *LUS) registerHandlers() {
-	h := func(name string, class admission.Class, fn func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error)) {
-		reqs := obs.Default.Counter("gondi_server_requests_total",
-			"Server-side requests handled, by protocol.",
-			obs.Label{K: "proto", V: "jini"}, obs.Label{K: "method", V: name})
-		lat := obs.Default.Histogram("gondi_server_request_seconds",
-			"Server-side request handling latency, by protocol.",
-			obs.Label{K: "proto", V: "jini"}, obs.Label{K: "method", V: name})
-		l.srv.Handle(name, func(sc *rpc.ServerConn, body []byte) ([]byte, error) {
-			release, aerr := l.cfg.Admission.Admit(class, l.Addr(), name)
-			if aerr != nil {
-				return nil, aerr
-			}
-			defer release()
-			start := time.Now()
-			req, err := decodeReq(body)
-			if err != nil {
-				return nil, err
-			}
-			rsp, err := fn(sc, req)
-			reqs.Inc()
-			lat.Since(start)
-			if err != nil {
-				return nil, err
-			}
-			return encodeRsp(rsp), nil
-		})
-	}
-
-	h(mRegister, admission.Write, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-		// Payload size matters: the provider layer's wrapped stubs are
-		// bigger and genuinely cost more to process (Figure 2's SPI
-		// penalty).
-		l.cfg.Costs.WriteCost(len(req.Item.Service))
-		return &wireRsp{Reg: l.register(req.Item, req.LeaseMs)}, nil
-	})
-	h(mLookup, admission.Search, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-		items := l.lookup(req.Template, req.Max)
-		// The serialization work is proportional to what goes back on
-		// the wire: the provider layer's wrapped stubs are bigger than
-		// bare proxies, which is the ≈25% SPI lookup penalty of
-		// Figure 2.
-		size := 0
-		for i := range items {
-			size += len(items[i].Service)
-			for _, e := range items[i].Entries {
-				size += len(e.Type)
-				for k, v := range e.Fields {
-					size += len(k) + len(v)
+	p := serverutil.NewPipeline("jini", l.Addr(), l.cfg.Admission)
+	for _, m := range []struct {
+		method string
+		class  admission.Class
+		fn     func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error)
+	}{
+		{mRegister, admission.Write, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			// Payload size matters: the provider layer's wrapped stubs are
+			// bigger and genuinely cost more to process (Figure 2's SPI
+			// penalty).
+			l.cfg.Costs.WriteCost(len(req.Item.Service))
+			return &wireRsp{Reg: l.register(req.Item, req.LeaseMs)}, nil
+		}},
+		{mLookup, admission.Search, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			items := l.lookup(req.Template, req.Max)
+			// The serialization work is proportional to what goes back on
+			// the wire: the provider layer's wrapped stubs are bigger than
+			// bare proxies, which is the ≈25% SPI lookup penalty of
+			// Figure 2.
+			size := 0
+			for i := range items {
+				size += len(items[i].Service)
+				for _, e := range items[i].Entries {
+					size += len(e.Type)
+					for k, v := range e.Fields {
+						size += len(k) + len(v)
+					}
 				}
 			}
-		}
-		l.cfg.Costs.ReadCost(size)
-		return &wireRsp{Items: items}, nil
-	})
-	h(mRenew, admission.Write, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-		exp, err := l.renew(req.ID, req.LeaseMs)
-		if err != nil {
-			return nil, err
-		}
-		return &wireRsp{Expiry: exp}, nil
-	})
-	h(mCancel, admission.Write, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-		l.cfg.Costs.WriteCost(0)
-		if err := l.cancel(req.ID); err != nil {
-			return nil, err
-		}
-		return &wireRsp{}, nil
-	})
-	h(mNotify, admission.Read, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-		l.mu.Lock()
-		l.nextReg++
-		id := l.nextReg
-		l.watchers[id] = &watcher{
-			id: id, template: req.Template, mask: req.Mask,
-			expiry: time.Now().Add(clampLease(req.LeaseMs)), conn: sc,
-		}
-		l.mu.Unlock()
-		return &wireRsp{RegID: id}, nil
-	})
-	h(mUnnotify, admission.Read, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-		l.mu.Lock()
-		delete(l.watchers, req.RegID)
-		l.mu.Unlock()
-		return &wireRsp{}, nil
-	})
-	h(mGroups, admission.Read, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-		return &wireRsp{Groups: l.cfg.Groups}, nil
-	})
+			l.cfg.Costs.ReadCost(size)
+			return &wireRsp{Items: items}, nil
+		}},
+		{mRenew, admission.Write, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			exp, err := l.renew(req.ID, req.LeaseMs)
+			if err != nil {
+				return nil, err
+			}
+			return &wireRsp{Expiry: exp}, nil
+		}},
+		{mCancel, admission.Write, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			l.cfg.Costs.WriteCost(0)
+			if err := l.cancel(req.ID); err != nil {
+				return nil, err
+			}
+			return &wireRsp{}, nil
+		}},
+		{mNotify, admission.Read, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			l.mu.Lock()
+			l.nextReg++
+			id := l.nextReg
+			l.watchers[id] = &watcher{
+				id: id, template: req.Template, mask: req.Mask,
+				expiry: time.Now().Add(clampLease(req.LeaseMs)), conn: sc,
+			}
+			l.mu.Unlock()
+			return &wireRsp{RegID: id}, nil
+		}},
+		{mUnnotify, admission.Read, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			l.mu.Lock()
+			delete(l.watchers, req.RegID)
+			l.mu.Unlock()
+			return &wireRsp{}, nil
+		}},
+		{mGroups, admission.Read, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			return &wireRsp{Groups: l.cfg.Groups}, nil
+		}},
+	} {
+		serverutil.HandleRPC(l.srv, p.Stage(m.method, m.class), decodeReq, encodeRsp, m.fn)
+	}
 }

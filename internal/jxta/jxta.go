@@ -29,6 +29,7 @@ import (
 	"gondi/internal/core"
 	"gondi/internal/retry"
 	"gondi/internal/rpc"
+	"gondi/internal/serverutil"
 )
 
 // NetGroup is the root peer group every rendezvous starts with.
@@ -397,68 +398,59 @@ const (
 )
 
 func (r *Rendezvous) handlers() {
-	h := func(name string, class admission.Class, fn func(req *wireReq) (*wireRsp, error)) {
-		r.srv.Handle(name, func(_ *rpc.ServerConn, body []byte) ([]byte, error) {
-			release, aerr := r.adm.Admit(class, r.Addr(), name)
-			if aerr != nil {
-				return nil, aerr
-			}
-			defer release()
-			req, err := decodeReq(body)
+	p := serverutil.NewPipeline("jxta", r.Addr(), r.adm)
+	for _, m := range []struct {
+		method string
+		class  admission.Class
+		fn     func(*rpc.ServerConn, *wireReq) (*wireRsp, error)
+	}{
+		{mPublish, admission.Write, func(_ *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			adv, err := r.publish(&req.Adv, time.Duration(req.LifetimeMs)*time.Millisecond, req.OnlyNew)
 			if err != nil {
 				return nil, err
 			}
-			rsp, err := fn(req)
+			return &wireRsp{Adv: *adv}, nil
+		}},
+		{mRenew, admission.Write, func(_ *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			advs, err := r.discover(req.Group, req.Name, nil, 1)
 			if err != nil {
 				return nil, err
 			}
-			return encodeRsp(rsp), nil
-		})
+			if len(advs) == 0 {
+				return nil, ErrNoSuchAdv
+			}
+			adv, err := r.publish(&advs[0], time.Duration(req.LifetimeMs)*time.Millisecond, false)
+			if err != nil {
+				return nil, err
+			}
+			return &wireRsp{Adv: *adv}, nil
+		}},
+		{mFlush, admission.Write, func(_ *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			return &wireRsp{}, r.flush(req.Group, req.Name)
+		}},
+		{mDiscover, admission.Search, func(_ *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			advs, err := r.discover(req.Group, req.Name, req.Query, req.Limit)
+			if err != nil {
+				return nil, err
+			}
+			return &wireRsp{Advs: advs}, nil
+		}},
+		{mCreateGroup, admission.Write, func(_ *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			return &wireRsp{}, r.createGroup(req.Group)
+		}},
+		{mDestroyGroup, admission.Write, func(_ *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			return &wireRsp{}, r.destroyGroup(req.Group)
+		}},
+		{mSubGroups, admission.Read, func(_ *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
+			gs, err := r.subGroups(req.Group)
+			if err != nil {
+				return nil, err
+			}
+			return &wireRsp{Groups: gs}, nil
+		}},
+	} {
+		serverutil.HandleRPC(r.srv, p.Stage(m.method, m.class), decodeReq, encodeRsp, m.fn)
 	}
-	h(mPublish, admission.Write, func(req *wireReq) (*wireRsp, error) {
-		adv, err := r.publish(&req.Adv, time.Duration(req.LifetimeMs)*time.Millisecond, req.OnlyNew)
-		if err != nil {
-			return nil, err
-		}
-		return &wireRsp{Adv: *adv}, nil
-	})
-	h(mRenew, admission.Write, func(req *wireReq) (*wireRsp, error) {
-		advs, err := r.discover(req.Group, req.Name, nil, 1)
-		if err != nil {
-			return nil, err
-		}
-		if len(advs) == 0 {
-			return nil, ErrNoSuchAdv
-		}
-		adv, err := r.publish(&advs[0], time.Duration(req.LifetimeMs)*time.Millisecond, false)
-		if err != nil {
-			return nil, err
-		}
-		return &wireRsp{Adv: *adv}, nil
-	})
-	h(mFlush, admission.Write, func(req *wireReq) (*wireRsp, error) {
-		return &wireRsp{}, r.flush(req.Group, req.Name)
-	})
-	h(mDiscover, admission.Search, func(req *wireReq) (*wireRsp, error) {
-		advs, err := r.discover(req.Group, req.Name, req.Query, req.Limit)
-		if err != nil {
-			return nil, err
-		}
-		return &wireRsp{Advs: advs}, nil
-	})
-	h(mCreateGroup, admission.Write, func(req *wireReq) (*wireRsp, error) {
-		return &wireRsp{}, r.createGroup(req.Group)
-	})
-	h(mDestroyGroup, admission.Write, func(req *wireReq) (*wireRsp, error) {
-		return &wireRsp{}, r.destroyGroup(req.Group)
-	})
-	h(mSubGroups, admission.Read, func(req *wireReq) (*wireRsp, error) {
-		gs, err := r.subGroups(req.Group)
-		if err != nil {
-			return nil, err
-		}
-		return &wireRsp{Groups: gs}, nil
-	})
 }
 
 // Peer is a client of one rendezvous.

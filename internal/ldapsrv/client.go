@@ -24,7 +24,6 @@ type Conn struct {
 	conn    net.Conn
 	br      *breaker.Breaker
 	nextID  int64
-	bound   string
 	dead    bool
 	err     error
 	pending map[int64]*ldapCall
@@ -301,13 +300,7 @@ func (c *Conn) Bind(ctx context.Context, dn, password string) error {
 	if err != nil {
 		return err
 	}
-	if err := resultFrom("bind", resps[len(resps)-1]); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.bound = dn
-	c.mu.Unlock()
-	return nil
+	return resultFrom("bind", resps[len(resps)-1])
 }
 
 // SearchOptions tunes a search.
@@ -463,13 +456,6 @@ func (c *Conn) Compare(ctx context.Context, dn, attrType, value string) (bool, e
 	default:
 		return false, &ResultError{Op: "compare", Result: r}
 	}
-}
-
-// WhoAmI returns the DN this connection last bound as ("" = anonymous).
-func (c *Conn) WhoAmI() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bound
 }
 
 // String diagnostics.

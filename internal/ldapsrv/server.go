@@ -8,9 +8,10 @@ import (
 	"time"
 
 	"gondi/internal/admission"
+	"gondi/internal/core"
 	"gondi/internal/costmodel"
 	"gondi/internal/ldapsrv/ber"
-	"gondi/internal/obs"
+	"gondi/internal/serverutil"
 )
 
 // maxBERMessage bounds one LDAP PDU.
@@ -81,6 +82,7 @@ type Server struct {
 	cfg ServerConfig
 	dit *DIT
 	lis net.Listener
+	ops map[byte]ldapOp
 	wg  sync.WaitGroup
 
 	mu     sync.Mutex
@@ -102,6 +104,19 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, dit: dit, lis: lis, conns: map[net.Conn]struct{}{}}
+	p := serverutil.NewPipeline("ldap", s.Addr(), cfg.Admission)
+	one := func(h func(*session, *ber.Packet) *ber.Packet) func(*session, *ber.Packet) []*ber.Packet {
+		return func(sess *session, op *ber.Packet) []*ber.Packet { return []*ber.Packet{h(sess, op)} }
+	}
+	s.ops = map[byte]ldapOp{
+		AppBindRequest:     {p.Stage("ldap.bind", admission.Read), AppBindResponse, one(s.handleBind)},
+		AppSearchRequest:   {p.Stage("ldap.search", admission.Search), AppSearchDone, s.handleSearch},
+		AppAddRequest:      {p.Stage("ldap.add", admission.Write), AppAddResponse, one(s.handleAdd)},
+		AppDelRequest:      {p.Stage("ldap.delete", admission.Write), AppDelResponse, one(s.handleDelete)},
+		AppModifyRequest:   {p.Stage("ldap.modify", admission.Write), AppModifyResponse, one(s.handleModify)},
+		AppModifyDNRequest: {p.Stage("ldap.modifydn", admission.Write), AppModifyDNResponse, one(s.handleModifyDN)},
+		AppCompareRequest:  {p.Stage("ldap.compare", admission.Read), AppCompareResponse, one(s.handleCompare)},
+	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -214,80 +229,38 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// ldapOp is the pipeline entry of one request tag: the stage that
+// serves it, the tag of the response that closes it (a shed answers
+// with that tag) and its handler.
+type ldapOp struct {
+	stage   *serverutil.Stage
+	doneTag byte
+	handle  func(sess *session, op *ber.Packet) []*ber.Packet
+}
+
 // dispatch handles one protocol op, returning the response op(s).
 func (s *Server) dispatch(sess *session, op *ber.Packet) []*ber.Packet {
-	if obs.On() {
-		start := time.Now()
-		defer func() {
-			obs.Default.Counter("gondi_server_requests_total",
-				"Server-side requests handled, by protocol.",
-				obs.Label{K: "proto", V: "ldap"}).Inc()
-			obs.Default.Histogram("gondi_server_request_seconds",
-				"Server-side request handling latency, by protocol.",
-				obs.Label{K: "proto", V: "ldap"}).Since(start)
-		}()
-	}
-	var (
-		class   admission.Class
-		opName  string
-		doneTag byte
-	)
-	switch op.TagNumber() {
-	case AppBindRequest:
-		class, opName, doneTag = admission.Read, "ldap.bind", AppBindResponse
-	case AppSearchRequest:
-		class, opName, doneTag = admission.Search, "ldap.search", AppSearchDone
-	case AppAddRequest:
-		class, opName, doneTag = admission.Write, "ldap.add", AppAddResponse
-	case AppDelRequest:
-		class, opName, doneTag = admission.Write, "ldap.delete", AppDelResponse
-	case AppModifyRequest:
-		class, opName, doneTag = admission.Write, "ldap.modify", AppModifyResponse
-	case AppModifyDNRequest:
-		class, opName, doneTag = admission.Write, "ldap.modifydn", AppModifyDNResponse
-	case AppCompareRequest:
-		class, opName, doneTag = admission.Read, "ldap.compare", AppCompareResponse
-	default:
+	e, ok := s.ops[op.TagNumber()]
+	if !ok {
 		return []*ber.Packet{EncodeResult(AppSearchDone, Result{
 			Code: ResultProtocolError, Message: "unsupported operation",
 		})}
 	}
-	release, aerr := s.cfg.Admission.Admit(class, s.Addr(), opName)
-	if aerr != nil {
+	var out []*ber.Packet
+	err := e.stage.Serve(func() error {
+		out = e.handle(sess, op)
+		return nil
+	})
+	if busy, ok := err.(*core.ServerBusyError); ok {
 		// LDAP has a busy result code (RFC 4511 §A.2); the retry hint
 		// travels in the diagnostic message.
-		return []*ber.Packet{EncodeResult(doneTag, Result{
-			Code: ResultBusy, Message: busyMessage(aerr),
-		})}
-	}
-	defer release()
-	switch op.TagNumber() {
-	case AppBindRequest:
-		return []*ber.Packet{s.handleBind(sess, op)}
-	case AppSearchRequest:
-		return s.handleSearch(op)
-	case AppAddRequest:
-		return []*ber.Packet{s.handleAdd(sess, op)}
-	case AppDelRequest:
-		return []*ber.Packet{s.handleDelete(sess, op)}
-	case AppModifyRequest:
-		return []*ber.Packet{s.handleModify(sess, op)}
-	case AppModifyDNRequest:
-		return []*ber.Packet{s.handleModifyDN(sess, op)}
-	default: // AppCompareRequest
-		return []*ber.Packet{s.handleCompare(op)}
-	}
-}
-
-// busyMessage encodes an admission shed's retry hint as the busy
-// result's diagnostic message.
-func busyMessage(err error) string {
-	if h, ok := err.(interface{ RetryAfterHint() time.Duration }); ok {
-		if d := h.RetryAfterHint(); d > 0 {
-			return fmt.Sprintf("retry-after-ms=%d", d.Milliseconds())
+		msg := "server busy"
+		if busy.RetryAfter > 0 {
+			msg = fmt.Sprintf("retry-after-ms=%d", busy.RetryAfter.Milliseconds())
 		}
+		return []*ber.Packet{EncodeResult(e.doneTag, Result{Code: ResultBusy, Message: msg})}
 	}
-	return "server busy"
+	return out
 }
 
 func (s *Server) handleBind(sess *session, op *ber.Packet) *ber.Packet {
@@ -328,7 +301,7 @@ func (s *Server) authorizeWrite(sess *session) bool {
 	return !s.cfg.RequireAuthForWrite || sess.getBindDN() != ""
 }
 
-func (s *Server) handleSearch(op *ber.Packet) []*ber.Packet {
+func (s *Server) handleSearch(_ *session, op *ber.Packet) []*ber.Packet {
 	done := func(r Result) []*ber.Packet {
 		return []*ber.Packet{EncodeResult(AppSearchDone, r)}
 	}
@@ -432,7 +405,7 @@ func (s *Server) handleModifyDN(sess *session, op *ber.Packet) *ber.Packet {
 		s.dit.ModifyDN(op.Children[0].Str(), op.Children[1].Str(), op.Children[2].Bool()))
 }
 
-func (s *Server) handleCompare(op *ber.Packet) *ber.Packet {
+func (s *Server) handleCompare(_ *session, op *ber.Packet) *ber.Packet {
 	if len(op.Children) < 2 || len(op.Children[1].Children) < 2 {
 		return EncodeResult(AppCompareResponse, Result{Code: ResultProtocolError})
 	}

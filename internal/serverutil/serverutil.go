@@ -1,4 +1,6 @@
-// Package serverutil holds the typed server options shared by the five
+// Package serverutil holds what the five servers (hdns, jini, jxta,
+// dns, ldap) share: the one request pipeline every request passes
+// (admission, metering; pipeline.go), and the typed options of their
 // daemons (hdnsd, jinilusd, dnsd, ldapd, jxtad): listen address,
 // observability endpoint, and admission control. One flag-binding helper
 // maps the daemons' historical flags (-listen, -obs.addr) plus the new

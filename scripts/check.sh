@@ -20,13 +20,17 @@
 # the hdns replication guard (no gob in internal/hdns outside the
 # store's snapshot codec; no time.After timer per write), the
 # registrar protocol guard (no gob in internal/jini or internal/jxta),
-# and the no-mirror guard (the sync engine and its seams stay deleted:
-# clients read live deployments, never a private copy).
+# the no-mirror guard (the sync engine and its seams stay deleted:
+# clients read live deployments, never a private copy), and the
+# one-pipeline guard (no server admits or meters a request by hand:
+# .Admit( and the gondi_server_request* metrics appear only in
+# internal/serverutil, whose Stage serves every server's requests).
 # allocs is the per-commit real-number gate (operations as values, rpc
 # codec + per-call metrics, hdns request + replication frame codecs,
 # jini registrar codec, bound-value codec, DIT search, dnssp opens,
-# pooled hdnssp opens, hdns lease scan); wall-clock costs are measured
-# by bench/run.sh (see bench/README.md), not gated here.
+# pooled hdnssp opens, hdns lease scan, server pipeline stage);
+# wall-clock costs are measured by bench/run.sh (see bench/README.md),
+# not gated here.
 set -e
 
 # Minimum statement coverage for internal/obs (enforced by the test stage:
@@ -137,6 +141,12 @@ stage_lint() {
         echo "namespace sharding was deleted (DESIGN.md \"Namespace sharding\"); split a namespace with a federation link to another group's hdns:// URL" >&2
         exit 1
     fi
+    echo "== lint: one server request pipeline (admission and server metrics live in internal/serverutil) =="
+    if git ls-files 'internal/*.go' 'cmd/*.go' | grep -v -e '_test\.go$' -e '^internal/serverutil/' -e '^internal/admission/' |
+        xargs grep -nE '\.Admit\(|gondi_server_request' /dev/null; then
+        echo "a server admits or meters a request by hand; serve it through a serverutil.Stage (serverutil.HandleRPC for rpc methods)" >&2
+        exit 1
+    fi
 }
 
 stage_build() {
@@ -238,6 +248,11 @@ stage_allocs() {
     # a store that holds no lease, <= 4 with one due among 10 000 entries.
     echo "== hdns lease scan alloc gate =="
     go test -count=1 -run 'TestReapScanAllocs' ./internal/hdns/
+
+    # Every request of every server passes one pipeline stage: Serve is
+    # free without a controller and costs no more than Admit with one.
+    echo "== server pipeline stage alloc gate =="
+    go test -count=1 -run 'TestStageServeAllocs' ./internal/serverutil/
 
     # Codec fuzz targets over their checked-in seed corpora: the frame
     # reader, the WAL record codec, the hdns request codec (whose target
