@@ -391,11 +391,9 @@ func RunFig6(opts Options) (*Experiment, error) {
 // read throttle) and seeds the read target.
 func newLDAPWorld() (*ldapsrv.Server, func(), error) {
 	registerProviders()
-	costs, limiter := costmodel.LDAPCosts()
 	srv, err := ldapsrv.NewServer("127.0.0.1:0", ldapsrv.ServerConfig{
-		BaseDN:      "dc=bench",
-		Costs:       costs,
-		ReadLimiter: limiter,
+		BaseDN: "dc=bench",
+		Costs:  costmodel.LDAPCosts(),
 	})
 	if err != nil {
 		return nil, nil, err

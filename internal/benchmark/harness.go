@@ -2,8 +2,8 @@
 // closed-loop throughput of the four naming services accessed raw and
 // through their JNDI providers, under 1–100 client threads issuing
 // requests with 50 ms think time (≤20 Hz per thread). Calibrated service
-// costs (internal/costmodel) stand in for the 2005 testbed hardware; see
-// DESIGN.md and EXPERIMENTS.md.
+// costs (internal/costmodel), charged by each server's request pipeline,
+// stand in for the 2005 testbed hardware; see DESIGN.md and EXPERIMENTS.md.
 package benchmark
 
 import (

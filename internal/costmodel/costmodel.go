@@ -1,6 +1,6 @@
-// Package costmodel injects calibrated, 2005-era per-operation service
-// costs into the substrate servers so that the paper's throughput figures
-// can be regenerated on modern hardware.
+// Package costmodel holds calibrated, 2005-era per-operation service
+// costs, charged by the servers' request pipelines (serverutil.Costs), so
+// that the paper's throughput figures can be regenerated on modern hardware.
 //
 // The paper's testbed (Pentium 4 2.4 GHz servers on gigabit Ethernet,
 // §7) saturates at a few hundred to ~2000 operations per second depending
@@ -195,11 +195,14 @@ func (r *RateLimiter) Wait() {
 // Costs bundles the read and write stations a server charges per
 // operation, plus a per-byte unmarshalling cost that makes bulkier
 // payloads (e.g. the Jini provider's wrapped stubs) genuinely more
-// expensive server-side.
+// expensive server-side, and an optional read throttle.
 type Costs struct {
 	Read    *Station
 	Write   *Station
 	PerByte time.Duration // extra service time per payload byte
+	// Throttle, if set, admits reads before their service (the OpenLDAP
+	// read plateau of Figure 7).
+	Throttle *RateLimiter
 }
 
 // ReadCost charges a read of n payload bytes; it reports admission.
@@ -207,6 +210,7 @@ func (c *Costs) ReadCost(n int) bool {
 	if c == nil {
 		return true
 	}
+	c.Throttle.Wait()
 	return c.Read.Do(time.Duration(n) * c.PerByte)
 }
 
@@ -281,11 +285,12 @@ func DNSCosts() *Costs {
 	return &Costs{Read: NewStation(1, DNSReadService), Write: NewStation(1, DNSReadService)}
 }
 
-// LDAPCosts returns the calibrated station set for the LDAP server; the
-// read throttle is returned separately because it applies before service.
-func LDAPCosts() (*Costs, *RateLimiter) {
+// LDAPCosts returns the calibrated station set for the LDAP server,
+// with its read throttle.
+func LDAPCosts() *Costs {
 	return &Costs{
-		Read:  NewStation(2, LDAPReadService),
-		Write: NewStation(1, LDAPWriteService),
-	}, NewRateLimiter(LDAPReadRate, 16)
+		Read:     NewStation(2, LDAPReadService),
+		Write:    NewStation(1, LDAPWriteService),
+		Throttle: NewRateLimiter(LDAPReadRate, 16),
+	}
 }

@@ -130,8 +130,7 @@ func TestCalibrationConstructors(t *testing.T) {
 	if c := DNSCosts(); c.Read == nil {
 		t.Error("DNSCosts incomplete")
 	}
-	c, rl := LDAPCosts()
-	if c.Read == nil || rl == nil {
+	if c := LDAPCosts(); c.Read == nil || c.Throttle == nil {
 		t.Error("LDAPCosts incomplete")
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"gondi/internal/admission"
 )
 
 func TestCanonicalName(t *testing.T) {
@@ -323,6 +325,39 @@ func TestServerNXDomainAndRefused(t *testing.T) {
 		t.Errorf("want REFUSED, got %v", err)
 	}
 	_ = re
+}
+
+// A shed query allocates its decode, the admission refusal and its busy
+// answer, and nothing else: the normal answer is built inside the
+// pipeline stage, never for a query that is turned away.
+func TestShedQueryAllocs(t *testing.T) {
+	ctrl := admission.NewController(admission.NewOptions(
+		admission.WithServer("dns-shed-allocs"), admission.WithQueueBound(1)))
+	s, err := NewServer("127.0.0.1:0", nil, WithAdmission(ctrl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	release, err := ctrl.Admit(admission.Read, "test", "hold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	pkt := mustEncode(t, &Message{Header: Header{ID: 7, RD: true},
+		Questions: []Question{{Name: "a.global.", Type: TypeA, Class: ClassIN}}})
+	resp, err := DecodeMessage(s.handle(pkt))
+	if err != nil || resp.Header.Rcode != RcodeRefused || len(resp.Additional) != 1 {
+		t.Fatalf("shed answer = %+v, %v; want REFUSED with the retry hint", resp, err)
+	}
+	addr := s.Addr()
+	alone := testing.AllocsPerRun(100, func() {
+		req, _ := DecodeMessage(pkt)
+		_, _ = ctrl.Admit(admission.Read, addr, "dns.query")
+		_ = busyResponse(req, time.Millisecond)
+	})
+	if n := testing.AllocsPerRun(100, func() { _ = s.handle(pkt) }); n > alone {
+		t.Errorf("shed handle: %v allocs, decode + shed + busyResponse alone %v", n, alone)
+	}
 }
 
 func TestTCPFallbackOnTruncation(t *testing.T) {

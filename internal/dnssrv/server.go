@@ -13,7 +13,6 @@ import (
 
 	"gondi/internal/admission"
 	"gondi/internal/core"
-	"gondi/internal/costmodel"
 	"gondi/internal/serverutil"
 )
 
@@ -34,7 +33,6 @@ const busyName = "retry-after.gondi."
 type Server struct {
 	mu    sync.RWMutex
 	zones map[string]*Zone // canonical origin -> zone
-	costs *costmodel.Costs
 	adm   *admission.Controller
 	// query and axfr serve point queries and zone transfers.
 	query, axfr *serverutil.Stage
@@ -55,17 +53,18 @@ func WithAdmission(c *admission.Controller) ServerOption {
 }
 
 // NewServer starts a server on addr (e.g. "127.0.0.1:0"); UDP and TCP
-// listeners share the chosen port. costs may be nil for full speed.
-func NewServer(addr string, costs *costmodel.Costs, opts ...ServerOption) (*Server, error) {
+// listeners share the chosen port. costs is charged by the server's
+// request pipeline and may be nil for full speed.
+func NewServer(addr string, costs serverutil.Costs, opts ...ServerOption) (*Server, error) {
 	tcp, udp, err := listenPair(addr, net.Listen)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{zones: map[string]*Zone{}, costs: costs, udp: udp, tcp: tcp}
+	s := &Server{zones: map[string]*Zone{}, udp: udp, tcp: tcp}
 	for _, o := range opts {
 		o(s)
 	}
-	p := serverutil.NewPipeline("dns", s.Addr(), s.adm)
+	p := serverutil.NewPipeline("dns", s.Addr(), s.adm, costs)
 	s.query, s.axfr = p.Stage("dns.query", admission.Read), p.Stage("dns.axfr", admission.Search)
 	s.wg.Add(2)
 	go s.serveUDP()
@@ -214,10 +213,8 @@ func (s *Server) truncate(reqPkt []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	resp := &Message{Header: Header{
-		ID: req.Header.ID, QR: true, AA: true, TC: true, RD: req.Header.RD,
-	}}
-	resp.Questions = req.Questions
+	resp := reply(req)
+	resp.Header.AA, resp.Header.TC = true, true
 	out, err := resp.Encode()
 	if err != nil {
 		return nil
@@ -232,11 +229,8 @@ func (s *Server) handle(pkt []byte) []byte {
 	if err != nil || req.Header.QR || len(req.Questions) == 0 {
 		return nil
 	}
-	resp := &Message{Header: Header{
-		ID: req.Header.ID, QR: true, RD: req.Header.RD,
-	}}
-	resp.Questions = req.Questions
 	if req.Header.Opcode != 0 {
+		resp := reply(req)
 		resp.Header.Rcode = RcodeNotImpl
 		out, _ := resp.Encode()
 		return out
@@ -245,22 +239,21 @@ func (s *Server) handle(pkt []byte) []byte {
 	if req.Questions[0].Type == TypeAXFR {
 		st = s.axfr
 	}
-	var out []byte
-	err = st.Serve(func() error {
-		out = s.answer(pkt, req, resp)
-		return nil
-	})
+	out, err := st.Serve(len(pkt), func() ([]byte, error) { return s.answer(req), nil })
 	if busy, ok := err.(*core.ServerBusyError); ok {
 		return busyResponse(req, busy.RetryAfter)
 	}
 	return out
 }
 
+// reply starts the response to req: its ID, flags and question.
+func reply(req *Message) *Message {
+	return &Message{Header: Header{ID: req.Header.ID, QR: true, RD: req.Header.RD}, Questions: req.Questions}
+}
+
 // answer resolves an admitted query into its wire-format response.
-func (s *Server) answer(pkt []byte, req, resp *Message) []byte {
-	if !s.costs.ReadCost(len(pkt)) {
-		return busyResponse(req, stationBusyRetryAfter)
-	}
+func (s *Server) answer(req *Message) []byte {
+	resp := reply(req)
 	q := req.Questions[0]
 	z := s.findZone(q.Name)
 	if z == nil {
@@ -310,18 +303,11 @@ func (s *Server) answer(pkt []byte, req, resp *Message) []byte {
 	return out
 }
 
-// stationBusyRetryAfter is the hint attached when the calibrated cost
-// station's queue cap rejects work (admission-controller sheds carry a
-// measured drain estimate instead).
-const stationBusyRetryAfter = 25 * time.Millisecond
-
 // busyResponse encodes the shed answer: REFUSED plus the retry-hint TXT
 // record under busyName in the Additional section.
 func busyResponse(req *Message, retryAfter time.Duration) []byte {
-	resp := &Message{Header: Header{
-		ID: req.Header.ID, QR: true, RD: req.Header.RD, Rcode: RcodeRefused,
-	}}
-	resp.Questions = req.Questions
+	resp := reply(req)
+	resp.Header.Rcode = RcodeRefused
 	resp.Additional = append(resp.Additional, RR{
 		Name: busyName, Type: TypeTXT, Class: ClassIN,
 		Txt: []string{fmt.Sprintf("retry-after-ms=%d", retryAfter.Milliseconds())},

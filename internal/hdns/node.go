@@ -9,7 +9,6 @@ import (
 
 	"gondi/internal/admission"
 	"gondi/internal/core"
-	"gondi/internal/costmodel"
 	"gondi/internal/filter"
 	"gondi/internal/h2o"
 	"gondi/internal/jgroups"
@@ -48,8 +47,9 @@ type NodeConfig struct {
 	// Secret, when non-empty, must be presented by clients before
 	// writes are accepted (the H2O-inherited security hook).
 	Secret string
-	// Costs injects calibrated service times (nil = full speed).
-	Costs *costmodel.Costs
+	// Costs is charged by the node's request pipeline (nil = full
+	// speed); see serverutil.Costs for the rule.
+	Costs serverutil.Costs
 	// WriteTimeout bounds how long a write waits for its own replicated
 	// delivery; 0 means 10s.
 	WriteTimeout time.Duration
@@ -630,23 +630,11 @@ func (n *Node) replErr(err error) error {
 	return err
 }
 
-// stationBusyRetryAfter is the hint attached when a calibrated cost
-// station's queue cap rejects work (the station has no drain estimate of
-// its own; admission-controller sheds carry a measured one).
-const stationBusyRetryAfter = 25 * time.Millisecond
-
-func (n *Node) busy(op string) error {
-	return &core.ServerBusyError{Endpoint: n.Addr(), Op: op, RetryAfter: stationBusyRetryAfter}
-}
-
 func (n *Node) registerHandlers() {
-	write := func(name string, kind OpKind) func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+	write := func(kind OpKind) func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
 		return func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
 			if !n.authed(sc) {
 				return nil, errDenied
-			}
-			if !n.cfg.Costs.WriteCost(len(req.Obj)) {
-				return nil, n.busy(name)
 			}
 			op := &Op{
 				Kind: kind, Name: req.Name, Name2: req.Name2, Obj: req.Obj,
@@ -663,7 +651,7 @@ func (n *Node) registerHandlers() {
 			return rsp, nil
 		}
 	}
-	p := serverutil.NewPipeline("hdns", n.Addr(), n.cfg.Admission)
+	p := serverutil.NewPipeline("hdns", n.Addr(), n.cfg.Admission, n.cfg.Costs)
 	for _, m := range []struct {
 		method string
 		class  admission.Class
@@ -681,23 +669,17 @@ func (n *Node) registerHandlers() {
 			return &Rsp{}, nil
 		}},
 		{mLookup, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-			if !n.cfg.Costs.ReadCost(0) {
-				return nil, n.busy(mLookup)
-			}
 			return &Rsp{View: n.store.Lookup(req.Name)}, nil
 		}},
-		{mBind, admission.Write, write(mBind, OpBind)},
-		{mRebind, admission.Write, write(mRebind, OpRebind)},
-		{mUnbind, admission.Write, write(mUnbind, OpUnbind)},
-		{mRename, admission.Write, write(mRename, OpRename)},
-		{mCreateCtx, admission.Write, write(mCreateCtx, OpCreateCtx)},
-		{mDestroyCtx, admission.Write, write(mDestroyCtx, OpDestroyCtx)},
-		{mModAttrs, admission.Write, write(mModAttrs, OpModAttrs)},
-		{mLease, admission.Write, write(mLease, OpLeaseRenew)},
+		{mBind, admission.Write, write(OpBind)},
+		{mRebind, admission.Write, write(OpRebind)},
+		{mUnbind, admission.Write, write(OpUnbind)},
+		{mRename, admission.Write, write(OpRename)},
+		{mCreateCtx, admission.Write, write(OpCreateCtx)},
+		{mDestroyCtx, admission.Write, write(OpDestroyCtx)},
+		{mModAttrs, admission.Write, write(OpModAttrs)},
+		{mLease, admission.Write, write(OpLeaseRenew)},
 		{mList, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-			if !n.cfg.Costs.ReadCost(0) {
-				return nil, n.busy(mList)
-			}
 			list, errStr := n.store.List(req.Name)
 			if err := storeErr(errStr); err != nil {
 				return nil, err
@@ -705,9 +687,6 @@ func (n *Node) registerHandlers() {
 			return &Rsp{List: list}, nil
 		}},
 		{mSearch, admission.Search, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-			if !n.cfg.Costs.ReadCost(0) {
-				return nil, n.busy(mSearch)
-			}
 			f, err := filter.Parse(req.Filter)
 			if err != nil {
 				return nil, err

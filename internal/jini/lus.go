@@ -7,7 +7,6 @@ import (
 
 	"gondi/internal/admission"
 	"gondi/internal/core"
-	"gondi/internal/costmodel"
 	"gondi/internal/rpc"
 	"gondi/internal/serverutil"
 )
@@ -18,8 +17,9 @@ type LUSConfig struct {
 	ListenAddr string
 	// Groups are the discovery groups this LUS belongs to ("" = public).
 	Groups []string
-	// Costs injects calibrated service times (nil = full speed).
-	Costs *costmodel.Costs
+	// Costs is charged by the registrar's request pipeline (nil = full
+	// speed); see serverutil.Costs for the rule.
+	Costs serverutil.Costs
 	// Admission gates every handler; nil admits everything.
 	Admission *admission.Controller
 }
@@ -284,37 +284,17 @@ const (
 )
 
 func (l *LUS) registerHandlers() {
-	p := serverutil.NewPipeline("jini", l.Addr(), l.cfg.Admission)
+	p := serverutil.NewPipeline("jini", l.Addr(), l.cfg.Admission, l.cfg.Costs)
 	for _, m := range []struct {
 		method string
 		class  admission.Class
 		fn     func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error)
 	}{
 		{mRegister, admission.Write, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-			// Payload size matters: the provider layer's wrapped stubs are
-			// bigger and genuinely cost more to process (Figure 2's SPI
-			// penalty).
-			l.cfg.Costs.WriteCost(len(req.Item.Service))
 			return &wireRsp{Reg: l.register(req.Item, req.LeaseMs)}, nil
 		}},
 		{mLookup, admission.Search, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-			items := l.lookup(req.Template, req.Max)
-			// The serialization work is proportional to what goes back on
-			// the wire: the provider layer's wrapped stubs are bigger than
-			// bare proxies, which is the ≈25% SPI lookup penalty of
-			// Figure 2.
-			size := 0
-			for i := range items {
-				size += len(items[i].Service)
-				for _, e := range items[i].Entries {
-					size += len(e.Type)
-					for k, v := range e.Fields {
-						size += len(k) + len(v)
-					}
-				}
-			}
-			l.cfg.Costs.ReadCost(size)
-			return &wireRsp{Items: items}, nil
+			return &wireRsp{Items: l.lookup(req.Template, req.Max)}, nil
 		}},
 		{mRenew, admission.Write, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
 			exp, err := l.renew(req.ID, req.LeaseMs)
@@ -324,7 +304,6 @@ func (l *LUS) registerHandlers() {
 			return &wireRsp{Expiry: exp}, nil
 		}},
 		{mCancel, admission.Write, func(sc *rpc.ServerConn, req *wireReq) (*wireRsp, error) {
-			l.cfg.Costs.WriteCost(0)
 			if err := l.cancel(req.ID); err != nil {
 				return nil, err
 			}

@@ -398,7 +398,7 @@ const (
 )
 
 func (r *Rendezvous) handlers() {
-	p := serverutil.NewPipeline("jxta", r.Addr(), r.adm)
+	p := serverutil.NewPipeline("jxta", r.Addr(), r.adm, nil)
 	for _, m := range []struct {
 		method string
 		class  admission.Class

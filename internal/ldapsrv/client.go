@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"gondi/internal/breaker"
+	"gondi/internal/core"
 	"gondi/internal/filter"
 	"gondi/internal/ldapsrv/ber"
 	"gondi/internal/obs"
@@ -20,6 +23,7 @@ import (
 // operations interleave on the wire, correlated back to their callers by
 // LDAP messageID, instead of serializing lockstep behind one mutex.
 type Conn struct {
+	addr    string
 	mu      sync.Mutex
 	conn    net.Conn
 	br      *breaker.Breaker
@@ -86,6 +90,7 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 	}
 	br.Record(false)
 	cc := &Conn{
+		addr:    addr,
 		conn:    c,
 		br:      br,
 		pending: map[int64]*ldapCall{},
@@ -144,7 +149,7 @@ func (c *Conn) deathErr() error {
 // "stale response from an abandoned op" skip, now a map miss).
 func (c *Conn) readLoop() {
 	for {
-		msg, err := readBER(c.conn)
+		msg, _, err := readBER(c.conn)
 		if err != nil {
 			c.fail(err)
 			return
@@ -278,15 +283,27 @@ func wrapCtx(ctx context.Context, err error) error {
 	return err
 }
 
-func resultFrom(op string, p *ber.Packet) error {
+// resultFrom decodes the result that closes op (see result).
+func (c *Conn) resultFrom(op string, p *ber.Packet) error {
 	r, err := DecodeResult(p)
 	if err != nil {
 		return err
 	}
-	if r.Code != ResultSuccess {
-		return &ResultError{Op: op, Result: r}
+	return c.result(op, r)
+}
+
+// result types the result that closes op: busy is the *core.ServerBusyError
+// every wire client returns for a shed, with the server's retry hint (0
+// when absent); any other failure is a *ResultError.
+func (c *Conn) result(op string, r Result) error {
+	switch r.Code {
+	case ResultSuccess:
+		return nil
+	case ResultBusy:
+		ms, _ := strconv.ParseInt(strings.TrimPrefix(r.Message, retryAfterPrefix), 10, 64)
+		return &core.ServerBusyError{Endpoint: c.addr, Op: op, RetryAfter: time.Duration(max(ms, 0)) * time.Millisecond}
 	}
-	return nil
+	return &ResultError{Op: op, Result: r}
 }
 
 // Bind performs a simple bind; empty dn and password is an anonymous bind.
@@ -300,7 +317,7 @@ func (c *Conn) Bind(ctx context.Context, dn, password string) error {
 	if err != nil {
 		return err
 	}
-	return resultFrom("bind", resps[len(resps)-1])
+	return c.resultFrom("bind", resps[len(resps)-1])
 }
 
 // SearchOptions tunes a search.
@@ -359,7 +376,7 @@ func (c *Conn) Search(ctx context.Context, baseDN, filterStr string, opts *Searc
 		}
 		entries = append(entries, Entry{DN: r.Children[0].Str(), Attrs: attrs})
 	}
-	if err := resultFrom("search", resps[len(resps)-1]); err != nil {
+	if err := c.resultFrom("search", resps[len(resps)-1]); err != nil {
 		return entries, err
 	}
 	return entries, nil
@@ -385,7 +402,7 @@ func (c *Conn) Add(ctx context.Context, dn string, attrs []EntryAttr) error {
 	if err != nil {
 		return err
 	}
-	return resultFrom("add", resps[len(resps)-1])
+	return c.resultFrom("add", resps[len(resps)-1])
 }
 
 // Delete removes a leaf entry.
@@ -395,7 +412,7 @@ func (c *Conn) Delete(ctx context.Context, dn string) error {
 	if err != nil {
 		return err
 	}
-	return resultFrom("delete", resps[len(resps)-1])
+	return c.resultFrom("delete", resps[len(resps)-1])
 }
 
 // Modify applies attribute changes.
@@ -417,7 +434,7 @@ func (c *Conn) Modify(ctx context.Context, dn string, changes []ModifyChange) er
 	if err != nil {
 		return err
 	}
-	return resultFrom("modify", resps[len(resps)-1])
+	return c.resultFrom("modify", resps[len(resps)-1])
 }
 
 // ModifyDN renames an entry in place.
@@ -431,7 +448,7 @@ func (c *Conn) ModifyDN(ctx context.Context, dn, newRDN string, deleteOldRDN boo
 	if err != nil {
 		return err
 	}
-	return resultFrom("modifyDN", resps[len(resps)-1])
+	return c.resultFrom("modifyDN", resps[len(resps)-1])
 }
 
 // Compare tests an attribute assertion; it returns true on compareTrue.
@@ -454,7 +471,7 @@ func (c *Conn) Compare(ctx context.Context, dn, attrType, value string) (bool, e
 	case ResultCompareFalse:
 		return false, nil
 	default:
-		return false, &ResultError{Op: "compare", Result: r}
+		return false, c.result("compare", r)
 	}
 }
 

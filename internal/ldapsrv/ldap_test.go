@@ -397,8 +397,8 @@ func TestServerReadThrottle(t *testing.T) {
 		t.Skip("timing test")
 	}
 	_, c := newLDAPPair(t, ServerConfig{
-		BaseDN:      "dc=x",
-		ReadLimiter: costmodel.NewRateLimiter(50, 1), // 50 reads/s
+		BaseDN: "dc=x",
+		Costs:  &costmodel.Costs{Throttle: costmodel.NewRateLimiter(50, 1)}, // 50 reads/s
 	})
 	if err := c.Add(ctx, "cn=a,dc=x", nil); err != nil {
 		t.Fatal(err)

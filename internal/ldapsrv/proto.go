@@ -47,6 +47,10 @@ const (
 	ResultOther              = 80
 )
 
+// retryAfterPrefix starts a busy result's diagnostic message when it
+// carries the server's retry hint: "retry-after-ms=N".
+const retryAfterPrefix = "retry-after-ms="
+
 // ResultCodeString names a result code for diagnostics.
 func ResultCodeString(code int) string {
 	names := map[int]string{

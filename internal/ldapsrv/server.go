@@ -9,7 +9,6 @@ import (
 
 	"gondi/internal/admission"
 	"gondi/internal/core"
-	"gondi/internal/costmodel"
 	"gondi/internal/ldapsrv/ber"
 	"gondi/internal/serverutil"
 )
@@ -17,28 +16,28 @@ import (
 // maxBERMessage bounds one LDAP PDU.
 const maxBERMessage = 16 << 20
 
-// readBER reads exactly one BER element from the stream.
-func readBER(r io.Reader) (*ber.Packet, error) {
+// readBER reads exactly one BER element, and its length, from the stream.
+func readBER(r io.Reader) (*ber.Packet, int, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if hdr[0]&0x1F == 0x1F {
-		return nil, ber.ErrTagNumber
+		return nil, 0, ber.ErrTagNumber
 	}
 	raw := []byte{hdr[0], hdr[1]}
 	length := int(hdr[1])
 	if length == 0x80 {
-		return nil, ber.ErrIndefinite
+		return nil, 0, ber.ErrIndefinite
 	}
 	if length&0x80 != 0 {
 		n := length & 0x7F
 		if n > 4 {
-			return nil, fmt.Errorf("ldap: message length field of %d bytes", n)
+			return nil, 0, fmt.Errorf("ldap: message length field of %d bytes", n)
 		}
 		extra := make([]byte, n)
 		if _, err := io.ReadFull(r, extra); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		raw = append(raw, extra...)
 		length = 0
@@ -47,15 +46,13 @@ func readBER(r io.Reader) (*ber.Packet, error) {
 		}
 	}
 	if length > maxBERMessage {
-		return nil, fmt.Errorf("ldap: message of %d bytes exceeds limit", length)
+		return nil, 0, fmt.Errorf("ldap: message of %d bytes exceeds limit", length)
 	}
 	content := make([]byte, length)
 	if _, err := io.ReadFull(r, content); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	raw = append(raw, content...)
-	pkt, _, err := ber.Decode(raw)
-	return pkt, err
+	return ber.Decode(append(raw, content...))
 }
 
 // ServerConfig configures the LDAP server.
@@ -68,11 +65,9 @@ type ServerConfig struct {
 	RootPassword string
 	// RequireAuthForWrite rejects writes from anonymous connections.
 	RequireAuthForWrite bool
-	// Costs injects calibrated service times; nil runs full speed.
-	Costs *costmodel.Costs
-	// ReadLimiter throttles search operations (the OpenLDAP read
-	// plateau of Figure 7); nil disables it.
-	ReadLimiter *costmodel.RateLimiter
+	// Costs is charged by the server's request pipeline; nil runs full
+	// speed. See serverutil.Costs for the rule.
+	Costs serverutil.Costs
 	// Admission gates every operation; nil admits everything.
 	Admission *admission.Controller
 }
@@ -104,7 +99,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, dit: dit, lis: lis, conns: map[net.Conn]struct{}{}}
-	p := serverutil.NewPipeline("ldap", s.Addr(), cfg.Admission)
+	p := serverutil.NewPipeline("ldap", s.Addr(), cfg.Admission, cfg.Costs)
 	one := func(h func(*session, *ber.Packet) *ber.Packet) func(*session, *ber.Packet) []*ber.Packet {
 		return func(sess *session, op *ber.Packet) []*ber.Packet { return []*ber.Packet{h(sess, op)} }
 	}
@@ -194,8 +189,8 @@ func (sess *session) getBindDN() string {
 }
 
 // serveConn dispatches each message on its own goroutine so pipelined
-// clients overlap server-side work; response writes are serialized per
-// connection (each message's response group stays contiguous).
+// clients overlap server-side work; each message's response group is
+// written in one piece, so it stays contiguous on the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	var wg sync.WaitGroup
 	defer conn.Close()
@@ -203,7 +198,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var wmu sync.Mutex
 	sess := &session{}
 	for {
-		msg, err := readBER(conn)
+		msg, n, err := readBER(conn)
 		if err != nil {
 			return
 		}
@@ -215,17 +210,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		wg.Add(1)
-		go func(id int64, op *ber.Packet) {
+		go func(id int64, op *ber.Packet, n int) {
 			defer wg.Done()
-			responses := s.dispatch(sess, op)
+			out := s.dispatch(sess, id, op, n)
 			wmu.Lock()
 			defer wmu.Unlock()
-			for _, resp := range responses {
-				if _, err := conn.Write(WrapMessage(id, resp).Encode()); err != nil {
-					return
-				}
-			}
-		}(id, op)
+			// A failed write leaves the broken connection to the next read.
+			_, _ = conn.Write(out)
+		}(id, op, n)
 	}
 }
 
@@ -238,27 +230,34 @@ type ldapOp struct {
 	handle  func(sess *session, op *ber.Packet) []*ber.Packet
 }
 
-// dispatch handles one protocol op, returning the response op(s).
-func (s *Server) dispatch(sess *session, op *ber.Packet) []*ber.Packet {
+// dispatch handles protocol op id, a request of n bytes, and returns its
+// encoded response message(s). They are encoded inside the stage, which
+// charges reads by the length of what they send back.
+func (s *Server) dispatch(sess *session, id int64, op *ber.Packet, n int) []byte {
 	e, ok := s.ops[op.TagNumber()]
 	if !ok {
-		return []*ber.Packet{EncodeResult(AppSearchDone, Result{
+		return encodeMessages(id, EncodeResult(AppSearchDone, Result{
 			Code: ResultProtocolError, Message: "unsupported operation",
-		})}
+		}))
 	}
-	var out []*ber.Packet
-	err := e.stage.Serve(func() error {
-		out = e.handle(sess, op)
-		return nil
+	out, err := e.stage.Serve(n, func() ([]byte, error) {
+		return encodeMessages(id, e.handle(sess, op)...), nil
 	})
 	if busy, ok := err.(*core.ServerBusyError); ok {
 		// LDAP has a busy result code (RFC 4511 §A.2); the retry hint
 		// travels in the diagnostic message.
-		msg := "server busy"
-		if busy.RetryAfter > 0 {
-			msg = fmt.Sprintf("retry-after-ms=%d", busy.RetryAfter.Milliseconds())
-		}
-		return []*ber.Packet{EncodeResult(e.doneTag, Result{Code: ResultBusy, Message: msg})}
+		msg := fmt.Sprintf("%s%d", retryAfterPrefix, busy.RetryAfter.Milliseconds())
+		return encodeMessages(id, EncodeResult(e.doneTag, Result{Code: ResultBusy, Message: msg}))
+	}
+	return out
+}
+
+// encodeMessages wraps each op as message id and encodes them back to
+// back.
+func encodeMessages(id int64, ops ...*ber.Packet) []byte {
+	out := WrapMessage(id, ops[0]).Encode()
+	for _, op := range ops[1:] {
+		out = append(out, WrapMessage(id, op).Encode()...)
 	}
 	return out
 }
@@ -308,7 +307,6 @@ func (s *Server) handleSearch(_ *session, op *ber.Packet) []*ber.Packet {
 	if len(op.Children) < 8 {
 		return done(Result{Code: ResultProtocolError, Message: "short search request"})
 	}
-	s.cfg.ReadLimiter.Wait()
 	baseDN := op.Children[0].Str()
 	scope64, err := op.Children[1].Int()
 	if err != nil {
@@ -331,7 +329,6 @@ func (s *Server) handleSearch(_ *session, op *ber.Packet) []*ber.Packet {
 	for _, a := range op.Children[7].Children {
 		attrs = append(attrs, a.Str())
 	}
-	s.cfg.Costs.ReadCost(0)
 	entries, res := s.dit.Search(baseDN, int(scope64), f, int(sizeLimit64), time.Duration(timeLimit64)*time.Second, attrs, typesOnly)
 	out := make([]*ber.Packet, 0, len(entries)+1)
 	for _, e := range entries {
@@ -352,7 +349,6 @@ func (s *Server) handleAdd(sess *session, op *ber.Packet) *ber.Packet {
 	if err != nil {
 		return EncodeResult(AppAddResponse, Result{Code: ResultProtocolError, Message: err.Error()})
 	}
-	s.cfg.Costs.WriteCost(0)
 	return EncodeResult(AppAddResponse, s.dit.Add(op.Children[0].Str(), attrs))
 }
 
@@ -360,7 +356,6 @@ func (s *Server) handleDelete(sess *session, op *ber.Packet) *ber.Packet {
 	if !s.authorizeWrite(sess) {
 		return EncodeResult(AppDelResponse, Result{Code: ResultInsufficientAccess})
 	}
-	s.cfg.Costs.WriteCost(0)
 	// DelRequest is a primitive application element whose content is
 	// the DN itself.
 	return EncodeResult(AppDelResponse, s.dit.Delete(string(op.Data)))
@@ -389,7 +384,6 @@ func (s *Server) handleModify(sess *session, op *ber.Packet) *ber.Packet {
 		}
 		changes = append(changes, ModifyChange{Op: int(opc), Attr: attr})
 	}
-	s.cfg.Costs.WriteCost(0)
 	return EncodeResult(AppModifyResponse, s.dit.Modify(op.Children[0].Str(), changes))
 }
 
@@ -400,7 +394,6 @@ func (s *Server) handleModifyDN(sess *session, op *ber.Packet) *ber.Packet {
 	if len(op.Children) < 3 {
 		return EncodeResult(AppModifyDNResponse, Result{Code: ResultProtocolError})
 	}
-	s.cfg.Costs.WriteCost(0)
 	return EncodeResult(AppModifyDNResponse,
 		s.dit.ModifyDN(op.Children[0].Str(), op.Children[1].Str(), op.Children[2].Bool()))
 }
@@ -409,7 +402,6 @@ func (s *Server) handleCompare(_ *session, op *ber.Packet) *ber.Packet {
 	if len(op.Children) < 2 || len(op.Children[1].Children) < 2 {
 		return EncodeResult(AppCompareResponse, Result{Code: ResultProtocolError})
 	}
-	s.cfg.Costs.ReadCost(0)
 	dn := op.Children[0].Str()
 	attrType := op.Children[1].Children[0].Str()
 	value := op.Children[1].Children[1].Str()

@@ -17,7 +17,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -185,16 +184,17 @@ func (c *Context) dnFor(n core.Name) string {
 
 // mapResultErr converts LDAP result codes to core sentinels. Anything
 // that is not an LDAP result — and not the caller's own context expiring
-// — came from the wire, not the directory, and is wrapped as a transport
-// failure so callers (failover, the cache's serve-stale, the chaos suite)
-// can classify it.
+// or a typed busy answer — came from the wire, not the directory, and is
+// wrapped as a transport failure so callers (failover, the cache's
+// serve-stale, the chaos suite) can classify it.
 func (c *Context) mapResultErr(err error) error {
 	if err == nil {
 		return nil
 	}
 	var re *ldapsrv.ResultError
 	if !asResultError(err, &re) {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		var busy *core.ServerBusyError
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.As(err, &busy) {
 			return err
 		}
 		return &core.CommunicationError{Endpoint: c.sh.url, Err: err}
@@ -208,26 +208,9 @@ func (c *Context) mapResultErr(err error) error {
 		return core.ErrContextNotEmpty
 	case ldapsrv.ResultInsufficientAccess, ldapsrv.ResultInvalidCredentials:
 		return core.ErrNoPermission
-	case ldapsrv.ResultBusy:
-		return &core.ServerBusyError{
-			Endpoint:   c.sh.url,
-			Op:         re.Op,
-			RetryAfter: busyRetryAfter(re.Result.Message),
-		}
 	default:
 		return re
 	}
-}
-
-// busyRetryAfter parses the "retry-after-ms=N" hint the server puts in a
-// busy result's diagnostic message; absent or malformed hints yield 0.
-func busyRetryAfter(msg string) time.Duration {
-	if v, ok := strings.CutPrefix(msg, "retry-after-ms="); ok {
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			return time.Duration(ms) * time.Millisecond
-		}
-	}
-	return 0
 }
 
 func asResultError(err error, out **ldapsrv.ResultError) bool {

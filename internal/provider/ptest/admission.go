@@ -62,7 +62,7 @@ func RunAdmissionConformance(t *testing.T, factory func(t *testing.T) *Admission
 	}
 
 	// Dial every worker before the storm begins: some providers issue a
-	// server op during Open (hdnssp probes hdns.info), which would
+	// server op during Open (hdnssp's dial runs hdns.auth), which would
 	// itself be shed mid-storm. Pre-storm the server is idle, so a
 	// handful of busy retries absorbs any slot collision.
 	const workers = 32

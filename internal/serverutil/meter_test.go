@@ -2,11 +2,14 @@ package serverutil_test
 
 import (
 	"context"
+	"errors"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gondi/internal/admission"
+	"gondi/internal/core"
 	"gondi/internal/dnssrv"
 	"gondi/internal/hdns"
 	"gondi/internal/jgroups"
@@ -14,43 +17,69 @@ import (
 	"gondi/internal/jxta"
 	"gondi/internal/ldapsrv"
 	"gondi/internal/obs"
+	"gondi/internal/serverutil"
 )
 
-// Every server meters through its pipeline: one request moves its
-// {proto,method} request counter and latency histogram by exactly one,
-// and a shed request moves only gondi_admission_shed_total.
+// countingCosts counts the charges a server's pipeline makes.
+type countingCosts struct{ reads, writes atomic.Int64 }
+
+func (c *countingCosts) ReadCost(int) bool  { c.reads.Add(1); return true }
+func (c *countingCosts) WriteCost(int) bool { c.writes.Add(1); return true }
+
+// startHDNS boots a one-node hdns group behind adm, charging costs, and
+// dials it.
+func startHDNS(t *testing.T, group string, adm *admission.Controller, costs serverutil.Costs) *hdns.Client {
+	n, err := hdns.NewNode(hdns.NodeConfig{
+		Group:      group,
+		Transport:  jgroups.NewFabric().Endpoint("n1"),
+		Stack:      jgroups.DefaultConfig(),
+		ListenAddr: "127.0.0.1:0",
+		Admission:  adm,
+		Costs:      costs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	c, err := hdns.Dial(n.Addr(), "", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// Every server meters and charges through its pipeline: one request
+// moves its {proto,method} request counter and latency histogram by
+// exactly one and is charged exactly once, as its class says; a shed
+// request moves only gondi_admission_shed_total, is charged nothing and
+// comes back as a *core.ServerBusyError.
 func TestServersMeterThroughPipeline(t *testing.T) {
 	for _, tc := range []struct {
 		proto, method string
 		class         admission.Class
-		// start boots the server behind adm and returns one request
-		// that it serves as method.
-		start func(t *testing.T, adm *admission.Controller) func(context.Context) error
+		// start boots the server behind adm, charging costs when the
+		// server takes them, and returns one request that it serves as
+		// method.
+		start func(t *testing.T, adm *admission.Controller, costs serverutil.Costs) func(context.Context) error
+		// uncharged marks the one server that takes no Costs.
+		uncharged bool
 	}{
-		{"hdns", "hdns.lookup", admission.Read, func(t *testing.T, adm *admission.Controller) func(context.Context) error {
-			n, err := hdns.NewNode(hdns.NodeConfig{
-				Group:      "meter",
-				Transport:  jgroups.NewFabric().Endpoint("n1"),
-				Stack:      jgroups.DefaultConfig(),
-				ListenAddr: "127.0.0.1:0",
-				Admission:  adm,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { n.Close() })
-			c, err := hdns.Dial(n.Addr(), "", time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
+		{"hdns", "hdns.lookup", admission.Read, func(t *testing.T, adm *admission.Controller, costs serverutil.Costs) func(context.Context) error {
+			c := startHDNS(t, "meter", adm, costs)
 			return func(ctx context.Context) error {
 				_, err := c.Lookup(ctx, []string{"x"})
 				return err
 			}
-		}},
-		{"jini", "jini.lookup", admission.Search, func(t *testing.T, adm *admission.Controller) func(context.Context) error {
-			lus, err := jini.NewLUS(jini.LUSConfig{ListenAddr: "127.0.0.1:0", Admission: adm})
+		}, false},
+		{"hdns", "hdns.rebind", admission.Write, func(t *testing.T, adm *admission.Controller, costs serverutil.Costs) func(context.Context) error {
+			c := startHDNS(t, "meter-w", adm, costs)
+			return func(ctx context.Context) error {
+				return c.Rebind(ctx, []string{"x"}, []byte("v"), nil, false, 0)
+			}
+		}, false},
+		{"jini", "jini.lookup", admission.Search, func(t *testing.T, adm *admission.Controller, costs serverutil.Costs) func(context.Context) error {
+			lus, err := jini.NewLUS(jini.LUSConfig{ListenAddr: "127.0.0.1:0", Admission: adm, Costs: costs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,8 +93,8 @@ func TestServersMeterThroughPipeline(t *testing.T) {
 				_, err := r.Lookup(ctx, jini.ServiceTemplate{}, 1)
 				return err
 			}
-		}},
-		{"jxta", "jxta.subGroups", admission.Read, func(t *testing.T, adm *admission.Controller) func(context.Context) error {
+		}, false},
+		{"jxta", "jxta.subGroups", admission.Read, func(t *testing.T, adm *admission.Controller, _ serverutil.Costs) func(context.Context) error {
 			rdv, err := jxta.NewRendezvous("127.0.0.1:0", jxta.WithAdmission(adm))
 			if err != nil {
 				t.Fatal(err)
@@ -80,9 +109,9 @@ func TestServersMeterThroughPipeline(t *testing.T) {
 				_, err := p.SubGroups(ctx, jxta.NetGroup)
 				return err
 			}
-		}},
-		{"dns", "dns.query", admission.Read, func(t *testing.T, adm *admission.Controller) func(context.Context) error {
-			srv, err := dnssrv.NewServer("127.0.0.1:0", nil, dnssrv.WithAdmission(adm))
+		}, true},
+		{"dns", "dns.query", admission.Read, func(t *testing.T, adm *admission.Controller, costs serverutil.Costs) func(context.Context) error {
+			srv, err := dnssrv.NewServer("127.0.0.1:0", costs, dnssrv.WithAdmission(adm))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,9 +124,9 @@ func TestServersMeterThroughPipeline(t *testing.T) {
 				_, err := r.LookupA(ctx, "a.meter")
 				return err
 			}
-		}},
-		{"ldap", "ldap.search", admission.Search, func(t *testing.T, adm *admission.Controller) func(context.Context) error {
-			srv, err := ldapsrv.NewServer("127.0.0.1:0", ldapsrv.ServerConfig{BaseDN: "dc=meter", Admission: adm})
+		}, false},
+		{"ldap", "ldap.search", admission.Search, func(t *testing.T, adm *admission.Controller, costs serverutil.Costs) func(context.Context) error {
+			srv, err := ldapsrv.NewServer("127.0.0.1:0", ldapsrv.ServerConfig{BaseDN: "dc=meter", Admission: adm, Costs: costs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,9 +140,13 @@ func TestServersMeterThroughPipeline(t *testing.T) {
 				_, err := c.Search(ctx, "dc=meter", "(objectClass=*)", nil)
 				return err
 			}
-		}},
+		}, false},
 	} {
-		t.Run(tc.proto, func(t *testing.T) {
+		name := tc.proto
+		if tc.class == admission.Write {
+			name += "-write"
+		}
+		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			server := "meter-" + tc.proto
@@ -121,7 +154,8 @@ func TestServersMeterThroughPipeline(t *testing.T) {
 			// sheds the class's next request.
 			adm := admission.NewController(admission.NewOptions(
 				admission.WithServer(server), admission.WithQueueBound(1)))
-			request := tc.start(t, adm)
+			costs := &countingCosts{}
+			request := tc.start(t, adm, costs)
 
 			labels := []obs.Label{{K: "proto", V: tc.proto}, {K: "method", V: tc.method}}
 			reqs := obs.Default.Counter("gondi_server_requests_total", "", labels...)
@@ -131,7 +165,19 @@ func TestServersMeterThroughPipeline(t *testing.T) {
 			moved := func(what string, wantReqs, wantSheds int64, do func()) {
 				t.Helper()
 				r0, l0, s0 := reqs.Value(), lat.Count(), sheds.Value()
+				cr0, cw0 := costs.reads.Load(), costs.writes.Load()
 				do()
+				wantR, wantW := int64(0), int64(0)
+				switch {
+				case tc.uncharged || wantReqs == 0:
+				case tc.class == admission.Write:
+					wantW = 1
+				default:
+					wantR = 1
+				}
+				if dr, dw := costs.reads.Load()-cr0, costs.writes.Load()-cw0; dr != wantR || dw != wantW {
+					t.Errorf("%s: charged %d reads and %d writes, want %d and %d", what, dr, dw, wantR, wantW)
+				}
 				if d := reqs.Value() - r0; d != wantReqs {
 					t.Errorf("%s: requests counter moved by %d, want %d", what, d, wantReqs)
 				}
@@ -154,8 +200,9 @@ func TestServersMeterThroughPipeline(t *testing.T) {
 			}
 			defer release()
 			moved("shed request", 0, 1, func() {
-				if err := request(ctx); err == nil {
-					t.Fatal("request with the class's slot held succeeded, want a busy answer")
+				var busy *core.ServerBusyError
+				if err := request(ctx); !errors.As(err, &busy) {
+					t.Fatalf("request with the class's slot held: %v, want a *core.ServerBusyError", err)
 				}
 			})
 		})

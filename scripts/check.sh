@@ -6,7 +6,7 @@
 #   sh scripts/check.sh fmt vet lint    # just those stages
 #   sh scripts/check.sh test            # race-enabled tests + coverage gate
 #
-# Stages: fmt vet lint build benchmod test allocs chaos durability overload vuln
+# Stages: fmt vet lint build benchmod test allocs chaos durability overload figures vuln
 # lint is ctxfirst plus the one-surface guard (the typed naming surface
 # is spelled in internal/core/op.go and by providers, nowhere else) and
 # the error-text guard (no product code classifies an error by its
@@ -24,13 +24,18 @@
 # clients read live deployments, never a private copy), and the
 # one-pipeline guard (no server admits or meters a request by hand:
 # .Admit( and the gondi_server_request* metrics appear only in
-# internal/serverutil, whose Stage serves every server's requests).
+# internal/serverutil, whose Stage serves every server's requests), and
+# the one-cost-model guard (the calibrated 2005 cost model is imported
+# only by internal/costmodel and the figure harness, internal/benchmark:
+# servers are charged by their pipeline stage, never by hand).
 # allocs is the per-commit real-number gate (operations as values, rpc
 # codec + per-call metrics, hdns request + replication frame codecs,
 # jini registrar codec, bound-value codec, DIT search, dnssp opens,
-# pooled hdnssp opens, hdns lease scan, server pipeline stage);
-# wall-clock costs are measured by bench/run.sh (see bench/README.md),
-# not gated here.
+# pooled hdnssp opens, hdns lease scan, server pipeline stage, dns shed
+# answer); wall-clock costs are measured by bench/run.sh (see
+# bench/README.md), not gated here. figures runs the calibrated Figure
+# 2-7 shape tests and ablations, which skip under -race and so run in no
+# other stage.
 set -e
 
 # Minimum statement coverage for internal/obs (enforced by the test stage:
@@ -147,6 +152,12 @@ stage_lint() {
         echo "a server admits or meters a request by hand; serve it through a serverutil.Stage (serverutil.HandleRPC for rpc methods)" >&2
         exit 1
     fi
+    echo "== lint: one cost model (calibrated service times are charged by the pipeline stage) =="
+    if git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/costmodel/' -e '^internal/benchmark/' |
+        xargs grep -n '"gondi/internal/costmodel"' /dev/null; then
+        echo "a package outside the figure harness imports internal/costmodel; take a serverutil.Costs and let the pipeline stage charge it" >&2
+        exit 1
+    fi
 }
 
 stage_build() {
@@ -250,9 +261,12 @@ stage_allocs() {
     go test -count=1 -run 'TestReapScanAllocs' ./internal/hdns/
 
     # Every request of every server passes one pipeline stage: Serve is
-    # free without a controller and costs no more than Admit with one.
-    echo "== server pipeline stage alloc gate =="
+    # free without a controller or Costs and costs no more than Admit
+    # with one. A shed DNS query allocates its decode, the shed and its
+    # busy answer, never the answer it was refused.
+    echo "== server pipeline stage + dns shed alloc gates =="
     go test -count=1 -run 'TestStageServeAllocs' ./internal/serverutil/
+    go test -count=1 -run 'TestShedQueryAllocs' ./internal/dnssrv/
 
     # Codec fuzz targets over their checked-in seed corpora: the frame
     # reader, the WAL record codec, the hdns request codec (whose target
@@ -308,6 +322,15 @@ stage_durability() {
     go test -race -count=1 -run 'TestHDNSDurabilityConformance' ./internal/provider/ptest/
 }
 
+stage_figures() {
+    # The paper's Figures 2-7 and the ablations on the calibrated cost
+    # model: curve-shape assertions (who wins, where the knees fall).
+    # Timing-calibrated, so they skip under -race and the test stage
+    # never runs them. About two minutes on two cores.
+    echo "== calibrated figure shapes + ablations =="
+    go test -count=1 -run 'TestFig|TestAblation|TestFederationDepth' ./internal/benchmark/
+}
+
 stage_vuln() {
     # Vulnerability + static-analysis gate. Runs unconditionally (its
     # own CI job; no skip knob reaches it). govulncheck is not
@@ -347,13 +370,14 @@ if [ $# -eq 0 ]; then
     stage_chaos
     stage_durability
     stage_overload
+    stage_figures
     stage_vuln
 else
     for s in "$@"; do
         case "$s" in
-            fmt|vet|lint|build|benchmod|test|allocs|chaos|durability|overload|vuln) "stage_$s" ;;
+            fmt|vet|lint|build|benchmod|test|allocs|chaos|durability|overload|figures|vuln) "stage_$s" ;;
             *)
-                echo "unknown stage: $s (stages: fmt vet lint build benchmod test allocs chaos durability overload vuln)" >&2
+                echo "unknown stage: $s (stages: fmt vet lint build benchmod test allocs chaos durability overload figures vuln)" >&2
                 exit 2
                 ;;
         esac
