@@ -38,8 +38,8 @@ type Conn struct {
 
 // ldapCall is one in-flight operation awaiting its response messages.
 type ldapCall struct {
-	ch   chan *ber.Packet // response ops for this messageID, in order
-	quit chan struct{}    // closed when the caller stops listening
+	ch   chan []byte   // response ops for this messageID, in order
+	quit chan struct{} // closed when the caller stops listening
 }
 
 // Dead reports whether the connection has failed at the transport level;
@@ -108,9 +108,9 @@ func (c *Conn) Close() error {
 	dead := c.dead
 	c.mu.Unlock()
 	if !dead {
-		unbind := &ber.Packet{Tag: ber.ClassApplication | AppUnbindRequest}
+		unbind := encodeMessage(id, func(b *ber.Builder) { b.Str(ber.ClassApplication|AppUnbindRequest, "") })
 		c.wmu.Lock()
-		_, _ = c.conn.Write(WrapMessage(id, unbind).Encode())
+		_, _ = c.conn.Write(unbind)
 		c.wmu.Unlock()
 	}
 	c.fail(errors.New("ldapsrv: connection closed"))
@@ -145,16 +145,18 @@ func (c *Conn) deathErr() error {
 }
 
 // readLoop demultiplexes response messages to their in-flight calls by
-// messageID. Responses for abandoned messageIDs are dropped (the old
-// "stale response from an abandoned op" skip, now a map miss).
+// messageID, each op a slice of the frame it came in. Responses for
+// abandoned messageIDs are dropped (the old "stale response from an
+// abandoned op" skip, now a map miss).
 func (c *Conn) readLoop() {
+	fr := &frameReader{r: c.conn}
 	for {
-		msg, _, err := readBER(c.conn)
+		msg, err := fr.read()
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		id, respOp, err := UnwrapMessage(msg)
+		id, respOp, err := splitMessage(msg)
 		if err != nil {
 			// The BER stream is unframed beyond recovery.
 			c.fail(err)
@@ -173,11 +175,12 @@ func (c *Conn) readLoop() {
 	}
 }
 
-// roundTrip sends one request and reads responses until the terminating
-// tag; the caller receives all response ops in order. ctx's deadline is
-// applied to the socket for the whole exchange, so a stalled server
-// cannot wedge the caller past its budget.
-func (c *Conn) roundTrip(ctx context.Context, op *ber.Packet, terminator byte) (_ []*ber.Packet, rerr error) {
+// roundTrip sends one request, the protocol op appendOp appends, and
+// reads responses until the terminating tag; the caller receives all
+// response ops in order, each whole and in place in its frame. ctx's
+// deadline is applied to the socket for the whole exchange, so a stalled
+// server cannot wedge the caller past its budget.
+func (c *Conn) roundTrip(ctx context.Context, appendOp func(*ber.Builder), terminator byte) (_ [][]byte, rerr error) {
 	if obs.On() {
 		start := time.Now()
 		obs.AddWireRT(ctx)
@@ -206,7 +209,7 @@ func (c *Conn) roundTrip(ctx context.Context, op *ber.Packet, terminator byte) (
 	}
 	c.nextID++
 	id := c.nextID
-	call := &ldapCall{ch: make(chan *ber.Packet, 16), quit: make(chan struct{})}
+	call := &ldapCall{ch: make(chan []byte, 16), quit: make(chan struct{})}
 	c.pending[id] = call
 	c.mu.Unlock()
 	defer func() {
@@ -215,7 +218,7 @@ func (c *Conn) roundTrip(ctx context.Context, op *ber.Packet, terminator byte) (
 		c.mu.Unlock()
 		close(call.quit)
 	}()
-	wire := WrapMessage(id, op).Encode()
+	wire := encodeMessage(id, appendOp)
 	c.wmu.Lock()
 	if dl, ok := ctx.Deadline(); ok {
 		_ = c.conn.SetWriteDeadline(dl)
@@ -233,12 +236,12 @@ func (c *Conn) roundTrip(ctx context.Context, op *ber.Packet, terminator byte) (
 	// The caller's deadline is enforced by select, not a socket deadline:
 	// the socket is shared by every pipelined call, and one caller's
 	// budget must not sever another's exchange.
-	var out []*ber.Packet
+	var out [][]byte
 	for {
 		select {
 		case respOp := <-call.ch:
 			out = append(out, respOp)
-			if respOp.TagNumber() == terminator {
+			if opNum(respOp) == terminator {
 				c.record(nil)
 				return out, nil
 			}
@@ -283,19 +286,24 @@ func wrapCtx(ctx context.Context, err error) error {
 	return err
 }
 
-// resultFrom decodes the result that closes op (see result).
-func (c *Conn) resultFrom(op string, p *ber.Packet) error {
-	r, err := DecodeResult(p)
+// exec sends the request appendOp appends and reads the result that
+// closes it.
+func (c *Conn) exec(ctx context.Context, appendOp func(*ber.Builder), terminator byte) (Result, error) {
+	resps, err := c.roundTrip(ctx, appendOp, terminator)
+	if err != nil {
+		return Result{}, err
+	}
+	return readResult(resps[len(resps)-1])
+}
+
+// result types the outcome of op: err, if the exchange failed; else for
+// the result that closed it, busy is the *core.ServerBusyError every wire
+// client returns for a shed, with the server's retry hint (0 when
+// absent), and any other failure is a *ResultError.
+func (c *Conn) result(op string, r Result, err error) error {
 	if err != nil {
 		return err
 	}
-	return c.result(op, r)
-}
-
-// result types the result that closes op: busy is the *core.ServerBusyError
-// every wire client returns for a shed, with the server's retry hint (0
-// when absent); any other failure is a *ResultError.
-func (c *Conn) result(op string, r Result) error {
 	switch r.Code {
 	case ResultSuccess:
 		return nil
@@ -308,16 +316,8 @@ func (c *Conn) result(op string, r Result) error {
 
 // Bind performs a simple bind; empty dn and password is an anonymous bind.
 func (c *Conn) Bind(ctx context.Context, dn, password string) error {
-	op := ber.NewApplication(AppBindRequest, true,
-		ber.NewInteger(3), // LDAPv3
-		ber.NewOctetString(dn),
-		ber.NewContextString(0, password),
-	)
-	resps, err := c.roundTrip(ctx, op, AppBindResponse)
-	if err != nil {
-		return err
-	}
-	return c.resultFrom("bind", resps[len(resps)-1])
+	r, err := c.exec(ctx, func(b *ber.Builder) { appendBindRequest(b, dn, password) }, AppBindResponse)
+	return c.result("bind", r, err)
 }
 
 // SearchOptions tunes a search.
@@ -343,136 +343,73 @@ func (c *Conn) Search(ctx context.Context, baseDN, filterStr string, opts *Searc
 	if err != nil {
 		return nil, err
 	}
-	fp, err := EncodeFilter(f)
-	if err != nil {
-		return nil, err
+	q := searchRequest{
+		baseDN:    baseDN,
+		scope:     int64(opts.Scope),
+		sizeLimit: int64(opts.SizeLimit),
+		timeLimit: timeLimitSeconds(opts.TimeLimit),
+		typesOnly: opts.TypesOnly,
+		filter:    f,
+		attrs:     opts.Attrs,
 	}
-	attrList := ber.NewSequence()
-	for _, a := range opts.Attrs {
-		attrList.AddChild(ber.NewOctetString(a))
-	}
-	op := ber.NewApplication(AppSearchRequest, true,
-		ber.NewOctetString(baseDN),
-		ber.NewEnumerated(int64(opts.Scope)),
-		ber.NewEnumerated(0), // neverDerefAliases
-		ber.NewInteger(int64(opts.SizeLimit)),
-		ber.NewInteger(timeLimitSeconds(opts.TimeLimit)),
-		ber.NewBoolean(opts.TypesOnly),
-		fp,
-		attrList,
-	)
-	resps, err := c.roundTrip(ctx, op, AppSearchDone)
+	resps, err := c.roundTrip(ctx, func(b *ber.Builder) { appendSearchRequest(b, &q) }, AppSearchDone)
 	if err != nil {
 		return nil, err
 	}
 	var entries []Entry
+	if len(resps) > 1 {
+		entries = make([]Entry, 0, len(resps)-1)
+	}
 	for _, r := range resps[:len(resps)-1] {
-		if r.TagNumber() != AppSearchEntry || len(r.Children) < 2 {
+		if opNum(r) != AppSearchEntry {
 			continue
 		}
-		attrs, err := DecodeAttrs(r.Children[1])
+		e, err := readEntry(r)
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, Entry{DN: r.Children[0].Str(), Attrs: attrs})
+		entries = append(entries, e)
 	}
-	if err := c.resultFrom("search", resps[len(resps)-1]); err != nil {
-		return entries, err
-	}
-	return entries, nil
+	r, err := readResult(resps[len(resps)-1])
+	return entries, c.result("search", r, err)
 }
 
 // timeLimitSeconds rounds a duration up to whole seconds for the wire.
 func timeLimitSeconds(d time.Duration) int64 {
-	if d <= 0 {
-		return 0
-	}
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	return int64((max(d, 0) + time.Second - 1) / time.Second)
 }
 
 // Add inserts an entry.
 func (c *Conn) Add(ctx context.Context, dn string, attrs []EntryAttr) error {
-	op := ber.NewApplication(AppAddRequest, true,
-		ber.NewOctetString(dn), EncodeAttrs(attrs))
-	resps, err := c.roundTrip(ctx, op, AppAddResponse)
-	if err != nil {
-		return err
-	}
-	return c.resultFrom("add", resps[len(resps)-1])
+	r, err := c.exec(ctx, func(b *ber.Builder) { appendAddRequest(b, dn, attrs) }, AppAddResponse)
+	return c.result("add", r, err)
 }
 
 // Delete removes a leaf entry.
 func (c *Conn) Delete(ctx context.Context, dn string) error {
-	op := &ber.Packet{Tag: ber.ClassApplication | AppDelRequest, Data: []byte(dn)}
-	resps, err := c.roundTrip(ctx, op, AppDelResponse)
-	if err != nil {
-		return err
-	}
-	return c.resultFrom("delete", resps[len(resps)-1])
+	r, err := c.exec(ctx, func(b *ber.Builder) { appendDelRequest(b, dn) }, AppDelResponse)
+	return c.result("delete", r, err)
 }
 
 // Modify applies attribute changes.
 func (c *Conn) Modify(ctx context.Context, dn string, changes []ModifyChange) error {
-	list := ber.NewSequence()
-	for _, ch := range changes {
-		vals := ber.NewSet()
-		for _, v := range ch.Attr.Vals {
-			vals.AddChild(ber.NewOctetString(v))
-		}
-		list.AddChild(ber.NewSequence(
-			ber.NewEnumerated(int64(ch.Op)),
-			ber.NewSequence(ber.NewOctetString(ch.Attr.Type), vals),
-		))
-	}
-	op := ber.NewApplication(AppModifyRequest, true,
-		ber.NewOctetString(dn), list)
-	resps, err := c.roundTrip(ctx, op, AppModifyResponse)
-	if err != nil {
-		return err
-	}
-	return c.resultFrom("modify", resps[len(resps)-1])
+	r, err := c.exec(ctx, func(b *ber.Builder) { appendModifyRequest(b, dn, changes) }, AppModifyResponse)
+	return c.result("modify", r, err)
 }
 
 // ModifyDN renames an entry in place.
 func (c *Conn) ModifyDN(ctx context.Context, dn, newRDN string, deleteOldRDN bool) error {
-	op := ber.NewApplication(AppModifyDNRequest, true,
-		ber.NewOctetString(dn),
-		ber.NewOctetString(newRDN),
-		ber.NewBoolean(deleteOldRDN),
-	)
-	resps, err := c.roundTrip(ctx, op, AppModifyDNResponse)
-	if err != nil {
-		return err
-	}
-	return c.resultFrom("modifyDN", resps[len(resps)-1])
+	r, err := c.exec(ctx, func(b *ber.Builder) { appendModifyDNRequest(b, dn, newRDN, deleteOldRDN) }, AppModifyDNResponse)
+	return c.result("modifyDN", r, err)
 }
 
 // Compare tests an attribute assertion; it returns true on compareTrue.
 func (c *Conn) Compare(ctx context.Context, dn, attrType, value string) (bool, error) {
-	op := ber.NewApplication(AppCompareRequest, true,
-		ber.NewOctetString(dn),
-		ber.NewSequence(ber.NewOctetString(attrType), ber.NewOctetString(value)),
-	)
-	resps, err := c.roundTrip(ctx, op, AppCompareResponse)
-	if err != nil {
-		return false, err
+	r, err := c.exec(ctx, func(b *ber.Builder) { appendCompareRequest(b, dn, attrType, value) }, AppCompareResponse)
+	if err == nil && (r.Code == ResultCompareTrue || r.Code == ResultCompareFalse) {
+		return r.Code == ResultCompareTrue, nil
 	}
-	r, err := DecodeResult(resps[len(resps)-1])
-	if err != nil {
-		return false, err
-	}
-	switch r.Code {
-	case ResultCompareTrue:
-		return true, nil
-	case ResultCompareFalse:
-		return false, nil
-	default:
-		return false, c.result("compare", r)
-	}
+	return false, c.result("compare", r, err)
 }
 
 // String diagnostics.

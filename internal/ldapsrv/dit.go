@@ -107,6 +107,37 @@ func attrMap(attrs []EntryAttr) map[string]EntryAttr {
 	return m
 }
 
+// addValue adds v to attribute typ of attrs unless the attribute already
+// holds it (values compare case-insensitively).
+func addValue(attrs map[string]EntryAttr, typ, v string) {
+	key := strings.ToLower(typ)
+	a := attrs[key]
+	if a.Type == "" {
+		a.Type = typ
+	}
+	if !slices.ContainsFunc(a.Vals, func(x string) bool { return strings.EqualFold(x, v) }) {
+		a.Vals = append(a.Vals, v)
+	}
+	attrs[key] = a
+}
+
+// removeValues removes vals from attribute key of attrs, and the
+// attribute once it holds no value.
+func removeValues(attrs map[string]EntryAttr, key string, vals ...string) {
+	a, ok := attrs[key]
+	if !ok {
+		return
+	}
+	a.Vals = slices.DeleteFunc(a.Vals, func(v string) bool {
+		return slices.ContainsFunc(vals, func(rm string) bool { return strings.EqualFold(v, rm) })
+	})
+	if len(a.Vals) == 0 {
+		delete(attrs, key)
+	} else {
+		attrs[key] = a
+	}
+}
+
 // Add inserts an entry; its parent must exist and the DN must be free.
 // The RDN attribute is added implicitly if missing.
 func (d *DIT) Add(dnStr string, attrs []EntryAttr) Result {
@@ -131,20 +162,7 @@ func (d *DIT) Add(dnStr string, attrs []EntryAttr) Result {
 	}
 	m := attrMap(attrs)
 	if leaf, ok := dn.Leaf(); ok {
-		lk := strings.ToLower(leaf.Type)
-		ex, present := m[lk]
-		hasVal := false
-		for _, v := range ex.Vals {
-			if strings.EqualFold(v, leaf.Value) {
-				hasVal = true
-			}
-		}
-		if !present {
-			m[lk] = EntryAttr{Type: leaf.Type, Vals: []string{leaf.Value}}
-		} else if !hasVal {
-			ex.Vals = append(ex.Vals, leaf.Value)
-			m[lk] = ex
-		}
+		addValue(m, leaf.Type, leaf.Value)
 	}
 	d.linkLocked(&ditEntry{dn: dn, key: key, attrs: m, parent: parent})
 	return Result{Code: ResultSuccess}
@@ -252,31 +270,13 @@ func (d *DIT) Modify(dnStr string, changes []ModifyChange) Result {
 				work[key] = EntryAttr{Type: ch.Attr.Type, Vals: append([]string(nil), ch.Attr.Vals...)}
 			}
 		case ModifyDelete:
-			ex, present := work[key]
-			if !present {
+			if _, present := work[key]; !present {
 				return Result{Code: ResultNoSuchObject, Message: "no such attribute " + ch.Attr.Type}
 			}
 			if len(ch.Attr.Vals) == 0 {
 				delete(work, key)
-				break
-			}
-			var keep []string
-			for _, v := range ex.Vals {
-				drop := false
-				for _, rm := range ch.Attr.Vals {
-					if strings.EqualFold(v, rm) {
-						drop = true
-					}
-				}
-				if !drop {
-					keep = append(keep, v)
-				}
-			}
-			if len(keep) == 0 {
-				delete(work, key)
 			} else {
-				ex.Vals = keep
-				work[key] = ex
+				removeValues(work, key, ch.Attr.Vals...)
 			}
 		default:
 			return Result{Code: ResultProtocolError, Message: "bad modify op"}
@@ -311,38 +311,9 @@ func (d *DIT) ModifyDN(dnStr, newRDN string, deleteOldRDN bool) Result {
 		return Result{Code: ResultEntryAlreadyExists}
 	}
 	if oldLeaf, ok := dn.Leaf(); ok && deleteOldRDN {
-		key := strings.ToLower(oldLeaf.Type)
-		if ex, present := e.attrs[key]; present {
-			var keep []string
-			for _, v := range ex.Vals {
-				if !strings.EqualFold(v, oldLeaf.Value) {
-					keep = append(keep, v)
-				}
-			}
-			if len(keep) == 0 {
-				delete(e.attrs, key)
-			} else {
-				ex.Vals = keep
-				e.attrs[key] = ex
-			}
-		}
+		removeValues(e.attrs, strings.ToLower(oldLeaf.Type), oldLeaf.Value)
 	}
-	// Add the new RDN attribute.
-	nk := strings.ToLower(rdnDN[0].Type)
-	ex := e.attrs[nk]
-	if ex.Type == "" {
-		ex.Type = rdnDN[0].Type
-	}
-	has := false
-	for _, v := range ex.Vals {
-		if strings.EqualFold(v, rdnDN[0].Value) {
-			has = true
-		}
-	}
-	if !has {
-		ex.Vals = append(ex.Vals, rdnDN[0].Value)
-	}
-	e.attrs[nk] = ex
+	addValue(e.attrs, rdnDN[0].Type, rdnDN[0].Value)
 	d.unlinkLocked(e)
 	e.dn, e.key = newDN, newKey
 	d.linkLocked(e)

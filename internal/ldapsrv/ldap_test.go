@@ -13,6 +13,7 @@ import (
 
 	"gondi/internal/costmodel"
 	"gondi/internal/filter"
+	"gondi/internal/ldapsrv/ber"
 )
 
 func TestFilterBERRoundTrip(t *testing.T) {
@@ -28,18 +29,24 @@ func TestFilterBERRoundTrip(t *testing.T) {
 	}
 	for _, s := range cases {
 		n := filter.MustParse(s)
-		p, err := EncodeFilter(n)
+		back, err := filterRoundTrip(n)
 		if err != nil {
-			t.Fatalf("encode %q: %v", s, err)
-		}
-		back, err := DecodeFilter(p)
-		if err != nil {
-			t.Fatalf("decode %q: %v", s, err)
+			t.Fatalf("%q: %v", s, err)
 		}
 		if !n.Equal(back) {
 			t.Errorf("%q -> %q", s, back.String())
 		}
 	}
+}
+
+// filterRoundTrip appends n and reads it back.
+func filterRoundTrip(n *filter.Node) (*filter.Node, error) {
+	var b ber.Builder
+	appendFilter(&b, n)
+	r := ber.NewReader(b.Bytes())
+	back := readFilter(&r, 1)
+	r.End()
+	return back, r.Err()
 }
 
 func TestFilterBERRoundTripProperty(t *testing.T) {
@@ -70,11 +77,7 @@ func TestFilterBERRoundTripProperty(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		n := gen(3)
-		p, err := EncodeFilter(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := DecodeFilter(p)
+		back, err := filterRoundTrip(n)
 		if err != nil || !n.Equal(back) {
 			t.Fatalf("iter %d: %v vs %v (%v)", i, n, back, err)
 		}

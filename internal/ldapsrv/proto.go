@@ -1,7 +1,11 @@
 package ldapsrv
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"slices"
+	"strings"
 
 	"gondi/internal/filter"
 	"gondi/internal/ldapsrv/ber"
@@ -51,19 +55,21 @@ const (
 // carries the server's retry hint: "retry-after-ms=N".
 const retryAfterPrefix = "retry-after-ms="
 
+// resultNames names the result codes this package knows.
+var resultNames = map[int]string{
+	ResultSuccess: "success", ResultOperationsError: "operationsError",
+	ResultProtocolError: "protocolError", ResultTimeLimitExceeded: "timeLimitExceeded",
+	ResultSizeLimitExceeded: "sizeLimitExceeded", ResultCompareFalse: "compareFalse",
+	ResultCompareTrue: "compareTrue", ResultNoSuchObject: "noSuchObject",
+	ResultInvalidDNSyntax: "invalidDNSyntax", ResultUnwillingToPerform: "unwillingToPerform",
+	ResultNotAllowedOnNonLea: "notAllowedOnNonLeaf", ResultEntryAlreadyExists: "entryAlreadyExists",
+	ResultInvalidCredentials: "invalidCredentials", ResultInsufficientAccess: "insufficientAccessRights",
+	ResultBusy: "busy", ResultOther: "other",
+}
+
 // ResultCodeString names a result code for diagnostics.
 func ResultCodeString(code int) string {
-	names := map[int]string{
-		ResultSuccess: "success", ResultOperationsError: "operationsError",
-		ResultProtocolError: "protocolError", ResultTimeLimitExceeded: "timeLimitExceeded",
-		ResultSizeLimitExceeded: "sizeLimitExceeded", ResultCompareFalse: "compareFalse",
-		ResultCompareTrue: "compareTrue", ResultNoSuchObject: "noSuchObject",
-		ResultInvalidDNSyntax: "invalidDNSyntax", ResultUnwillingToPerform: "unwillingToPerform",
-		ResultNotAllowedOnNonLea: "notAllowedOnNonLeaf", ResultEntryAlreadyExists: "entryAlreadyExists",
-		ResultInvalidCredentials: "invalidCredentials", ResultInsufficientAccess: "insufficientAccessRights",
-		ResultBusy: "busy", ResultOther: "other",
-	}
-	if n, ok := names[code]; ok {
+	if n, ok := resultNames[code]; ok {
 		return n
 	}
 	return fmt.Sprintf("resultCode(%d)", code)
@@ -99,7 +105,7 @@ type Entry struct {
 // Get returns the values of the named attribute (case-insensitive).
 func (e *Entry) Get(attrType string) []string {
 	for _, a := range e.Attrs {
-		if equalFold(a.Type, attrType) {
+		if strings.EqualFold(a.Type, attrType) {
 			return a.Vals
 		}
 	}
@@ -113,25 +119,6 @@ func (e *Entry) GetFirst(attrType string) string {
 		return ""
 	}
 	return v[0]
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if ca >= 'A' && ca <= 'Z' {
-			ca += 32
-		}
-		if cb >= 'A' && cb <= 'Z' {
-			cb += 32
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // Result is an LDAPResult.
@@ -151,217 +138,455 @@ func (e *ResultError) Error() string {
 	return fmt.Sprintf("ldap: %s: %s (%s)", e.Op, ResultCodeString(e.Result.Code), e.Result.Message)
 }
 
-// EncodeResult builds the three standard LDAPResult fields.
-func EncodeResult(appTag byte, r Result) *ber.Packet {
-	return ber.NewApplication(appTag, true,
-		ber.NewEnumerated(int64(r.Code)),
-		ber.NewOctetString(r.MatchedDN),
-		ber.NewOctetString(r.Message),
-	)
+// The LDAP wire codec. Every message is appended into one ber.Builder
+// and read in place with a ber.Reader. Each request's appender (the
+// client's) sits beside its reader (the server's), as does each
+// response's. A reader takes the whole op that splitMessage returns and
+// reads its body with the reader it entered.
+
+// maxBERMessage bounds one LDAP PDU.
+const maxBERMessage = 16 << 20
+
+// maxFilterDepth bounds the nesting of a search filter the server reads.
+// Reading and evaluating a filter recurse once per level, so without it
+// a message of a few megabytes could grow a goroutine's stack past the
+// runtime's limit and abort the process.
+const maxFilterDepth = 64
+
+// frameReader reads LDAPMessages off one connection. Its header array
+// lives with the connection: a stack array handed to an io.Reader would
+// escape and cost an allocation per message.
+type frameReader struct {
+	r   io.Reader
+	hdr [2 + ber.MaxLengthBytes]byte
 }
 
-// DecodeResult parses an LDAPResult body.
-func DecodeResult(p *ber.Packet) (Result, error) {
-	var r Result
-	if len(p.Children) < 3 {
-		return r, fmt.Errorf("ldap: short result (%d fields)", len(p.Children))
+// read reads one message, header and content, into one buffer.
+func (f *frameReader) read() ([]byte, error) {
+	if _, err := io.ReadFull(f.r, f.hdr[:2]); err != nil {
+		return nil, err
 	}
-	code, err := p.Children[0].Int()
-	if err != nil {
-		return r, err
-	}
-	r.Code = int(code)
-	r.MatchedDN = p.Children[1].Str()
-	r.Message = p.Children[2].Str()
-	return r, nil
-}
-
-// Filter choice context tags (RFC 4511 §4.5.1.7).
-const (
-	filterAnd        = 0
-	filterOr         = 1
-	filterNot        = 2
-	filterEquality   = 3
-	filterSubstrings = 4
-	filterGreaterEq  = 5
-	filterLessEq     = 6
-	filterPresent    = 7
-	filterApprox     = 8
-)
-
-// EncodeFilter converts a parsed RFC 4515 filter into its RFC 4511 BER
-// form.
-func EncodeFilter(n *filter.Node) (*ber.Packet, error) {
-	switch n.Op {
-	case filter.OpAnd, filter.OpOr:
-		tag := byte(filterAnd)
-		if n.Op == filter.OpOr {
-			tag = filterOr
-		}
-		p := ber.NewContext(tag, true)
-		for _, k := range n.Children {
-			c, err := EncodeFilter(k)
-			if err != nil {
-				return nil, err
-			}
-			p.AddChild(c)
-		}
-		return p, nil
-	case filter.OpNot:
-		c, err := EncodeFilter(n.Children[0])
-		if err != nil {
+	size := 2
+	if k := int(f.hdr[1] & 0x7F); f.hdr[1]&0x80 != 0 && k <= ber.MaxLengthBytes {
+		size += k
+		if _, err := io.ReadFull(f.r, f.hdr[2:size]); err != nil {
 			return nil, err
 		}
-		return ber.NewContext(filterNot, true, c), nil
-	case filter.OpEqual:
-		return ava(filterEquality, n.Attr, n.Value), nil
-	case filter.OpApprox:
-		return ava(filterApprox, n.Attr, n.Value), nil
-	case filter.OpGreaterEq:
-		return ava(filterGreaterEq, n.Attr, n.Value), nil
-	case filter.OpLessEq:
-		return ava(filterLessEq, n.Attr, n.Value), nil
-	case filter.OpPresent:
-		return ber.NewContextString(filterPresent, n.Attr), nil
-	case filter.OpSubstring:
-		subs := ber.NewSequence()
-		if n.Initial != "" {
-			subs.AddChild(ber.NewContextString(0, n.Initial))
-		}
-		for _, a := range n.Any {
-			subs.AddChild(ber.NewContextString(1, a))
-		}
-		if n.Final != "" {
-			subs.AddChild(ber.NewContextString(2, n.Final))
-		}
-		return ber.NewContext(filterSubstrings, true,
-			ber.NewOctetString(n.Attr), subs), nil
-	default:
-		return nil, fmt.Errorf("ldap: cannot encode filter op %v", n.Op)
 	}
-}
-
-func ava(tag byte, attr, value string) *ber.Packet {
-	return ber.NewContext(tag, true,
-		ber.NewOctetString(attr), ber.NewOctetString(value))
-}
-
-// DecodeFilter converts the BER filter form back into the shared AST.
-func DecodeFilter(p *ber.Packet) (*filter.Node, error) {
-	if p.Class() != ber.ClassContext {
-		return nil, fmt.Errorf("ldap: filter element with class %x", p.Class())
-	}
-	switch p.TagNumber() {
-	case filterAnd, filterOr:
-		op := filter.OpAnd
-		if p.TagNumber() == filterOr {
-			op = filter.OpOr
-		}
-		n := &filter.Node{Op: op}
-		if len(p.Children) == 0 {
-			return nil, fmt.Errorf("ldap: empty and/or filter")
-		}
-		for _, c := range p.Children {
-			k, err := DecodeFilter(c)
-			if err != nil {
-				return nil, err
-			}
-			n.Children = append(n.Children, k)
-		}
-		return n, nil
-	case filterNot:
-		if len(p.Children) != 1 {
-			return nil, fmt.Errorf("ldap: not filter with %d children", len(p.Children))
-		}
-		k, err := DecodeFilter(p.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &filter.Node{Op: filter.OpNot, Children: []*filter.Node{k}}, nil
-	case filterEquality, filterApprox, filterGreaterEq, filterLessEq:
-		if len(p.Children) != 2 {
-			return nil, fmt.Errorf("ldap: AVA with %d children", len(p.Children))
-		}
-		ops := map[byte]filter.Op{
-			filterEquality: filter.OpEqual, filterApprox: filter.OpApprox,
-			filterGreaterEq: filter.OpGreaterEq, filterLessEq: filter.OpLessEq,
-		}
-		return &filter.Node{
-			Op:    ops[p.TagNumber()],
-			Attr:  p.Children[0].Str(),
-			Value: p.Children[1].Str(),
-		}, nil
-	case filterPresent:
-		return &filter.Node{Op: filter.OpPresent, Attr: p.Str()}, nil
-	case filterSubstrings:
-		if len(p.Children) != 2 {
-			return nil, fmt.Errorf("ldap: substrings with %d children", len(p.Children))
-		}
-		n := &filter.Node{Op: filter.OpSubstring, Attr: p.Children[0].Str()}
-		for _, sub := range p.Children[1].Children {
-			switch sub.TagNumber() {
-			case 0:
-				n.Initial = sub.Str()
-			case 1:
-				n.Any = append(n.Any, sub.Str())
-			case 2:
-				n.Final = sub.Str()
-			default:
-				return nil, fmt.Errorf("ldap: substring piece tag %d", sub.TagNumber())
-			}
-		}
-		return n, nil
-	default:
-		return nil, fmt.Errorf("ldap: unknown filter tag %d", p.TagNumber())
-	}
-}
-
-// EncodeAttrs builds the PartialAttributeList / AttributeList sequence.
-func EncodeAttrs(attrs []EntryAttr) *ber.Packet {
-	list := ber.NewSequence()
-	for _, a := range attrs {
-		vals := ber.NewSet()
-		for _, v := range a.Vals {
-			vals.AddChild(ber.NewOctetString(v))
-		}
-		list.AddChild(ber.NewSequence(ber.NewOctetString(a.Type), vals))
-	}
-	return list
-}
-
-// DecodeAttrs parses an attribute list sequence.
-func DecodeAttrs(p *ber.Packet) ([]EntryAttr, error) {
-	var out []EntryAttr
-	for _, c := range p.Children {
-		if len(c.Children) != 2 {
-			return nil, fmt.Errorf("ldap: attribute with %d fields", len(c.Children))
-		}
-		a := EntryAttr{Type: c.Children[0].Str()}
-		for _, v := range c.Children[1].Children {
-			a.Vals = append(a.Vals, v.Str())
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// WrapMessage builds the LDAPMessage envelope.
-func WrapMessage(id int64, op *ber.Packet) *ber.Packet {
-	return ber.NewSequence(ber.NewInteger(id), op)
-}
-
-// UnwrapMessage splits an LDAPMessage into id and protocol op.
-func UnwrapMessage(p *ber.Packet) (int64, *ber.Packet, error) {
-	if len(p.Children) < 2 {
-		return 0, nil, fmt.Errorf("ldap: message with %d fields", len(p.Children))
-	}
-	id, err := p.Children[0].Int()
+	_, n, _, err := ber.Header(f.hdr[:size])
 	if err != nil {
+		return nil, err
+	}
+	if n > maxBERMessage {
+		return nil, fmt.Errorf("ldap: message of %d bytes exceeds limit", n)
+	}
+	msg := make([]byte, size+n)
+	copy(msg, f.hdr[:size])
+	_, err = io.ReadFull(f.r, msg[size:])
+	return msg, err
+}
+
+// splitMessage splits an LDAPMessage into its ID and its protocol op,
+// which it returns whole (tag and length included) as a slice of msg.
+func splitMessage(msg []byte) (id int64, op []byte, err error) {
+	r := ber.NewReader(msg)
+	m := r.Enter(ber.Sequence)
+	id = m.Int(ber.TagInteger)
+	start := m.Offset()
+	m.Next()
+	m.End()
+	r.End()
+	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	op := p.Children[1]
-	if op.Class() != ber.ClassApplication {
-		return 0, nil, fmt.Errorf("ldap: protocol op class %x", op.Class())
+	if op = msg[start:]; op[0]&0xC0 != ber.ClassApplication {
+		return 0, nil, fmt.Errorf("ldap: protocol op class %x", op[0]&0xC0)
 	}
 	return id, op, nil
+}
+
+// encodeMessage returns LDAPMessage id carrying the op appendOp appends.
+// A Builder handed to a func value cannot live on the stack, so it is
+// allocated together with its buffer's first 256 bytes.
+func encodeMessage(id int64, appendOp func(*ber.Builder)) []byte {
+	m := new(struct {
+		b   ber.Builder
+		buf [256]byte
+	})
+	m.b = ber.NewBuilder(m.buf[:0])
+	start := beginMessage(&m.b, id)
+	appendOp(&m.b)
+	m.b.End(start)
+	return m.b.Bytes()
+}
+
+// beginMessage opens LDAPMessage id; the caller appends its protocol op
+// and ends the message.
+func beginMessage(b *ber.Builder, id int64) int {
+	m := b.Begin(ber.Sequence)
+	b.Int(ber.TagInteger, id)
+	return m
+}
+
+// appTag is the identifier octet of the constructed protocol op num.
+func appTag(num byte) byte { return ber.ClassApplication | ber.Constructed | num }
+
+// opNum is the tag number of a protocol op splitMessage returned.
+func opNum(op []byte) byte { return op[0] & 0x1F }
+
+func appendResult(b *ber.Builder, num byte, r Result) {
+	m := b.Begin(appTag(num))
+	b.Int(ber.TagEnumerated, int64(r.Code))
+	b.Str(ber.TagOctetString, r.MatchedDN)
+	b.Str(ber.TagOctetString, r.Message)
+	b.End(m)
+}
+
+// readResult reads the LDAPResult op that closes a request.
+func readResult(op []byte) (Result, error) {
+	r := ber.NewReader(op)
+	r = r.Enter(appTag(opNum(op)))
+	res := Result{
+		Code:      int(r.Int(ber.TagEnumerated)),
+		MatchedDN: r.Str(ber.TagOctetString),
+		Message:   r.Str(ber.TagOctetString),
+	}
+	r.End()
+	return res, r.Err()
+}
+
+func appendEntry(b *ber.Builder, e *Entry) {
+	m := b.Begin(appTag(AppSearchEntry))
+	b.Str(ber.TagOctetString, e.DN)
+	appendAttrList(b, e.Attrs)
+	b.End(m)
+}
+
+func readEntry(op []byte) (Entry, error) {
+	r := ber.NewReader(op)
+	r = r.Enter(appTag(AppSearchEntry))
+	e := Entry{DN: r.Str(ber.TagOctetString), Attrs: readAttrList(&r)}
+	r.End()
+	return e, r.Err()
+}
+
+// appendAttrList appends an AttributeList (or PartialAttributeList).
+func appendAttrList(b *ber.Builder, attrs []EntryAttr) {
+	m := b.Begin(ber.Sequence)
+	for _, a := range attrs {
+		appendAttr(b, a)
+	}
+	b.End(m)
+}
+
+func readAttrList(r *ber.Reader) []EntryAttr {
+	list := r.Enter(ber.Sequence)
+	var out []EntryAttr
+	if n := list.Count(); n > 0 {
+		out = make([]EntryAttr, 0, n)
+	}
+	for list.More() {
+		out = append(out, readAttr(&list))
+	}
+	return out
+}
+
+// appendAttr appends one attribute: its type and the SET of its values.
+func appendAttr(b *ber.Builder, a EntryAttr) {
+	m := b.Begin(ber.Sequence)
+	b.Str(ber.TagOctetString, a.Type)
+	appendStringList(b, ber.Set, a.Vals)
+	b.End(m)
+}
+
+func readAttr(r *ber.Reader) EntryAttr {
+	k := r.Enter(ber.Sequence)
+	a := EntryAttr{Type: k.Str(ber.TagOctetString), Vals: readStringList(&k, ber.Set)}
+	k.End()
+	return a
+}
+
+// appendStringList appends a SEQUENCE or SET (tag) of octet strings.
+func appendStringList(b *ber.Builder, tag byte, ss []string) {
+	m := b.Begin(tag)
+	for _, s := range ss {
+		b.Str(ber.TagOctetString, s)
+	}
+	b.End(m)
+}
+
+func readStringList(r *ber.Reader, tag byte) []string {
+	k := r.Enter(tag)
+	var out []string
+	if n := k.Count(); n > 0 {
+		out = make([]string, 0, n)
+	}
+	for k.More() {
+		out = append(out, k.Str(ber.TagOctetString))
+	}
+	return out
+}
+
+// errAuthMethod answers a bind that is not a simple bind.
+var errAuthMethod = errors.New("only simple bind supported")
+
+func appendBindRequest(b *ber.Builder, dn, password string) {
+	m := b.Begin(appTag(AppBindRequest))
+	b.Int(ber.TagInteger, 3) // LDAPv3
+	b.Str(ber.TagOctetString, dn)
+	b.Str(ber.ClassContext|0, password)
+	b.End(m)
+}
+
+func readBindRequest(op []byte) (dn, password string, err error) {
+	r := ber.NewReader(op)
+	r = r.Enter(appTag(AppBindRequest))
+	version := r.Int(ber.TagInteger)
+	dn = r.Str(ber.TagOctetString)
+	if t := r.Peek(); t != 0 && t != ber.ClassContext|0 {
+		return "", "", errAuthMethod
+	}
+	password = r.Str(ber.ClassContext | 0)
+	if r.End(); r.Err() == nil && version != 3 {
+		r.Fail(fmt.Errorf("ldap: protocol version %d", version))
+	}
+	return dn, password, r.Err()
+}
+
+// searchRequest is a SearchRequest's fields; timeLimit is in seconds.
+type searchRequest struct {
+	baseDN               string
+	scope, deref         int64
+	sizeLimit, timeLimit int64
+	typesOnly            bool
+	filter               *filter.Node
+	attrs                []string
+}
+
+func appendSearchRequest(b *ber.Builder, q *searchRequest) {
+	m := b.Begin(appTag(AppSearchRequest))
+	b.Str(ber.TagOctetString, q.baseDN)
+	b.Int(ber.TagEnumerated, q.scope)
+	b.Int(ber.TagEnumerated, q.deref)
+	b.Int(ber.TagInteger, q.sizeLimit)
+	b.Int(ber.TagInteger, q.timeLimit)
+	b.Bool(ber.TagBoolean, q.typesOnly)
+	appendFilter(b, q.filter)
+	appendStringList(b, ber.Sequence, q.attrs)
+	b.End(m)
+}
+
+func readSearchRequest(op []byte) (searchRequest, error) {
+	r := ber.NewReader(op)
+	r = r.Enter(appTag(AppSearchRequest))
+	q := searchRequest{
+		baseDN:    r.Str(ber.TagOctetString),
+		scope:     r.Int(ber.TagEnumerated),
+		deref:     r.Int(ber.TagEnumerated),
+		sizeLimit: r.Int(ber.TagInteger),
+		timeLimit: r.Int(ber.TagInteger),
+		typesOnly: r.Bool(ber.TagBoolean),
+		filter:    readFilter(&r, 1),
+		attrs:     readStringList(&r, ber.Sequence),
+	}
+	r.End()
+	return q, r.Err()
+}
+
+func appendAddRequest(b *ber.Builder, dn string, attrs []EntryAttr) {
+	m := b.Begin(appTag(AppAddRequest))
+	b.Str(ber.TagOctetString, dn)
+	appendAttrList(b, attrs)
+	b.End(m)
+}
+
+func readAddRequest(op []byte) (dn string, attrs []EntryAttr, err error) {
+	r := ber.NewReader(op)
+	r = r.Enter(appTag(AppAddRequest))
+	dn, attrs = r.Str(ber.TagOctetString), readAttrList(&r)
+	r.End()
+	return dn, attrs, r.Err()
+}
+
+// A DelRequest is a primitive op whose content is the DN itself.
+func appendDelRequest(b *ber.Builder, dn string) {
+	b.Str(ber.ClassApplication|AppDelRequest, dn)
+}
+
+func readDelRequest(op []byte) (string, error) {
+	r := ber.NewReader(op)
+	dn := r.Str(ber.ClassApplication | AppDelRequest)
+	return dn, r.Err()
+}
+
+func appendModifyRequest(b *ber.Builder, dn string, changes []ModifyChange) {
+	m := b.Begin(appTag(AppModifyRequest))
+	b.Str(ber.TagOctetString, dn)
+	list := b.Begin(ber.Sequence)
+	for _, ch := range changes {
+		c := b.Begin(ber.Sequence)
+		b.Int(ber.TagEnumerated, int64(ch.Op))
+		appendAttr(b, ch.Attr)
+		b.End(c)
+	}
+	b.End(list)
+	b.End(m)
+}
+
+func readModifyRequest(op []byte) (dn string, changes []ModifyChange, err error) {
+	r := ber.NewReader(op)
+	r = r.Enter(appTag(AppModifyRequest))
+	dn = r.Str(ber.TagOctetString)
+	list := r.Enter(ber.Sequence)
+	if n := list.Count(); n > 0 {
+		changes = make([]ModifyChange, 0, n)
+	}
+	for list.More() {
+		c := list.Enter(ber.Sequence)
+		changes = append(changes, ModifyChange{Op: int(c.Int(ber.TagEnumerated)), Attr: readAttr(&c)})
+		c.End()
+	}
+	r.End()
+	return dn, changes, r.Err()
+}
+
+func appendModifyDNRequest(b *ber.Builder, dn, newRDN string, deleteOldRDN bool) {
+	m := b.Begin(appTag(AppModifyDNRequest))
+	b.Str(ber.TagOctetString, dn)
+	b.Str(ber.TagOctetString, newRDN)
+	b.Bool(ber.TagBoolean, deleteOldRDN)
+	b.End(m)
+}
+
+func readModifyDNRequest(op []byte) (dn, newRDN string, deleteOldRDN bool, err error) {
+	r := ber.NewReader(op)
+	r = r.Enter(appTag(AppModifyDNRequest))
+	dn, newRDN, deleteOldRDN = r.Str(ber.TagOctetString), r.Str(ber.TagOctetString), r.Bool(ber.TagBoolean)
+	r.End()
+	return dn, newRDN, deleteOldRDN, r.Err()
+}
+
+func appendCompareRequest(b *ber.Builder, dn, attrType, value string) {
+	m := b.Begin(appTag(AppCompareRequest))
+	b.Str(ber.TagOctetString, dn)
+	appendStringList(b, ber.Sequence, []string{attrType, value})
+	b.End(m)
+}
+
+func readCompareRequest(op []byte) (dn, attrType, value string, err error) {
+	r := ber.NewReader(op)
+	r = r.Enter(appTag(AppCompareRequest))
+	dn = r.Str(ber.TagOctetString)
+	ava := r.Enter(ber.Sequence)
+	attrType, value = ava.Str(ber.TagOctetString), ava.Str(ber.TagOctetString)
+	ava.End()
+	r.End()
+	return dn, attrType, value, r.Err()
+}
+
+// filterOps maps a filter choice's context tag number (RFC 4511
+// §4.5.1.7) to its op; filterTag maps back.
+var filterOps = [...]filter.Op{
+	filter.OpAnd, filter.OpOr, filter.OpNot, filter.OpEqual, filter.OpSubstring,
+	filter.OpGreaterEq, filter.OpLessEq, filter.OpPresent, filter.OpApprox,
+}
+
+func filterTag(op filter.Op) byte { return byte(slices.Index(filterOps[:], op)) }
+
+// Identifier octets of a constructed filter choice and a substring piece.
+const (
+	filterSet    = ber.ClassContext | ber.Constructed
+	pieceInitial = ber.ClassContext | 0
+	pieceAny     = ber.ClassContext | 1
+	pieceFinal   = ber.ClassContext | 2
+)
+
+// appendFilter appends a parsed RFC 4515 filter in its RFC 4511 BER form.
+func appendFilter(b *ber.Builder, n *filter.Node) {
+	tag := filterTag(n.Op)
+	if n.Op == filter.OpPresent {
+		b.Str(ber.ClassContext|tag, n.Attr)
+		return
+	}
+	m := b.Begin(filterSet | tag)
+	switch n.Op {
+	case filter.OpAnd, filter.OpOr, filter.OpNot:
+		for _, k := range n.Children {
+			appendFilter(b, k)
+		}
+	case filter.OpSubstring:
+		b.Str(ber.TagOctetString, n.Attr)
+		pieces := b.Begin(ber.Sequence)
+		if n.Initial != "" {
+			b.Str(pieceInitial, n.Initial)
+		}
+		for _, a := range n.Any {
+			b.Str(pieceAny, a)
+		}
+		if n.Final != "" {
+			b.Str(pieceFinal, n.Final)
+		}
+		b.End(pieces)
+	default: // an attribute value assertion
+		b.Str(ber.TagOctetString, n.Attr)
+		b.Str(ber.TagOctetString, n.Value)
+	}
+	b.End(m)
+}
+
+// errFilter reports a filter the server does not read.
+var errFilter = errors.New("ldap: malformed filter")
+
+// readFilter reads a filter nested depth levels deep; past maxFilterDepth
+// it fails without reading further.
+func readFilter(r *ber.Reader, depth int) *filter.Node {
+	tag := r.Peek()
+	if num := int(tag & 0x1F); tag&0xC0 != ber.ClassContext || num >= len(filterOps) {
+		r.Fail(errFilter)
+		return nil
+	}
+	n := &filter.Node{Op: filterOps[tag&0x1F]}
+	if n.Op == filter.OpPresent {
+		n.Attr = r.Str(ber.ClassContext | tag&0x1F)
+		return n
+	}
+	k := r.Enter(tag | filterSet)
+	switch n.Op {
+	case filter.OpAnd, filter.OpOr, filter.OpNot:
+		if depth >= maxFilterDepth {
+			r.Fail(fmt.Errorf("ldap: filter nested deeper than %d", maxFilterDepth))
+			return nil
+		}
+		count := k.Count()
+		if count == 0 || n.Op == filter.OpNot && count != 1 {
+			r.Fail(errFilter)
+		}
+		n.Children = make([]*filter.Node, 0, count)
+		for k.More() {
+			n.Children = append(n.Children, readFilter(&k, depth+1))
+		}
+	case filter.OpSubstring:
+		n.Attr = k.Str(ber.TagOctetString)
+		pieces := k.Enter(ber.Sequence)
+		// initial first, final last, each at most once; no piece empty.
+		for i := 0; pieces.More(); i++ {
+			t := pieces.Peek()
+			switch s := pieces.Str(t); {
+			case s == "":
+				pieces.Fail(errFilter)
+			case t == pieceInitial && i == 0:
+				n.Initial = s
+			case t == pieceAny:
+				n.Any = append(n.Any, s)
+			case t == pieceFinal && !pieces.More():
+				n.Final = s
+			default:
+				pieces.Fail(errFilter)
+			}
+		}
+	default:
+		n.Attr, n.Value = k.Str(ber.TagOctetString), k.Str(ber.TagOctetString)
+	}
+	k.End()
+	return n
 }

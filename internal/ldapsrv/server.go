@@ -1,8 +1,8 @@
 package ldapsrv
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -12,48 +12,6 @@ import (
 	"gondi/internal/ldapsrv/ber"
 	"gondi/internal/serverutil"
 )
-
-// maxBERMessage bounds one LDAP PDU.
-const maxBERMessage = 16 << 20
-
-// readBER reads exactly one BER element, and its length, from the stream.
-func readBER(r io.Reader) (*ber.Packet, int, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	if hdr[0]&0x1F == 0x1F {
-		return nil, 0, ber.ErrTagNumber
-	}
-	raw := []byte{hdr[0], hdr[1]}
-	length := int(hdr[1])
-	if length == 0x80 {
-		return nil, 0, ber.ErrIndefinite
-	}
-	if length&0x80 != 0 {
-		n := length & 0x7F
-		if n > 4 {
-			return nil, 0, fmt.Errorf("ldap: message length field of %d bytes", n)
-		}
-		extra := make([]byte, n)
-		if _, err := io.ReadFull(r, extra); err != nil {
-			return nil, 0, err
-		}
-		raw = append(raw, extra...)
-		length = 0
-		for _, b := range extra {
-			length = length<<8 | int(b)
-		}
-	}
-	if length > maxBERMessage {
-		return nil, 0, fmt.Errorf("ldap: message of %d bytes exceeds limit", length)
-	}
-	content := make([]byte, length)
-	if _, err := io.ReadFull(r, content); err != nil {
-		return nil, 0, err
-	}
-	return ber.Decode(append(raw, content...))
-}
 
 // ServerConfig configures the LDAP server.
 type ServerConfig struct {
@@ -74,11 +32,12 @@ type ServerConfig struct {
 
 // Server is the LDAP server.
 type Server struct {
-	cfg ServerConfig
-	dit *DIT
-	lis net.Listener
-	ops map[byte]ldapOp
-	wg  sync.WaitGroup
+	cfg     ServerConfig
+	rootKey string // cfg.RootDN normalized; "" when there is none
+	dit     *DIT
+	lis     net.Listener
+	ops     map[byte]ldapOp
+	wg      sync.WaitGroup
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -94,23 +53,31 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	var rootKey string
+	if cfg.RootDN != "" {
+		root, err := ParseDN(cfg.RootDN)
+		if err != nil {
+			return nil, fmt.Errorf("ldapsrv: root DN: %w", err)
+		}
+		rootKey = root.Normalize()
+	}
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, dit: dit, lis: lis, conns: map[net.Conn]struct{}{}}
+	s := &Server{cfg: cfg, rootKey: rootKey, dit: dit, lis: lis, conns: map[net.Conn]struct{}{}}
 	p := serverutil.NewPipeline("ldap", s.Addr(), cfg.Admission, cfg.Costs)
-	one := func(h func(*session, *ber.Packet) *ber.Packet) func(*session, *ber.Packet) []*ber.Packet {
-		return func(sess *session, op *ber.Packet) []*ber.Packet { return []*ber.Packet{h(sess, op)} }
+	op := func(method string, class admission.Class, doneTag byte, handle func(*session, []byte) ([]Entry, Result)) ldapOp {
+		return ldapOp{p.Stage(method, class), class == admission.Write, doneTag, handle}
 	}
 	s.ops = map[byte]ldapOp{
-		AppBindRequest:     {p.Stage("ldap.bind", admission.Read), AppBindResponse, one(s.handleBind)},
-		AppSearchRequest:   {p.Stage("ldap.search", admission.Search), AppSearchDone, s.handleSearch},
-		AppAddRequest:      {p.Stage("ldap.add", admission.Write), AppAddResponse, one(s.handleAdd)},
-		AppDelRequest:      {p.Stage("ldap.delete", admission.Write), AppDelResponse, one(s.handleDelete)},
-		AppModifyRequest:   {p.Stage("ldap.modify", admission.Write), AppModifyResponse, one(s.handleModify)},
-		AppModifyDNRequest: {p.Stage("ldap.modifydn", admission.Write), AppModifyDNResponse, one(s.handleModifyDN)},
-		AppCompareRequest:  {p.Stage("ldap.compare", admission.Read), AppCompareResponse, one(s.handleCompare)},
+		AppBindRequest:     op("ldap.bind", admission.Read, AppBindResponse, s.handleBind),
+		AppSearchRequest:   op("ldap.search", admission.Search, AppSearchDone, s.handleSearch),
+		AppAddRequest:      op("ldap.add", admission.Write, AppAddResponse, s.handleAdd),
+		AppDelRequest:      op("ldap.delete", admission.Write, AppDelResponse, s.handleDelete),
+		AppModifyRequest:   op("ldap.modify", admission.Write, AppModifyResponse, s.handleModify),
+		AppModifyDNRequest: op("ldap.modifydn", admission.Write, AppModifyDNResponse, s.handleModifyDN),
+		AppCompareRequest:  op("ldap.compare", admission.Read, AppCompareResponse, s.handleCompare),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -197,95 +164,107 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer wg.Wait()
 	var wmu sync.Mutex
 	sess := &session{}
+	fr := &frameReader{r: conn}
 	for {
-		msg, n, err := readBER(conn)
+		msg, err := fr.read()
 		if err != nil {
 			return
 		}
-		id, op, err := UnwrapMessage(msg)
+		id, op, err := splitMessage(msg)
 		if err != nil {
 			return
 		}
-		if op.TagNumber() == AppUnbindRequest {
+		if opNum(op) == AppUnbindRequest {
 			return
 		}
 		wg.Add(1)
-		go func(id int64, op *ber.Packet, n int) {
+		go func() {
 			defer wg.Done()
-			out := s.dispatch(sess, id, op, n)
+			out := s.dispatch(sess, id, op, len(msg))
 			wmu.Lock()
 			defer wmu.Unlock()
 			// A failed write leaves the broken connection to the next read.
 			_, _ = conn.Write(out)
-		}(id, op, n)
+		}()
 	}
 }
 
 // ldapOp is the pipeline entry of one request tag: the stage that
-// serves it, the tag of the response that closes it (a shed answers
-// with that tag) and its handler.
+// serves it, whether it writes (an anonymous session may not when the
+// server requires auth for writes), the tag of the response that closes
+// it (a shed answers with that tag) and its handler, which reads the
+// whole op and returns the entries to send before that response and its
+// result.
 type ldapOp struct {
 	stage   *serverutil.Stage
+	write   bool
 	doneTag byte
-	handle  func(sess *session, op *ber.Packet) []*ber.Packet
+	handle  func(sess *session, op []byte) ([]Entry, Result)
 }
 
 // dispatch handles protocol op id, a request of n bytes, and returns its
 // encoded response message(s). They are encoded inside the stage, which
 // charges reads by the length of what they send back.
-func (s *Server) dispatch(sess *session, id int64, op *ber.Packet, n int) []byte {
-	e, ok := s.ops[op.TagNumber()]
+func (s *Server) dispatch(sess *session, id int64, op []byte, n int) []byte {
+	e, ok := s.ops[opNum(op)]
 	if !ok {
-		return encodeMessages(id, EncodeResult(AppSearchDone, Result{
+		return encodeReply(id, nil, AppSearchDone, Result{
 			Code: ResultProtocolError, Message: "unsupported operation",
-		}))
+		})
 	}
 	out, err := e.stage.Serve(n, func() ([]byte, error) {
-		return encodeMessages(id, e.handle(sess, op)...), nil
+		if e.write && s.cfg.RequireAuthForWrite && sess.getBindDN() == "" {
+			return encodeReply(id, nil, e.doneTag, Result{Code: ResultInsufficientAccess}), nil
+		}
+		entries, res := e.handle(sess, op)
+		return encodeReply(id, entries, e.doneTag, res), nil
 	})
 	if busy, ok := err.(*core.ServerBusyError); ok {
 		// LDAP has a busy result code (RFC 4511 §A.2); the retry hint
 		// travels in the diagnostic message.
 		msg := fmt.Sprintf("%s%d", retryAfterPrefix, busy.RetryAfter.Milliseconds())
-		return encodeMessages(id, EncodeResult(e.doneTag, Result{Code: ResultBusy, Message: msg}))
+		return encodeReply(id, nil, e.doneTag, Result{Code: ResultBusy, Message: msg})
 	}
 	return out
 }
 
-// encodeMessages wraps each op as message id and encodes them back to
-// back.
-func encodeMessages(id int64, ops ...*ber.Packet) []byte {
-	out := WrapMessage(id, ops[0]).Encode()
-	for _, op := range ops[1:] {
-		out = append(out, WrapMessage(id, op).Encode()...)
+// encodeReply appends a request's response messages into one buffer: a
+// search entry message per entry, then the result that closes it.
+func encodeReply(id int64, entries []Entry, doneTag byte, r Result) []byte {
+	b := ber.NewBuilder(make([]byte, 0, 256))
+	for i := range entries {
+		m := beginMessage(&b, id)
+		appendEntry(&b, &entries[i])
+		b.End(m)
 	}
-	return out
+	m := beginMessage(&b, id)
+	appendResult(&b, doneTag, r)
+	b.End(m)
+	return b.Bytes()
 }
 
-func (s *Server) handleBind(sess *session, op *ber.Packet) *ber.Packet {
-	fail := func(code int, msg string) *ber.Packet {
-		return EncodeResult(AppBindResponse, Result{Code: code, Message: msg})
-	}
-	if len(op.Children) < 3 {
-		return fail(ResultProtocolError, "short bind request")
-	}
-	dn := op.Children[1].Str()
-	cred := op.Children[2]
-	if cred.Class() != ber.ClassContext || cred.TagNumber() != 0 {
-		return fail(ResultOther, "only simple bind supported")
-	}
-	password := cred.Str()
+// protocolError answers a request the server cannot read.
+func protocolError(err error) Result {
+	return Result{Code: ResultProtocolError, Message: err.Error()}
+}
+
+func (s *Server) handleBind(sess *session, op []byte) ([]Entry, Result) {
+	dn, password, err := readBindRequest(op)
 	switch {
+	case errors.Is(err, errAuthMethod):
+		return nil, Result{Code: ResultOther, Message: err.Error()}
+	case err != nil:
+		return nil, protocolError(err)
 	case dn == "" && password == "":
 		sess.setBindDN("")
-	case s.cfg.RootDN != "" && MustParseDN(s.cfg.RootDN).Normalize() == mustNormalize(dn) && password == s.cfg.RootPassword:
+	case s.rootKey != "" && mustNormalize(dn) == s.rootKey && password == s.cfg.RootPassword:
 		sess.setBindDN(dn)
 	case s.dit.CheckPassword(dn, password):
 		sess.setBindDN(dn)
 	default:
-		return fail(ResultInvalidCredentials, "")
+		return nil, Result{Code: ResultInvalidCredentials}
 	}
-	return EncodeResult(AppBindResponse, Result{Code: ResultSuccess})
+	return nil, Result{Code: ResultSuccess}
 }
 
 func mustNormalize(dn string) string {
@@ -296,123 +275,60 @@ func mustNormalize(dn string) string {
 	return d.Normalize()
 }
 
-func (s *Server) authorizeWrite(sess *session) bool {
-	return !s.cfg.RequireAuthForWrite || sess.getBindDN() != ""
-}
-
-func (s *Server) handleSearch(_ *session, op *ber.Packet) []*ber.Packet {
-	done := func(r Result) []*ber.Packet {
-		return []*ber.Packet{EncodeResult(AppSearchDone, r)}
-	}
-	if len(op.Children) < 8 {
-		return done(Result{Code: ResultProtocolError, Message: "short search request"})
-	}
-	baseDN := op.Children[0].Str()
-	scope64, err := op.Children[1].Int()
+func (s *Server) handleSearch(_ *session, op []byte) ([]Entry, Result) {
+	q, err := readSearchRequest(op)
 	if err != nil {
-		return done(Result{Code: ResultProtocolError})
+		return nil, protocolError(err)
 	}
-	sizeLimit64, err := op.Children[3].Int()
+	return s.dit.Search(q.baseDN, int(q.scope), q.filter, int(q.sizeLimit),
+		time.Duration(q.timeLimit)*time.Second, q.attrs, q.typesOnly)
+}
+
+func (s *Server) handleAdd(_ *session, op []byte) ([]Entry, Result) {
+	dn, attrs, err := readAddRequest(op)
 	if err != nil {
-		return done(Result{Code: ResultProtocolError})
+		return nil, protocolError(err)
 	}
-	timeLimit64, err := op.Children[4].Int()
+	return nil, s.dit.Add(dn, attrs)
+}
+
+func (s *Server) handleDelete(_ *session, op []byte) ([]Entry, Result) {
+	dn, err := readDelRequest(op)
 	if err != nil {
-		return done(Result{Code: ResultProtocolError})
+		return nil, protocolError(err)
 	}
-	typesOnly := op.Children[5].Bool()
-	f, err := DecodeFilter(op.Children[6])
+	return nil, s.dit.Delete(dn)
+}
+
+func (s *Server) handleModify(_ *session, op []byte) ([]Entry, Result) {
+	dn, changes, err := readModifyRequest(op)
 	if err != nil {
-		return done(Result{Code: ResultProtocolError, Message: err.Error()})
+		return nil, protocolError(err)
 	}
-	var attrs []string
-	for _, a := range op.Children[7].Children {
-		attrs = append(attrs, a.Str())
-	}
-	entries, res := s.dit.Search(baseDN, int(scope64), f, int(sizeLimit64), time.Duration(timeLimit64)*time.Second, attrs, typesOnly)
-	out := make([]*ber.Packet, 0, len(entries)+1)
-	for _, e := range entries {
-		out = append(out, ber.NewApplication(AppSearchEntry, true,
-			ber.NewOctetString(e.DN), EncodeAttrs(e.Attrs)))
-	}
-	return append(out, EncodeResult(AppSearchDone, res))
+	return nil, s.dit.Modify(dn, changes)
 }
 
-func (s *Server) handleAdd(sess *session, op *ber.Packet) *ber.Packet {
-	if !s.authorizeWrite(sess) {
-		return EncodeResult(AppAddResponse, Result{Code: ResultInsufficientAccess})
-	}
-	if len(op.Children) < 2 {
-		return EncodeResult(AppAddResponse, Result{Code: ResultProtocolError})
-	}
-	attrs, err := DecodeAttrs(op.Children[1])
+func (s *Server) handleModifyDN(_ *session, op []byte) ([]Entry, Result) {
+	dn, newRDN, deleteOldRDN, err := readModifyDNRequest(op)
 	if err != nil {
-		return EncodeResult(AppAddResponse, Result{Code: ResultProtocolError, Message: err.Error()})
+		return nil, protocolError(err)
 	}
-	return EncodeResult(AppAddResponse, s.dit.Add(op.Children[0].Str(), attrs))
+	return nil, s.dit.ModifyDN(dn, newRDN, deleteOldRDN)
 }
 
-func (s *Server) handleDelete(sess *session, op *ber.Packet) *ber.Packet {
-	if !s.authorizeWrite(sess) {
-		return EncodeResult(AppDelResponse, Result{Code: ResultInsufficientAccess})
+func (s *Server) handleCompare(_ *session, op []byte) ([]Entry, Result) {
+	dn, attrType, value, err := readCompareRequest(op)
+	if err != nil {
+		return nil, protocolError(err)
 	}
-	// DelRequest is a primitive application element whose content is
-	// the DN itself.
-	return EncodeResult(AppDelResponse, s.dit.Delete(string(op.Data)))
-}
-
-func (s *Server) handleModify(sess *session, op *ber.Packet) *ber.Packet {
-	if !s.authorizeWrite(sess) {
-		return EncodeResult(AppModifyResponse, Result{Code: ResultInsufficientAccess})
-	}
-	if len(op.Children) < 2 {
-		return EncodeResult(AppModifyResponse, Result{Code: ResultProtocolError})
-	}
-	var changes []ModifyChange
-	for _, c := range op.Children[1].Children {
-		if len(c.Children) != 2 || len(c.Children[1].Children) != 2 {
-			return EncodeResult(AppModifyResponse, Result{Code: ResultProtocolError})
-		}
-		opc, err := c.Children[0].Int()
-		if err != nil {
-			return EncodeResult(AppModifyResponse, Result{Code: ResultProtocolError})
-		}
-		pa := c.Children[1]
-		attr := EntryAttr{Type: pa.Children[0].Str()}
-		for _, v := range pa.Children[1].Children {
-			attr.Vals = append(attr.Vals, v.Str())
-		}
-		changes = append(changes, ModifyChange{Op: int(opc), Attr: attr})
-	}
-	return EncodeResult(AppModifyResponse, s.dit.Modify(op.Children[0].Str(), changes))
-}
-
-func (s *Server) handleModifyDN(sess *session, op *ber.Packet) *ber.Packet {
-	if !s.authorizeWrite(sess) {
-		return EncodeResult(AppModifyDNResponse, Result{Code: ResultInsufficientAccess})
-	}
-	if len(op.Children) < 3 {
-		return EncodeResult(AppModifyDNResponse, Result{Code: ResultProtocolError})
-	}
-	return EncodeResult(AppModifyDNResponse,
-		s.dit.ModifyDN(op.Children[0].Str(), op.Children[1].Str(), op.Children[2].Bool()))
-}
-
-func (s *Server) handleCompare(_ *session, op *ber.Packet) *ber.Packet {
-	if len(op.Children) < 2 || len(op.Children[1].Children) < 2 {
-		return EncodeResult(AppCompareResponse, Result{Code: ResultProtocolError})
-	}
-	dn := op.Children[0].Str()
-	attrType := op.Children[1].Children[0].Str()
-	value := op.Children[1].Children[1].Str()
 	e, ok := s.dit.Get(dn)
 	if !ok {
-		return EncodeResult(AppCompareResponse, Result{Code: ResultNoSuchObject})
+		return nil, Result{Code: ResultNoSuchObject}
 	}
 	for _, v := range e.Get(attrType) {
 		if v == value {
-			return EncodeResult(AppCompareResponse, Result{Code: ResultCompareTrue})
+			return nil, Result{Code: ResultCompareTrue}
 		}
 	}
-	return EncodeResult(AppCompareResponse, Result{Code: ResultCompareFalse})
+	return nil, Result{Code: ResultCompareFalse}
 }

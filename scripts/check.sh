@@ -24,15 +24,17 @@
 # clients read live deployments, never a private copy), and the
 # one-pipeline guard (no server admits or meters a request by hand:
 # .Admit( and the gondi_server_request* metrics appear only in
-# internal/serverutil, whose Stage serves every server's requests), and
+# internal/serverutil, whose Stage serves every server's requests),
 # the one-cost-model guard (the calibrated 2005 cost model is imported
 # only by internal/costmodel and the figure harness, internal/benchmark:
-# servers are charged by their pipeline stage, never by hand).
+# servers are charged by their pipeline stage, never by hand), and the
+# one-LDAP-codec guard (no ber.Packet tree or ber.Decode: LDAP messages
+# are appended into one buffer and read in place).
 # allocs is the per-commit real-number gate (operations as values, rpc
 # codec + per-call metrics, hdns request + replication frame codecs,
 # jini registrar codec, bound-value codec, DIT search, dnssp opens,
 # pooled hdnssp opens, hdns lease scan, server pipeline stage, dns shed
-# answer); wall-clock costs are measured by bench/run.sh (see
+# answer, LDAP message codec); wall-clock costs are measured by bench/run.sh (see
 # bench/README.md), not gated here. figures runs the calibrated Figure
 # 2-7 shape tests and ablations, which skip under -race and so run in no
 # other stage.
@@ -158,6 +160,12 @@ stage_lint() {
         echo "a package outside the figure harness imports internal/costmodel; take a serverutil.Costs and let the pipeline stage charge it" >&2
         exit 1
     fi
+    echo "== lint: one LDAP codec (messages are appended and read in place) =="
+    if git ls-files '*.go' | grep -v '_test\.go$' |
+        xargs grep -nE 'ber\.Packet|ber\.Decode\(' /dev/null; then
+        echo "the BER packet tree was deleted; append with ber.Builder and read in place with ber.Reader (internal/ldapsrv/proto.go)" >&2
+        exit 1
+    fi
 }
 
 stage_build() {
@@ -268,18 +276,27 @@ stage_allocs() {
     go test -count=1 -run 'TestStageServeAllocs' ./internal/serverutil/
     go test -count=1 -run 'TestShedQueryAllocs' ./internal/dnssrv/
 
+    # Every LDAP message is appended into one buffer and read in place:
+    # encoding any request or response the client or server sends costs
+    # <= 2 allocations, and a base-object Conn.Search round trip over
+    # loopback, client and server together, <= 100. The golden bytes
+    # pin the wire format and with it Figure 7's charged byte counts.
+    echo "== ldap message codec alloc gate =="
+    go test -count=1 -run 'TestLDAPMessageAllocs|TestLDAPGoldenBytes' ./internal/ldapsrv/
+
     # Codec fuzz targets over their checked-in seed corpora: the frame
     # reader, the WAL record codec, the hdns request codec (whose target
     # also feeds the hdns WAL op and replication frame decoders), the
-    # jini registrar codec and the bound-value codec must
-    # reject exactly and recover from torn tails. Deterministic here;
+    # jini registrar codec, the bound-value codec and the LDAP message
+    # codec must reject exactly and recover from torn tails. Deterministic here;
     # set CHECK_FUZZ_TIME=10s to actually explore locally.
-    echo "== frame + WAL record + snapshot container + hdns wire + jini wire + bound-value fuzz seeds =="
+    echo "== frame + WAL record + snapshot container + hdns wire + jini wire + bound-value + ldap message fuzz seeds =="
     go test -count=1 -run 'FuzzReadFrame' ./internal/rpc/
     go test -count=1 -run 'FuzzWALRecord' ./internal/wal/
     go test -count=1 -run 'FuzzSnapshotDecode|FuzzHDNSWire' ./internal/hdns/
     go test -count=1 -run 'FuzzJiniWire' ./internal/jini/
     go test -count=1 -run 'FuzzValue' ./internal/core/
+    go test -count=1 -run 'FuzzLDAPMessage' ./internal/ldapsrv/
     if [ -n "$CHECK_FUZZ_TIME" ]; then
         echo "== fuzzing for $CHECK_FUZZ_TIME each =="
         go test -count=1 -run '^$' -fuzz 'FuzzReadFrame' -fuzztime "$CHECK_FUZZ_TIME" ./internal/rpc/
@@ -288,6 +305,7 @@ stage_allocs() {
         go test -count=1 -run '^$' -fuzz 'FuzzHDNSWire' -fuzztime "$CHECK_FUZZ_TIME" ./internal/hdns/
         go test -count=1 -run '^$' -fuzz 'FuzzJiniWire' -fuzztime "$CHECK_FUZZ_TIME" ./internal/jini/
         go test -count=1 -run '^$' -fuzz 'FuzzValue' -fuzztime "$CHECK_FUZZ_TIME" ./internal/core/
+        go test -count=1 -run '^$' -fuzz 'FuzzLDAPMessage' -fuzztime "$CHECK_FUZZ_TIME" ./internal/ldapsrv/
     fi
 }
 
