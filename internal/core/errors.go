@@ -63,12 +63,36 @@ func Errf(op, name string, err error) error {
 	if err == nil {
 		return nil
 	}
+	if _, ok := err.(*CannotProceedError); ok {
+		return err // the common case, without errors.As's allocation
+	}
 	var cpe *CannotProceedError
 	if errors.As(err, &cpe) {
 		return err
 	}
 	return &NamingError{Op: op, Name: name, Err: err}
 }
+
+// OpErr labels a provider's failure of op once: by op.Kind.String() and
+// op.Name, or op.NewName for an error marked OnNewName. Like Errf it
+// keeps nil and a *CannotProceedError as they are.
+func OpErr(op Op, err error) error {
+	name := op.Name
+	if ne, ok := err.(newNameError); ok {
+		name, err = op.NewName, ne.error
+	}
+	return Errf(op.Kind.String(), name, err)
+}
+
+// OnNewName marks err as a failure of a Rename's new name, for OpErr.
+func OnNewName(err error) error {
+	if err == nil {
+		return nil
+	}
+	return newNameError{err}
+}
+
+type newNameError struct{ error }
 
 // InvalidNameError reports a malformed name.
 type InvalidNameError struct {

@@ -90,7 +90,7 @@ func (ic *InitialContext) doBatch(ctx context.Context, op Op) ([]BatchResult, er
 				if next, err := ic.continueCtx(ctx, cpe); err != nil {
 					out[i] = BatchResult{Err: err}
 				} else {
-					out[i] = itemResult(ic.run(ctx, next, cpe.RemainingName, item))
+					out[i] = ItemResult(ic.run(ctx, next, cpe.RemainingName, item))
 				}
 			}
 			if op.Kind == OpLookupMany && out[i].Err == nil {

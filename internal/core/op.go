@@ -3,11 +3,12 @@ package core
 import "context"
 
 // A naming operation as a value. The typed Context/DirContext/
-// EventContext/BatchContext surface is what callers and providers speak;
-// everything in between — InitialContext, metering, caching — handles
-// an Op. This file is the only place that knows how the two map onto
-// each other: Do turns an Op into the typed call, OpContext/
-// BatchOpContext turn the typed calls back into Ops.
+// EventContext/BatchContext surface is what callers speak; everything
+// below it — InitialContext, metering, caching and the providers —
+// answers an Op in its Do. This file is the only place that knows how
+// the two map onto each other: the adapters (OpContext, EventOpContext,
+// BatchOpContext) turn the typed calls into Ops, and Do turns an Op back
+// into a typed call for a context that is not a Doer.
 
 // OpKind names an operation. The *Attrs variants of Bind, Rebind and
 // CreateSubcontext are the same kind with Op.Dir set, which is why they
@@ -101,6 +102,22 @@ func needsDir(op Op) bool {
 	return op.Dir
 }
 
+// spelled reports whether a typed method spells op: Dir selects the
+// directory variant of Bind, Rebind and CreateSubcontext and changes
+// nothing on a kind that is a directory operation anyway.
+func spelled(op Op) bool {
+	switch op.Kind {
+	case OpBind, OpRebind, OpCreateSubcontext, OpGetAttributes, OpModifyAttributes, OpSearch:
+		return true
+	}
+	return !op.Dir
+}
+
+// isBatch reports whether k is one of the three batch kinds.
+func isBatch(k OpKind) bool {
+	return k == OpLookupMany || k == OpBindMany || k == OpGetAttributesMany
+}
+
 // Supports reports whether c has the capability op needs: DirContext for
 // the directory kinds, EventContext for Watch, DirContext or BatchContext
 // for GetAttributesMany. Do fails an unsupported op with ErrNotSupported;
@@ -124,15 +141,23 @@ func Supports(c Context, op Op) bool {
 	return ok
 }
 
-// Do runs op on c through c's typed method. A batch kind uses c's native
-// BatchContext when it has one and a per-item loop otherwise, so batching
+// Do runs op on c: through c's own Do when c is a Doer (every provider
+// and decorator), else through c's typed method. A batch kind on a
+// context without BatchContext runs item by item (DoItems), so batching
 // is an optimization, never a semantic change.
-func Do(ctx context.Context, c Context, op Op) (Result, error) {
-	if !Supports(c, op) {
-		return Result{}, Errf(op.Kind.String(), op.Name, ErrNotSupported)
+func Do(ctx context.Context, c Context, op Op) (res Result, err error) {
+	if !Supports(c, op) || !spelled(op) {
+		return res, Errf(op.Kind.String(), op.Name, ErrNotSupported)
 	}
-	var res Result
-	var err error
+	if isBatch(op.Kind) {
+		if _, ok := c.(BatchContext); !ok {
+			res.Batch, err = DoItems(ctx, c, op)
+			return res, err
+		}
+	}
+	if d, ok := c.(Doer); ok {
+		return d.Do(ctx, op)
+	}
 	if needsDir(op) {
 		d := c.(DirContext)
 		switch op.Kind {
@@ -149,10 +174,8 @@ func Do(ctx context.Context, c Context, op Op) (Result, error) {
 			res.Attrs, err = d.GetAttributes(ctx, op.Name, op.AttrIDs...)
 		case OpModifyAttributes:
 			err = d.ModifyAttributes(ctx, op.Name, op.Mods)
-		case OpSearch:
-			res.Found, err = d.Search(ctx, op.Name, op.Filter, op.Controls)
 		default:
-			err = Errf(op.Kind.String(), op.Name, ErrNotSupported)
+			res.Found, err = d.Search(ctx, op.Name, op.Filter, op.Controls)
 		}
 		return res, err
 	}
@@ -179,41 +202,36 @@ func Do(ctx context.Context, c Context, op Op) (Result, error) {
 		err = c.DestroySubcontext(ctx, op.Name)
 	case OpWatch:
 		res.Cancel, err = c.(EventContext).Watch(ctx, op.Name, op.Scope, op.Listener)
-	case OpLookupMany, OpBindMany, OpGetAttributesMany:
-		res.Batch, err = doBatch(ctx, c, op)
+	case OpLookupMany:
+		res.Batch, err = c.(BatchContext).LookupMany(ctx, op.Names)
+	case OpBindMany:
+		res.Batch, err = c.(BatchContext).BindMany(ctx, op.Binds)
+	case OpGetAttributesMany:
+		res.Batch, err = c.(BatchContext).GetAttributesMany(ctx, op.Names, op.AttrIDs...)
 	default:
 		err = Errf(op.Kind.String(), op.Name, ErrNotSupported)
 	}
 	return res, err
 }
 
-// doBatch runs a batch kind natively when c is a BatchContext, else item
-// by item through the matching unary kind; the caller's ctx is checked
-// between items.
-func doBatch(ctx context.Context, c Context, op Op) ([]BatchResult, error) {
-	if bc, ok := c.(BatchContext); ok {
-		switch op.Kind {
-		case OpLookupMany:
-			return bc.LookupMany(ctx, op.Names)
-		case OpBindMany:
-			return bc.BindMany(ctx, op.Binds)
-		default:
-			return bc.GetAttributesMany(ctx, op.Names, op.AttrIDs...)
-		}
-	}
+// DoItems runs a batch op on c item by item through the matching unary
+// kind, checking ctx between items: the batch of a context without a
+// native one, and of a provider whose native batch would change an
+// item's semantics.
+func DoItems(ctx context.Context, c Context, op Op) ([]BatchResult, error) {
 	out := make([]BatchResult, op.Len())
 	for i := range out {
 		if err := CtxErr(ctx); err != nil {
 			return nil, err
 		}
-		out[i] = itemResult(Do(ctx, c, op.Item(i)))
+		out[i] = ItemResult(Do(ctx, c, op.Item(i)))
 	}
 	return out, nil
 }
 
-// itemResult is a unary result as one position of a batch: the looked-up
+// ItemResult is a unary result as one position of a batch: the looked-up
 // object or the *Attributes as Value, nothing for a bind or a failure.
-func itemResult(res Result, err error) BatchResult {
+func ItemResult(res Result, err error) BatchResult {
 	switch {
 	case err != nil:
 		return BatchResult{Err: err}
@@ -221,6 +239,20 @@ func itemResult(res Result, err error) BatchResult {
 		return BatchResult{Value: res.Attrs}
 	}
 	return BatchResult{Value: res.Value}
+}
+
+// ListResult answers List or ListBindings from the bindings of the listed
+// context: ListBindings gets them as they are, List their names and
+// classes.
+func ListResult(kind OpKind, bs []Binding) Result {
+	if kind == OpListBindings {
+		return Result{Bindings: bs}
+	}
+	pairs := make([]NameClassPair, len(bs))
+	for i, b := range bs {
+		pairs[i] = NameClassPair{Name: b.Name, Class: b.Class}
+	}
+	return Result{Pairs: pairs}
 }
 
 // Len is the number of items of a batch op.
@@ -245,20 +277,29 @@ func (op Op) Item(i int) Op {
 	}
 }
 
-// OpContext spells Context, DirContext and EventContext over a Doer. A
-// decorator embeds it, points Doer at itself once at construction, and
-// writes Do plus NameInNamespace, Environment and Close. It deliberately
-// lacks the BatchContext methods: core.LookupMany and friends then reach
-// the decorator one item at a time, which is what a Do that decides per
-// item needs.
+// The typed surface over a Doer comes in three adapters, one per set of
+// capabilities, so that a type embeds exactly what it has and Supports
+// (a type assertion) stays truthful on it. The embedder points Doer at
+// itself once at construction and writes Do plus NameInNamespace,
+// Environment and Close.
+//
+//   - OpContext is Context and DirContext: dnssp, fssp, jxtasp, ldapsp.
+//   - EventOpContext adds EventContext: memsp.
+//   - BatchOpContext adds BatchContext as well: hdnssp, jinisp and the
+//     decorators (InitialContext, obs, cache), whose Do answers the
+//     three batch kinds as whole batches.
 type OpContext struct {
 	Doer Doer
 }
 
-// BatchOpContext is OpContext plus BatchContext, for decorators whose Do
-// handles the three batch kinds as whole batches.
-type BatchOpContext struct {
+// EventOpContext is OpContext plus EventContext.
+type EventOpContext struct {
 	OpContext
+}
+
+// BatchOpContext is EventOpContext plus BatchContext.
+type BatchOpContext struct {
+	EventOpContext
 }
 
 // Lookup implements Context.
@@ -367,7 +408,7 @@ func (o *OpContext) CreateSubcontextAttrs(ctx context.Context, name string, attr
 }
 
 // Watch implements EventContext.
-func (o *OpContext) Watch(ctx context.Context, target string, scope SearchScope, l Listener) (func(), error) {
+func (o *EventOpContext) Watch(ctx context.Context, target string, scope SearchScope, l Listener) (func(), error) {
 	res, err := o.Doer.Do(ctx, Op{Kind: OpWatch, Name: target, Scope: scope, Listener: l})
 	return res.Cancel, err
 }

@@ -26,8 +26,8 @@ type Middleware struct {
 // registry.
 func NewMiddleware() *Middleware { return &Middleware{reg: Default} }
 
-// NewMiddlewareRegistry is NewMiddleware for an explicit registry (tests).
-func NewMiddlewareRegistry(r *Registry) *Middleware { return &Middleware{reg: r} }
+// newMiddlewareRegistry is NewMiddleware for an explicit registry (tests).
+func newMiddlewareRegistry(r *Registry) *Middleware { return &Middleware{reg: r} }
 
 // BeginOp implements core.OpObserver: it starts a federation trace carried
 // by the returned context and meters the operation at the resolve level.

@@ -11,7 +11,7 @@ import (
 func TestMiddlewareBeginOp(t *testing.T) {
 	ResetTraces()
 	r := NewRegistry()
-	m := NewMiddlewareRegistry(r)
+	m := newMiddlewareRegistry(r)
 	ctx, finish := m.BeginOp(context.Background(), "lookup", "dns://a/x")
 	if TraceFrom(ctx) == nil {
 		t.Fatal("BeginOp did not start a trace")
@@ -41,7 +41,7 @@ func TestMiddlewareBeginOpDisabled(t *testing.T) {
 	SetEnabled(false)
 	defer SetEnabled(true)
 	r := NewRegistry()
-	m := NewMiddlewareRegistry(r)
+	m := newMiddlewareRegistry(r)
 	ctx, finish := m.BeginOp(context.Background(), "lookup", "x")
 	if TraceFrom(ctx) != nil {
 		t.Fatal("trace started while disabled")
@@ -54,7 +54,7 @@ func TestMiddlewareBeginOpDisabled(t *testing.T) {
 
 func TestMiddlewareOpenURLNext(t *testing.T) {
 	r := NewRegistry()
-	m := NewMiddlewareRegistry(r)
+	m := newMiddlewareRegistry(r)
 	ctx, finish := StartTrace(context.Background(), "lookup", "hdns://h1:7001/a/b")
 
 	inner := &fakeCtx{}
@@ -92,7 +92,7 @@ func TestMiddlewareOpenURLDisabledPassesThrough(t *testing.T) {
 	SetEnabled(false)
 	defer SetEnabled(true)
 	r := NewRegistry()
-	m := NewMiddlewareRegistry(r)
+	m := newMiddlewareRegistry(r)
 	called := false
 	next := func(ctx context.Context, rawURL string, env map[string]any) (core.Context, core.Name, error) {
 		called = true

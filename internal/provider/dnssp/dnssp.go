@@ -61,6 +61,7 @@ func Register() {
 			env:      env,
 			ttl:      newTTLMemo(),
 		}
+		dc.Doer = dc
 		return obs.Instrument(dc, "provider", "dns"), u.Path, nil
 	}))
 }
@@ -101,11 +102,12 @@ func resolverFor(server string, env map[string]any) *dnssrv.Resolver {
 
 // Context implements a read-only core.DirContext over a DNS server.
 type Context struct {
-	resolver *dnssrv.Resolver
-	url      string
-	base     core.Name // domain labels, topmost first
-	env      map[string]any
-	ttl      *ttlMemo // shared by all children of one provider root
+	core.OpContext // the typed surface, spelled over Do
+	resolver       *dnssrv.Resolver
+	url            string
+	base           core.Name // domain labels, topmost first
+	env            map[string]any
+	ttl            *ttlMemo // shared by all children of one provider root
 }
 
 // ttlMemo remembers the minimum record TTL observed per domain, so a
@@ -175,7 +177,9 @@ func domainFor(n core.Name) string {
 }
 
 func (c *Context) child(base core.Name) *Context {
-	return &Context{resolver: c.resolver, url: c.url, base: base, env: c.env, ttl: c.ttl}
+	ch := &Context{resolver: c.resolver, url: c.url, base: base, env: c.env, ttl: c.ttl}
+	ch.Doer = ch
+	return ch
 }
 
 // full parses name under the context base, front-checking ctx so every
@@ -241,20 +245,51 @@ func (c *Context) exists(ctx context.Context, n core.Name) (bool, []dnssrv.RR, e
 	return found, rrs, nil
 }
 
-// Lookup implements core.Context. Domains resolve to subcontexts; a TXT
-// record holding a provider URL resolves to a context Reference
-// (federation); other leaf data resolves to the TXT strings themselves.
-func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
-	full, err := c.full(ctx, name)
+// Do implements core.Doer. Reads query the server. DNS updates are
+// administrative (exactly the trade-off the paper describes in §1), so a
+// write is unsupported here, unless its name crosses a federation anchor:
+// then it continues in the anchored naming system, and writes through the
+// DNS *root* of the paper's hierarchy land on HDNS or the leaf services.
+func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
+	full, err := c.full(ctx, op.Name)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return res, core.OpErr(op, err)
 	}
+	switch op.Kind {
+	case core.OpLookup, core.OpLookupLink:
+		res.Value, err = c.lookup(ctx, full)
+	case core.OpGetAttributes:
+		res.Attrs, err = c.attributes(ctx, full, op.AttrIDs)
+	case core.OpList, core.OpListBindings:
+		var bs []core.Binding
+		if bs, err = c.list(ctx, full); err == nil {
+			res = core.ListResult(op.Kind, bs)
+		}
+	case core.OpSearch:
+		var stop error
+		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
+			return res, stop // the count limit's partial results, as they are
+		}
+	case core.OpBind, core.OpRebind, core.OpUnbind, core.OpRename, core.OpCreateSubcontext,
+		core.OpDestroySubcontext, core.OpModifyAttributes:
+		if err = c.missing(ctx, full); err == core.ErrNotFound {
+			err = core.ErrNotSupported
+		}
+	default:
+		err = core.ErrNotSupported
+	}
+	return res, core.OpErr(op, err)
+}
+
+// lookup resolves a domain to a subcontext; a TXT record holding a
+// provider URL resolves to a context Reference (federation).
+func (c *Context) lookup(ctx context.Context, full core.Name) (any, error) {
 	if full.Equal(c.base) {
 		return c.child(c.base), nil
 	}
 	ok, rrs, err := c.exists(ctx, full)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return nil, err
 	}
 	if ok {
 		if url, isBoundary := boundaryURL(rrs); isBoundary {
@@ -263,12 +298,18 @@ func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
 		return c.child(full), nil
 	}
 	// NXDOMAIN: a prefix may be a federation boundary.
-	if cpe, cerr := c.prefixBoundary(ctx, full); cerr != nil {
-		return nil, core.Errf("lookup", name, cerr)
+	return nil, c.missing(ctx, full)
+}
+
+// missing is the error for a name that does not exist here: the
+// continuation when a prefix is a federation anchor, else ErrNotFound.
+func (c *Context) missing(ctx context.Context, full core.Name) error {
+	if cpe, err := c.prefixBoundary(ctx, full); err != nil {
+		return err
 	} else if cpe != nil {
-		return nil, cpe
+		return cpe
 	}
-	return nil, core.Errf("lookup", name, core.ErrNotFound)
+	return core.ErrNotFound
 }
 
 // contextBoundary raises a continuation when full itself (or a prefix) is
@@ -290,11 +331,6 @@ func (c *Context) contextBoundary(ctx context.Context, full core.Name) (*core.Ca
 		return nil, nil
 	}
 	return c.prefixBoundary(ctx, full)
-}
-
-// LookupLink implements core.Context.
-func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
-	return c.Lookup(ctx, name)
 }
 
 // AttrSOASerial is the attribute ID under which a zone apex exposes its
@@ -322,19 +358,14 @@ func (c *Context) soaSerial(ctx context.Context, n core.Name) (uint32, bool, err
 	return 0, false, nil
 }
 
-// GetAttributes implements core.DirContext: the domain's resource records
-// become attributes keyed by record type.
-func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
+// attributes are the domain's resource records, keyed by record type.
+func (c *Context) attributes(ctx context.Context, full core.Name, attrIDs []string) (*core.Attributes, error) {
 	if len(attrIDs) == 1 && attrIDs[0] == AttrSOASerial {
 		// Serial-only probe: answer from one SOA query, skipping the ANY
 		// query and full record mapping below.
-		serial, ok, serr := c.soaSerial(ctx, full)
-		if serr != nil {
-			return nil, core.Errf("getAttributes", name, serr)
+		serial, ok, err := c.soaSerial(ctx, full)
+		if err != nil {
+			return nil, err
 		}
 		attrs := &core.Attributes{}
 		if ok {
@@ -344,15 +375,10 @@ func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...str
 	}
 	ok, rrs, err := c.exists(ctx, full)
 	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
+		return nil, err
 	}
 	if !ok {
-		if cpe, cerr := c.prefixBoundary(ctx, full); cerr != nil {
-			return nil, core.Errf("getAttributes", name, cerr)
-		} else if cpe != nil {
-			return nil, cpe
-		}
-		return nil, core.Errf("getAttributes", name, core.ErrNotFound)
+		return nil, c.missing(ctx, full)
 	}
 	return recordAttrs(rrs).Select(attrIDs...), nil
 }
@@ -436,33 +462,16 @@ func (c *Context) transferredChildren(ctx context.Context, full core.Name) (map[
 	return out, nil
 }
 
-// List implements core.Context via zone transfer.
-func (c *Context) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	bindings, err := c.ListBindings(ctx, name)
-	if err != nil {
+// list enumerates the child domains of full via zone transfer.
+func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, error) {
+	if cpe, err := c.contextBoundary(ctx, full); err != nil {
 		return nil, err
-	}
-	out := make([]core.NameClassPair, len(bindings))
-	for i, b := range bindings {
-		out[i] = core.NameClassPair{Name: b.Name, Class: b.Class}
-	}
-	return out, nil
-}
-
-// ListBindings implements core.Context.
-func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("list", name, err)
-	}
-	if cpe, cerr := c.contextBoundary(ctx, full); cerr != nil {
-		return nil, core.Errf("list", name, cerr)
 	} else if cpe != nil {
 		return nil, cpe
 	}
 	kids, err := c.transferredChildren(ctx, full)
 	if err != nil {
-		return nil, core.Errf("list", name, err)
+		return nil, err
 	}
 	out := make([]core.Binding, 0, len(kids))
 	for label := range kids {
@@ -484,34 +493,31 @@ func sortBindings(bs []core.Binding) {
 	}
 }
 
-// Search implements core.DirContext over the transferred zone subtree.
-func (c *Context) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	full, err := c.full(ctx, name)
+// search evaluates op's filter over the transferred zone subtree;
+// hitting the count limit is stop, beside the results.
+func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
+	f, err := filter.Parse(op.Filter)
 	if err != nil {
-		return nil, core.Errf("search", name, err)
-	}
-	f, err := filter.Parse(filterStr)
-	if err != nil {
-		return nil, core.Errf("search", name, err)
+		return nil, nil, err
 	}
 	if cpe, cerr := c.contextBoundary(ctx, full); cerr != nil {
-		return nil, core.Errf("search", name, cerr)
+		return nil, nil, cerr
 	} else if cpe != nil {
-		return nil, cpe
+		return nil, nil, cpe
 	}
+	controls := op.Controls
 	if controls == nil {
 		controls = &core.SearchControls{Scope: core.ScopeSubtree}
 	}
 	domain := domainFor(full)
 	rrs, err := c.resolver.TransferZone(ctx, domain)
 	if err != nil {
-		return nil, core.Errf("search", name, &core.CommunicationError{Endpoint: c.url, Err: err})
+		return nil, nil, &core.CommunicationError{Endpoint: c.url, Err: err}
 	}
 	byName := map[string][]dnssrv.RR{}
 	for _, rr := range rrs {
 		byName[rr.Name] = append(byName[rr.Name], rr)
 	}
-	var out []core.SearchResult
 	for dn, recs := range byName {
 		if dn != domain && !strings.HasSuffix(dn, "."+domain) && domain != "." {
 			continue
@@ -541,10 +547,10 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 			Attributes: attrs.Select(controls.ReturnAttrs...),
 		})
 		if controls.CountLimit > 0 && len(out) >= controls.CountLimit {
-			return out, &core.LimitExceededError{Limit: controls.CountLimit}
+			return out, &core.LimitExceededError{Limit: controls.CountLimit}, nil
 		}
 	}
-	return out, nil
+	return out, nil, nil
 }
 
 // relPath converts a domain under base into a path (topmost first),
@@ -560,79 +566,6 @@ func relPath(domain, base string) string {
 		labels[i], labels[j] = labels[j], labels[i]
 	}
 	return strings.Join(labels, "/")
-}
-
-// Write operations on DNS itself are unsupported: DNS updates are
-// administrative (exactly the trade-off the paper describes in §1). But a
-// write whose name crosses a federation anchor continues in the
-// anchored naming system — writes through the DNS *root* of the paper's
-// hierarchy land on HDNS or the leaf services.
-
-func (c *Context) writeBoundary(ctx context.Context, op, name string) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf(op, name, err)
-	}
-	if cpe, cerr := c.prefixBoundary(ctx, full); cerr != nil {
-		return core.Errf(op, name, cerr)
-	} else if cpe != nil {
-		return cpe
-	}
-	return core.Errf(op, name, core.ErrNotSupported)
-}
-
-// Bind implements core.Context (unsupported locally; federates).
-func (c *Context) Bind(ctx context.Context, name string, obj any) error {
-	return c.writeBoundary(ctx, "bind", name)
-}
-
-// BindAttrs implements core.DirContext (unsupported locally; federates).
-func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return c.writeBoundary(ctx, "bind", name)
-}
-
-// Rebind implements core.Context (unsupported locally; federates).
-func (c *Context) Rebind(ctx context.Context, name string, obj any) error {
-	return c.writeBoundary(ctx, "rebind", name)
-}
-
-// RebindAttrs implements core.DirContext (unsupported locally; federates).
-func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return c.writeBoundary(ctx, "rebind", name)
-}
-
-// Unbind implements core.Context (unsupported locally; federates).
-func (c *Context) Unbind(ctx context.Context, name string) error {
-	return c.writeBoundary(ctx, "unbind", name)
-}
-
-// Rename implements core.Context (unsupported locally; federates).
-func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
-	return c.writeBoundary(ctx, "rename", oldName)
-}
-
-// CreateSubcontext implements core.Context (unsupported locally;
-// federates).
-func (c *Context) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	return nil, c.writeBoundary(ctx, "createSubcontext", name)
-}
-
-// CreateSubcontextAttrs implements core.DirContext (unsupported locally;
-// federates).
-func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	return nil, c.writeBoundary(ctx, "createSubcontext", name)
-}
-
-// DestroySubcontext implements core.Context (unsupported locally;
-// federates).
-func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
-	return c.writeBoundary(ctx, "destroySubcontext", name)
-}
-
-// ModifyAttributes implements core.DirContext (unsupported locally;
-// federates).
-func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	return c.writeBoundary(ctx, "modifyAttributes", name)
 }
 
 // NameInNamespace implements core.Context.

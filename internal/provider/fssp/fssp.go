@@ -44,15 +44,16 @@ func Register() {
 		if u.Authority != "" && u.Authority != "localhost" {
 			return nil, core.Name{}, fmt.Errorf("fssp: remote file URLs unsupported: %q", u.Authority)
 		}
-		return obs.Instrument(&Context{root: root, env: env}, "provider", "file"), u.Path, nil
+		return obs.Instrument(NewContext(root, env), "provider", "file"), u.Path, nil
 	}))
 }
 
 // Context implements core.DirContext over a directory tree.
 type Context struct {
-	root string
-	base core.Name
-	env  map[string]any
+	core.OpContext // the typed surface, spelled over Do
+	root           string
+	base           core.Name
+	env            map[string]any
 }
 
 var _ core.DirContext = (*Context)(nil)
@@ -60,7 +61,9 @@ var _ core.Referenceable = (*Context)(nil)
 
 // NewContext roots a provider context at dir (tests, examples).
 func NewContext(dir string, env map[string]any) *Context {
-	return &Context{root: dir, env: env}
+	c := &Context{root: dir, env: env}
+	c.Doer = c
+	return c
 }
 
 // record is the on-disk form of a binding.
@@ -106,7 +109,9 @@ func (c *Context) filePath(n core.Name) string {
 }
 
 func (c *Context) child(base core.Name) *Context {
-	return &Context{root: c.root, base: base, env: c.env}
+	ch := NewContext(c.root, c.env)
+	ch.base = base
+	return ch
 }
 
 func readRecord(path string) (*record, error) {
@@ -157,100 +162,118 @@ func (c *Context) boundary(full core.Name) error {
 	return nil
 }
 
-// Lookup implements core.Context.
-func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
-	full, err := c.full(ctx, name)
+// Do implements core.Doer: each operation is a few filesystem calls on
+// the binding file or directory of the full name.
+func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
+	full, err := c.full(ctx, op.Name)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return res, core.OpErr(op, err)
 	}
+	switch op.Kind {
+	case core.OpLookup, core.OpLookupLink:
+		res.Value, err = c.lookup(full)
+	case core.OpBind:
+		err = c.bind(full, op.Obj, op.Attrs)
+	case core.OpRebind:
+		err = c.rebind(full, op.Obj, op.Attrs, op.Attrs != nil)
+	case core.OpUnbind:
+		err = c.unbind(full)
+	case core.OpRename:
+		newFull, perr := c.full(ctx, op.NewName)
+		if perr != nil {
+			err = core.OnNewName(perr)
+			break
+		}
+		err = c.rename(full, newFull)
+	case core.OpList, core.OpListBindings:
+		var bs []core.Binding
+		if bs, err = c.list(full); err == nil {
+			res = core.ListResult(op.Kind, bs)
+		}
+	case core.OpCreateSubcontext:
+		if err = c.mkdir(full); err == nil {
+			res.Context = c.child(full)
+		}
+	case core.OpDestroySubcontext:
+		err = c.rmdir(full)
+	case core.OpGetAttributes:
+		if r, rerr := readRecord(c.filePath(full)); rerr == nil {
+			res.Attrs = core.AttributesFromMap(r.Attrs).Select(op.AttrIDs...)
+		} else if fi, serr := os.Stat(c.dirPath(full)); serr == nil && fi.IsDir() {
+			res.Attrs = &core.Attributes{}
+		} else {
+			err = core.ErrNotFound
+		}
+	case core.OpModifyAttributes:
+		err = c.modify(full, op.Mods)
+	case core.OpSearch:
+		var stop error
+		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
+			return res, stop // a stopped walk's partial results, as they are
+		}
+	default:
+		err = core.ErrNotSupported
+	}
+	return res, core.OpErr(op, err)
+}
+
+func (c *Context) lookup(full core.Name) (any, error) {
 	if full.Equal(c.base) {
 		return c.child(c.base), nil
 	}
 	if r, err := readRecord(c.filePath(full)); err == nil {
-		obj, uerr := core.Unmarshal(r.Obj)
-		if uerr != nil {
-			return nil, core.Errf("lookup", name, uerr)
-		}
-		return obj, nil
+		return core.Unmarshal(r.Obj)
 	}
 	if fi, err := os.Stat(c.dirPath(full)); err == nil && fi.IsDir() {
 		return c.child(full), nil
 	}
 	if err := c.boundary(full); err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return nil, err
 	}
-	return nil, core.Errf("lookup", name, core.ErrNotFound)
+	return nil, core.ErrNotFound
 }
 
-// LookupLink implements core.Context.
-func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
-	return c.Lookup(ctx, name)
-}
-
-// Bind implements core.Context atomically via O_EXCL.
-func (c *Context) Bind(ctx context.Context, name string, obj any) error {
-	return c.BindAttrs(ctx, name, obj, nil)
-}
-
-// BindAttrs implements core.DirContext.
-func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("bind", name, err)
-	}
+// bind is atomic via O_EXCL.
+func (c *Context) bind(full core.Name, obj any, attrs *core.Attributes) error {
 	if full.IsEmpty() {
-		return core.Errf("bind", name, core.ErrInvalidNameEmpty)
+		return core.ErrInvalidNameEmpty
 	}
 	if err := c.boundary(full); err != nil {
-		return core.Errf("bind", name, err)
+		return err
 	}
 	data, err := encodeRecord(obj, attrs)
 	if err != nil {
-		return core.Errf("bind", name, err)
+		return err
 	}
 	if _, err := os.Stat(c.dirPath(full)); err == nil {
-		return core.Errf("bind", name, core.ErrAlreadyBound)
+		return core.ErrAlreadyBound
 	}
 	f, err := os.OpenFile(c.filePath(full), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		if errors.Is(err, fs.ErrExist) {
-			return core.Errf("bind", name, core.ErrAlreadyBound)
+			return core.ErrAlreadyBound
 		}
 		if errors.Is(err, fs.ErrNotExist) {
-			return core.Errf("bind", name, core.ErrNotFound)
+			return core.ErrNotFound
 		}
-		return core.Errf("bind", name, err)
+		return err
 	}
 	defer f.Close()
-	if _, err := f.Write(data); err != nil {
-		return core.Errf("bind", name, err)
-	}
-	return nil
+	_, err = f.Write(data)
+	return err
 }
 
-// Rebind implements core.Context.
-func (c *Context) Rebind(ctx context.Context, name string, obj any) error {
-	return c.rebind(ctx, name, obj, nil, false)
-}
-
-// RebindAttrs implements core.DirContext.
-func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return c.rebind(ctx, name, obj, attrs, attrs != nil)
-}
-
-func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.Attributes, replace bool) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("rebind", name, err)
-	}
+// rebind replaces the binding file through a rename, keeping its
+// attributes unless replace.
+func (c *Context) rebind(full core.Name, obj any, attrs *core.Attributes, replace bool) error {
 	if full.IsEmpty() {
-		return core.Errf("rebind", name, core.ErrInvalidNameEmpty)
+		return core.ErrInvalidNameEmpty
 	}
 	if err := c.boundary(full); err != nil {
-		return core.Errf("rebind", name, err)
+		return err
 	}
 	if fi, err := os.Stat(c.dirPath(full)); err == nil && fi.IsDir() {
-		return core.Errf("rebind", name, core.ErrNotContext)
+		return core.ErrNotContext
 	}
 	if !replace {
 		if old, err := readRecord(c.filePath(full)); err == nil {
@@ -259,104 +282,70 @@ func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.
 	}
 	data, err := encodeRecord(obj, attrs)
 	if err != nil {
-		return core.Errf("rebind", name, err)
+		return err
 	}
 	dir := filepath.Dir(c.filePath(full))
 	if _, err := os.Stat(dir); err != nil {
-		return core.Errf("rebind", name, core.ErrNotFound)
+		return core.ErrNotFound
 	}
 	tmp, err := os.CreateTemp(dir, ".fssp-*")
 	if err != nil {
-		return core.Errf("rebind", name, err)
+		return err
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return core.Errf("rebind", name, err)
+		return err
 	}
 	tmp.Close()
-	return core.Errf("rebind", name, os.Rename(tmp.Name(), c.filePath(full)))
+	return os.Rename(tmp.Name(), c.filePath(full))
 }
 
-// Unbind implements core.Context.
-func (c *Context) Unbind(ctx context.Context, name string) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("unbind", name, err)
-	}
-	err = os.Remove(c.filePath(full))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return core.Errf("unbind", name, err)
-	}
+// unbind of an absent binding succeeds, but intermediate contexts must
+// exist.
+func (c *Context) unbind(full core.Name) error {
+	err := os.Remove(c.filePath(full))
 	if errors.Is(err, fs.ErrNotExist) {
-		// Intermediate contexts must exist.
-		parent := full.Prefix(full.Size() - 1)
-		if _, serr := os.Stat(c.dirPath(parent)); serr != nil {
-			return core.Errf("unbind", name, core.ErrNotFound)
+		if _, serr := os.Stat(c.dirPath(full.Prefix(full.Size() - 1))); serr != nil {
+			return core.ErrNotFound
 		}
+		return nil
 	}
-	return nil
+	return err
 }
 
-// Rename implements core.Context.
-func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
-	oldFull, err := c.full(ctx, oldName)
-	if err != nil {
-		return core.Errf("rename", oldName, err)
-	}
-	newFull, err := c.full(ctx, newName)
-	if err != nil {
-		return core.Errf("rename", newName, err)
-	}
+func (c *Context) rename(oldFull, newFull core.Name) error {
 	if _, err := os.Stat(c.filePath(newFull)); err == nil {
-		return core.Errf("rename", newName, core.ErrAlreadyBound)
+		return core.OnNewName(core.ErrAlreadyBound)
 	}
 	if _, err := os.Stat(c.dirPath(newFull)); err == nil {
-		return core.Errf("rename", newName, core.ErrAlreadyBound)
+		return core.OnNewName(core.ErrAlreadyBound)
 	}
 	if _, err := os.Stat(c.filePath(oldFull)); err != nil {
 		// Renaming a subcontext directory.
 		if fi, derr := os.Stat(c.dirPath(oldFull)); derr == nil && fi.IsDir() {
-			return core.Errf("rename", oldName, os.Rename(c.dirPath(oldFull), c.dirPath(newFull)))
+			return os.Rename(c.dirPath(oldFull), c.dirPath(newFull))
 		}
-		return core.Errf("rename", oldName, core.ErrNotFound)
+		return core.ErrNotFound
 	}
-	return core.Errf("rename", oldName, os.Rename(c.filePath(oldFull), c.filePath(newFull)))
+	return os.Rename(c.filePath(oldFull), c.filePath(newFull))
 }
 
-// List implements core.Context.
-func (c *Context) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	bindings, err := c.ListBindings(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.NameClassPair, len(bindings))
-	for i, b := range bindings {
-		out[i] = core.NameClassPair{Name: b.Name, Class: b.Class}
-	}
-	return out, nil
-}
-
-// ListBindings implements core.Context.
-func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("list", name, err)
-	}
+func (c *Context) list(full core.Name) ([]core.Binding, error) {
 	dir := c.dirPath(full)
 	fi, err := os.Stat(dir)
 	if err != nil {
 		if _, ferr := os.Stat(c.filePath(full)); ferr == nil {
-			return nil, core.Errf("list", name, core.ErrNotContext)
+			return nil, core.ErrNotContext
 		}
-		return nil, core.Errf("list", name, core.ErrNotFound)
+		return nil, core.ErrNotFound
 	}
 	if !fi.IsDir() {
-		return nil, core.Errf("list", name, core.ErrNotContext)
+		return nil, core.ErrNotContext
 	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, core.Errf("list", name, err)
+		return nil, err
 	}
 	var out []core.Binding
 	for _, de := range des {
@@ -386,108 +375,66 @@ func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding
 	return out, nil
 }
 
-// CreateSubcontext implements core.Context.
-func (c *Context) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	dc, err := c.CreateSubcontextAttrs(ctx, name, nil)
-	if err != nil {
-		return nil, err
-	}
-	return dc, nil
-}
-
-// CreateSubcontextAttrs implements core.DirContext. Attributes on
-// filesystem subcontexts are not persisted (directories have no payload).
-func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
+// mkdir creates a subcontext. Attributes on filesystem subcontexts are
+// not persisted (directories have no payload).
+func (c *Context) mkdir(full core.Name) error {
 	if _, err := os.Stat(c.filePath(full)); err == nil {
-		return nil, core.Errf("createSubcontext", name, core.ErrAlreadyBound)
+		return core.ErrAlreadyBound
 	}
 	if _, err := os.Stat(c.dirPath(full)); err == nil {
-		return nil, core.Errf("createSubcontext", name, core.ErrAlreadyBound)
+		return core.ErrAlreadyBound
 	}
-	if err := os.Mkdir(c.dirPath(full), 0o755); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, core.Errf("createSubcontext", name, core.ErrNotFound)
-		}
-		return nil, core.Errf("createSubcontext", name, err)
+	err := os.Mkdir(c.dirPath(full), 0o755)
+	if errors.Is(err, fs.ErrNotExist) {
+		return core.ErrNotFound
 	}
-	return c.child(full), nil
+	return err
 }
 
-// DestroySubcontext implements core.Context.
-func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("destroySubcontext", name, err)
-	}
+// rmdir destroys an empty subcontext; a missing one counts as destroyed.
+func (c *Context) rmdir(full core.Name) error {
 	dir := c.dirPath(full)
 	fi, err := os.Stat(dir)
 	if err != nil {
-		return nil // destroying a missing subcontext succeeds
+		return nil
 	}
 	if !fi.IsDir() {
-		return core.Errf("destroySubcontext", name, core.ErrNotContext)
+		return core.ErrNotContext
 	}
 	err = os.Remove(dir)
 	// POSIX lets rmdir of a non-empty directory fail either way.
 	if errors.Is(err, syscall.ENOTEMPTY) || errors.Is(err, syscall.EEXIST) {
-		return core.Errf("destroySubcontext", name, core.ErrContextNotEmpty)
+		return core.ErrContextNotEmpty
 	}
-	return core.Errf("destroySubcontext", name, err)
+	return err
 }
 
-// GetAttributes implements core.DirContext.
-func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
-	if r, err := readRecord(c.filePath(full)); err == nil {
-		return core.AttributesFromMap(r.Attrs).Select(attrIDs...), nil
-	}
-	if fi, err := os.Stat(c.dirPath(full)); err == nil && fi.IsDir() {
-		return &core.Attributes{}, nil
-	}
-	return nil, core.Errf("getAttributes", name, core.ErrNotFound)
-}
-
-// ModifyAttributes implements core.DirContext.
-func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("modifyAttributes", name, err)
-	}
+func (c *Context) modify(full core.Name, mods []core.AttributeMod) error {
 	r, err := readRecord(c.filePath(full))
 	if err != nil {
-		return core.Errf("modifyAttributes", name, core.ErrNotFound)
+		return core.ErrNotFound
 	}
 	attrs := core.AttributesFromMap(r.Attrs)
 	if err := attrs.Apply(mods); err != nil {
-		return core.Errf("modifyAttributes", name, err)
+		return err
 	}
 	obj, err := core.Unmarshal(r.Obj)
 	if err != nil {
-		return core.Errf("modifyAttributes", name, err)
+		return err
 	}
-	return c.rebind(ctx, name, obj, attrs, true)
+	return c.rebind(full, obj, attrs, true)
 }
 
-// Search implements core.DirContext by walking the directory tree.
-// SearchControls.TimeLimit bounds the walk; when it fires, the partial
-// results are returned with a *core.TimeLimitExceededError. A done ctx
-// aborts the walk with ctx.Err() the same way.
-func (c *Context) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	full, err := c.full(ctx, name)
+// search walks the directory tree. SearchControls.TimeLimit bounds the
+// walk: when it fires, the partial results come back with a
+// *core.TimeLimitExceededError as stop. A done ctx stops the walk the
+// same way with ctx.Err().
+func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
+	f, err := filter.Parse(op.Filter)
 	if err != nil {
-		return nil, core.Errf("search", name, err)
+		return nil, nil, err
 	}
-	f, err := filter.Parse(filterStr)
-	if err != nil {
-		return nil, core.Errf("search", name, err)
-	}
+	controls := op.Controls
 	if controls == nil {
 		controls = &core.SearchControls{Scope: core.ScopeSubtree}
 	}
@@ -496,19 +443,17 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 	if controls.TimeLimit > 0 {
 		deadline = time.Now().Add(controls.TimeLimit)
 	}
-	var out []core.SearchResult
 	var limitHit bool
-	var stopErr error
 	walkErr := filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || limitHit {
 			return fs.SkipAll
 		}
 		if cerr := core.CtxErr(ctx); cerr != nil {
-			stopErr = cerr
+			stop = cerr
 			return fs.SkipAll
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			stopErr = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
+			stop = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
 			return fs.SkipAll
 		}
 		if de.IsDir() || !strings.HasSuffix(path, bindingExt) {
@@ -554,16 +499,13 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 		return nil
 	})
 	if walkErr != nil {
-		return nil, core.Errf("search", name, walkErr)
+		return nil, nil, walkErr
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	if stopErr != nil {
-		return out, stopErr
+	if stop == nil && limitHit {
+		stop = &core.LimitExceededError{Limit: controls.CountLimit}
 	}
-	if limitHit {
-		return out, &core.LimitExceededError{Limit: controls.CountLimit}
-	}
-	return out, nil
+	return out, stop, nil
 }
 
 // NameInNamespace implements core.Context.

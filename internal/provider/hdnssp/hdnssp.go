@@ -79,18 +79,20 @@ func (sh *shared) Close() error {
 
 var pool connpool.Pool[*shared]
 
-// Context implements core.DirContext, core.EventContext and
-// core.Referenceable over one HDNS node.
+// Context implements core.DirContext, core.EventContext,
+// core.BatchContext and core.Referenceable over one HDNS node.
 type Context struct {
-	sh    *shared
-	base  core.Name
-	env   map[string]any
-	owner bool // only a root context holds a pool reference
-	ref   connpool.Ref
+	core.BatchOpContext // the typed surface, spelled over Do
+	sh                  *shared
+	base                core.Name
+	env                 map[string]any
+	owner               bool // only a root context holds a pool reference
+	ref                 connpool.Ref
 }
 
 var _ core.DirContext = (*Context)(nil)
 var _ core.EventContext = (*Context)(nil)
+var _ core.BatchContext = (*Context)(nil)
 var _ core.Referenceable = (*Context)(nil)
 
 // Open connects to (or reuses a pooled connection for) the HDNS node at
@@ -116,11 +118,15 @@ func Open(ctx context.Context, authority string, env map[string]any) (*Context, 
 	if err != nil {
 		return nil, err
 	}
-	return &Context{sh: sh, env: env, owner: true}, nil
+	c := &Context{sh: sh, env: env, owner: true}
+	c.Doer = c
+	return c, nil
 }
 
 func (c *Context) child(base core.Name) *Context {
-	return &Context{sh: c.sh, base: base, env: c.env}
+	ch := &Context{sh: c.sh, base: base, env: c.env}
+	ch.Doer = ch
+	return ch
 }
 
 // full parses name under the context base, front-checking ctx so every
@@ -191,38 +197,102 @@ func (c *Context) boundaryUpTo(ctx context.Context, full core.Name, limit int) *
 	return nil
 }
 
-// Lookup implements core.Context.
-func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
+// Do implements core.Doer. Every operation maps onto one native HDNS
+// call (§5.2): Bind is the node's own test-and-set, Rename and
+// ModifyAttributes are atomic server-side, and a batch rides one frame.
+func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
 	if c.sh.Released() {
-		return nil, core.Errf("lookup", name, core.ErrClosed)
+		return res, core.OpErr(op, core.ErrClosed)
 	}
-	comps, full, err := c.full(ctx, name)
+	switch op.Kind {
+	case core.OpLookupMany, core.OpGetAttributesMany:
+		res.Batch, err = c.lookupMany(ctx, op)
+		return res, err
+	case core.OpBindMany:
+		res.Batch, err = c.bindMany(ctx, op)
+		return res, err
+	}
+	comps, full, err := c.full(ctx, op.Name)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return res, core.OpErr(op, err)
 	}
-	v, err := c.sh.client.Lookup(ctx, comps)
-	if err != nil {
-		return nil, core.Errf("lookup", name, c.mapErr(ctx, err, full))
-	}
-	if !v.Exists {
-		if cpe := c.boundary(ctx, full); cpe != nil {
-			return nil, cpe
+	switch op.Kind {
+	case core.OpLookup, core.OpLookupLink, core.OpGetAttributes:
+		v, lerr := c.sh.client.Lookup(ctx, comps)
+		if err = c.mapErr(ctx, lerr, full); err == nil {
+			res, err = c.view(ctx, op, full, v)
 		}
-		return nil, core.Errf("lookup", name, core.ErrNotFound)
+	case core.OpBind, core.OpRebind:
+		var data []byte
+		if data, err = core.Marshal(op.Obj); err != nil {
+			break
+		}
+		if op.Kind == core.OpBind {
+			err = c.sh.client.Bind(ctx, comps, data, op.Attrs.ToMap(), c.sh.lease.Milliseconds())
+		} else {
+			// No attributes keeps the bound ones (JNDI semantics).
+			err = c.sh.client.Rebind(ctx, comps, data, op.Attrs.ToMap(), op.Attrs != nil, c.sh.lease.Milliseconds())
+		}
+		if err = c.mapErr(ctx, err, full); err == nil {
+			c.startRenewal(comps, full.String())
+		}
+	case core.OpUnbind:
+		c.sh.renew.Stop(full.String())
+		err = c.mapErr(ctx, c.sh.client.Unbind(ctx, comps), full)
+	case core.OpRename:
+		newC, _, perr := c.full(ctx, op.NewName)
+		if perr != nil {
+			err = core.OnNewName(perr)
+			break
+		}
+		err = c.mapErr(ctx, c.sh.client.Rename(ctx, comps, newC), full)
+	case core.OpList, core.OpListBindings:
+		var bs []core.Binding
+		if bs, err = c.list(ctx, comps, full); err == nil {
+			res = core.ListResult(op.Kind, bs)
+		}
+	case core.OpCreateSubcontext:
+		if err = c.mapErr(ctx, c.sh.client.CreateCtx(ctx, comps, op.Attrs.ToMap()), full); err == nil {
+			res.Context = c.child(full)
+		}
+	case core.OpDestroySubcontext:
+		err = c.mapErr(ctx, c.sh.client.DestroyCtx(ctx, comps), full)
+	case core.OpModifyAttributes:
+		recs := make([]hdns.ModRec, len(op.Mods))
+		for i, m := range op.Mods {
+			recs[i] = hdns.ModRec{Op: int(m.Op), ID: m.Attr.ID, Vals: m.Attr.Values}
+		}
+		err = c.mapErr(ctx, c.sh.client.ModAttrs(ctx, comps, recs), full)
+	case core.OpSearch:
+		var stop error
+		if res.Found, stop, err = c.search(ctx, comps, full, op); err == nil {
+			return res, stop // the count limit's partial results, as they are
+		}
+	case core.OpWatch:
+		res.Cancel, err = c.watch(ctx, comps, full, op)
+	default:
+		err = core.ErrNotSupported
 	}
-	if v.IsCtx {
-		return c.child(full), nil
-	}
-	obj, err := core.Unmarshal(v.Obj)
-	if err != nil {
-		return nil, core.Errf("lookup", name, err)
-	}
-	return obj, nil
+	return res, core.OpErr(op, err)
 }
 
-// LookupLink implements core.Context.
-func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
-	return c.Lookup(ctx, name)
+// view answers Lookup, LookupLink or GetAttributes from the node's view
+// of full; a missing name may lie past a federation boundary.
+func (c *Context) view(ctx context.Context, op core.Op, full core.Name, v hdns.NodeView) (res core.Result, err error) {
+	switch {
+	case !v.Exists:
+		if cpe := c.boundary(ctx, full); cpe != nil {
+			return res, cpe
+		}
+		err = core.ErrNotFound
+	case op.Kind == core.OpGetAttributes:
+		res.Attrs = core.AttributesFromMap(v.Attrs).Select(op.AttrIDs...)
+	case v.IsCtx:
+		res.Value = c.child(full)
+	default:
+		res.Value, err = core.Unmarshal(v.Obj)
+	}
+	return res, err
 }
 
 // startRenewal keeps the binding's lease alive until unbind or the last
@@ -243,120 +313,14 @@ func (c *Context) startRenewal(comps []string, key string) {
 	}
 }
 
-// Bind implements core.Context — natively atomic in HDNS (§5.2).
-func (c *Context) Bind(ctx context.Context, name string, obj any) error {
-	return c.BindAttrs(ctx, name, obj, nil)
-}
-
-// BindAttrs implements core.DirContext.
-func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	if c.sh.Released() {
-		return core.Errf("bind", name, core.ErrClosed)
-	}
-	comps, full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("bind", name, err)
-	}
-	data, err := core.Marshal(obj)
-	if err != nil {
-		return core.Errf("bind", name, err)
-	}
-	err = c.sh.client.Bind(ctx, comps, data, attrs.ToMap(), c.sh.lease.Milliseconds())
-	if err != nil {
-		return core.Errf("bind", name, c.mapErr(ctx, err, full))
-	}
-	c.startRenewal(comps, full.String())
-	return nil
-}
-
-// Rebind implements core.Context.
-func (c *Context) Rebind(ctx context.Context, name string, obj any) error {
-	return c.rebind(ctx, name, obj, nil, false)
-}
-
-// RebindAttrs implements core.DirContext.
-func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return c.rebind(ctx, name, obj, attrs, attrs != nil)
-}
-
-func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.Attributes, replace bool) error {
-	if c.sh.Released() {
-		return core.Errf("rebind", name, core.ErrClosed)
-	}
-	comps, full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("rebind", name, err)
-	}
-	data, err := core.Marshal(obj)
-	if err != nil {
-		return core.Errf("rebind", name, err)
-	}
-	err = c.sh.client.Rebind(ctx, comps, data, attrs.ToMap(), replace, c.sh.lease.Milliseconds())
-	if err != nil {
-		return core.Errf("rebind", name, c.mapErr(ctx, err, full))
-	}
-	c.startRenewal(comps, full.String())
-	return nil
-}
-
-// Unbind implements core.Context.
-func (c *Context) Unbind(ctx context.Context, name string) error {
-	if c.sh.Released() {
-		return core.Errf("unbind", name, core.ErrClosed)
-	}
-	comps, full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("unbind", name, err)
-	}
-	c.sh.renew.Stop(full.String())
-	return core.Errf("unbind", name, c.mapErr(ctx, c.sh.client.Unbind(ctx, comps), full))
-}
-
-// Rename implements core.Context — atomic server-side.
-func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
-	if c.sh.Released() {
-		return core.Errf("rename", oldName, core.ErrClosed)
-	}
-	oldC, oldF, err := c.full(ctx, oldName)
-	if err != nil {
-		return core.Errf("rename", oldName, err)
-	}
-	newC, _, err := c.full(ctx, newName)
-	if err != nil {
-		return core.Errf("rename", newName, err)
-	}
-	err = c.sh.client.Rename(ctx, oldC, newC)
-	return core.Errf("rename", oldName, c.mapErr(ctx, err, oldF))
-}
-
-// List implements core.Context.
-func (c *Context) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	bindings, err := c.ListBindings(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.NameClassPair, len(bindings))
-	for i, b := range bindings {
-		out[i] = core.NameClassPair{Name: b.Name, Class: b.Class}
-	}
-	return out, nil
-}
-
-// ListBindings implements core.Context.
-func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	if c.sh.Released() {
-		return nil, core.Errf("list", name, core.ErrClosed)
-	}
-	comps, full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("list", name, err)
-	}
+// list is the bindings of the context at full.
+func (c *Context) list(ctx context.Context, comps []string, full core.Name) ([]core.Binding, error) {
 	if cpe := c.boundarySelf(ctx, full); cpe != nil {
 		return nil, cpe
 	}
 	entries, err := c.sh.client.List(ctx, comps)
 	if err != nil {
-		return nil, core.Errf("list", name, c.mapErr(ctx, err, full))
+		return nil, c.mapErr(ctx, err, full)
 	}
 	out := make([]core.Binding, 0, len(entries))
 	for _, e := range entries {
@@ -377,100 +341,21 @@ func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding
 	return out, nil
 }
 
-// CreateSubcontext implements core.Context.
-func (c *Context) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	dc, err := c.CreateSubcontextAttrs(ctx, name, nil)
-	if err != nil {
-		return nil, err
-	}
-	return dc, nil
-}
-
-// CreateSubcontextAttrs implements core.DirContext.
-func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	if c.sh.Released() {
-		return nil, core.Errf("createSubcontext", name, core.ErrClosed)
-	}
-	comps, full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
-	if err := c.sh.client.CreateCtx(ctx, comps, attrs.ToMap()); err != nil {
-		return nil, core.Errf("createSubcontext", name, c.mapErr(ctx, err, full))
-	}
-	return c.child(full), nil
-}
-
-// DestroySubcontext implements core.Context.
-func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
-	if c.sh.Released() {
-		return core.Errf("destroySubcontext", name, core.ErrClosed)
-	}
-	comps, full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("destroySubcontext", name, err)
-	}
-	return core.Errf("destroySubcontext", name, c.mapErr(ctx, c.sh.client.DestroyCtx(ctx, comps), full))
-}
-
-// GetAttributes implements core.DirContext.
-func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	if c.sh.Released() {
-		return nil, core.Errf("getAttributes", name, core.ErrClosed)
-	}
-	comps, full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
-	v, err := c.sh.client.Lookup(ctx, comps)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, c.mapErr(ctx, err, full))
-	}
-	if !v.Exists {
-		if cpe := c.boundary(ctx, full); cpe != nil {
-			return nil, cpe
-		}
-		return nil, core.Errf("getAttributes", name, core.ErrNotFound)
-	}
-	return core.AttributesFromMap(v.Attrs).Select(attrIDs...), nil
-}
-
-// ModifyAttributes implements core.DirContext — atomic server-side.
-func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	if c.sh.Released() {
-		return core.Errf("modifyAttributes", name, core.ErrClosed)
-	}
-	comps, full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("modifyAttributes", name, err)
-	}
-	recs := make([]hdns.ModRec, len(mods))
-	for i, m := range mods {
-		recs[i] = hdns.ModRec{Op: int(m.Op), ID: m.Attr.ID, Vals: m.Attr.Values}
-	}
-	return core.Errf("modifyAttributes", name, c.mapErr(ctx, c.sh.client.ModAttrs(ctx, comps, recs), full))
-}
-
-// Search implements core.DirContext server-side.
-func (c *Context) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	if c.sh.Released() {
-		return nil, core.Errf("search", name, core.ErrClosed)
-	}
-	comps, full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("search", name, err)
-	}
+// search runs op's filter server-side; hitting the count limit is stop,
+// beside the results.
+func (c *Context) search(ctx context.Context, comps []string, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
 	if cpe := c.boundarySelf(ctx, full); cpe != nil {
-		return nil, cpe
+		return nil, nil, cpe
 	}
+	controls := op.Controls
 	if controls == nil {
 		controls = &core.SearchControls{Scope: core.ScopeSubtree}
 	}
-	hits, err := c.sh.client.Search(ctx, comps, filterStr, int(controls.Scope), controls.CountLimit)
+	hits, err := c.sh.client.Search(ctx, comps, op.Filter, int(controls.Scope), controls.CountLimit)
 	if err != nil {
-		return nil, core.Errf("search", name, c.mapErr(ctx, err, full))
+		return nil, nil, c.mapErr(ctx, err, full)
 	}
-	out := make([]core.SearchResult, 0, len(hits))
+	out = make([]core.SearchResult, 0, len(hits))
 	for _, h := range hits {
 		r := core.SearchResult{
 			Name:       core.NewName(h.Name...).String(),
@@ -490,28 +375,20 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 		}
 		out = append(out, r)
 	}
-	var lerr error
 	if controls.CountLimit > 0 && len(out) >= controls.CountLimit {
-		lerr = &core.LimitExceededError{Limit: controls.CountLimit}
+		stop = &core.LimitExceededError{Limit: controls.CountLimit}
 	}
-	return out, lerr
+	return out, stop, nil
 }
 
-// Watch implements core.EventContext through HDNS's distributed event
+// watch registers op.Listener through HDNS's distributed event
 // notification (inherited from the H2O event mechanism in the paper).
-func (c *Context) Watch(ctx context.Context, target string, scope core.SearchScope, l core.Listener) (func(), error) {
-	if c.sh.Released() {
-		return nil, core.Errf("watch", target, core.ErrClosed)
-	}
-	comps, fullName, err := c.full(ctx, target)
-	if err != nil {
-		return nil, core.Errf("watch", target, err)
-	}
-	if cpe := c.boundarySelf(ctx, fullName); cpe != nil {
+func (c *Context) watch(ctx context.Context, comps []string, full core.Name, op core.Op) (func(), error) {
+	if cpe := c.boundarySelf(ctx, full); cpe != nil {
 		return nil, cpe
 	}
-	baseSize := len(comps)
-	cancel, err := c.sh.client.Watch(ctx, comps, int(scope), func(e hdns.EventMsg) {
+	l, baseSize := op.Listener, len(comps)
+	cancel, err := c.sh.client.Watch(ctx, comps, int(op.Scope), func(e hdns.EventMsg) {
 		rel := core.NewName(e.Name[baseSize:]...).String()
 		var typ core.EventType
 		switch e.Kind {
@@ -536,7 +413,7 @@ func (c *Context) Watch(ctx context.Context, target string, scope core.SearchSco
 		l(core.NamingEvent{Type: typ, Name: rel, NewValue: newV, OldValue: oldV})
 	})
 	if err != nil {
-		return nil, core.Errf("watch", target, rpc.CoreError(c.sh.url, err))
+		return nil, rpc.CoreError(c.sh.url, err)
 	}
 	// Server-side watches die with the connection; surface that to the
 	// listener as EventWatchLost so caches layered on this registration

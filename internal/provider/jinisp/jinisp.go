@@ -158,18 +158,20 @@ func (sh *shared) notifyLost() {
 
 var pool connpool.Pool[*shared]
 
-// Context implements core.DirContext, core.EventContext and
-// core.Referenceable over one lookup service.
+// Context implements core.DirContext, core.EventContext,
+// core.BatchContext and core.Referenceable over one lookup service.
 type Context struct {
-	sh    *shared
-	base  core.Name
-	env   map[string]any
-	owner bool // only a root context holds a pool reference
-	ref   connpool.Ref
+	core.BatchOpContext // the typed surface, spelled over Do
+	sh                  *shared
+	base                core.Name
+	env                 map[string]any
+	owner               bool // only a root context holds a pool reference
+	ref                 connpool.Ref
 }
 
 var _ core.DirContext = (*Context)(nil)
 var _ core.EventContext = (*Context)(nil)
+var _ core.BatchContext = (*Context)(nil)
 var _ core.Referenceable = (*Context)(nil)
 
 // Open connects to (or reuses a pooled connection for) the LUS at addr
@@ -224,7 +226,9 @@ func Open(ctx context.Context, addr string, env map[string]any) (*Context, error
 	if err != nil {
 		return nil, err
 	}
-	return &Context{sh: sh, env: env, owner: true}, nil
+	c := &Context{sh: sh, env: env, owner: true}
+	c.Doer = c
+	return c, nil
 }
 
 // idFor derives the deterministic service ID for a bound name, making
@@ -402,7 +406,9 @@ func (c *Context) full(ctx context.Context, name string) (core.Name, error) {
 }
 
 func (c *Context) child(base core.Name) *Context {
-	return &Context{sh: c.sh, base: base, env: c.env}
+	ch := &Context{sh: c.sh, base: base, env: c.env}
+	ch.Doer = ch
+	return ch
 }
 
 // hasChildren reports whether any binding lives under path.
@@ -411,61 +417,143 @@ func (c *Context) hasChildren(ctx context.Context, path core.Name) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	prefix := path.String() + "/"
-	if path.IsEmpty() {
-		return len(items) > 0, nil
-	}
-	for i := range items {
-		if strings.HasPrefix(itemName(&items[i]), prefix) {
-			return true, nil
-		}
-	}
-	return false, nil
+	return prefixMatch(items, path), nil
 }
 
-// Lookup implements core.Context.
-func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
+// prefixMatch reports whether any of items is bound under path.
+func prefixMatch(items []jini.ServiceItem, path core.Name) bool {
+	if path.IsEmpty() {
+		return len(items) > 0
+	}
+	prefix := path.String() + "/"
+	for i := range items {
+		if strings.HasPrefix(itemName(&items[i]), prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// Do implements core.Doer. Reads are LUS lookups; writes register or
+// cancel fake service items, guarded as EnvBind selects.
+func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
 	if c.sh.Released() {
-		return nil, core.Errf("lookup", name, core.ErrClosed)
+		return res, core.OpErr(op, core.ErrClosed)
 	}
-	full, err := c.full(ctx, name)
+	switch op.Kind {
+	case core.OpLookupMany, core.OpGetAttributesMany:
+		res.Batch, err = c.lookupMany(ctx, op)
+		return res, err
+	case core.OpBindMany:
+		res.Batch, err = c.bindMany(ctx, op)
+		return res, err
+	}
+	full, err := c.full(ctx, op.Name)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return res, core.OpErr(op, err)
 	}
-	if full.Equal(c.base) {
-		return c.child(c.base), nil
+	switch op.Kind {
+	case core.OpLookup, core.OpLookupLink, core.OpGetAttributes:
+		res, err = c.read(ctx, op, full)
+	case core.OpBind:
+		err = c.bind(ctx, full, op.Obj, op.Attrs)
+	case core.OpRebind:
+		err = c.rebind(ctx, full, op.Obj, op.Attrs)
+	case core.OpUnbind:
+		err = c.unbind(ctx, full)
+	case core.OpRename:
+		err = c.rename(ctx, full, op.NewName)
+	case core.OpList, core.OpListBindings:
+		var bs []core.Binding
+		if bs, err = c.list(ctx, full); err == nil {
+			res = core.ListResult(op.Kind, bs)
+		}
+	case core.OpCreateSubcontext:
+		// An explicit context-marker item.
+		var item jini.ServiceItem
+		if err = c.checkPrefixes(ctx, full); err == nil {
+			item, err = itemFor(full, nil, op.Attrs, true)
+		}
+		if err == nil {
+			err = c.bindNew(ctx, full, item)
+		}
+		if err == nil {
+			res.Context = c.child(full)
+		}
+	case core.OpDestroySubcontext:
+		err = c.destroy(ctx, full)
+	case core.OpModifyAttributes:
+		err = c.modify(ctx, full, op.Mods)
+	case core.OpSearch:
+		var stop error
+		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
+			return res, stop // the count limit's partial results, as they are
+		}
+	case core.OpWatch:
+		res.Cancel, err = c.watch(ctx, full, op)
+	default:
+		err = core.ErrNotSupported
+	}
+	return res, core.OpErr(op, err)
+}
+
+// read answers Lookup, LookupLink or GetAttributes.
+func (c *Context) read(ctx context.Context, op core.Op, full core.Name) (core.Result, error) {
+	if op.Kind != core.OpGetAttributes && full.Equal(c.base) {
+		return core.Result{Value: c.child(c.base)}, nil
 	}
 	item, ok, err := c.fetch(ctx, full)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return core.Result{}, err
 	}
 	if ok {
-		if itemIsContext(item) {
-			return c.child(full), nil
-		}
-		obj, err := itemObject(item)
-		if err != nil {
-			return nil, core.Errf("lookup", name, err)
-		}
-		return obj, nil
+		return c.found(op, full, item)
 	}
-	if err := c.checkPrefixes(ctx, full); err != nil {
-		return nil, core.Errf("lookup", name, err)
-	}
-	// Virtual intermediate context?
-	has, err := c.hasChildren(ctx, full)
-	if err != nil {
-		return nil, core.Errf("lookup", name, err)
-	}
-	if has {
-		return c.child(full), nil
-	}
-	return nil, core.Errf("lookup", name, core.ErrNotFound)
+	var scan []jini.ServiceItem
+	return c.miss(ctx, op, full, &scan)
 }
 
-// LookupLink implements core.Context.
-func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
-	return c.Lookup(ctx, name)
+// found answers Lookup or GetAttributes from the item bound at full.
+func (c *Context) found(op core.Op, full core.Name, item *jini.ServiceItem) (res core.Result, err error) {
+	switch {
+	case op.Kind == core.OpGetAttributes:
+		res.Attrs = itemAttrs(item).Select(op.AttrIDs...)
+	case itemIsContext(item):
+		res.Value = c.child(full)
+	default:
+		res.Value, err = itemObject(item)
+	}
+	return res, err
+}
+
+// miss answers Lookup or GetAttributes for a name with no item: a
+// federation continuation, a virtual intermediate context (a prefix of
+// bound names, with no attributes), or not found. scan holds the
+// allBindings scan once made, so a batch's misses share one.
+func (c *Context) miss(ctx context.Context, op core.Op, full core.Name, scan *[]jini.ServiceItem) (core.Result, error) {
+	if err := c.checkPrefixes(ctx, full); err != nil {
+		return core.Result{}, err
+	}
+	if *scan == nil {
+		items, err := c.allBindings(ctx)
+		if err != nil {
+			if op.Kind == core.OpGetAttributes {
+				return core.Result{}, core.ErrNotFound // a failed children scan is a plain miss
+			}
+			return core.Result{}, err
+		}
+		if items == nil {
+			items = []jini.ServiceItem{}
+		}
+		*scan = items
+	}
+	switch {
+	case !prefixMatch(*scan, full):
+		return core.Result{}, core.ErrNotFound
+	case op.Kind == core.OpGetAttributes:
+		return core.Result{Attrs: &core.Attributes{}}, nil
+	}
+	return core.Result{Value: c.child(full)}, nil
 }
 
 // mutex builds the Eisenberg–McGuire lock guarding the named context's
@@ -541,35 +629,28 @@ func (c *Context) proxyRegister(ctx context.Context, item jini.ServiceItem, only
 	return nil
 }
 
-// Bind implements core.Context: strictly atomic by default (distributed
-// lock), or check-then-register in relaxed mode.
-func (c *Context) Bind(ctx context.Context, name string, obj any) error {
-	return c.BindAttrs(ctx, name, obj, nil)
+// locked runs f inside the Eisenberg–McGuire critical section guarding
+// the bindings of full's parent context under strict semantics, and
+// unguarded otherwise.
+func (c *Context) locked(ctx context.Context, full core.Name, f func() error) error {
+	if !c.sh.strict {
+		return f()
+	}
+	m, err := c.mutex(ctx, full.Prefix(full.Size()-1))
+	if err != nil {
+		return err
+	}
+	return m.WithLock(30*time.Second, f)
 }
 
-// BindAttrs implements core.DirContext.
-func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	if c.sh.Released() {
-		return core.Errf("bind", name, core.ErrClosed)
-	}
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("bind", name, err)
-	}
-	if full.IsEmpty() {
-		return core.Errf("bind", name, core.ErrInvalidNameEmpty)
-	}
-	if err := c.checkPrefixes(ctx, full); err != nil {
-		return core.Errf("bind", name, err)
-	}
-	item, err := itemFor(full, obj, attrs, false)
-	if err != nil {
-		return core.Errf("bind", name, err)
-	}
+// bindNew registers item at full only if nothing is bound there: one
+// test-and-set at the BindProxy in proxy mode, else check-then-register,
+// atomic inside the critical section (strict) or not at all (relaxed).
+func (c *Context) bindNew(ctx context.Context, full core.Name, item jini.ServiceItem) error {
 	if c.sh.proxy != nil {
-		return core.Errf("bind", name, c.proxyRegister(ctx, item, true))
+		return c.proxyRegister(ctx, item, true)
 	}
-	do := func() error {
+	return c.locked(ctx, full, func() error {
 		_, exists, err := c.fetch(ctx, full)
 		if err != nil {
 			return err
@@ -578,170 +659,109 @@ func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *co
 			return core.ErrAlreadyBound
 		}
 		return c.register(ctx, item)
-	}
-	if c.sh.strict {
-		m, err := c.mutex(ctx, full.Prefix(full.Size()-1))
-		if err != nil {
-			return core.Errf("bind", name, err)
-		}
-		err = m.WithLock(30*time.Second, do)
-		return core.Errf("bind", name, err)
-	}
-	return core.Errf("bind", name, do())
+	})
 }
 
-// Rebind implements core.Context: a single overwrite-register, Jini's
-// natural primitive.
-func (c *Context) Rebind(ctx context.Context, name string, obj any) error {
-	return c.rebind(ctx, name, obj, nil, false)
-}
-
-// RebindAttrs implements core.DirContext.
-func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return c.rebind(ctx, name, obj, attrs, attrs != nil)
-}
-
-func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.Attributes, replaceAttrs bool) error {
-	if c.sh.Released() {
-		return core.Errf("rebind", name, core.ErrClosed)
-	}
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("rebind", name, err)
-	}
+func (c *Context) bind(ctx context.Context, full core.Name, obj any, attrs *core.Attributes) error {
 	if full.IsEmpty() {
-		return core.Errf("rebind", name, core.ErrInvalidNameEmpty)
+		return core.ErrInvalidNameEmpty
 	}
 	if err := c.checkPrefixes(ctx, full); err != nil {
-		return core.Errf("rebind", name, err)
+		return err
 	}
-	do := func() error {
-		a := attrs
-		if !replaceAttrs {
-			// JNDI rebind preserves existing attributes unless new
-			// ones are supplied (a read-modify-write).
-			if old, ok, err := c.fetch(ctx, full); err != nil {
-				return err
-			} else if ok {
-				if itemIsContext(old) {
-					return core.ErrNotContext
-				}
-				a = itemAttrs(old)
-			}
-		}
-		item, err := itemFor(full, obj, a, false)
-		if err != nil {
-			return err
-		}
-		return c.register(ctx, item)
+	item, err := itemFor(full, obj, attrs, false)
+	if err != nil {
+		return err
+	}
+	return c.bindNew(ctx, full, item)
+}
+
+// rebind is a single overwrite-register, Jini's natural primitive.
+func (c *Context) rebind(ctx context.Context, full core.Name, obj any, attrs *core.Attributes) error {
+	if full.IsEmpty() {
+		return core.ErrInvalidNameEmpty
+	}
+	if err := c.checkPrefixes(ctx, full); err != nil {
+		return err
 	}
 	if c.sh.proxy != nil {
 		// Proxy mode: the overwrite itself is serialized at the proxy;
-		// the attribute-preservation fetch above remains a separate
-		// read (one extra round trip vs the relaxed path).
-		a := attrs
-		if !replaceAttrs {
-			if old, ok, err := c.fetch(ctx, full); err != nil {
-				return core.Errf("rebind", name, err)
-			} else if ok {
-				if itemIsContext(old) {
-					return core.Errf("rebind", name, core.ErrNotContext)
-				}
-				a = itemAttrs(old)
-			}
-		}
-		item, err := itemFor(full, obj, a, false)
+		// the attribute-preservation fetch remains a separate read (one
+		// extra round trip vs the relaxed path).
+		item, err := c.rebindItem(ctx, full, obj, attrs)
 		if err != nil {
-			return core.Errf("rebind", name, err)
+			return err
 		}
-		return core.Errf("rebind", name, c.proxyRegister(ctx, item, false))
+		return c.proxyRegister(ctx, item, false)
 	}
 	// Under strict semantics even rebind runs in the critical section:
 	// its read-modify-write (attribute preservation) is otherwise racy.
 	// This is the write-path cost Figure 3 quantifies; relaxed mode
 	// sacrifices the consistency for throughput.
-	if c.sh.strict {
-		m, merr := c.mutex(ctx, full.Prefix(full.Size()-1))
-		if merr != nil {
-			return core.Errf("rebind", name, merr)
+	return c.locked(ctx, full, func() error {
+		item, err := c.rebindItem(ctx, full, obj, attrs)
+		if err != nil {
+			return err
 		}
-		return core.Errf("rebind", name, m.WithLock(30*time.Second, do))
-	}
-	return core.Errf("rebind", name, do())
+		return c.register(ctx, item)
+	})
 }
 
-// Unbind implements core.Context.
-func (c *Context) Unbind(ctx context.Context, name string) error {
-	if c.sh.Released() {
-		return core.Errf("unbind", name, core.ErrClosed)
+// rebindItem is the item a rebind registers. JNDI rebind preserves the
+// existing attributes unless new ones are supplied (a read-modify-write).
+func (c *Context) rebindItem(ctx context.Context, full core.Name, obj any, attrs *core.Attributes) (jini.ServiceItem, error) {
+	if attrs == nil {
+		if old, ok, err := c.fetch(ctx, full); err != nil {
+			return jini.ServiceItem{}, err
+		} else if ok {
+			if itemIsContext(old) {
+				return jini.ServiceItem{}, core.ErrNotContext
+			}
+			attrs = itemAttrs(old)
+		}
 	}
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("unbind", name, err)
-	}
+	return itemFor(full, obj, attrs, false)
+}
+
+// unbind cancels the binding's registration. Unbinding an unbound name
+// succeeds (JNDI semantics).
+func (c *Context) unbind(ctx context.Context, full core.Name) error {
 	if err := c.checkPrefixes(ctx, full); err != nil {
-		return core.Errf("unbind", name, err)
+		return err
 	}
 	id := idFor(full.String())
 	c.sh.lrm.Forget(id)
-	if err := c.sh.reg.Cancel(ctx, id); err != nil {
-		// Unbinding an unbound name succeeds (JNDI semantics); only
-		// transport failures surface.
-		if c.sh.reg == nil {
-			return core.Errf("unbind", name, err)
-		}
-	}
+	_ = c.sh.reg.Cancel(ctx, id)
 	return nil
 }
 
-// Rename implements core.Context (lookup + bind + unbind; atomic only
-// under strict semantics and only per-step, as the paper's provider).
-func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
-	obj, err := c.Lookup(ctx, oldName)
+// rename is lookup + bind + unbind: atomic only under strict semantics
+// and only per step, as the paper's provider.
+func (c *Context) rename(ctx context.Context, oldFull core.Name, newName string) error {
+	res, err := c.read(ctx, core.Op{Kind: core.OpLookup}, oldFull)
 	if err != nil {
 		return err
 	}
-	fullOld, err := c.full(ctx, oldName)
-	if err != nil {
-		return core.Errf("rename", oldName, err)
-	}
-	item, ok, err := c.fetch(ctx, fullOld)
+	item, ok, err := c.fetch(ctx, oldFull)
 	if err != nil || !ok {
-		return core.Errf("rename", oldName, core.ErrNotFound)
+		return core.ErrNotFound
 	}
-	attrs := itemAttrs(item)
-	if err := c.BindAttrs(ctx, newName, obj, attrs); err != nil {
-		return err
+	newFull, err := c.full(ctx, newName)
+	if err == nil {
+		err = c.bind(ctx, newFull, res.Value, itemAttrs(item))
 	}
-	return c.Unbind(ctx, oldName)
+	if err != nil {
+		return core.OnNewName(err)
+	}
+	return c.unbind(ctx, oldFull)
 }
 
-// List implements core.Context.
-func (c *Context) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	bindings, err := c.ListBindings(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.NameClassPair, len(bindings))
-	for i, b := range bindings {
-		out[i] = core.NameClassPair{Name: b.Name, Class: b.Class}
-	}
-	return out, nil
-}
-
-// ListBindings implements core.Context via a registry scan.
-func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	if c.sh.Released() {
-		return nil, core.Errf("list", name, core.ErrClosed)
-	}
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("list", name, err)
-	}
+// list scans the registry for the bindings under full.
+func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, error) {
 	if !full.IsEmpty() {
-		item, ok, ferr := c.fetch(ctx, full)
-		if ferr != nil {
-			return nil, core.Errf("list", name, ferr)
+		item, ok, err := c.fetch(ctx, full)
+		if err != nil {
+			return nil, err
 		}
 		if ok && !itemIsContext(item) {
 			// A bound reference to a foreign context: continue there.
@@ -750,12 +770,12 @@ func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding
 					Resolved: obj, RemainingName: core.Name{}, AltName: full.String(),
 				}
 			}
-			return nil, core.Errf("list", name, core.ErrNotContext)
+			return nil, core.ErrNotContext
 		}
 	}
 	items, err := c.allBindings(ctx)
 	if err != nil {
-		return nil, core.Errf("list", name, err)
+		return nil, err
 	}
 	prefix := ""
 	if !full.IsEmpty() {
@@ -795,7 +815,7 @@ func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding
 		seen[child] = &core.Binding{Name: child, Class: core.ClassOf(obj), Object: obj}
 	}
 	if !existed {
-		return nil, core.Errf("list", name, core.ErrNotFound)
+		return nil, core.ErrNotFound
 	}
 	out := make([]core.Binding, 0, len(seen))
 	for _, b := range seen {
@@ -813,85 +833,22 @@ func sortBindings(bs []core.Binding) {
 	}
 }
 
-// CreateSubcontext implements core.Context by registering an explicit
-// context-marker item.
-func (c *Context) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	dc, err := c.CreateSubcontextAttrs(ctx, name, nil)
-	if err != nil {
-		return nil, err
-	}
-	return dc, nil
-}
-
-// CreateSubcontextAttrs implements core.DirContext.
-func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	if c.sh.Released() {
-		return nil, core.Errf("createSubcontext", name, core.ErrClosed)
-	}
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
-	if err := c.checkPrefixes(ctx, full); err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
-	item, err := itemFor(full, nil, attrs, true)
-	if err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
-	do := func() error {
-		_, exists, err := c.fetch(ctx, full)
-		if err != nil {
-			return err
-		}
-		if exists {
-			return core.ErrAlreadyBound
-		}
-		return c.register(ctx, item)
-	}
-	switch {
-	case c.sh.proxy != nil:
-		err = c.proxyRegister(ctx, item, true)
-	case c.sh.strict:
-		m, merr := c.mutex(ctx, full.Prefix(full.Size()-1))
-		if merr != nil {
-			return nil, core.Errf("createSubcontext", name, merr)
-		}
-		err = m.WithLock(30*time.Second, do)
-	default:
-		err = do()
-	}
-	if err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
-	return c.child(full), nil
-}
-
-// DestroySubcontext implements core.Context.
-func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
-	if c.sh.Released() {
-		return core.Errf("destroySubcontext", name, core.ErrClosed)
-	}
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("destroySubcontext", name, err)
-	}
+// destroy removes an empty context-marker item; a missing one counts as
+// destroyed.
+func (c *Context) destroy(ctx context.Context, full core.Name) error {
 	item, ok, err := c.fetch(ctx, full)
-	if err != nil {
-		return core.Errf("destroySubcontext", name, err)
-	}
-	if !ok {
-		return nil
+	if err != nil || !ok {
+		return err
 	}
 	if !itemIsContext(item) {
-		return core.Errf("destroySubcontext", name, core.ErrNotContext)
+		return core.ErrNotContext
 	}
 	has, err := c.hasChildren(ctx, full)
 	if err != nil {
-		return core.Errf("destroySubcontext", name, err)
+		return err
 	}
 	if has {
-		return core.Errf("destroySubcontext", name, core.ErrContextNotEmpty)
+		return core.ErrContextNotEmpty
 	}
 	id := idFor(full.String())
 	c.sh.lrm.Forget(id)
@@ -899,43 +856,9 @@ func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
 	return nil
 }
 
-// GetAttributes implements core.DirContext.
-func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	if c.sh.Released() {
-		return nil, core.Errf("getAttributes", name, core.ErrClosed)
-	}
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
-	item, ok, err := c.fetch(ctx, full)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
-	if !ok {
-		if err := c.checkPrefixes(ctx, full); err != nil {
-			return nil, core.Errf("getAttributes", name, err)
-		}
-		has, herr := c.hasChildren(ctx, full)
-		if herr == nil && has {
-			return &core.Attributes{}, nil // virtual context: no attrs
-		}
-		return nil, core.Errf("getAttributes", name, core.ErrNotFound)
-	}
-	return itemAttrs(item).Select(attrIDs...), nil
-}
-
-// ModifyAttributes implements core.DirContext (read-modify-register;
-// atomic only under strict semantics).
-func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	if c.sh.Released() {
-		return core.Errf("modifyAttributes", name, core.ErrClosed)
-	}
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("modifyAttributes", name, err)
-	}
-	do := func() error {
+// modify is read-modify-register, atomic only under strict semantics.
+func (c *Context) modify(ctx context.Context, full core.Name, mods []core.AttributeMod) error {
+	return c.locked(ctx, full, func() error {
 		item, ok, err := c.fetch(ctx, full)
 		if err != nil {
 			return err
@@ -959,49 +882,43 @@ func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core
 			return err
 		}
 		return c.register(ctx, ni)
-	}
-	if c.sh.strict {
-		m, merr := c.mutex(ctx, full.Prefix(full.Size()-1))
-		if merr != nil {
-			return core.Errf("modifyAttributes", name, merr)
-		}
-		return core.Errf("modifyAttributes", name, m.WithLock(30*time.Second, do))
-	}
-	return core.Errf("modifyAttributes", name, do())
+	})
 }
 
-// Search implements core.DirContext by scanning bindings under the base.
-func (c *Context) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	if c.sh.Released() {
-		return nil, core.Errf("search", name, core.ErrClosed)
+// boundaryAt is the continuation when full itself is bound to a
+// reference to a foreign context: context-level operations (Search,
+// Watch) continue there.
+func (c *Context) boundaryAt(ctx context.Context, full core.Name) *core.CannotProceedError {
+	if full.IsEmpty() {
+		return nil
 	}
-	full, err := c.full(ctx, name)
+	if item, ok, err := c.fetch(ctx, full); err == nil && ok && !itemIsContext(item) {
+		if obj, oerr := itemObject(item); oerr == nil && isBoundaryObj(obj) {
+			return &core.CannotProceedError{Resolved: obj, RemainingName: core.Name{}, AltName: full.String()}
+		}
+	}
+	return nil
+}
+
+// search scans the bindings under full; hitting the count limit is stop,
+// beside the results.
+func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
+	f, err := filter.Parse(op.Filter)
 	if err != nil {
-		return nil, core.Errf("search", name, err)
+		return nil, nil, err
 	}
-	f, err := filter.Parse(filterStr)
-	if err != nil {
-		return nil, core.Errf("search", name, err)
-	}
+	controls := op.Controls
 	if controls == nil {
 		controls = &core.SearchControls{Scope: core.ScopeSubtree}
 	}
-	if !full.IsEmpty() {
-		if item, ok, ferr := c.fetch(ctx, full); ferr == nil && ok && !itemIsContext(item) {
-			if obj, oerr := itemObject(item); oerr == nil && isBoundaryObj(obj) {
-				return nil, &core.CannotProceedError{
-					Resolved: obj, RemainingName: core.Name{}, AltName: full.String(),
-				}
-			}
-		}
+	if cpe := c.boundaryAt(ctx, full); cpe != nil {
+		return nil, nil, cpe
 	}
 	items, err := c.allBindings(ctx)
 	if err != nil {
-		return nil, core.Errf("search", name, err)
+		return nil, nil, err
 	}
 	baseStr := full.String()
-	var out []core.SearchResult
-	var limitHit bool
 	for i := range items {
 		n := itemName(&items[i])
 		var rel string
@@ -1049,15 +966,12 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 		}
 		out = append(out, r)
 		if controls.CountLimit > 0 && len(out) >= controls.CountLimit {
-			limitHit = true
+			stop = &core.LimitExceededError{Limit: controls.CountLimit}
 			break
 		}
 	}
 	sortResults(out)
-	if limitHit {
-		return out, &core.LimitExceededError{Limit: controls.CountLimit}
-	}
-	return out, nil
+	return out, stop, nil
 }
 
 func sortResults(rs []core.SearchResult) {
@@ -1068,24 +982,12 @@ func sortResults(rs []core.SearchResult) {
 	}
 }
 
-// Watch implements core.EventContext over the LUS remote-event machinery.
-func (c *Context) Watch(ctx context.Context, target string, scope core.SearchScope, l core.Listener) (func(), error) {
-	if c.sh.Released() {
-		return nil, core.Errf("watch", target, core.ErrClosed)
+// watch registers op.Listener over the LUS remote-event machinery.
+func (c *Context) watch(ctx context.Context, full core.Name, op core.Op) (func(), error) {
+	if cpe := c.boundaryAt(ctx, full); cpe != nil {
+		return nil, cpe
 	}
-	full, err := c.full(ctx, target)
-	if err != nil {
-		return nil, core.Errf("watch", target, err)
-	}
-	if !full.IsEmpty() {
-		if item, ok, ferr := c.fetch(ctx, full); ferr == nil && ok && !itemIsContext(item) {
-			if obj, oerr := itemObject(item); oerr == nil && isBoundaryObj(obj) {
-				return nil, &core.CannotProceedError{
-					Resolved: obj, RemainingName: core.Name{}, AltName: full.String(),
-				}
-			}
-		}
-	}
+	scope, l := op.Scope, op.Listener
 	var tmpl jini.ServiceTemplate
 	switch scope {
 	case core.ScopeObject:
@@ -1139,7 +1041,7 @@ func (c *Context) Watch(ctx context.Context, target string, scope core.SearchSco
 		l(core.NamingEvent{Type: typ, Name: rel, NewValue: newVal})
 	})
 	if err != nil {
-		return nil, core.Errf("watch", target, c.commErr(err))
+		return nil, c.commErr(err)
 	}
 	// A lapsed binding lease (LUS unreachable past expiry) also fires
 	// EventWatchLost through the shared subscription list.

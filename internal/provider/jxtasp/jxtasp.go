@@ -75,11 +75,12 @@ var pool connpool.Pool[*shared]
 
 // Context implements core.DirContext over one rendezvous.
 type Context struct {
-	sh    *shared
-	base  core.Name // group path under net
-	env   map[string]any
-	owner bool // only a root context holds a pool reference
-	ref   connpool.Ref
+	core.OpContext // the typed surface, spelled over Do
+	sh             *shared
+	base           core.Name // group path under net
+	env            map[string]any
+	owner          bool // only a root context holds a pool reference
+	ref            connpool.Ref
 }
 
 var _ core.DirContext = (*Context)(nil)
@@ -107,11 +108,15 @@ func Open(ctx context.Context, authority string, env map[string]any) (*Context, 
 	if err != nil {
 		return nil, err
 	}
-	return &Context{sh: sh, env: env, owner: true}, nil
+	c := &Context{sh: sh, env: env, owner: true}
+	c.Doer = c
+	return c, nil
 }
 
 func (c *Context) child(base core.Name) *Context {
-	return &Context{sh: c.sh, base: base, env: c.env}
+	ch := &Context{sh: c.sh, base: base, env: c.env}
+	ch.Doer = ch
+	return ch
 }
 
 func (c *Context) full(ctx context.Context, name string) (core.Name, error) {
@@ -194,29 +199,64 @@ func (c *Context) boundary(ctx context.Context, full core.Name, includeSelf bool
 	return nil
 }
 
-// Lookup implements core.Context.
-func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
-	full, err := c.full(ctx, name)
+// Do implements core.Doer: groups are contexts and advertisements are
+// bindings on the rendezvous.
+func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
+	full, err := c.full(ctx, op.Name)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return res, core.OpErr(op, err)
 	}
+	switch op.Kind {
+	case core.OpLookup, core.OpLookupLink:
+		res.Value, err = c.lookup(ctx, full)
+	case core.OpBind:
+		err = c.bind(ctx, full, op.Obj, op.Attrs)
+	case core.OpRebind:
+		err = c.rebind(ctx, full, op.Obj, op.Attrs)
+	case core.OpUnbind:
+		err = c.unbind(ctx, full)
+	case core.OpRename:
+		err = c.rename(ctx, full, op.NewName)
+	case core.OpList, core.OpListBindings:
+		var bs []core.Binding
+		if bs, err = c.list(ctx, full); err == nil {
+			res = core.ListResult(op.Kind, bs)
+		}
+	case core.OpCreateSubcontext:
+		if err = c.createGroup(ctx, full, op.Attrs); err == nil {
+			res.Context = c.child(full)
+		}
+	case core.OpDestroySubcontext:
+		err = rpc.CoreError(c.sh.url, c.sh.peer.DestroyGroup(ctx, groupOf(full)))
+	case core.OpGetAttributes:
+		res.Attrs, err = c.attributes(ctx, full, op.AttrIDs)
+	case core.OpModifyAttributes:
+		err = c.modify(ctx, full, op.Mods)
+	case core.OpSearch:
+		var stop error
+		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
+			return res, stop // a stopped walk's partial results, as they are
+		}
+	default:
+		err = core.ErrNotSupported
+	}
+	return res, core.OpErr(op, err)
+}
+
+func (c *Context) lookup(ctx context.Context, full core.Name) (any, error) {
 	if full.Equal(c.base) {
 		return c.child(c.base), nil
 	}
 	adv, ok, err := c.fetchAdv(ctx, full)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return nil, err
 	}
 	if ok {
-		obj, err := advObject(adv)
-		if err != nil {
-			return nil, core.Errf("lookup", name, err)
-		}
-		return obj, nil
+		return advObject(adv)
 	}
 	exists, err := c.groupExists(ctx, full)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return nil, err
 	}
 	if exists {
 		return c.child(full), nil
@@ -224,12 +264,7 @@ func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
 	if cpe := c.boundary(ctx, full, false); cpe != nil {
 		return nil, cpe
 	}
-	return nil, core.Errf("lookup", name, core.ErrNotFound)
-}
-
-// LookupLink implements core.Context.
-func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
-	return c.Lookup(ctx, name)
+	return nil, core.ErrNotFound
 }
 
 func (c *Context) publish(ctx context.Context, full core.Name, obj any, attrs *core.Attributes, onlyNew bool) error {
@@ -272,112 +307,67 @@ func (c *Context) publish(ctx context.Context, full core.Name, obj any, attrs *c
 	return nil
 }
 
-// Bind implements core.Context via atomic first-publish.
-func (c *Context) Bind(ctx context.Context, name string, obj any) error {
-	return c.BindAttrs(ctx, name, obj, nil)
-}
-
-// BindAttrs implements core.DirContext.
-func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("bind", name, err)
-	}
-	// A group of the same name counts as bound.
+// bind is the rendezvous's atomic first-publish; a group of the same
+// name counts as bound.
+func (c *Context) bind(ctx context.Context, full core.Name, obj any, attrs *core.Attributes) error {
 	if exists, gerr := c.groupExists(ctx, full); gerr == nil && exists {
-		return core.Errf("bind", name, core.ErrAlreadyBound)
+		return core.ErrAlreadyBound
 	}
-	return core.Errf("bind", name, c.publish(ctx, full, obj, attrs, true))
+	return c.publish(ctx, full, obj, attrs, true)
 }
 
-// Rebind implements core.Context (republish, preserving attributes when
-// none are supplied).
-func (c *Context) Rebind(ctx context.Context, name string, obj any) error {
-	return c.rebind(ctx, name, obj, nil, false)
-}
-
-// RebindAttrs implements core.DirContext.
-func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return c.rebind(ctx, name, obj, attrs, attrs != nil)
-}
-
-func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.Attributes, replace bool) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("rebind", name, err)
-	}
+// rebind republishes, keeping the attributes when none are supplied.
+func (c *Context) rebind(ctx context.Context, full core.Name, obj any, attrs *core.Attributes) error {
 	if exists, gerr := c.groupExists(ctx, full); gerr == nil && exists {
-		return core.Errf("rebind", name, core.ErrNotContext)
+		return core.ErrNotContext
 	}
-	if !replace {
+	if attrs == nil {
 		if adv, ok, ferr := c.fetchAdv(ctx, full); ferr == nil && ok {
 			attrs = core.AttributesFromMap(adv.Attrs)
 		}
 	}
-	return core.Errf("rebind", name, c.publish(ctx, full, obj, attrs, false))
+	return c.publish(ctx, full, obj, attrs, false)
 }
 
-// Unbind implements core.Context.
-func (c *Context) Unbind(ctx context.Context, name string) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("unbind", name, err)
-	}
+func (c *Context) unbind(ctx context.Context, full core.Name) error {
 	if full.IsEmpty() {
-		return core.Errf("unbind", name, core.ErrInvalidNameEmpty)
+		return core.ErrInvalidNameEmpty
 	}
 	c.sh.renew.Stop(full.String())
-	err = c.sh.peer.Flush(ctx, groupOf(full.Prefix(full.Size()-1)), full.Last())
+	err := c.sh.peer.Flush(ctx, groupOf(full.Prefix(full.Size()-1)), full.Last())
 	if errors.Is(err, core.ErrNotFound) {
 		if cpe := c.boundary(ctx, full, false); cpe != nil {
 			return cpe
 		}
 	}
-	return core.Errf("unbind", name, rpc.CoreError(c.sh.url, err))
+	return rpc.CoreError(c.sh.url, err)
 }
 
-// Rename implements core.Context (fetch + bind + unbind).
-func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
-	oldFull, err := c.full(ctx, oldName)
-	if err != nil {
-		return core.Errf("rename", oldName, err)
-	}
+// rename is fetch + bind + unbind.
+func (c *Context) rename(ctx context.Context, oldFull core.Name, newName string) error {
 	adv, ok, err := c.fetchAdv(ctx, oldFull)
 	if err != nil {
-		return core.Errf("rename", oldName, err)
+		return err
 	}
 	if !ok {
-		return core.Errf("rename", oldName, core.ErrNotFound)
+		return core.ErrNotFound
 	}
 	obj, err := advObject(adv)
 	if err != nil {
-		return core.Errf("rename", oldName, err)
-	}
-	if err := c.BindAttrs(ctx, newName, obj, core.AttributesFromMap(adv.Attrs)); err != nil {
 		return err
 	}
-	return c.Unbind(ctx, oldName)
+	newFull, err := c.full(ctx, newName)
+	if err == nil {
+		err = c.bind(ctx, newFull, obj, core.AttributesFromMap(adv.Attrs))
+	}
+	if err != nil {
+		return core.OnNewName(err)
+	}
+	return c.unbind(ctx, oldFull)
 }
 
-// List implements core.Context.
-func (c *Context) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	bindings, err := c.ListBindings(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.NameClassPair, len(bindings))
-	for i, b := range bindings {
-		out[i] = core.NameClassPair{Name: b.Name, Class: b.Class}
-	}
-	return out, nil
-}
-
-// ListBindings implements core.Context: subgroups plus advertisements.
-func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("list", name, err)
-	}
+// list is the subgroups plus the advertisements of the group at full.
+func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, error) {
 	if cpe := c.boundary(ctx, full, true); cpe != nil {
 		return nil, cpe
 	}
@@ -385,14 +375,14 @@ func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding
 	if err != nil {
 		if errors.Is(err, core.ErrNotFound) {
 			if _, ok, _ := c.fetchAdv(ctx, full); ok {
-				return nil, core.Errf("list", name, core.ErrNotContext)
+				return nil, core.ErrNotContext
 			}
 		}
-		return nil, core.Errf("list", name, rpc.CoreError(c.sh.url, err))
+		return nil, rpc.CoreError(c.sh.url, err)
 	}
 	advs, err := c.sh.peer.Discover(ctx, groupOf(full), "", nil, 0)
 	if err != nil {
-		return nil, core.Errf("list", name, rpc.CoreError(c.sh.url, err))
+		return nil, rpc.CoreError(c.sh.url, err)
 	}
 	var out []core.Binding
 	for _, g := range subs {
@@ -413,53 +403,22 @@ func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding
 	return out, nil
 }
 
-// CreateSubcontext implements core.Context as peer-group creation.
-func (c *Context) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	dc, err := c.CreateSubcontextAttrs(ctx, name, nil)
-	if err != nil {
-		return nil, err
-	}
-	return dc, nil
-}
-
-// CreateSubcontextAttrs implements core.DirContext. Peer groups carry no
-// attributes; non-empty attrs are rejected rather than silently dropped.
-func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
+// createGroup creates a peer group. Peer groups carry no attributes;
+// non-empty attrs are rejected rather than silently dropped.
+func (c *Context) createGroup(ctx context.Context, full core.Name, attrs *core.Attributes) error {
 	if attrs.Size() > 0 {
-		return nil, core.Errf("createSubcontext", name, core.ErrNotSupported)
-	}
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
+		return core.ErrNotSupported
 	}
 	if _, ok, _ := c.fetchAdv(ctx, full); ok {
-		return nil, core.Errf("createSubcontext", name, core.ErrAlreadyBound)
+		return core.ErrAlreadyBound
 	}
-	if err := c.sh.peer.CreateGroup(ctx, groupOf(full)); err != nil {
-		return nil, core.Errf("createSubcontext", name, rpc.CoreError(c.sh.url, err))
-	}
-	return c.child(full), nil
+	return rpc.CoreError(c.sh.url, c.sh.peer.CreateGroup(ctx, groupOf(full)))
 }
 
-// DestroySubcontext implements core.Context.
-func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("destroySubcontext", name, err)
-	}
-	err = c.sh.peer.DestroyGroup(ctx, groupOf(full))
-	return core.Errf("destroySubcontext", name, rpc.CoreError(c.sh.url, err))
-}
-
-// GetAttributes implements core.DirContext.
-func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
+func (c *Context) attributes(ctx context.Context, full core.Name, attrIDs []string) (*core.Attributes, error) {
 	adv, ok, err := c.fetchAdv(ctx, full)
 	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
+		return nil, err
 	}
 	if ok {
 		return core.AttributesFromMap(adv.Attrs).Select(attrIDs...), nil
@@ -470,46 +429,41 @@ func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...str
 	if cpe := c.boundary(ctx, full, false); cpe != nil {
 		return nil, cpe
 	}
-	return nil, core.Errf("getAttributes", name, core.ErrNotFound)
+	return nil, core.ErrNotFound
 }
 
-// ModifyAttributes implements core.DirContext (read-modify-republish).
-func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("modifyAttributes", name, err)
-	}
+// modify is read-modify-republish.
+func (c *Context) modify(ctx context.Context, full core.Name, mods []core.AttributeMod) error {
 	adv, ok, err := c.fetchAdv(ctx, full)
 	if err != nil {
-		return core.Errf("modifyAttributes", name, err)
+		return err
 	}
 	if !ok {
-		return core.Errf("modifyAttributes", name, core.ErrNotFound)
+		return core.ErrNotFound
 	}
 	attrs := core.AttributesFromMap(adv.Attrs)
 	if err := attrs.Apply(mods); err != nil {
-		return core.Errf("modifyAttributes", name, err)
+		return err
 	}
 	obj, err := advObject(adv)
 	if err != nil {
-		return core.Errf("modifyAttributes", name, err)
+		return err
 	}
-	return core.Errf("modifyAttributes", name, c.publish(ctx, full, obj, attrs, false))
+	return c.publish(ctx, full, obj, attrs, false)
 }
 
-// Search implements core.DirContext by walking groups client-side.
-func (c *Context) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	full, err := c.full(ctx, name)
+// search walks groups client-side. SearchControls.TimeLimit bounds the
+// walk: when it fires, the partial results come back with a
+// *core.TimeLimitExceededError as stop; a done ctx stops it with ctx.Err().
+func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
+	f, err := filter.Parse(op.Filter)
 	if err != nil {
-		return nil, core.Errf("search", name, err)
-	}
-	f, err := filter.Parse(filterStr)
-	if err != nil {
-		return nil, core.Errf("search", name, err)
+		return nil, nil, err
 	}
 	if cpe := c.boundary(ctx, full, true); cpe != nil {
-		return nil, cpe
+		return nil, nil, cpe
 	}
+	controls := op.Controls
 	if controls == nil {
 		controls = &core.SearchControls{Scope: core.ScopeSubtree}
 	}
@@ -517,20 +471,18 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 	if controls.TimeLimit > 0 {
 		deadline = time.Now().Add(controls.TimeLimit)
 	}
-	var out []core.SearchResult
 	var limitHit bool
-	var stopErr error
 	var walk func(path core.Name, depth int) error
 	walk = func(path core.Name, depth int) error {
-		if limitHit || stopErr != nil {
+		if limitHit || stop != nil {
 			return nil
 		}
 		if cerr := core.CtxErr(ctx); cerr != nil {
-			stopErr = cerr
+			stop = cerr
 			return nil
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			stopErr = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
+			stop = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
 			return nil
 		}
 		advs, err := c.sh.peer.Discover(ctx, groupOf(path), "", nil, 0)
@@ -599,15 +551,12 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 			}
 		}
 	} else if err := walk(full, 0); err != nil {
-		return nil, core.Errf("search", name, err)
+		return nil, nil, err
 	}
-	if stopErr != nil {
-		return out, stopErr
+	if stop == nil && limitHit {
+		stop = &core.LimitExceededError{Limit: controls.CountLimit}
 	}
-	if limitHit {
-		return out, &core.LimitExceededError{Limit: controls.CountLimit}
-	}
-	return out, nil
+	return out, stop, nil
 }
 
 // NameInNamespace implements core.Context.

@@ -100,11 +100,12 @@ var pool connpool.Pool[*shared]
 
 // Context implements core.DirContext over one LDAP server.
 type Context struct {
-	sh    *shared
-	base  core.Name
-	env   map[string]any
-	owner bool // only a root context holds a pool reference
-	ref   connpool.Ref
+	core.OpContext // the typed surface, spelled over Do
+	sh             *shared
+	base           core.Name
+	env            map[string]any
+	owner          bool // only a root context holds a pool reference
+	ref            connpool.Ref
 }
 
 var _ core.DirContext = (*Context)(nil)
@@ -141,11 +142,15 @@ func Open(ctx context.Context, authority, baseDN string, env map[string]any) (*C
 	if err != nil {
 		return nil, err
 	}
-	return &Context{sh: sh, env: env, owner: true}, nil
+	c := &Context{sh: sh, env: env, owner: true}
+	c.Doer = c
+	return c, nil
 }
 
 func (c *Context) child(base core.Name) *Context {
-	return &Context{sh: c.sh, base: base, env: c.env}
+	ch := &Context{sh: c.sh, base: base, env: c.env}
+	ch.Doer = ch
+	return ch
 }
 
 // full parses name under the context base, front-checking ctx so every
@@ -296,38 +301,87 @@ func (c *Context) boundaryUpTo(ctx context.Context, full core.Name, limit int) *
 	return nil
 }
 
-// Lookup implements core.Context.
-func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
-	full, err := c.full(ctx, name)
+// Do implements core.Doer: each operation is one LDAP request, or a few
+// where LDAP has no single one (rebind, a rename across contexts).
+func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
+	full, err := c.full(ctx, op.Name)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return res, core.OpErr(op, err)
 	}
-	if full.Equal(c.base) {
-		return c.child(c.base), nil
+	switch op.Kind {
+	case core.OpLookup, core.OpLookupLink:
+		res.Value, err = c.lookup(ctx, full)
+	case core.OpBind:
+		err = c.bind(ctx, full, op.Obj, op.Attrs)
+	case core.OpRebind:
+		err = c.rebind(ctx, full, op.Obj, op.Attrs)
+	case core.OpUnbind, core.OpDestroySubcontext:
+		// JNDI: removing an absent name succeeds.
+		if err = c.mapResultErr(c.sh.conn.Delete(ctx, c.dnFor(full))); err == core.ErrNotFound {
+			err = nil
+		}
+	case core.OpRename:
+		err = c.rename(ctx, full, op.NewName)
+	case core.OpList, core.OpListBindings:
+		var bs []core.Binding
+		if bs, err = c.list(ctx, full); err == nil {
+			res = core.ListResult(op.Kind, bs)
+		}
+	case core.OpCreateSubcontext:
+		var la []ldapsrv.EntryAttr
+		if la, err = ldapAttrs(op.Attrs, nil, true); err == nil {
+			err = c.mapResultErr(c.sh.conn.Add(ctx, c.dnFor(full), la))
+		}
+		if err == nil {
+			res.Context = c.child(full)
+		}
+	case core.OpGetAttributes:
+		var e *ldapsrv.Entry
+		if e, err = c.entry(ctx, full); err == nil {
+			res.Attrs = entryAttrs(e).Select(op.AttrIDs...)
+		}
+	case core.OpModifyAttributes:
+		err = c.modify(ctx, full, op.Mods)
+	case core.OpSearch:
+		var stop error
+		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
+			return res, stop // a limit's partial results, as they are
+		}
+	default:
+		err = core.ErrNotSupported
 	}
+	return res, core.OpErr(op, err)
+}
+
+// entry reads the entry at full; a missing one may lie past a federation
+// boundary.
+func (c *Context) entry(ctx context.Context, full core.Name) (*ldapsrv.Entry, error) {
 	e, ok, err := c.fetch(ctx, full)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return nil, err
 	}
 	if !ok {
 		if cpe := c.boundary(ctx, full); cpe != nil {
 			return nil, cpe
 		}
-		return nil, core.Errf("lookup", name, core.ErrNotFound)
+		return nil, core.ErrNotFound
 	}
-	obj, has, err := entryObject(e)
-	if err != nil {
-		return nil, core.Errf("lookup", name, err)
-	}
-	if has {
-		return obj, nil
-	}
-	return c.child(full), nil
+	return e, nil
 }
 
-// LookupLink implements core.Context.
-func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
-	return c.Lookup(ctx, name)
+func (c *Context) lookup(ctx context.Context, full core.Name) (any, error) {
+	if full.Equal(c.base) {
+		return c.child(c.base), nil
+	}
+	e, err := c.entry(ctx, full)
+	if err != nil {
+		return nil, err
+	}
+	obj, has, err := entryObject(e)
+	if err != nil || has {
+		return obj, err
+	}
+	return c.child(full), nil
 }
 
 // entryAttrs converts a directory entry's attributes (minus the object
@@ -372,20 +426,11 @@ func ldapAttrs(attrs *core.Attributes, obj any, isCtx bool) ([]ldapsrv.EntryAttr
 	return out, nil
 }
 
-// Bind implements core.Context — LDAP Add is natively atomic.
-func (c *Context) Bind(ctx context.Context, name string, obj any) error {
-	return c.BindAttrs(ctx, name, obj, nil)
-}
-
-// BindAttrs implements core.DirContext.
-func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("bind", name, err)
-	}
+// bind is an LDAP Add, natively atomic.
+func (c *Context) bind(ctx context.Context, full core.Name, obj any, attrs *core.Attributes) error {
 	la, err := ldapAttrs(attrs, obj, false)
 	if err != nil {
-		return core.Errf("bind", name, err)
+		return err
 	}
 	err = c.mapResultErr(c.sh.conn.Add(ctx, c.dnFor(full), la))
 	if err == core.ErrNotFound {
@@ -394,36 +439,23 @@ func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *co
 			return cpe
 		}
 	}
-	return core.Errf("bind", name, err)
-}
-
-// Rebind implements core.Context (delete-then-add; LDAP has no overwrite).
-func (c *Context) Rebind(ctx context.Context, name string, obj any) error {
-	return c.rebindAttrs(ctx, name, obj, nil)
-}
-
-// RebindAttrs implements core.DirContext.
-func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return c.rebindAttrs(ctx, name, obj, attrs)
+	return err
 }
 
 // rebindAttempts bounds the delete+add pairs one rebind issues.
 const rebindAttempts = 16
 
-func (c *Context) rebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("rebind", name, err)
-	}
+// rebind is delete-then-add, LDAP having no overwrite; nil attrs keep the
+// entry's attributes (JNDI semantics).
+func (c *Context) rebind(ctx context.Context, full core.Name, obj any, attrs *core.Attributes) error {
 	if attrs == nil {
-		// Preserve existing attributes (JNDI semantics).
 		if e, ok, ferr := c.fetch(ctx, full); ferr == nil && ok {
 			attrs = entryAttrs(e)
 		}
 	}
 	la, err := ldapAttrs(attrs, obj, false)
 	if err != nil {
-		return core.Errf("rebind", name, err)
+		return err
 	}
 	dn := c.dnFor(full)
 	// Delete-then-add is two requests. When the add finds the name taken,
@@ -433,7 +465,7 @@ func (c *Context) rebindAttrs(ctx context.Context, name string, obj any, attrs *
 	// reached under a stream of them.
 	for attempt := 1; ; attempt++ {
 		if derr := c.mapResultErr(c.sh.conn.Delete(ctx, dn)); derr != nil && derr != core.ErrNotFound {
-			return core.Errf("rebind", name, derr)
+			return derr
 		}
 		err = c.mapResultErr(c.sh.conn.Add(ctx, dn, la))
 		if err != core.ErrAlreadyBound || attempt == rebindAttempts {
@@ -445,78 +477,46 @@ func (c *Context) rebindAttrs(ctx context.Context, name string, obj any, attrs *
 			return cpe
 		}
 	}
-	return core.Errf("rebind", name, err)
+	return err
 }
 
-// Unbind implements core.Context.
-func (c *Context) Unbind(ctx context.Context, name string) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("unbind", name, err)
-	}
-	err = c.mapResultErr(c.sh.conn.Delete(ctx, c.dnFor(full)))
-	if err == core.ErrNotFound {
-		return nil // JNDI: unbinding an unbound name succeeds
-	}
-	return core.Errf("unbind", name, err)
-}
-
-// Rename implements core.Context via ModifyDN for sibling renames, and
-// lookup/bind/unbind otherwise.
-func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
-	oldFull, err := c.full(ctx, oldName)
-	if err != nil {
-		return core.Errf("rename", oldName, err)
-	}
+// rename is a ModifyDN for a sibling, and lookup + bind + unbind
+// otherwise.
+func (c *Context) rename(ctx context.Context, oldFull core.Name, newName string) error {
 	newFull, err := c.full(ctx, newName)
 	if err != nil {
-		return core.Errf("rename", newName, err)
+		return core.OnNewName(err)
 	}
 	if oldFull.Size() == newFull.Size() &&
 		oldFull.Prefix(oldFull.Size()-1).Equal(newFull.Prefix(newFull.Size()-1)) {
-		err := c.mapResultErr(c.sh.conn.ModifyDN(ctx, c.dnFor(oldFull), rdnFor(newFull.Last()), true))
-		return core.Errf("rename", oldName, err)
+		return c.mapResultErr(c.sh.conn.ModifyDN(ctx, c.dnFor(oldFull), rdnFor(newFull.Last()), true))
 	}
-	obj, err := c.Lookup(ctx, oldName)
+	obj, err := c.lookup(ctx, oldFull)
 	if err != nil {
 		return err
 	}
 	e, ok, err := c.fetch(ctx, oldFull)
 	if err != nil || !ok {
-		return core.Errf("rename", oldName, core.ErrNotFound)
+		return core.ErrNotFound
 	}
-	if err := c.BindAttrs(ctx, newName, obj, entryAttrs(e)); err != nil {
-		return err
+	if err := c.bind(ctx, newFull, obj, entryAttrs(e)); err != nil {
+		return core.OnNewName(err)
 	}
-	return c.Unbind(ctx, oldName)
+	if err = c.mapResultErr(c.sh.conn.Delete(ctx, c.dnFor(oldFull))); err == core.ErrNotFound {
+		return nil
+	}
+	return err
 }
 
-// List implements core.Context.
-func (c *Context) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	bindings, err := c.ListBindings(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.NameClassPair, len(bindings))
-	for i, b := range bindings {
-		out[i] = core.NameClassPair{Name: b.Name, Class: b.Class}
-	}
-	return out, nil
-}
-
-// ListBindings implements core.Context via a one-level search.
-func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("list", name, err)
-	}
+// list is a one-level search under full.
+func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, error) {
 	if cpe := c.boundarySelf(ctx, full); cpe != nil {
 		return nil, cpe
 	}
 	entries, err := c.sh.conn.Search(ctx, c.dnFor(full), "(objectClass=*)",
 		&ldapsrv.SearchOptions{Scope: ldapsrv.ScopeSingleLevel})
 	if err != nil {
-		return nil, core.Errf("list", name, c.mapResultErr(err))
+		return nil, c.mapResultErr(err)
 	}
 	out := make([]core.Binding, 0, len(entries))
 	for i := range entries {
@@ -543,69 +543,8 @@ func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding
 	return out, nil
 }
 
-// CreateSubcontext implements core.Context.
-func (c *Context) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	dc, err := c.CreateSubcontextAttrs(ctx, name, nil)
-	if err != nil {
-		return nil, err
-	}
-	return dc, nil
-}
-
-// CreateSubcontextAttrs implements core.DirContext.
-func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
-	la, err := ldapAttrs(attrs, nil, true)
-	if err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
-	if err := c.mapResultErr(c.sh.conn.Add(ctx, c.dnFor(full), la)); err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
-	return c.child(full), nil
-}
-
-// DestroySubcontext implements core.Context.
-func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("destroySubcontext", name, err)
-	}
-	err = c.mapResultErr(c.sh.conn.Delete(ctx, c.dnFor(full)))
-	if err == core.ErrNotFound {
-		return nil
-	}
-	return core.Errf("destroySubcontext", name, err)
-}
-
-// GetAttributes implements core.DirContext.
-func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
-	e, ok, err := c.fetch(ctx, full)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
-	if !ok {
-		if cpe := c.boundary(ctx, full); cpe != nil {
-			return nil, cpe
-		}
-		return nil, core.Errf("getAttributes", name, core.ErrNotFound)
-	}
-	return entryAttrs(e).Select(attrIDs...), nil
-}
-
-// ModifyAttributes implements core.DirContext — atomic server-side.
-func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return core.Errf("modifyAttributes", name, err)
-	}
+// modify is one LDAP Modify, atomic server-side.
+func (c *Context) modify(ctx context.Context, full core.Name, mods []core.AttributeMod) error {
 	changes := make([]ldapsrv.ModifyChange, len(mods))
 	for i, m := range mods {
 		var op int
@@ -617,22 +556,20 @@ func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core
 		case core.ModRemove:
 			op = ldapsrv.ModifyDelete
 		default:
-			return core.Errf("modifyAttributes", name, core.ErrInvalidAttributes)
+			return core.ErrInvalidAttributes
 		}
 		changes[i] = ldapsrv.ModifyChange{Op: op, Attr: ldapsrv.EntryAttr{Type: m.Attr.ID, Vals: m.Attr.Values}}
 	}
-	return core.Errf("modifyAttributes", name, c.mapResultErr(c.sh.conn.Modify(ctx, c.dnFor(full), changes)))
+	return c.mapResultErr(c.sh.conn.Modify(ctx, c.dnFor(full), changes))
 }
 
-// Search implements core.DirContext, pushing the filter to the server.
-func (c *Context) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	full, err := c.full(ctx, name)
-	if err != nil {
-		return nil, core.Errf("search", name, err)
-	}
+// search pushes op's filter to the server. A size or time limit the
+// server hit is stop, beside the entries it returned before stopping.
+func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
 	if cpe := c.boundarySelf(ctx, full); cpe != nil {
-		return nil, cpe
+		return nil, nil, cpe
 	}
+	controls := op.Controls
 	if controls == nil {
 		controls = &core.SearchControls{Scope: core.ScopeSubtree}
 	}
@@ -646,25 +583,22 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 		scope = ldapsrv.ScopeWholeSubtree
 	}
 	baseDN := c.dnFor(full)
-	entries, err := c.sh.conn.Search(ctx, baseDN, filterStr, &ldapsrv.SearchOptions{
+	entries, err := c.sh.conn.Search(ctx, baseDN, op.Filter, &ldapsrv.SearchOptions{
 		Scope: scope, SizeLimit: controls.CountLimit, TimeLimit: controls.TimeLimit,
 	})
-	var limitErr error
 	if err != nil {
 		var re *ldapsrv.ResultError
 		switch {
 		case asResultError(err, &re) && re.Result.Code == ldapsrv.ResultSizeLimitExceeded:
-			limitErr = &core.LimitExceededError{Limit: controls.CountLimit}
+			stop = &core.LimitExceededError{Limit: controls.CountLimit}
 		case asResultError(err, &re) && re.Result.Code == ldapsrv.ResultTimeLimitExceeded:
-			// The server stopped at SearchControls.TimeLimit; the entries
-			// it returned before stopping are partial results.
-			limitErr = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
+			stop = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
 		default:
-			return nil, core.Errf("search", name, c.mapResultErr(err))
+			return nil, nil, c.mapResultErr(err)
 		}
 	}
 	base := ldapsrv.MustParseDN(baseDN)
-	out := make([]core.SearchResult, 0, len(entries))
+	out = make([]core.SearchResult, 0, len(entries))
 	for i := range entries {
 		e := &entries[i]
 		dn, perr := ldapsrv.ParseDN(e.DN)
@@ -690,7 +624,7 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 		}
 		out = append(out, r)
 	}
-	return out, limitErr
+	return out, stop, nil
 }
 
 // relName converts a DN under base into a composite path, shallowest

@@ -136,12 +136,13 @@ func Register() {
 
 // Context is a view of a Tree rooted at some path.
 type Context struct {
-	tree *Tree
-	base core.Name
-	env  map[string]any
-	url  string // URL of the tree root, for references
-	mu   sync.Mutex
-	done bool
+	core.EventOpContext // the typed surface, spelled over Do
+	tree                *Tree
+	base                core.Name
+	env                 map[string]any
+	url                 string // URL of the tree root, for references
+	mu                  sync.Mutex
+	done                bool
 }
 
 var _ core.DirContext = (*Context)(nil)
@@ -151,7 +152,16 @@ var _ core.Referenceable = (*Context)(nil)
 // NewContext creates a context over tree rooted at the tree root. url, if
 // non-empty, lets the context produce federation references to itself.
 func NewContext(tree *Tree, env map[string]any, url string) *Context {
-	return &Context{tree: tree, env: env, url: url}
+	c := &Context{tree: tree, env: env, url: url}
+	c.Doer = c
+	return c
+}
+
+// child is a view of the same tree rooted at base.
+func (c *Context) child(base core.Name) *Context {
+	ch := NewContext(c.tree, c.env, c.url)
+	ch.base = base
+	return ch
 }
 
 func (c *Context) closed() bool {
@@ -234,228 +244,78 @@ func (c *Context) lookupEntry(n core.Name) (*entry, error) {
 	return cur, nil
 }
 
-// Lookup implements core.Context.
-func (c *Context) Lookup(ctx context.Context, name string) (any, error) {
-	if err := c.check(ctx); err != nil {
-		return nil, core.Errf("lookup", name, err)
+// Do implements core.Doer. The operation runs on the tree under its lock
+// (read-locked for the kinds that only read), and the events a write
+// causes are delivered once the lock is released.
+func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
+	var n core.Name
+	if err = c.check(ctx); err == nil {
+		n, err = core.ParseLocalName(op.Name)
 	}
-	n, err := core.ParseLocalName(name)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return res, core.OpErr(op, err)
 	}
-	c.tree.mu.RLock()
-	defer c.tree.mu.RUnlock()
+	switch op.Kind {
+	case core.OpLookup, core.OpLookupLink, core.OpList, core.OpListBindings, core.OpGetAttributes:
+		c.tree.mu.RLock()
+		res, err = c.read(n, op)
+		c.tree.mu.RUnlock()
+	case core.OpSearch:
+		var stop error
+		c.tree.mu.RLock()
+		res.Found, stop, err = c.search(ctx, n, op)
+		c.tree.mu.RUnlock()
+		if err == nil {
+			return res, stop // a stopped search's partial results, as they are
+		}
+	case core.OpWatch:
+		res.Cancel, err = c.watch(n, op)
+	default:
+		var events []func()
+		c.tree.mu.Lock()
+		events, err = c.write(n, op)
+		c.tree.mu.Unlock()
+		deliver(events)
+		if err == nil && op.Kind == core.OpCreateSubcontext {
+			res.Context = c.child(c.base.Concat(n))
+		}
+	}
+	return res, core.OpErr(op, err)
+}
+
+// read answers the kinds that only read. LookupLink is Lookup: in-memory
+// links are LinkRef values stored as ordinary objects, which the initial
+// context follows. Caller holds tree.mu for reading.
+func (c *Context) read(n core.Name, op core.Op) (core.Result, error) {
 	e, err := c.lookupEntry(n)
 	if err != nil {
-		return nil, core.Errf("lookup", name, err)
+		return core.Result{}, err
+	}
+	switch op.Kind {
+	case core.OpGetAttributes:
+		return core.Result{Attrs: e.attrs.Select(op.AttrIDs...)}, nil
+	case core.OpList, core.OpListBindings:
+		if !e.isContext() {
+			return core.Result{}, core.ErrNotContext
+		}
+		return core.ListResult(op.Kind, c.list(c.base.Concat(n), e, op.Kind == core.OpListBindings)), nil
 	}
 	if e.isContext() {
-		return &Context{tree: c.tree, base: c.base.Concat(n), env: c.env, url: c.url}, nil
+		return core.Result{Value: c.child(c.base.Concat(n))}, nil
 	}
-	return e.obj, nil
+	return core.Result{Value: e.obj}, nil
 }
 
-// LookupLink implements core.Context; in-memory links are LinkRef values
-// stored as ordinary objects, so this is identical to Lookup without
-// post-processing (the initial context does the following).
-func (c *Context) LookupLink(ctx context.Context, name string) (any, error) {
-	return c.Lookup(ctx, name)
-}
-
-// Bind implements core.Context with atomic test-and-set semantics.
-func (c *Context) Bind(ctx context.Context, name string, obj any) error {
-	return c.BindAttrs(ctx, name, obj, nil)
-}
-
-// BindAttrs implements core.DirContext.
-func (c *Context) BindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	if err := c.check(ctx); err != nil {
-		return core.Errf("bind", name, err)
-	}
-	n, err := core.ParseLocalName(name)
-	if err != nil {
-		return core.Errf("bind", name, err)
-	}
-	c.tree.mu.Lock()
-	parent, last, err := c.resolveParent(n)
-	if err != nil {
-		c.tree.mu.Unlock()
-		return core.Errf("bind", name, err)
-	}
-	if _, exists := parent.children[last]; exists {
-		c.tree.mu.Unlock()
-		return core.Errf("bind", name, core.ErrAlreadyBound)
-	}
-	parent.children[last] = &entry{obj: obj, attrs: attrs.Clone()}
-	events := c.tree.eventsFor(c.base.Concat(n), core.EventObjectAdded, obj, nil)
-	c.tree.mu.Unlock()
-	deliver(events)
-	return nil
-}
-
-// Rebind implements core.Context.
-func (c *Context) Rebind(ctx context.Context, name string, obj any) error {
-	return c.rebind(ctx, name, obj, nil, false)
-}
-
-// RebindAttrs implements core.DirContext; nil attrs preserves existing
-// attributes.
-func (c *Context) RebindAttrs(ctx context.Context, name string, obj any, attrs *core.Attributes) error {
-	return c.rebind(ctx, name, obj, attrs, attrs != nil)
-}
-
-func (c *Context) rebind(ctx context.Context, name string, obj any, attrs *core.Attributes, replaceAttrs bool) error {
-	if err := c.check(ctx); err != nil {
-		return core.Errf("rebind", name, err)
-	}
-	n, err := core.ParseLocalName(name)
-	if err != nil {
-		return core.Errf("rebind", name, err)
-	}
-	c.tree.mu.Lock()
-	parent, last, err := c.resolveParent(n)
-	if err != nil {
-		c.tree.mu.Unlock()
-		return core.Errf("rebind", name, err)
-	}
-	old, existed := parent.children[last]
-	if existed && old.isContext() {
-		c.tree.mu.Unlock()
-		return core.Errf("rebind", name, core.ErrNotContext)
-	}
-	ne := &entry{obj: obj}
-	switch {
-	case replaceAttrs:
-		ne.attrs = attrs.Clone()
-	case existed:
-		ne.attrs = old.attrs
-	default:
-		ne.attrs = &core.Attributes{}
-	}
-	parent.children[last] = ne
-	typ := core.EventObjectAdded
-	var oldObj any
-	if existed {
-		typ = core.EventObjectChanged
-		oldObj = old.obj
-	}
-	events := c.tree.eventsFor(c.base.Concat(n), typ, obj, oldObj)
-	c.tree.mu.Unlock()
-	deliver(events)
-	return nil
-}
-
-// Unbind implements core.Context; unbinding an absent terminal name is a
-// no-op per JNDI semantics.
-func (c *Context) Unbind(ctx context.Context, name string) error {
-	if err := c.check(ctx); err != nil {
-		return core.Errf("unbind", name, err)
-	}
-	n, err := core.ParseLocalName(name)
-	if err != nil {
-		return core.Errf("unbind", name, err)
-	}
-	c.tree.mu.Lock()
-	parent, last, err := c.resolveParent(n)
-	if err != nil {
-		c.tree.mu.Unlock()
-		return core.Errf("unbind", name, err)
-	}
-	old, existed := parent.children[last]
-	var events []func()
-	if existed {
-		delete(parent.children, last)
-		events = c.tree.eventsFor(c.base.Concat(n), core.EventObjectRemoved, nil, old.obj)
-	}
-	c.tree.mu.Unlock()
-	deliver(events)
-	return nil
-}
-
-// Rename implements core.Context.
-func (c *Context) Rename(ctx context.Context, oldName, newName string) error {
-	if err := c.check(ctx); err != nil {
-		return core.Errf("rename", oldName, err)
-	}
-	on, err := core.ParseLocalName(oldName)
-	if err != nil {
-		return core.Errf("rename", oldName, err)
-	}
-	nn, err := core.ParseLocalName(newName)
-	if err != nil {
-		return core.Errf("rename", newName, err)
-	}
-	c.tree.mu.Lock()
-	oldParent, oldLast, err := c.resolveParent(on)
-	if err != nil {
-		c.tree.mu.Unlock()
-		return core.Errf("rename", oldName, err)
-	}
-	newParent, newLast, err := c.resolveParent(nn)
-	if err != nil {
-		c.tree.mu.Unlock()
-		return core.Errf("rename", newName, err)
-	}
-	e, ok := oldParent.children[oldLast]
-	if !ok {
-		c.tree.mu.Unlock()
-		return core.Errf("rename", oldName, core.ErrNotFound)
-	}
-	if _, exists := newParent.children[newLast]; exists {
-		c.tree.mu.Unlock()
-		return core.Errf("rename", newName, core.ErrAlreadyBound)
-	}
-	delete(oldParent.children, oldLast)
-	newParent.children[newLast] = e
-	events := c.tree.eventsFor(c.base.Concat(on), core.EventObjectRenamed, e.obj, e.obj)
-	events = append(events, c.tree.eventsFor(c.base.Concat(nn), core.EventObjectRenamed, e.obj, e.obj)...)
-	c.tree.mu.Unlock()
-	deliver(events)
-	return nil
-}
-
-// List implements core.Context.
-func (c *Context) List(ctx context.Context, name string) ([]core.NameClassPair, error) {
-	bindings, err := c.list(ctx, name, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.NameClassPair, len(bindings))
-	for i, b := range bindings {
-		out[i] = core.NameClassPair{Name: b.Name, Class: b.Class}
-	}
-	return out, nil
-}
-
-// ListBindings implements core.Context.
-func (c *Context) ListBindings(ctx context.Context, name string) ([]core.Binding, error) {
-	return c.list(ctx, name, true)
-}
-
-func (c *Context) list(ctx context.Context, name string, withObj bool) ([]core.Binding, error) {
-	if err := c.check(ctx); err != nil {
-		return nil, core.Errf("list", name, err)
-	}
-	n, err := core.ParseLocalName(name)
-	if err != nil {
-		return nil, core.Errf("list", name, err)
-	}
-	c.tree.mu.RLock()
-	defer c.tree.mu.RUnlock()
-	e, err := c.lookupEntry(n)
-	if err != nil {
-		return nil, core.Errf("list", name, err)
-	}
-	if !e.isContext() {
-		return nil, core.Errf("list", name, core.ErrNotContext)
-	}
+// list is the bindings of the context entry e at full; withObj builds the
+// bound objects too, which List does not need.
+func (c *Context) list(full core.Name, e *entry, withObj bool) []core.Binding {
 	out := make([]core.Binding, 0, len(e.children))
 	for childName, child := range e.children {
 		b := core.Binding{Name: childName}
 		if child.isContext() {
 			b.Class = core.ContextReferenceClass
 			if withObj {
-				b.Object = &Context{tree: c.tree, base: c.base.Concat(n).Append(childName), env: c.env, url: c.url}
+				b.Object = c.child(full.Append(childName))
 			}
 		} else {
 			b.Class = core.ClassOf(child.obj)
@@ -465,171 +325,143 @@ func (c *Context) list(ctx context.Context, name string, withObj bool) ([]core.B
 		}
 		out = append(out, b)
 	}
-	sortBindings(out)
-	return out, nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
-// CreateSubcontext implements core.Context.
-func (c *Context) CreateSubcontext(ctx context.Context, name string) (core.Context, error) {
-	dc, err := c.CreateSubcontextAttrs(ctx, name, nil)
+// write applies a kind that changes the tree — Bind with atomic
+// test-and-set semantics, Rebind keeping the attributes unless new ones
+// come, Unbind and DestroySubcontext of an absent name succeeding (JNDI)
+// — and returns the events to deliver. Caller holds tree.mu.
+func (c *Context) write(n core.Name, op core.Op) ([]func(), error) {
+	if op.Kind == core.OpRename {
+		return c.rename(n, op)
+	}
+	abs := c.base.Concat(n)
+	if op.Kind == core.OpModifyAttributes {
+		e, err := c.lookupEntry(n)
+		if err != nil {
+			return nil, err
+		}
+		// Apply to a copy first so a bad batch leaves attributes untouched.
+		copied := e.attrs.Clone()
+		if err := copied.Apply(op.Mods); err != nil {
+			return nil, err
+		}
+		e.attrs = copied
+		return c.tree.eventsFor(abs, core.EventObjectChanged, e.obj, e.obj), nil
+	}
+	parent, last, err := c.resolveParent(n)
 	if err != nil {
 		return nil, err
 	}
-	return dc, nil
+	old, existed := parent.children[last]
+	switch op.Kind {
+	case core.OpBind, core.OpCreateSubcontext:
+		if existed {
+			return nil, core.ErrAlreadyBound
+		}
+		e := &entry{obj: op.Obj, attrs: op.Attrs.Clone()}
+		if op.Kind == core.OpCreateSubcontext {
+			e.children = map[string]*entry{}
+		}
+		parent.children[last] = e
+		return c.tree.eventsFor(abs, core.EventObjectAdded, op.Obj, nil), nil
+	case core.OpRebind:
+		if existed && old.isContext() {
+			return nil, core.ErrNotContext
+		}
+		e := &entry{obj: op.Obj}
+		parent.children[last] = e
+		if !existed {
+			e.attrs = op.Attrs.Clone()
+			return c.tree.eventsFor(abs, core.EventObjectAdded, op.Obj, nil), nil
+		}
+		if e.attrs = old.attrs; op.Attrs != nil {
+			e.attrs = op.Attrs.Clone()
+		}
+		return c.tree.eventsFor(abs, core.EventObjectChanged, op.Obj, old.obj), nil
+	case core.OpUnbind:
+		if !existed {
+			return nil, nil
+		}
+		delete(parent.children, last)
+		return c.tree.eventsFor(abs, core.EventObjectRemoved, nil, old.obj), nil
+	case core.OpDestroySubcontext:
+		switch {
+		case !existed:
+			return nil, nil
+		case !old.isContext():
+			return nil, core.ErrNotContext
+		case len(old.children) > 0:
+			return nil, core.ErrContextNotEmpty
+		}
+		delete(parent.children, last)
+		return c.tree.eventsFor(abs, core.EventObjectRemoved, nil, nil), nil
+	}
+	return nil, core.ErrNotSupported
 }
 
-// CreateSubcontextAttrs implements core.DirContext.
-func (c *Context) CreateSubcontextAttrs(ctx context.Context, name string, attrs *core.Attributes) (core.DirContext, error) {
-	if err := c.check(ctx); err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
-	}
-	n, err := core.ParseLocalName(name)
+// rename moves the binding at on to op.NewName. Caller holds tree.mu.
+func (c *Context) rename(on core.Name, op core.Op) ([]func(), error) {
+	nn, err := core.ParseLocalName(op.NewName)
 	if err != nil {
-		return nil, core.Errf("createSubcontext", name, err)
+		return nil, core.OnNewName(err)
 	}
-	c.tree.mu.Lock()
-	parent, last, err := c.resolveParent(n)
+	oldParent, oldLast, err := c.resolveParent(on)
 	if err != nil {
-		c.tree.mu.Unlock()
-		return nil, core.Errf("createSubcontext", name, err)
+		return nil, err
 	}
-	if _, exists := parent.children[last]; exists {
-		c.tree.mu.Unlock()
-		return nil, core.Errf("createSubcontext", name, core.ErrAlreadyBound)
-	}
-	e := newCtxEntry()
-	e.attrs = attrs.Clone()
-	parent.children[last] = e
-	events := c.tree.eventsFor(c.base.Concat(n), core.EventObjectAdded, nil, nil)
-	c.tree.mu.Unlock()
-	deliver(events)
-	return &Context{tree: c.tree, base: c.base.Concat(n), env: c.env, url: c.url}, nil
-}
-
-// DestroySubcontext implements core.Context.
-func (c *Context) DestroySubcontext(ctx context.Context, name string) error {
-	if err := c.check(ctx); err != nil {
-		return core.Errf("destroySubcontext", name, err)
-	}
-	n, err := core.ParseLocalName(name)
+	newParent, newLast, err := c.resolveParent(nn)
 	if err != nil {
-		return core.Errf("destroySubcontext", name, err)
+		return nil, core.OnNewName(err)
 	}
-	c.tree.mu.Lock()
-	parent, last, err := c.resolveParent(n)
-	if err != nil {
-		c.tree.mu.Unlock()
-		return core.Errf("destroySubcontext", name, err)
-	}
-	e, ok := parent.children[last]
+	e, ok := oldParent.children[oldLast]
 	if !ok {
-		c.tree.mu.Unlock()
-		return nil // JNDI: destroying a nonexistent subcontext succeeds
+		return nil, core.ErrNotFound
 	}
-	if !e.isContext() {
-		c.tree.mu.Unlock()
-		return core.Errf("destroySubcontext", name, core.ErrNotContext)
+	if _, exists := newParent.children[newLast]; exists {
+		return nil, core.OnNewName(core.ErrAlreadyBound)
 	}
-	if len(e.children) > 0 {
-		c.tree.mu.Unlock()
-		return core.Errf("destroySubcontext", name, core.ErrContextNotEmpty)
-	}
-	delete(parent.children, last)
-	events := c.tree.eventsFor(c.base.Concat(n), core.EventObjectRemoved, nil, nil)
-	c.tree.mu.Unlock()
-	deliver(events)
-	return nil
+	delete(oldParent.children, oldLast)
+	newParent.children[newLast] = e
+	events := c.tree.eventsFor(c.base.Concat(on), core.EventObjectRenamed, e.obj, e.obj)
+	return append(events, c.tree.eventsFor(c.base.Concat(nn), core.EventObjectRenamed, e.obj, e.obj)...), nil
 }
 
-// GetAttributes implements core.DirContext.
-func (c *Context) GetAttributes(ctx context.Context, name string, attrIDs ...string) (*core.Attributes, error) {
-	if err := c.check(ctx); err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
-	n, err := core.ParseLocalName(name)
+// search evaluates op's filter under n. SearchControls.TimeLimit bounds
+// the walk: when it fires, the results gathered so far come back with a
+// *core.TimeLimitExceededError as stop. Cancelling ctx stops the walk the
+// same way with ctx.Err(). Caller holds tree.mu for reading.
+func (c *Context) search(ctx context.Context, n core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
+	f, err := filter.Parse(op.Filter)
 	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
+		return nil, nil, err
 	}
-	c.tree.mu.RLock()
-	defer c.tree.mu.RUnlock()
-	e, err := c.lookupEntry(n)
-	if err != nil {
-		return nil, core.Errf("getAttributes", name, err)
-	}
-	return e.attrs.Select(attrIDs...), nil
-}
-
-// ModifyAttributes implements core.DirContext.
-func (c *Context) ModifyAttributes(ctx context.Context, name string, mods []core.AttributeMod) error {
-	if err := c.check(ctx); err != nil {
-		return core.Errf("modifyAttributes", name, err)
-	}
-	n, err := core.ParseLocalName(name)
-	if err != nil {
-		return core.Errf("modifyAttributes", name, err)
-	}
-	c.tree.mu.Lock()
-	e, err := c.lookupEntry(n)
-	if err != nil {
-		c.tree.mu.Unlock()
-		return core.Errf("modifyAttributes", name, err)
-	}
-	// Apply to a copy first so a bad batch leaves attributes untouched.
-	copied := e.attrs.Clone()
-	if err := copied.Apply(mods); err != nil {
-		c.tree.mu.Unlock()
-		return core.Errf("modifyAttributes", name, err)
-	}
-	e.attrs = copied
-	events := c.tree.eventsFor(c.base.Concat(n), core.EventObjectChanged, e.obj, e.obj)
-	c.tree.mu.Unlock()
-	deliver(events)
-	return nil
-}
-
-// Search implements core.DirContext. SearchControls.TimeLimit bounds the
-// walk: when it fires, the results gathered so far are returned together
-// with a *core.TimeLimitExceededError. Cancelling ctx aborts the walk the
-// same way with ctx.Err().
-func (c *Context) Search(ctx context.Context, name, filterStr string, controls *core.SearchControls) ([]core.SearchResult, error) {
-	if err := c.check(ctx); err != nil {
-		return nil, core.Errf("search", name, err)
-	}
-	n, err := core.ParseLocalName(name)
-	if err != nil {
-		return nil, core.Errf("search", name, err)
-	}
-	f, err := filter.Parse(filterStr)
-	if err != nil {
-		return nil, core.Errf("search", name, err)
-	}
+	controls := op.Controls
 	if controls == nil {
 		controls = &core.SearchControls{Scope: core.ScopeSubtree}
 	}
-	c.tree.mu.RLock()
-	defer c.tree.mu.RUnlock()
 	base, err := c.lookupEntry(n)
 	if err != nil {
-		return nil, core.Errf("search", name, err)
+		return nil, nil, err
 	}
 	var deadline time.Time
 	if controls.TimeLimit > 0 {
 		deadline = time.Now().Add(controls.TimeLimit)
 	}
-	var out []core.SearchResult
 	var limitHit bool
-	var walkErr error
 	var walk func(e *entry, rel core.Name, depth int)
 	walk = func(e *entry, rel core.Name, depth int) {
-		if limitHit || walkErr != nil {
+		if limitHit || stop != nil {
 			return
 		}
 		if err := core.CtxErr(ctx); err != nil {
-			walkErr = err
+			stop = err
 			return
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			walkErr = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
+			stop = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
 			return
 		}
 		inScope := false
@@ -674,24 +506,14 @@ func (c *Context) Search(ctx context.Context, name, filterStr string, controls *
 	}
 	walk(base, core.Name{}, 0)
 	sortResults(out)
-	if walkErr != nil {
-		return out, walkErr
+	if stop == nil && limitHit {
+		stop = &core.LimitExceededError{Limit: controls.CountLimit}
 	}
-	if limitHit {
-		return out, &core.LimitExceededError{Limit: controls.CountLimit}
-	}
-	return out, nil
+	return out, stop, nil
 }
 
-// Watch implements core.EventContext.
-func (c *Context) Watch(ctx context.Context, target string, scope core.SearchScope, l core.Listener) (func(), error) {
-	if err := c.check(ctx); err != nil {
-		return nil, core.Errf("watch", target, err)
-	}
-	n, err := core.ParseLocalName(target)
-	if err != nil {
-		return nil, core.Errf("watch", target, err)
-	}
+// watch registers op.Listener on n.
+func (c *Context) watch(n core.Name, op core.Op) (func(), error) {
 	// Watching a name bound to a foreign context continues there.
 	c.tree.mu.RLock()
 	if e, lerr := c.lookupEntry(n); lerr == nil && !e.isContext() && isBoundary(e.obj) {
@@ -709,7 +531,7 @@ func (c *Context) Watch(ctx context.Context, target string, scope core.SearchSco
 	defer c.tree.mu.Unlock()
 	id := c.tree.nextWatch
 	c.tree.nextWatch++
-	c.tree.listeners[id] = &watch{target: c.base.Concat(n), scope: scope, l: l}
+	c.tree.listeners[id] = &watch{target: c.base.Concat(n), scope: op.Scope, l: op.Listener}
 	tree := c.tree
 	return func() {
 		tree.mu.Lock()
@@ -774,10 +596,6 @@ func (c *Context) Reference() (*core.Reference, error) {
 		url += "/" + c.base.String()
 	}
 	return core.NewContextReference(url), nil
-}
-
-func sortBindings(bs []core.Binding) {
-	sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
 }
 
 func sortResults(rs []core.SearchResult) {

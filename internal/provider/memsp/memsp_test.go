@@ -559,3 +559,35 @@ func TestSearchTimeLimit(t *testing.T) {
 		t.Fatalf("generous limit = %d results, %v", len(res), err)
 	}
 }
+
+// TestLookupAllocs gates what answering operations in Do costs a
+// provider: a Lookup through the typed method the adapter provides, and
+// one through core.Do, allocate no more than the hand-written Lookup they
+// replaced: 5, measured before they were replaced. scripts/check.sh
+// allocs runs it.
+func TestLookupAllocs(t *testing.T) {
+	const handWritten = 5
+	ctx := context.Background()
+	c := newCtx()
+	if _, err := c.CreateSubcontext(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Bind(ctx, "a/b", "v"); err != nil {
+		t.Fatal(err)
+	}
+	// Through an interface, as callers hold it, so nothing is devirtualized.
+	var dc core.Context = c
+	typed := testing.AllocsPerRun(1000, func() {
+		if _, err := dc.Lookup(ctx, "a/b"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	do := testing.AllocsPerRun(1000, func() {
+		if _, err := core.Do(ctx, dc, core.Op{Kind: core.OpLookup, Name: "a/b"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if typed > handWritten || do > handWritten {
+		t.Fatalf("Lookup allocates %v times through the typed method and %v through core.Do, want <= %d", typed, do, handWritten)
+	}
+}

@@ -21,7 +21,7 @@ func newWindowPair(t *testing.T, window int) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	s.SetWindow(window)
+	s.setWindow(window)
 	s.Handle("ping", func(*ServerConn, []byte) ([]byte, error) { return nil, nil })
 	c, err := Dial(s.Addr(), 2*time.Second)
 	if err != nil {

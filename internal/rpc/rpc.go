@@ -179,9 +179,9 @@ func NewServer(addr string) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.lis.Addr().String() }
 
-// SetWindow changes the per-connection in-flight window advertised to
-// clients that connect after the call (tests and overload tuning).
-func (s *Server) SetWindow(n int) {
+// setWindow changes the per-connection in-flight window advertised to
+// clients that connect after the call (tests).
+func (s *Server) setWindow(n int) {
 	if n < 1 {
 		n = 1
 	}

@@ -65,10 +65,10 @@ stage_vet() {
 stage_lint() {
     echo "== lint: ctxfirst =="
     go run ./scripts/lint/ctxfirst $(git ls-files '*.go')
-    echo "== lint: one typed surface (a decorator embeds core.OpContext and writes Do) =="
-    if git ls-files 'internal/*.go' 'cmd/*.go' | grep -v -e '_test\.go$' -e '^internal/core/op\.go$' -e '^internal/provider/' |
+    echo "== lint: one typed surface (providers and decorators embed a core adapter and write Do) =="
+    if git ls-files 'internal/*.go' 'cmd/*.go' | grep -v -e '_test\.go$' -e '^internal/core/op\.go$' |
         xargs grep -n '^func (.*) ListBindings(' /dev/null; then
-        echo "a non-provider type hand-writes the naming surface; embed core.OpContext or core.BatchOpContext" >&2
+        echo "a type hand-writes the naming surface; embed core.OpContext, core.EventOpContext or core.BatchOpContext and write Do" >&2
         exit 1
     fi
     echo "== lint: failures are classified by type, never by their text =="
@@ -216,10 +216,16 @@ stage_test() {
 
 stage_allocs() {
     # Operations as values must stay free: a typed call through
-    # OpContext -> a decorator's Do -> core.Do -> the inner typed method
+    # OpContext -> a decorator's Do -> core.Do -> the inner context
     # puts an Op and a Result on the stack and nothing on the heap.
     echo "== core.Op round trip zero-alloc gate =="
     go test -count=1 -run 'TestOpContextLookupZeroAlloc' ./internal/core/
+
+    # Providers answer Do: a memsp Lookup through the adapter's typed
+    # method or through core.Do costs no more than the hand-written
+    # Lookup did (5 allocations).
+    echo "== provider Do alloc gate =="
+    go test -count=1 -run 'TestLookupAllocs' ./internal/provider/memsp/
 
     # Wire-path allocation gate: the rpc frame codec must encode and
     # decode with zero steady-state allocations (testing.AllocsPerRun)
