@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -60,17 +61,28 @@ func (e *NamingError) Unwrap() error { return e.Err }
 // and leaves CannotProceedError undecorated (federation machinery needs it
 // at the top level).
 func Errf(op, name string, err error) error {
-	if err == nil {
-		return nil
-	}
-	if _, ok := err.(*CannotProceedError); ok {
-		return err // the common case, without errors.As's allocation
-	}
-	var cpe *CannotProceedError
-	if errors.As(err, &cpe) {
+	if err == nil || proceeds(err) {
 		return err
 	}
 	return &NamingError{Op: op, Name: name, Err: err}
+}
+
+// proceeds reports whether err is or wraps a *CannotProceedError. It is
+// errors.As by type assertion down both Unwrap chains, without the
+// target errors.As allocates (no error type here has an As method).
+func proceeds(err error) bool {
+	for {
+		switch e := err.(type) {
+		case *CannotProceedError:
+			return true
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		case interface{ Unwrap() []error }:
+			return slices.ContainsFunc(e.Unwrap(), proceeds)
+		default:
+			return false
+		}
+	}
 }
 
 // OpErr labels a provider's failure of op once: by op.Kind.String() and

@@ -1,6 +1,10 @@
 package core
 
-import "context"
+import (
+	"context"
+	"slices"
+	"strings"
+)
 
 // A naming operation as a value. The typed Context/DirContext/
 // EventContext/BatchContext surface is what callers speak; everything
@@ -242,9 +246,10 @@ func ItemResult(res Result, err error) BatchResult {
 }
 
 // ListResult answers List or ListBindings from the bindings of the listed
-// context: ListBindings gets them as they are, List their names and
-// classes.
+// context, sorted by name: ListBindings gets them as they are, List their
+// names and classes.
 func ListResult(kind OpKind, bs []Binding) Result {
+	slices.SortFunc(bs, func(a, b Binding) int { return strings.Compare(a.Name, b.Name) })
 	if kind == OpListBindings {
 		return Result{Bindings: bs}
 	}

@@ -104,7 +104,7 @@ type Node struct {
 
 type watchSpec struct {
 	target []string
-	scope  int // 0 object, 1 one-level, 2 subtree
+	scope  int // numbered as core.SearchScope
 }
 
 // NewNode starts an HDNS node: it restores the persisted replica if any,
@@ -412,15 +412,7 @@ func watchMatches(w watchSpec, name []string) bool {
 			return false
 		}
 	}
-	extra := len(name) - len(w.target)
-	switch w.scope {
-	case 0:
-		return extra == 0
-	case 1:
-		return extra == 1
-	default:
-		return true
-	}
+	return core.SearchScope(w.scope).Covers(len(name) - len(w.target))
 }
 
 // submit replicates a write and waits for its local delivery, for at

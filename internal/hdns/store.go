@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gondi/internal/core"
 	"gondi/internal/filter"
 )
 
@@ -49,8 +50,8 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
-// ModRec is one attribute modification (mirrors core.AttributeMod without
-// importing core, keeping the substrate dependency-free).
+// ModRec is one attribute modification: core.AttributeMod in the wire
+// and WAL layout, its ID and values flattened.
 type ModRec struct {
 	Op   int // 0 add, 1 replace, 2 remove
 	ID   string
@@ -428,8 +429,10 @@ type SearchHit struct {
 	Attrs map[string][]string
 }
 
-// Search evaluates a filter under name. scope: 0 object, 1 one-level,
-// 2 subtree.
+// Search evaluates a filter under name, its scope numbered as
+// core.SearchScope. It returns at most limit hits (0: no limit),
+// shallowest first and each depth in name order, so a limit keeps the
+// shallowest matches.
 func (s *Store) Search(name []string, f *filter.Node, scope int, limit int) ([]SearchHit, string) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -441,36 +444,31 @@ func (s *Store) Search(name []string, f *filter.Node, scope int, limit int) ([]S
 			return nil, e
 		}
 	}
+	sc := core.SearchScope(scope)
+	type visit struct {
+		ent *entry
+		rel []string
+	}
 	var hits []SearchHit
-	var walk func(ent *entry, rel []string, depth int)
-	walk = func(ent *entry, rel []string, depth int) {
-		if limit > 0 && len(hits) >= limit {
-			return
+	queue := []visit{{ent: base}}
+	for i := 0; i < len(queue) && (limit <= 0 || len(hits) < limit); i++ {
+		v := queue[i]
+		depth := len(v.rel)
+		if sc.Covers(depth) && f.Matches(filter.MapValues(v.ent.Attrs)) {
+			hits = append(hits, SearchHit{Name: v.rel, IsCtx: v.ent.isCtx(), Obj: v.ent.Obj, Attrs: copyAttrs(v.ent.Attrs)})
 		}
-		inScope := scope == 2 || (scope == 0 && depth == 0) || (scope == 1 && depth == 1)
-		if inScope && f.Matches(filter.MapValues(ent.Attrs)) {
-			hits = append(hits, SearchHit{
-				Name:  append([]string(nil), rel...),
-				IsCtx: ent.isCtx(),
-				Obj:   ent.Obj,
-				Attrs: copyAttrs(ent.Attrs),
-			})
+		if !v.ent.isCtx() || !sc.Descends(depth) {
+			continue
 		}
-		if (scope == 0 && depth == 0) || (scope == 1 && depth >= 1) {
-			return
+		names := make([]string, 0, len(v.ent.Children))
+		for n := range v.ent.Children {
+			names = append(names, n)
 		}
-		if ent.isCtx() {
-			names := make([]string, 0, len(ent.Children))
-			for n := range ent.Children {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				walk(ent.Children[n], append(rel, n), depth+1)
-			}
+		sort.Strings(names)
+		for _, n := range names {
+			queue = append(queue, visit{v.ent.Children[n], append(v.rel[:depth:depth], n)})
 		}
 	}
-	walk(base, nil, 0)
 	return hits, ""
 }
 

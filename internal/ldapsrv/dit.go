@@ -1,13 +1,13 @@
 package ldapsrv
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"gondi/internal/core"
 	"gondi/internal/filter"
 )
 
@@ -354,17 +354,11 @@ func (d *DIT) Search(baseDN string, scope int, f *filter.Node, sizeLimit int, ti
 	if !ok {
 		return nil, Result{Code: ResultNoSuchObject, MatchedDN: d.deepestExistingLocked(base).String()}
 	}
-	// Depths of the walk from root that are candidates, per scope.
-	minDepth, maxDepth := 0, 0
-	switch scope {
-	case ScopeBaseObject:
-	case ScopeSingleLevel:
-		minDepth, maxDepth = 1, 1
-	case ScopeWholeSubtree:
-		maxDepth = math.MaxInt
-	default:
+	// The LDAP scopes are numbered as core.SearchScope.
+	if scope < ScopeBaseObject || scope > ScopeWholeSubtree {
 		return nil, Result{Code: ResultProtocolError, Message: "bad scope"}
 	}
+	sc := core.SearchScope(scope)
 	type visit struct {
 		depth int
 		e     *ditEntry
@@ -380,10 +374,10 @@ func (d *DIT) Search(baseDN string, scope int, f *filter.Node, sizeLimit int, ti
 			break
 		}
 		v := queue[i]
-		if v.depth >= minDepth && (f == nil || f.Matches(v.e.values())) {
+		if sc.Covers(v.depth) && (f == nil || f.Matches(v.e.values())) {
 			hits = append(hits, v)
 		}
-		if v.depth < maxDepth {
+		if sc.Descends(v.depth) {
 			for _, c := range v.e.children {
 				queue = append(queue, visit{v.depth + 1, c})
 			}

@@ -24,7 +24,6 @@ import (
 	"gondi/internal/core"
 	"gondi/internal/dnssrv"
 	"gondi/internal/failover"
-	"gondi/internal/filter"
 	"gondi/internal/obs"
 )
 
@@ -266,9 +265,12 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 			res = core.ListResult(op.Kind, bs)
 		}
 	case core.OpSearch:
-		var stop error
-		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
-			return res, stop // the count limit's partial results, as they are
+		var s *core.Search
+		if s, err = core.NewSearch(ctx, op); err == nil {
+			if err = c.search(ctx, s, full); err == nil {
+				res.Found, err = s.Done()
+				return res, err // a stopped search's partial results, as they are
+			}
 		}
 	case core.OpBind, core.OpRebind, core.OpUnbind, core.OpRename, core.OpCreateSubcontext,
 		core.OpDestroySubcontext, core.OpModifyAttributes:
@@ -481,76 +483,41 @@ func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, err
 			Object: c.child(full.Append(label)),
 		})
 	}
-	sortBindings(out)
 	return out, nil
 }
 
-func sortBindings(bs []core.Binding) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].Name < bs[j-1].Name; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
-}
-
-// search evaluates op's filter over the transferred zone subtree;
-// hitting the count limit is stop, beside the results.
-func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
-	f, err := filter.Parse(op.Filter)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cpe, cerr := c.contextBoundary(ctx, full); cerr != nil {
-		return nil, nil, cerr
+// search offers each domain of the transferred zone subtree under full.
+func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) error {
+	if cpe, err := c.contextBoundary(ctx, full); err != nil {
+		return err
 	} else if cpe != nil {
-		return nil, nil, cpe
-	}
-	controls := op.Controls
-	if controls == nil {
-		controls = &core.SearchControls{Scope: core.ScopeSubtree}
+		return cpe
 	}
 	domain := domainFor(full)
 	rrs, err := c.resolver.TransferZone(ctx, domain)
 	if err != nil {
-		return nil, nil, &core.CommunicationError{Endpoint: c.url, Err: err}
+		return &core.CommunicationError{Endpoint: c.url, Err: err}
 	}
 	byName := map[string][]dnssrv.RR{}
 	for _, rr := range rrs {
 		byName[rr.Name] = append(byName[rr.Name], rr)
 	}
 	for dn, recs := range byName {
+		if s.Stopped() {
+			break
+		}
 		if dn != domain && !strings.HasSuffix(dn, "."+domain) && domain != "." {
 			continue
 		}
-		rel := relPath(dn, domain)
-		depth := 0
-		if rel != "" {
-			depth = strings.Count(rel, "/") + 1
-		}
-		switch controls.Scope {
-		case core.ScopeObject:
-			if depth != 0 {
-				continue
-			}
-		case core.ScopeOneLevel:
-			if depth != 1 {
-				continue
-			}
-		}
-		attrs := recordAttrs(recs)
-		if !attrs.MatchesFilter(f) {
+		rel, perr := core.ParseName(relPath(dn, domain))
+		if perr != nil {
 			continue
 		}
-		out = append(out, core.SearchResult{
-			Name:       rel,
-			Class:      core.ContextReferenceClass,
-			Attributes: attrs.Select(controls.ReturnAttrs...),
-		})
-		if controls.CountLimit > 0 && len(out) >= controls.CountLimit {
-			return out, &core.LimitExceededError{Limit: controls.CountLimit}, nil
+		if attrs := recordAttrs(recs); s.Match(rel.Size(), attrs) {
+			s.Add(rel, attrs, nil, true)
 		}
 	}
-	return out, nil, nil
+	return nil
 }
 
 // relPath converts a domain under base into a path (topmost first),

@@ -14,13 +14,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	"gondi/internal/core"
-	"gondi/internal/filter"
 	"gondi/internal/obs"
 )
 
@@ -207,9 +204,12 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	case core.OpModifyAttributes:
 		err = c.modify(full, op.Mods)
 	case core.OpSearch:
-		var stop error
-		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
-			return res, stop // a stopped walk's partial results, as they are
+		var s *core.Search
+		if s, err = core.NewSearch(ctx, op); err == nil {
+			if err = c.search(s, full); err == nil {
+				res.Found, err = s.Done()
+				return res, err // a stopped walk's partial results, as they are
+			}
 		}
 	default:
 		err = core.ErrNotSupported
@@ -371,7 +371,6 @@ func (c *Context) list(full core.Name) ([]core.Binding, error) {
 		}
 		out = append(out, core.Binding{Name: bindName, Class: core.ClassOf(obj), Object: obj})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
@@ -425,87 +424,44 @@ func (c *Context) modify(full core.Name, mods []core.AttributeMod) error {
 	return c.rebind(full, obj, attrs, true)
 }
 
-// search walks the directory tree. SearchControls.TimeLimit bounds the
-// walk: when it fires, the partial results come back with a
-// *core.TimeLimitExceededError as stop. A done ctx stops the walk the
-// same way with ctx.Err().
-func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
-	f, err := filter.Parse(op.Filter)
-	if err != nil {
-		return nil, nil, err
-	}
-	controls := op.Controls
-	if controls == nil {
-		controls = &core.SearchControls{Scope: core.ScopeSubtree}
-	}
+// search walks the directory tree under full, offering each binding
+// file, and does not enter a directory the scope does not descend into.
+func (c *Context) search(s *core.Search, full core.Name) error {
 	root := c.dirPath(full)
-	var deadline time.Time
-	if controls.TimeLimit > 0 {
-		deadline = time.Now().Add(controls.TimeLimit)
-	}
-	var limitHit bool
-	walkErr := filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
-		if err != nil || limitHit {
+	return filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || s.Stopped() {
 			return fs.SkipAll
-		}
-		if cerr := core.CtxErr(ctx); cerr != nil {
-			stop = cerr
-			return fs.SkipAll
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			stop = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
-			return fs.SkipAll
-		}
-		if de.IsDir() || !strings.HasSuffix(path, bindingExt) {
-			return nil
 		}
 		rel, rerr := filepath.Rel(root, strings.TrimSuffix(path, bindingExt))
 		if rerr != nil {
 			return nil
 		}
-		relName := core.NewName(strings.Split(filepath.ToSlash(rel), "/")...)
-		depth := relName.Size()
-		switch controls.Scope {
-		case core.ScopeObject:
-			if depth != 0 {
-				return nil
-			}
-		case core.ScopeOneLevel:
-			if depth != 1 {
-				return nil
-			}
+		var relName core.Name
+		if rel != "." {
+			relName = core.NewName(strings.Split(filepath.ToSlash(rel), "/")...)
 		}
-		r, rerr2 := readRecord(path)
-		if rerr2 != nil {
+		if de.IsDir() {
+			if !s.Controls.Scope.Descends(relName.Size()) {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, bindingExt) {
+			return nil
+		}
+		r, rerr := readRecord(path)
+		if rerr != nil {
 			return nil
 		}
 		attrs := core.AttributesFromMap(r.Attrs)
-		if !attrs.MatchesFilter(f) {
+		if !s.Match(relName.Size(), attrs) {
 			return nil
 		}
-		sr := core.SearchResult{Name: relName.String(), Attributes: attrs.Select(controls.ReturnAttrs...)}
-		obj, uerr := core.Unmarshal(r.Obj)
-		if uerr != nil {
-			return nil
-		}
-		sr.Class = core.ClassOf(obj)
-		if controls.ReturnObject {
-			sr.Object = obj
-		}
-		out = append(out, sr)
-		if controls.CountLimit > 0 && len(out) >= controls.CountLimit {
-			limitHit = true
+		if obj, uerr := core.Unmarshal(r.Obj); uerr == nil {
+			s.Add(relName, attrs, obj, false)
 		}
 		return nil
 	})
-	if walkErr != nil {
-		return nil, nil, walkErr
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	if stop == nil && limitHit {
-		stop = &core.LimitExceededError{Limit: controls.CountLimit}
-	}
-	return out, stop, nil
 }
 
 // NameInNamespace implements core.Context.

@@ -264,9 +264,12 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 		}
 		err = c.mapErr(ctx, c.sh.client.ModAttrs(ctx, comps, recs), full)
 	case core.OpSearch:
-		var stop error
-		if res.Found, stop, err = c.search(ctx, comps, full, op); err == nil {
-			return res, stop // the count limit's partial results, as they are
+		var s *core.Search
+		if s, err = core.NewSearch(ctx, op); err == nil {
+			if err = c.search(ctx, s, comps, full, op.Filter); err == nil {
+				res.Found, err = s.Done()
+				return res, err // a stopped search's partial results, as they are
+			}
 		}
 	case core.OpWatch:
 		res.Cancel, err = c.watch(ctx, comps, full, op)
@@ -341,44 +344,34 @@ func (c *Context) list(ctx context.Context, comps []string, full core.Name) ([]c
 	return out, nil
 }
 
-// search runs op's filter server-side; hitting the count limit is stop,
-// beside the results.
-func (c *Context) search(ctx context.Context, comps []string, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
+// search runs filterStr server-side and offers each hit. It asks for one
+// hit past the count limit, so that Done can tell a limit that was
+// exceeded from one that was only met.
+func (c *Context) search(ctx context.Context, s *core.Search, comps []string, full core.Name, filterStr string) error {
 	if cpe := c.boundarySelf(ctx, full); cpe != nil {
-		return nil, nil, cpe
+		return cpe
 	}
-	controls := op.Controls
-	if controls == nil {
-		controls = &core.SearchControls{Scope: core.ScopeSubtree}
+	limit := s.Controls.CountLimit
+	if limit > 0 {
+		limit++
 	}
-	hits, err := c.sh.client.Search(ctx, comps, op.Filter, int(controls.Scope), controls.CountLimit)
+	hits, err := c.sh.client.Search(ctx, comps, filterStr, int(s.Controls.Scope), limit)
 	if err != nil {
-		return nil, nil, c.mapErr(ctx, err, full)
+		return c.mapErr(ctx, err, full)
 	}
-	out = make([]core.SearchResult, 0, len(hits))
 	for _, h := range hits {
-		r := core.SearchResult{
-			Name:       core.NewName(h.Name...).String(),
-			Attributes: core.AttributesFromMap(h.Attrs).Select(controls.ReturnAttrs...),
+		if s.Stopped() {
+			break
 		}
-		if h.IsCtx {
-			r.Class = core.ContextReferenceClass
-		} else {
-			obj, err := core.Unmarshal(h.Obj)
-			if err != nil {
+		var obj any
+		if !h.IsCtx {
+			if obj, err = core.Unmarshal(h.Obj); err != nil {
 				continue
 			}
-			r.Class = core.ClassOf(obj)
-			if controls.ReturnObject {
-				r.Object = obj
-			}
 		}
-		out = append(out, r)
+		s.Add(core.NewName(h.Name...), core.AttributesFromMap(h.Attrs), obj, h.IsCtx)
 	}
-	if controls.CountLimit > 0 && len(out) >= controls.CountLimit {
-		stop = &core.LimitExceededError{Limit: controls.CountLimit}
-	}
-	return out, stop, nil
+	return nil
 }
 
 // watch registers op.Listener through HDNS's distributed event

@@ -34,7 +34,6 @@ import (
 	"gondi/internal/connpool"
 	"gondi/internal/core"
 	"gondi/internal/failover"
-	"gondi/internal/filter"
 	"gondi/internal/jini"
 	"gondi/internal/lock"
 	"gondi/internal/obs"
@@ -485,9 +484,12 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	case core.OpModifyAttributes:
 		err = c.modify(ctx, full, op.Mods)
 	case core.OpSearch:
-		var stop error
-		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
-			return res, stop // the count limit's partial results, as they are
+		var s *core.Search
+		if s, err = core.NewSearch(ctx, op); err == nil {
+			if err = c.search(ctx, s, full); err == nil {
+				res.Found, err = s.Done()
+				return res, err // a stopped search's partial results, as they are
+			}
 		}
 	case core.OpWatch:
 		res.Cancel, err = c.watch(ctx, full, op)
@@ -821,16 +823,7 @@ func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, err
 	for _, b := range seen {
 		out = append(out, *b)
 	}
-	sortBindings(out)
 	return out, nil
-}
-
-func sortBindings(bs []core.Binding) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].Name < bs[j-1].Name; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
 }
 
 // destroy removes an empty context-marker item; a missing one counts as
@@ -900,26 +893,20 @@ func (c *Context) boundaryAt(ctx context.Context, full core.Name) *core.CannotPr
 	return nil
 }
 
-// search scans the bindings under full; hitting the count limit is stop,
-// beside the results.
-func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
-	f, err := filter.Parse(op.Filter)
-	if err != nil {
-		return nil, nil, err
-	}
-	controls := op.Controls
-	if controls == nil {
-		controls = &core.SearchControls{Scope: core.ScopeSubtree}
-	}
+// search scans the bindings under full, offering each one.
+func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) error {
 	if cpe := c.boundaryAt(ctx, full); cpe != nil {
-		return nil, nil, cpe
+		return cpe
 	}
 	items, err := c.allBindings(ctx)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	baseStr := full.String()
 	for i := range items {
+		if s.Stopped() {
+			break
+		}
 		n := itemName(&items[i])
 		var rel string
 		switch {
@@ -936,50 +923,17 @@ func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out [
 		if perr != nil {
 			continue
 		}
-		depth := relName.Size()
-		switch controls.Scope {
-		case core.ScopeObject:
-			if depth != 0 {
-				continue
-			}
-		case core.ScopeOneLevel:
-			if depth != 1 {
-				continue
-			}
-		}
 		attrs := itemAttrs(&items[i])
-		if !attrs.MatchesFilter(f) {
+		if !s.Match(relName.Size(), attrs) {
 			continue
 		}
-		r := core.SearchResult{Name: rel, Attributes: attrs.Select(controls.ReturnAttrs...)}
 		if itemIsContext(&items[i]) {
-			r.Class = core.ContextReferenceClass
-		} else {
-			obj, oerr := itemObject(&items[i])
-			if oerr != nil {
-				continue
-			}
-			r.Class = core.ClassOf(obj)
-			if controls.ReturnObject {
-				r.Object = obj
-			}
-		}
-		out = append(out, r)
-		if controls.CountLimit > 0 && len(out) >= controls.CountLimit {
-			stop = &core.LimitExceededError{Limit: controls.CountLimit}
-			break
+			s.Add(relName, attrs, nil, true)
+		} else if obj, oerr := itemObject(&items[i]); oerr == nil {
+			s.Add(relName, attrs, obj, false)
 		}
 	}
-	sortResults(out)
-	return out, stop, nil
-}
-
-func sortResults(rs []core.SearchResult) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Name < rs[j-1].Name; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
+	return nil
 }
 
 // watch registers op.Listener over the LUS remote-event machinery.

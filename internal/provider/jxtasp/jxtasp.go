@@ -14,14 +14,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"gondi/internal/connpool"
 	"gondi/internal/core"
 	"gondi/internal/failover"
-	"gondi/internal/filter"
 	"gondi/internal/jxta"
 	"gondi/internal/lease"
 	"gondi/internal/obs"
@@ -233,9 +231,12 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	case core.OpModifyAttributes:
 		err = c.modify(ctx, full, op.Mods)
 	case core.OpSearch:
-		var stop error
-		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
-			return res, stop // a stopped walk's partial results, as they are
+		var s *core.Search
+		if s, err = core.NewSearch(ctx, op); err == nil {
+			if err = c.search(ctx, s, full); err == nil {
+				res.Found, err = s.Done()
+				return res, err // a stopped walk's partial results, as they are
+			}
 		}
 	default:
 		err = core.ErrNotSupported
@@ -399,7 +400,6 @@ func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, err
 		}
 		out = append(out, core.Binding{Name: advs[i].Name, Class: core.ClassOf(obj), Object: obj})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
@@ -452,111 +452,61 @@ func (c *Context) modify(ctx context.Context, full core.Name, mods []core.Attrib
 	return c.publish(ctx, full, obj, attrs, false)
 }
 
-// search walks groups client-side. SearchControls.TimeLimit bounds the
-// walk: when it fires, the partial results come back with a
-// *core.TimeLimitExceededError as stop; a done ctx stops it with ctx.Err().
-func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
-	f, err := filter.Parse(op.Filter)
-	if err != nil {
-		return nil, nil, err
-	}
+// search walks the peer groups under full client-side. A scope that does
+// not descend from the base tests the advertisement full names alone.
+func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) error {
 	if cpe := c.boundary(ctx, full, true); cpe != nil {
-		return nil, nil, cpe
+		return cpe
 	}
-	controls := op.Controls
-	if controls == nil {
-		controls = &core.SearchControls{Scope: core.ScopeSubtree}
+	if s.Controls.Scope.Descends(0) {
+		return c.walk(ctx, s, full, core.Name{})
 	}
-	var deadline time.Time
-	if controls.TimeLimit > 0 {
-		deadline = time.Now().Add(controls.TimeLimit)
+	if adv, ok, err := c.fetchAdv(ctx, full); err == nil && ok && !s.Stopped() {
+		c.offer(s, core.Name{}, adv)
 	}
-	var limitHit bool
-	var walk func(path core.Name, depth int) error
-	walk = func(path core.Name, depth int) error {
-		if limitHit || stop != nil {
-			return nil
-		}
-		if cerr := core.CtxErr(ctx); cerr != nil {
-			stop = cerr
-			return nil
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			stop = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
-			return nil
-		}
-		advs, err := c.sh.peer.Discover(ctx, groupOf(path), "", nil, 0)
-		if err != nil {
-			return rpc.CoreError(c.sh.url, err)
-		}
-		for i := range advs {
-			d := depth + 1
-			inScope := controls.Scope == core.ScopeSubtree ||
-				(controls.Scope == core.ScopeOneLevel && d == 1)
-			if !inScope {
-				continue
-			}
-			attrs := core.AttributesFromMap(advs[i].Attrs)
-			if !attrs.MatchesFilter(f) {
-				continue
-			}
-			rel := path.Suffix(full.Size()).Append(advs[i].Name)
-			r := core.SearchResult{Name: rel.String(), Attributes: attrs.Select(controls.ReturnAttrs...)}
-			obj, oerr := advObject(&advs[i])
-			if oerr != nil {
-				continue
-			}
-			r.Class = core.ClassOf(obj)
-			if controls.ReturnObject {
-				r.Object = obj
-			}
-			out = append(out, r)
-			if controls.CountLimit > 0 && len(out) >= controls.CountLimit {
-				limitHit = true
-				return nil
-			}
-		}
-		if controls.Scope == core.ScopeSubtree || depth == 0 {
-			subs, err := c.sh.peer.SubGroups(ctx, groupOf(path))
-			if err != nil {
-				return nil
-			}
-			if controls.Scope != core.ScopeOneLevel || depth == 0 {
-				for _, g := range subs {
-					if controls.Scope == core.ScopeSubtree {
-						if err := walk(path.Append(g), depth+1); err != nil {
-							return err
-						}
-					}
-				}
-			}
-		}
+	return nil
+}
+
+// walk offers the advertisements of group, rel below the base, then walks
+// its subgroups as far as the scope descends.
+func (c *Context) walk(ctx context.Context, s *core.Search, group, rel core.Name) error {
+	if s.Stopped() {
 		return nil
 	}
-	if controls.Scope == core.ScopeObject {
-		// Object scope tests the named advertisement only.
-		adv, ok, err := c.fetchAdv(ctx, full)
-		if err == nil && ok {
-			attrs := core.AttributesFromMap(adv.Attrs)
-			if attrs.MatchesFilter(f) {
-				obj, oerr := advObject(adv)
-				if oerr == nil {
-					r := core.SearchResult{Name: "", Class: core.ClassOf(obj),
-						Attributes: attrs.Select(controls.ReturnAttrs...)}
-					if controls.ReturnObject {
-						r.Object = obj
-					}
-					out = append(out, r)
-				}
-			}
+	advs, err := c.sh.peer.Discover(ctx, groupOf(group), "", nil, 0)
+	if err != nil {
+		return rpc.CoreError(c.sh.url, err)
+	}
+	for i := range advs {
+		if s.Stopped() {
+			return nil
 		}
-	} else if err := walk(full, 0); err != nil {
-		return nil, nil, err
+		c.offer(s, rel.Append(advs[i].Name), &advs[i])
 	}
-	if stop == nil && limitHit {
-		stop = &core.LimitExceededError{Limit: controls.CountLimit}
+	if !s.Controls.Scope.Descends(rel.Size() + 1) {
+		return nil
 	}
-	return out, stop, nil
+	subs, err := c.sh.peer.SubGroups(ctx, groupOf(group))
+	if err != nil {
+		return nil
+	}
+	for _, g := range subs {
+		if err := c.walk(ctx, s, group.Append(g), rel.Append(g)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// offer offers the advertisement at rel to s.
+func (c *Context) offer(s *core.Search, rel core.Name, adv *jxta.Advertisement) {
+	attrs := core.AttributesFromMap(adv.Attrs)
+	if !s.Match(rel.Size(), attrs) {
+		return
+	}
+	if obj, err := advObject(adv); err == nil {
+		s.Add(rel, attrs, obj, false)
+	}
 }
 
 // NameInNamespace implements core.Context.

@@ -343,9 +343,15 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	case core.OpModifyAttributes:
 		err = c.modify(ctx, full, op.Mods)
 	case core.OpSearch:
+		var s *core.Search
 		var stop error
-		if res.Found, stop, err = c.search(ctx, full, op); err == nil {
-			return res, stop // a limit's partial results, as they are
+		if s, err = core.NewSearch(ctx, op); err == nil {
+			if stop, err = c.search(ctx, s, full, op.Filter); err == nil {
+				if res.Found, err = s.Done(); err == nil {
+					err = stop
+				}
+				return res, err // a limit's partial results, as they are
+			}
 		}
 	default:
 		err = core.ErrNotSupported
@@ -563,16 +569,14 @@ func (c *Context) modify(ctx context.Context, full core.Name, mods []core.Attrib
 	return c.mapResultErr(c.sh.conn.Modify(ctx, c.dnFor(full), changes))
 }
 
-// search pushes op's filter to the server. A size or time limit the
-// server hit is stop, beside the entries it returned before stopping.
-func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
+// search pushes filterStr and both limits to the server and offers each
+// entry it returns. A limit the server hit is stop, beside the entries
+// it returned before stopping.
+func (c *Context) search(ctx context.Context, s *core.Search, full core.Name, filterStr string) (stop, err error) {
 	if cpe := c.boundarySelf(ctx, full); cpe != nil {
-		return nil, nil, cpe
+		return nil, cpe
 	}
-	controls := op.Controls
-	if controls == nil {
-		controls = &core.SearchControls{Scope: core.ScopeSubtree}
-	}
+	controls := s.Controls
 	var scope int
 	switch controls.Scope {
 	case core.ScopeObject:
@@ -583,7 +587,7 @@ func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out [
 		scope = ldapsrv.ScopeWholeSubtree
 	}
 	baseDN := c.dnFor(full)
-	entries, err := c.sh.conn.Search(ctx, baseDN, op.Filter, &ldapsrv.SearchOptions{
+	entries, err := c.sh.conn.Search(ctx, baseDN, filterStr, &ldapsrv.SearchOptions{
 		Scope: scope, SizeLimit: controls.CountLimit, TimeLimit: controls.TimeLimit,
 	})
 	if err != nil {
@@ -594,37 +598,24 @@ func (c *Context) search(ctx context.Context, full core.Name, op core.Op) (out [
 		case asResultError(err, &re) && re.Result.Code == ldapsrv.ResultTimeLimitExceeded:
 			stop = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
 		default:
-			return nil, nil, c.mapResultErr(err)
+			return nil, c.mapResultErr(err)
 		}
 	}
 	base := ldapsrv.MustParseDN(baseDN)
-	out = make([]core.SearchResult, 0, len(entries))
 	for i := range entries {
+		if s.Stopped() {
+			break
+		}
 		e := &entries[i]
 		dn, perr := ldapsrv.ParseDN(e.DN)
 		if perr != nil {
 			continue
 		}
-		rel := relName(dn, base)
-		r := core.SearchResult{
-			Name:       rel.String(),
-			Attributes: entryAttrs(e).Select(controls.ReturnAttrs...),
+		if obj, has, oerr := entryObject(e); oerr == nil {
+			s.Add(relName(dn, base), entryAttrs(e), obj, !has)
 		}
-		obj, has, oerr := entryObject(e)
-		if oerr != nil {
-			continue
-		}
-		if has {
-			r.Class = core.ClassOf(obj)
-			if controls.ReturnObject {
-				r.Object = obj
-			}
-		} else {
-			r.Class = core.ContextReferenceClass
-		}
-		out = append(out, r)
 	}
-	return out, stop, nil
+	return stop, nil
 }
 
 // relName converts a DN under base into a composite path, shallowest

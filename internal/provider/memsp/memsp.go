@@ -10,13 +10,9 @@ package memsp
 
 import (
 	"context"
-	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"gondi/internal/core"
-	"gondi/internal/filter"
 	"gondi/internal/obs"
 )
 
@@ -261,12 +257,19 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 		res, err = c.read(n, op)
 		c.tree.mu.RUnlock()
 	case core.OpSearch:
-		var stop error
+		var s *core.Search
+		if s, err = core.NewSearch(ctx, op); err != nil {
+			break
+		}
 		c.tree.mu.RLock()
-		res.Found, stop, err = c.search(ctx, n, op)
+		var base *entry
+		if base, err = c.lookupEntry(n); err == nil {
+			search(s, base, core.Name{})
+		}
 		c.tree.mu.RUnlock()
 		if err == nil {
-			return res, stop // a stopped search's partial results, as they are
+			res.Found, err = s.Done()
+			return res, err // a stopped search's partial results, as they are
 		}
 	case core.OpWatch:
 		res.Cancel, err = c.watch(n, op)
@@ -325,7 +328,6 @@ func (c *Context) list(full core.Name, e *entry, withObj bool) []core.Binding {
 		}
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -429,87 +431,22 @@ func (c *Context) rename(on core.Name, op core.Op) ([]func(), error) {
 	return append(events, c.tree.eventsFor(c.base.Concat(nn), core.EventObjectRenamed, e.obj, e.obj)...), nil
 }
 
-// search evaluates op's filter under n. SearchControls.TimeLimit bounds
-// the walk: when it fires, the results gathered so far come back with a
-// *core.TimeLimitExceededError as stop. Cancelling ctx stops the walk the
-// same way with ctx.Err(). Caller holds tree.mu for reading.
-func (c *Context) search(ctx context.Context, n core.Name, op core.Op) (out []core.SearchResult, stop, err error) {
-	f, err := filter.Parse(op.Filter)
-	if err != nil {
-		return nil, nil, err
+// search offers e at rel and, as far as the scope descends, the entries
+// below it. Caller holds tree.mu for reading.
+func search(s *core.Search, e *entry, rel core.Name) {
+	if s.Stopped() {
+		return
 	}
-	controls := op.Controls
-	if controls == nil {
-		controls = &core.SearchControls{Scope: core.ScopeSubtree}
+	depth := rel.Size()
+	if s.Match(depth, e.attrs) {
+		s.Add(rel, e.attrs, e.obj, e.isContext())
 	}
-	base, err := c.lookupEntry(n)
-	if err != nil {
-		return nil, nil, err
+	if !s.Controls.Scope.Descends(depth) {
+		return
 	}
-	var deadline time.Time
-	if controls.TimeLimit > 0 {
-		deadline = time.Now().Add(controls.TimeLimit)
+	for name, child := range e.children {
+		search(s, child, rel.Append(name))
 	}
-	var limitHit bool
-	var walk func(e *entry, rel core.Name, depth int)
-	walk = func(e *entry, rel core.Name, depth int) {
-		if limitHit || stop != nil {
-			return
-		}
-		if err := core.CtxErr(ctx); err != nil {
-			stop = err
-			return
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			stop = &core.TimeLimitExceededError{Limit: controls.TimeLimit}
-			return
-		}
-		inScope := false
-		switch controls.Scope {
-		case core.ScopeObject:
-			inScope = depth == 0
-		case core.ScopeOneLevel:
-			inScope = depth == 1
-		case core.ScopeSubtree:
-			inScope = true
-		}
-		if inScope && e.attrs.MatchesFilter(f) {
-			r := core.SearchResult{
-				Name:       rel.String(),
-				Attributes: e.attrs.Select(controls.ReturnAttrs...),
-			}
-			if e.isContext() {
-				r.Class = core.ContextReferenceClass
-			} else {
-				r.Class = core.ClassOf(e.obj)
-				if controls.ReturnObject {
-					r.Object = e.obj
-				}
-			}
-			out = append(out, r)
-			if controls.CountLimit > 0 && len(out) >= controls.CountLimit {
-				limitHit = true
-				return
-			}
-		}
-		if controls.Scope == core.ScopeObject && depth == 0 {
-			return
-		}
-		if controls.Scope == core.ScopeOneLevel && depth >= 1 {
-			return
-		}
-		if e.isContext() {
-			for childName, child := range e.children {
-				walk(child, rel.Append(childName), depth+1)
-			}
-		}
-	}
-	walk(base, core.Name{}, 0)
-	sortResults(out)
-	if stop == nil && limitHit {
-		stop = &core.LimitExceededError{Limit: controls.CountLimit}
-	}
-	return out, stop, nil
 }
 
 // watch registers op.Listener on n.
@@ -545,16 +482,7 @@ func (c *Context) watch(n core.Name, op core.Op) (func(), error) {
 func (t *Tree) eventsFor(abs core.Name, typ core.EventType, newV, oldV any) []func() {
 	var fire []func()
 	for _, w := range t.listeners {
-		match := false
-		switch w.scope {
-		case core.ScopeObject:
-			match = abs.Equal(w.target)
-		case core.ScopeOneLevel:
-			match = abs.Size() == w.target.Size()+1 && abs.StartsWith(w.target)
-		case core.ScopeSubtree:
-			match = abs.StartsWith(w.target)
-		}
-		if match {
+		if abs.StartsWith(w.target) && w.scope.Covers(abs.Size()-w.target.Size()) {
 			l := w.l
 			rel := abs.Suffix(w.target.Size())
 			fire = append(fire, func() {
@@ -596,14 +524,4 @@ func (c *Context) Reference() (*core.Reference, error) {
 		url += "/" + c.base.String()
 	}
 	return core.NewContextReference(url), nil
-}
-
-func sortResults(rs []core.SearchResult) {
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if strings.Count(a.Name, "/") != strings.Count(b.Name, "/") {
-			return strings.Count(a.Name, "/") < strings.Count(b.Name, "/")
-		}
-		return a.Name < b.Name
-	})
 }

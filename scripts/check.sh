@@ -27,11 +27,13 @@
 # internal/serverutil, whose Stage serves every server's requests),
 # the one-cost-model guard (the calibrated 2005 cost model is imported
 # only by internal/costmodel and the figure harness, internal/benchmark:
-# servers are charged by their pipeline stage, never by hand), and the
+# servers are charged by their pipeline stage, never by hand), the
 # one-LDAP-codec guard (no ber.Packet tree or ber.Decode: LDAP messages
-# are appended into one buffer and read in place).
-# allocs is the per-commit real-number gate (operations as values, rpc
-# codec + per-call metrics, hdns request + replication frame codecs,
+# are appended into one buffer and read in place), and the one-search-rule
+# guard (no provider parses a search filter or sorts its results or
+# bindings: core.Search and core.ListResult do).
+# allocs is the per-commit real-number gate (operations as values, Errf,
+# rpc codec + per-call metrics, hdns request + replication frame codecs,
 # jini registrar codec, bound-value codec, DIT search, dnssp opens,
 # pooled hdnssp opens, hdns lease scan, server pipeline stage, dns shed
 # answer, LDAP message codec); wall-clock costs are measured by bench/run.sh (see
@@ -160,6 +162,12 @@ stage_lint() {
         echo "a package outside the figure harness imports internal/costmodel; take a serverutil.Costs and let the pipeline stage charge it" >&2
         exit 1
     fi
+    echo "== lint: one search rule (SearchControls is read in internal/core/search.go) =="
+    if git ls-files 'internal/provider/*.go' | grep -v -e '_test\.go$' -e '^internal/provider/ptest/' |
+        xargs grep -nE 'filter\.Parse\(|^func sort(Results|Bindings)\(' /dev/null; then
+        echo "a provider parses a filter or orders results itself; offer its entries to a core.Search (core.ListResult sorts a listing)" >&2
+        exit 1
+    fi
     echo "== lint: one LDAP codec (messages are appended and read in place) =="
     if git ls-files '*.go' | grep -v '_test\.go$' |
         xargs grep -nE 'ber\.Packet|ber\.Decode\(' /dev/null; then
@@ -226,6 +234,11 @@ stage_allocs() {
     # Lookup did (5 allocations).
     echo "== provider Do alloc gate =="
     go test -count=1 -run 'TestLookupAllocs' ./internal/provider/memsp/
+
+    # Labelling a failure costs its *NamingError and nothing more: Errf
+    # finds a wrapped *CannotProceedError without errors.As's target.
+    echo "== core.Errf one-alloc gate =="
+    go test -count=1 -run 'TestErrfAllocs' ./internal/core/
 
     # Wire-path allocation gate: the rpc frame codec must encode and
     # decode with zero steady-state allocations (testing.AllocsPerRun)
