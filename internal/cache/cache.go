@@ -35,8 +35,9 @@
 // misses for one key are collapsed into a single provider call
 // (singleflight), so a thundering herd costs one RPC.
 //
-// The cache also memoizes resolution itself: one wire client per
-// (scheme, authority), so OpenURL stops re-dialing per operation.
+// The cache ends the InitialContext's URL resolution chain, so it opens
+// and holds its own provider roots, one per (scheme, authority), each
+// with its entry table and watch, in place of the InitialContext's.
 //
 // Write operations are never cached: they pass straight through to the
 // provider (preserving atomic Bind semantics) and then invalidate every

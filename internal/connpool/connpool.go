@@ -45,6 +45,14 @@ func (e *Entry) Released() bool { return e.released.Load() }
 // that costs no allocation.
 type Ref struct{ done atomic.Bool }
 
+// held counts the values, across every pool, that have a holder left.
+var held atomic.Int64
+
+// Held reports how many pooled values, across every pool in the process,
+// some holder has not released yet. Once every context over a pool is
+// closed it is back where it started, which is what leak checks test.
+func Held() int { return int(held.Load()) }
+
 // Pool maps a key to one shared, reference-counted value. The zero value
 // is ready to use.
 type Pool[C Conn] struct {
@@ -73,6 +81,7 @@ func (p *Pool[C]) Get(key string, dial func() (C, error)) (C, error) {
 	}
 	e := v.entry()
 	e.key, e.refs = key, 1
+	held.Add(1)
 	p.mu.Lock()
 	if p.m == nil {
 		p.m = map[string]C{}
@@ -98,6 +107,7 @@ func (p *Pool[C]) Release(v C, r *Ref) error {
 	last := e.refs == 0
 	if last {
 		e.released.Store(true)
+		held.Add(-1)
 		if cur, ok := p.m[e.key]; ok && cur.entry() == e {
 			delete(p.m, e.key)
 		}

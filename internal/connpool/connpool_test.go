@@ -196,3 +196,30 @@ func TestDeadEntryReplacedNotEvicted(t *testing.T) {
 		t.Fatalf("replacement: closes=%d entries=%d", repl.closes.Load(), entries(&p))
 	}
 }
+
+// Held counts a value from its dial to its last release, including a dead
+// value whose holders have not let go yet.
+func TestHeldCountsUnreleasedValues(t *testing.T) {
+	var p Pool[*fakeConn]
+	var mu sync.Mutex
+	var made []*fakeConn
+	dial := dialer(&mu, &made)
+	before := Held()
+	a, _ := p.Get("k", dial)
+	var ra, rb, rc Ref
+	p.Get("k", dial) // a second holder of a
+	a.dead.Store(true)
+	c, _ := p.Get("k", dial) // replaces a, which keeps its holders
+	if n := Held() - before; n != 2 {
+		t.Fatalf("held = %d, want 2 (the dead value and its replacement)", n)
+	}
+	p.Release(a, &ra)
+	if n := Held() - before; n != 2 {
+		t.Fatalf("held = %d after one of two holders released, want 2", n)
+	}
+	p.Release(a, &rb)
+	p.Release(c, &rc)
+	if n := Held() - before; n != 0 {
+		t.Fatalf("held = %d after every release, want 0", n)
+	}
+}

@@ -33,6 +33,10 @@ type InitialContext struct {
 	// Open(WithMiddleware(...), WithCache(...)); empty otherwise.
 	mws    []Middleware
 	openFn OpenURLFunc // composed chain, nil when mws is empty
+
+	// roots holds one opened provider root per scheme://authority: the
+	// base of the URL resolution chain, closed by Close.
+	roots rootTable
 }
 
 // NewInitialContext creates an initial context with the given environment
@@ -55,10 +59,10 @@ func (ic *InitialContext) Environment() map[string]any { return ic.env }
 // recomposes the URL-open chain; call before first use.
 func (ic *InitialContext) installMiddleware(mw Middleware) {
 	ic.mws = append(ic.mws, mw)
-	// Compose innermost-out: the base resolver is core.OpenURL; a chained
-	// middleware decorates the layer below it, a plain middleware
+	// Compose innermost-out: the base resolver is the root table; a
+	// chained middleware decorates the layer below it, a plain middleware
 	// terminates the chain with its own OpenURL.
-	fn := OpenURLFunc(OpenURL)
+	fn := OpenURLFunc(ic.roots.open)
 	for i := len(ic.mws) - 1; i >= 0; i-- {
 		mw := ic.mws[i]
 		if cm, ok := mw.(ChainedMiddleware); ok {
@@ -74,12 +78,12 @@ func (ic *InitialContext) installMiddleware(mw Middleware) {
 }
 
 // openURL dispatches a URL-form name through the middleware chain, if
-// installed, else through the provider registry directly.
+// installed, else straight to the held roots.
 func (ic *InitialContext) openURL(ctx context.Context, rawURL string) (Context, Name, error) {
 	if ic.openFn != nil {
 		return ic.openFn(ctx, rawURL, ic.env)
 	}
-	return OpenURL(ctx, rawURL, ic.env)
+	return ic.roots.open(ctx, rawURL, ic.env)
 }
 
 // begin runs every middleware's BeginOp hook (outermost first) and
@@ -155,18 +159,23 @@ func (ic *InitialContext) resolve(ctx context.Context, name string) (Context, Na
 
 // objectFromReference turns a stored Reference into an application object,
 // routing plain context references (URL address, no named factory) through
-// the resolution middleware so federation hops share cached wire clients.
-// wantCtx is set when the caller knows the reference marks a naming-system
-// boundary (so the target must be a context): the middleware may then
-// return a rebased view instead of a remote lookup.
+// the resolution chain so federation hops share the held roots (and the
+// middleware's cached wire clients). wantCtx is set when the caller knows
+// the reference marks a naming-system boundary (so the target must be a
+// context): the middleware may then return a rebased view instead of a
+// remote lookup. Otherwise the result goes to the caller, who may Close
+// it, so a bare root is handed out borrowed.
 func (ic *InitialContext) objectFromReference(ctx context.Context, ref *Reference, wantCtx bool) (any, error) {
-	if url, ok := ref.Get(AddrURL); ok && ref.Factory == "" && len(ic.mws) > 0 {
+	if url, ok := ref.Get(AddrURL); ok && ref.Factory == "" {
 		c, rest, err := ic.openURL(ctx, url)
 		if err != nil {
 			return nil, err
 		}
 		if rest.IsEmpty() {
-			return c, nil
+			if wantCtx {
+				return c, nil
+			}
+			return borrow(c), nil
 		}
 		if v, ok := c.(ContextViewer); ok && wantCtx {
 			return v.View(rest), nil
@@ -377,13 +386,15 @@ func (ic *InitialContext) Do(ctx context.Context, op Op) (res Result, err error)
 	}
 	res, err = ic.run(ctx, c, rest, op)
 	if ref, ok := res.Value.(*Reference); ok && err == nil && op.Kind == OpLookupLink {
-		res.Value, err = GetObjectInstance(ctx, ref, Name{}, ic.env)
+		res.Value, err = ic.objectFromReference(ctx, ref, false)
 	}
 	return res, err
 }
 
-// Close closes the default context, if one was created, and shuts down any
-// installed resolution middleware (cached connections, watches).
+// Close closes the default context, if one was created, shuts down any
+// installed resolution middleware (cached connections, watches) and
+// closes every held provider root once. Contexts handed out earlier that
+// lean on a root (looked-up subcontexts, borrowed roots) fail afterwards.
 func (ic *InitialContext) Close() error {
 	ic.mu.Lock()
 	defCtx := ic.defCtx
@@ -396,6 +407,9 @@ func (ic *InitialContext) Close() error {
 		if merr := mw.Close(); err == nil {
 			err = merr
 		}
+	}
+	if rerr := ic.roots.close(); err == nil {
+		err = rerr
 	}
 	return err
 }

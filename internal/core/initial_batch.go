@@ -14,7 +14,7 @@ type batchGroup struct {
 }
 
 // groupByTarget resolves every item's name and buckets the resolvable
-// ones by target context (URL names share cached roots, plain names share
+// ones by target context (URL names share held roots, plain names share
 // the default context). Unresolvable names fail in place in out, as the
 // item's unary operation would.
 func (ic *InitialContext) groupByTarget(ctx context.Context, op Op, out []BatchResult) ([]*batchGroup, error) {

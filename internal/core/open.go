@@ -44,8 +44,9 @@ type CacheConfig struct {
 type Middleware interface {
 	// WrapContext wraps the default (non-URL-name) context.
 	WrapContext(c Context) Context
-	// OpenURL replaces core.OpenURL during resolution, letting the
-	// middleware reuse one wire client per (scheme, authority).
+	// OpenURL replaces the InitialContext's held roots during
+	// resolution: the middleware opens and holds its own, one wire
+	// client per (scheme, authority).
 	OpenURL(ctx context.Context, rawURL string, env map[string]any) (Context, Name, error)
 	// Close releases everything the middleware holds (cached connections,
 	// watch registrations, background goroutines).
@@ -53,7 +54,8 @@ type Middleware interface {
 }
 
 // OpenURLFunc is the URL-resolution continuation handed to chained
-// middleware: the next layer down, ending at core.OpenURL.
+// middleware: the next layer down, ending at the InitialContext's held
+// roots.
 type OpenURLFunc func(ctx context.Context, rawURL string, env map[string]any) (Context, Name, error)
 
 // ChainedMiddleware is an optional Middleware extension for layers that

@@ -15,7 +15,8 @@ import (
 //     operation and records resolve-level op/error counters and latency.
 //   - ChainedMiddleware: OpenURLNext opens a hop span per URL resolution
 //     (the first hop and every CannotProceedError continuation) before
-//     delegating to the next layer (cache, then core.OpenURL).
+//     delegating to the next layer (the cache, or the InitialContext's
+//     held roots).
 //   - WrapContext instruments the default context so plain-name operations
 //     are metered like provider-backed ones.
 type Middleware struct {

@@ -86,7 +86,7 @@ func (s *InstrumentSet) record(ctx context.Context, kind core.OpKind, start time
 // methods fail with core.ErrNotSupported exactly when inner lacks them,
 // ContextViewer is implemented only when inner can rebase (so federation
 // falls back to Lookup for providers that cannot), and TTL advice (the
-// cache's TTLAdvisor) passes through.
+// cache's TTLAdvisor) and liveness (core.Liveness) pass through.
 func Instrument(inner core.Context, subsystem, system string) core.Context {
 	return newInstCtx(inner, defaultSet(subsystem, system))
 }
@@ -206,6 +206,13 @@ func (w *InstCtx) AdviseTTL(name string) (time.Duration, bool) {
 		return a.AdviseTTL(name)
 	}
 	return 0, false
+}
+
+// Dead forwards core.Liveness, so an InitialContext sees through the
+// wrapper whether the provider root's connection is gone.
+func (w *InstCtx) Dead() bool {
+	l, ok := w.inner.(core.Liveness)
+	return ok && l.Dead()
 }
 
 // NameInNamespace implements core.Context.

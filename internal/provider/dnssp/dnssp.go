@@ -32,7 +32,10 @@ import (
 // resolves against the first server whose circuit breaker would admit
 // traffic, so queries route around a server that has stopped answering.
 // (Opening is lazy — no wire traffic — so the choice is by breaker
-// state, not an active probe; per-query gating happens in dnssrv.)
+// state, not an active probe; per-query gating happens in dnssrv.) The
+// choice holds for the context's life: an InitialContext keeps the root
+// and opens it again, choosing afresh, once Dead reports the chosen
+// server's breaker no longer ready.
 func Register() {
 	core.RegisterProvider("dns", core.ProviderFunc(func(ctx context.Context, rawURL string, env map[string]any) (core.Context, core.Name, error) {
 		if err := core.CtxErr(ctx); err != nil {
@@ -71,8 +74,8 @@ func Register() {
 // reader goroutine itself after a second with no query outstanding, so
 // the pool needs no reference count and contexts need no Close: an entry
 // nobody queries is a struct. (A resolver per context would hold a socket,
-// a goroutine and a 64 KB buffer per open for that second, and
-// InitialContext opens a context per URL operation.)
+// a goroutine and a 64 KB buffer per open for that second, and every
+// InitialContext and every cache opens its own dns:// roots.)
 type poolKey struct{ server, id string }
 
 var (
@@ -164,6 +167,7 @@ func (c *Context) AdviseTTL(name string) (time.Duration, bool) {
 
 var _ core.DirContext = (*Context)(nil)
 var _ core.Referenceable = (*Context)(nil)
+var _ core.Liveness = (*Context)(nil)
 
 // domainFor converts a path (topmost label first) to a canonical domain.
 func domainFor(n core.Name) string {
@@ -544,6 +548,10 @@ func (c *Context) Environment() map[string]any { return c.env }
 // Close implements core.Context: nothing to release, the pooled resolver
 // drops its own socket when idle.
 func (c *Context) Close() error { return nil }
+
+// Dead implements core.Liveness: the server this root resolves against
+// is no longer admitting traffic, so a fresh open may choose another.
+func (c *Context) Dead() bool { return !breaker.For(c.resolver.Server).Ready() }
 
 // Reference implements core.Referenceable.
 func (c *Context) Reference() (*core.Reference, error) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gondi/internal/breaker"
 	"gondi/internal/core"
 	"gondi/internal/dnssrv"
 	"gondi/internal/obs"
@@ -268,9 +269,9 @@ func resolverLoops() int {
 	}
 }
 
-// TestOpensShareOneResolver: opening a context per operation, as
-// InitialContext does for every URL name, must not open a socket and a
-// reader goroutine per operation.
+// TestOpensShareOneResolver: every InitialContext and every cache opens
+// its own dns:// roots, and each open must not cost a socket and a reader
+// goroutine.
 func TestOpensShareOneResolver(t *testing.T) {
 	s := newWorld(t)
 	Register()
@@ -318,11 +319,65 @@ func TestPoolIDsPartitionResolvers(t *testing.T) {
 	}
 }
 
+// An InitialContext holds one dns:// root per authority, and the root
+// chooses its server once. A held "dns://a,b" root answers from a until
+// a's breaker opens, then is opened again on b and stays there.
+func TestHeldRootFailsOverWhenBreakerOpens(t *testing.T) {
+	Register()
+	ctx := context.Background()
+	servers := make([]*dnssrv.Server, 2)
+	for i, txt := range []string{"from-a", "from-b"} {
+		s, err := dnssrv.NewServer("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			s.Close()
+			breaker.For(s.Addr()).Reset() // a later test may get the port
+		})
+		z := dnssrv.NewZone("global")
+		z.Add(dnssrv.RR{Name: "svc.global", Type: dnssrv.TypeTXT, Txt: []string{txt}})
+		s.AddZone(z)
+		servers[i] = s
+	}
+	a := servers[0].Addr()
+	ic, err := core.Open(ctx, core.WithPoolID(t.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
+	name := "dns://" + a + "," + servers[1].Addr() + "/global/svc"
+	answer := func() string {
+		t.Helper()
+		attrs, err := ic.GetAttributes(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return attrs.GetFirst("TXT")
+	}
+	for i := 0; i < 3; i++ {
+		if got := answer(); got != "from-a" {
+			t.Fatalf("before the trip: answer %d from %q, want from-a", i, got)
+		}
+	}
+	br := breaker.For(a)
+	for i := 0; i < breaker.DefaultThreshold; i++ {
+		br.Record(true)
+	}
+	if br.Ready() {
+		t.Fatal("breaker did not open")
+	}
+	for i := 0; i < 3; i++ {
+		if got := answer(); got != "from-b" {
+			t.Fatalf("after a's breaker opened: answer %d from %q, want from-b", i, got)
+		}
+	}
+}
+
 var getAttrsSink *core.Attributes
 
-// BenchmarkDNSSPOpenGetAttributes is the dnssp rung of the layer ladder as
-// InitialContext drives it: open the provider for a URL, one GetAttributes,
-// close.
+// BenchmarkDNSSPOpenGetAttributes is a fresh dnssp root's cost: open the
+// provider for a URL, one GetAttributes, close.
 func BenchmarkDNSSPOpenGetAttributes(b *testing.B) {
 	s, err := dnssrv.NewServer("127.0.0.1:0", nil)
 	if err != nil {

@@ -426,7 +426,14 @@ func (c *Context) modify(full core.Name, mods []core.AttributeMod) error {
 
 // search walks the directory tree under full, offering each binding
 // file, and does not enter a directory the scope does not descend into.
+// A base that names a binding is the one entry, at depth 0.
 func (c *Context) search(s *core.Search, full core.Name) error {
+	if r, err := readRecord(c.filePath(full)); err == nil {
+		if !s.Stopped() {
+			offer(s, core.Name{}, r)
+		}
+		return nil
+	}
 	root := c.dirPath(full)
 	return filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || s.Stopped() {
@@ -449,19 +456,22 @@ func (c *Context) search(s *core.Search, full core.Name) error {
 		if !strings.HasSuffix(path, bindingExt) {
 			return nil
 		}
-		r, rerr := readRecord(path)
-		if rerr != nil {
-			return nil
-		}
-		attrs := core.AttributesFromMap(r.Attrs)
-		if !s.Match(relName.Size(), attrs) {
-			return nil
-		}
-		if obj, uerr := core.Unmarshal(r.Obj); uerr == nil {
-			s.Add(relName, attrs, obj, false)
+		if r, rerr := readRecord(path); rerr == nil {
+			offer(s, relName, r)
 		}
 		return nil
 	})
+}
+
+// offer hands the binding record r, at rel below the search base, to s.
+func offer(s *core.Search, rel core.Name, r *record) {
+	attrs := core.AttributesFromMap(r.Attrs)
+	if !s.Match(rel.Size(), attrs) {
+		return
+	}
+	if obj, err := core.Unmarshal(r.Obj); err == nil {
+		s.Add(rel, attrs, obj, false)
+	}
 }
 
 // NameInNamespace implements core.Context.

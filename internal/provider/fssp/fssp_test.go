@@ -242,3 +242,27 @@ func TestSearchTimeLimit(t *testing.T) {
 		t.Fatalf("generous limit = %d results, %v", len(res), err)
 	}
 }
+
+// A search whose base names a binding tests that binding alone, at depth
+// 0: found by ScopeObject and ScopeSubtree, never by ScopeOneLevel (the
+// in-memory provider's answer).
+func TestSearchBaseNamesBinding(t *testing.T) {
+	ctx := context.Background()
+	c := newCtx(t)
+	must(t, c.BindAttrs(ctx, "n1", "v1", core.NewAttributes("type", "hit")))
+	must(t, c.BindAttrs(ctx, "n2", "v2", core.NewAttributes("type", "hit")))
+	for scope, want := range map[core.SearchScope]int{
+		core.ScopeObject: 1, core.ScopeOneLevel: 0, core.ScopeSubtree: 1,
+	} {
+		res, err := c.Search(ctx, "n1", "(type=hit)", &core.SearchControls{Scope: scope, ReturnObject: true})
+		if err != nil || len(res) != want {
+			t.Fatalf("scope %d: %d results (%+v), %v; want %d", scope, len(res), res, err, want)
+		}
+		if want == 1 && (res[0].Name != "" || res[0].Object != "v1") {
+			t.Errorf("scope %d: result %+v, want the base binding named \"\"", scope, res[0])
+		}
+	}
+	if res, err := c.Search(ctx, "n1", "(type=miss)", nil); err != nil || len(res) != 0 {
+		t.Errorf("non-matching filter: %+v, %v", res, err)
+	}
+}

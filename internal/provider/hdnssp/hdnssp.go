@@ -94,6 +94,7 @@ var _ core.DirContext = (*Context)(nil)
 var _ core.EventContext = (*Context)(nil)
 var _ core.BatchContext = (*Context)(nil)
 var _ core.Referenceable = (*Context)(nil)
+var _ core.Liveness = (*Context)(nil)
 
 // Open connects to (or reuses a pooled connection for) the HDNS node at
 // authority (host:port); the dial and auth handshake honour ctx.
@@ -445,6 +446,10 @@ func (c *Context) Close() error {
 	}
 	return pool.Release(c.sh, &c.ref)
 }
+
+// Dead implements core.Liveness: the pooled connection is gone, or its
+// last holder released it.
+func (c *Context) Dead() bool { return c.sh.Closed() || c.sh.Released() }
 
 // Reference implements core.Referenceable for federation.
 func (c *Context) Reference() (*core.Reference, error) {

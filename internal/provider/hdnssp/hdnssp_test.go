@@ -284,8 +284,8 @@ func TestDeadEntryDoesNotEvictReplacement(t *testing.T) {
 	}
 }
 
-// InitialContext opens the provider for every URL name, so a warm open
-// sits on every hdns operation's path.
+// A warm open is what every new root pays: each InitialContext and cache
+// on an authority already dialled, and each re-open of a dead root.
 func TestPooledOpenAllocs(t *testing.T) {
 	ctx := context.Background()
 	n := newNode(t, "open-allocs")

@@ -101,10 +101,10 @@ func Register() {
 }
 
 // shared is the per-connection state shared by a context tree. Shared
-// states are pooled per (address, environment) so that federation hops —
-// which open contexts the initial context never explicitly closes — reuse
-// one registrar connection per lookup service instead of leaking one per
-// resolution.
+// states are pooled per (address, environment), so every root opened on
+// one lookup service with one environment — an InitialContext's held
+// root, a provider test's context — shares one registrar connection,
+// which the last root's Close releases.
 type shared struct {
 	connpool.Entry
 	reg       *jini.Registrar
@@ -172,6 +172,7 @@ var _ core.DirContext = (*Context)(nil)
 var _ core.EventContext = (*Context)(nil)
 var _ core.BatchContext = (*Context)(nil)
 var _ core.Referenceable = (*Context)(nil)
+var _ core.Liveness = (*Context)(nil)
 
 // Open connects to (or reuses a pooled connection for) the LUS at addr
 // and returns the provider root context; the dial honours ctx.
@@ -1045,6 +1046,10 @@ func (c *Context) Close() error {
 	}
 	return pool.Release(c.sh, &c.ref)
 }
+
+// Dead implements core.Liveness: the pooled connection is gone, or its
+// last holder released it.
+func (c *Context) Dead() bool { return c.sh.Closed() || c.sh.Released() }
 
 // Reference implements core.Referenceable for federation.
 func (c *Context) Reference() (*core.Reference, error) {

@@ -83,6 +83,7 @@ type Context struct {
 
 var _ core.DirContext = (*Context)(nil)
 var _ core.Referenceable = (*Context)(nil)
+var _ core.Liveness = (*Context)(nil)
 
 // Open connects (or reuses a pooled connection) to the rendezvous at
 // authority.
@@ -523,6 +524,10 @@ func (c *Context) Close() error {
 	}
 	return pool.Release(c.sh, &c.ref)
 }
+
+// Dead implements core.Liveness: the pooled connection is gone, or its
+// last holder released it.
+func (c *Context) Dead() bool { return c.sh.Closed() || c.sh.Released() }
 
 // Reference implements core.Referenceable for federation.
 func (c *Context) Reference() (*core.Reference, error) {

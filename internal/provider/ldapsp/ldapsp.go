@@ -110,6 +110,7 @@ type Context struct {
 
 var _ core.DirContext = (*Context)(nil)
 var _ core.Referenceable = (*Context)(nil)
+var _ core.Liveness = (*Context)(nil)
 
 // Open connects (or reuses a pooled connection) and optionally binds to
 // the LDAP server; the dial and initial bind honour ctx.
@@ -658,6 +659,10 @@ func (c *Context) Close() error {
 	}
 	return pool.Release(c.sh, &c.ref)
 }
+
+// Dead implements core.Liveness: the pooled connection is gone, or its
+// last holder released it.
+func (c *Context) Dead() bool { return c.sh.Closed() || c.sh.Released() }
 
 // Reference implements core.Referenceable for federation.
 func (c *Context) Reference() (*core.Reference, error) {

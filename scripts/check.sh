@@ -35,7 +35,7 @@
 # allocs is the per-commit real-number gate (operations as values, Errf,
 # rpc codec + per-call metrics, hdns request + replication frame codecs,
 # jini registrar codec, bound-value codec, DIT search, dnssp opens,
-# pooled hdnssp opens, hdns lease scan, server pipeline stage, dns shed
+# root opens per authority, pooled hdnssp opens, hdns lease scan, server pipeline stage, dns shed
 # answer, LDAP message codec); wall-clock costs are measured by bench/run.sh (see
 # bench/README.md), not gated here. figures runs the calibrated Figure
 # 2-7 shape tests and ablations, which skip under -race and so run in no
@@ -277,9 +277,13 @@ stage_allocs() {
     go test -count=1 -run 'TestDITBaseSearchAllocsIndependentOfSize' ./internal/ldapsrv/
     go test -count=1 -run 'TestOpensShareOneResolver' ./internal/provider/dnssp/
 
-    # InitialContext opens the provider for every URL name, so a warm
-    # pooled hdnssp.Open (+ Close) is on every hdns operation's path: <= 6.
-    echo "== pooled provider open alloc gate =="
+    # An InitialContext opens a provider root once per scheme://authority
+    # (again only when the root reports itself dead) and closes each once:
+    # 1 000 lookups and 2-hop continuations open each authority once, and
+    # 8 concurrent first uses open it once, under -race. Every new root
+    # pays a warm pooled hdnssp.Open (+ Close): <= 6.
+    echo "== root open count + pooled provider open alloc gates =="
+    go test -race -count=1 -run 'TestInitialContextOpensOncePerAuthority' ./internal/core/
     go test -count=1 -run 'TestPooledOpenAllocs' ./internal/provider/hdnssp/
 
     # The hdns lease reaper scans on every 500 ms tick: 0 allocations on
