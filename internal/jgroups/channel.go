@@ -178,15 +178,15 @@ func (c *Channel) View() *View { return c.pubView.Load().Clone() }
 // IsCoordinator reports whether this member coordinates the group.
 func (c *Channel) IsCoordinator() bool { return c.pubView.Load().Coord() == c.Addr() }
 
-// PendingLen reports buffered out-of-order packets across all senders —
+// pendingLen reports buffered out-of-order packets across all senders —
 // a diagnostic for the bounded-buffer tests.
-func (c *Channel) PendingLen() int { return int(c.pubPending.Load()) }
+func (c *Channel) pendingLen() int { return int(c.pubPending.Load()) }
 
-// Outstanding reports the credit window in use (windowUsed): in bimodal
+// outstanding reports the credit window in use (windowUsed): in bimodal
 // mode this member's messages its slowest peer has not acknowledged; in
 // virtual synchrony the sequenced messages the slowest member has not
 // acknowledged at the coordinator, and 0 on a member. Diagnostic.
-func (c *Channel) Outstanding() int { return int(c.pubOutstanding.Load()) }
+func (c *Channel) outstanding() int { return int(c.pubOutstanding.Load()) }
 
 // Connect discovers the group coordinator (or founds the group), joins,
 // and — when r.SetState is set and another member already coordinates —

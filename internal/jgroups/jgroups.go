@@ -235,7 +235,7 @@ type MergeEvent struct {
 // same point of the message stream, and a non-primary member's SetState
 // comes before its Merge. No callback may call Send, Close or Connect on
 // its channel; each waits on that loop and would deadlock it. The
-// accessors (View, IsCoordinator, PendingLen, Outstanding) are safe.
+// accessors (View, IsCoordinator) are safe.
 type Receiver struct {
 	// Deliver is called with each delivered group message (including
 	// the member's own), in delivery order. Required.

@@ -891,10 +891,10 @@ func TestBoundedBufferStormSurvives(t *testing.T) {
 				return
 			case <-time.After(5 * time.Millisecond):
 			}
-			if n := int64(a.ch.Outstanding()); n > maxOutstanding.Load() {
+			if n := int64(a.ch.outstanding()); n > maxOutstanding.Load() {
 				maxOutstanding.Store(n)
 			}
-			if n := int64(b.ch.PendingLen()); n > maxBuffered.Load() {
+			if n := int64(b.ch.pendingLen()); n > maxBuffered.Load() {
 				maxBuffered.Store(n)
 			}
 		}

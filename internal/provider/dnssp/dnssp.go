@@ -233,6 +233,20 @@ func boundaryURL(rrs []dnssrv.RR) (string, bool) {
 	return "", false
 }
 
+// probe is the name-resolution rule's probe: one ANY query. Every domain
+// can hold children, so a domain is a context unless its TXT record names
+// a junction.
+func (c *Context) probe(ctx context.Context, n core.Name) (core.Bound, any, error) {
+	ok, rrs, err := c.exists(ctx, n)
+	if err != nil || !ok {
+		return core.BoundNothing, nil, err
+	}
+	if url, isBoundary := boundaryURL(rrs); isBoundary {
+		return core.BoundObject, core.NewContextReference(url), nil
+	}
+	return core.BoundContext, nil, nil
+}
+
 // exists reports whether a domain exists (has records or descendants).
 func (c *Context) exists(ctx context.Context, n core.Name) (bool, []dnssrv.RR, error) {
 	rrs, found, err := c.records(ctx, n)
@@ -248,7 +262,8 @@ func (c *Context) exists(ctx context.Context, n core.Name) (bool, []dnssrv.RR, e
 	return found, rrs, nil
 }
 
-// Do implements core.Doer. Reads query the server. DNS updates are
+// Do implements core.Doer. Reads query the server, and a read that
+// misses gets the name-resolution rule's answer. DNS updates are
 // administrative (exactly the trade-off the paper describes in §1), so a
 // write is unsupported here, unless its name crosses a federation anchor:
 // then it continues in the anchored naming system, and writes through the
@@ -278,7 +293,7 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 		}
 	case core.OpBind, core.OpRebind, core.OpUnbind, core.OpRename, core.OpCreateSubcontext,
 		core.OpDestroySubcontext, core.OpModifyAttributes:
-		if err = c.missing(ctx, full); err == core.ErrNotFound {
+		if err = core.Resolve(ctx, op.Kind, c.base, full, nil, c.probe); err == nil || err == core.ErrNotFound {
 			err = core.ErrNotSupported
 		}
 	default:
@@ -293,50 +308,31 @@ func (c *Context) lookup(ctx context.Context, full core.Name) (any, error) {
 	if full.Equal(c.base) {
 		return c.child(c.base), nil
 	}
-	ok, rrs, err := c.exists(ctx, full)
-	if err != nil {
+	bound, obj, err := c.probe(ctx, full)
+	switch {
+	case err != nil:
 		return nil, err
+	case bound == core.BoundNothing:
+		return nil, core.Resolve(ctx, core.OpLookup, c.base, full, core.ErrNotFound, c.probe)
+	case bound == core.BoundObject:
+		return obj, nil
 	}
-	if ok {
-		if url, isBoundary := boundaryURL(rrs); isBoundary {
-			return core.NewContextReference(url), nil
-		}
-		return c.child(full), nil
-	}
-	// NXDOMAIN: a prefix may be a federation boundary.
-	return nil, c.missing(ctx, full)
+	return c.child(full), nil
 }
 
-// missing is the error for a name that does not exist here: the
-// continuation when a prefix is a federation anchor, else ErrNotFound.
-func (c *Context) missing(ctx context.Context, full core.Name) error {
-	if cpe, err := c.prefixBoundary(ctx, full); err != nil {
+// enter is the name-resolution rule's answer for a List or Search at
+// full, which read a whole zone and so cannot miss a name themselves.
+// One query answers a domain that exists and is no junction; any other
+// name walks its prefixes.
+func (c *Context) enter(ctx context.Context, kind core.OpKind, full core.Name) error {
+	if full.Equal(c.base) {
+		return nil
+	}
+	bound, _, err := c.probe(ctx, full)
+	if err != nil || bound == core.BoundContext {
 		return err
-	} else if cpe != nil {
-		return cpe
 	}
-	return core.ErrNotFound
-}
-
-// contextBoundary raises a continuation when full itself (or a prefix) is
-// a federation anchor — used by context-level operations (List, Search)
-// that must continue in the foreign naming system.
-func (c *Context) contextBoundary(ctx context.Context, full core.Name) (*core.CannotProceedError, error) {
-	ok, rrs, err := c.exists(ctx, full)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		if url, isBoundary := boundaryURL(rrs); isBoundary {
-			return &core.CannotProceedError{
-				Resolved:      url,
-				RemainingName: core.Name{},
-				AltName:       full.String(),
-			}, nil
-		}
-		return nil, nil
-	}
-	return c.prefixBoundary(ctx, full)
+	return core.Resolve(ctx, kind, c.base, full, core.ErrNotFound, c.probe)
 }
 
 // AttrSOASerial is the attribute ID under which a zone apex exposes its
@@ -384,31 +380,9 @@ func (c *Context) attributes(ctx context.Context, full core.Name, attrIDs []stri
 		return nil, err
 	}
 	if !ok {
-		return nil, c.missing(ctx, full)
+		return nil, core.Resolve(ctx, core.OpGetAttributes, c.base, full, core.ErrNotFound, c.probe)
 	}
 	return recordAttrs(rrs).Select(attrIDs...), nil
-}
-
-// prefixBoundary scans a name's prefixes for a federation anchor (TXT
-// record holding a provider URL) and returns the continuation to raise.
-func (c *Context) prefixBoundary(ctx context.Context, full core.Name) (*core.CannotProceedError, error) {
-	for i := c.base.Size() + 1; i < full.Size(); i++ {
-		pok, prrs, perr := c.exists(ctx, full.Prefix(i))
-		if perr != nil {
-			return nil, perr
-		}
-		if !pok {
-			return nil, nil
-		}
-		if url, isBoundary := boundaryURL(prrs); isBoundary {
-			return &core.CannotProceedError{
-				Resolved:      url,
-				RemainingName: full.Suffix(i),
-				AltName:       full.Prefix(i).String(),
-			}, nil
-		}
-	}
-	return nil, nil
 }
 
 func recordAttrs(rrs []dnssrv.RR) *core.Attributes {
@@ -470,10 +444,8 @@ func (c *Context) transferredChildren(ctx context.Context, full core.Name) (map[
 
 // list enumerates the child domains of full via zone transfer.
 func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, error) {
-	if cpe, err := c.contextBoundary(ctx, full); err != nil {
+	if err := c.enter(ctx, core.OpList, full); err != nil {
 		return nil, err
-	} else if cpe != nil {
-		return nil, cpe
 	}
 	kids, err := c.transferredChildren(ctx, full)
 	if err != nil {
@@ -492,10 +464,8 @@ func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, err
 
 // search offers each domain of the transferred zone subtree under full.
 func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) error {
-	if cpe, err := c.contextBoundary(ctx, full); err != nil {
+	if err := c.enter(ctx, core.OpSearch, full); err != nil {
 		return err
-	} else if cpe != nil {
-		return cpe
 	}
 	domain := domainFor(full)
 	rrs, err := c.resolver.TransferZone(ctx, domain)

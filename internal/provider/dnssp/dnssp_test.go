@@ -213,8 +213,10 @@ func TestFederationAnchor(t *testing.T) {
 	if cpe.RemainingName.String() != "mokey" {
 		t.Errorf("remaining = %q", cpe.RemainingName.String())
 	}
-	if cpe.Resolved != "hdns://127.0.0.1:7001" {
-		t.Errorf("resolved = %v", cpe.Resolved)
+	if ref, ok := cpe.Resolved.(*core.Reference); !ok {
+		t.Errorf("resolved = %v, want the anchor's context reference", cpe.Resolved)
+	} else if url, _ := ref.Get(core.AddrURL); url != "hdns://127.0.0.1:7001" {
+		t.Errorf("resolved url = %q", url)
 	}
 }
 

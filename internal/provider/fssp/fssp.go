@@ -135,32 +135,27 @@ func encodeRecord(obj any, attrs *core.Attributes) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// boundary checks path prefixes for federation references.
-func (c *Context) boundary(full core.Name) error {
-	for i := 1; i < full.Size(); i++ {
-		prefix := full.Prefix(i)
-		if r, err := readRecord(c.filePath(prefix)); err == nil {
-			obj, uerr := core.Unmarshal(r.Obj)
-			if uerr != nil {
-				return uerr
-			}
-			switch obj.(type) {
-			case *core.Reference, core.Context:
-				return &core.CannotProceedError{
-					Resolved:      obj,
-					RemainingName: full.Suffix(i),
-					AltName:       prefix.String(),
-				}
-			default:
-				return core.ErrNotContext
-			}
-		}
+// probe is the name-resolution rule's probe: a binding file, a
+// directory, or neither.
+func (c *Context) probe(_ context.Context, n core.Name) (core.Bound, any, error) {
+	r, err := readRecord(c.filePath(n))
+	if err == nil {
+		obj, err := core.Unmarshal(r.Obj)
+		return core.BoundObject, obj, err
 	}
-	return nil
+	if !errors.Is(err, fs.ErrNotExist) {
+		return core.BoundNothing, nil, err
+	}
+	if fi, err := os.Stat(c.dirPath(n)); err == nil && fi.IsDir() {
+		return core.BoundContext, nil, nil
+	}
+	return core.BoundNothing, nil, nil
 }
 
 // Do implements core.Doer: each operation is a few filesystem calls on
-// the binding file or directory of the full name.
+// the binding file or directory of the full name. A failure gets the
+// name-resolution rule's answer; Search gets it before its walk, which
+// finds nothing alike under a missing base and under a junction.
 func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
 	full, err := c.full(ctx, op.Name)
 	if err != nil {
@@ -206,13 +201,18 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	case core.OpSearch:
 		var s *core.Search
 		if s, err = core.NewSearch(ctx, op); err == nil {
-			if err = c.search(s, full); err == nil {
+			if err = core.Resolve(ctx, op.Kind, c.base, full, nil, c.probe); err == nil {
+				c.search(s, full)
 				res.Found, err = s.Done()
 				return res, err // a stopped walk's partial results, as they are
 			}
 		}
+		return res, core.OpErr(op, err)
 	default:
 		err = core.ErrNotSupported
+	}
+	if err != nil {
+		err = core.Resolve(ctx, op.Kind, c.base, full, err, c.probe)
 	}
 	return res, core.OpErr(op, err)
 }
@@ -227,9 +227,6 @@ func (c *Context) lookup(full core.Name) (any, error) {
 	if fi, err := os.Stat(c.dirPath(full)); err == nil && fi.IsDir() {
 		return c.child(full), nil
 	}
-	if err := c.boundary(full); err != nil {
-		return nil, err
-	}
 	return nil, core.ErrNotFound
 }
 
@@ -237,9 +234,6 @@ func (c *Context) lookup(full core.Name) (any, error) {
 func (c *Context) bind(full core.Name, obj any, attrs *core.Attributes) error {
 	if full.IsEmpty() {
 		return core.ErrInvalidNameEmpty
-	}
-	if err := c.boundary(full); err != nil {
-		return err
 	}
 	data, err := encodeRecord(obj, attrs)
 	if err != nil {
@@ -268,9 +262,6 @@ func (c *Context) bind(full core.Name, obj any, attrs *core.Attributes) error {
 func (c *Context) rebind(full core.Name, obj any, attrs *core.Attributes, replace bool) error {
 	if full.IsEmpty() {
 		return core.ErrInvalidNameEmpty
-	}
-	if err := c.boundary(full); err != nil {
-		return err
 	}
 	if fi, err := os.Stat(c.dirPath(full)); err == nil && fi.IsDir() {
 		return core.ErrNotContext
@@ -301,15 +292,11 @@ func (c *Context) rebind(full core.Name, obj any, attrs *core.Attributes, replac
 	return os.Rename(tmp.Name(), c.filePath(full))
 }
 
-// unbind of an absent binding succeeds, but intermediate contexts must
-// exist.
+// unbind removes the binding file; an absent one is not found.
 func (c *Context) unbind(full core.Name) error {
 	err := os.Remove(c.filePath(full))
 	if errors.Is(err, fs.ErrNotExist) {
-		if _, serr := os.Stat(c.dirPath(full.Prefix(full.Size() - 1))); serr != nil {
-			return core.ErrNotFound
-		}
-		return nil
+		return core.ErrNotFound
 	}
 	return err
 }
@@ -333,17 +320,10 @@ func (c *Context) rename(oldFull, newFull core.Name) error {
 
 func (c *Context) list(full core.Name) ([]core.Binding, error) {
 	dir := c.dirPath(full)
-	fi, err := os.Stat(dir)
-	if err != nil {
-		if _, ferr := os.Stat(c.filePath(full)); ferr == nil {
-			return nil, core.ErrNotContext
-		}
+	des, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, core.ErrNotFound
 	}
-	if !fi.IsDir() {
-		return nil, core.ErrNotContext
-	}
-	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -390,12 +370,12 @@ func (c *Context) mkdir(full core.Name) error {
 	return err
 }
 
-// rmdir destroys an empty subcontext; a missing one counts as destroyed.
+// rmdir destroys an empty subcontext; a missing one is not found.
 func (c *Context) rmdir(full core.Name) error {
 	dir := c.dirPath(full)
 	fi, err := os.Stat(dir)
 	if err != nil {
-		return nil
+		return core.ErrNotFound
 	}
 	if !fi.IsDir() {
 		return core.ErrNotContext
@@ -427,15 +407,15 @@ func (c *Context) modify(full core.Name, mods []core.AttributeMod) error {
 // search walks the directory tree under full, offering each binding
 // file, and does not enter a directory the scope does not descend into.
 // A base that names a binding is the one entry, at depth 0.
-func (c *Context) search(s *core.Search, full core.Name) error {
+func (c *Context) search(s *core.Search, full core.Name) {
 	if r, err := readRecord(c.filePath(full)); err == nil {
 		if !s.Stopped() {
 			offer(s, core.Name{}, r)
 		}
-		return nil
+		return
 	}
 	root := c.dirPath(full)
-	return filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
+	_ = filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || s.Stopped() {
 			return fs.SkipAll
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // batchErr maps a whole-batch failure (transport, shed, ctx) to the error
-// the caller should see. Per-item wire errors go through mapErr instead.
+// the caller should see. Per-item wire errors go through resolve instead.
 func (c *Context) batchErr(ctx context.Context, op core.Op, err error) error {
 	if cerr := core.CtxErr(ctx); cerr != nil {
 		return cerr
@@ -50,11 +50,11 @@ func (c *Context) lookupMany(ctx context.Context, op core.Op) ([]core.BatchResul
 		i := idx[k]
 		item := op.Item(i)
 		var res core.Result
-		err := c.mapErr(ctx, rsp.Err, fulls[i])
+		err := rsp.Err
 		if err == nil {
-			res, err = c.view(ctx, item, fulls[i], rsp.Rsp.View)
+			res, err = c.view(item, fulls[i], rsp.Rsp.View)
 		}
-		out[i] = core.ItemResult(res, core.OpErr(item, err))
+		out[i] = core.ItemResult(res, core.OpErr(item, c.resolve(ctx, item.Kind, fulls[i], err)))
 	}
 	return out, nil
 }
@@ -99,7 +99,7 @@ func (c *Context) bindMany(ctx context.Context, op core.Op) ([]core.BatchResult,
 	for k, rsp := range rsps {
 		i := idx[k]
 		if rsp.Err != nil {
-			out[i].Err = core.OpErr(op.Item(i), c.mapErr(ctx, rsp.Err, fulls[i]))
+			out[i].Err = core.OpErr(op.Item(i), c.resolve(ctx, core.OpBind, fulls[i], rsp.Err))
 			continue
 		}
 		c.startRenewal(binds[k].Name, fulls[i].String())

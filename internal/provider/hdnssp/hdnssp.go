@@ -9,7 +9,6 @@ package hdnssp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -144,58 +143,30 @@ func (c *Context) full(ctx context.Context, name string) ([]string, core.Name, e
 	return f.Components(), f, nil
 }
 
-// mapErr surfaces an HDNS failure as the core error its rpc status
-// stands for (rpc.CoreError: a status-less one is a CommunicationError).
-// A not-context answer first probes for a federation boundary.
-func (c *Context) mapErr(ctx context.Context, err error, full core.Name) error {
-	if errors.Is(err, core.ErrNotContext) {
-		// A mid-name component is a value; if it is a Reference or a
-		// context, this is a federation boundary.
-		if cpe := c.boundary(ctx, full); cpe != nil {
-			return cpe
-		}
+// resolve surfaces a native HDNS failure of an operation of kind on full
+// as the core error its rpc status stands for (rpc.CoreError: a
+// status-less one is a CommunicationError), answered by the
+// name-resolution rule.
+func (c *Context) resolve(ctx context.Context, kind core.OpKind, full core.Name, err error) error {
+	if err == nil {
+		return nil
 	}
-	return rpc.CoreError(c.sh.url, err)
+	return core.Resolve(ctx, kind, c.base, full, rpc.CoreError(c.sh.url, err), c.probe)
 }
 
-// boundary scans the prefixes of full for a bound Reference, producing a
-// federation continuation.
-func (c *Context) boundary(ctx context.Context, full core.Name) *core.CannotProceedError {
-	return c.boundaryUpTo(ctx, full, full.Size())
-}
-
-// boundarySelf additionally treats full itself as a potential boundary —
-// used by context-level operations (List, Search) that must continue in
-// the referenced naming system.
-func (c *Context) boundarySelf(ctx context.Context, full core.Name) *core.CannotProceedError {
-	return c.boundaryUpTo(ctx, full, full.Size()+1)
-}
-
-func (c *Context) boundaryUpTo(ctx context.Context, full core.Name, limit int) *core.CannotProceedError {
-	for i := 1; i < limit && i <= full.Size(); i++ {
-		v, err := c.sh.client.Lookup(ctx, full.Prefix(i).Components())
-		if err != nil || !v.Exists {
-			return nil
-		}
-		if v.IsCtx {
-			continue
-		}
-		obj, err := core.Unmarshal(v.Obj)
-		if err != nil {
-			return nil
-		}
-		switch obj.(type) {
-		case *core.Reference, core.Context:
-			return &core.CannotProceedError{
-				Resolved:      obj,
-				RemainingName: full.Suffix(i),
-				AltName:       full.Prefix(i).String(),
-			}
-		default:
-			return nil
-		}
+// probe is the name-resolution rule's probe: one node Lookup.
+func (c *Context) probe(ctx context.Context, n core.Name) (core.Bound, any, error) {
+	v, err := c.sh.client.Lookup(ctx, n.Components())
+	switch {
+	case err != nil:
+		return core.BoundNothing, nil, rpc.CoreError(c.sh.url, err)
+	case !v.Exists:
+		return core.BoundNothing, nil, nil
+	case v.IsCtx:
+		return core.BoundContext, nil, nil
 	}
-	return nil
+	obj, err := core.Unmarshal(v.Obj)
+	return core.BoundObject, obj, err
 }
 
 // Do implements core.Doer. Every operation maps onto one native HDNS
@@ -220,9 +191,10 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	switch op.Kind {
 	case core.OpLookup, core.OpLookupLink, core.OpGetAttributes:
 		v, lerr := c.sh.client.Lookup(ctx, comps)
-		if err = c.mapErr(ctx, lerr, full); err == nil {
-			res, err = c.view(ctx, op, full, v)
+		if lerr == nil {
+			res, lerr = c.view(op, full, v)
 		}
+		err = c.resolve(ctx, op.Kind, full, lerr)
 	case core.OpBind, core.OpRebind:
 		var data []byte
 		if data, err = core.Marshal(op.Obj); err != nil {
@@ -234,36 +206,36 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 			// No attributes keeps the bound ones (JNDI semantics).
 			err = c.sh.client.Rebind(ctx, comps, data, op.Attrs.ToMap(), op.Attrs != nil, c.sh.lease.Milliseconds())
 		}
-		if err = c.mapErr(ctx, err, full); err == nil {
+		if err = c.resolve(ctx, op.Kind, full, err); err == nil {
 			c.startRenewal(comps, full.String())
 		}
 	case core.OpUnbind:
 		c.sh.renew.Stop(full.String())
-		err = c.mapErr(ctx, c.sh.client.Unbind(ctx, comps), full)
+		err = c.resolve(ctx, op.Kind, full, c.sh.client.Unbind(ctx, comps))
 	case core.OpRename:
 		newC, _, perr := c.full(ctx, op.NewName)
 		if perr != nil {
 			err = core.OnNewName(perr)
 			break
 		}
-		err = c.mapErr(ctx, c.sh.client.Rename(ctx, comps, newC), full)
+		err = c.resolve(ctx, op.Kind, full, c.sh.client.Rename(ctx, comps, newC))
 	case core.OpList, core.OpListBindings:
 		var bs []core.Binding
 		if bs, err = c.list(ctx, comps, full); err == nil {
 			res = core.ListResult(op.Kind, bs)
 		}
 	case core.OpCreateSubcontext:
-		if err = c.mapErr(ctx, c.sh.client.CreateCtx(ctx, comps, op.Attrs.ToMap()), full); err == nil {
+		if err = c.resolve(ctx, op.Kind, full, c.sh.client.CreateCtx(ctx, comps, op.Attrs.ToMap())); err == nil {
 			res.Context = c.child(full)
 		}
 	case core.OpDestroySubcontext:
-		err = c.mapErr(ctx, c.sh.client.DestroyCtx(ctx, comps), full)
+		err = c.resolve(ctx, op.Kind, full, c.sh.client.DestroyCtx(ctx, comps))
 	case core.OpModifyAttributes:
 		recs := make([]hdns.ModRec, len(op.Mods))
 		for i, m := range op.Mods {
 			recs[i] = hdns.ModRec{Op: int(m.Op), ID: m.Attr.ID, Vals: m.Attr.Values}
 		}
-		err = c.mapErr(ctx, c.sh.client.ModAttrs(ctx, comps, recs), full)
+		err = c.resolve(ctx, op.Kind, full, c.sh.client.ModAttrs(ctx, comps, recs))
 	case core.OpSearch:
 		var s *core.Search
 		if s, err = core.NewSearch(ctx, op); err == nil {
@@ -281,13 +253,10 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 }
 
 // view answers Lookup, LookupLink or GetAttributes from the node's view
-// of full; a missing name may lie past a federation boundary.
-func (c *Context) view(ctx context.Context, op core.Op, full core.Name, v hdns.NodeView) (res core.Result, err error) {
+// of full.
+func (c *Context) view(op core.Op, full core.Name, v hdns.NodeView) (res core.Result, err error) {
 	switch {
 	case !v.Exists:
-		if cpe := c.boundary(ctx, full); cpe != nil {
-			return res, cpe
-		}
 		err = core.ErrNotFound
 	case op.Kind == core.OpGetAttributes:
 		res.Attrs = core.AttributesFromMap(v.Attrs).Select(op.AttrIDs...)
@@ -319,12 +288,12 @@ func (c *Context) startRenewal(comps []string, key string) {
 
 // list is the bindings of the context at full.
 func (c *Context) list(ctx context.Context, comps []string, full core.Name) ([]core.Binding, error) {
-	if cpe := c.boundarySelf(ctx, full); cpe != nil {
-		return nil, cpe
+	if err := core.Resolve(ctx, core.OpList, c.base, full, nil, c.probe); err != nil {
+		return nil, err
 	}
 	entries, err := c.sh.client.List(ctx, comps)
 	if err != nil {
-		return nil, c.mapErr(ctx, err, full)
+		return nil, c.resolve(ctx, core.OpList, full, err)
 	}
 	out := make([]core.Binding, 0, len(entries))
 	for _, e := range entries {
@@ -349,8 +318,8 @@ func (c *Context) list(ctx context.Context, comps []string, full core.Name) ([]c
 // hit past the count limit, so that Done can tell a limit that was
 // exceeded from one that was only met.
 func (c *Context) search(ctx context.Context, s *core.Search, comps []string, full core.Name, filterStr string) error {
-	if cpe := c.boundarySelf(ctx, full); cpe != nil {
-		return cpe
+	if err := core.Resolve(ctx, core.OpSearch, c.base, full, nil, c.probe); err != nil {
+		return err
 	}
 	limit := s.Controls.CountLimit
 	if limit > 0 {
@@ -358,7 +327,7 @@ func (c *Context) search(ctx context.Context, s *core.Search, comps []string, fu
 	}
 	hits, err := c.sh.client.Search(ctx, comps, filterStr, int(s.Controls.Scope), limit)
 	if err != nil {
-		return c.mapErr(ctx, err, full)
+		return c.resolve(ctx, core.OpSearch, full, err)
 	}
 	for _, h := range hits {
 		if s.Stopped() {
@@ -378,8 +347,8 @@ func (c *Context) search(ctx context.Context, s *core.Search, comps []string, fu
 // watch registers op.Listener through HDNS's distributed event
 // notification (inherited from the H2O event mechanism in the paper).
 func (c *Context) watch(ctx context.Context, comps []string, full core.Name, op core.Op) (func(), error) {
-	if cpe := c.boundarySelf(ctx, full); cpe != nil {
-		return nil, cpe
+	if err := core.Resolve(ctx, core.OpWatch, c.base, full, nil, c.probe); err != nil {
+		return nil, err
 	}
 	l, baseSize := op.Listener, len(comps)
 	cancel, err := c.sh.client.Watch(ctx, comps, int(op.Scope), func(e hdns.EventMsg) {

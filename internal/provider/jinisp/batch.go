@@ -91,7 +91,7 @@ func (c *Context) bindMany(ctx context.Context, op core.Op) ([]core.BatchResult,
 			}
 		} else if full.IsEmpty() {
 			err = core.ErrInvalidNameEmpty
-		} else if err = c.checkPrefixes(ctx, full); err == nil {
+		} else if err = core.Resolve(ctx, core.OpBind, c.base, full, nil, c.probe); err == nil {
 			var item jini.ServiceItem
 			if item, err = itemFor(full, r.Obj, r.Attrs, false); err == nil {
 				items = append(items, item)

@@ -352,44 +352,25 @@ func (c *Context) allBindings(ctx context.Context) ([]jini.ServiceItem, error) {
 	return items, nil
 }
 
-// isBoundaryObj reports whether a bound object is a federation boundary.
-func isBoundaryObj(obj any) bool {
-	switch obj.(type) {
-	case *core.Reference, core.Context:
-		return true
-	default:
-		return false
+// probe is the name-resolution rule's probe: one ID lookup. A LUS holds
+// no item for an intermediate context (a name with bindings under it is
+// one), so a name with no item is reported as a context.
+func (c *Context) probe(ctx context.Context, n core.Name) (core.Bound, any, error) {
+	item, ok, err := c.fetch(ctx, n)
+	if err != nil || !ok || itemIsContext(item) {
+		return core.BoundContext, nil, err
 	}
+	obj, err := itemObject(item)
+	return core.BoundObject, obj, err
 }
 
-// checkPrefixes raises a federation continuation or ErrNotContext when an
-// intermediate component of full is bound to a non-context value.
-func (c *Context) checkPrefixes(ctx context.Context, full core.Name) error {
-	for i := 1; i < full.Size(); i++ {
-		prefix := full.Prefix(i)
-		item, ok, err := c.fetch(ctx, prefix)
-		if err != nil {
-			return err
-		}
-		if !ok || itemIsContext(item) {
-			continue
-		}
-		obj, err := itemObject(item)
-		if err != nil {
-			return err
-		}
-		switch obj.(type) {
-		case *core.Reference, core.Context:
-			return &core.CannotProceedError{
-				Resolved:      obj,
-				RemainingName: full.Suffix(i),
-				AltName:       prefix.String(),
-			}
-		default:
-			return core.ErrNotContext
-		}
+// resolveAt is the rule's answer at full alone, before a List, Search or
+// Watch: one ID lookup, so a junction bound there continues.
+func (c *Context) resolveAt(ctx context.Context, kind core.OpKind, full core.Name) error {
+	if full.IsEmpty() {
+		return nil
 	}
-	return nil
+	return core.Resolve(ctx, kind, full.Prefix(full.Size()-1), full, nil, c.probe)
 }
 
 // full parses name under the context base, front-checking ctx so every
@@ -435,7 +416,9 @@ func prefixMatch(items []jini.ServiceItem, path core.Name) bool {
 }
 
 // Do implements core.Doer. Reads are LUS lookups; writes register or
-// cancel fake service items, guarded as EnvBind selects.
+// cancel fake service items, guarded as EnvBind selects. A LUS sees
+// items, not paths, so a write gets the name-resolution rule's answer
+// before it runs.
 func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
 	if c.sh.Released() {
 		return res, core.OpErr(op, core.ErrClosed)
@@ -471,7 +454,7 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	case core.OpCreateSubcontext:
 		// An explicit context-marker item.
 		var item jini.ServiceItem
-		if err = c.checkPrefixes(ctx, full); err == nil {
+		if err = core.Resolve(ctx, op.Kind, c.base, full, nil, c.probe); err == nil {
 			item, err = itemFor(full, nil, op.Attrs, true)
 		}
 		if err == nil {
@@ -534,7 +517,7 @@ func (c *Context) found(op core.Op, full core.Name, item *jini.ServiceItem) (res
 // bound names, with no attributes), or not found. scan holds the
 // allBindings scan once made, so a batch's misses share one.
 func (c *Context) miss(ctx context.Context, op core.Op, full core.Name, scan *[]jini.ServiceItem) (core.Result, error) {
-	if err := c.checkPrefixes(ctx, full); err != nil {
+	if err := core.Resolve(ctx, op.Kind, c.base, full, nil, c.probe); err != nil {
 		return core.Result{}, err
 	}
 	if *scan == nil {
@@ -669,7 +652,7 @@ func (c *Context) bind(ctx context.Context, full core.Name, obj any, attrs *core
 	if full.IsEmpty() {
 		return core.ErrInvalidNameEmpty
 	}
-	if err := c.checkPrefixes(ctx, full); err != nil {
+	if err := core.Resolve(ctx, core.OpBind, c.base, full, nil, c.probe); err != nil {
 		return err
 	}
 	item, err := itemFor(full, obj, attrs, false)
@@ -684,7 +667,7 @@ func (c *Context) rebind(ctx context.Context, full core.Name, obj any, attrs *co
 	if full.IsEmpty() {
 		return core.ErrInvalidNameEmpty
 	}
-	if err := c.checkPrefixes(ctx, full); err != nil {
+	if err := core.Resolve(ctx, core.OpRebind, c.base, full, nil, c.probe); err != nil {
 		return err
 	}
 	if c.sh.proxy != nil {
@@ -729,7 +712,7 @@ func (c *Context) rebindItem(ctx context.Context, full core.Name, obj any, attrs
 // unbind cancels the binding's registration. Unbinding an unbound name
 // succeeds (JNDI semantics).
 func (c *Context) unbind(ctx context.Context, full core.Name) error {
-	if err := c.checkPrefixes(ctx, full); err != nil {
+	if err := core.Resolve(ctx, core.OpUnbind, c.base, full, nil, c.probe); err != nil {
 		return err
 	}
 	id := idFor(full.String())
@@ -761,20 +744,8 @@ func (c *Context) rename(ctx context.Context, oldFull core.Name, newName string)
 
 // list scans the registry for the bindings under full.
 func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, error) {
-	if !full.IsEmpty() {
-		item, ok, err := c.fetch(ctx, full)
-		if err != nil {
-			return nil, err
-		}
-		if ok && !itemIsContext(item) {
-			// A bound reference to a foreign context: continue there.
-			if obj, oerr := itemObject(item); oerr == nil && isBoundaryObj(obj) {
-				return nil, &core.CannotProceedError{
-					Resolved: obj, RemainingName: core.Name{}, AltName: full.String(),
-				}
-			}
-			return nil, core.ErrNotContext
-		}
+	if err := c.resolveAt(ctx, core.OpList, full); err != nil {
+		return nil, err
 	}
 	items, err := c.allBindings(ctx)
 	if err != nil {
@@ -818,7 +789,7 @@ func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, err
 		seen[child] = &core.Binding{Name: child, Class: core.ClassOf(obj), Object: obj}
 	}
 	if !existed {
-		return nil, core.ErrNotFound
+		return nil, core.Resolve(ctx, core.OpList, c.base, full, core.ErrNotFound, c.probe)
 	}
 	out := make([]core.Binding, 0, len(seen))
 	for _, b := range seen {
@@ -879,31 +850,17 @@ func (c *Context) modify(ctx context.Context, full core.Name, mods []core.Attrib
 	})
 }
 
-// boundaryAt is the continuation when full itself is bound to a
-// reference to a foreign context: context-level operations (Search,
-// Watch) continue there.
-func (c *Context) boundaryAt(ctx context.Context, full core.Name) *core.CannotProceedError {
-	if full.IsEmpty() {
-		return nil
-	}
-	if item, ok, err := c.fetch(ctx, full); err == nil && ok && !itemIsContext(item) {
-		if obj, oerr := itemObject(item); oerr == nil && isBoundaryObj(obj) {
-			return &core.CannotProceedError{Resolved: obj, RemainingName: core.Name{}, AltName: full.String()}
-		}
-	}
-	return nil
-}
-
 // search scans the bindings under full, offering each one.
 func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) error {
-	if cpe := c.boundaryAt(ctx, full); cpe != nil {
-		return cpe
+	if err := c.resolveAt(ctx, core.OpSearch, full); err != nil {
+		return err
 	}
 	items, err := c.allBindings(ctx)
 	if err != nil {
 		return err
 	}
 	baseStr := full.String()
+	existed := baseStr == ""
 	for i := range items {
 		if s.Stopped() {
 			break
@@ -920,6 +877,7 @@ func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) er
 		default:
 			continue
 		}
+		existed = true
 		relName, perr := core.ParseName(rel)
 		if perr != nil {
 			continue
@@ -934,13 +892,16 @@ func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) er
 			s.Add(relName, attrs, obj, false)
 		}
 	}
+	if !existed && !s.Stopped() {
+		return core.Resolve(ctx, core.OpSearch, c.base, full, core.ErrNotFound, c.probe)
+	}
 	return nil
 }
 
 // watch registers op.Listener over the LUS remote-event machinery.
 func (c *Context) watch(ctx context.Context, full core.Name, op core.Op) (func(), error) {
-	if cpe := c.boundaryAt(ctx, full); cpe != nil {
-		return nil, cpe
+	if err := c.resolveAt(ctx, core.OpWatch, full); err != nil {
+		return nil, err
 	}
 	scope, l := op.Scope, op.Listener
 	var tmpl jini.ServiceTemplate

@@ -170,36 +170,24 @@ func advObject(adv *jxta.Advertisement) (any, error) {
 	return core.Unmarshal(adv.Payload)
 }
 
-// boundary raises a federation continuation when a prefix (or, with
-// includeSelf, the name itself) is an advertisement holding a Reference.
-func (c *Context) boundary(ctx context.Context, full core.Name, includeSelf bool) *core.CannotProceedError {
-	limit := full.Size()
-	if includeSelf {
-		limit++
+// probe is the name-resolution rule's probe: a group, else the
+// advertisement bound at n, if any. A group costs one round trip, as a
+// List or Search of a group path costs one per component.
+func (c *Context) probe(ctx context.Context, n core.Name) (core.Bound, any, error) {
+	if ok, err := c.groupExists(ctx, n); err != nil || ok {
+		return core.BoundContext, nil, err
 	}
-	for i := 1; i < limit && i <= full.Size(); i++ {
-		adv, ok, err := c.fetchAdv(ctx, full.Prefix(i))
-		if err != nil || !ok {
-			continue
-		}
-		obj, err := advObject(adv)
-		if err != nil {
-			continue
-		}
-		switch obj.(type) {
-		case *core.Reference, core.Context:
-			return &core.CannotProceedError{
-				Resolved:      obj,
-				RemainingName: full.Suffix(i),
-				AltName:       full.Prefix(i).String(),
-			}
-		}
+	adv, ok, err := c.fetchAdv(ctx, n)
+	if err != nil || !ok {
+		return core.BoundNothing, nil, err
 	}
-	return nil
+	obj, err := advObject(adv)
+	return core.BoundObject, obj, err
 }
 
 // Do implements core.Doer: groups are contexts and advertisements are
-// bindings on the rendezvous.
+// bindings on the rendezvous. A failure gets the name-resolution rule's
+// answer; List and Search get it before their requests.
 func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
 	full, err := c.full(ctx, op.Name)
 	if err != nil {
@@ -221,6 +209,7 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 		if bs, err = c.list(ctx, full); err == nil {
 			res = core.ListResult(op.Kind, bs)
 		}
+		return res, core.OpErr(op, err)
 	case core.OpCreateSubcontext:
 		if err = c.createGroup(ctx, full, op.Attrs); err == nil {
 			res.Context = c.child(full)
@@ -239,8 +228,12 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 				return res, err // a stopped walk's partial results, as they are
 			}
 		}
+		return res, core.OpErr(op, err)
 	default:
 		err = core.ErrNotSupported
+	}
+	if err != nil {
+		err = core.Resolve(ctx, op.Kind, c.base, full, err, c.probe)
 	}
 	return res, core.OpErr(op, err)
 }
@@ -263,9 +256,6 @@ func (c *Context) lookup(ctx context.Context, full core.Name) (any, error) {
 	if exists {
 		return c.child(full), nil
 	}
-	if cpe := c.boundary(ctx, full, false); cpe != nil {
-		return nil, cpe
-	}
 	return nil, core.ErrNotFound
 }
 
@@ -284,11 +274,6 @@ func (c *Context) publish(ctx context.Context, full core.Name, obj any, attrs *c
 		Payload: data,
 	}
 	if _, err := c.sh.peer.Publish(ctx, adv, c.sh.lease, onlyNew); err != nil {
-		if errors.Is(err, core.ErrNotFound) {
-			if cpe := c.boundary(ctx, full, false); cpe != nil {
-				return cpe
-			}
-		}
 		return rpc.CoreError(c.sh.url, err)
 	}
 	// Renew until unbind or the last Close. A lost lease just ends the
@@ -336,13 +321,7 @@ func (c *Context) unbind(ctx context.Context, full core.Name) error {
 		return core.ErrInvalidNameEmpty
 	}
 	c.sh.renew.Stop(full.String())
-	err := c.sh.peer.Flush(ctx, groupOf(full.Prefix(full.Size()-1)), full.Last())
-	if errors.Is(err, core.ErrNotFound) {
-		if cpe := c.boundary(ctx, full, false); cpe != nil {
-			return cpe
-		}
-	}
-	return rpc.CoreError(c.sh.url, err)
+	return rpc.CoreError(c.sh.url, c.sh.peer.Flush(ctx, groupOf(full.Prefix(full.Size()-1)), full.Last()))
 }
 
 // rename is fetch + bind + unbind.
@@ -370,16 +349,11 @@ func (c *Context) rename(ctx context.Context, oldFull core.Name, newName string)
 
 // list is the subgroups plus the advertisements of the group at full.
 func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, error) {
-	if cpe := c.boundary(ctx, full, true); cpe != nil {
-		return nil, cpe
+	if err := core.Resolve(ctx, core.OpList, c.base, full, nil, c.probe); err != nil {
+		return nil, err
 	}
 	subs, err := c.sh.peer.SubGroups(ctx, groupOf(full))
 	if err != nil {
-		if errors.Is(err, core.ErrNotFound) {
-			if _, ok, _ := c.fetchAdv(ctx, full); ok {
-				return nil, core.ErrNotContext
-			}
-		}
 		return nil, rpc.CoreError(c.sh.url, err)
 	}
 	advs, err := c.sh.peer.Discover(ctx, groupOf(full), "", nil, 0)
@@ -427,9 +401,6 @@ func (c *Context) attributes(ctx context.Context, full core.Name, attrIDs []stri
 	if exists, _ := c.groupExists(ctx, full); exists {
 		return &core.Attributes{}, nil
 	}
-	if cpe := c.boundary(ctx, full, false); cpe != nil {
-		return nil, cpe
-	}
 	return nil, core.ErrNotFound
 }
 
@@ -456,8 +427,8 @@ func (c *Context) modify(ctx context.Context, full core.Name, mods []core.Attrib
 // search walks the peer groups under full client-side. A scope that does
 // not descend from the base tests the advertisement full names alone.
 func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) error {
-	if cpe := c.boundary(ctx, full, true); cpe != nil {
-		return cpe
+	if err := core.Resolve(ctx, core.OpSearch, c.base, full, nil, c.probe); err != nil {
+		return err
 	}
 	if s.Controls.Scope.Descends(0) {
 		return c.walk(ctx, s, full, core.Name{})

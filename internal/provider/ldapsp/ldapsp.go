@@ -268,42 +268,26 @@ func entryObject(e *ldapsrv.Entry) (any, bool, error) {
 	return obj, true, nil
 }
 
-// boundary raises a federation continuation when a path prefix holds a
-// bound Reference.
-func (c *Context) boundary(ctx context.Context, full core.Name) *core.CannotProceedError {
-	return c.boundaryUpTo(ctx, full, full.Size())
-}
-
-// boundarySelf additionally treats full itself as a potential boundary —
-// for context-level operations (List, Search).
-func (c *Context) boundarySelf(ctx context.Context, full core.Name) *core.CannotProceedError {
-	return c.boundaryUpTo(ctx, full, full.Size()+1)
-}
-
-func (c *Context) boundaryUpTo(ctx context.Context, full core.Name, limit int) *core.CannotProceedError {
-	for i := 1; i < limit && i <= full.Size(); i++ {
-		e, ok, err := c.fetch(ctx, full.Prefix(i))
-		if err != nil || !ok {
-			return nil
-		}
-		obj, has, err := entryObject(e)
-		if err != nil || !has {
-			continue
-		}
-		switch obj.(type) {
-		case *core.Reference, core.Context:
-			return &core.CannotProceedError{
-				Resolved:      obj,
-				RemainingName: full.Suffix(i),
-				AltName:       full.Prefix(i).String(),
-			}
-		}
+// probe is the name-resolution rule's probe: one base-object search. In
+// LDAP every entry can hold children, so an entry is a context unless it
+// holds a junction.
+func (c *Context) probe(ctx context.Context, n core.Name) (core.Bound, any, error) {
+	e, ok, err := c.fetch(ctx, n)
+	if err != nil || !ok {
+		return core.BoundNothing, nil, err
 	}
-	return nil
+	obj, _, err := entryObject(e)
+	if err != nil || !core.IsJunction(obj) {
+		return core.BoundContext, nil, err
+	}
+	return core.BoundObject, obj, nil
 }
 
 // Do implements core.Doer: each operation is one LDAP request, or a few
-// where LDAP has no single one (rebind, a rename across contexts).
+// where LDAP has no single one (rebind, a rename across contexts). A
+// failure gets the name-resolution rule's answer; List and Search get it
+// before their request, since LDAP lists or searches an entry that holds
+// a junction as any other.
 func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
 	full, err := c.full(ctx, op.Name)
 	if err != nil {
@@ -317,10 +301,7 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	case core.OpRebind:
 		err = c.rebind(ctx, full, op.Obj, op.Attrs)
 	case core.OpUnbind, core.OpDestroySubcontext:
-		// JNDI: removing an absent name succeeds.
-		if err = c.mapResultErr(c.sh.conn.Delete(ctx, c.dnFor(full))); err == core.ErrNotFound {
-			err = nil
-		}
+		err = c.mapResultErr(c.sh.conn.Delete(ctx, c.dnFor(full)))
 	case core.OpRename:
 		err = c.rename(ctx, full, op.NewName)
 	case core.OpList, core.OpListBindings:
@@ -328,6 +309,7 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 		if bs, err = c.list(ctx, full); err == nil {
 			res = core.ListResult(op.Kind, bs)
 		}
+		return res, core.OpErr(op, err)
 	case core.OpCreateSubcontext:
 		var la []ldapsrv.EntryAttr
 		if la, err = ldapAttrs(op.Attrs, nil, true); err == nil {
@@ -354,26 +336,23 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 				return res, err // a limit's partial results, as they are
 			}
 		}
+		return res, core.OpErr(op, err)
 	default:
 		err = core.ErrNotSupported
+	}
+	if err != nil {
+		err = core.Resolve(ctx, op.Kind, c.base, full, err, c.probe)
 	}
 	return res, core.OpErr(op, err)
 }
 
-// entry reads the entry at full; a missing one may lie past a federation
-// boundary.
+// entry reads the entry at full.
 func (c *Context) entry(ctx context.Context, full core.Name) (*ldapsrv.Entry, error) {
 	e, ok, err := c.fetch(ctx, full)
-	if err != nil {
-		return nil, err
+	if err == nil && !ok {
+		err = core.ErrNotFound
 	}
-	if !ok {
-		if cpe := c.boundary(ctx, full); cpe != nil {
-			return nil, cpe
-		}
-		return nil, core.ErrNotFound
-	}
-	return e, nil
+	return e, err
 }
 
 func (c *Context) lookup(ctx context.Context, full core.Name) (any, error) {
@@ -439,14 +418,7 @@ func (c *Context) bind(ctx context.Context, full core.Name, obj any, attrs *core
 	if err != nil {
 		return err
 	}
-	err = c.mapResultErr(c.sh.conn.Add(ctx, c.dnFor(full), la))
-	if err == core.ErrNotFound {
-		// Parent missing — or a federation boundary mid-name.
-		if cpe := c.boundary(ctx, full); cpe != nil {
-			return cpe
-		}
-	}
-	return err
+	return c.mapResultErr(c.sh.conn.Add(ctx, c.dnFor(full), la))
 }
 
 // rebindAttempts bounds the delete+add pairs one rebind issues.
@@ -476,15 +448,9 @@ func (c *Context) rebind(ctx context.Context, full core.Name, obj any, attrs *co
 		}
 		err = c.mapResultErr(c.sh.conn.Add(ctx, dn, la))
 		if err != core.ErrAlreadyBound || attempt == rebindAttempts {
-			break
+			return err
 		}
 	}
-	if err == core.ErrNotFound {
-		if cpe := c.boundary(ctx, full); cpe != nil {
-			return cpe
-		}
-	}
-	return err
 }
 
 // rename is a ModifyDN for a sibling, and lookup + bind + unbind
@@ -517,8 +483,8 @@ func (c *Context) rename(ctx context.Context, oldFull core.Name, newName string)
 
 // list is a one-level search under full.
 func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, error) {
-	if cpe := c.boundarySelf(ctx, full); cpe != nil {
-		return nil, cpe
+	if err := core.Resolve(ctx, core.OpList, c.base, full, nil, c.probe); err != nil {
+		return nil, err
 	}
 	entries, err := c.sh.conn.Search(ctx, c.dnFor(full), "(objectClass=*)",
 		&ldapsrv.SearchOptions{Scope: ldapsrv.ScopeSingleLevel})
@@ -574,8 +540,8 @@ func (c *Context) modify(ctx context.Context, full core.Name, mods []core.Attrib
 // entry it returns. A limit the server hit is stop, beside the entries
 // it returned before stopping.
 func (c *Context) search(ctx context.Context, s *core.Search, full core.Name, filterStr string) (stop, err error) {
-	if cpe := c.boundarySelf(ctx, full); cpe != nil {
-		return nil, cpe
+	if err := core.Resolve(ctx, core.OpSearch, c.base, full, nil, c.probe); err != nil {
+		return nil, err
 	}
 	controls := s.Controls
 	var scope int

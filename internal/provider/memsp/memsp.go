@@ -175,74 +175,56 @@ func (c *Context) check(ctx context.Context) error {
 	return core.CtxErr(ctx)
 }
 
-// resolveLocked walks the tree to the parent of the final component.
-// It raises a federation continuation if it crosses a bound *Reference or
-// foreign Context mid-name. Caller holds tree.mu (read or write).
-func (c *Context) resolveParent(n core.Name) (*entry, string, error) {
-	full := c.base.Concat(n)
+// resolveParent walks the tree to the parent of full's final component.
+// Caller holds tree.mu (read or write).
+func (c *Context) resolveParent(full core.Name) (*entry, string, error) {
 	if full.IsEmpty() {
 		return nil, "", core.ErrInvalidNameEmpty
 	}
-	cur := c.tree.root
-	for i := 0; i < full.Size()-1; i++ {
-		comp := full.Get(i)
-		next, ok := cur.children[comp]
-		if !ok {
-			return nil, "", core.ErrNotFound
-		}
-		if !next.isContext() {
-			// Federation boundary or an error.
-			if isBoundary(next.obj) {
-				return nil, "", &core.CannotProceedError{
-					Resolved:      next.obj,
-					RemainingName: full.Suffix(i + 1),
-					AltName:       full.Prefix(i + 1).String(),
-				}
-			}
-			return nil, "", core.ErrNotContext
-		}
-		cur = next
+	parent, err := c.lookupEntry(full.Prefix(full.Size() - 1))
+	if err == nil && !parent.isContext() {
+		err = core.ErrNotContext
 	}
-	return cur, full.Last(), nil
+	return parent, full.Last(), err
 }
 
-func isBoundary(obj any) bool {
-	switch obj.(type) {
-	case *core.Reference, core.Context:
-		return true
-	default:
-		return false
-	}
-}
-
-// lookupEntry resolves the full name to an entry.
-func (c *Context) lookupEntry(n core.Name) (*entry, error) {
-	full := c.base.Concat(n)
+// lookupEntry walks the tree to the entry at full. Caller holds tree.mu.
+func (c *Context) lookupEntry(full core.Name) (*entry, error) {
 	cur := c.tree.root
 	for i := 0; i < full.Size(); i++ {
-		comp := full.Get(i)
-		next, ok := cur.children[comp]
+		if !cur.isContext() {
+			return nil, core.ErrNotContext
+		}
+		next, ok := cur.children[full.Get(i)]
 		if !ok {
 			return nil, core.ErrNotFound
-		}
-		if i < full.Size()-1 && !next.isContext() {
-			if isBoundary(next.obj) {
-				return nil, &core.CannotProceedError{
-					Resolved:      next.obj,
-					RemainingName: full.Suffix(i + 1),
-					AltName:       full.Prefix(i + 1).String(),
-				}
-			}
-			return nil, core.ErrNotContext
 		}
 		cur = next
 	}
 	return cur, nil
 }
 
+// probe is the name-resolution rule's probe: a map lookup per component.
+// Caller holds tree.mu.
+func (c *Context) probe(_ context.Context, full core.Name) (core.Bound, any, error) {
+	e := c.tree.root
+	for i := 0; i < full.Size() && e != nil; i++ {
+		e = e.children[full.Get(i)]
+	}
+	switch {
+	case e == nil:
+		return core.BoundNothing, nil, nil
+	case e.isContext():
+		return core.BoundContext, nil, nil
+	}
+	return core.BoundObject, e.obj, nil
+}
+
 // Do implements core.Doer. The operation runs on the tree under its lock
 // (read-locked for the kinds that only read), and the events a write
-// causes are delivered once the lock is released.
+// causes are delivered once the lock is released. A failure, and a
+// Search or Watch before it starts, gets the name-resolution rule's
+// answer under the same lock.
 func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
 	var n core.Name
 	if err = c.check(ctx); err == nil {
@@ -251,10 +233,13 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	if err != nil {
 		return res, core.OpErr(op, err)
 	}
+	full := c.base.Concat(n)
 	switch op.Kind {
 	case core.OpLookup, core.OpLookupLink, core.OpList, core.OpListBindings, core.OpGetAttributes:
 		c.tree.mu.RLock()
-		res, err = c.read(n, op)
+		if res, err = c.read(full, op); err != nil {
+			err = core.Resolve(ctx, op.Kind, c.base, full, err, c.probe)
+		}
 		c.tree.mu.RUnlock()
 	case core.OpSearch:
 		var s *core.Search
@@ -263,8 +248,10 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 		}
 		c.tree.mu.RLock()
 		var base *entry
-		if base, err = c.lookupEntry(n); err == nil {
-			search(s, base, core.Name{})
+		if err = core.Resolve(ctx, op.Kind, c.base, full, nil, c.probe); err == nil {
+			if base, err = c.lookupEntry(full); err == nil {
+				search(s, base, core.Name{})
+			}
 		}
 		c.tree.mu.RUnlock()
 		if err == nil {
@@ -272,15 +259,22 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 			return res, err // a stopped search's partial results, as they are
 		}
 	case core.OpWatch:
-		res.Cancel, err = c.watch(n, op)
+		c.tree.mu.RLock()
+		err = core.Resolve(ctx, op.Kind, c.base, full, nil, c.probe)
+		c.tree.mu.RUnlock()
+		if err == nil {
+			res.Cancel = c.watch(full, op)
+		}
 	default:
 		var events []func()
 		c.tree.mu.Lock()
-		events, err = c.write(n, op)
+		if events, err = c.write(full, op); err != nil {
+			err = core.Resolve(ctx, op.Kind, c.base, full, err, c.probe)
+		}
 		c.tree.mu.Unlock()
 		deliver(events)
 		if err == nil && op.Kind == core.OpCreateSubcontext {
-			res.Context = c.child(c.base.Concat(n))
+			res.Context = c.child(full)
 		}
 	}
 	return res, core.OpErr(op, err)
@@ -289,8 +283,8 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 // read answers the kinds that only read. LookupLink is Lookup: in-memory
 // links are LinkRef values stored as ordinary objects, which the initial
 // context follows. Caller holds tree.mu for reading.
-func (c *Context) read(n core.Name, op core.Op) (core.Result, error) {
-	e, err := c.lookupEntry(n)
+func (c *Context) read(full core.Name, op core.Op) (core.Result, error) {
+	e, err := c.lookupEntry(full)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -301,10 +295,10 @@ func (c *Context) read(n core.Name, op core.Op) (core.Result, error) {
 		if !e.isContext() {
 			return core.Result{}, core.ErrNotContext
 		}
-		return core.ListResult(op.Kind, c.list(c.base.Concat(n), e, op.Kind == core.OpListBindings)), nil
+		return core.ListResult(op.Kind, c.list(full, e, op.Kind == core.OpListBindings)), nil
 	}
 	if e.isContext() {
-		return core.Result{Value: c.child(c.base.Concat(n))}, nil
+		return core.Result{Value: c.child(full)}, nil
 	}
 	return core.Result{Value: e.obj}, nil
 }
@@ -335,13 +329,12 @@ func (c *Context) list(full core.Name, e *entry, withObj bool) []core.Binding {
 // test-and-set semantics, Rebind keeping the attributes unless new ones
 // come, Unbind and DestroySubcontext of an absent name succeeding (JNDI)
 // — and returns the events to deliver. Caller holds tree.mu.
-func (c *Context) write(n core.Name, op core.Op) ([]func(), error) {
+func (c *Context) write(full core.Name, op core.Op) ([]func(), error) {
 	if op.Kind == core.OpRename {
-		return c.rename(n, op)
+		return c.rename(full, op)
 	}
-	abs := c.base.Concat(n)
 	if op.Kind == core.OpModifyAttributes {
-		e, err := c.lookupEntry(n)
+		e, err := c.lookupEntry(full)
 		if err != nil {
 			return nil, err
 		}
@@ -351,9 +344,9 @@ func (c *Context) write(n core.Name, op core.Op) ([]func(), error) {
 			return nil, err
 		}
 		e.attrs = copied
-		return c.tree.eventsFor(abs, core.EventObjectChanged, e.obj, e.obj), nil
+		return c.tree.eventsFor(full, core.EventObjectChanged, e.obj, e.obj), nil
 	}
-	parent, last, err := c.resolveParent(n)
+	parent, last, err := c.resolveParent(full)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +361,7 @@ func (c *Context) write(n core.Name, op core.Op) ([]func(), error) {
 			e.children = map[string]*entry{}
 		}
 		parent.children[last] = e
-		return c.tree.eventsFor(abs, core.EventObjectAdded, op.Obj, nil), nil
+		return c.tree.eventsFor(full, core.EventObjectAdded, op.Obj, nil), nil
 	case core.OpRebind:
 		if existed && old.isContext() {
 			return nil, core.ErrNotContext
@@ -377,18 +370,18 @@ func (c *Context) write(n core.Name, op core.Op) ([]func(), error) {
 		parent.children[last] = e
 		if !existed {
 			e.attrs = op.Attrs.Clone()
-			return c.tree.eventsFor(abs, core.EventObjectAdded, op.Obj, nil), nil
+			return c.tree.eventsFor(full, core.EventObjectAdded, op.Obj, nil), nil
 		}
 		if e.attrs = old.attrs; op.Attrs != nil {
 			e.attrs = op.Attrs.Clone()
 		}
-		return c.tree.eventsFor(abs, core.EventObjectChanged, op.Obj, old.obj), nil
+		return c.tree.eventsFor(full, core.EventObjectChanged, op.Obj, old.obj), nil
 	case core.OpUnbind:
 		if !existed {
 			return nil, nil
 		}
 		delete(parent.children, last)
-		return c.tree.eventsFor(abs, core.EventObjectRemoved, nil, old.obj), nil
+		return c.tree.eventsFor(full, core.EventObjectRemoved, nil, old.obj), nil
 	case core.OpDestroySubcontext:
 		switch {
 		case !existed:
@@ -399,22 +392,23 @@ func (c *Context) write(n core.Name, op core.Op) ([]func(), error) {
 			return nil, core.ErrContextNotEmpty
 		}
 		delete(parent.children, last)
-		return c.tree.eventsFor(abs, core.EventObjectRemoved, nil, nil), nil
+		return c.tree.eventsFor(full, core.EventObjectRemoved, nil, nil), nil
 	}
 	return nil, core.ErrNotSupported
 }
 
-// rename moves the binding at on to op.NewName. Caller holds tree.mu.
-func (c *Context) rename(on core.Name, op core.Op) ([]func(), error) {
+// rename moves the binding at oldFull to op.NewName. Caller holds tree.mu.
+func (c *Context) rename(oldFull core.Name, op core.Op) ([]func(), error) {
 	nn, err := core.ParseLocalName(op.NewName)
 	if err != nil {
 		return nil, core.OnNewName(err)
 	}
-	oldParent, oldLast, err := c.resolveParent(on)
+	newFull := c.base.Concat(nn)
+	oldParent, oldLast, err := c.resolveParent(oldFull)
 	if err != nil {
 		return nil, err
 	}
-	newParent, newLast, err := c.resolveParent(nn)
+	newParent, newLast, err := c.resolveParent(newFull)
 	if err != nil {
 		return nil, core.OnNewName(err)
 	}
@@ -427,8 +421,8 @@ func (c *Context) rename(on core.Name, op core.Op) ([]func(), error) {
 	}
 	delete(oldParent.children, oldLast)
 	newParent.children[newLast] = e
-	events := c.tree.eventsFor(c.base.Concat(on), core.EventObjectRenamed, e.obj, e.obj)
-	return append(events, c.tree.eventsFor(c.base.Concat(nn), core.EventObjectRenamed, e.obj, e.obj)...), nil
+	events := c.tree.eventsFor(oldFull, core.EventObjectRenamed, e.obj, e.obj)
+	return append(events, c.tree.eventsFor(newFull, core.EventObjectRenamed, e.obj, e.obj)...), nil
 }
 
 // search offers e at rel and, as far as the scope descends, the entries
@@ -449,32 +443,19 @@ func search(s *core.Search, e *entry, rel core.Name) {
 	}
 }
 
-// watch registers op.Listener on n.
-func (c *Context) watch(n core.Name, op core.Op) (func(), error) {
-	// Watching a name bound to a foreign context continues there.
-	c.tree.mu.RLock()
-	if e, lerr := c.lookupEntry(n); lerr == nil && !e.isContext() && isBoundary(e.obj) {
-		obj := e.obj
-		c.tree.mu.RUnlock()
-		return nil, &core.CannotProceedError{
-			Resolved: obj, RemainingName: core.Name{}, AltName: c.base.Concat(n).String(),
-		}
-	} else if cpe, ok := lerr.(*core.CannotProceedError); ok {
-		c.tree.mu.RUnlock()
-		return nil, cpe
-	}
-	c.tree.mu.RUnlock()
+// watch registers op.Listener on full.
+func (c *Context) watch(full core.Name, op core.Op) func() {
 	c.tree.mu.Lock()
 	defer c.tree.mu.Unlock()
 	id := c.tree.nextWatch
 	c.tree.nextWatch++
-	c.tree.listeners[id] = &watch{target: c.base.Concat(n), scope: op.Scope, l: op.Listener}
+	c.tree.listeners[id] = &watch{target: full, scope: op.Scope, l: op.Listener}
 	tree := c.tree
 	return func() {
 		tree.mu.Lock()
 		delete(tree.listeners, id)
 		tree.mu.Unlock()
-	}, nil
+	}
 }
 
 // eventsFor computes the listener callbacks to fire for a change at the

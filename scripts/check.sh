@@ -29,14 +29,17 @@
 # only by internal/costmodel and the figure harness, internal/benchmark:
 # servers are charged by their pipeline stage, never by hand), the
 # one-LDAP-codec guard (no ber.Packet tree or ber.Decode: LDAP messages
-# are appended into one buffer and read in place), and the one-search-rule
+# are appended into one buffer and read in place), the one-search-rule
 # guard (no provider parses a search filter or sorts its results or
-# bindings: core.Search and core.ListResult do).
+# bindings: core.Search and core.ListResult do), and the
+# one-name-resolution-rule guard (no provider builds a continuation or
+# walks a name's prefixes: core.Resolve does, over a provider's probe).
 # allocs is the per-commit real-number gate (operations as values, Errf,
-# rpc codec + per-call metrics, hdns request + replication frame codecs,
-# jini registrar codec, bound-value codec, DIT search, dnssp opens,
-# root opens per authority, pooled hdnssp opens, hdns lease scan, server pipeline stage, dns shed
-# answer, LDAP message codec); wall-clock costs are measured by bench/run.sh (see
+# name-resolution walk, rpc codec + per-call metrics, hdns request +
+# replication frame codecs, jini registrar codec, bound-value codec, DIT
+# search, dnssp opens, root opens per authority, pooled hdnssp opens,
+# hdns lease scan, server pipeline stage, dns shed answer, LDAP message
+# codec); wall-clock costs are measured by bench/run.sh (see
 # bench/README.md), not gated here. figures runs the calibrated Figure
 # 2-7 shape tests and ablations, which skip under -race and so run in no
 # other stage.
@@ -168,6 +171,12 @@ stage_lint() {
         echo "a provider parses a filter or orders results itself; offer its entries to a core.Search (core.ListResult sorts a listing)" >&2
         exit 1
     fi
+    echo "== lint: one name-resolution rule (core.Resolve walks a name's prefixes) =="
+    if git ls-files 'internal/provider/*.go' | grep -v '_test\.go$' |
+        xargs grep -nE '&core\.CannotProceedError\{|^func \(c \*Context\) (boundary|checkPrefixes|prefixBoundary|contextBoundary)' /dev/null; then
+        echo "a provider builds a continuation or walks a name's prefixes itself; give core.Resolve a probe of one name" >&2
+        exit 1
+    fi
     echo "== lint: one LDAP codec (messages are appended and read in place) =="
     if git ls-files '*.go' | grep -v '_test\.go$' |
         xargs grep -nE 'ber\.Packet|ber\.Decode\(' /dev/null; then
@@ -239,6 +248,12 @@ stage_allocs() {
     # finds a wrapped *CannotProceedError without errors.As's target.
     echo "== core.Errf one-alloc gate =="
     go test -count=1 -run 'TestErrfAllocs' ./internal/core/
+
+    # The name-resolution walk runs after every failed operation and on
+    # federated_mix's dns -> hdns hop: keeping an answer costs nothing,
+    # and continuing costs the *CannotProceedError and its AltName text.
+    echo "== core.Resolve walk alloc gate =="
+    go test -count=1 -run 'TestResolveAllocs' ./internal/core/
 
     # Wire-path allocation gate: the rpc frame codec must encode and
     # decode with zero steady-state allocations (testing.AllocsPerRun)
