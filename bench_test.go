@@ -40,20 +40,34 @@ func benchLUS(b *testing.B) *jini.LUS {
 	return lus
 }
 
-func benchHDNS(b *testing.B, group string, stack jgroups.Config) *hdns.Node {
+func benchHDNS(b *testing.B, group string, stack jgroups.Config, members int) *hdns.Node {
 	b.Helper()
 	registerAll()
-	n, err := hdns.NewNode(hdns.NodeConfig{
-		Group:      group,
-		Transport:  jgroups.NewFabric().Endpoint("bench-node"),
-		Stack:      stack,
-		ListenAddr: "127.0.0.1:0",
-	})
-	if err != nil {
-		b.Fatal(err)
+	fabric := jgroups.NewFabric()
+	var first *hdns.Node
+	for i := 0; i < members; i++ {
+		n, err := hdns.NewNode(hdns.NodeConfig{
+			Group:      group,
+			Transport:  fabric.Endpoint(jgroups.Address(fmt.Sprintf("bench-node-%d", i+1))),
+			Stack:      stack,
+			ListenAddr: "127.0.0.1:0",
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { n.Close() })
+		if first == nil {
+			first = n
+		}
 	}
-	b.Cleanup(func() { n.Close() })
-	return n
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if v := first.Channel().View(); v != nil && len(v.Members) == members {
+			return first
+		}
+		if time.Now().After(deadline) {
+			b.Fatalf("%d-node group did not form", members)
+		}
+	}
 }
 
 // BenchmarkFig2JiniLookup: the read path of Figure 2 — raw registrar
@@ -144,7 +158,7 @@ func BenchmarkFig3JiniRebind(b *testing.B) {
 // versus the JNDI provider.
 func BenchmarkFig4HDNSLookup(b *testing.B) {
 	ctx := context.Background()
-	node := benchHDNS(b, "bench-fig4", jgroups.DefaultConfig())
+	node := benchHDNS(b, "bench-fig4", jgroups.DefaultConfig(), 1)
 	raw, err := hdns.Dial(node.Addr(), "", 5*time.Second)
 	if err != nil {
 		b.Fatal(err)
@@ -182,7 +196,7 @@ func BenchmarkFig4HDNSLookup(b *testing.B) {
 // replicated through the group channel before acknowledgement.
 func BenchmarkFig5HDNSRebind(b *testing.B) {
 	ctx := context.Background()
-	node := benchHDNS(b, "bench-fig5", jgroups.DefaultConfig())
+	node := benchHDNS(b, "bench-fig5", jgroups.DefaultConfig(), 1)
 	raw, err := hdns.Dial(node.Addr(), "", 5*time.Second)
 	if err != nil {
 		b.Fatal(err)
@@ -321,7 +335,9 @@ func BenchmarkAblationBindSemantics(b *testing.B) {
 }
 
 // BenchmarkAblationHDNSStack compares the §4.2 protocol suites on the
-// replicated write path.
+// replicated write path: serial rebinds through the coordinator of a
+// 2-node group, so every write is multicast to the other member and
+// acknowledged back into the credit window.
 func BenchmarkAblationHDNSStack(b *testing.B) {
 	ctx := context.Background()
 	for _, spec := range []struct {
@@ -332,7 +348,7 @@ func BenchmarkAblationHDNSStack(b *testing.B) {
 		{"vsync", jgroups.VirtualSynchronyConfig()},
 	} {
 		b.Run(spec.name, func(b *testing.B) {
-			node := benchHDNS(b, "bench-stack-"+spec.name, spec.cfg)
+			node := benchHDNS(b, "bench-stack-"+spec.name, spec.cfg, 2)
 			raw, err := hdns.Dial(node.Addr(), "", 5*time.Second)
 			if err != nil {
 				b.Fatal(err)
@@ -391,7 +407,7 @@ func BenchmarkAblationFederationDepth(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ldapSrv.Close()
-	node := benchHDNS(b, "bench-fed", jgroups.DefaultConfig())
+	node := benchHDNS(b, "bench-fed", jgroups.DefaultConfig(), 1)
 	dnsSrv, err := dnssrv.NewServer("127.0.0.1:0", nil)
 	if err != nil {
 		b.Fatal(err)

@@ -227,6 +227,13 @@ func testStack() jgroups.Config {
 	return c
 }
 
+// testStacks are testStack on both protocol suites, bimodal first.
+func testStacks() []jgroups.Config {
+	vs := testStack()
+	vs.Mode = jgroups.ModeVirtualSynchrony
+	return []jgroups.Config{testStack(), vs}
+}
+
 func startTestNode(t *testing.T, f *jgroups.Fabric, name, group string, snapshotPath string) *Node {
 	t.Helper()
 	return startNode(t, f, name, group, snapshotPath, testStack())
@@ -319,9 +326,7 @@ func TestNodeSingleBasicOps(t *testing.T) {
 
 // Writes through either node reach the other on the default (bimodal)
 // stack. Two binds of one name racing through both nodes are
-// TestContestedBindOneWinnerOnVirtualSynchrony's: bimodal multicast
-// applies each node's own write before a peer's that raced it, so both
-// binds can win here until writes enter through one node (ROADMAP 1).
+// TestContestedBindOneWinner's.
 func TestReplicationReadAnyWriteAll(t *testing.T) {
 	ctx := context.Background()
 	f := jgroups.NewFabric()
@@ -353,52 +358,130 @@ func TestReplicationReadAnyWriteAll(t *testing.T) {
 
 // Atomic bind races: of two binds of one name entering through both
 // nodes at once, exactly one wins, and both replicas keep the winner's
-// object. Virtual synchrony applies the pair in one order everywhere.
-func TestContestedBindOneWinnerOnVirtualSynchrony(t *testing.T) {
+// object. The coordinator sequences both nodes' writes into one order,
+// on either stack.
+func TestContestedBindOneWinner(t *testing.T) {
 	ctx := context.Background()
-	f := jgroups.NewFabric()
-	stack := testStack()
-	stack.Mode = jgroups.ModeVirtualSynchrony
-	n1 := startNode(t, f, "n1", "g2", "", stack)
-	n2 := startNode(t, f, "n2", "g2", "", stack)
-	waitFor(t, 4*time.Second, "2-node group", func() bool {
-		v := n1.Channel().View()
-		return v != nil && len(v.Members) == 2
-	})
-	clients := []*Client{dialNode(t, n1), dialNode(t, n2)}
-	for round := 0; round < 20; round++ {
-		name := []string{fmt.Sprintf("contested%d", round)}
-		errs := make([]error, len(clients))
-		var wg sync.WaitGroup
-		for i, c := range clients {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = c.Bind(ctx, name, []byte(fmt.Sprintf("n%d", i+1)), nil, 0)
-			}()
-		}
-		wg.Wait()
-		winner := -1
-		for i, e := range errs {
-			if e == nil {
-				if winner >= 0 {
-					t.Fatalf("round %d: both binds won", round)
-				}
-				winner = i
-			} else if !errors.Is(e, core.ErrAlreadyBound) {
-				t.Fatalf("round %d: unexpected bind error: %v", round, e)
-			}
-		}
-		if winner < 0 {
-			t.Fatalf("round %d: no bind won (%v / %v)", round, errs[0], errs[1])
-		}
-		want := fmt.Sprintf("n%d", winner+1)
-		for _, c := range clients {
-			waitFor(t, 3*time.Second, "winner replicated", func() bool {
-				v, err := c.Lookup(ctx, name)
-				return err == nil && string(v.Obj) == want
+	for _, stack := range testStacks() {
+		t.Run(stack.Mode.String(), func(t *testing.T) {
+			f := jgroups.NewFabric()
+			n1 := startNode(t, f, "n1", "g2", "", stack)
+			n2 := startNode(t, f, "n2", "g2", "", stack)
+			waitFor(t, 4*time.Second, "2-node group", func() bool {
+				v := n1.Channel().View()
+				return v != nil && len(v.Members) == 2
 			})
-		}
+			clients := []*Client{dialNode(t, n1), dialNode(t, n2)}
+			for round := 0; round < 20; round++ {
+				name := []string{fmt.Sprintf("contested%d", round)}
+				errs := make([]error, len(clients))
+				var wg sync.WaitGroup
+				for i, c := range clients {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[i] = c.Bind(ctx, name, []byte(fmt.Sprintf("n%d", i+1)), nil, 0)
+					}()
+				}
+				wg.Wait()
+				winner := -1
+				for i, e := range errs {
+					if e == nil {
+						if winner >= 0 {
+							t.Fatalf("round %d: both binds won", round)
+						}
+						winner = i
+					} else if !errors.Is(e, core.ErrAlreadyBound) {
+						t.Fatalf("round %d: unexpected bind error: %v", round, e)
+					}
+				}
+				if winner < 0 {
+					t.Fatalf("round %d: no bind won (%v / %v)", round, errs[0], errs[1])
+				}
+				want := fmt.Sprintf("n%d", winner+1)
+				for _, c := range clients {
+					waitFor(t, 3*time.Second, "winner replicated", func() bool {
+						v, err := c.Lookup(ctx, name)
+						return err == nil && string(v.Obj) == want
+					})
+				}
+			}
+		})
+	}
+}
+
+// A coordinator crash leaves the group writable: the node that takes
+// over continues the sequence from what the survivors delivered, so a
+// write entering through it applies at once.
+func TestWriteThroughNewCoordinator(t *testing.T) {
+	ctx := context.Background()
+	for _, stack := range testStacks() {
+		t.Run(stack.Mode.String(), func(t *testing.T) {
+			f := jgroups.NewFabric()
+			n1 := startNode(t, f, "n1", "wnc", "", stack)
+			n2 := startNode(t, f, "n2", "wnc", "", stack)
+			n3 := startNode(t, f, "n3", "wnc", "", stack)
+			waitFor(t, 4*time.Second, "3-node group", func() bool {
+				v := n3.Channel().View()
+				return v != nil && len(v.Members) == 3
+			})
+			c1 := dialNode(t, n1)
+			for i := 0; i < 5; i++ {
+				if err := c1.Bind(ctx, []string{fmt.Sprintf("e%d", i)}, []byte("v"), nil, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n1.Kill()
+			waitFor(t, 5*time.Second, "n2 coordinates", func() bool {
+				v2, v3 := n2.Channel().View(), n3.Channel().View()
+				return v2 != nil && v3 != nil && len(v2.Members) == 2 && len(v3.Members) == 2 &&
+					v2.Coord() == "n2" && v3.Coord() == "n2"
+			})
+			c2 := dialNode(t, n2)
+			bctx, cancel := context.WithTimeout(ctx, time.Second)
+			defer cancel()
+			start := time.Now()
+			if err := c2.Bind(bctx, []string{"after"}, []byte("v"), nil, 0); err != nil {
+				t.Fatalf("bind through the new coordinator: %v after %v", err, time.Since(start))
+			}
+			waitFor(t, 3*time.Second, "the write on the other survivor", func() bool {
+				return n3.Store().Lookup([]string{"after"}).Exists
+			})
+		})
+	}
+}
+
+// A joiner adopts the coordinator's position in the sequence on both
+// stacks: the state transfer carries the history, and no repair replays
+// it on top, so one write after the join leaves both replicas at one
+// version.
+func TestJoinerDoesNotReplayHistory(t *testing.T) {
+	ctx := context.Background()
+	for _, stack := range testStacks() {
+		t.Run(stack.Mode.String(), func(t *testing.T) {
+			f := jgroups.NewFabric()
+			n1 := startNode(t, f, "n1", "replay", "", stack)
+			c1 := dialNode(t, n1)
+			for i := 0; i < 42; i++ {
+				if err := c1.Bind(ctx, []string{fmt.Sprintf("pre%d", i)}, []byte("v"), nil, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n2 := startNode(t, f, "n2", "replay", "", stack)
+			waitFor(t, 4*time.Second, "2-node group", func() bool {
+				v := n1.Channel().View()
+				return v != nil && len(v.Members) == 2
+			})
+			if err := c1.Bind(ctx, []string{"post"}, []byte("v"), nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 4*time.Second, "the joiner applies the write", func() bool {
+				return n2.Store().Lookup([]string{"post"}).Exists
+			})
+			if v1, v2 := n1.Store().Version(), n2.Store().Version(); v1 != v2 {
+				t.Fatalf("joiner at version %d, coordinator at %d", v2, v1)
+			}
+		})
 	}
 }
 

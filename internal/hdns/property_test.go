@@ -14,82 +14,82 @@ import (
 
 // Property: two live replicas under a random mixed workload converge to
 // semantically identical stores once traffic quiesces — the §4.1
-// consistency claim, stated per stack for what that stack promises
-// (DESIGN.md "HDNS consistency model").
-//
-// Virtual synchrony gives the group one total order, so writers may
+// consistency claim (DESIGN.md "HDNS consistency model"). The view
+// coordinator sequences every write, so on either stack writers may
 // enter through both nodes and hit the same keys.
 func TestRandomOpsReplicaConvergence(t *testing.T) {
-	stack := testStack()
-	stack.Mode = jgroups.ModeVirtualSynchrony
-	randomOpsConverge(t, "rc", stack, 2)
+	for _, stack := range testStacks() {
+		t.Run(stack.Mode.String(), func(t *testing.T) {
+			randomOpsConverge(t, "rc", stack, 2)
+		})
+	}
 }
 
-// Property: on virtual synchrony, two writes to one key that enter
-// through different nodes at the same instant are applied in the same
-// order on both replicas. Each of 150 seeded rounds rebinds a fresh key
-// through n1 and n2 concurrently; once traffic quiesces no key may differ
-// between the stores. The coordinator applies its own writes and the
-// ones its peer forwards on one goroutine, in sequence order, which is
-// what makes this hold.
-func TestConcurrentRebindsConvergeOnVirtualSynchrony(t *testing.T) {
+// Property: two writes to one key that enter through different nodes at
+// the same instant are applied in the same order on both replicas, on
+// either stack. Each of 150 seeded rounds rebinds a fresh key through n1
+// and n2 concurrently; once traffic quiesces no key may differ between
+// the stores. The coordinator sequences its own writes and the ones its
+// peer forwards on one goroutine, and every replica applies them in
+// sequence order, which is what makes this hold.
+func TestConcurrentRebindsConverge(t *testing.T) {
 	ctx := context.Background()
-	stack := testStack()
-	stack.Mode = jgroups.ModeVirtualSynchrony
-	f := jgroups.NewFabric()
-	n1 := startNode(t, f, "vsr-n1", "vsr", "", stack)
-	n2 := startNode(t, f, "vsr-n2", "vsr", "", stack)
-	waitFor(t, 4*time.Second, "group", func() bool {
-		v := n1.Channel().View()
-		return v != nil && len(v.Members) == 2
-	})
-	clients := []*Client{dialNode(t, n1), dialNode(t, n2)}
+	for _, stack := range testStacks() {
+		t.Run(stack.Mode.String(), func(t *testing.T) {
+			f := jgroups.NewFabric()
+			n1 := startNode(t, f, "vsr-n1", "vsr", "", stack)
+			n2 := startNode(t, f, "vsr-n2", "vsr", "", stack)
+			waitFor(t, 4*time.Second, "group", func() bool {
+				v := n1.Channel().View()
+				return v != nil && len(v.Members) == 2
+			})
+			clients := []*Client{dialNode(t, n1), dialNode(t, n2)}
 
-	const rounds = 150
-	r := rand.New(rand.NewSource(20061006))
-	for i := 0; i < rounds; i++ {
-		name := []string{fmt.Sprintf("k%d", i)}
-		start := make(chan struct{})
-		errs := make(chan error, len(clients))
-		var wg sync.WaitGroup
-		for _, j := range r.Perm(len(clients)) {
-			c, obj := clients[j], []byte(fmt.Sprintf("n%d-%d", j+1, r.Int63()))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				errs <- c.Rebind(ctx, name, obj, nil, false, 0)
-			}()
-		}
-		close(start)
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			if err != nil {
-				t.Fatalf("round %d: rebind: %v", i, err)
+			const rounds = 150
+			r := rand.New(rand.NewSource(20061006))
+			for i := 0; i < rounds; i++ {
+				name := []string{fmt.Sprintf("k%d", i)}
+				start := make(chan struct{})
+				errs := make(chan error, len(clients))
+				var wg sync.WaitGroup
+				for _, j := range r.Perm(len(clients)) {
+					c, obj := clients[j], []byte(fmt.Sprintf("n%d-%d", j+1, r.Int63()))
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						errs <- c.Rebind(ctx, name, obj, nil, false, 0)
+					}()
+				}
+				close(start)
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					if err != nil {
+						t.Fatalf("round %d: rebind: %v", i, err)
+					}
+				}
 			}
-		}
-	}
 
-	waitFor(t, 6*time.Second, "replicas at one version", func() bool {
-		return n1.Store().Version() == n2.Store().Version()
-	})
-	divergent := 0
-	for i := 0; i < rounds; i++ {
-		name := []string{fmt.Sprintf("k%d", i)}
-		if !reflect.DeepEqual(n1.Store().Lookup(name), n2.Store().Lookup(name)) {
-			divergent++
-		}
-	}
-	if divergent != 0 {
-		t.Fatalf("%d of %d keys differ between the replicas at version %d", divergent, rounds, n1.Store().Version())
+			waitFor(t, 6*time.Second, "replicas at one version", func() bool {
+				return n1.Store().Version() == n2.Store().Version()
+			})
+			divergent := 0
+			for i := 0; i < rounds; i++ {
+				name := []string{fmt.Sprintf("k%d", i)}
+				if !reflect.DeepEqual(n1.Store().Lookup(name), n2.Store().Lookup(name)) {
+					divergent++
+				}
+			}
+			if divergent != 0 {
+				t.Fatalf("%d of %d keys differ between the replicas at version %d", divergent, rounds, n1.Store().Version())
+			}
+		})
 	}
 }
 
-// Bimodal multicast gives per-sender FIFO only (a sender also delivers
-// its own message inside Send), so two nodes writing one key may apply
-// the pair in opposite orders. What it does promise is convergence when
-// every write enters through one node; reads still go to either.
+// Property: with every write entering through one node of a bimodal
+// group, the replicas converge; reads still go to either node.
 func TestRandomOpsReplicaConvergenceBimodalOneWriter(t *testing.T) {
 	randomOpsConverge(t, "rb", testStack(), 1)
 }

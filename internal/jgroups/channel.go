@@ -17,8 +17,9 @@ var (
 	// ErrSendWindowFull reports that Send waited on the credit window
 	// longer than JoinTimeout — the group is not draining.
 	ErrSendWindowFull = errors.New("jgroups: send window full")
-	// ErrFlushTimeout reports that Send waited on a view-change flush
-	// longer than JoinTimeout — the group is not settling on a view.
+	// ErrFlushTimeout reports that Send waited longer than JoinTimeout on
+	// a view-change flush, or for the coordinator to sequence it — the
+	// group is not settling on a view.
 	ErrFlushTimeout = errors.New("jgroups: send blocked by flush too long")
 )
 
@@ -29,7 +30,8 @@ var (
 		"Out-of-order packets dropped by the bounded delivery buffer (recovered by repair).")
 )
 
-// bimodalStoreMax bounds the per-sender gossip repair store.
+// bimodalStoreMax bounds the store of delivered messages every member
+// keeps to answer NAKs and gossip digests.
 const bimodalStoreMax = 4096
 
 // Discovery probes: a joiner broadcasts this many, this far apart, before
@@ -39,18 +41,6 @@ const (
 	discoverWait   = 150 * time.Millisecond
 )
 
-// senderState tracks per-sender FIFO delivery (bimodal mode).
-type senderState struct {
-	delivered uint64
-	pending   map[uint64]*Packet
-	store     map[uint64]*Packet // delivered messages kept for gossip repair
-	storeMin  uint64
-}
-
-func newSenderState() *senderState {
-	return &senderState{pending: map[uint64]*Packet{}, store: map[uint64]*Packet{}}
-}
-
 // pendingFlush is the coordinator's in-progress view change.
 type pendingFlush struct {
 	newView  *View
@@ -59,22 +49,21 @@ type pendingFlush struct {
 	deadline time.Time
 }
 
-// sendReq is one message waiting to go out: a local Send, whose caller
-// waits on reply, or at the coordinator a member's forwarded send, whose
-// caller already returned (reply nil).
+// sendReq is one local Send: its payload and its caller, waiting on
+// reply until answer (once) clears it.
 type sendReq struct {
-	from    Address
 	payload []byte
 	reply   chan error
-	// Set when parked: since when, and the answer if it waits too long
-	// (ErrFlushTimeout or ErrSendWindowFull, by what held it back).
-	since  time.Time
+	since   time.Time // when Send was called
+	// expiry answers a parked send that waits too long: ErrFlushTimeout
+	// or ErrSendWindowFull, by what held it back.
 	expiry error
 }
 
 func (r *sendReq) answer(err error) {
 	if r.reply != nil {
 		r.reply <- err
+		r.reply = nil
 	}
 }
 
@@ -114,27 +103,23 @@ type Channel struct {
 	view      *View   // nil until joined; replaced, never mutated
 	joinCoord Address // the coordinator a join request went to
 	flushing  bool
-	parked    []*sendReq // FIFO: sends held back by a flush or the window
+	parked    []*sendReq // FIFO: sends held back by a flush, a catch-up or the window
 	pull      *statePull
 
-	// Virtual-synchrony data path.
-	nextSeq   uint64             // coordinator: next global seq to assign
-	delivered uint64             // highest contiguously delivered global seq
+	// The data path: one sequence, numbered by the view coordinator.
+	nextSeq   uint64             // the highest seq known sequenced (the coordinator's counter)
+	delivered uint64             // highest contiguously delivered seq
 	pending   map[uint64]*Packet // out-of-order buffer
-	msgStore  map[uint64]*Packet // coordinator: for retransmission
-	storeLow  uint64             // below this the store is pruned
-	ackSeq    map[Address]uint64 // coordinator: member delivery acks
-	coordSeq  uint64             // member: coordinator's delivered seq (from heartbeats)
+	msgStore  map[uint64]*Packet // delivered messages kept for repair
+	storeLow  uint64             // the store holds the seqs above this
+	ackSeq    map[Address]uint64 // each member's delivered seq, as last heard
 	gapSince  time.Time
-
-	// Bimodal data path.
-	sendSeqB uint64
-	senders  map[Address]*senderState
-	// peerAckB tracks, per view member, the highest of our own bimodal
-	// seqs it has acknowledged delivering (monotonic; learned from
-	// heartbeat/gossip/flush digests). The minimum across members is the
-	// sender credit window's floor.
-	peerAckB map[Address]uint64
+	// fromCount counts each sender's delivered messages: a member numbers
+	// its forwards after its own count, and the coordinator sequences
+	// only a sender's next number.
+	fromCount map[Address]uint64
+	fwd       []*sendReq // member: forwarded sends the stream has not shown yet, in order
+	fwdSince  time.Time  // the last forward progress or resend
 
 	// Membership machinery.
 	lastSeen map[Address]time.Time
@@ -153,19 +138,18 @@ func NewChannel(tr Transport, cfg Config) *Channel {
 		cfg.SendWindow = DefaultSendWindow
 	}
 	return &Channel{
-		cfg:      cfg,
-		tr:       tr,
-		calls:    make(chan func()),
-		joined:   make(chan error, 1),
-		done:     make(chan struct{}),
-		stopped:  make(chan struct{}),
-		pending:  map[uint64]*Packet{},
-		msgStore: map[uint64]*Packet{},
-		ackSeq:   map[Address]uint64{},
-		senders:  map[Address]*senderState{},
-		peerAckB: map[Address]uint64{},
-		lastSeen: map[Address]time.Time{},
-		rng:      rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(len(tr.Addr())))),
+		cfg:       cfg,
+		tr:        tr,
+		calls:     make(chan func()),
+		joined:    make(chan error, 1),
+		done:      make(chan struct{}),
+		stopped:   make(chan struct{}),
+		pending:   map[uint64]*Packet{},
+		msgStore:  map[uint64]*Packet{},
+		ackSeq:    map[Address]uint64{},
+		fromCount: map[Address]uint64{},
+		lastSeen:  map[Address]time.Time{},
+		rng:       rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(len(tr.Addr())))),
 	}
 }
 
@@ -178,14 +162,13 @@ func (c *Channel) View() *View { return c.pubView.Load().Clone() }
 // IsCoordinator reports whether this member coordinates the group.
 func (c *Channel) IsCoordinator() bool { return c.pubView.Load().Coord() == c.Addr() }
 
-// pendingLen reports buffered out-of-order packets across all senders —
-// a diagnostic for the bounded-buffer tests.
+// pendingLen reports buffered out-of-order packets — a diagnostic for the
+// bounded-buffer tests.
 func (c *Channel) pendingLen() int { return int(c.pubPending.Load()) }
 
-// outstanding reports the credit window in use (windowUsed): in bimodal
-// mode this member's messages its slowest peer has not acknowledged; in
-// virtual synchrony the sequenced messages the slowest member has not
-// acknowledged at the coordinator, and 0 on a member. Diagnostic.
+// outstanding reports the credit window in use (windowUsed): at the
+// coordinator the sequenced messages the slowest member has not
+// acknowledged, and 0 on a member. Diagnostic.
 func (c *Channel) outstanding() int { return int(c.pubOutstanding.Load()) }
 
 // Connect discovers the group coordinator (or founds the group), joins,
@@ -256,50 +239,58 @@ func (c *Channel) post(f func()) bool {
 	}
 }
 
-// Send multicasts payload to the group; the sender receives its own
-// message through Deliver as well. In virtual-synchrony mode messages are
-// totally ordered; in bimodal mode they are FIFO per sender.
+// Send multicasts payload to the group and returns once this member has
+// delivered it through Deliver, at its place in the group's one total
+// order. The view coordinator sequences every message: its own at once,
+// a member's once the member forwards it.
 //
-// A bimodal send, or a virtual-synchrony send from the coordinator,
-// returns once the message was delivered locally; a member's
-// virtual-synchrony send returns once it was forwarded to the
-// coordinator. While a flush quiesces the group or the credit window is
-// exhausted (the slowest member is SendWindow of our own messages
-// behind), Send waits: that backpressure is the anti-collapse mechanism,
-// running the sender at the group's drain rate instead of burying a
-// lagging receiver under an unbounded queue. After JoinTimeout it gives
-// up with ErrSendWindowFull or ErrFlushTimeout.
+// While a flush quiesces the group, a new coordinator catches up on the
+// sequence, or the credit window is exhausted (the slowest member is
+// SendWindow messages behind the coordinator), Send waits: that
+// backpressure is the anti-collapse mechanism, running the sender at the
+// group's drain rate instead of burying a lagging receiver under an
+// unbounded queue. After JoinTimeout it gives up with ErrSendWindowFull
+// or ErrFlushTimeout; a message already forwarded may still be delivered.
 func (c *Channel) Send(payload []byte) error {
 	if c.pubView.Load() == nil {
 		return ErrNotConnected
 	}
-	req := &sendReq{from: c.Addr(), payload: payload, reply: make(chan error, 1)}
+	reply := make(chan error, 1)
+	req := &sendReq{payload: payload, reply: reply, since: time.Now()}
 	if !c.post(func() { c.submit(req) }) {
 		return ErrChanClosed
 	}
-	return <-req.reply
+	return <-reply
 }
 
-// submit sends req now or parks it. A flush holds back every send. The
-// credit window holds back only local ones, in FIFO order: a forwarded
-// send was already answered at its member, so parking it would queue
-// without backpressure (members' sends are not windowed, ROADMAP 19).
+// submit sends req now or parks it, in FIFO order: a flush or a
+// coordinator's catch-up holds every send, the credit window the
+// coordinator's own.
 func (c *Channel) submit(req *sendReq) {
 	switch {
 	case c.view == nil:
 		req.answer(ErrNotConnected)
 		return
-	case c.flushing:
+	case c.held():
 		req.expiry = ErrFlushTimeout
-	case req.reply != nil && (len(c.parked) > 0 || c.windowFull()):
+	case len(c.parked) > 0 || c.windowFull():
 		mSendStalls.Inc()
 		req.expiry = ErrSendWindowFull
 	default:
 		c.emit(req)
 		return
 	}
-	req.since = time.Now()
 	c.parked = append(c.parked, req)
+}
+
+// isCoord reports whether this member coordinates its view.
+func (c *Channel) isCoord() bool { return c.view.Coord() == c.Addr() }
+
+// held reports that nothing may be sequenced now: a flush is quiescing
+// the group, or this member coordinates and has not yet delivered the
+// sequence it continues from.
+func (c *Channel) held() bool {
+	return c.flushing || (c.isCoord() && c.delivered < c.nextSeq)
 }
 
 // windowFull reports that the sender credit window is exhausted.
@@ -308,34 +299,37 @@ func (c *Channel) windowFull() bool {
 	return w > 0 && c.windowUsed() >= uint64(w)
 }
 
-// drainParked sends, once no flush is running, every parked forwarded
-// send and the local ones, oldest first, until the window holds the next
-// back. The loop runs it after every event, since acks, views and flush
-// ends are what unblock them; so outside a flush only local sends stay
-// parked, at most one per caller blocked in Send.
+// drainParked sends parked sends, oldest first, until the window holds
+// the next back. The loop runs it after every event, since acks, views,
+// flush ends and repairs are what unblock them; so outside a flush at
+// most one send per caller blocked in Send is parked. A member that took
+// over as coordinator first puts the forwards the stream has not shown
+// it at the head of the line: they are its own sends to sequence now.
 func (c *Channel) drainParked() {
-	if c.flushing {
+	if c.held() {
 		return
 	}
-	kept := c.parked[:0]
-	for _, req := range c.parked {
-		if req.reply == nil || (len(kept) == 0 && !c.windowFull()) {
-			c.emit(req)
-		} else {
-			kept = append(kept, req)
-		}
+	if len(c.fwd) > 0 && c.isCoord() {
+		c.parked = append(c.fwd, c.parked...)
+		c.fwd = nil
 	}
-	clear(c.parked[len(kept):])
-	c.parked = kept
+	n := 0
+	for n < len(c.parked) && !c.windowFull() {
+		c.emit(c.parked[n])
+		n++
+	}
+	kept := copy(c.parked, c.parked[n:])
+	clear(c.parked[kept:])
+	c.parked = c.parked[:kept]
 }
 
-// expireParked answers local sends parked longer than JoinTimeout. A
-// forwarded send has no caller here to answer — its sender was already
-// told it went out — so it waits for the flush to end instead.
+// expireParked answers sends waiting longer than JoinTimeout. A parked
+// send is dropped. A forwarded one stays queued, since its place in the
+// queue is its forward number, and may still be delivered.
 func (c *Channel) expireParked() {
 	kept := c.parked[:0]
 	for _, req := range c.parked {
-		if req.reply != nil && time.Since(req.since) > c.cfg.JoinTimeout {
+		if time.Since(req.since) > c.cfg.JoinTimeout {
 			req.answer(req.expiry)
 		} else {
 			kept = append(kept, req)
@@ -343,28 +337,59 @@ func (c *Channel) expireParked() {
 	}
 	clear(c.parked[len(kept):])
 	c.parked = kept
+	for _, req := range c.fwd {
+		if time.Since(req.since) > c.cfg.JoinTimeout {
+			req.answer(ErrFlushTimeout)
+		}
+	}
 }
 
-// emit sends one message. The coordinator sequences its own sends and
-// forwarded ones with the same code; a member forwards to it.
+// emit sends one local message: the coordinator sequences it, and a
+// member forwards it to the coordinator and answers it when the stream
+// shows it (deliverFrom).
 func (c *Channel) emit(req *sendReq) {
-	var err error
-	switch {
-	case c.cfg.Mode == ModeBimodal:
-		c.sendSeqB++
-		p := &Packet{Kind: kDataBimodal, Group: c.group, From: c.Addr(), Seq: c.sendSeqB, Payload: req.payload}
-		c.multicast(p)
-		c.handleBimodalData(p)
-	case c.view.Coord() == c.Addr():
-		c.nextSeq++
-		p := &Packet{Kind: kData, Group: c.group, From: req.from, Seq: c.nextSeq, Payload: req.payload}
-		c.msgStore[p.Seq] = p
-		c.multicast(p)
-		c.handleData(p)
-	default:
-		err = c.tr.Send(c.view.Coord(), &Packet{Kind: kDataFwd, Group: c.group, From: req.from, Payload: req.payload})
+	if c.isCoord() {
+		c.sequence(c.Addr(), req.payload)
+		req.answer(nil)
+		return
 	}
-	req.answer(err)
+	if len(c.fwd) == 0 {
+		c.fwdSince = time.Now()
+	}
+	c.fwd = append(c.fwd, req)
+	c.forward(len(c.fwd) - 1)
+}
+
+// forward sends fwd[i] to the coordinator, numbered i+1 past this
+// member's delivered messages. The coordinator sequences a forward only
+// when its number is one past the member's count there, so a lost
+// forward is sent again and none is delivered twice.
+func (c *Channel) forward(i int) {
+	me := c.Addr()
+	_ = c.tr.Send(c.view.Coord(), &Packet{Kind: kDataFwd, Group: c.group, From: me,
+		Seq: c.fromCount[me] + uint64(i) + 1, Payload: c.fwd[i].payload})
+}
+
+// reforward sends the coordinator every forward again, in order, once
+// the stream has shown none of them for RetransmitTimeout. A coordinator
+// sends none: drainParked sequences its own.
+func (c *Channel) reforward() {
+	if len(c.fwd) == 0 || c.isCoord() || time.Since(c.fwdSince) < c.cfg.RetransmitTimeout {
+		return
+	}
+	for i := range c.fwd {
+		c.forward(i)
+	}
+	c.fwdSince = time.Now()
+}
+
+// sequence (coordinator) gives a message from `from` the next seq,
+// multicasts it and delivers it here.
+func (c *Channel) sequence(from Address, payload []byte) {
+	c.nextSeq++
+	p := &Packet{Kind: kData, Group: c.group, From: from, Seq: c.nextSeq, Payload: payload}
+	c.multicast(p)
+	c.handleData(p)
 }
 
 // multicast unicasts p to every other view member.
@@ -377,23 +402,39 @@ func (c *Channel) multicast(p *Packet) {
 }
 
 // deliverFrom hands the application the contiguous run of pending
-// messages after *delivered, in sequence order: the one place Deliver is
-// called, for both data paths. A non-nil store keeps each delivered
-// message for gossip repair (bimodal).
-func (c *Channel) deliverFrom(pending map[uint64]*Packet, delivered *uint64, store map[uint64]*Packet) {
+// messages after delivered, in sequence order: the one place Deliver is
+// called. Each delivered message is stored for repair and counted to its
+// sender; one of this member's own answers the oldest forwarded Send.
+func (c *Channel) deliverFrom() {
+	me := c.Addr()
 	for {
-		next, ok := pending[*delivered+1]
+		next, ok := c.pending[c.delivered+1]
 		if !ok {
 			return
 		}
-		delete(pending, *delivered+1)
-		*delivered++
-		if store != nil {
-			store[next.Seq] = next
+		delete(c.pending, next.Seq)
+		c.delivered++
+		c.msgStore[next.Seq] = next
+		if c.delivered > bimodalStoreMax {
+			c.prune(c.delivered - bimodalStoreMax)
 		}
+		c.fromCount[next.From]++
 		if c.recv.Deliver != nil {
 			c.recv.Deliver(next.From, next.Payload)
 		}
+		if next.From == me && len(c.fwd) > 0 {
+			c.fwd[0].answer(nil)
+			c.fwd[0] = nil
+			c.fwd = c.fwd[1:]
+			c.fwdSince = time.Now()
+		}
+	}
+}
+
+// prune drops the stored messages up to seq.
+func (c *Channel) prune(seq uint64) {
+	for ; c.storeLow < seq; c.storeLow++ {
+		delete(c.msgStore, c.storeLow+1)
 	}
 }
 
@@ -404,54 +445,32 @@ func (c *Channel) viewChanged() {
 	}
 }
 
-// handleData performs in-order global-seq delivery (VS mode).
+// handleData buffers p and delivers what it makes contiguous. A full
+// buffer sheds its newest packet (LIFO): the gap blocking delivery is
+// older, and repair re-fetches whatever is dropped once the gap closes,
+// so memory stays bounded through a retransmit storm.
 func (c *Channel) handleData(p *Packet) {
 	if p.Seq <= c.delivered {
 		return // duplicate
 	}
 	cp := *p
 	c.pending[p.Seq] = &cp
-	c.deliverFrom(c.pending, &c.delivered, nil)
+	c.deliverFrom()
 	if mp := c.cfg.MaxPending; mp > 0 && len(c.pending) > mp {
 		dropNewestPending(c.pending)
 	}
-	if len(c.pending) > 0 {
-		if c.gapSince.IsZero() {
-			c.gapSince = time.Now()
-		}
-	} else {
-		c.gapSince = time.Time{}
-	}
+	c.noteGap()
 }
 
-// handleBimodalData performs per-sender FIFO delivery and stores
-// messages for gossip repair.
-func (c *Channel) handleBimodalData(p *Packet) {
-	ss := c.senders[p.From]
-	if ss == nil {
-		ss = newSenderState()
-		c.senders[p.From] = ss
-	}
-	if p.Seq <= ss.delivered {
-		return
-	}
-	if _, dup := ss.pending[p.Seq]; dup {
-		return
-	}
-	cp := *p
-	ss.pending[p.Seq] = &cp
-	c.deliverFrom(ss.pending, &ss.delivered, ss.store)
-	// Bound the out-of-order buffer: shed the newest buffered packet —
-	// the gap blocking delivery is older, and gossip repair re-fetches
-	// whatever is dropped once the gap closes. Memory stays bounded
-	// through a retransmit storm.
-	if mp := c.cfg.MaxPending; mp > 0 && len(ss.pending) > mp {
-		dropNewestPending(ss.pending)
-	}
-	// Prune the repair store.
-	for len(ss.store) > bimodalStoreMax {
-		ss.storeMin++
-		delete(ss.store, ss.storeMin)
+// noteGap starts the repair clock when a gap opens — a message buffered
+// past one missing, or a seq known sequenced past the delivered one
+// (tail loss) — and stops it once the gap closes.
+func (c *Channel) noteGap() {
+	switch {
+	case len(c.pending) == 0 && c.nextSeq <= c.delivered:
+		c.gapSince = time.Time{}
+	case c.gapSince.IsZero():
+		c.gapSince = time.Now()
 	}
 }
 
@@ -473,7 +492,7 @@ func dropNewestPending(pending map[uint64]*Packet) {
 // state and calls the application.
 func (c *Channel) run() {
 	defer func() {
-		for _, req := range c.parked {
+		for _, req := range append(c.parked, c.fwd...) {
 			req.answer(ErrChanClosed)
 		}
 		close(c.stopped)
@@ -515,11 +534,7 @@ func (c *Channel) run() {
 // publish stores the snapshot the accessors read.
 func (c *Channel) publish() {
 	c.pubView.Store(c.view)
-	n := len(c.pending)
-	for _, ss := range c.senders {
-		n += len(ss.pending)
-	}
-	c.pubPending.Store(int64(n))
+	c.pubPending.Store(int64(len(c.pending)))
 	c.pubOutstanding.Store(int64(c.windowUsed()))
 }
 
@@ -529,7 +544,7 @@ func (c *Channel) handlePacket(p *Packet) {
 	}
 	c.lastSeen[p.Src] = time.Now()
 	connected := c.view != nil
-	isCoord := connected && c.view.Coord() == c.Addr()
+	isCoord := connected && c.isCoord()
 	switch p.Kind {
 	case kDiscover:
 		if isCoord && p.Src != c.Addr() {
@@ -551,14 +566,11 @@ func (c *Channel) handlePacket(p *Packet) {
 			c.handleData(p)
 		}
 	case kDataFwd:
-		// Parked while a flush runs: the member's Send already
-		// returned, so dropping it would lose the message.
-		if isCoord {
-			c.submit(&sendReq{from: p.From, payload: p.Payload})
-		}
-	case kDataBimodal:
-		if connected {
-			c.handleBimodalData(p)
+		// Only the sender's next message, and only while nothing holds
+		// sends; any other forward is dropped, and its member sends it
+		// again until it sees it delivered.
+		if isCoord && !c.held() && p.Seq == c.fromCount[p.From]+1 {
+			c.sequence(p.From, p.Payload)
 		}
 	case kNakReq:
 		for _, seq := range p.Seqs {
@@ -568,7 +580,7 @@ func (c *Channel) handlePacket(p *Packet) {
 		}
 	case kFlushStart:
 		c.flushing = true
-		_ = c.tr.Send(p.Src, &Packet{Kind: kFlushAck, Group: c.group, Seq: c.delivered, Digest: c.bimodalDigest()})
+		_ = c.tr.Send(p.Src, &Packet{Kind: kFlushAck, Group: c.group, Seq: c.delivered})
 	case kFlushAck:
 		c.handleFlushAck(p)
 	case kView:
@@ -578,8 +590,10 @@ func (c *Channel) handlePacket(p *Packet) {
 	case kGossip:
 		c.handleGossip(p)
 	case kGossipRsp:
-		for _, m := range p.Packets {
-			c.handleBimodalData(m)
+		if connected {
+			for _, m := range p.Packets {
+				c.handleData(m)
+			}
 		}
 	case kStateReq:
 		if c.recv.GetState != nil {
@@ -621,18 +635,18 @@ func (c *Channel) endPull(state []byte, answered bool) {
 	}
 }
 
-// handleJoin (coordinator) starts a flush to admit a joiner.
+// handleJoin (coordinator) starts a flush to admit a joiner. A member
+// that asks to join again has restarted and counts its messages from one
+// again, so the group first sees it leave.
 func (c *Channel) handleJoin(joiner Address) {
-	if c.view == nil || c.view.Coord() != c.Addr() {
+	if c.view == nil || !c.isCoord() {
 		return
 	}
-	if c.view.Contains(joiner) {
-		// Re-join after restart: just resend the current view.
-		_ = c.tr.Send(joiner, &Packet{Kind: kView, Group: c.group, View: c.view, Seq: c.nextSeq})
-		return
-	}
-	if c.flush != nil {
+	if c.flush != nil || c.view.Contains(joiner) {
 		c.joiners = append(c.joiners, joiner)
+		if c.flush == nil {
+			c.startFlush(c.removeMemberView(joiner))
+		}
 		return
 	}
 	nv := c.view.Clone()
@@ -679,7 +693,7 @@ func (c *Channel) startFlush(nv *View) {
 }
 
 func (c *Channel) handleFlushAck(p *Packet) {
-	c.recordPeerAck(p.Src, p.Digest)
+	c.ackSeq[p.Src] = p.Seq
 	if c.flush == nil || !c.flush.waiting[p.Src] {
 		return
 	}
@@ -690,17 +704,22 @@ func (c *Channel) handleFlushAck(p *Packet) {
 	}
 }
 
-// finishFlush (coordinator) retransmits what stragglers miss, then
-// installs the new view everywhere.
+// finishFlush installs the new view everywhere, cut at the seq the group
+// continues from: the highest any member of the new view delivered. That
+// is the coordinator's own seq unless it is catching up, as a member
+// that takes over does. On virtual synchrony it first retransmits what
+// stragglers miss.
 func (c *Channel) finishFlush() {
 	f := c.flush
 	c.flush = nil
+	c.nextSeq = c.delivered
+	for _, got := range f.digests {
+		c.nextSeq = max(c.nextSeq, got)
+	}
 	if c.cfg.Mode == ModeVirtualSynchrony {
 		for m, got := range f.digests {
-			for seq := got + 1; seq <= c.nextSeq; seq++ {
-				if msg, ok := c.msgStore[seq]; ok {
-					_ = c.tr.Send(m, msg)
-				}
+			for seq := max(got, c.storeLow) + 1; seq <= c.delivered; seq++ {
+				_ = c.tr.Send(m, c.msgStore[seq])
 			}
 		}
 	}
@@ -709,12 +728,7 @@ func (c *Channel) finishFlush() {
 			_ = c.tr.Send(m, &Packet{Kind: kView, Group: c.group, View: f.newView, Seq: c.nextSeq})
 		}
 	}
-	c.view = f.newView.Clone()
-	c.syncPeerAck()
-	c.flushing = false
-	for _, m := range c.view.Members {
-		c.lastSeen[m] = time.Now()
-	}
+	c.setView(f.newView, c.nextSeq)
 	c.viewChanged()
 	// Queued joiners start the next flush.
 	if len(c.joiners) > 0 {
@@ -734,110 +748,76 @@ func (c *Channel) installView(p *Packet) {
 	if !joining && p.View.ID <= c.view.ID {
 		return // stale
 	}
-	c.view = p.View.Clone()
-	c.syncPeerAck()
-	c.flushing = false
-	for _, m := range c.view.Members {
-		c.lastSeen[m] = time.Now()
-	}
 	if joining {
-		// Adopt the coordinator's sequence position.
-		c.delivered = p.Seq
-		c.nextSeq = p.Seq
+		// Adopt the coordinator's sequence position: the state transfer,
+		// not a replay, carries what came before it.
+		c.delivered, c.storeLow = p.Seq, p.Seq
 	}
+	c.setView(p.View, p.Seq)
 	c.viewChanged()
 	switch {
 	case !joining:
-	case c.recv.SetState != nil && c.view.Coord() != c.Addr():
+	case c.recv.SetState != nil && !c.isCoord():
 		c.startPull(nil)
 	default:
 		c.finishJoin()
 	}
 }
 
-func (c *Channel) bimodalDigest() map[Address]uint64 {
-	d := map[Address]uint64{}
-	for a, ss := range c.senders {
-		d[a] = ss.delivered
-	}
-	if c.cfg.Mode == ModeBimodal {
-		d[c.Addr()] = c.sendSeqB
-	}
-	return d
-}
-
-// recordPeerAck folds a peer's digest of OUR messages into the
-// credit-window floor. Acks are monotonic: a joiner's backfill digest
-// never retracts credit already granted.
-func (c *Channel) recordPeerAck(src Address, digest map[Address]uint64) {
-	if c.cfg.Mode != ModeBimodal || digest == nil || src == c.Addr() {
-		return
-	}
-	if n := digest[c.Addr()]; n > c.peerAckB[src] {
-		c.peerAckB[src] = n
-	}
-}
-
-// syncPeerAck reconciles the ack table with a newly installed view:
-// departed members stop holding the window down, and joiners are
-// granted credit from the current send position (they backfill history
-// via gossip, which must not stall new sends).
-func (c *Channel) syncPeerAck() {
-	if c.cfg.Mode != ModeBimodal {
-		return
-	}
-	alive := map[Address]bool{}
-	for _, m := range c.view.Members {
-		alive[m] = true
-	}
-	for a := range c.peerAckB {
-		if !alive[a] {
-			delete(c.peerAckB, a)
+// setView installs nv, cut at seq. A message buffered past the cut was
+// sequenced by a coordinator that is gone, and is dropped. A member new
+// to the view starts its message count anew and is credited with the
+// cut, which is where it joins.
+func (c *Channel) setView(nv *View, seq uint64) {
+	for m := range c.fromCount {
+		if !c.view.Contains(m) || !nv.Contains(m) {
+			delete(c.fromCount, m)
 		}
 	}
+	for m := range c.ackSeq {
+		if !nv.Contains(m) {
+			delete(c.ackSeq, m)
+		}
+	}
+	for _, m := range nv.Members {
+		if !c.view.Contains(m) {
+			c.ackSeq[m] = seq
+		}
+	}
+	for s := range c.pending {
+		if s > seq {
+			delete(c.pending, s)
+		}
+	}
+	c.view = nv.Clone()
+	c.nextSeq = seq
+	c.flushing = false
+	for _, m := range c.view.Members {
+		c.lastSeen[m] = time.Now()
+	}
+	c.noteGap()
+}
+
+// windowUsed is the coordinator's credit window in use: how many
+// sequenced messages the slowest member has not acknowledged. It is 0 on
+// a member, whose sends each wait for their own delivery.
+func (c *Channel) windowUsed() uint64 {
+	if !c.isCoord() {
+		return 0
+	}
+	return c.nextSeq - c.ackFloor()
+}
+
+// ackFloor is the lowest seq every view member has delivered, as last
+// heard, this one's own included.
+func (c *Channel) ackFloor() uint64 {
+	low := c.delivered
 	for _, m := range c.view.Members {
 		if m != c.Addr() {
-			if _, ok := c.peerAckB[m]; !ok {
-				c.peerAckB[m] = c.sendSeqB
-			}
+			low = min(low, c.ackSeq[m])
 		}
 	}
-}
-
-// windowUsed is how many of this member's own messages the slowest view
-// member has not acknowledged: the sender credit window in use. In
-// virtual synchrony only the coordinator (the sequencer, and the only
-// member with the group ack floor) counts, and only its own sends wait
-// on it; member sends are forwarded unwindowed.
-func (c *Channel) windowUsed() uint64 {
-	if c.view == nil || len(c.view.Members) < 2 {
-		return 0
-	}
-	me := c.Addr()
-	if c.cfg.Mode == ModeBimodal {
-		low := c.sendSeqB
-		for _, m := range c.view.Members {
-			if m != me && c.peerAckB[m] < low {
-				low = c.peerAckB[m]
-			}
-		}
-		return c.sendSeqB - low
-	}
-	if c.view.Coord() != me {
-		return 0
-	}
-	low := c.nextSeq
-	for _, m := range c.view.Members {
-		if m == me {
-			continue
-		}
-		if a, ok := c.ackSeq[m]; !ok {
-			low = 0
-		} else if a < low {
-			low = a
-		}
-	}
-	return c.nextSeq - low
+	return low
 }
 
 func (c *Channel) tickHeartbeat() {
@@ -846,38 +826,10 @@ func (c *Channel) tickHeartbeat() {
 	}
 	me := c.Addr()
 	hb := &Packet{Kind: kHeartbeat, Group: c.group, Seq: c.delivered}
-	if c.cfg.Mode == ModeBimodal {
-		// Heartbeats double as delivery acks: the digest advances every
-		// peer's credit-window floor once per beat, independent of the
-		// (random-peer) gossip schedule.
-		hb.Digest = c.bimodalDigest()
-	}
-	if c.view.Coord() == me {
+	if c.isCoord() {
 		c.multicast(hb)
-		// Prune the retransmission store below the group-wide ack floor.
-		if len(c.view.Members) > 1 {
-			low := c.delivered
-			for _, m := range c.view.Members {
-				if m == me {
-					continue
-				}
-				if a, ok := c.ackSeq[m]; !ok {
-					low = 0
-					break
-				} else if a < low {
-					low = a
-				}
-			}
-			for seq := c.storeLow + 1; seq <= low; seq++ {
-				delete(c.msgStore, seq)
-			}
-			if low > c.storeLow {
-				c.storeLow = low
-			}
-		} else {
-			c.msgStore = map[uint64]*Packet{}
-			c.storeLow = c.nextSeq
-		}
+		// Prune the store below the group-wide ack floor.
+		c.prune(c.ackFloor())
 		// Failure detection of members.
 		var gone []Address
 		for _, m := range c.view.Members {
@@ -944,33 +896,27 @@ func removeAddr(in []Address, rm Address) []Address {
 	return out
 }
 
+// handleHeartbeat takes a member's beat as its ack, and the
+// coordinator's as the seq sequenced so far: tail loss leaves no gap to
+// observe until that is known.
 func (c *Channel) handleHeartbeat(p *Packet) {
 	if c.view == nil {
 		return
 	}
-	c.recordPeerAck(p.Src, p.Digest)
-	if c.view.Coord() == c.Addr() {
+	if p.Src != c.view.Coord() {
 		c.ackSeq[p.Src] = p.Seq
 		return
 	}
-	if p.Src == c.view.Coord() {
-		// The coordinator has sequenced messages we may have lost
-		// entirely (tail loss leaves no gap to observe); remember its
-		// position so tickRetransmit can NAK up to it.
-		if p.Seq > c.coordSeq {
-			c.coordSeq = p.Seq
-		}
-		if c.coordSeq > c.delivered && c.gapSince.IsZero() {
-			c.gapSince = time.Now()
-		}
-	}
+	c.nextSeq = max(c.nextSeq, p.Seq)
+	c.noteGap()
 }
 
+// tickGossip (bimodal) sends this member's delivered seq to a random
+// peer, which answers with what it misses.
 func (c *Channel) tickGossip() {
 	if c.view == nil || c.cfg.Mode != ModeBimodal || len(c.view.Members) < 2 {
 		return
 	}
-	// Pick a random peer.
 	peers := make([]Address, 0, len(c.view.Members)-1)
 	for _, m := range c.view.Members {
 		if m != c.Addr() {
@@ -978,43 +924,41 @@ func (c *Channel) tickGossip() {
 		}
 	}
 	peer := peers[c.rng.Intn(len(peers))]
-	_ = c.tr.Send(peer, &Packet{Kind: kGossip, Group: c.group, Digest: c.bimodalDigest()})
+	_ = c.tr.Send(peer, &Packet{Kind: kGossip, Group: c.group, Seq: c.delivered})
 }
 
-// handleGossip replies with the messages the peer's digest misses.
+// handleGossip takes the peer's digest as its ack and replies with the
+// stored messages it misses.
 func (c *Channel) handleGossip(p *Packet) {
-	if c.cfg.Mode != ModeBimodal {
-		return
-	}
-	c.recordPeerAck(p.Src, p.Digest)
+	c.ackSeq[p.Src] = p.Seq
 	var repair []*Packet
-	for sender, ss := range c.senders {
-		have := ss.delivered
-		theirs := p.Digest[sender]
-		for seq := theirs + 1; seq <= have && len(repair) < 256; seq++ {
-			if m, ok := ss.store[seq]; ok {
-				repair = append(repair, m)
-			}
-		}
+	for seq := max(p.Seq, c.storeLow) + 1; seq <= c.delivered && len(repair) < 256; seq++ {
+		repair = append(repair, c.msgStore[seq])
 	}
 	if len(repair) > 0 {
 		_ = c.tr.Send(p.Src, &Packet{Kind: kGossipRsp, Group: c.group, Packets: repair})
 	}
 }
 
+// tickRetransmit repairs both directions of the data path. A member
+// sends its unseen forwards again. On virtual synchrony a member NAKs its
+// gaps to the coordinator, and a coordinator catching up NAKs the member
+// that acknowledged most.
 func (c *Channel) tickRetransmit() {
-	if c.view == nil || c.cfg.Mode != ModeVirtualSynchrony ||
+	if c.view == nil {
+		return
+	}
+	c.reforward()
+	if c.cfg.Mode != ModeVirtualSynchrony ||
 		c.gapSince.IsZero() || time.Since(c.gapSince) < c.cfg.RetransmitTimeout {
 		return
 	}
 	// Request every missing seq up to the highest sequence we know of:
-	// the highest buffered message, or the coordinator's heartbeat
-	// position (which catches tail loss).
-	maxSeq := c.coordSeq
+	// the highest buffered message, or the sequence the coordinator
+	// announced (which catches tail loss).
+	maxSeq := c.nextSeq
 	for s := range c.pending {
-		if s > maxSeq {
-			maxSeq = s
-		}
+		maxSeq = max(maxSeq, s)
 	}
 	var missing []uint64
 	for s := c.delivered + 1; s <= maxSeq && len(missing) < 512; s++ {
@@ -1022,13 +966,21 @@ func (c *Channel) tickRetransmit() {
 			missing = append(missing, s)
 		}
 	}
-	if coord := c.view.Coord(); len(missing) > 0 && coord != c.Addr() {
-		_ = c.tr.Send(coord, &Packet{Kind: kNakReq, Group: c.group, Seqs: missing})
+	to, best := c.view.Coord(), c.delivered
+	if to == c.Addr() {
+		for m, a := range c.ackSeq {
+			if a > best && c.view.Contains(m) {
+				to, best = m, a
+			}
+		}
+	}
+	if len(missing) > 0 && to != c.Addr() {
+		_ = c.tr.Send(to, &Packet{Kind: kNakReq, Group: c.group, Seqs: missing})
 	}
 }
 
 func (c *Channel) tickMerge() {
-	if c.view == nil || c.view.Coord() != c.Addr() {
+	if c.view == nil || !c.isCoord() {
 		return
 	}
 	_ = c.tr.Broadcast(&Packet{Kind: kMergeAnnounce, Group: c.group, View: c.view})
@@ -1038,7 +990,7 @@ func (c *Channel) tickMerge() {
 // coordinator's announcement. The PRIMARY PARTITION rule picks the
 // authoritative side; its coordinator leads the merge.
 func (c *Channel) handleMergeAnnounce(p *Packet) {
-	if c.view == nil || c.view.Coord() != c.Addr() || p.View == nil {
+	if c.view == nil || !c.isCoord() || p.View == nil {
 		return
 	}
 	if p.Src == c.Addr() || c.view.Contains(p.Src) {
@@ -1090,29 +1042,16 @@ func (c *Channel) installMergeView(p *Packet) {
 			wasPrimary = true
 		}
 	}
-	c.view = p.View.Clone()
-	c.flushing = false
-	for _, m := range c.view.Members {
-		c.lastSeen[m] = time.Now()
-	}
-	// Reset both data paths: in-flight pre-merge traffic is abandoned;
+	// Reset the data path: in-flight pre-merge traffic is abandoned;
 	// non-primary members resynchronize state out of band.
-	c.pending = map[uint64]*Packet{}
-	c.msgStore = map[uint64]*Packet{}
-	c.storeLow = 0
-	c.delivered = p.Seq
-	c.nextSeq = p.Seq
-	c.coordSeq = p.Seq
-	c.gapSince = time.Time{}
-	c.senders = map[Address]*senderState{}
-	c.sendSeqB = 0
-	// The bimodal seq space restarted: stale acks would exceed the new
-	// send position, so the credit table restarts with it.
-	c.peerAckB = map[Address]uint64{}
-	c.syncPeerAck()
+	clear(c.pending)
+	clear(c.msgStore)
+	clear(c.fromCount)
+	c.delivered, c.storeLow = p.Seq, p.Seq
+	c.setView(p.View, p.Seq)
 	c.viewChanged()
 	e := &MergeEvent{Primary: wasPrimary, View: c.view.Clone()}
-	if !wasPrimary && c.recv.SetState != nil && c.view.Coord() != c.Addr() {
+	if !wasPrimary && c.recv.SetState != nil && !c.isCoord() {
 		c.startPull(e)
 	} else if c.recv.Merge != nil {
 		c.recv.Merge(*e)

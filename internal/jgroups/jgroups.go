@@ -3,16 +3,23 @@
 // failure detection, coordinator-driven membership views, state transfer,
 // and recovery from network partitions.
 //
-// Two quality-of-service suites are provided, mirroring the paper's
-// discussion:
+// Both quality-of-service suites the paper discusses share one data
+// path. The view coordinator sequences every message: a member forwards
+// its sends to it, and every member delivers the one numbered stream, so
+// the group sees one total order and Send returns once the sender has
+// delivered its own message. The coordinator's credit window and the
+// members' bounded out-of-order buffers hold it to the group's drain
+// rate. A coordinator change continues the sequence from the highest
+// seq any survivor delivered, and a joiner adopts the coordinator's
+// position. The suites differ only in how a member repairs a gap:
 //
-//   - ModeVirtualSynchrony: a coordinator-sequencer totally orders all
-//     messages and a flush protocol makes delivery view-synchronous
-//     (atomic broadcast); the whole group runs at the speed of its
-//     slowest member.
-//   - ModeBimodal: senders multicast best-effort and an anti-entropy
-//     gossip protocol repairs losses probabilistically (Birman et al.'s
-//     bimodal multicast); better scalability, weaker guarantees. This is
+//   - ModeVirtualSynchrony: a member NAKs its gaps to the coordinator,
+//     and a flush retransmits to stragglers before the coordinator
+//     installs a view (atomic broadcast); the whole group runs at the
+//     speed of its slowest member.
+//   - ModeBimodal: every GossipInterval a member sends its delivered seq
+//     to a random peer, which answers with what it misses (Birman et
+//     al.'s anti-entropy gossip); a flush retransmits nothing. This is
 //     the HDNS default, as in the paper.
 //
 // After a transient partition heals, the PRIMARY PARTITION protocol
@@ -79,10 +86,10 @@ type Mode int
 
 // Protocol suites.
 const (
-	// ModeVirtualSynchrony totally orders messages through the
-	// coordinator and flushes on view changes.
+	// ModeVirtualSynchrony repairs gaps by NAK to the coordinator and
+	// retransmits to stragglers at each flush.
 	ModeVirtualSynchrony Mode = iota
-	// ModeBimodal multicasts best-effort with gossip anti-entropy.
+	// ModeBimodal repairs gaps by gossip anti-entropy between peers.
 	ModeBimodal
 )
 
@@ -102,30 +109,34 @@ type Config struct {
 	// SuspectAfter marks a member suspected when no heartbeat arrived
 	// for this long.
 	SuspectAfter time.Duration
-	// GossipInterval is the anti-entropy round period (bimodal only).
+	// GossipInterval is the anti-entropy round period (bimodal only):
+	// each round sends a random peer this member's delivered seq, which
+	// doubles as its ack to the coordinator's credit window.
 	GossipInterval time.Duration
-	// RetransmitTimeout is how long a delivery gap may persist before a
-	// NAK is sent (virtual synchrony only).
+	// RetransmitTimeout is how long a member's forwarded sends may go
+	// unseen in the stream before it forwards them again, and (virtual
+	// synchrony only) how long a delivery gap may persist before a NAK.
 	RetransmitTimeout time.Duration
 	// MergeInterval is how often a coordinator announces itself to
 	// detect partitions to merge.
 	MergeInterval time.Duration
 	// JoinTimeout bounds Connect.
 	JoinTimeout time.Duration
-	// MaxPending bounds each out-of-order delivery buffer: per-sender in
-	// bimodal mode, global in virtual synchrony. When full, the
-	// newest buffered packet is dropped (LIFO shed) and recovered later
-	// by gossip repair / NAK retransmission — bounded memory under a
-	// storm instead of the Figure 5 collapse. 0 uses DefaultMaxPending;
-	// negative disables the bound (the paper's unbounded behaviour, kept
-	// for the benchmark's "collapse" arm).
+	// MaxPending bounds each member's out-of-order delivery buffer. When
+	// full, the newest buffered packet is dropped (LIFO shed) and
+	// recovered later by gossip repair / NAK retransmission — bounded
+	// memory under a storm instead of the Figure 5 collapse. 0 uses
+	// DefaultMaxPending; negative disables the bound (the paper's
+	// unbounded behaviour, kept for the benchmark's "collapse" arm).
 	MaxPending int
-	// SendWindow is the sender credit window: Send blocks once this many
-	// of the member's own messages are unacknowledged by the slowest
-	// view member (acks ride heartbeat/gossip digests). Backpressure
-	// replaces unbounded receiver queues — replication writes slow to
-	// the group's drain rate instead of burying a lagging member. 0 uses
-	// DefaultSendWindow; negative disables backpressure.
+	// SendWindow is the coordinator's credit window: its own Send blocks
+	// once this many sequenced messages are unacknowledged by the slowest
+	// view member (acks ride heartbeats, gossip digests and flush acks).
+	// A member's forwarded sends are not windowed; each of its Sends
+	// waits for its own delivery instead. Backpressure replaces unbounded
+	// receiver queues — replication writes slow to the group's drain rate
+	// instead of burying a lagging member. 0 uses DefaultSendWindow;
+	// negative disables backpressure.
 	SendWindow int
 }
 
@@ -160,9 +171,8 @@ func VirtualSynchronyConfig() Config {
 type kind uint8
 
 const (
-	kData          kind = iota + 1 // sequenced multicast data (VS)
+	kData          kind = iota + 1 // coordinator -> members: sequenced data
 	kDataFwd                       // member -> coordinator: please sequence
-	kDataBimodal                   // best-effort multicast data (bimodal)
 	kJoinReq                       // joiner -> coordinator
 	kJoinRsp                       // coordinator -> joiner (view)
 	kLeave                         // member -> coordinator
@@ -170,8 +180,8 @@ const (
 	kFlushStart                    // coordinator -> members
 	kFlushAck                      // member -> coordinator (delivered digest)
 	kHeartbeat                     // bidirectional liveness
-	kNakReq                        // member -> coordinator: retransmit seqs
-	kGossip                        // bimodal digest
+	kNakReq                        // retransmit these seqs
+	kGossip                        // bimodal digest: the sender's delivered seq
 	kGossipRsp                     // bimodal repair
 	kStateReq                      // member -> coordinator
 	kStateRsp                      // coordinator -> member
@@ -182,7 +192,7 @@ const (
 )
 
 func (k kind) String() string {
-	names := [...]string{"?", "data", "dataFwd", "dataBimodal", "joinReq", "joinRsp",
+	names := [...]string{"?", "data", "dataFwd", "joinReq", "joinRsp",
 		"leave", "view", "flushStart", "flushAck", "heartbeat", "nakReq",
 		"gossip", "gossipRsp", "stateReq", "stateRsp", "discover", "discoverRsp",
 		"mergeAnnounce", "mergeView"}
@@ -202,7 +212,10 @@ type Packet struct {
 	Dest  Address // "" on broadcasts
 
 	// Data path.
-	Seq     uint64  // global seq (VS) or per-sender seq (bimodal)
+	// Seq is the global seq of kData; a member's forward number on
+	// kDataFwd (its k-th message); the sender's delivered seq on a
+	// heartbeat, gossip digest or flush ack; the cut a view installs at.
+	Seq     uint64
 	From    Address // original sender (survives forwarding/retransmission)
 	Payload []byte
 
@@ -210,10 +223,9 @@ type Packet struct {
 	View    *View
 	Addrs   []Address // merge: members of the primary partition
 	ViewID  uint64
-	Digest  map[Address]uint64 // per-sender delivered seqs (acks, gossip)
-	Seqs    []uint64           // NAK requests
-	Packets []*Packet          // gossip repair bundles
-	Bool    bool               // generic flag (e.g. state requested)
+	Seqs    []uint64  // NAK requests
+	Packets []*Packet // gossip repair bundles
+	Bool    bool      // generic flag (e.g. state requested)
 	Err     string
 }
 

@@ -191,47 +191,180 @@ func TestJoinAndBroadcast(t *testing.T) {
 	}
 }
 
-// Virtual synchrony: all members must deliver the identical sequence.
+// All members deliver the identical sequence, on both stacks: one
+// sequencer numbers every message, whichever member sent it.
 func TestTotalOrder(t *testing.T) {
-	f := NewFabric()
-	cfg := testConfig(ModeVirtualSynchrony)
-	nodes := []*node{
-		startNode(t, f, "a", cfg, "g"),
-		startNode(t, f, "b", cfg, "g"),
-		startNode(t, f, "c", cfg, "g"),
-	}
-	for _, n := range nodes {
-		waitFor(t, 3*time.Second, "view", func() bool {
-			v := n.ch.View()
-			return v != nil && len(v.Members) == 3
-		})
-	}
-	const perNode = 30
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			for k := 0; k < perNode; k++ {
-				if err := n.ch.Send([]byte(fmt.Sprintf("n%d-%d", i, k))); err != nil {
-					t.Errorf("send: %v", err)
-					return
+	for _, mode := range []Mode{ModeVirtualSynchrony, ModeBimodal} {
+		t.Run(mode.String(), func(t *testing.T) {
+			f := NewFabric()
+			cfg := testConfig(mode)
+			nodes := []*node{
+				startNode(t, f, "a", cfg, "g"),
+				startNode(t, f, "b", cfg, "g"),
+				startNode(t, f, "c", cfg, "g"),
+			}
+			for _, n := range nodes {
+				waitFor(t, 3*time.Second, "view", func() bool {
+					v := n.ch.View()
+					return v != nil && len(v.Members) == 3
+				})
+			}
+			const perNode = 30
+			var wg sync.WaitGroup
+			for i, n := range nodes {
+				wg.Add(1)
+				go func(i int, n *node) {
+					defer wg.Done()
+					for k := 0; k < perNode; k++ {
+						if err := n.ch.Send([]byte(fmt.Sprintf("n%d-%d", i, k))); err != nil {
+							t.Errorf("send: %v", err)
+							return
+						}
+					}
+				}(i, n)
+			}
+			wg.Wait()
+			total := perNode * len(nodes)
+			for _, n := range nodes {
+				waitFor(t, 5*time.Second, "all deliveries", func() bool {
+					return len(n.deliveries()) == total
+				})
+			}
+			ref := nodes[0].deliveries()
+			for i, n := range nodes[1:] {
+				if !reflect.DeepEqual(ref, n.deliveries()) {
+					t.Fatalf("node %d delivered a different order", i+1)
 				}
 			}
-		}(i, n)
-	}
-	wg.Wait()
-	total := perNode * len(nodes)
-	for _, n := range nodes {
-		waitFor(t, 5*time.Second, "all deliveries", func() bool {
-			return len(n.deliveries()) == total
 		})
 	}
-	ref := nodes[0].deliveries()
-	for i, n := range nodes[1:] {
-		if !reflect.DeepEqual(ref, n.deliveries()) {
-			t.Fatalf("node %d delivered a different order", i+1)
-		}
+}
+
+// A coordinator crash does not end the sequence: the survivor that takes
+// over continues it from the highest seq any survivor delivered, so the
+// sends made after the crash reach both survivors, in one order.
+func TestSendsAfterCoordinatorFailover(t *testing.T) {
+	for _, mode := range []Mode{ModeVirtualSynchrony, ModeBimodal} {
+		t.Run(mode.String(), func(t *testing.T) {
+			f := NewFabric()
+			cfg := testConfig(mode)
+			a := startNode(t, f, "a", cfg, "g")
+			b := startNode(t, f, "b", cfg, "g")
+			c := startNode(t, f, "c", cfg, "g")
+			for _, n := range []*node{a, b, c} {
+				waitFor(t, 3*time.Second, "view", func() bool {
+					v := n.ch.View()
+					return v != nil && len(v.Members) == 3
+				})
+			}
+			for k := 0; k < 5; k++ {
+				if err := a.ch.Send([]byte(fmt.Sprintf("m%d", k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.ch.tr.Close() // coordinator crash
+			waitFor(t, 5*time.Second, "failover", func() bool {
+				vb, vc := b.ch.View(), c.ch.View()
+				return vb != nil && vc != nil && len(vb.Members) == 2 && len(vc.Members) == 2 &&
+					vb.Coord() == "b" && vc.Coord() == "b"
+			})
+			var wg sync.WaitGroup
+			for _, n := range []*node{b, c} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := n.ch.Send([]byte("after")); err != nil {
+						t.Errorf("%s sends after the crash: %v", n.ch.Addr(), err)
+					}
+				}()
+			}
+			wg.Wait()
+			for _, n := range []*node{b, c} {
+				waitFor(t, 3*time.Second, "every message delivered", func() bool {
+					return len(n.deliveries()) == 7
+				})
+			}
+			if db, dc := b.deliveries(), c.deliveries(); !reflect.DeepEqual(db, dc) {
+				t.Fatalf("the survivors delivered different orders: b %v, c %v", db, dc)
+			}
+		})
+	}
+}
+
+// A member's sends survive loss on both stacks: a lost forward is
+// forwarded again and a lost sequenced message is repaired, and none is
+// delivered twice or out of order.
+func TestMemberSendsSurviveLoss(t *testing.T) {
+	for _, mode := range []Mode{ModeVirtualSynchrony, ModeBimodal} {
+		t.Run(mode.String(), func(t *testing.T) {
+			f := NewFabric()
+			cfg := testConfig(mode)
+			nodes := []*node{
+				startNode(t, f, "a", cfg, "g"),
+				startNode(t, f, "b", cfg, "g"),
+				startNode(t, f, "c", cfg, "g"),
+			}
+			for _, n := range nodes {
+				waitFor(t, 3*time.Second, "view", func() bool {
+					v := n.ch.View()
+					return v != nil && len(v.Members) == 3
+				})
+			}
+			f.SetLoss(0.3)
+			const msgs = 40
+			for k := 0; k < msgs; k++ {
+				if err := nodes[1].ch.Send([]byte(fmt.Sprintf("m%d", k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.SetLoss(0)
+			want := make([]string, msgs)
+			for k := range want {
+				want[k] = fmt.Sprintf("b:m%d", k)
+			}
+			for _, n := range nodes {
+				waitFor(t, 8*time.Second, "lossy member sends delivered", func() bool {
+					return len(n.deliveries()) >= msgs
+				})
+				if got := n.deliveries(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s delivered %v", n.ch.Addr(), got)
+				}
+			}
+		})
+	}
+}
+
+// A member that restarts under its old address before the group has
+// suspected it joins again and its sends reach everyone: it counts its
+// messages from one again, so the group sees it leave before it joins.
+func TestRestartedMemberSendsAgain(t *testing.T) {
+	for _, mode := range []Mode{ModeVirtualSynchrony, ModeBimodal} {
+		t.Run(mode.String(), func(t *testing.T) {
+			f := NewFabric()
+			cfg := testConfig(mode)
+			a := startNode(t, f, "a", cfg, "g")
+			b := startNode(t, f, "b", cfg, "g")
+			c := startNode(t, f, "c", cfg, "g")
+			waitFor(t, 3*time.Second, "view", func() bool {
+				v := c.ch.View()
+				return v != nil && len(v.Members) == 3
+			})
+			for k := 0; k < 3; k++ {
+				if err := b.ch.Send([]byte(fmt.Sprintf("m%d", k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b2 := startNode(t, f, "b", cfg, "g") // replaces b's endpoint: a crash and restart
+			if err := b2.ch.Send([]byte("again")); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []*node{a, c, b2} {
+				waitFor(t, 3*time.Second, "the restarted member's send delivered", func() bool {
+					d := n.deliveries()
+					return len(d) > 0 && d[len(d)-1] == "b:again"
+				})
+			}
+		})
 	}
 }
 
@@ -455,8 +588,7 @@ func TestPacketGobRoundTrip(t *testing.T) {
 	p := &Packet{
 		Kind: kMergeView, Group: "g", Src: "a", Dest: "b", Seq: 42, From: "c",
 		Payload: []byte("x"), View: &View{ID: 7, Members: []Address{"a", "b"}},
-		Addrs: []Address{"a"}, Digest: map[Address]uint64{"a": 1},
-		Seqs: []uint64{1, 2}, Packets: []*Packet{{Kind: kData, Seq: 9}},
+		Addrs: []Address{"a"}, Seqs: []uint64{1, 2}, Packets: []*Packet{{Kind: kData, Seq: 9}},
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
@@ -693,9 +825,11 @@ func (l *heldLink) release() {
 }
 
 // A member's send forwarded to the coordinator that arrives while a
-// view-change flush runs is sequenced after the flush. The member's Send
-// already returned nil, so a coordinator that dropped it would lose the
-// message for good: it was never sequenced, so no NAK can recover it.
+// view-change flush runs is delivered after the flush, once. The
+// coordinator holds every send while it flushes and drops the forward;
+// the member, whose Send waits for its own delivery, forwards it again
+// until it sees it in the stream. It was never sequenced, so no NAK
+// could recover it.
 func TestForwardedSendDuringFlushDelivered(t *testing.T) {
 	f := NewFabric()
 	cfg := testConfig(ModeVirtualSynchrony)
@@ -711,9 +845,13 @@ func TestForwardedSendDuringFlushDelivered(t *testing.T) {
 	// flush at a; b's flush ack queues behind it, so the forward reaches
 	// a mid-flush.
 	link.hold()
-	if err := b.ch.Send([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	sent := make(chan error, 1)
+	go func() { sent <- b.ch.Send([]byte("x")) }()
+	waitFor(t, 3*time.Second, "the forward held on the link", func() bool {
+		link.mu.Lock()
+		defer link.mu.Unlock()
+		return len(link.held) > 0
+	})
 	c, cr := newNode(f.Endpoint("c"), cfg)
 	joined := make(chan error, 1)
 	go func() { joined <- c.ch.Connect("g", cr) }()
@@ -726,6 +864,9 @@ func TestForwardedSendDuringFlushDelivered(t *testing.T) {
 	link.release()
 	if err := <-joined; err != nil {
 		t.Fatalf("c joins: %v", err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 	for _, n := range []*node{a, b, c} {
 		waitFor(t, 3*time.Second, "forwarded message delivered", func() bool {
@@ -787,7 +928,7 @@ func TestMsgStorePruning(t *testing.T) {
 	})
 }
 
-// Bimodal per-sender repair stores are bounded.
+// The repair store every member keeps is bounded.
 func TestBimodalStoreBounded(t *testing.T) {
 	f := NewFabric()
 	cfg := testConfig(ModeBimodal)
@@ -806,7 +947,7 @@ func TestBimodalStoreBounded(t *testing.T) {
 		return len(b.deliveries()) == bimodalStoreMax+500
 	})
 	var n int
-	onLoop(b.ch, func() { n = len(b.ch.senders["a"].store) })
+	onLoop(b.ch, func() { n = len(b.ch.msgStore) })
 	if n > bimodalStoreMax {
 		t.Fatalf("repair store grew to %d (cap %d)", n, bimodalStoreMax)
 	}
@@ -1000,5 +1141,66 @@ func TestVirtualSynchronyStormParksOnlyLocalSends(t *testing.T) {
 	<-watchDone
 	if maxParked > senders {
 		t.Errorf("coordinator parked %d sends, its own callers are %d", maxParked, senders)
+	}
+}
+
+// A member's sends are bounded where they start: each Send waits for its
+// own delivery, so the forwards the stream has not yet shown the member
+// never outnumber its callers blocked in Send, however far behind a slow
+// member holds the coordinator's window.
+func TestMemberForwardsBoundedByCallers(t *testing.T) {
+	const (
+		callers = 3
+		each    = 100
+	)
+	f := NewFabric()
+	cfg := testConfig(ModeVirtualSynchrony)
+	cfg.SendWindow = 16
+	a := startNode(t, f, "a", cfg, "g")
+	b := NewChannel(f.Endpoint("b"), cfg)
+	if err := b.Connect("g", Receiver{Deliver: func(Address, []byte) { time.Sleep(time.Millisecond) }}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	c := startNode(t, f, "c", cfg, "g")
+	waitFor(t, 3*time.Second, "3-member view", func() bool {
+		v := a.ch.View()
+		return v != nil && len(v.Members) == 3
+	})
+	stopWatch := make(chan struct{})
+	watchDone := make(chan struct{})
+	var maxFwd int
+	go func() {
+		defer close(watchDone)
+		for {
+			select {
+			case <-stopWatch:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			onLoop(c.ch, func() { maxFwd = max(maxFwd, len(c.ch.fwd)) })
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := c.ch.Send([]byte("x")); err != nil {
+					t.Errorf("send: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stopWatch)
+	<-watchDone
+	if maxFwd > callers {
+		t.Errorf("member held %d unseen forwards, its callers are %d", maxFwd, callers)
+	}
+	if got := len(c.deliveries()); got != callers*each {
+		t.Errorf("member delivered %d of its %d sends", got, callers*each)
 	}
 }

@@ -208,7 +208,7 @@ func (r *Rendezvous) destroyGroup(path string) error {
 	defer r.mu.Unlock()
 	g, ok := r.groups[path]
 	if !ok {
-		return nil // destroying a missing group succeeds
+		return ErrNoSuchGroup
 	}
 	if len(g.adverts) > 0 {
 		return ErrGroupNotEmpty

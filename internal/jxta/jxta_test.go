@@ -2,8 +2,11 @@ package jxta
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
+
+	"gondi/internal/core"
 )
 
 func newPair(t *testing.T) (*Rendezvous, *Peer) {
@@ -56,9 +59,10 @@ func TestGroupHierarchy(t *testing.T) {
 	if err := p.DestroyGroup(ctx, "net/campus"); err != nil {
 		t.Fatal(err)
 	}
-	// Destroying a missing group succeeds.
-	if err := p.DestroyGroup(ctx, "net/campus"); err != nil {
-		t.Fatal(err)
+	// A missing group is not found; a JNDI provider's name-resolution
+	// rule makes destroying a missing terminal name succeed.
+	if err := p.DestroyGroup(ctx, "net/campus"); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("destroy a missing group: %v", err)
 	}
 }
 

@@ -103,6 +103,26 @@ func TestGroupsAsContexts(t *testing.T) {
 	}
 }
 
+// DestroySubcontext below a missing group is NotFound, and of a missing
+// group succeeds: the rendezvous answers any missing group with
+// not-found, and the name-resolution rule tells a missing intermediate
+// from a missing terminal name.
+func TestDestroySubcontextOfMissingGroups(t *testing.T) {
+	ctx := context.Background()
+	c := openCtx(t, newRendezvous(t))
+	if err := c.DestroySubcontext(ctx, "nodir/x"); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("destroy below a missing group: %v, want not found", err)
+	}
+	if _, err := c.CreateSubcontext(ctx, "dir"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"dir/x", "nodir"} {
+		if err := c.DestroySubcontext(ctx, name); err != nil {
+			t.Errorf("destroy missing %s: %v, want success", name, err)
+		}
+	}
+}
+
 func TestSearchScopes(t *testing.T) {
 	ctx := context.Background()
 	r := newRendezvous(t)

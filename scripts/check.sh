@@ -14,8 +14,9 @@
 # guard (no reference count outside internal/connpool), the one-lease
 # guard (no renewal schedule outside internal/lease), the
 # one-goroutine guard (internal/jgroups/channel.go is one event loop: no
-# lock or condition variable, one go statement), the one-helper-set
-# guard (length-prefix append/take helpers live in internal/wire, which
+# lock or condition variable, one go statement), the one-data-path
+# guard (both jgroups stacks deliver the coordinator's one sequence: no
+# per-sender bimodal path), the one-helper-set guard (length-prefix append/take helpers live in internal/wire, which
 # imports no gondi package; internal/core keeps one gob fallback pair),
 # the hdns replication guard (no gob in internal/hdns outside the
 # store's snapshot codec; no time.After timer per write), the
@@ -105,6 +106,12 @@ stage_lint() {
     gos=$(grep -cE '^[[:space:]]*go [A-Za-z_(]' "$ch" || true)
     if [ "$gos" -ne 1 ]; then
         echo "$ch has $gos go statements; the loop (go c.run()) is the only one — run callbacks on it" >&2
+        exit 1
+    fi
+    echo "== lint: one jgroups data path (the coordinator sequences every message, on both stacks) =="
+    if git ls-files 'internal/jgroups/*.go' | grep -v '_test\.go$' |
+        xargs grep -nE 'kDataBimodal|senderState|peerAckB|sendSeqB|handleBimodalData' /dev/null; then
+        echo "internal/jgroups has a second, per-sender data path; send through the coordinator's sequence (Channel.emit) and repair gaps by NAK or gossip" >&2
         exit 1
     fi
     echo "== lint: one helper set (length-prefix helpers live in internal/wire) =="
@@ -353,9 +360,9 @@ stage_chaos() {
     # robustness regression, not flake.
     echo "== chaos conformance: typed failures, no hangs, no leaks (-race) =="
     go test -race -count=1 -run 'FaultConformance' ./internal/provider/ptest/
-    echo "== virtual synchrony: one total order, views in the stream (-race, -cpu 1,2,8) =="
+    echo "== one total order on both stacks, views in the stream (-race, -cpu 1,2,8) =="
     go test -race -count=20 -cpu 1,2,8 -run 'TestTotalOrder$|TestJoinUnderTraffic$' ./internal/jgroups/
-    go test -race -count=20 -cpu 1,2,8 -run 'TestConcurrentRebindsConvergeOnVirtualSynchrony$' ./internal/hdns/
+    go test -race -count=20 -cpu 1,2,8 -run 'TestConcurrentRebindsConverge$|TestRandomOpsReplicaConvergence$' ./internal/hdns/
     echo "== partition/crash-rejoin + crashed-lock-holder drills (-race) =="
     go test -race -count=1 -run 'TestChaosPartitionCrashRejoin' ./internal/hdns/
     go test -race -count=1 -run 'TestCrashedLockHolderDoesNotWedgeBind' ./internal/provider/jinisp/
