@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gondi/internal/breaker"
+	"gondi/internal/cache"
 	"gondi/internal/core"
 	"gondi/internal/costmodel"
 	"gondi/internal/dnssrv"
@@ -39,6 +40,7 @@ func registerAll() {
 		ldapsp.Register()
 		fssp.Register()
 		memsp.Register()
+		cache.Register()
 	})
 }
 
@@ -306,8 +308,21 @@ func TestFederationSurvivesReplicaCrash(t *testing.T) {
 // administrative action: node 0 sits behind a fault.Proxy, and once the
 // proxy is cut "hdns://proxy,node1" keeps resolving — directly and as a
 // DNS-anchored federation hop — through the provider's breaker-ranked
-// failover.Open, while "hdns://proxy" alone fails typed.
+// failover.Open, while "hdns://proxy" alone fails typed. A cached context
+// heals the same way: the cache wraps the InitialContext's held roots.
 func TestFederationFailsOverToReplica(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []core.Option
+	}{
+		{"uncached", nil},
+		{"cached", []core.Option{core.WithCache(cache.Config{})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { federationFailsOverToReplica(t, tc.opts) })
+	}
+}
+
+func federationFailsOverToReplica(t *testing.T, opts []core.Option) {
 	ctx := context.Background()
 	w := buildWorld(t)
 	proxy, err := fault.NewProxy(w.nodes[0].Addr(), nil)
@@ -329,7 +344,7 @@ func TestFederationFailsOverToReplica(t *testing.T) {
 	healingURLs := []string{healing + "/printer", anchor + "/healing/printer"}
 	soloURLs := []string{solo + "/printer", anchor + "/solo/printer"}
 
-	ic, err := core.Open(ctx, core.WithPoolID(t.Name()))
+	ic, err := core.Open(ctx, append(opts, core.WithPoolID(t.Name()))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func (r *root) classify(ctx context.Context, keys []string, out []core.BatchResu
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	p.gen = r.gen
-	p.inner = r.inner
+	p.inner = r.providerLocked()
 	if r.closed {
 		p.closed = true
 		for i := range keys {

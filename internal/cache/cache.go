@@ -20,10 +20,9 @@
 //     implementing TTLAdvisor (the DNS provider reports record TTLs).
 //   - Degradation: when a watch dies the affected root is flushed and
 //     flipped to TTL mode, and a background goroutine re-registers the
-//     watch with capped exponential backoff (internal/retry), re-dialing
-//     the root if the old connection is gone (each attempt gated by the
-//     endpoint's circuit breaker). On success the root is flushed once
-//     more and returns to event mode.
+//     watch with capped exponential backoff (internal/retry), each attempt
+//     gated by the endpoint's circuit breaker. On success the root is
+//     flushed once more and returns to event mode.
 //   - Serve-stale: when a refill fails with a transport-class error (the
 //     backend is unreachable or its breaker is open) and an expired entry
 //     is still within its stale window (Config.StaleTTL), the cache serves
@@ -35,9 +34,12 @@
 // misses for one key are collapsed into a single provider call
 // (singleflight), so a thundering herd costs one RPC.
 //
-// The cache ends the InitialContext's URL resolution chain, so it opens
-// and holds its own provider roots, one per (scheme, authority), each
-// with its entry table and watch, in place of the InitialContext's.
+// The cache decorates the InitialContext's held roots, one per (scheme,
+// authority): it keeps an entry table and a watch around the root the
+// layer below returns, and opens, re-dials and closes none of them. When
+// the InitialContext opens a dead root again, the cache root moves to the
+// new one, its entries dropped and its watch moved; while the root cannot
+// be opened, it answers only from what it holds (serve-stale).
 //
 // Write operations are never cached: they pass straight through to the
 // provider (preserving atomic Bind semantics) and then invalidate every
@@ -47,11 +49,13 @@ package cache
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gondi/internal/core"
+	"gondi/internal/failover"
 	"gondi/internal/obs"
 	"gondi/internal/retry"
 )
@@ -154,7 +158,6 @@ type Stats struct {
 // wrapped default context — each hold their own entry table and watch.
 type Cache struct {
 	cfg Config
-	env map[string]any
 
 	closeCtx    context.Context
 	closeCancel context.CancelFunc
@@ -163,7 +166,6 @@ type Cache struct {
 	mu      sync.Mutex
 	closed  bool
 	roots   map[string]*root
-	opening map[string]*rootCall
 	wrapSeq int
 
 	hits, negHits, misses, collapsed atomic.Int64
@@ -174,9 +176,9 @@ type Cache struct {
 
 var _ core.Middleware = (*Cache)(nil)
 
-// New builds a cache middleware with the given configuration and
-// environment (the environment is used to open and re-open provider
-// roots). Zero Config fields take the package defaults.
+// New builds a cache middleware with the given configuration; env is the
+// InitialContext's environment, as core.CacheFactory passes it, and the
+// cache keeps nothing of it. Zero Config fields take the package defaults.
 func New(cfg Config, env map[string]any) *Cache {
 	if cfg.TTL <= 0 {
 		cfg.TTL = DefaultTTL
@@ -193,11 +195,9 @@ func New(cfg Config, env map[string]any) *Cache {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Cache{
 		cfg:         cfg,
-		env:         env,
 		closeCtx:    ctx,
 		closeCancel: cancel,
 		roots:       map[string]*root{},
-		opening:     map[string]*rootCall{},
 	}
 }
 
@@ -219,82 +219,66 @@ func (c *Cache) Stats() Stats {
 // Config returns the effective configuration (defaults filled in).
 func (c *Cache) Config() Config { return c.cfg }
 
-// rootCall collapses concurrent dials for the same root.
-type rootCall struct {
-	done chan struct{}
+// OpenURLNext implements core.Middleware: it resolves rawURL through next
+// to the InitialContext's held root and returns the caching wrapper of
+// that root's cache root plus the URL's path as the remaining name. A
+// held root other than the one the cache root wraps (the InitialContext
+// opened it again) replaces it. When next fails because the backend does
+// not answer (failover.TransportClass), an existing cache root still
+// answers from what it holds; any other failure is next's to report.
+func (c *Cache) OpenURLNext(ctx context.Context, rawURL string, env map[string]any, next core.OpenURLFunc) (core.Context, core.Name, error) {
+	inner, rest, err := next(ctx, rawURL, env)
+	key := rootKey(rawURL)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, core.Name{}, core.ErrClosed
+	}
+	r := c.roots[key]
+	if r == nil && err == nil {
+		r = c.newRoot(strings.Clone(key), false)
+		c.roots[r.key] = r
+	}
+	c.mu.Unlock()
+	if err == nil {
+		r.use(ctx, inner)
+		return r.wrapper, rest, nil
+	}
+	if r == nil || !failover.TransportClass(err) {
+		return nil, core.Name{}, err
+	}
+	u, perr := core.ParseURLName(rawURL)
+	if perr != nil {
+		return nil, core.Name{}, err
+	}
+	r.openFailed(err)
+	return r.wrapper, u.Path, nil
 }
 
-// OpenURL implements core.Middleware: it resolves rawURL's scheme and
-// authority to a cached provider root — dialing at most once per root,
-// with concurrent first-opens collapsed — and returns the caching wrapper
-// plus the URL's path as the remaining name.
-func (c *Cache) OpenURL(ctx context.Context, rawURL string, env map[string]any) (core.Context, core.Name, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, core.Name{}, err
+// rootKey is rawURL's "scheme://authority", sliced out of it, so finding
+// a cache root allocates nothing.
+func rootKey(rawURL string) string {
+	i := strings.Index(rawURL, "://")
+	if i < 0 {
+		return rawURL
 	}
-	u, err := core.ParseURLName(rawURL)
-	if err != nil {
-		return nil, core.Name{}, err
+	if j := strings.IndexByte(rawURL[i+3:], '/'); j >= 0 {
+		return rawURL[:i+3+j]
 	}
-	key := u.Scheme + "://" + u.Authority
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, core.Name{}, core.ErrClosed
-		}
-		if r, ok := c.roots[key]; ok {
-			c.mu.Unlock()
-			return r.wrapper, u.Path, nil
-		}
-		if cl, ok := c.opening[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-cl.done:
-				continue // either cached now, or the leader failed: retry
-			case <-ctx.Done():
-				return nil, core.Name{}, ctx.Err()
-			}
-		}
-		cl := &rootCall{done: make(chan struct{})}
-		c.opening[key] = cl
-		c.mu.Unlock()
-
-		inner, _, err := core.OpenURL(ctx, key, env)
-		c.mu.Lock()
-		delete(c.opening, key)
-		if err != nil {
-			c.mu.Unlock()
-			close(cl.done)
-			return nil, core.Name{}, err
-		}
-		if c.closed {
-			c.mu.Unlock()
-			close(cl.done)
-			_ = inner.Close()
-			return nil, core.Name{}, core.ErrClosed
-		}
-		c.mu.Unlock()
-		r := c.newRoot(ctx, key, key, inner)
-		c.mu.Lock()
-		c.roots[key] = r
-		c.mu.Unlock()
-		close(cl.done)
-		return r.wrapper, u.Path, nil
-	}
+	return rawURL
 }
 
 // WrapContext implements core.Middleware: it gives an already-open context
-// (the InitialContext's default context) its own cache root.
+// (the InitialContext's default context) its own cache root, which owns
+// the context and closes it.
 func (c *Cache) WrapContext(inner core.Context) core.Context {
 	c.mu.Lock()
 	c.wrapSeq++
 	key := fmt.Sprintf("wrapped:%d", c.wrapSeq)
-	c.mu.Unlock()
-	r := c.newRoot(context.Background(), key, "", inner)
-	c.mu.Lock()
+	r := c.newRoot(key, true)
 	c.roots[key] = r
 	c.mu.Unlock()
+	r.use(context.Background(), inner)
 	return r.wrapper
 }
 
@@ -305,7 +289,8 @@ func (c *Cache) Wrap(inner core.Context) *CachedContext {
 }
 
 // Close implements core.Middleware: it cancels background re-registration,
-// deregisters every watch, and closes every cached provider root.
+// deregisters every watch, and closes the contexts it was given through
+// Wrap or WrapContext; the held roots stay the InitialContext's.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	if c.closed {

@@ -647,6 +647,7 @@ func TestOpenURLMemoizesRoots(t *testing.T) {
 	var dials atomic.Int64
 	f := newFakeCtx()
 	f.bound["a"] = 1
+	f.bound["b"] = 2
 	core.RegisterProvider("cachetest", core.ProviderFunc(
 		func(_ context.Context, rawURL string, _ map[string]any) (core.Context, core.Name, error) {
 			dials.Add(1)
@@ -658,27 +659,25 @@ func TestOpenURLMemoizesRoots(t *testing.T) {
 		}))
 
 	c := New(Config{}, nil)
-	defer c.Close()
 	ctx := context.Background()
+	ic, err := core.Open(ctx, core.WithMiddleware(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
 
-	c1, rest1, err := c.OpenURL(ctx, "cachetest://h1/a", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rest1.String() != "a" {
-		t.Errorf("rest = %q, want a", rest1.String())
-	}
-	c2, _, err := c.OpenURL(ctx, "cachetest://h1/b", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Error("same authority must share one root")
+	for _, name := range []string{"cachetest://h1/a", "cachetest://h1/b", "cachetest://h1/a"} {
+		if _, err := ic.Lookup(ctx, name); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if dials.Load() != 1 {
 		t.Errorf("dials = %d, want 1", dials.Load())
 	}
-	if _, _, err := c.OpenURL(ctx, "cachetest://h2/a", nil); err != nil {
+	if got := f.lookupCount(); got != 2 {
+		t.Errorf("provider lookups = %d, want 2 (same authority must share one root)", got)
+	}
+	if _, err := ic.Lookup(ctx, "cachetest://h2/a"); err != nil {
 		t.Fatal(err)
 	}
 	if dials.Load() != 2 {
@@ -744,5 +743,196 @@ func TestUnparseableNameGoesToProviderAsGiven(t *testing.T) {
 	}
 	if got := c.Stats().Evictions; got != evictions {
 		t.Errorf("a refused write evicted %d entries", got-evictions)
+	}
+}
+
+// A cached URL lookup through an InitialContext with no obs middleware
+// costs what it did when the cache held its own roots: resolving the
+// held root under the cache root adds nothing per operation.
+func TestCachedLookupAllocs(t *testing.T) {
+	const parent = 10
+	memsp.Register()
+	Register()
+	ctx := context.Background()
+	ic, err := core.Open(ctx, core.WithCache(Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
+	const name = "mem://cached-lookup-allocs/k"
+	if err := ic.Rebind(ctx, name, "v"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ic.Lookup(ctx, name); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := ic.Lookup(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > parent {
+		t.Fatalf("cached Lookup allocates %v times, want <= %d", allocs, parent)
+	}
+	t.Logf("cached Lookup: %v allocations", allocs)
+}
+
+// liveFake is a fakeCtx that can report itself dead (core.Liveness), so
+// the InitialContext holding it opens its root again.
+type liveFake struct {
+	*fakeCtx
+	dead atomic.Bool
+}
+
+func (l *liveFake) Dead() bool { return l.dead.Load() }
+
+func (l *liveFake) watches() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.listeners)
+}
+
+// reopening registers scheme as a provider that opens a new liveFake per
+// open, binding "k" to the open's ordinal; openErr, when set, fails opens.
+type reopening struct {
+	mu      sync.Mutex
+	roots   []*liveFake
+	openErr error
+}
+
+func registerReopening(scheme string) *reopening {
+	p := &reopening{}
+	core.RegisterProvider(scheme, core.ProviderFunc(
+		func(_ context.Context, rawURL string, _ map[string]any) (core.Context, core.Name, error) {
+			u, err := core.ParseURLName(rawURL)
+			if err != nil {
+				return nil, core.Name{}, err
+			}
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			if p.openErr != nil {
+				return nil, core.Name{}, p.openErr
+			}
+			l := &liveFake{fakeCtx: newFakeCtx()}
+			p.roots = append(p.roots, l)
+			l.bound["k"] = len(p.roots)
+			return l, u.Path, nil
+		}))
+	return p
+}
+
+func (p *reopening) last() *liveFake {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.roots[len(p.roots)-1]
+}
+
+// When the InitialContext opens a dead root again, the cache root moves
+// to the new root: what the old one answered is dropped and the watch
+// moves with it. Concurrent lookups meanwhile all succeed.
+func TestReopenedRootMovesEntriesAndWatch(t *testing.T) {
+	p := registerReopening("cachereopen")
+	c := New(Config{TTL: time.Hour}, nil)
+	ctx := context.Background()
+	ic, err := core.Open(ctx, core.WithMiddleware(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
+	const name = "cachereopen://h/k"
+	lookup := func() any {
+		t.Helper()
+		v, err := ic.Lookup(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	v := lookup()
+	first := p.last()
+	if w := lookup(); v != 1 || w != 1 || first.lookupCount() != 1 {
+		t.Fatalf("lookups = %v, %v with %d provider calls, want 1, 1 with 1", v, w, first.lookupCount())
+	}
+	first.dead.Store(true)
+	if v := lookup(); v != 2 {
+		t.Fatalf("after the root died: lookup = %v, want 2 (from the reopened root)", v)
+	}
+	if n, m := first.watches(), p.last().watches(); n != 0 || m != 1 {
+		t.Fatalf("watches on the dead and the reopened root = %d, %d, want 0, 1", n, m)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, err := ic.Lookup(ctx, name); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		p.last().dead.Store(true)
+		if _, err := ic.Lookup(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	lookup() // settle on the last root
+	p.mu.Lock()
+	roots := p.roots
+	p.mu.Unlock()
+	for i, r := range roots[:len(roots)-1] {
+		if n := r.watches(); n != 0 {
+			t.Errorf("dead root %d keeps %d watches", i+1, n)
+		}
+	}
+	if n := roots[len(roots)-1].watches(); n != 1 {
+		t.Errorf("live root has %d watches, want 1", n)
+	}
+}
+
+// While the InitialContext cannot open a root again, the cache answers
+// what it holds when the backend does not answer, and nothing else: a
+// name it does not hold fails with the open's error, and so does every
+// name when the open fails for another reason.
+func TestUnopenableRootAnswersOnlyWhatItHolds(t *testing.T) {
+	p := registerReopening("cacheunopened")
+	c := New(Config{TTL: time.Hour, DisableEvents: true}, nil)
+	ctx := context.Background()
+	ic, err := core.Open(ctx, core.WithMiddleware(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
+	if v, err := ic.Lookup(ctx, "cacheunopened://h/k"); err != nil || v != 1 {
+		t.Fatalf("lookup = %v, %v", v, err)
+	}
+
+	p.mu.Lock()
+	p.openErr = transportErr()
+	p.mu.Unlock()
+	p.last().dead.Store(true)
+	if v, err := ic.Lookup(ctx, "cacheunopened://h/k"); err != nil || v != 1 {
+		t.Errorf("held name with the root unopenable = %v, %v, want 1", v, err)
+	}
+	var ce *core.CommunicationError
+	if _, err := ic.Lookup(ctx, "cacheunopened://h/other"); !errors.As(err, &ce) {
+		t.Errorf("name not held with the root unopenable: %v, want the open's CommunicationError", err)
+	}
+	if err := ic.Bind(ctx, "cacheunopened://h/new", 1); !errors.As(err, &ce) {
+		t.Errorf("bind with the root unopenable: %v, want the open's CommunicationError", err)
+	}
+
+	semantic := errors.New("refused")
+	p.mu.Lock()
+	p.openErr = semantic
+	p.mu.Unlock()
+	if _, err := ic.Lookup(ctx, "cacheunopened://h/k"); !errors.Is(err, semantic) {
+		t.Errorf("held name when the open is refused: %v, want the open's error", err)
 	}
 }

@@ -228,11 +228,13 @@ func (cc *CachedContext) Environment() map[string]any {
 	return cc.r.getInner().Environment()
 }
 
-// Close tears the root down when called on the root wrapper itself;
-// closing a subtree view is a no-op, since views share the root's
-// connection and entry table.
+// Close tears the root down when called on the root wrapper of a context
+// the cache was given (Wrap, WrapContext). Closing a subtree view, or the
+// wrapper of an InitialContext's held root, is a no-op: views share the
+// root's connection and entry table, and the InitialContext closes its
+// roots.
 func (cc *CachedContext) Close() error {
-	if !cc.base.IsEmpty() {
+	if !cc.base.IsEmpty() || !cc.r.owned {
 		return nil
 	}
 	return cc.r.close()

@@ -19,11 +19,15 @@ import (
 type root struct {
 	c       *Cache
 	key     string
-	url     string // re-open target; "" for wrapped (caller-owned) roots
+	owned   bool // inner came through Wrap/WrapContext, so close closes it
 	wrapper *CachedContext
 
-	mu         sync.Mutex
-	inner      core.Context
+	mu    sync.Mutex
+	inner core.Context
+	// down, while the InitialContext cannot open the root again, stands in
+	// for inner: it fails every operation, so reads are answered from the
+	// entry table alone.
+	down       *unopened
 	entries    map[string]*entry
 	lru        *list.List // of *entry; front = most recently used
 	flight     map[string]*call
@@ -57,35 +61,82 @@ type call struct {
 	err  error
 }
 
-// newRoot wraps inner, registering the invalidation watch when the
-// provider supports events; ctx bounds the watch registration only.
-func (c *Cache) newRoot(ctx context.Context, key, url string, inner core.Context) *root {
+// newRoot is an empty root; the caller points it at its provider context
+// with use.
+func (c *Cache) newRoot(key string, owned bool) *root {
 	r := &root{
 		c:       c,
 		key:     key,
-		url:     url,
-		inner:   inner,
+		owned:   owned,
 		entries: map[string]*entry{},
 		lru:     list.New(),
 		flight:  map[string]*call{},
 	}
 	r.wrapper = newView(r, core.Name{})
-	if !c.cfg.DisableEvents {
-		if ec, ok := inner.(core.EventContext); ok {
-			if unwatch, err := ec.Watch(ctx, "", core.ScopeSubtree, r.onEvent); err == nil {
-				r.eventMode = true
-				r.unwatch = unwatch
-			}
-		}
-	}
 	return r
 }
 
+// getInner is the context operations reach (see providerLocked).
 func (r *root) getInner() core.Context {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.providerLocked()
+}
+
+// providerLocked is the provider context, or down while the root cannot
+// be opened. Caller holds r.mu.
+func (r *root) providerLocked() core.Context {
+	if r.down != nil {
+		return r.down
+	}
 	return r.inner
 }
+
+// use points the root at inner, the provider context of this operation.
+// Usually it is the one already wrapped. Otherwise it is the first, or
+// the InitialContext opened the root again: the entries filled from the
+// old one are dropped and the watch moves to the new one.
+func (r *root) use(ctx context.Context, inner core.Context) {
+	r.mu.Lock()
+	if (r.inner == inner && r.down == nil) || r.closed {
+		r.mu.Unlock()
+		return
+	}
+	r.inner, r.down = inner, nil
+	unwatch := r.unwatch
+	r.unwatch, r.eventMode = nil, false
+	r.mu.Unlock()
+	r.flushAll()
+	if unwatch != nil {
+		unwatch()
+	}
+	if r.watch(ctx, inner) != nil {
+		r.rewatch()
+	}
+}
+
+// openFailed records that the InitialContext could not open the root
+// again: until it can, every operation fails with err, and reads are
+// answered from the entry table alone (serve-stale), never filled.
+func (r *root) openFailed(err error) {
+	d := &unopened{err: err}
+	d.Doer = d
+	r.mu.Lock()
+	r.down = d
+	r.mu.Unlock()
+}
+
+// unopened stands in for a root the InitialContext could not open: every
+// operation fails with the open's error.
+type unopened struct {
+	core.BatchOpContext
+	err error
+}
+
+func (d *unopened) Do(context.Context, core.Op) (core.Result, error) { return core.Result{}, d.err }
+func (d *unopened) NameInNamespace() (string, error)                 { return "", d.err }
+func (d *unopened) Environment() map[string]any                      { return nil }
+func (d *unopened) Close() error                                     { return nil }
 
 // cachedOp is the read path: serve from the entry table, else collapse
 // into any in-flight fill for the same key, else fill from the provider
@@ -98,7 +149,7 @@ func (r *root) cachedOp(ctx context.Context, key string, base core.Name, fill fu
 	hasStale := false
 	r.mu.Lock()
 	if r.closed {
-		inner := r.inner
+		inner := r.providerLocked()
 		r.mu.Unlock()
 		return fill(inner)
 	}
@@ -136,7 +187,7 @@ func (r *root) cachedOp(ctx context.Context, key string, base core.Name, fill fu
 		}
 	}
 	if cl, ok := r.flight[key]; ok {
-		inner := r.inner
+		inner := r.providerLocked()
 		r.mu.Unlock()
 		r.c.collapsed.Add(1)
 		mCollapsed.Inc()
@@ -156,7 +207,7 @@ func (r *root) cachedOp(ctx context.Context, key string, base core.Name, fill fu
 	}
 	cl := &call{done: make(chan struct{})}
 	r.flight[key] = cl
-	inner := r.inner
+	inner := r.providerLocked()
 	gen := r.gen
 	r.mu.Unlock()
 
@@ -336,11 +387,11 @@ func (r *root) flushAll() {
 	mEvictions.Add(int64(n))
 }
 
-// onEvent is the invalidation listener registered on the provider root.
-func (r *root) onEvent(ev core.NamingEvent) {
+// onEvent is the invalidation listener registered on inner.
+func (r *root) onEvent(inner core.Context, ev core.NamingEvent) {
 	switch ev.Type {
 	case core.EventWatchLost:
-		r.watchLost()
+		r.watchLost(inner)
 	case core.EventObjectRenamed:
 		// Rename events carry only one of the two affected names; drop
 		// everything rather than risk serving the other side stale.
@@ -351,24 +402,33 @@ func (r *root) onEvent(ev core.NamingEvent) {
 }
 
 // watchLost flips the root to TTL mode, flushes it (nothing cached under
-// the dead watch can be trusted), and starts backoff re-registration.
-func (r *root) watchLost() {
+// the dead watch can be trusted), and starts backoff re-registration. A
+// loss reported by a root the cache root no longer wraps changes nothing.
+func (r *root) watchLost(inner core.Context) {
 	r.mu.Lock()
-	if r.closed || !r.eventMode {
+	if r.closed || !r.eventMode || r.inner != inner {
 		r.mu.Unlock()
 		return
 	}
 	r.eventMode = false
 	r.unwatch = nil
-	startLoop := !r.rewatching
-	r.rewatching = true
 	r.mu.Unlock()
 	r.c.watchLosses.Add(1)
 	mWatchLosses.Inc()
 	r.flushAll()
-	if !startLoop {
+	r.rewatch()
+}
+
+// rewatch starts the re-registration loop unless one runs or the root is
+// closed (the loop is added to the cache's wait group under r.mu, so
+// Close, which closes every root before it waits, never misses it).
+func (r *root) rewatch() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.rewatching || r.closed {
 		return
 	}
+	r.rewatching = true
 	r.c.wg.Add(1)
 	go r.rewatchLoop()
 }
@@ -378,18 +438,26 @@ func (r *root) watchLost() {
 // transient — including breaker.ErrOpen, so the loop keeps backing off
 // through an open circuit instead of dying: it exists precisely to outlast
 // partitions and restarts. The breaker (shared per root key) keeps the
-// actual re-dial attempts from hammering a dead endpoint: while it is
-// open, iterations fail fast without touching the wire.
+// attempts from hammering a dead endpoint: while it is open, iterations
+// fail fast without touching the wire. Each attempt watches the root the
+// cache root wraps at that moment, so a root the InitialContext opened
+// again is the one watched.
 func (r *root) rewatchLoop() {
 	defer r.c.wg.Done()
 	br := breaker.For("cache:" + r.key)
 	err := retry.DoClassify(r.c.closeCtx, rewatchPolicy,
 		func(error) bool { return true },
 		func() error {
+			r.mu.Lock()
+			done, inner := r.closed || r.eventMode, r.inner
+			r.mu.Unlock()
+			if done {
+				return nil // closed, or watched again by use
+			}
 			if err := br.Allow(); err != nil {
 				return err
 			}
-			err := r.tryRewatch(r.c.closeCtx)
+			err := r.watch(r.c.closeCtx, inner)
 			if r.c.closeCtx.Err() != nil {
 				// Cache shutdown is not backend health: release the
 				// probe slot without moving the breaker.
@@ -403,93 +471,50 @@ func (r *root) rewatchLoop() {
 	r.rewatching = false
 	r.mu.Unlock()
 	if err != nil {
-		return // cache closed (or root closed) before the watch came back
+		return // cache closed before the watch came back
 	}
-	// Anything cached while degraded may predate the new watch: flush so
-	// event mode starts from a provider-fresh table.
-	r.flushAll()
 	r.c.rewatches.Add(1)
 	mRewatches.Inc()
 }
 
-// tryRewatch attempts one watch registration, re-opening the provider
-// root first when the old connection is dead.
-func (r *root) tryRewatch(ctx context.Context) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil // treated as success; loop exits, flush is harmless
-	}
-	inner := r.inner
-	r.mu.Unlock()
+// errSuperseded fails a watch registered on a root the cache root stopped
+// wrapping while the registration ran.
+var errSuperseded = errors.New("cache: watched root was replaced")
 
+// watch registers the invalidation watch on inner, when events are on and
+// inner supports them, and installs it if inner is still the wrapped root
+// and no other watch was installed meanwhile. Installing flushes the
+// table: an entry filled before the watch existed is covered by no event.
+func (r *root) watch(ctx context.Context, inner core.Context) error {
 	ec, ok := inner.(core.EventContext)
-	if ok {
-		if unwatch, err := ec.Watch(ctx, "", core.ScopeSubtree, r.onEvent); err == nil {
-			r.adoptWatch(inner, unwatch)
-			return nil
+	if !ok || r.c.cfg.DisableEvents {
+		return nil
+	}
+	unwatch, err := ec.Watch(ctx, "", core.ScopeSubtree, func(ev core.NamingEvent) { r.onEvent(inner, ev) })
+	if errors.Is(err, core.ErrNotSupported) {
+		return nil // a decorator's surface over a provider without events
+	}
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	if r.closed || r.eventMode || r.inner != inner {
+		superseded := !r.closed && !r.eventMode
+		r.mu.Unlock()
+		unwatch()
+		if superseded {
+			return errSuperseded
 		}
+		return nil
 	}
-	if r.url == "" {
-		// A wrapped (caller-owned) context cannot be re-dialed; keep
-		// retrying the watch itself in case the substrate recovers.
-		return errors.New("cache: watch re-registration failed")
-	}
-	fresh, _, err := core.OpenURL(ctx, r.url, r.c.env)
-	if err != nil {
-		return err
-	}
-	fec, ok := fresh.(core.EventContext)
-	if !ok {
-		_ = fresh.Close()
-		return errors.New("cache: reopened root lost event support")
-	}
-	unwatch, err := fec.Watch(ctx, "", core.ScopeSubtree, r.onEvent)
-	if err != nil {
-		_ = fresh.Close()
-		return err
-	}
-	old := r.adoptWatchSwap(fresh, unwatch)
-	if old != nil {
-		_ = old.Close()
-	}
+	r.eventMode, r.unwatch = true, unwatch
+	r.mu.Unlock()
+	r.flushAll()
 	return nil
 }
 
-// adoptWatch records a successful re-registration on the existing inner.
-func (r *root) adoptWatch(inner core.Context, unwatch func()) {
-	r.mu.Lock()
-	if r.closed || r.inner != inner {
-		r.mu.Unlock()
-		unwatch()
-		return
-	}
-	r.eventMode = true
-	r.unwatch = unwatch
-	r.mu.Unlock()
-}
-
-// adoptWatchSwap installs a freshly dialed inner plus its watch and
-// returns the replaced context (nil if the root closed meanwhile, in
-// which case the fresh context is closed instead).
-func (r *root) adoptWatchSwap(fresh core.Context, unwatch func()) core.Context {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		unwatch()
-		_ = fresh.Close()
-		return nil
-	}
-	old := r.inner
-	r.inner = fresh
-	r.eventMode = true
-	r.unwatch = unwatch
-	r.mu.Unlock()
-	return old
-}
-
-// close tears the root down: watch, entries, and — since the cache opened
-// it or adopted it — the provider context.
+// close tears the root down: watch, entries, and — when the cache was
+// given it through Wrap or WrapContext — the provider context.
 func (r *root) close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -507,7 +532,7 @@ func (r *root) close() error {
 	if unwatch != nil {
 		unwatch()
 	}
-	if inner != nil {
+	if r.owned {
 		return inner.Close()
 	}
 	return nil

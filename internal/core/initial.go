@@ -59,19 +59,13 @@ func (ic *InitialContext) Environment() map[string]any { return ic.env }
 // recomposes the URL-open chain; call before first use.
 func (ic *InitialContext) installMiddleware(mw Middleware) {
 	ic.mws = append(ic.mws, mw)
-	// Compose innermost-out: the base resolver is the root table; a
-	// chained middleware decorates the layer below it, a plain middleware
-	// terminates the chain with its own OpenURL.
+	// Compose innermost-out: the base resolver is the root table, and each
+	// middleware decorates the layer below it.
 	fn := OpenURLFunc(ic.roots.open)
 	for i := len(ic.mws) - 1; i >= 0; i-- {
-		mw := ic.mws[i]
-		if cm, ok := mw.(ChainedMiddleware); ok {
-			next := fn
-			fn = func(ctx context.Context, rawURL string, env map[string]any) (Context, Name, error) {
-				return cm.OpenURLNext(ctx, rawURL, env, next)
-			}
-		} else {
-			fn = mw.OpenURL
+		mw, next := ic.mws[i], fn
+		fn = func(ctx context.Context, rawURL string, env map[string]any) (Context, Name, error) {
+			return mw.OpenURLNext(ctx, rawURL, env, next)
 		}
 	}
 	ic.openFn = fn

@@ -39,34 +39,28 @@ type CacheConfig struct {
 // Middleware intercepts InitialContext resolution. The cache package
 // implements it; the obs package layers metrics and federation tracing
 // the same way. Multiple middlewares stack: each WrapContext wraps the
-// previous wrapper, and URL resolution flows outermost-in (see
-// ChainedMiddleware).
+// previous wrapper, and URL resolution flows outermost-in, each layer
+// handed the next one down, which ends at the InitialContext's held roots.
 type Middleware interface {
 	// WrapContext wraps the default (non-URL-name) context.
 	WrapContext(c Context) Context
-	// OpenURL replaces the InitialContext's held roots during
-	// resolution: the middleware opens and holds its own, one wire
-	// client per (scheme, authority).
-	OpenURL(ctx context.Context, rawURL string, env map[string]any) (Context, Name, error)
-	// Close releases everything the middleware holds (cached connections,
-	// watch registrations, background goroutines).
+	// OpenURLNext resolves rawURL through next, the layer below, and may
+	// decorate what it returns. next returns the same context for a
+	// scheme://authority until the InitialContext opens that root again.
+	OpenURLNext(ctx context.Context, rawURL string, env map[string]any, next OpenURLFunc) (Context, Name, error)
+	// Close releases everything the middleware holds (watch
+	// registrations, background goroutines); the held roots are the
+	// InitialContext's to close.
 	Close() error
 }
 
-// OpenURLFunc is the URL-resolution continuation handed to chained
-// middleware: the next layer down, ending at the InitialContext's held
-// roots.
+// OpenURLFunc is the URL-resolution continuation handed to a middleware:
+// the next layer down, ending at the InitialContext's held roots.
 type OpenURLFunc func(ctx context.Context, rawURL string, env map[string]any) (Context, Name, error)
 
-// ChainedMiddleware is an optional Middleware extension for layers that
-// decorate resolution rather than replace it (observability around the
-// cache). When a middleware implements it, the chain calls OpenURLNext
-// with the next layer's resolver; plain Middleware terminates the chain
-// via its own OpenURL.
-type ChainedMiddleware interface {
-	Middleware
-	OpenURLNext(ctx context.Context, rawURL string, env map[string]any, next OpenURLFunc) (Context, Name, error)
-}
+// ChainedMiddleware is Middleware under the name it had when a middleware
+// could also end the chain; code outside this module still names it.
+type ChainedMiddleware = Middleware
 
 // OpObserver is an optional Middleware extension that brackets every
 // InitialContext operation: BeginOp runs before resolution starts and may

@@ -148,9 +148,9 @@ type recordingMW struct {
 }
 
 func (m *recordingMW) WrapContext(c Context) Context { m.wraps.Add(1); return c }
-func (m *recordingMW) OpenURL(ctx context.Context, rawURL string, env map[string]any) (Context, Name, error) {
+func (m *recordingMW) OpenURLNext(ctx context.Context, rawURL string, env map[string]any, next OpenURLFunc) (Context, Name, error) {
 	m.opens.Add(1)
-	return OpenURL(ctx, rawURL, env)
+	return next(ctx, rawURL, env)
 }
 func (m *recordingMW) Close() error { m.closed.Store(true); return nil }
 
@@ -183,7 +183,7 @@ func TestOpenWithCacheRoutesResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := mw.opens.Load(); got != 1 {
-		t.Errorf("middleware OpenURL calls = %d, want 1", got)
+		t.Errorf("middleware OpenURLNext calls = %d, want 1", got)
 	}
 	if _, err := ic.Lookup(context.Background(), "a"); err != nil {
 		t.Fatal(err)

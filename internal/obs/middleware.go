@@ -13,10 +13,9 @@ import (
 //
 //   - OpObserver: BeginOp starts one federation Trace per InitialContext
 //     operation and records resolve-level op/error counters and latency.
-//   - ChainedMiddleware: OpenURLNext opens a hop span per URL resolution
-//     (the first hop and every CannotProceedError continuation) before
-//     delegating to the next layer (the cache, or the InitialContext's
-//     held roots).
+//   - OpenURLNext opens a hop span per URL resolution (the first hop and
+//     every CannotProceedError continuation) before delegating to the
+//     next layer (the cache, or the InitialContext's held roots).
 //   - WrapContext instruments the default context so plain-name operations
 //     are metered like provider-backed ones.
 type Middleware struct {
@@ -54,13 +53,7 @@ func (m *Middleware) BeginOp(ctx context.Context, op, name string) (context.Cont
 	}
 }
 
-// OpenURL implements core.Middleware; resolution always flows through
-// OpenURLNext, but a plain-Middleware caller gets the registry default.
-func (m *Middleware) OpenURL(ctx context.Context, rawURL string, env map[string]any) (core.Context, core.Name, error) {
-	return m.OpenURLNext(ctx, rawURL, env, core.OpenURL)
-}
-
-// OpenURLNext implements core.ChainedMiddleware: each call is one
+// OpenURLNext implements core.Middleware: each call is one
 // federation hop, so it opens a span on the operation's trace, counts the
 // hop, and delegates resolution to the layer below.
 func (m *Middleware) OpenURLNext(ctx context.Context, rawURL string, env map[string]any, next core.OpenURLFunc) (core.Context, core.Name, error) {

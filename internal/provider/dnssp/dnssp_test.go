@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gondi/internal/breaker"
+	"gondi/internal/cache"
 	"gondi/internal/core"
 	"gondi/internal/dnssrv"
 	"gondi/internal/obs"
@@ -372,6 +373,65 @@ func TestHeldRootFailsOverWhenBreakerOpens(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if got := answer(); got != "from-b" {
 			t.Fatalf("after a's breaker opened: answer %d from %q, want from-b", i, got)
+		}
+	}
+}
+
+// The same failover through a cached context: the cache wraps the
+// InitialContext's held root, so when the InitialContext opens it again
+// on b, a name not yet cached answers from b, and what a answered is
+// dropped.
+func TestCachedHeldRootFailsOverWhenBreakerOpens(t *testing.T) {
+	Register()
+	cache.Register()
+	ctx := context.Background()
+	servers := make([]*dnssrv.Server, 2)
+	for i, txt := range []string{"from-a", "from-b"} {
+		s, err := dnssrv.NewServer("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			s.Close()
+			breaker.For(s.Addr()).Reset() // a later test may get the port
+		})
+		z := dnssrv.NewZone("global")
+		for _, name := range []string{"svc", "new0", "new1", "new2"} {
+			z.Add(dnssrv.RR{Name: name + ".global", Type: dnssrv.TypeTXT, Txt: []string{txt}})
+		}
+		s.AddZone(z)
+		servers[i] = s
+	}
+	a := servers[0].Addr()
+	ic, err := core.Open(ctx, core.WithCache(core.CacheConfig{}), core.WithPoolID(t.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
+	prefix := "dns://" + a + "," + servers[1].Addr() + "/global/"
+	answer := func(name string) string {
+		t.Helper()
+		attrs, err := ic.GetAttributes(ctx, prefix+name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return attrs.GetFirst("TXT")
+	}
+	for i := 0; i < 3; i++ {
+		if got := answer("svc"); got != "from-a" {
+			t.Fatalf("before the trip: answer %d from %q, want from-a", i, got)
+		}
+	}
+	br := breaker.For(a)
+	for i := 0; i < breaker.DefaultThreshold; i++ {
+		br.Record(true)
+	}
+	if br.Ready() {
+		t.Fatal("breaker did not open")
+	}
+	for _, name := range []string{"new0", "new1", "new2", "svc"} {
+		if got := answer(name); got != "from-b" {
+			t.Fatalf("after a's breaker opened: %s answered from %q, want from-b", name, got)
 		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 
 // An InitialContext owns the provider roots it opens: open, one
 // operation and Close, repeated, leaves no connection, pooled entry or
-// goroutine behind on any wire provider. A context a caller looks up —
-// a context reference, or the root URL itself — never owns the root, so
+// goroutine behind on any wire provider, with the cache on or off (its
+// watches and rewatch loops included). A context a caller looks up — a
+// context reference, or the root URL itself — never owns the root, so
 // closing it leaves the InitialContext's next operation on that authority
 // working.
 func TestInitialContextLifecycle(t *testing.T) {
@@ -86,45 +87,55 @@ func TestInitialContextLifecycle(t *testing.T) {
 			must(seed.Bind(ctx, prefix+"self", core.NewContextReference(root)))
 			must(seed.Close())
 
-			goroutines, held := settledGoroutines(), connpool.Held()
-			for i := 0; i < 50; i++ {
-				ic, err := core.Open(ctx, core.WithPoolID(fmt.Sprintf("%s-%d", t.Name(), i)))
-				if err != nil {
-					t.Fatal(err)
+			for _, mode := range []struct {
+				name string
+				opts []core.Option
+			}{
+				{"uncached", nil},
+				{"cached", []core.Option{core.WithCache(core.CacheConfig{})}},
+			} {
+				open := func(pool string) *core.InitialContext {
+					t.Helper()
+					ic, err := core.Open(ctx, append(mode.opts, core.WithPoolID(pool))...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ic
 				}
-				if v, err := ic.Lookup(ctx, prefix+"k"); err != nil || v != "v" {
-					t.Fatalf("cycle %d: lookup = %v, %v", i, v, err)
+				goroutines, held := settledGoroutines(), connpool.Held()
+				for i := 0; i < 50; i++ {
+					ic := open(fmt.Sprintf("%s-%s-%d", t.Name(), mode.name, i))
+					if v, err := ic.Lookup(ctx, prefix+"k"); err != nil || v != "v" {
+						t.Fatalf("%s cycle %d: lookup = %v, %v", mode.name, i, v, err)
+					}
+					must(ic.Close())
 				}
-				must(ic.Close())
-			}
-			if n := connpool.Held(); n != held {
-				t.Errorf("50 open/lookup/close cycles left %d pooled connections held (%d before)", n, held)
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > goroutines {
-				t.Errorf("50 open/lookup/close cycles left %d goroutines, %d before", n, goroutines)
-			}
+				if n := connpool.Held(); n != held {
+					t.Errorf("%s: 50 open/lookup/close cycles left %d pooled connections held (%d before)", mode.name, n, held)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+					time.Sleep(10 * time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > goroutines {
+					t.Errorf("%s: 50 open/lookup/close cycles left %d goroutines, %d before", mode.name, n, goroutines)
+				}
 
-			ic, err := core.Open(ctx, core.WithPoolID(t.Name()+"-borrow"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ic.Close()
-			for _, name := range []string{prefix + "self", root + "/"} {
-				obj, err := ic.Lookup(ctx, name)
-				if err != nil {
-					t.Fatalf("lookup %s: %v", name, err)
-				}
-				c, ok := obj.(core.Context)
-				if !ok {
-					t.Fatalf("lookup %s = %T, want a context", name, obj)
-				}
-				must(c.Close())
-				if v, err := ic.Lookup(ctx, prefix+"k"); err != nil || v != "v" {
-					t.Fatalf("after closing the context %s names: lookup = %v, %v", name, v, err)
+				ic := open(t.Name() + "-" + mode.name + "-borrow")
+				defer ic.Close()
+				for _, name := range []string{prefix + "self", root + "/"} {
+					obj, err := ic.Lookup(ctx, name)
+					if err != nil {
+						t.Fatalf("%s: lookup %s: %v", mode.name, name, err)
+					}
+					c, ok := obj.(core.Context)
+					if !ok {
+						t.Fatalf("%s: lookup %s = %T, want a context", mode.name, name, obj)
+					}
+					must(c.Close())
+					if v, err := ic.Lookup(ctx, prefix+"k"); err != nil || v != "v" {
+						t.Fatalf("%s: after closing the context %s names: lookup = %v, %v", mode.name, name, v, err)
+					}
 				}
 			}
 		})

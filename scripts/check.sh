@@ -32,14 +32,17 @@
 # one-LDAP-codec guard (no ber.Packet tree or ber.Decode: LDAP messages
 # are appended into one buffer and read in place), the one-search-rule
 # guard (no provider parses a search filter or sorts its results or
-# bindings: core.Search and core.ListResult do), and the
+# bindings: core.Search and core.ListResult do), the
 # one-name-resolution-rule guard (no provider builds a continuation or
-# walks a name's prefixes: core.Resolve does, over a provider's probe).
+# walks a name's prefixes: core.Resolve does, over a provider's probe),
+# and the one-root-table guard (internal/cache opens no root of its own:
+# it decorates the InitialContext's held roots, and core composes every
+# middleware one way, with no ChainedMiddleware type assertion).
 # allocs is the per-commit real-number gate (operations as values, Errf,
 # name-resolution walk, rpc codec + per-call metrics, hdns request +
 # replication frame codecs, jini registrar codec, bound-value codec, DIT
 # search, dnssp opens, root opens per authority, pooled hdnssp opens,
-# hdns lease scan, server pipeline stage, dns shed answer, LDAP message
+# cached lookups, hdns lease scan, server pipeline stage, dns shed answer, LDAP message
 # codec); wall-clock costs are measured by bench/run.sh (see
 # bench/README.md), not gated here. figures runs the calibrated Figure
 # 2-7 shape tests and ablations, which skip under -race and so run in no
@@ -184,6 +187,14 @@ stage_lint() {
         echo "a provider builds a continuation or walks a name's prefixes itself; give core.Resolve a probe of one name" >&2
         exit 1
     fi
+    echo "== lint: one root table (the cache wraps the InitialContext's held roots) =="
+    if git ls-files 'internal/cache/*.go' | grep -v '_test\.go$' |
+        xargs grep -nE 'core\.OpenURL\(|rootCall|opening' /dev/null ||
+        git ls-files 'internal/core/*.go' | grep -v '_test\.go$' |
+        xargs grep -n 'ChainedMiddleware)' /dev/null; then
+        echo "the cache opens or holds roots of its own, or core tells middleware kinds apart; decorate the root next returns in Cache.OpenURLNext and compose every core.Middleware one way" >&2
+        exit 1
+    fi
     echo "== lint: one LDAP codec (messages are appended and read in place) =="
     if git ls-files '*.go' | grep -v '_test\.go$' |
         xargs grep -nE 'ber\.Packet|ber\.Decode\(' /dev/null; then
@@ -307,6 +318,12 @@ stage_allocs() {
     echo "== root open count + pooled provider open alloc gates =="
     go test -race -count=1 -run 'TestInitialContextOpensOncePerAuthority' ./internal/core/
     go test -count=1 -run 'TestPooledOpenAllocs' ./internal/provider/hdnssp/
+
+    # The cache decorates those held roots: a cached URL lookup through
+    # core.Open(WithCache) over memsp, with no obs middleware, costs no
+    # more than when the cache opened roots of its own (10 allocations).
+    echo "== cached lookup alloc gate =="
+    go test -count=1 -run 'TestCachedLookupAllocs' ./internal/cache/
 
     # The hdns lease reaper scans on every 500 ms tick: 0 allocations on
     # a store that holds no lease, <= 4 with one due among 10 000 entries.
