@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gondi/internal/breaker"
+	"gondi/internal/cache"
 	"gondi/internal/core"
 	"gondi/internal/fault"
 	"gondi/internal/ldapsrv"
@@ -97,4 +98,108 @@ func TestCachedContextServesStaleWhileLinkCut(t *testing.T) {
 			t.Fatalf("lookup %d with the link cut = %v, %v", i, v, err)
 		}
 	}
+}
+
+// A rename through a cached hdns context evicts only the entries of its
+// two names: the rename's event names both, so the other cached lookups
+// of the root stay.
+func TestCachedRenameEvictsOnlyItsNames(t *testing.T) {
+	w := buildWorld(t)
+	evicted, kept := evictionsOfOneWrite(t, "hdns://"+w.nodes[0].Addr()+"/",
+		func(ctx context.Context, ic *core.InitialContext, url string) error {
+			return ic.Rename(ctx, url+"ev/k00", url+"ev/moved")
+		})
+	if evicted != 2 || kept != cachedKeys-1 {
+		t.Errorf("a rename and one sentinel rebind evicted %d entries and kept %d of %d cached; want 2 and %d",
+			evicted, kept, cachedKeys-1, cachedKeys-1)
+	}
+}
+
+// An unbind through a cached jini context evicts only that name's
+// entries: the removal event is named from the watch's ServiceID map
+// instead of arriving nameless, which the cache had to read as the
+// whole root.
+func TestCachedJiniUnbindEvictsOnlyItsName(t *testing.T) {
+	w := buildWorld(t)
+	evicted, kept := evictionsOfOneWrite(t, "jini://"+w.lus.Addr()+"/",
+		func(ctx context.Context, ic *core.InitialContext, url string) error {
+			return ic.Unbind(ctx, url+"ev/k00")
+		})
+	if evicted != 2 || kept != cachedKeys-1 {
+		t.Errorf("an unbind and one sentinel rebind evicted %d entries and kept %d of %d cached; want 2 and %d",
+			evicted, kept, cachedKeys-1, cachedKeys-1)
+	}
+}
+
+// cachedKeys is how many lookups evictionsOfOneWrite caches besides its
+// sentinel.
+const cachedKeys = 19
+
+// evictionsOfOneWrite caches lookups of ev/k00 … ev/k18 and ev/sentinel
+// under url, applies write to ev/k00 through the cached context, then
+// rebinds ev/sentinel through an uncached one and waits until the cache
+// serves the new value: the sentinel's event arrives after the write's
+// on the same connection, so by then the write's event has been applied
+// too. It returns the evictions counted from the write on and how many
+// of ev/k01 … ev/k18 are still answered from the cache.
+func evictionsOfOneWrite(t *testing.T, url string, write func(context.Context, *core.InitialContext, string) error) (evicted int64, kept int) {
+	t.Helper()
+	ctx := context.Background()
+	writer := core.NewInitialContext(map[string]any{core.EnvPoolID: t.Name() + "/writer"})
+	t.Cleanup(func() { writer.Close() })
+	c := cache.New(cache.Config{}, nil)
+	ic, err := core.Open(ctx, core.WithMiddleware(c), core.WithPoolID(t.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ic.Close() })
+
+	if _, err := writer.CreateSubcontext(ctx, url+"ev"); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"sentinel"}
+	for i := 0; i < cachedKeys; i++ {
+		names = append(names, fmt.Sprintf("k%02d", i))
+	}
+	for _, n := range names {
+		if err := writer.Bind(ctx, url+"ev/"+n, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range names {
+		if v, err := ic.Lookup(ctx, url+"ev/"+n); err != nil || v != "v" {
+			t.Fatalf("cached lookup of %s = %v, %v", n, v, err)
+		}
+	}
+
+	before := c.Stats().Evictions
+	if err := write(ctx, ic, url); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Rebind(ctx, url+"ev/sentinel", "v2"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		v, err := ic.Lookup(ctx, url+"ev/sentinel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == "v2" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the sentinel rebind's event never reached the cache")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	evicted = c.Stats().Evictions - before
+
+	hits := c.Stats().Hits
+	for _, n := range names[2:] {
+		if _, err := ic.Lookup(ctx, url+"ev/"+n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return evicted, int(c.Stats().Hits - hits)
 }

@@ -255,6 +255,10 @@ func main() {
 		die(ic.Bind(ctx, name, core.NewContextReference(args[2])))
 	case "watch":
 		cancel, err := ic.Watch(ctx, name, core.ScopeSubtree, func(e core.NamingEvent) {
+			if e.Type == core.EventObjectRenamed {
+				fmt.Printf("%s %q -> %q new=%v\n", e.Type, e.OldName, e.Name, e.NewValue)
+				return
+			}
 			fmt.Printf("%s %q new=%v old=%v\n", e.Type, e.Name, e.NewValue, e.OldValue)
 		})
 		die(err)

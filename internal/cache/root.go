@@ -375,17 +375,9 @@ func (r *root) invalidate(names ...string) {
 	mEvictions.Add(int64(len(victims)))
 }
 
-// flushAll empties the root's entry table and fences in-flight fills.
-func (r *root) flushAll() {
-	r.mu.Lock()
-	r.gen++
-	n := len(r.entries)
-	r.entries = map[string]*entry{}
-	r.lru.Init()
-	r.mu.Unlock()
-	r.c.evictions.Add(int64(n))
-	mEvictions.Add(int64(n))
-}
+// flushAll empties the root's entry table and fences in-flight fills:
+// the root's own name overlaps every entry.
+func (r *root) flushAll() { r.invalidate("") }
 
 // onEvent is the invalidation listener registered on inner.
 func (r *root) onEvent(inner core.Context, ev core.NamingEvent) {
@@ -393,9 +385,7 @@ func (r *root) onEvent(inner core.Context, ev core.NamingEvent) {
 	case core.EventWatchLost:
 		r.watchLost(inner)
 	case core.EventObjectRenamed:
-		// Rename events carry only one of the two affected names; drop
-		// everything rather than risk serving the other side stale.
-		r.flushAll()
+		r.invalidate(ev.OldName, ev.Name)
 	default:
 		r.invalidate(ev.Name)
 	}

@@ -160,11 +160,15 @@ func (t EventType) String() string {
 	}
 }
 
-// NamingEvent notifies a listener of a change in a watched namespace.
+// NamingEvent notifies a listener of a change in a watched namespace,
+// as EventFor decides it.
 type NamingEvent struct {
 	Type EventType
-	// Name is the affected name relative to the watched context.
+	// Name is the changed name relative to the watch target (a rename's
+	// new one): empty for the target itself and for EventWatchLost.
 	Name string
+	// OldName is an EventObjectRenamed's old name.
+	OldName string
 	// NewValue and OldValue are provider-dependent; they may be nil.
 	NewValue any
 	OldValue any

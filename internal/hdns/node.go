@@ -3,6 +3,7 @@ package hdns
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -386,7 +387,7 @@ func (n *Node) fanOut(c Change) {
 	n.mu.Lock()
 	for conn, ws := range n.watches {
 		for id, w := range ws {
-			if watchMatches(w, c.Name) {
+			if watchMatches(w, c.Name) || (c.Kind == OpRename && watchMatches(w, c.Name2)) {
 				targets = append(targets, target{conn, id})
 			}
 		}
@@ -397,22 +398,15 @@ func (n *Node) fanOut(c Change) {
 	}
 	var buf []byte // Push has written the frame when it returns
 	for _, t := range targets {
-		msg := EventMsg{WatchID: t.id, Kind: c.Kind, Name: c.Name, Obj: c.Obj, Old: c.Old}
+		msg := EventMsg{WatchID: t.id, Kind: c.Kind, Name: c.Name, Obj: c.Obj, Old: c.Old, Name2: c.Name2}
 		buf = appendEvent(buf[:0], &msg)
 		_ = t.conn.Push(mEvent, buf)
 	}
 }
 
 func watchMatches(w watchSpec, name []string) bool {
-	if len(name) < len(w.target) {
-		return false
-	}
-	for i, c := range w.target {
-		if name[i] != c {
-			return false
-		}
-	}
-	return core.SearchScope(w.scope).Covers(len(name) - len(w.target))
+	return len(name) >= len(w.target) && slices.Equal(name[:len(w.target)], w.target) &&
+		core.SearchScope(w.scope).Covers(len(name)-len(w.target))
 }
 
 // submit replicates a write and waits for its local delivery, for at

@@ -80,10 +80,11 @@ type Op struct {
 
 // Change describes an applied mutation for event distribution.
 type Change struct {
-	Kind OpKind
-	Name []string
-	Obj  []byte
-	Old  []byte
+	Kind  OpKind
+	Name  []string
+	Name2 []string // a rename's new name
+	Obj   []byte
+	Old   []byte
 }
 
 // Store errors: an op's failure as ApplyVersioned reports it. The node
@@ -246,7 +247,7 @@ func (s *Store) applyLocked(op *Op) (changes []Change, errStr string) {
 		}
 		delete(oldParent.Children, oldLast)
 		newParent.Children[newLast] = ent
-		return []Change{{Kind: OpRename, Name: op.Name, Obj: ent.Obj}}, ""
+		return []Change{{Kind: OpRename, Name: op.Name, Name2: op.Name2, Obj: ent.Obj}}, ""
 	case OpCreateCtx:
 		parent, last, e := s.resolveParent(op.Name)
 		if e != "" {

@@ -44,6 +44,7 @@ package hdns
 //	name     strs
 //	obj      bytes
 //	old      bytes
+//	name2    strs        (a rename's new name)
 //
 // Trailing bytes after the last field are a decode error, as in the rpc
 // frame codec: a message parses exactly or is rejected.
@@ -80,6 +81,7 @@ type EventMsg struct {
 	Name    []string
 	Obj     []byte
 	Old     []byte
+	Name2   []string // a rename's new name
 }
 
 // RPC method names.

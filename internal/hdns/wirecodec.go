@@ -145,7 +145,8 @@ func appendEvent(dst []byte, m *EventMsg) []byte {
 	dst = append(dst, byte(m.Kind))
 	dst = wire.AppendStrings(dst, m.Name)
 	dst = wire.AppendBytes(dst, m.Obj)
-	return wire.AppendBytes(dst, m.Old)
+	dst = wire.AppendBytes(dst, m.Old)
+	return wire.AppendStrings(dst, m.Name2)
 }
 
 func decodeEvent(body []byte) (EventMsg, error) {
@@ -156,6 +157,7 @@ func decodeEvent(body []byte) (EventMsg, error) {
 		Name:    d.Strs(),
 		Obj:     d.Bytes(),
 		Old:     d.Bytes(),
+		Name2:   d.Strs(),
 	}
 	return m, finish(&d, "event")
 }

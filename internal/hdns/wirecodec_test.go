@@ -85,14 +85,14 @@ func TestWireCodecSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := decodeEvent(appendEvent(nil, &EventMsg{Name: []string{}, Obj: []byte{}, Old: []byte{}}))
+		ev, err := decodeEvent(appendEvent(nil, &EventMsg{Name: []string{}, Obj: []byte{}, Old: []byte{}, Name2: []string{}}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, v := range map[string]any{
 			"Req.Name": req.Name, "Req.Name2": req.Name2, "Req.Obj": req.Obj, "Req.Attrs": req.Attrs, "Req.Mods": req.Mods,
 			"View.Obj": rsp.View.Obj, "View.Attrs": rsp.View.Attrs, "Rsp.List": rsp.List, "Rsp.Hits": rsp.Hits,
-			"Event.Name": ev.Name, "Event.Obj": ev.Obj, "Event.Old": ev.Old,
+			"Event.Name": ev.Name, "Event.Obj": ev.Obj, "Event.Old": ev.Old, "Event.Name2": ev.Name2,
 		} {
 			if !reflect.ValueOf(v).IsNil() {
 				t.Errorf("%s = %#v, want nil", name, v)
@@ -207,6 +207,8 @@ func FuzzHDNSWire(f *testing.F) {
 	f.Add(appendReq(nil, &Req{Name: []string{"k00042"}}))
 	f.Add(appendRsp(nil, &Rsp{}))
 	f.Add(appendEvent(nil, &EventMsg{WatchID: 1, Kind: OpUnbind, Name: []string{"a"}, Old: []byte("x")}))
+	f.Add(appendEvent(nil, &EventMsg{WatchID: 2, Kind: OpRename, Name: []string{"a", "x"}, Obj: []byte("o"),
+		Name2: []string{"z", "y"}}))
 	f.Add(appendWALOp(nil, 7, &Op{Kind: OpBind, ID: "n1-3", Name: []string{"a", "b"}, Obj: []byte("o"),
 		Attrs: map[string][]string{"t": {"v"}}, Mods: []ModRec{{Op: 2, ID: "gone"}}, LeaseMillis: 5000, Now: 1234567}))
 	f.Add(appendWALOp(nil, 8, &Op{Kind: OpExpire, ID: "n1-4", Name: []string{"a", "b"}, Now: 1234567}))

@@ -10,7 +10,6 @@ package hdnssp
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"gondi/internal/connpool"
@@ -77,6 +76,10 @@ func (sh *shared) Close() error {
 }
 
 var pool connpool.Pool[*shared]
+
+var mWatchLost = obs.Default.Counter("gondi_provider_watch_lost_total",
+	"Event registrations lost with their wire connection, by provider.",
+	obs.Label{K: "system", V: "hdns"})
 
 // Context implements core.DirContext, core.EventContext,
 // core.BatchContext and core.Referenceable over one HDNS node.
@@ -346,13 +349,13 @@ func (c *Context) search(ctx context.Context, s *core.Search, comps []string, fu
 
 // watch registers op.Listener through HDNS's distributed event
 // notification (inherited from the H2O event mechanism in the paper).
+// Server-side watches die with the connection: a loss of the watch.
 func (c *Context) watch(ctx context.Context, comps []string, full core.Name, op core.Op) (func(), error) {
 	if err := core.Resolve(ctx, core.OpWatch, c.base, full, nil, c.probe); err != nil {
 		return nil, err
 	}
-	l, baseSize := op.Listener, len(comps)
-	cancel, err := c.sh.client.Watch(ctx, comps, int(op.Scope), func(e hdns.EventMsg) {
-		rel := core.NewName(e.Name[baseSize:]...).String()
+	unwatch, err := c.sh.client.Watch(ctx, comps, int(op.Scope), func(e hdns.EventMsg) {
+		name, oldName := core.NewName(e.Name...), core.Name{}
 		var typ core.EventType
 		switch e.Kind {
 		case hdns.OpBind, hdns.OpCreateCtx:
@@ -362,7 +365,7 @@ func (c *Context) watch(ctx context.Context, comps []string, full core.Name, op 
 		case hdns.OpUnbind, hdns.OpDestroyCtx:
 			typ = core.EventObjectRemoved
 		case hdns.OpRename:
-			typ = core.EventObjectRenamed
+			typ, name, oldName = core.EventObjectRenamed, core.NewName(e.Name2...), name
 		default:
 			return
 		}
@@ -373,32 +376,15 @@ func (c *Context) watch(ctx context.Context, comps []string, full core.Name, op 
 		if len(e.Old) > 0 {
 			oldV, _ = core.Unmarshal(e.Old)
 		}
-		l(core.NamingEvent{Type: typ, Name: rel, NewValue: newV, OldValue: oldV})
+		if ev, ok := core.EventFor(full, op.Scope, typ, name, oldName, newV, oldV); ok {
+			op.Listener(ev)
+		}
 	})
 	if err != nil {
 		return nil, rpc.CoreError(c.sh.url, err)
 	}
-	// Server-side watches die with the connection; surface that to the
-	// listener as EventWatchLost so caches layered on this registration
-	// know to fall back to time-based expiry.
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-c.sh.client.Done():
-			obs.Default.Counter("gondi_provider_watch_lost_total",
-				"Event registrations lost with their wire connection, by provider.",
-				obs.Label{K: "system", V: "hdns"}).Inc()
-			l(core.NamingEvent{Type: core.EventWatchLost})
-		case <-stop:
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(stop)
-			cancel()
-		})
-	}, nil
+	cancel, _ := core.WatchLoss(c.sh.client.Done(), op.Listener, mWatchLost.Inc, unwatch)
+	return cancel, nil
 }
 
 // NameInNamespace implements core.Context.

@@ -117,10 +117,11 @@ type shared struct {
 	lease     time.Duration
 	lockLease time.Duration
 
-	// Active watch listeners, notified with EventWatchLost when the
-	// renewal manager gives a lease up (LUS unreachable past expiry).
+	// Active watches, each lost (its listener sees EventWatchLost)
+	// when the renewal manager gives a lease up (LUS unreachable past
+	// expiry): their lose functions, from core.WatchLoss.
 	subMu   sync.Mutex
-	subs    map[int]core.Listener
+	subs    map[int]func()
 	nextSub int
 }
 
@@ -138,24 +139,25 @@ func (sh *shared) Close() error {
 	return sh.reg.Close()
 }
 
-// notifyLost fires EventWatchLost at every active watcher — their view
-// of the registry can no longer be trusted once a lease has lapsed.
+// notifyLost loses every active watch — its view of the registry can no
+// longer be trusted once a lease has lapsed.
 func (sh *shared) notifyLost() {
 	sh.subMu.Lock()
-	ls := make([]core.Listener, 0, len(sh.subs))
-	for _, l := range sh.subs {
-		ls = append(ls, l)
+	loses := make([]func(), 0, len(sh.subs))
+	for _, lose := range sh.subs {
+		loses = append(loses, lose)
 	}
 	sh.subMu.Unlock()
-	for _, l := range ls {
-		obs.Default.Counter("gondi_provider_watch_lost_total",
-			"Event registrations lost with their wire connection, by provider.",
-			obs.Label{K: "system", V: "jini"}).Inc()
-		l(core.NamingEvent{Type: core.EventWatchLost})
+	for _, lose := range loses {
+		lose()
 	}
 }
 
 var pool connpool.Pool[*shared]
+
+var mWatchLost = obs.Default.Counter("gondi_provider_watch_lost_total",
+	"Event registrations lost with their wire connection, by provider.",
+	obs.Label{K: "system", V: "jini"})
 
 // Context implements core.DirContext, core.EventContext,
 // core.BatchContext and core.Referenceable over one lookup service.
@@ -215,7 +217,7 @@ func Open(ctx context.Context, addr string, env map[string]any) (*Context, error
 			slot:      slot,
 			lease:     time.Duration(leaseMs) * time.Millisecond,
 			lockLease: time.Duration(lockLeaseMs) * time.Millisecond,
-			subs:      map[int]core.Listener{},
+			subs:      map[int]func(){},
 		}
 		if sh.slot < 0 || sh.slot >= sh.slots {
 			sh.slot = 0
@@ -403,16 +405,22 @@ func (c *Context) hasChildren(ctx context.Context, path core.Name) (bool, error)
 
 // prefixMatch reports whether any of items is bound under path.
 func prefixMatch(items []jini.ServiceItem, path core.Name) bool {
-	if path.IsEmpty() {
-		return len(items) > 0
-	}
-	prefix := path.String() + "/"
 	for i := range items {
-		if strings.HasPrefix(itemName(&items[i]), prefix) {
+		if rel, ok := under(&items[i], path); ok && !rel.IsEmpty() {
 			return true
 		}
 	}
 	return false
+}
+
+// under returns item's name relative to full, if item is bound at full
+// or below it.
+func under(item *jini.ServiceItem, full core.Name) (core.Name, bool) {
+	n, err := core.ParseName(itemName(item))
+	if err != nil || !n.StartsWith(full) {
+		return core.Name{}, false
+	}
+	return n.Suffix(full.Size()), true
 }
 
 // Do implements core.Doer. Reads are LUS lookups; writes register or
@@ -751,28 +759,19 @@ func (c *Context) list(ctx context.Context, full core.Name) ([]core.Binding, err
 	if err != nil {
 		return nil, err
 	}
-	prefix := ""
-	if !full.IsEmpty() {
-		prefix = full.String() + "/"
-	}
 	seen := map[string]*core.Binding{}
 	existed := full.IsEmpty()
 	for i := range items {
-		n := itemName(&items[i])
-		if prefix != "" && !strings.HasPrefix(n, prefix) {
-			if n == full.String() {
-				existed = true
-			}
+		rest, ok := under(&items[i], full)
+		if !ok {
 			continue
 		}
 		existed = true
-		rest := strings.TrimPrefix(n, prefix)
-		restName, err := core.ParseName(rest)
-		if err != nil || restName.IsEmpty() {
+		if rest.IsEmpty() {
 			continue
 		}
-		child := restName.First()
-		if restName.Size() > 1 || itemIsContext(&items[i]) {
+		child := rest.First()
+		if rest.Size() > 1 || itemIsContext(&items[i]) {
 			if _, ok := seen[child]; !ok || seen[child].Class != core.ContextReferenceClass {
 				seen[child] = &core.Binding{
 					Name:   child,
@@ -859,37 +858,24 @@ func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) er
 	if err != nil {
 		return err
 	}
-	baseStr := full.String()
-	existed := baseStr == ""
+	existed := full.IsEmpty()
 	for i := range items {
 		if s.Stopped() {
 			break
 		}
-		n := itemName(&items[i])
-		var rel string
-		switch {
-		case baseStr == "":
-			rel = n
-		case n == baseStr:
-			rel = ""
-		case strings.HasPrefix(n, baseStr+"/"):
-			rel = strings.TrimPrefix(n, baseStr+"/")
-		default:
+		rel, ok := under(&items[i], full)
+		if !ok {
 			continue
 		}
 		existed = true
-		relName, perr := core.ParseName(rel)
-		if perr != nil {
-			continue
-		}
 		attrs := itemAttrs(&items[i])
-		if !s.Match(relName.Size(), attrs) {
+		if !s.Match(rel.Size(), attrs) {
 			continue
 		}
 		if itemIsContext(&items[i]) {
-			s.Add(relName, attrs, nil, true)
+			s.Add(rel, attrs, nil, true)
 		} else if obj, oerr := itemObject(&items[i]); oerr == nil {
-			s.Add(relName, attrs, obj, false)
+			s.Add(rel, attrs, obj, false)
 		}
 	}
 	if !existed && !s.Stopped() {
@@ -898,98 +884,83 @@ func (c *Context) search(ctx context.Context, s *core.Search, full core.Name) er
 	return nil
 }
 
-// watch registers op.Listener over the LUS remote-event machinery.
+// watch registers op.Listener over the LUS remote-event machinery,
+// through a jini.LookupCache that names each removal by the item it
+// removed; one it cannot name loses the watch, as do the LUS
+// connection's death and a lapsed binding lease (§5.1: the lease stops
+// being renewable).
 func (c *Context) watch(ctx context.Context, full core.Name, op core.Op) (func(), error) {
 	if err := c.resolveAt(ctx, core.OpWatch, full); err != nil {
 		return nil, err
 	}
-	scope, l := op.Scope, op.Listener
 	var tmpl jini.ServiceTemplate
-	switch scope {
+	switch op.Scope {
 	case core.ScopeObject:
 		tmpl.Entries = []jini.Entry{jini.NewEntry(nameEntryType, "name", full.String())}
 	case core.ScopeOneLevel:
 		tmpl.Entries = []jini.Entry{jini.NewEntry(nameEntryType, "parent", full.String())}
 	default:
 		// Subtree cannot be expressed as an exact-match template; watch
-		// all bindings and filter client-side.
+		// all bindings and let core.EventFor keep the subtree's.
 		tmpl.Types = []string{bindingType}
 	}
-	prefix := ""
-	if !full.IsEmpty() {
-		prefix = full.String() + "/"
-	}
-	baseSize := full.Size()
-	mask := jini.TransitionNoMatchMatch | jini.TransitionMatchMatch | jini.TransitionMatchNoMatch
-	cancel, err := c.sh.reg.Notify(ctx, tmpl, mask, c.sh.lease, func(ev jini.ServiceEvent) {
-		var name string
-		var newVal any
-		if ev.Item != nil {
-			name = itemName(ev.Item)
-			if !itemIsContext(ev.Item) {
-				newVal, _ = itemObject(ev.Item)
-			}
+	var cancel, lose func()
+	lost := false
+	lc := jini.NewLookupCache(func(ev jini.ServiceEvent) {
+		typ, ok := transitions[ev.Transition]
+		switch {
+		case !ok || lost:
+			return
+		case ev.Item == nil:
+			// Off the read loop: lose calls the LUS, whose answer it reads.
+			lost = true
+			go lose()
+			return
 		}
-		if scope == core.ScopeSubtree && name != "" {
-			if prefix != "" && !strings.HasPrefix(name, prefix) && name != full.String() {
-				return
-			}
-		}
-		relName, err := core.ParseName(name)
+		name, err := core.ParseName(itemName(ev.Item))
 		if err != nil {
 			return
 		}
-		rel := name
-		if relName.Size() >= baseSize && relName.Prefix(baseSize).Equal(full) {
-			rel = relName.Suffix(baseSize).String()
+		obj, _ := itemObject(ev.Item)
+		newV, oldV := obj, any(nil)
+		if typ == core.EventObjectRemoved {
+			newV, oldV = nil, obj
 		}
-		var typ core.EventType
-		switch ev.Transition {
-		case jini.TransitionNoMatchMatch:
-			typ = core.EventObjectAdded
-		case jini.TransitionMatchMatch:
-			typ = core.EventObjectChanged
-		case jini.TransitionMatchNoMatch:
-			typ = core.EventObjectRemoved
-		default:
-			return
+		if e, ok := core.EventFor(full, op.Scope, typ, name, core.Name{}, newV, oldV); ok {
+			op.Listener(e)
 		}
-		l(core.NamingEvent{Type: typ, Name: rel, NewValue: newVal})
 	})
+	mask := jini.TransitionNoMatchMatch | jini.TransitionMatchMatch | jini.TransitionMatchNoMatch
+	unnotify, err := c.sh.reg.Notify(ctx, tmpl, mask, c.sh.lease, lc.Event)
 	if err != nil {
 		return nil, c.commErr(err)
 	}
-	// A lapsed binding lease (LUS unreachable past expiry) also fires
-	// EventWatchLost through the shared subscription list.
+	var subID int
+	cancel, lose = core.WatchLoss(c.sh.reg.Done(), op.Listener, mWatchLost.Inc, func() {
+		c.sh.subMu.Lock()
+		delete(c.sh.subs, subID)
+		c.sh.subMu.Unlock()
+		unnotify()
+	})
 	c.sh.subMu.Lock()
 	c.sh.nextSub++
-	subID := c.sh.nextSub
-	c.sh.subs[subID] = l
+	subID = c.sh.nextSub
+	c.sh.subs[subID] = lose
 	c.sh.subMu.Unlock()
-	// Event registrations die with the LUS connection (§5.1: the lease
-	// stops being renewable). Report that as EventWatchLost so consumers
-	// caching on the strength of this registration degrade safely.
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-c.sh.reg.Done():
-			obs.Default.Counter("gondi_provider_watch_lost_total",
-				"Event registrations lost with their wire connection, by provider.",
-				obs.Label{K: "system", V: "jini"}).Inc()
-			l(core.NamingEvent{Type: core.EventWatchLost})
-		case <-stop:
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(stop)
-			c.sh.subMu.Lock()
-			delete(c.sh.subs, subID)
-			c.sh.subMu.Unlock()
-			cancel()
-		})
-	}, nil
+	items, err := c.sh.reg.Lookup(ctx, tmpl, 0)
+	if err != nil {
+		cancel()
+		return nil, c.commErr(err)
+	}
+	lc.Seed(items)
+	return cancel, nil
+}
+
+// transitions maps the LUS's transitions onto naming events.
+var transitions = map[int]core.EventType{
+	jini.TransitionNoMatchMatch: core.EventObjectAdded,
+	jini.TransitionMatchMatch:   core.EventObjectChanged,
+	jini.TransitionMatchNoMatch: core.EventObjectRemoved,
 }
 
 // NameInNamespace implements core.Context.

@@ -34,19 +34,19 @@ func (e *entry) isContext() bool { return e.children != nil }
 type Tree struct {
 	mu        sync.RWMutex
 	root      *entry
-	listeners map[int]*watch
-	nextWatch int
+	listeners map[*watch]bool
 }
 
 type watch struct {
 	target core.Name
 	scope  core.SearchScope
 	l      core.Listener
+	lose   func()
 }
 
 // NewTree creates an empty namespace.
 func NewTree() *Tree {
-	return &Tree{root: newCtxEntry(), listeners: map[int]*watch{}}
+	return &Tree{root: newCtxEntry(), listeners: map[*watch]bool{}}
 }
 
 var spacesMu sync.Mutex
@@ -69,14 +69,11 @@ func Space(name string) *Tree {
 // under its registrations (tests of watch-loss degradation use this).
 func (t *Tree) DropWatches() {
 	t.mu.Lock()
-	ws := make([]*watch, 0, len(t.listeners))
-	for _, w := range t.listeners {
-		ws = append(ws, w)
-	}
-	t.listeners = map[int]*watch{}
+	ws := t.listeners
+	t.listeners = map[*watch]bool{}
 	t.mu.Unlock()
-	for _, w := range ws {
-		w.l(core.NamingEvent{Type: core.EventWatchLost})
+	for w := range ws {
+		w.lose()
 	}
 }
 
@@ -272,7 +269,9 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 			err = core.Resolve(ctx, op.Kind, c.base, full, err, c.probe)
 		}
 		c.tree.mu.Unlock()
-		deliver(events)
+		for _, fire := range events {
+			fire()
+		}
 		if err == nil && op.Kind == core.OpCreateSubcontext {
 			res.Context = c.child(full)
 		}
@@ -344,7 +343,7 @@ func (c *Context) write(full core.Name, op core.Op) ([]func(), error) {
 			return nil, err
 		}
 		e.attrs = copied
-		return c.tree.eventsFor(full, core.EventObjectChanged, e.obj, e.obj), nil
+		return c.tree.eventsFor(core.EventObjectChanged, full, core.Name{}, e.obj, e.obj), nil
 	}
 	parent, last, err := c.resolveParent(full)
 	if err != nil {
@@ -361,7 +360,7 @@ func (c *Context) write(full core.Name, op core.Op) ([]func(), error) {
 			e.children = map[string]*entry{}
 		}
 		parent.children[last] = e
-		return c.tree.eventsFor(full, core.EventObjectAdded, op.Obj, nil), nil
+		return c.tree.eventsFor(core.EventObjectAdded, full, core.Name{}, op.Obj, nil), nil
 	case core.OpRebind:
 		if existed && old.isContext() {
 			return nil, core.ErrNotContext
@@ -370,18 +369,18 @@ func (c *Context) write(full core.Name, op core.Op) ([]func(), error) {
 		parent.children[last] = e
 		if !existed {
 			e.attrs = op.Attrs.Clone()
-			return c.tree.eventsFor(full, core.EventObjectAdded, op.Obj, nil), nil
+			return c.tree.eventsFor(core.EventObjectAdded, full, core.Name{}, op.Obj, nil), nil
 		}
 		if e.attrs = old.attrs; op.Attrs != nil {
 			e.attrs = op.Attrs.Clone()
 		}
-		return c.tree.eventsFor(full, core.EventObjectChanged, op.Obj, old.obj), nil
+		return c.tree.eventsFor(core.EventObjectChanged, full, core.Name{}, op.Obj, old.obj), nil
 	case core.OpUnbind:
 		if !existed {
 			return nil, nil
 		}
 		delete(parent.children, last)
-		return c.tree.eventsFor(full, core.EventObjectRemoved, nil, old.obj), nil
+		return c.tree.eventsFor(core.EventObjectRemoved, full, core.Name{}, nil, old.obj), nil
 	case core.OpDestroySubcontext:
 		switch {
 		case !existed:
@@ -392,7 +391,7 @@ func (c *Context) write(full core.Name, op core.Op) ([]func(), error) {
 			return nil, core.ErrContextNotEmpty
 		}
 		delete(parent.children, last)
-		return c.tree.eventsFor(full, core.EventObjectRemoved, nil, nil), nil
+		return c.tree.eventsFor(core.EventObjectRemoved, full, core.Name{}, nil, nil), nil
 	}
 	return nil, core.ErrNotSupported
 }
@@ -421,8 +420,7 @@ func (c *Context) rename(oldFull core.Name, op core.Op) ([]func(), error) {
 	}
 	delete(oldParent.children, oldLast)
 	newParent.children[newLast] = e
-	events := c.tree.eventsFor(oldFull, core.EventObjectRenamed, e.obj, e.obj)
-	return append(events, c.tree.eventsFor(newFull, core.EventObjectRenamed, e.obj, e.obj)...), nil
+	return c.tree.eventsFor(core.EventObjectRenamed, newFull, oldFull, e.obj, e.obj), nil
 }
 
 // search offers e at rel and, as far as the scope descends, the entries
@@ -445,39 +443,30 @@ func search(s *core.Search, e *entry, rel core.Name) {
 
 // watch registers op.Listener on full.
 func (c *Context) watch(full core.Name, op core.Op) func() {
-	c.tree.mu.Lock()
-	defer c.tree.mu.Unlock()
-	id := c.tree.nextWatch
-	c.tree.nextWatch++
-	c.tree.listeners[id] = &watch{target: full, scope: op.Scope, l: op.Listener}
-	tree := c.tree
-	return func() {
+	tree, w := c.tree, &watch{target: full, scope: op.Scope, l: op.Listener}
+	cancel, lose := core.WatchLoss(nil, op.Listener, func() {}, func() {
 		tree.mu.Lock()
-		delete(tree.listeners, id)
+		delete(tree.listeners, w)
 		tree.mu.Unlock()
-	}
+	})
+	tree.mu.Lock()
+	w.lose, tree.listeners[w] = lose, true
+	tree.mu.Unlock()
+	return cancel
 }
 
 // eventsFor computes the listener callbacks to fire for a change at the
-// given absolute name. Caller holds tree.mu; callbacks run after unlock.
-func (t *Tree) eventsFor(abs core.Name, typ core.EventType, newV, oldV any) []func() {
+// absolute name (a rename's from oldName), as core.EventFor decides
+// them. Caller holds tree.mu; callbacks run after unlock.
+func (t *Tree) eventsFor(typ core.EventType, name, oldName core.Name, newV, oldV any) []func() {
 	var fire []func()
-	for _, w := range t.listeners {
-		if abs.StartsWith(w.target) && w.scope.Covers(abs.Size()-w.target.Size()) {
+	for w := range t.listeners {
+		if ev, ok := core.EventFor(w.target, w.scope, typ, name, oldName, newV, oldV); ok {
 			l := w.l
-			rel := abs.Suffix(w.target.Size())
-			fire = append(fire, func() {
-				l(core.NamingEvent{Type: typ, Name: rel.String(), NewValue: newV, OldValue: oldV})
-			})
+			fire = append(fire, func() { l(ev) })
 		}
 	}
 	return fire
-}
-
-func deliver(events []func()) {
-	for _, f := range events {
-		f()
-	}
 }
 
 // NameInNamespace implements core.Context.

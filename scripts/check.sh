@@ -35,9 +35,11 @@
 # bindings: core.Search and core.ListResult do), the
 # one-name-resolution-rule guard (no provider builds a continuation or
 # walks a name's prefixes: core.Resolve does, over a provider's probe),
-# and the one-root-table guard (internal/cache opens no root of its own:
+# the one-root-table guard (internal/cache opens no root of its own:
 # it decorates the InitialContext's held roots, and core composes every
-# middleware one way, with no ChainedMiddleware type assertion).
+# middleware one way, with no ChainedMiddleware type assertion), and the
+# one-event-rule guard (no provider builds a naming event: core.EventFor
+# and core.WatchLoss do; the cache flushes no root on an event).
 # allocs is the per-commit real-number gate (operations as values, Errf,
 # name-resolution walk, rpc codec + per-call metrics, hdns request +
 # replication frame codecs, jini registrar codec, bound-value codec, DIT
@@ -195,6 +197,13 @@ stage_lint() {
         echo "the cache opens or holds roots of its own, or core tells middleware kinds apart; decorate the root next returns in Cache.OpenURLNext and compose every core.Middleware one way" >&2
         exit 1
     fi
+    echo "== lint: one event rule (core.EventFor decides what a watch sees) =="
+    if git ls-files 'internal/provider/*.go' | grep -v '_test\.go$' |
+        xargs grep -n 'core\.NamingEvent{' /dev/null ||
+        sed -n '/^func (r \*root) onEvent(/,/^}/p' internal/cache/root.go | grep -n 'flushAll()'; then
+        echo "a provider builds its own naming event, or the cache flushes a root on an event; report the change to core.EventFor (core.WatchLoss reports a lost watch) and invalidate the event's names" >&2
+        exit 1
+    fi
     echo "== lint: one LDAP codec (messages are appended and read in place) =="
     if git ls-files '*.go' | grep -v '_test\.go$' |
         xargs grep -nE 'ber\.Packet|ber\.Decode\(' /dev/null; then
@@ -220,6 +229,9 @@ stage_benchmod() {
 stage_test() {
     echo "== cache coherence conformance (-race) =="
     go test -race -run 'CacheCoherence' ./internal/provider/ptest/
+
+    echo "== event rule and event-driven invalidation (-race) =="
+    go test -race -run 'TestProviderEventRule|TestCachedRenameEvictsOnlyItsNames|TestCachedJiniUnbindEvictsOnlyItsName' .
 
     echo "== obs metering conformance (-race) =="
     go test -race -run 'ObsConformance' ./internal/provider/ptest/
