@@ -417,7 +417,11 @@ func BenchmarkAblationFederationDepth(b *testing.B) {
 	z.Add(dnssrv.RR{Name: "site.global", Type: dnssrv.TypeTXT, Txt: []string{"hdns://" + node.Addr()}})
 	dnsSrv.AddZone(z)
 
-	ic := core.NewInitialContext(nil)
+	ic, err := core.Open(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ic.Close()
 	if err := ic.Bind(ctx, "ldap://"+ldapSrv.Addr()+"/dc=leaf/obj", "data"); err != nil {
 		b.Fatal(err)
 	}

@@ -145,7 +145,10 @@ const cachedKeys = 19
 func evictionsOfOneWrite(t *testing.T, url string, write func(context.Context, *core.InitialContext, string) error) (evicted int64, kept int) {
 	t.Helper()
 	ctx := context.Background()
-	writer := core.NewInitialContext(map[string]any{core.EnvPoolID: t.Name() + "/writer"})
+	writer, err := core.Open(ctx, core.WithPoolID(t.Name()+"/writer"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { writer.Close() })
 	c := cache.New(cache.Config{}, nil)
 	ic, err := core.Open(ctx, core.WithMiddleware(c), core.WithPoolID(t.Name()))

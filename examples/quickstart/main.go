@@ -51,9 +51,9 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 
-	// core.Open is the typed construction path (core.WithPrincipal,
+	// core.Open builds the initial context (core.WithPrincipal,
 	// core.WithCache, ... compose here); with no options it is an empty
-	// environment, same as core.NewInitialContext(nil).
+	// environment, in which URL-form names resolve.
 	ic, err := core.Open(ctx)
 	if err != nil {
 		log.Fatal(err)

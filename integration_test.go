@@ -100,7 +100,10 @@ func buildWorld(t *testing.T) *world {
 		Txt: []string{"hdns://" + w.nodes[0].Addr()}})
 	w.dns.AddZone(zone)
 
-	w.ic = core.NewInitialContext(nil)
+	if w.ic, err = core.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.ic.Close() })
 
 	// Link the leaves into HDNS (the §6 federation-building step).
 	hdnsURL := "hdns://" + w.nodes[0].Addr()
@@ -417,7 +420,12 @@ func TestFederationConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ic := core.NewInitialContext(map[string]any{core.EnvPoolID: g})
+			ic, err := core.Open(ctx, core.WithEnv(core.EnvPoolID, g))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer ic.Close()
 			for i := 0; i < 15; i++ {
 				name := fmt.Sprintf("%s/load/g%d-%d", hdnsURL, g, i)
 				if err := ic.Bind(ctx, name, g*100+i); err != nil {
@@ -476,7 +484,11 @@ func TestFederatedDeadlinePropagation(t *testing.T) {
 		Txt: []string{"hdns://" + node.Addr()}})
 	dns.AddZone(zone)
 
-	ic := core.NewInitialContext(nil)
+	ic, err := core.Open(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
 	// Setup writes avoid the slow read station; no deadline needed.
 	if err := ic.Bind(bg, "hdns://"+node.Addr()+"/dcl",
 		core.NewContextReference("ldap://"+ldap.Addr()+"/dc=slow")); err != nil {
@@ -526,7 +538,11 @@ func TestPartitionedWriteHonorsDeadline(t *testing.T) {
 		defer n.Close()
 		nodes = append(nodes, n)
 	}
-	ic := core.NewInitialContext(nil)
+	ic, err := core.Open(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
 	// Sanity: the replicated write path works before the partition.
 	if err := ic.Bind(bg, "hdns://"+nodes[1].Addr()+"/pre", 1); err != nil {
 		t.Fatal(err)
@@ -537,7 +553,7 @@ func TestPartitionedWriteHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(bg, 400*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := ic.Bind(ctx, "hdns://"+nodes[1].Addr()+"/during", 2)
+	err = ic.Bind(ctx, "hdns://"+nodes[1].Addr()+"/during", 2)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("partitioned write: want DeadlineExceeded, got %v", err)

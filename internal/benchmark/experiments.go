@@ -620,7 +620,10 @@ func RunAblationFederationDepth(opts Options) (*Experiment, error) {
 	for _, u := range urls {
 		url := u.url
 		factory := func(client int) (func(ctx context.Context) error, func(), error) {
-			ic := core.NewInitialContext(nil)
+			ic, err := core.Open(bg)
+			if err != nil {
+				return nil, nil, err
+			}
 			return func(ctx context.Context) error {
 				obj, err := ic.Lookup(ctx, url)
 				if err != nil {
@@ -630,7 +633,7 @@ func RunAblationFederationDepth(opts Options) (*Experiment, error) {
 					return fmt.Errorf("wrong object %v", obj)
 				}
 				return nil
-			}, func() {}, nil
+			}, func() { ic.Close() }, nil
 		}
 		s, err := Sweep(u.label, opts, factory)
 		if err != nil {

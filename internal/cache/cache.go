@@ -36,7 +36,10 @@
 //
 // The cache decorates the InitialContext's held roots, one per (scheme,
 // authority): it keeps an entry table and a watch around the root the
-// layer below returns, and opens, re-dials and closes none of them. When
+// layer below returns, and opens, re-dials and closes none of them.
+// Every name reaches one of those roots — a plain name at EnvProviderURL's,
+// a junction's continuation at its URL's with the path prefixed — so all
+// of them share the root's entry table, keyed by root-relative name. When
 // the InitialContext opens a dead root again, the cache root moves to the
 // new one, its entries dropped and its watch moved; while the root cannot
 // be opened, it answers only from what it holds (serve-stale).
@@ -154,8 +157,8 @@ type Stats struct {
 }
 
 // Cache implements core.Middleware. One Cache serves one InitialContext
-// (one environment); roots — one per (scheme, authority) plus one per
-// wrapped default context — each hold their own entry table and watch.
+// (one environment); roots — one per (scheme, authority), plus one per
+// Wrap — each hold their own entry table and watch.
 type Cache struct {
 	cfg Config
 
@@ -268,10 +271,10 @@ func rootKey(rawURL string) string {
 	return rawURL
 }
 
-// WrapContext implements core.Middleware: it gives an already-open context
-// (the InitialContext's default context) its own cache root, which owns
-// the context and closes it.
-func (c *Cache) WrapContext(inner core.Context) core.Context {
+// Wrap gives an already-open context its own cache root, which owns the
+// context and closes it: the caching wrapper without an InitialContext,
+// for tests and direct embedding.
+func (c *Cache) Wrap(inner core.Context) *CachedContext {
 	c.mu.Lock()
 	c.wrapSeq++
 	key := fmt.Sprintf("wrapped:%d", c.wrapSeq)
@@ -282,15 +285,9 @@ func (c *Cache) WrapContext(inner core.Context) core.Context {
 	return r.wrapper
 }
 
-// Wrap is WrapContext typed for tests and direct embedding: it returns the
-// concrete caching wrapper around an existing context.
-func (c *Cache) Wrap(inner core.Context) *CachedContext {
-	return c.WrapContext(inner).(*CachedContext)
-}
-
 // Close implements core.Middleware: it cancels background re-registration,
 // deregisters every watch, and closes the contexts it was given through
-// Wrap or WrapContext; the held roots stay the InitialContext's.
+// Wrap; the held roots stay the InitialContext's.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	if c.closed {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,6 +90,11 @@ func (f *fakeCtx) Lookup(_ context.Context, name string) (any, error) {
 	defer f.mu.Unlock()
 	if obj, ok := f.bound[name]; ok {
 		return obj, nil
+	}
+	if head, rest, ok := strings.Cut(name, "/"); ok {
+		if ref, ok := f.bound[head].(*core.Reference); ok {
+			return nil, &core.CannotProceedError{Resolved: ref, RemainingName: core.MustParseName(rest), AltName: head}
+		}
 	}
 	return nil, core.Errf("lookup", name, core.ErrNotFound)
 }
@@ -248,27 +254,39 @@ func TestReadThroughHit(t *testing.T) {
 	}
 }
 
+// A junction whose URL has a path continues at the held root's cache
+// root, its path prefixed onto the remaining name: the hop after it hits
+// the entry a URL lookup filled.
 func TestViewsShareEntryTable(t *testing.T) {
 	f := newFakeCtx()
 	f.bound["a/b/c"] = "deep"
+	f.bound["j"] = core.NewContextReference("cacheview://h/a/b")
+	core.RegisterProvider("cacheview", core.ProviderFunc(
+		func(_ context.Context, rawURL string, _ map[string]any) (core.Context, core.Name, error) {
+			u, err := core.ParseURLName(rawURL)
+			if err != nil {
+				return nil, core.Name{}, err
+			}
+			return f, u.Path, nil
+		}))
 	c := New(Config{}, nil)
-	defer c.Close()
-	w := c.Wrap(f)
 	ctx := context.Background()
-
-	if _, err := w.Lookup(ctx, "a/b/c"); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := core.ParseName("a/b")
+	ic, err := core.Open(ctx, core.WithMiddleware(c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := w.View(sub).(*CachedContext)
-	if v, err := view.Lookup(ctx, "c"); err != nil || v != "deep" {
-		t.Fatalf("view lookup: %v %v", v, err)
+	defer ic.Close()
+
+	if _, err := ic.Lookup(ctx, "cacheview://h/a/b/c"); err != nil {
+		t.Fatal(err)
 	}
-	if got := f.lookupCount(); got != 1 {
-		t.Errorf("provider lookups = %d, want 1 (view must hit the shared table)", got)
+	if v, err := ic.Lookup(ctx, "cacheview://h/j/c"); err != nil || v != "deep" {
+		t.Fatalf("lookup through the junction: %v %v", v, err)
+	}
+	// One lookup of a/b/c, one of j/c (the continuation); none of the
+	// junction's target.
+	if got := f.lookupCount(); got != 2 {
+		t.Errorf("provider lookups = %d, want 2 (the hop must hit the shared table)", got)
 	}
 }
 

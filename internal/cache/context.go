@@ -9,10 +9,11 @@ import (
 	"gondi/internal/core"
 )
 
-// CachedContext is the caching wrapper handed out for a root (and, via
-// View, for subtrees of it). All views of one root share its entry table:
-// entries are keyed by full root-relative names, so a hit populated
-// through one view serves every other.
+// CachedContext is the caching wrapper handed out for a root (and for
+// subtrees of it: a created subcontext, the empty name's lookup). All
+// views of one root share its entry table: entries are keyed by full
+// root-relative names, so a hit populated through one view serves every
+// other.
 //
 // Its typed surface is core.BatchOpContext over Do, which treats an
 // operation by what it does to the name space:
@@ -36,10 +37,9 @@ type CachedContext struct {
 }
 
 var (
-	_ core.DirContext    = (*CachedContext)(nil)
-	_ core.EventContext  = (*CachedContext)(nil)
-	_ core.BatchContext  = (*CachedContext)(nil)
-	_ core.ContextViewer = (*CachedContext)(nil)
+	_ core.DirContext   = (*CachedContext)(nil)
+	_ core.EventContext = (*CachedContext)(nil)
+	_ core.BatchContext = (*CachedContext)(nil)
 )
 
 // newView is the wrapper for the subtree of r at base.
@@ -47,15 +47,6 @@ func newView(r *root, base core.Name) *CachedContext {
 	cc := &CachedContext{r: r, base: base}
 	cc.Doer = cc
 	return cc
-}
-
-// View implements core.ContextViewer: it rebases the wrapper onto a
-// subtree without a wire round trip, keeping the shared entry table.
-func (cc *CachedContext) View(rest core.Name) core.Context {
-	if rest.IsEmpty() {
-		return cc
-	}
-	return newView(cc.r, cc.base.Concat(rest))
 }
 
 // fullName resolves name against the view base. ok is false for names the
@@ -229,7 +220,7 @@ func (cc *CachedContext) Environment() map[string]any {
 }
 
 // Close tears the root down when called on the root wrapper of a context
-// the cache was given (Wrap, WrapContext). Closing a subtree view, or the
+// the cache was given (Wrap). Closing a subtree view, or the
 // wrapper of an InitialContext's held root, is a no-op: views share the
 // root's connection and entry table, and the InitialContext closes its
 // roots.

@@ -19,7 +19,7 @@ import (
 type root struct {
 	c       *Cache
 	key     string
-	owned   bool // inner came through Wrap/WrapContext, so close closes it
+	owned   bool // inner came through Wrap, so close closes it
 	wrapper *CachedContext
 
 	mu    sync.Mutex
@@ -504,7 +504,7 @@ func (r *root) watch(ctx context.Context, inner core.Context) error {
 }
 
 // close tears the root down: watch, entries, and — when the cache was
-// given it through Wrap or WrapContext — the provider context.
+// given it through Wrap — the provider context.
 func (r *root) close() error {
 	r.mu.Lock()
 	if r.closed {

@@ -256,13 +256,20 @@ func TestProviderRegistry(t *testing.T) {
 func TestInitialContextNoFactory(t *testing.T) {
 	resetSPIForTest()
 	defer resetSPIForTest()
-	ic := NewInitialContext(nil)
-	if _, err := ic.Lookup(context.Background(), "plain/name"); !errors.Is(err, ErrNoInitialContext) {
+	ctx := context.Background()
+	ic, err := Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ic.Lookup(ctx, "plain/name"); !errors.Is(err, ErrNoInitialContext) {
 		t.Errorf("want ErrNoInitialContext, got %v", err)
 	}
-	ic2 := NewInitialContext(map[string]any{EnvInitialFactory: "ghost"})
-	if _, err := ic2.Lookup(context.Background(), "x"); err == nil {
-		t.Error("unregistered initial factory should fail")
+	ic2, err := Open(ctx, WithProviderURL("ghost://h"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ic2.Lookup(ctx, "x"); !errors.Is(err, ErrNoProvider) {
+		t.Errorf("provider URL of an unregistered scheme: %v, want ErrNoProvider", err)
 	}
 }
 

@@ -32,9 +32,9 @@ var (
 	ErrNoPermission = errors.New("no permission")
 	// ErrClosed indicates the context (or underlying connection) is closed.
 	ErrClosed = errors.New("context closed")
-	// ErrNoInitialContext indicates no initial context factory is
-	// configured and a non-URL name was used.
-	ErrNoInitialContext = errors.New("no initial context factory configured")
+	// ErrNoInitialContext indicates a plain (non-URL) name was used and
+	// EnvProviderURL is not set.
+	ErrNoInitialContext = errors.New("no initial context: provider URL not set")
 	// ErrNoProvider indicates no provider is registered for a URL scheme.
 	ErrNoProvider = errors.New("no provider for scheme")
 	// ErrInvalidNameEmpty indicates an operation that requires a

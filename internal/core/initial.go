@@ -4,52 +4,35 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // maxFederationHops bounds continuation chains to catch reference cycles.
 const maxFederationHops = 16
 
 // InitialContext is the client's entry point into the composite name space
-// (the analog of javax.naming.InitialDirContext). URL-form names are
-// dispatched to the provider registered for their scheme; plain names go to
-// the default context configured via EnvInitialFactory. Resolution follows
-// federation continuations across naming-system boundaries transparently,
-// propagating the caller's context.Context across every hop so a single
-// deadline bounds the whole chain.
+// (the analog of javax.naming.InitialDirContext). Every name resolves by
+// one rule: a URL's path is prefixed onto the remaining name at the held
+// root of its scheme://authority. A URL-form name is dispatched that way
+// to the provider registered for its scheme; a plain name is the same name
+// under EnvProviderURL (JNDI's PROVIDER_URL). Resolution follows federation
+// continuations across naming-system boundaries transparently, propagating
+// the caller's context.Context across every hop so a single deadline bounds
+// the whole chain. Open builds one.
 type InitialContext struct {
 	BatchOpContext // the typed surface, spelled over Do
 
 	env map[string]any
 
-	mu       sync.Mutex // guards the lazy default-context fields
-	defCtx   Context    // lazily created
-	defErr   error
-	resolved bool
-
 	// mws, when non-empty, intercept resolution (see Middleware), stored
-	// outermost first: URL opens route through the composed openFn chain
-	// and the default context is wrapped innermost-out. Installed by
-	// Open(WithMiddleware(...), WithCache(...)); empty otherwise.
+	// outermost first: URL opens route through the composed openFn chain.
+	// Installed by Open(WithMiddleware(...), WithCache(...)); empty
+	// otherwise.
 	mws    []Middleware
 	openFn OpenURLFunc // composed chain, nil when mws is empty
 
 	// roots holds one opened provider root per scheme://authority: the
-	// base of the URL resolution chain, closed by Close.
+	// base of every name's resolution, closed by Close.
 	roots rootTable
-}
-
-// NewInitialContext creates an initial context with the given environment
-// (may be nil). The default context, if configured, is created lazily on
-// first use of a non-URL name.
-func NewInitialContext(env map[string]any) *InitialContext {
-	e := make(map[string]any, len(env))
-	for k, v := range env {
-		e[k] = v
-	}
-	ic := &InitialContext{env: e}
-	ic.Doer = ic
-	return ic
 }
 
 // Environment returns the environment map (shared, not a copy).
@@ -104,35 +87,9 @@ func (ic *InitialContext) begin(ctx context.Context, op, name string) (context.C
 	}
 }
 
-func (ic *InitialContext) defaultContext(ctx context.Context) (Context, error) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	if ic.resolved {
-		return ic.defCtx, ic.defErr
-	}
-	ic.resolved = true
-	name, _ := ic.env[EnvInitialFactory].(string)
-	if name == "" {
-		ic.defErr = ErrNoInitialContext
-		return nil, ic.defErr
-	}
-	f, ok := initialFactory(name)
-	if !ok {
-		ic.defErr = fmt.Errorf("naming: initial context factory %q not registered", name)
-		return nil, ic.defErr
-	}
-	ic.defCtx, ic.defErr = f(ctx, ic.env)
-	if ic.defErr == nil {
-		// Wrap innermost-out so the outermost middleware observes the
-		// whole stack below it (obs outside cache).
-		for i := len(ic.mws) - 1; i >= 0; i-- {
-			ic.defCtx = ic.mws[i].WrapContext(ic.defCtx)
-		}
-	}
-	return ic.defCtx, ic.defErr
-}
-
-// resolve maps a caller name to (context, name-within-context).
+// resolve maps a caller name to (context, name-within-context): a URL's
+// held root and path, or a plain name prefixed by EnvProviderURL's path at
+// that URL's held root.
 func (ic *InitialContext) resolve(ctx context.Context, name string) (Context, Name, error) {
 	if err := CtxErr(ctx); err != nil {
 		return nil, Name{}, err
@@ -140,91 +97,105 @@ func (ic *InitialContext) resolve(ctx context.Context, name string) (Context, Na
 	if IsURLName(name) {
 		return ic.openURL(ctx, name)
 	}
-	c, err := ic.defaultContext(ctx)
-	if err != nil {
-		return nil, Name{}, err
-	}
 	n, err := ParseName(name)
 	if err != nil {
 		return nil, Name{}, err
 	}
-	return c, n, nil
+	url, err := ic.providerURL()
+	if err != nil {
+		return nil, Name{}, err
+	}
+	c, base, err := ic.openURL(ctx, url)
+	if err != nil {
+		return nil, Name{}, err
+	}
+	return c, prefixed(base, n), nil
+}
+
+// providerURL is EnvProviderURL, where plain names resolve.
+func (ic *InitialContext) providerURL() (string, error) {
+	url, _ := ic.env[EnvProviderURL].(string)
+	if url == "" {
+		return "", ErrNoInitialContext
+	}
+	return url, nil
+}
+
+// prefixed is rest under a URL's path. Concat always allocates, so an
+// empty path leaves rest as it is.
+func prefixed(path, rest Name) Name {
+	if path.IsEmpty() {
+		return rest
+	}
+	return path.Concat(rest)
 }
 
 // objectFromReference turns a stored Reference into an application object,
 // routing plain context references (URL address, no named factory) through
-// the resolution chain so federation hops share the held roots (and the
-// middleware's cached wire clients). wantCtx is set when the caller knows
-// the reference marks a naming-system boundary (so the target must be a
-// context): the middleware may then return a rebased view instead of a
-// remote lookup. Otherwise the result goes to the caller, who may Close
-// it, so a bare root is handed out borrowed.
-func (ic *InitialContext) objectFromReference(ctx context.Context, ref *Reference, wantCtx bool) (any, error) {
+// the resolution chain so they share the held roots (and the middleware's
+// cached wire clients), and what lies at the URL's path is looked up as
+// the URL itself would be, across any junction on the way. The result goes
+// to the caller, who may Close it, so a bare root is handed out borrowed.
+func (ic *InitialContext) objectFromReference(ctx context.Context, ref *Reference) (any, error) {
 	if url, ok := ref.Get(AddrURL); ok && ref.Factory == "" {
 		c, rest, err := ic.openURL(ctx, url)
 		if err != nil {
 			return nil, err
 		}
 		if rest.IsEmpty() {
-			if wantCtx {
-				return c, nil
-			}
 			return borrow(c), nil
 		}
-		if v, ok := c.(ContextViewer); ok && wantCtx {
-			return v.View(rest), nil
-		}
-		return c.Lookup(ctx, rest.String())
+		res, err := ic.run(ctx, c, rest, Op{Kind: OpLookup, Name: url})
+		return res.Value, err
 	}
 	return GetObjectInstance(ctx, ref, Name{}, ic.env)
 }
 
-// continueCtx turns a CannotProceedError's resolved object into the next
-// context to dispatch to.
-func (ic *InitialContext) continueCtx(ctx context.Context, cpe *CannotProceedError) (Context, error) {
+// continueCtx turns a CannotProceedError into the next hop: the context to
+// dispatch to and the name to resolve there. A junction's URL (a context
+// reference, or a string such as a DNS TXT record) continues at its held
+// root, its path prefixed onto the remaining name.
+func (ic *InitialContext) continueCtx(ctx context.Context, cpe *CannotProceedError) (Context, Name, error) {
+	var url string
 	switch r := cpe.Resolved.(type) {
 	case Context:
-		return r, nil
-	case *Reference:
-		obj, err := ic.objectFromReference(ctx, r, true)
-		if err != nil {
-			return nil, err
-		}
-		if c, ok := obj.(Context); ok {
-			return c, nil
-		}
-		if link, ok := obj.(LinkRef); ok {
-			target, err := ic.Lookup(ctx, link.Target)
-			if err != nil {
-				return nil, err
-			}
-			if c, ok := target.(Context); ok {
-				return c, nil
-			}
-		}
-		return nil, fmt.Errorf("naming: federation boundary at %q did not resolve to a context (%T)", cpe.AltName, obj)
+		return r, cpe.RemainingName, nil
 	case string:
-		c, rest, err := ic.openURL(ctx, r)
-		if err != nil {
+		url = r
+	case *Reference:
+		addr, ok := r.Get(AddrURL)
+		if !ok || r.Factory != "" {
+			c, err := ic.referencedContext(ctx, cpe, r)
+			return c, cpe.RemainingName, err
+		}
+		url = addr
+	default:
+		return nil, Name{}, fmt.Errorf("naming: cannot continue past %q: unsupported boundary object %T", cpe.AltName, cpe.Resolved)
+	}
+	c, path, err := ic.openURL(ctx, url)
+	if err != nil {
+		return nil, Name{}, err
+	}
+	return c, prefixed(path, cpe.RemainingName), nil
+}
+
+// referencedContext is the context a junction's Reference stands for when
+// it is not a plain URL: what the object factories make of it, or the
+// context its link names.
+func (ic *InitialContext) referencedContext(ctx context.Context, cpe *CannotProceedError, ref *Reference) (Context, error) {
+	obj, err := GetObjectInstance(ctx, ref, Name{}, ic.env)
+	if err != nil {
+		return nil, err
+	}
+	if link, ok := obj.(LinkRef); ok {
+		if obj, err = ic.Lookup(ctx, link.Target); err != nil {
 			return nil, err
 		}
-		if !rest.IsEmpty() {
-			if v, ok := c.(ContextViewer); ok {
-				return v.View(rest), nil
-			}
-			obj, err := c.Lookup(ctx, rest.String())
-			if err != nil {
-				return nil, err
-			}
-			if cc, ok := obj.(Context); ok {
-				return cc, nil
-			}
-			return nil, fmt.Errorf("naming: URL %q did not resolve to a context", r)
-		}
-		return c, nil
-	default:
-		return nil, fmt.Errorf("naming: cannot continue past %q: unsupported boundary object %T", cpe.AltName, cpe.Resolved)
 	}
+	if c, ok := obj.(Context); ok {
+		return c, nil
+	}
+	return nil, Errf("resolve", cpe.AltName, ErrNotContext)
 }
 
 // run dispatches op to (c, rest), following federation continuations
@@ -251,11 +222,11 @@ func (ic *InitialContext) run(ctx context.Context, c Context, rest Name, op Op) 
 		if !errors.As(err, &cpe) {
 			return res, err
 		}
-		next, cerr := ic.continueCtx(ctx, cpe)
+		next, nextRest, cerr := ic.continueCtx(ctx, cpe)
 		if cerr != nil {
 			return Result{}, cerr
 		}
-		c, rest = next, cpe.RemainingName
+		c, rest = next, nextRest
 	}
 }
 
@@ -267,7 +238,7 @@ func (ic *InitialContext) postProcess(ctx context.Context, obj any, name string,
 		return nil, fmt.Errorf("naming: reference/link chain too deep (cycle?) at %q after %d hops", name, depth)
 	}
 	if ref, ok := obj.(*Reference); ok {
-		out, err := ic.objectFromReference(ctx, ref, false)
+		out, err := ic.objectFromReference(ctx, ref)
 		if err != nil {
 			return nil, err
 		}
@@ -311,14 +282,27 @@ func (ic *InitialContext) stateToBind(obj any, attrs *Attributes, rest Name) (an
 }
 
 // renameTarget maps Rename's new name into the naming system the old name
-// resolved to: both must be plain, or URL names with one scheme and
-// authority, of which the path part is used.
-func renameTarget(oldName, newName string) (Name, error) {
+// resolved to, by the rule resolve applies: both must be plain names, or
+// URL names with one scheme and authority. A plain new name is prefixed by
+// EnvProviderURL's path, a URL's is its path.
+func (ic *InitialContext) renameTarget(oldName, newName string) (Name, error) {
 	if IsURLName(oldName) != IsURLName(newName) {
 		return Name{}, fmt.Errorf("old and new names in different naming systems")
 	}
 	if !IsURLName(newName) {
-		return ParseName(newName)
+		n, err := ParseName(newName)
+		if err != nil {
+			return Name{}, err
+		}
+		url, err := ic.providerURL()
+		if err != nil {
+			return Name{}, err
+		}
+		u, err := ParseURLName(url)
+		if err != nil {
+			return Name{}, err
+		}
+		return prefixed(u.Path, n), nil
 	}
 	ou, _ := ParseURLName(oldName)
 	nu, err := ParseURLName(newName)
@@ -372,7 +356,7 @@ func (ic *InitialContext) Do(ctx context.Context, op Op) (res Result, err error)
 		}
 		op.Dir = op.Attrs != nil
 	case OpRename:
-		newRest, err := renameTarget(op.Name, op.NewName)
+		newRest, err := ic.renameTarget(op.Name, op.NewName)
 		if err != nil {
 			return Result{}, Errf(label, op.NewName, err)
 		}
@@ -380,23 +364,17 @@ func (ic *InitialContext) Do(ctx context.Context, op Op) (res Result, err error)
 	}
 	res, err = ic.run(ctx, c, rest, op)
 	if ref, ok := res.Value.(*Reference); ok && err == nil && op.Kind == OpLookupLink {
-		res.Value, err = ic.objectFromReference(ctx, ref, false)
+		res.Value, err = ic.objectFromReference(ctx, ref)
 	}
 	return res, err
 }
 
-// Close closes the default context, if one was created, shuts down any
-// installed resolution middleware (cached connections, watches) and
-// closes every held provider root once. Contexts handed out earlier that
-// lean on a root (looked-up subcontexts, borrowed roots) fail afterwards.
+// Close shuts down any installed resolution middleware (cached
+// connections, watches) and closes every held provider root once.
+// Contexts handed out earlier that lean on a root (looked-up subcontexts,
+// borrowed roots) fail afterwards.
 func (ic *InitialContext) Close() error {
-	ic.mu.Lock()
-	defCtx := ic.defCtx
-	ic.mu.Unlock()
 	var err error
-	if defCtx != nil {
-		err = defCtx.Close()
-	}
 	for _, mw := range ic.mws {
 		if merr := mw.Close(); err == nil {
 			err = merr

@@ -14,9 +14,9 @@ type batchGroup struct {
 }
 
 // groupByTarget resolves every item's name and buckets the resolvable
-// ones by target context (URL names share held roots, plain names share
-// the default context). Unresolvable names fail in place in out, as the
-// item's unary operation would.
+// ones by target context (names that resolve at one held root share it).
+// Unresolvable names fail in place in out, as the item's unary operation
+// would.
 func (ic *InitialContext) groupByTarget(ctx context.Context, op Op, out []BatchResult) ([]*batchGroup, error) {
 	groups := map[Context]*batchGroup{}
 	var order []*batchGroup
@@ -87,10 +87,10 @@ func (ic *InitialContext) doBatch(ctx context.Context, op Op) ([]BatchResult, er
 			if errors.As(out[i].Err, &cpe) {
 				item := sub.Item(m)
 				item.Name = op.Item(i).Name // run reports against the caller's name
-				if next, err := ic.continueCtx(ctx, cpe); err != nil {
+				if next, rest, err := ic.continueCtx(ctx, cpe); err != nil {
 					out[i] = BatchResult{Err: err}
 				} else {
-					out[i] = ItemResult(ic.run(ctx, next, cpe.RemainingName, item))
+					out[i] = ItemResult(ic.run(ctx, next, rest, item))
 				}
 			}
 			if op.Kind == OpLookupMany && out[i].Err == nil {

@@ -38,12 +38,10 @@ type CacheConfig struct {
 
 // Middleware intercepts InitialContext resolution. The cache package
 // implements it; the obs package layers metrics and federation tracing
-// the same way. Multiple middlewares stack: each WrapContext wraps the
-// previous wrapper, and URL resolution flows outermost-in, each layer
-// handed the next one down, which ends at the InitialContext's held roots.
+// the same way. Multiple middlewares stack: the resolution of every name —
+// URL, plain or continuation — flows outermost-in, each layer handed the
+// next one down, which ends at the InitialContext's held roots.
 type Middleware interface {
-	// WrapContext wraps the default (non-URL-name) context.
-	WrapContext(c Context) Context
 	// OpenURLNext resolves rawURL through next, the layer below, and may
 	// decorate what it returns. next returns the same context for a
 	// scheme://authority until the InitialContext opens that root again.
@@ -69,15 +67,6 @@ type ChainedMiddleware = Middleware
 // needs no per-op state returns ctx unchanged and a no-op finish.
 type OpObserver interface {
 	BeginOp(ctx context.Context, op, name string) (context.Context, func(err error))
-}
-
-// ContextViewer is implemented by middleware-provided contexts that can
-// address a subtree of themselves without a wire round trip. The federation
-// machinery uses it when a boundary reference carries a path ("hdns://h/a/b"):
-// instead of looking the subtree context up remotely, it asks the wrapper
-// for a rebased view, so operations on the next hop stay cacheable.
-type ContextViewer interface {
-	View(rest Name) Context
 }
 
 // CacheFactory builds the cache middleware for one InitialContext. env is
@@ -112,14 +101,9 @@ type openOptions struct {
 // Option configures Open.
 type Option func(*openOptions)
 
-// WithInitialFactory selects the initial context factory for non-URL names
-// (the typed form of env[EnvInitialFactory]).
-func WithInitialFactory(name string) Option {
-	return func(o *openOptions) { o.env[EnvInitialFactory] = name }
-}
-
-// WithProviderURL points the initial factory at its provider (the typed
-// form of env[EnvProviderURL]).
+// WithProviderURL sets where plain names resolve (the typed form of
+// env[EnvProviderURL]): a plain name is that name under the URL's path, at
+// the held root of its scheme://authority.
 func WithProviderURL(url string) Option {
 	return func(o *openOptions) { o.env[EnvProviderURL] = url }
 }
@@ -162,10 +146,9 @@ func WithCache(cfg CacheConfig) Option {
 	return func(o *openOptions) { o.cache = &cfg }
 }
 
-// Open creates an initial context from typed functional options — the
-// preferred construction path. NewInitialContext remains as the
-// SPI-compatible map-based form; Open composes the same environment and
-// additionally wires optional middleware (WithCache) into resolution.
+// Open creates an initial context from typed functional options and wires
+// the optional middleware (WithMiddleware, WithCache) into resolution. It
+// is the one way to build an InitialContext.
 func Open(ctx context.Context, opts ...Option) (*InitialContext, error) {
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
@@ -174,7 +157,8 @@ func Open(ctx context.Context, opts ...Option) (*InitialContext, error) {
 	for _, opt := range opts {
 		opt(o)
 	}
-	ic := NewInitialContext(o.env)
+	ic := &InitialContext{env: o.env}
+	ic.Doer = ic
 	for _, mw := range o.mws {
 		ic.installMiddleware(mw)
 	}

@@ -107,7 +107,6 @@ func (s *stubCtx) Close() error {
 
 func TestOpenBuildsTypedEnvironment(t *testing.T) {
 	ic, err := Open(context.Background(),
-		WithInitialFactory("stub"),
 		WithProviderURL("stub://here"),
 		WithPrincipal("alice", "s3cret"),
 		WithPoolID("p1"),
@@ -118,12 +117,11 @@ func TestOpenBuildsTypedEnvironment(t *testing.T) {
 	}
 	env := ic.Environment()
 	want := map[string]any{
-		EnvInitialFactory: "stub",
-		EnvProviderURL:    "stub://here",
-		EnvPrincipal:      "alice",
-		EnvCredentials:    "s3cret",
-		EnvPoolID:         "p1",
-		"jini.bind":       "relaxed",
+		EnvProviderURL: "stub://here",
+		EnvPrincipal:   "alice",
+		EnvCredentials: "s3cret",
+		EnvPoolID:      "p1",
+		"jini.bind":    "relaxed",
 	}
 	for k, v := range want {
 		if env[k] != v {
@@ -143,11 +141,9 @@ func TestOpenWithCacheRequiresRegistration(t *testing.T) {
 // recordingMW is a Middleware that wraps nothing but records traffic.
 type recordingMW struct {
 	opens  atomic.Int64
-	wraps  atomic.Int64
 	closed atomic.Bool
 }
 
-func (m *recordingMW) WrapContext(c Context) Context { m.wraps.Add(1); return c }
 func (m *recordingMW) OpenURLNext(ctx context.Context, rawURL string, env map[string]any, next OpenURLFunc) (Context, Name, error) {
 	m.opens.Add(1)
 	return next(ctx, rawURL, env)
@@ -161,21 +157,12 @@ func TestOpenWithCacheRoutesResolution(t *testing.T) {
 
 	stub := newStubCtx()
 	stub.bound["a"] = 1
-	RegisterProvider("stub", ProviderFunc(func(_ context.Context, rawURL string, _ map[string]any) (Context, Name, error) {
-		u, err := ParseURLName(rawURL)
-		if err != nil {
-			return nil, Name{}, err
-		}
-		return stub, u.Path, nil
-	}))
-	RegisterInitialFactory("stub", func(_ context.Context, _ map[string]any) (Context, error) {
-		return stub, nil
-	})
+	registerStub(stub)
 
 	mw := &recordingMW{}
 	RegisterCacheFactory(func(cfg CacheConfig, env map[string]any) Middleware { return mw })
 
-	ic, err := Open(context.Background(), WithInitialFactory("stub"), WithCache(CacheConfig{}))
+	ic, err := Open(context.Background(), WithProviderURL("stub://host"), WithCache(CacheConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +172,13 @@ func TestOpenWithCacheRoutesResolution(t *testing.T) {
 	if got := mw.opens.Load(); got != 1 {
 		t.Errorf("middleware OpenURLNext calls = %d, want 1", got)
 	}
+	// A plain name resolves at the provider URL's held root, through the
+	// same chain.
 	if _, err := ic.Lookup(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := mw.wraps.Load(); got != 1 {
-		t.Errorf("middleware WrapContext calls = %d, want 1", got)
+	if got := mw.opens.Load(); got != 2 {
+		t.Errorf("middleware OpenURLNext calls = %d, want 2", got)
 	}
 	if err := ic.Close(); err != nil {
 		t.Fatal(err)
@@ -199,8 +188,19 @@ func TestOpenWithCacheRoutesResolution(t *testing.T) {
 	}
 }
 
-// TestDefaultContextConcurrentFirstUse is the -race regression for the
-// formerly unsynchronized lazy init of InitialContext.defaultContext.
+// registerStub installs the "stub" provider, whose every root is stub.
+func registerStub(stub *stubCtx) {
+	RegisterProvider("stub", ProviderFunc(func(_ context.Context, rawURL string, _ map[string]any) (Context, Name, error) {
+		u, err := ParseURLName(rawURL)
+		if err != nil {
+			return nil, Name{}, err
+		}
+		return stub, u.Path, nil
+	}))
+}
+
+// TestDefaultContextConcurrentFirstUse: concurrent first uses of plain
+// names open the provider URL's root once.
 func TestDefaultContextConcurrentFirstUse(t *testing.T) {
 	resetSPIForTest()
 	defer resetSPIForTest()
@@ -208,13 +208,16 @@ func TestDefaultContextConcurrentFirstUse(t *testing.T) {
 	stub := newStubCtx()
 	stub.bound["x"] = "v"
 	var created atomic.Int64
-	RegisterInitialFactory("slow", func(_ context.Context, _ map[string]any) (Context, error) {
+	RegisterProvider("slow", ProviderFunc(func(_ context.Context, _ string, _ map[string]any) (Context, Name, error) {
 		created.Add(1)
 		time.Sleep(5 * time.Millisecond) // widen the first-use window
-		return stub, nil
-	})
+		return stub, Name{}, nil
+	}))
 
-	ic := NewInitialContext(map[string]any{EnvInitialFactory: "slow"})
+	ic, err := Open(context.Background(), WithProviderURL("slow://h"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	const workers = 16
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -232,7 +235,59 @@ func TestDefaultContextConcurrentFirstUse(t *testing.T) {
 		}
 	}
 	if got := created.Load(); got != 1 {
-		t.Errorf("initial factory ran %d times, want 1", got)
+		t.Errorf("provider URL's root opened %d times, want 1", got)
+	}
+}
+
+// TestPlainNameRetriesFailedOpen: the provider URL's root is a held root
+// like any other. A failed open is not remembered, so the next plain name
+// opens it again, and a root that reports itself dead is opened again.
+func TestPlainNameRetriesFailedOpen(t *testing.T) {
+	resetSPIForTest()
+	defer resetSPIForTest()
+	ctx := context.Background()
+
+	down := errors.New("backend down")
+	var opens atomic.Int32
+	var last *countCtx
+	RegisterProvider("flaky", ProviderFunc(func(_ context.Context, rawURL string, _ map[string]any) (Context, Name, error) {
+		if opens.Add(1) == 1 {
+			return nil, Name{}, down
+		}
+		u, err := ParseURLName(rawURL)
+		if err != nil {
+			return nil, Name{}, err
+		}
+		last = &countCtx{}
+		last.Doer = last
+		return last, u.Path, nil
+	}))
+	ic, err := Open(ctx, WithProviderURL("flaky://h/base"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
+
+	if _, err := ic.Lookup(ctx, "x"); !errors.Is(err, down) {
+		t.Fatalf("first lookup: %v, want the failed open", err)
+	}
+	// countCtx answers a lookup with the name it was asked.
+	if v, err := ic.Lookup(ctx, "x"); err != nil || v != "base/x" {
+		t.Fatalf("second lookup = %v, %v; want base/x", v, err)
+	}
+	if got := opens.Load(); got != 2 {
+		t.Fatalf("opens = %d, want 2", got)
+	}
+	first := last
+	first.dead.Store(true)
+	if _, err := ic.Lookup(ctx, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if got := opens.Load(); got != 3 {
+		t.Errorf("opens after the root died = %d, want 3", got)
+	}
+	if got := first.closes.Load(); got != 1 {
+		t.Errorf("dead root closed %d times, want 1", got)
 	}
 }
 
@@ -247,17 +302,18 @@ func TestBindWithStateFactoryAttrs(t *testing.T) {
 	defer resetFactoriesForTest()
 
 	stub := newStubCtx()
-	RegisterInitialFactory("stub", func(_ context.Context, _ map[string]any) (Context, error) {
-		return stub, nil
-	})
+	registerStub(stub)
 	RegisterStateFactory(func(obj any, _ Name, _ map[string]any) (any, *Attributes, error) {
 		if s, ok := obj.(fakeObj); ok {
 			return "wrapped:" + s.tag, NewAttributes("kind", "fake", "origin", "factory"), nil
 		}
 		return nil, nil, nil
 	})
-	ic := NewInitialContext(map[string]any{EnvInitialFactory: "stub"})
 	ctx := context.Background()
+	ic, err := Open(ctx, WithProviderURL("stub://h"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Caller passes no attributes at all: factory attrs must still land.
 	if err := ic.Bind(ctx, "plain", fakeObj{tag: "a"}); err != nil {
@@ -271,7 +327,7 @@ func TestBindWithStateFactoryAttrs(t *testing.T) {
 	}
 
 	// Caller attributes merge under the factory's (factory wins on clash).
-	err := ic.BindAttrs(ctx, "both", fakeObj{tag: "b"},
+	err = ic.BindAttrs(ctx, "both", fakeObj{tag: "b"},
 		NewAttributes("origin", "caller", "color", "blue"))
 	if err != nil {
 		t.Fatal(err)
@@ -287,11 +343,14 @@ func TestBindWithStateFactoryAttrs(t *testing.T) {
 	}
 }
 
-// Guard: a nil middleware never intercepts (plain NewInitialContext path).
+// Guard: without WithMiddleware or WithCache nothing intercepts.
 func TestNoMiddlewareByDefault(t *testing.T) {
-	ic := NewInitialContext(nil)
+	ic, err := Open(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ic.mws) != 0 || ic.openFn != nil {
-		t.Fatal("NewInitialContext must not install middleware")
+		t.Fatal("Open with no options must not install middleware")
 	}
 	if _, err := ic.Lookup(context.Background(), "nope/x"); !errors.Is(err, ErrNoInitialContext) {
 		t.Errorf("got %v", err)

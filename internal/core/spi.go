@@ -13,11 +13,8 @@ import (
 // javax.naming.Context.PROVIDER_URL and friends). Providers may define
 // additional keys in their own namespaces (e.g. "jini.bind").
 const (
-	// EnvInitialFactory names the initial context factory used for
-	// non-URL names; the value is a string previously passed to
-	// RegisterInitialFactory.
-	EnvInitialFactory = "gondi.factory.initial"
-	// EnvProviderURL points the initial factory at its provider.
+	// EnvProviderURL is where plain (non-URL) names resolve: a plain
+	// name is that name under the URL's path.
 	EnvProviderURL = "gondi.provider.url"
 	// EnvPrincipal and EnvCredentials carry authentication data.
 	EnvPrincipal   = "gondi.security.principal"
@@ -74,13 +71,8 @@ func (f ProviderFunc) OpenURL(ctx context.Context, rawURL string, env map[string
 	return f(ctx, rawURL, env)
 }
 
-// InitialFactory creates the default context used to resolve non-URL
-// names.
-type InitialFactory func(ctx context.Context, env map[string]any) (Context, error)
-
 var spiMu sync.RWMutex
 var providers = map[string]Provider{}
-var initialFactories = map[string]InitialFactory{}
 
 // RegisterProvider installs a provider for a URL scheme (e.g. "jini",
 // "hdns", "dns", "ldap", "file", "mem"). Later registrations replace
@@ -111,14 +103,6 @@ func Schemes() []string {
 	return out
 }
 
-// RegisterInitialFactory installs a named initial context factory,
-// selected via the EnvInitialFactory environment property.
-func RegisterInitialFactory(name string, f InitialFactory) {
-	spiMu.Lock()
-	defer spiMu.Unlock()
-	initialFactories[name] = f
-}
-
 // OpenURL resolves a URL-form name to a provider context and remaining
 // name. It is the entry point the federation machinery uses whenever it
 // crosses into another naming system.
@@ -137,17 +121,9 @@ func OpenURL(ctx context.Context, rawURL string, env map[string]any) (Context, N
 	return p.OpenURL(ctx, rawURL, env)
 }
 
-func initialFactory(name string) (InitialFactory, bool) {
-	spiMu.RLock()
-	defer spiMu.RUnlock()
-	f, ok := initialFactories[name]
-	return f, ok
-}
-
 // resetSPIForTest clears provider registrations (tests only).
 func resetSPIForTest() {
 	spiMu.Lock()
 	defer spiMu.Unlock()
 	providers = map[string]Provider{}
-	initialFactories = map[string]InitialFactory{}
 }

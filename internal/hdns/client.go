@@ -50,6 +50,10 @@ func DialContext(ctx context.Context, addr, secret string, timeout time.Duration
 		}
 		msg, err := decodeEvent(body)
 		if err != nil {
+			// An event this client cannot read would leave its watch
+			// silently deaf. End the connection instead, as rpc does on a
+			// malformed frame: every watch on it is then visibly lost.
+			rc.Close()
 			return
 		}
 		c.mu.Lock()

@@ -684,6 +684,49 @@ func TestWatchEvents(t *testing.T) {
 	mu.Unlock()
 }
 
+// An event push the client cannot decode ends its connection, as a
+// malformed rpc frame does, so a watch over that connection is lost
+// visibly (core.WatchLoss on Done, as hdnssp registers it) instead of
+// going quiet while it stays registered.
+func TestUndecodableEventLosesWatch(t *testing.T) {
+	ctx := context.Background()
+	n := startTestNode(t, jgroups.NewFabric(), "n1", "g-undecodable", "")
+	c := dialNode(t, n)
+	unwatch, err := c.Watch(ctx, nil, 2, func(EventMsg) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := make(chan struct{}, 1)
+	cancel, _ := core.WatchLoss(c.Done(), func(ev core.NamingEvent) {
+		if ev.Type == core.EventWatchLost {
+			lost <- struct{}{}
+		}
+	}, func() {}, unwatch)
+	defer cancel()
+
+	var conn *rpc.ServerConn
+	var id uint64
+	n.mu.Lock()
+	for sc, ws := range n.watches {
+		for wid := range ws {
+			conn, id = sc, wid
+		}
+	}
+	n.mu.Unlock()
+	if conn == nil {
+		t.Fatal("the node holds no watch")
+	}
+	body := appendEvent(nil, &EventMsg{WatchID: id, Kind: OpBind, Name: []string{"x"}})
+	if err := conn.Push(mEvent, append(body, 0)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-lost:
+	case <-time.After(time.Second):
+		t.Fatal("an undecodable event did not lose the watch within 1s")
+	}
+}
+
 func TestNodeAuth(t *testing.T) {
 	ctx := context.Background()
 	f := jgroups.NewFabric()

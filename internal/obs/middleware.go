@@ -15,9 +15,9 @@ import (
 //     operation and records resolve-level op/error counters and latency.
 //   - OpenURLNext opens a hop span per URL resolution (the first hop and
 //     every CannotProceedError continuation) before delegating to the
-//     next layer (the cache, or the InitialContext's held roots).
-//   - WrapContext instruments the default context so plain-name operations
-//     are metered like provider-backed ones.
+//     next layer (the cache, or the InitialContext's held roots). A
+//     plain name resolves at EnvProviderURL's held root, so it is a hop
+//     of that URL's scheme like any other.
 type Middleware struct {
 	reg *Registry
 }
@@ -71,12 +71,6 @@ func (m *Middleware) OpenURLNext(ctx context.Context, rawURL string, env map[str
 		HopErr(ctx, err)
 	}
 	return c, rest, err
-}
-
-// WrapContext instruments the default context under the "federation"
-// subsystem so non-URL names are metered too.
-func (m *Middleware) WrapContext(c core.Context) core.Context {
-	return Instrument(c, "federation", "default")
 }
 
 // Close implements core.Middleware; the obs middleware holds no resources.

@@ -84,9 +84,8 @@ func (s *InstrumentSet) record(ctx context.Context, kind core.OpKind, start time
 // gondi_<subsystem>_*{system=...} in the Default registry. The wrapper
 // preserves inner's optional capabilities: DirContext and EventContext
 // methods fail with core.ErrNotSupported exactly when inner lacks them,
-// ContextViewer is implemented only when inner can rebase (so federation
-// falls back to Lookup for providers that cannot), and TTL advice (the
-// cache's TTLAdvisor) and liveness (core.Liveness) pass through.
+// and TTL advice (the cache's TTLAdvisor) and liveness (core.Liveness)
+// pass through.
 func Instrument(inner core.Context, subsystem, system string) core.Context {
 	return newInstCtx(inner, defaultSet(subsystem, system))
 }
@@ -97,21 +96,11 @@ func InstrumentDir(inner core.DirContext, subsystem, system string) core.DirCont
 }
 
 func newInstCtx(inner core.Context, set *InstrumentSet) core.Context {
-	switch ic := inner.(type) {
-	case *InstCtx:
-		if ic.set == set {
-			return ic // never double-meter the same system
-		}
-	case *instViewerCtx:
-		if ic.set == set {
-			return ic
-		}
+	if ic, ok := inner.(*InstCtx); ok && ic.set == set {
+		return ic // never double-meter the same system
 	}
 	w := &InstCtx{inner: inner, set: set}
 	w.Doer = w
-	if _, ok := inner.(core.ContextViewer); ok {
-		return &instViewerCtx{w}
-	}
 	return w
 }
 
@@ -125,19 +114,10 @@ type InstCtx struct {
 	set   *InstrumentSet
 }
 
-// instViewerCtx adds ContextViewer for inner contexts that support
-// rebasing (e.g. the cache wrapper). Kept as a separate type so a plain
-// InstCtx does NOT satisfy core.ContextViewer — the federation machinery
-// type-asserts it and must fall back to Lookup otherwise.
-type instViewerCtx struct {
-	*InstCtx
-}
-
 var (
-	_ core.DirContext    = (*InstCtx)(nil)
-	_ core.EventContext  = (*InstCtx)(nil)
-	_ core.BatchContext  = (*InstCtx)(nil)
-	_ core.ContextViewer = (*instViewerCtx)(nil)
+	_ core.DirContext   = (*InstCtx)(nil)
+	_ core.EventContext = (*InstCtx)(nil)
+	_ core.BatchContext = (*InstCtx)(nil)
 )
 
 // Do runs op on the inner context and meters it: every kind the same way,
@@ -181,12 +161,6 @@ func Uninstrument(c core.Context) core.Context {
 		}
 		c = w.Unwrap()
 	}
-}
-
-// View implements core.ContextViewer by rebasing inner, keeping the
-// rebased view instrumented.
-func (w *instViewerCtx) View(rest core.Name) core.Context {
-	return newInstCtx(w.inner.(core.ContextViewer).View(rest), w.set)
 }
 
 // Reference implements core.Referenceable when inner does.

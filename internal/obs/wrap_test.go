@@ -74,13 +74,6 @@ func (f *fakeDirCtx) Reference() (*core.Reference, error) {
 }
 func (f *fakeDirCtx) AdviseTTL(name string) (time.Duration, bool) { return 3 * time.Second, true }
 
-// fakeViewerCtx adds ContextViewer.
-type fakeViewerCtx struct {
-	fakeCtx
-}
-
-func (f *fakeViewerCtx) View(rest core.Name) core.Context { return &fakeCtx{} }
-
 // instCounters reads the Default-registry instrument values for one
 // (system, op) pair.
 func instCounters(t *testing.T, system, op string) (ops, errs, lat int64) {
@@ -201,24 +194,6 @@ func TestInstrumentCapabilityChecks(t *testing.T) {
 		if ops, _, _ := instCounters(t, "plaincap", op); ops != 0 {
 			t.Errorf("%s: unsupported call was metered (ops=%d)", op, ops)
 		}
-	}
-}
-
-func TestInstrumentViewerSplit(t *testing.T) {
-	// Only inner contexts that rebase expose ContextViewer through the
-	// wrapper; the rebased view stays instrumented.
-	plain := Instrument(&fakeCtx{}, "test", "view")
-	if _, ok := plain.(core.ContextViewer); ok {
-		t.Fatal("plain wrapper must not claim ContextViewer")
-	}
-	viewer := Instrument(&fakeViewerCtx{}, "test", "view")
-	v, ok := viewer.(core.ContextViewer)
-	if !ok {
-		t.Fatal("viewer wrapper lost ContextViewer")
-	}
-	sub := v.View(core.Name{})
-	if _, ok := sub.(*InstCtx); !ok {
-		t.Fatalf("rebased view not instrumented: %T", sub)
 	}
 }
 

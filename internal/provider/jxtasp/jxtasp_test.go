@@ -196,7 +196,11 @@ func TestPaperThreeSystemFederationURL(t *testing.T) {
 	}
 	t.Cleanup(func() { ldapSrv.Close() })
 
-	ic := core.NewInitialContext(nil)
+	ic, err := core.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ic.Close() })
 
 	// JXTA: the target object inside a peer group.
 	if _, err := ic.CreateSubcontext(ctx, "jxta://"+rdv.Addr()+"/jxtaGroup"); err != nil {

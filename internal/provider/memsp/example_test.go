@@ -15,7 +15,8 @@ func Example() {
 	ctx := context.Background()
 	memsp.ResetSpaces()
 	memsp.Register()
-	ic := core.NewInitialContext(nil)
+	ic, _ := core.Open(ctx)
+	defer ic.Close()
 
 	// Bind <name, object, attributes> tuples.
 	_, _ = ic.CreateSubcontext(ctx, "mem://campus/printers")
@@ -51,7 +52,8 @@ func Example_federation() {
 	ctx := context.Background()
 	memsp.ResetSpaces()
 	memsp.Register()
-	ic := core.NewInitialContext(nil)
+	ic, _ := core.Open(ctx)
+	defer ic.Close()
 
 	// The "leaf" naming system holds the object.
 	_ = ic.Bind(ctx, "mem://leaf/mokey", "the-object")

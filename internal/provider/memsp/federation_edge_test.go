@@ -18,7 +18,12 @@ func fedInit(t *testing.T) *core.InitialContext {
 	ResetSpaces()
 	Register()
 	t.Cleanup(ResetSpaces)
-	return core.NewInitialContext(nil)
+	ic, err := core.Open(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ic.Close() })
+	return ic
 }
 
 func TestReferenceCycleDetected(t *testing.T) {

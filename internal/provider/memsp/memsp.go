@@ -84,9 +84,10 @@ func ResetSpaces() {
 	spaces = map[string]*Tree{}
 }
 
-// Register installs the "mem" provider and the "mem" initial context
-// factory (rooted at the space named by core.EnvProviderURL, default
-// "mem://default").
+// Register installs the "mem" provider: "mem://space/path" names path in
+// the process-wide space "space" (an empty space is "default"). Plain
+// names resolve in a space, as at every provider, once
+// core.WithProviderURL names it.
 func Register() {
 	core.RegisterProvider("mem", core.ProviderFunc(func(ctx context.Context, rawURL string, env map[string]any) (core.Context, core.Name, error) {
 		if err := core.CtxErr(ctx); err != nil {
@@ -103,28 +104,6 @@ func Register() {
 		mc := NewContext(Space(space), env, "mem://"+space)
 		return obs.Instrument(mc, "provider", "mem"), u.Path, nil
 	}))
-	core.RegisterInitialFactory("mem", func(ctx context.Context, env map[string]any) (core.Context, error) {
-		url, _ := env[core.EnvProviderURL].(string)
-		if url == "" {
-			url = "mem://default"
-		}
-		root, rest, err := core.OpenURL(ctx, url, env)
-		if err != nil {
-			return nil, err
-		}
-		if !rest.IsEmpty() {
-			obj, err := root.Lookup(ctx, rest.String())
-			if err != nil {
-				return nil, err
-			}
-			c, ok := obj.(core.Context)
-			if !ok {
-				return nil, core.Errf("initial", url, core.ErrNotContext)
-			}
-			return c, nil
-		}
-		return root, nil
-	})
 }
 
 // Context is a view of a Tree rooted at some path.

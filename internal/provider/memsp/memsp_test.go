@@ -346,7 +346,11 @@ func TestFederationContinuation(t *testing.T) {
 	defer ResetSpaces()
 
 	// Two spaces; space B holds data, space A holds a reference to B.
-	ic := core.NewInitialContext(nil)
+	ic, err := core.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
 	b, _, err := core.OpenURL(ctx, "mem://spaceB", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -396,10 +400,11 @@ func TestLinkRefResolution(t *testing.T) {
 	ResetSpaces()
 	Register()
 	defer ResetSpaces()
-	ic := core.NewInitialContext(map[string]any{
-		core.EnvInitialFactory: "mem",
-		core.EnvProviderURL:    "mem://links",
-	})
+	ic, err := core.Open(ctx, core.WithProviderURL("mem://links"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
 	must(t, ic.Bind(ctx, "real", "value"))
 	must(t, ic.Bind(ctx, "alias", core.LinkRef{Target: "mem://links/real"}))
 	got, err := ic.Lookup(ctx, "alias")
@@ -421,7 +426,11 @@ func TestInitialContextDefault(t *testing.T) {
 	ResetSpaces()
 	Register()
 	defer ResetSpaces()
-	ic := core.NewInitialContext(map[string]any{core.EnvInitialFactory: "mem"})
+	ic, err := core.Open(ctx, core.WithProviderURL("mem://default"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ic.Close()
 	must(t, ic.Bind(ctx, "plain", "p"))
 	got, err := ic.Lookup(ctx, "plain")
 	if err != nil || got != "p" {

@@ -39,7 +39,10 @@
 # it decorates the InitialContext's held roots, and core composes every
 # middleware one way, with no ChainedMiddleware type assertion), and the
 # one-event-rule guard (no provider builds a naming event: core.EventFor
-# and core.WatchLoss do; the cache flushes no root on an event).
+# and core.WatchLoss do; the cache flushes no root on an event), and the
+# one-root-rule guard (every name resolves at a held root, and core.Open
+# is the one constructor: no ContextViewer, InitialFactory,
+# NewInitialContext or WrapContext in non-test Go outside bench/).
 # allocs is the per-commit real-number gate (operations as values, Errf,
 # name-resolution walk, rpc codec + per-call metrics, hdns request +
 # replication frame codecs, jini registrar codec, bound-value codec, DIT
@@ -202,6 +205,12 @@ stage_lint() {
         xargs grep -n 'core\.NamingEvent{' /dev/null ||
         sed -n '/^func (r \*root) onEvent(/,/^}/p' internal/cache/root.go | grep -n 'flushAll()'; then
         echo "a provider builds its own naming event, or the cache flushes a root on an event; report the change to core.EventFor (core.WatchLoss reports a lost watch) and invalidate the event's names" >&2
+        exit 1
+    fi
+    echo "== lint: one root rule (every name resolves at a held root) =="
+    if git ls-files '*.go' | grep -v -e '_test\.go$' -e '^bench/' |
+        xargs grep -nE 'ContextViewer|InitialFactory|NewInitialContext|WrapContext' /dev/null; then
+        echo "a second way to reach a context or build an InitialContext; resolve the name at a held root (plain names at EnvProviderURL, a junction's URL path prefixed onto the remaining name) and build with core.Open" >&2
         exit 1
     fi
     echo "== lint: one LDAP codec (messages are appended and read in place) =="
