@@ -172,7 +172,10 @@ func (p *udpPipe) register(r *Resolver) (uint16, chan *Message, error) {
 		if _, dup := p.pending[id]; dup {
 			continue
 		}
-		ch := make(chan *Message, 1)
+		ch, _ := replyChans.Get().(chan *Message)
+		if ch == nil {
+			ch = make(chan *Message, 1)
+		}
 		p.pending[id] = ch
 		return id, ch, nil
 	}
@@ -218,12 +221,19 @@ type RcodeError struct {
 }
 
 func (e *RcodeError) Error() string {
-	names := map[uint8]string{
-		RcodeFormErr: "FORMERR", RcodeServFail: "SERVFAIL", RcodeNXDomain: "NXDOMAIN",
-		RcodeNotImpl: "NOTIMPL", RcodeRefused: "REFUSED",
-	}
-	n, ok := names[e.Rcode]
-	if !ok {
+	var n string
+	switch e.Rcode {
+	case RcodeFormErr:
+		n = "FORMERR"
+	case RcodeServFail:
+		n = "SERVFAIL"
+	case RcodeNXDomain:
+		n = "NXDOMAIN"
+	case RcodeNotImpl:
+		n = "NOTIMPL"
+	case RcodeRefused:
+		n = "REFUSED"
+	default:
 		n = fmt.Sprintf("RCODE%d", e.Rcode)
 	}
 	return fmt.Sprintf("dnssrv: query %q: %s", e.Name, n)
@@ -231,6 +241,9 @@ func (e *RcodeError) Error() string {
 
 // IsNXDomain reports whether err is an NXDOMAIN response.
 func IsNXDomain(err error) bool {
+	if err == nil {
+		return false
+	}
 	var re *RcodeError
 	return errors.As(err, &re) && re.Rcode == RcodeNXDomain
 }
@@ -259,6 +272,16 @@ func (r *Resolver) attemptTimeout(ctx context.Context) time.Duration {
 	return timeout
 }
 
+// The exchange metrics, registered once, not looked up per exchange.
+var (
+	mExchanges = obs.Default.Counter("gondi_dns_exchanges_total",
+		"DNS query exchanges issued.")
+	mExchangeSeconds = obs.Default.Histogram("gondi_dns_exchange_seconds",
+		"DNS exchange latency (UDP retries and TCP fallback included).")
+	mExchangeErrors = obs.Default.Counter("gondi_dns_exchange_errors_total",
+		"DNS exchanges that failed.")
+)
+
 // Exchange sends a query message and returns the validated response. ctx
 // bounds the whole exchange including retries; its deadline is applied to
 // each socket.
@@ -285,13 +308,10 @@ func (r *Resolver) Exchange(ctx context.Context, req *Message) (_ *Message, rerr
 		start := time.Now()
 		obs.AddWireRT(ctx)
 		defer func() {
-			obs.Default.Counter("gondi_dns_exchanges_total",
-				"DNS query exchanges issued.").Inc()
-			obs.Default.Histogram("gondi_dns_exchange_seconds",
-				"DNS exchange latency (UDP retries and TCP fallback included).").Since(start)
+			mExchanges.Inc()
+			mExchangeSeconds.Since(start)
 			if rerr != nil {
-				obs.Default.Counter("gondi_dns_exchange_errors_total",
-					"DNS exchanges that failed.").Inc()
+				mExchangeErrors.Inc()
 			}
 		}()
 	}
@@ -299,7 +319,7 @@ func (r *Resolver) Exchange(ctx context.Context, req *Message) (_ *Message, rerr
 	if retries <= 0 {
 		retries = 2
 	}
-	pkt, err := req.Encode()
+	f, err := frame(req)
 	if err != nil {
 		return nil, err
 	}
@@ -311,13 +331,13 @@ func (r *Resolver) Exchange(ctx context.Context, req *Message) (_ *Message, rerr
 			}
 			return nil, err
 		}
-		resp, err := r.exchangeUDP(ctx, pkt, req.Header.ID)
+		resp, err := r.exchangeUDP(ctx, f[2:])
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		if resp.Header.TC {
-			return r.exchangeTCP(ctx, pkt, req.Header.ID)
+			return r.exchangeTCP(ctx, f)
 		}
 		return resp, nil
 	}
@@ -330,11 +350,49 @@ func (r *Resolver) Exchange(ctx context.Context, req *Message) (_ *Message, rerr
 	return nil, fmt.Errorf("dnssrv: no response from %s: %w", r.Server, lastErr)
 }
 
+// frame encodes m behind room for the two-byte length that precedes a
+// message on TCP: UDP sends frame[2:], TCP the whole frame.
+func frame(m *Message) ([]byte, error) {
+	f, err := m.appendWire(make([]byte, 2, 2+m.wireSize()))
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint16(f, uint16(len(f)-2))
+	return f, nil
+}
+
+// Each UDP attempt waits on a reply channel and a timer, drawn from
+// these pools. A channel goes back only after it delivered its reply:
+// deliver, its one sender, dropped it from pending before sending, so
+// nothing else holds it. A timer goes back stopped and drained.
+var (
+	replyChans sync.Pool // chan *Message, buffer 1
+	timers     sync.Pool // *time.Timer
+)
+
+func getTimer(d time.Duration) *time.Timer {
+	if t, ok := timers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+func putTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	timers.Put(t)
+}
+
 // exchangeUDP sends one attempt over the shared pipelined socket. The
-// query is re-stamped with a freshly claimed ID (a retry is a new wire
-// query, so a straggling answer to an old attempt can never satisfy a
-// new one).
-func (r *Resolver) exchangeUDP(ctx context.Context, pkt []byte, _ uint16) (*Message, error) {
+// query is stamped in place with a freshly claimed ID (a retry is a new
+// wire query, so a straggling answer to an old attempt can never satisfy
+// a new one).
+func (r *Resolver) exchangeUDP(ctx context.Context, pkt []byte) (*Message, error) {
 	timeout := r.attemptTimeout(ctx)
 	if timeout <= 0 {
 		// ctx.Err() can still be nil for a hair after the deadline passes
@@ -352,30 +410,34 @@ func (r *Resolver) exchangeUDP(ctx context.Context, pkt []byte, _ uint16) (*Mess
 	if err != nil {
 		return nil, err
 	}
-	defer p.unregister(id, ch)
-	wire := make([]byte, len(pkt))
-	copy(wire, pkt)
-	binary.BigEndian.PutUint16(wire[:2], id)
-	if _, err := p.conn.Write(wire); err != nil {
+	binary.BigEndian.PutUint16(pkt, id)
+	if _, err := p.conn.Write(pkt); err != nil {
+		p.unregister(id, ch)
 		r.dropPipe(p, err)
 		return nil, err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	timer := getTimer(timeout)
+	defer putTimer(timer)
 	select {
 	case resp, ok := <-ch:
 		if !ok {
 			return nil, p.deathErr()
 		}
+		replyChans.Put(ch)
 		return resp, nil
 	case <-ctx.Done():
+		p.unregister(id, ch)
 		return nil, ctx.Err()
 	case <-timer.C:
+		p.unregister(id, ch)
 		return nil, errQueryTimeout
 	}
 }
 
-func (r *Resolver) exchangeTCP(ctx context.Context, pkt []byte, id uint16) (*Message, error) {
+// exchangeTCP sends one framed query (see frame) on a fresh connection.
+// The answer must carry the ID the frame holds, which a UDP attempt may
+// have re-stamped.
+func (r *Resolver) exchangeTCP(ctx context.Context, f []byte) (*Message, error) {
 	timeout := r.attemptTimeout(ctx)
 	if timeout <= 0 {
 		if err := ctx.Err(); err != nil {
@@ -390,10 +452,7 @@ func (r *Resolver) exchangeTCP(ctx context.Context, pkt []byte, id uint16) (*Mes
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
-	out := make([]byte, 2+len(pkt))
-	binary.BigEndian.PutUint16(out, uint16(len(pkt)))
-	copy(out[2:], pkt)
-	if _, err := conn.Write(out); err != nil {
+	if _, err := conn.Write(f); err != nil {
 		return nil, err
 	}
 	var lenBuf [2]byte
@@ -408,7 +467,7 @@ func (r *Resolver) exchangeTCP(ctx context.Context, pkt []byte, id uint16) (*Mes
 	if err != nil {
 		return nil, err
 	}
-	if resp.Header.ID != id {
+	if resp.Header.ID != binary.BigEndian.Uint16(f[2:]) {
 		return nil, fmt.Errorf("dnssrv: TCP response ID mismatch")
 	}
 	return resp, nil
@@ -459,36 +518,6 @@ func (r *Resolver) busyError(op string, resp *Message) error {
 	return nil
 }
 
-// LookupTXT returns the TXT strings at name (flattened in record order).
-func (r *Resolver) LookupTXT(ctx context.Context, name string) ([]string, error) {
-	answers, err := r.Query(ctx, name, TypeTXT)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, rr := range answers {
-		if rr.Type == TypeTXT {
-			out = append(out, rr.Txt...)
-		}
-	}
-	return out, nil
-}
-
-// LookupA returns the IPv4/IPv6 addresses at name.
-func (r *Resolver) LookupA(ctx context.Context, name string) ([]string, error) {
-	answers, err := r.Query(ctx, name, TypeA)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, rr := range answers {
-		if rr.Type == TypeA || rr.Type == TypeAAAA {
-			out = append(out, rr.A.String())
-		}
-	}
-	return out, nil
-}
-
 // TransferZone performs an AXFR-style zone transfer over TCP and returns
 // every record in the zone enclosing name.
 func (r *Resolver) TransferZone(ctx context.Context, name string) ([]RR, error) {
@@ -496,11 +525,11 @@ func (r *Resolver) TransferZone(ctx context.Context, name string) ([]RR, error) 
 		Header:    Header{ID: r.id()},
 		Questions: []Question{{Name: CanonicalName(name), Type: TypeAXFR, Class: ClassIN}},
 	}
-	pkt, err := req.Encode()
+	f, err := frame(req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.exchangeTCP(ctx, pkt, req.Header.ID)
+	resp, err := r.exchangeTCP(ctx, f)
 	if err != nil {
 		return nil, err
 	}
@@ -511,33 +540,4 @@ func (r *Resolver) TransferZone(ctx context.Context, name string) ([]RR, error) 
 		return nil, &RcodeError{Name: name, Rcode: resp.Header.Rcode}
 	}
 	return resp.Answers, nil
-}
-
-// SRVTarget is a resolved SRV endpoint.
-type SRVTarget struct {
-	Host     string
-	Port     uint16
-	Priority uint16
-	Weight   uint16
-}
-
-// LookupSRV returns SRV endpoints at name sorted by priority (the paper's
-// "nearest HDNS node" selection reads the lowest-priority target first).
-func (r *Resolver) LookupSRV(ctx context.Context, name string) ([]SRVTarget, error) {
-	answers, err := r.Query(ctx, name, TypeSRV)
-	if err != nil {
-		return nil, err
-	}
-	var out []SRVTarget
-	for _, rr := range answers {
-		if rr.Type == TypeSRV {
-			out = append(out, SRVTarget{Host: rr.Target, Port: rr.Port, Priority: rr.Pref, Weight: rr.Weight})
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Priority < out[j-1].Priority; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out, nil
 }

@@ -238,24 +238,24 @@ func TestZoneChildrenAndRecords(t *testing.T) {
 	z.Add(RR{Name: "emory.global", Type: TypeTXT, Txt: []string{"u"}})
 	z.Add(RR{Name: "gatech.global", Type: TypeTXT, Txt: []string{"u"}})
 	z.Add(RR{Name: "mathcs.emory.global", Type: TypeTXT, Txt: []string{"d"}})
-	kids := z.Children("global")
-	if !reflect.DeepEqual(kids, []string{"emory", "gatech", "ns1"}) {
-		// ns1 comes from the default SOA MName? No: SOA lives at origin.
-		t.Logf("children = %v", kids)
+	var names []string
+	for _, rr := range z.AllRecords() {
+		names = append(names, rr.Name)
 	}
-	if !contains(kids, "emory") || !contains(kids, "gatech") {
-		t.Errorf("children = %v", kids)
+	for _, want := range []string{"global.", "emory.global.", "gatech.global.", "mathcs.emory.global."} {
+		if !contains(names, want) {
+			t.Errorf("zone names = %v, missing %s", names, want)
+		}
 	}
-	kids = z.Children("emory.global")
-	if !reflect.DeepEqual(kids, []string{"mathcs"}) {
-		t.Errorf("children(emory) = %v", kids)
+	recs, res := z.Lookup("mathcs.emory.global", TypeANY)
+	if res != lookupHit || len(recs) != 1 || recs[0].Txt[0] != "d" {
+		t.Errorf("records = %v, %v", recs, res)
 	}
-	recs := z.RecordsAt("mathcs.emory.global")
-	if len(recs) != 1 || recs[0].Txt[0] != "d" {
-		t.Errorf("records = %v", recs)
+	if _, res := z.Lookup("emory.global", TypeA); res != lookupNoData {
+		t.Errorf("emory.global: %v, want NODATA", res)
 	}
-	if !z.Exists("emory.global") || z.Exists("nope.global") {
-		t.Error("Exists wrong")
+	if _, res := z.Lookup("nope.global", TypeA); res != lookupNXDomain {
+		t.Errorf("nope.global: %v, want NXDOMAIN", res)
 	}
 }
 
@@ -268,13 +268,13 @@ func TestZoneReplaceRemove(t *testing.T) {
 		t.Errorf("after replace: %v", rrs)
 	}
 	z.Remove("a.z", TypeTXT)
-	if z.Exists("a.z") {
+	if _, res := z.Lookup("a.z", TypeANY); res != lookupNXDomain {
 		t.Error("remove failed")
 	}
 	// Replace with empty deletes.
 	z.Add(RR{Name: "b.z", Type: TypeTXT, Txt: []string{"1"}})
 	z.Replace("b.z", TypeTXT)
-	if z.Exists("b.z") {
+	if _, res := z.Lookup("b.z", TypeANY); res != lookupNXDomain {
 		t.Error("replace-with-empty failed")
 	}
 }
@@ -298,33 +298,31 @@ func newTestServer(t *testing.T) (*Server, *Resolver) {
 func TestServerQuery(t *testing.T) {
 	ctx := context.Background()
 	_, r := newTestServer(t)
-	addrs, err := r.LookupA(ctx, "emory.global")
-	if err != nil || len(addrs) != 1 || addrs[0] != "10.10.0.1" {
-		t.Fatalf("LookupA = %v, %v", addrs, err)
+	rrs, err := r.Query(ctx, "emory.global", TypeA)
+	if err != nil || len(rrs) != 1 || rrs[0].A.String() != "10.10.0.1" {
+		t.Fatalf("Query A = %v, %v", rrs, err)
 	}
-	txt, err := r.LookupTXT(ctx, "emory.global")
-	if err != nil || len(txt) != 1 || txt[0] != "Emory University" {
-		t.Fatalf("LookupTXT = %v, %v", txt, err)
+	rrs, err = r.Query(ctx, "emory.global", TypeTXT)
+	if err != nil || len(rrs) != 1 || !reflect.DeepEqual(rrs[0].Txt, []string{"Emory University"}) {
+		t.Fatalf("Query TXT = %v, %v", rrs, err)
 	}
-	srvs, err := r.LookupSRV(ctx, "_hdns._tcp.global")
-	if err != nil || len(srvs) != 1 || srvs[0].Port != 9999 || srvs[0].Host != "node1.global." {
-		t.Fatalf("LookupSRV = %+v, %v", srvs, err)
+	rrs, err = r.Query(ctx, "_hdns._tcp.global", TypeSRV)
+	if err != nil || len(rrs) != 1 || rrs[0].Port != 9999 || rrs[0].Target != "node1.global." {
+		t.Fatalf("Query SRV = %+v, %v", rrs, err)
 	}
 }
 
 func TestServerNXDomainAndRefused(t *testing.T) {
 	ctx := context.Background()
 	_, r := newTestServer(t)
-	_, err := r.LookupA(ctx, "ghost.global")
+	_, err := r.Query(ctx, "ghost.global", TypeA)
 	if !IsNXDomain(err) {
 		t.Errorf("want NXDOMAIN, got %v", err)
 	}
-	_, err = r.LookupA(ctx, "elsewhere.org")
-	var re *RcodeError
+	_, err = r.Query(ctx, "elsewhere.org", TypeA)
 	if err == nil || !strings.Contains(err.Error(), "REFUSED") {
 		t.Errorf("want REFUSED, got %v", err)
 	}
-	_ = re
 }
 
 // A shed query allocates its decode, the admission refusal and its busy
@@ -374,12 +372,12 @@ func TestTCPFallbackOnTruncation(t *testing.T) {
 	}
 	s.AddZone(z)
 	r := NewResolver(s.Addr())
-	txt, err := r.LookupTXT(ctx, "fat.big")
+	rrs, err := r.Query(ctx, "fat.big", TypeTXT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(txt) != 40 {
-		t.Errorf("got %d TXT strings over TCP fallback", len(txt))
+	if len(rrs) != 40 {
+		t.Errorf("got %d TXT records over TCP fallback", len(rrs))
 	}
 }
 
@@ -410,7 +408,7 @@ func TestResolverTimeout(t *testing.T) {
 	r.Timeout = 100 * time.Millisecond
 	r.Retries = 1
 	start := time.Now()
-	_, err := r.LookupA(ctx, "x.y")
+	_, err := r.Query(ctx, "x.y", TypeA)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -489,5 +487,78 @@ func TestNewServerPortZeroRetriesWhenUDPPortHeld(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("fixed port: %d TCP listens, want 1", calls)
+	}
+}
+
+// TestZoneMissClassification pins NXDOMAIN vs NODATA for a miss, which
+// the zone answers from its per-name count of names below, not a scan.
+func TestZoneMissClassification(t *testing.T) {
+	z := NewZone("global")
+	z.Add(RR{Name: "leaf.global", Type: TypeTXT, Txt: []string{"x"}})
+	z.Add(RR{Name: "k1.svc.global", Type: TypeTXT, Txt: []string{"v1"}})
+	z.Add(RR{Name: "k2.svc.global", Type: TypeTXT, Txt: []string{"v2"}})
+	z.Add(RR{Name: "gone.old.global", Type: TypeTXT, Txt: []string{"g"}})
+	z.Remove("gone.old.global", TypeANY)
+	z.Add(RR{Name: "a.b.c.global", Type: TypeTXT, Txt: []string{"deep"}})
+	z.Replace("a.b.c.global", TypeTXT)
+	for _, c := range []struct {
+		name string
+		want lookupResult
+	}{
+		{"global", lookupNoData},          // the apex: SOA, no A
+		{"leaf.global", lookupNoData},     // a leaf without the type
+		{"x.leaf.global", lookupNXDomain}, // below a leaf
+		{"svc.global", lookupNoData},      // an empty non-terminal
+		{"old.global", lookupNXDomain},    // its last child removed
+		{"b.c.global", lookupNXDomain},    // its last child replaced away
+		{"c.global", lookupNXDomain},
+		{"ghost.global", lookupNXDomain},
+	} {
+		if _, got := z.Lookup(c.name, TypeA); got != c.want {
+			t.Errorf("Lookup(%s): %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// Property: after any run of Add, Remove and Replace, a miss is NODATA
+// exactly when some name in the zone lies below it.
+func TestZoneMissMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	labels := []string{"a", "b", "c"}
+	randName := func() string {
+		parts := make([]string, r.Intn(3)+1)
+		for i := range parts {
+			parts[i] = labels[r.Intn(len(labels))]
+		}
+		return strings.Join(parts, ".") + ".z."
+	}
+	z := NewZone("z")
+	for i := 0; i < 2000; i++ {
+		n := randName()
+		switch r.Intn(4) {
+		case 0, 1:
+			z.Add(RR{Name: n, Type: TypeTXT, Txt: []string{"t"}})
+		case 2:
+			z.Remove(n, []uint16{TypeTXT, TypeANY}[r.Intn(2)])
+		default:
+			if r.Intn(2) == 0 {
+				z.Replace(n, TypeTXT)
+			} else {
+				z.Replace(n, TypeA, RR{A: netip.MustParseAddr("10.0.0.1")})
+			}
+		}
+		q := randName()
+		exists, below := false, false
+		for _, rr := range z.AllRecords() {
+			exists = exists || rr.Name == q
+			below = below || strings.HasSuffix(rr.Name, "."+q)
+		}
+		want := lookupNXDomain
+		if exists || below {
+			want = lookupNoData
+		}
+		if _, got := z.Lookup(q, TypeMX); got != want {
+			t.Fatalf("op %d: Lookup(%s) = %v, want %v", i, q, got, want)
+		}
 	}
 }

@@ -147,11 +147,27 @@ func CanonicalName(s string) string {
 	return s
 }
 
-// builder encodes a message with name compression.
+// builder appends a message to one buffer, compressing names against
+// the suffixes it has already written (RFC 1035 §4.1.4).
 type builder struct {
-	buf     []byte
-	offsets map[string]int // canonical name -> offset of its encoding
+	buf   []byte
+	start int // where the message begins in buf: pointers count from here
+	// offs holds the first n suffixes written with their offsets: a
+	// message the size of a UDP answer writes a handful, scanned in
+	// place. Past maxScannedNames they move into index.
+	offs  [maxScannedNames]nameOffset
+	n     int
+	index map[string]int
 }
+
+type nameOffset struct {
+	name string
+	off  int
+}
+
+// maxScannedNames bounds the suffixes the builder scans linearly; a
+// zone transfer writes thousands and looks them up in a map instead.
+const maxScannedNames = 32
 
 func (b *builder) u16(v uint16) {
 	b.buf = binary.BigEndian.AppendUint16(b.buf, v)
@@ -161,21 +177,54 @@ func (b *builder) u32(v uint32) {
 	b.buf = binary.BigEndian.AppendUint32(b.buf, v)
 }
 
-// name encodes a domain name with RFC 1035 §4.1.4 compression pointers.
-func (b *builder) name(s string) error {
+// offset reports where suffix s was written, if it was.
+func (b *builder) offset(s string) (int, bool) {
+	if b.index != nil {
+		off, ok := b.index[s]
+		return off, ok
+	}
+	for _, o := range b.offs[:b.n] {
+		if o.name == s {
+			return o.off, true
+		}
+	}
+	return 0, false
+}
+
+func (b *builder) remember(s string, off int) {
+	if b.index == nil && b.n < maxScannedNames {
+		b.offs[b.n] = nameOffset{s, off}
+		b.n++
+		return
+	}
+	if b.index == nil {
+		b.index = make(map[string]int, 4*maxScannedNames)
+		for _, o := range b.offs {
+			b.index[o.name] = o.off
+		}
+	}
+	b.index[s] = off
+}
+
+// name encodes a domain name. Compressed, it ends in a pointer at the
+// longest suffix already written, and its own suffixes become pointer
+// targets.
+func (b *builder) name(s string, compress bool) error {
 	s = CanonicalName(s)
 	for s != "." {
-		if off, ok := b.offsets[s]; ok && off <= 0x3FFF {
-			b.u16(0xC000 | uint16(off))
-			return nil
+		if compress {
+			if off, ok := b.offset(s); ok {
+				b.u16(0xC000 | uint16(off))
+				return nil
+			}
 		}
 		dot := strings.IndexByte(s, '.')
 		label := s[:dot]
 		if len(label) == 0 || len(label) > 63 {
 			return fmt.Errorf("%w: label %q", ErrBadName, label)
 		}
-		if len(b.buf) <= 0x3FFF {
-			b.offsets[s] = len(b.buf)
+		if off := len(b.buf) - b.start; compress && off <= 0x3FFF {
+			b.remember(s, off)
 		}
 		b.buf = append(b.buf, byte(len(label)))
 		b.buf = append(b.buf, label...)
@@ -189,7 +238,7 @@ func (b *builder) name(s string) error {
 }
 
 func (b *builder) rr(r *RR) error {
-	if err := b.name(r.Name); err != nil {
+	if err := b.name(r.Name, true); err != nil {
 		return err
 	}
 	b.u16(r.Type)
@@ -206,12 +255,12 @@ func (b *builder) rr(r *RR) error {
 		a := r.A.As16()
 		b.buf = append(b.buf, a[:]...)
 	case TypeCNAME, TypeNS, TypePTR:
-		if err := b.name(r.Target); err != nil {
+		if err := b.name(r.Target, true); err != nil {
 			return err
 		}
 	case TypeMX:
 		b.u16(r.Pref)
-		if err := b.name(r.Target); err != nil {
+		if err := b.name(r.Target, true); err != nil {
 			return err
 		}
 	case TypeSRV:
@@ -219,7 +268,7 @@ func (b *builder) rr(r *RR) error {
 		b.u16(r.Weight)
 		b.u16(r.Port)
 		// RFC 2782: SRV target must not be compressed.
-		if err := appendUncompressedName(&b.buf, r.Target); err != nil {
+		if err := b.name(r.Target, false); err != nil {
 			return err
 		}
 	case TypeTXT:
@@ -234,10 +283,10 @@ func (b *builder) rr(r *RR) error {
 		if r.SOA == nil {
 			return errors.New("dnssrv: SOA record without data")
 		}
-		if err := b.name(r.SOA.MName); err != nil {
+		if err := b.name(r.SOA.MName, true); err != nil {
 			return err
 		}
-		if err := b.name(r.SOA.RName); err != nil {
+		if err := b.name(r.SOA.RName, true); err != nil {
 			return err
 		}
 		b.u32(r.SOA.Serial)
@@ -253,34 +302,56 @@ func (b *builder) rr(r *RR) error {
 	return nil
 }
 
-func appendUncompressedName(buf *[]byte, s string) error {
-	s = CanonicalName(s)
-	for s != "." {
-		dot := strings.IndexByte(s, '.')
-		label := s[:dot]
-		if len(label) == 0 || len(label) > 63 {
-			return fmt.Errorf("%w: label %q", ErrBadName, label)
-		}
-		*buf = append(*buf, byte(len(label)))
-		*buf = append(*buf, label...)
-		s = s[dot+1:]
-		if s == "" {
-			s = "."
+// nameSize bounds a name's uncompressed wire length: its labels, their
+// length bytes and the root, one more when the trailing dot is missing.
+func nameSize(s string) int { return len(s) + 2 }
+
+// wireSize bounds the encoded size of m before compression, so Encode
+// sizes its buffer once.
+func (m *Message) wireSize() int {
+	n := 12
+	for i := range m.Questions {
+		n += nameSize(m.Questions[i].Name) + 4
+	}
+	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
+		for i := range sec {
+			r := &sec[i]
+			n += nameSize(r.Name) + 10
+			switch r.Type {
+			case TypeA:
+				n += 4
+			case TypeAAAA:
+				n += 16
+			case TypeCNAME, TypeNS, TypePTR:
+				n += nameSize(r.Target)
+			case TypeMX:
+				n += 2 + nameSize(r.Target)
+			case TypeSRV:
+				n += 6 + nameSize(r.Target)
+			case TypeTXT:
+				for _, t := range r.Txt {
+					n += 1 + len(t)
+				}
+			case TypeSOA:
+				if r.SOA != nil {
+					n += nameSize(r.SOA.MName) + nameSize(r.SOA.RName) + 20
+				}
+			}
 		}
 	}
-	*buf = append(*buf, 0)
-	return nil
+	return n
 }
 
 // Encode serializes the message to wire format.
 func (m *Message) Encode() ([]byte, error) {
-	b := &builder{offsets: map[string]int{}}
-	h := m.Header
-	h.QDCount = uint16(len(m.Questions))
-	h.ANCount = uint16(len(m.Answers))
-	h.NSCount = uint16(len(m.Authority))
-	h.ARCount = uint16(len(m.Additional))
+	return m.appendWire(make([]byte, 0, m.wireSize()))
+}
 
+// appendWire appends m's wire form to dst; its compression pointers
+// count from len(dst), so a caller may reserve a prefix (a TCP length).
+func (m *Message) appendWire(dst []byte) ([]byte, error) {
+	b := builder{buf: dst, start: len(dst)}
+	h := m.Header
 	b.u16(h.ID)
 	var flags uint16
 	if h.QR {
@@ -301,14 +372,14 @@ func (m *Message) Encode() ([]byte, error) {
 	}
 	flags |= uint16(h.Rcode & 0xF)
 	b.u16(flags)
-	b.u16(h.QDCount)
-	b.u16(h.ANCount)
-	b.u16(h.NSCount)
-	b.u16(h.ARCount)
+	b.u16(uint16(len(m.Questions)))
+	b.u16(uint16(len(m.Answers)))
+	b.u16(uint16(len(m.Authority)))
+	b.u16(uint16(len(m.Additional)))
 
 	for i := range m.Questions {
 		q := &m.Questions[i]
-		if err := b.name(q.Name); err != nil {
+		if err := b.name(q.Name, true); err != nil {
 			return nil, err
 		}
 		b.u16(q.Type)
@@ -324,10 +395,20 @@ func (m *Message) Encode() ([]byte, error) {
 	return b.buf, nil
 }
 
-// reader decodes wire format.
+// reader decodes wire format in place.
 type reader struct {
 	buf []byte
 	pos int
+	// names caches the names decoded so far by the offset their
+	// decoding began at, so a pointer straight to one — an answer
+	// naming the question — reuses its string.
+	names [4]decodedName
+	n     int
+}
+
+type decodedName struct {
+	off, hops int
+	s         string
 }
 
 func (r *reader) u8() (byte, error) {
@@ -366,10 +447,25 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
-// name decodes a possibly-compressed domain name.
+// maxPointerHops bounds the compression pointers one name may follow.
+const maxPointerHops = 32
+
+// name decodes a possibly-compressed domain name, lower-cased, into one
+// string.
 func (r *reader) name() (string, error) {
-	var sb strings.Builder
-	pos := r.pos
+	start := r.pos
+	if start+2 <= len(r.buf) && r.buf[start]&0xC0 == 0xC0 {
+		target := int(binary.BigEndian.Uint16(r.buf[start:]) & 0x3FFF)
+		for _, d := range r.names[:r.n] {
+			if d.off == target && d.hops < maxPointerHops {
+				r.pos = start + 2
+				return d.s, nil
+			}
+		}
+	}
+	var stack [255]byte
+	out := stack[:0]
+	pos := start
 	jumped := false
 	hops := 0
 	for {
@@ -382,10 +478,15 @@ func (r *reader) name() (string, error) {
 			if !jumped {
 				r.pos = pos + 1
 			}
-			if sb.Len() == 0 {
-				return ".", nil
+			s := "."
+			if len(out) > 0 {
+				s = string(out)
 			}
-			return sb.String(), nil
+			if r.n < len(r.names) {
+				r.names[r.n] = decodedName{off: start, hops: hops, s: s}
+				r.n++
+			}
+			return s, nil
 		case c&0xC0 == 0xC0:
 			if pos+2 > len(r.buf) {
 				return "", ErrTruncatedMessage
@@ -396,32 +497,28 @@ func (r *reader) name() (string, error) {
 				jumped = true
 			}
 			hops++
-			if hops > 32 {
+			if hops > maxPointerHops {
 				return "", ErrPointerLoop
 			}
 			pos = target
 		case c&0xC0 != 0:
 			return "", ErrBadName
 		default:
-			if pos+1+int(c) > len(r.buf) {
+			end := pos + 1 + int(c)
+			if end > len(r.buf) {
 				return "", ErrTruncatedMessage
 			}
-			sb.Write(toLower(r.buf[pos+1 : pos+1+int(c)]))
-			sb.WriteByte('.')
-			pos += 1 + int(c)
+			at := len(out)
+			out = append(out, r.buf[pos+1:end]...)
+			for i := at; i < len(out); i++ {
+				if 'A' <= out[i] && out[i] <= 'Z' {
+					out[i] += 'a' - 'A'
+				}
+			}
+			out = append(out, '.')
+			pos = end
 		}
 	}
-}
-
-func toLower(b []byte) []byte {
-	out := make([]byte, len(b))
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out[i] = c
-	}
-	return out
 }
 
 func (r *reader) rr() (RR, error) {
@@ -485,6 +582,13 @@ func (r *reader) rr() (RR, error) {
 			return rr, err
 		}
 	case TypeTXT:
+		n := 0
+		for p := r.pos; p < end; p += 1 + int(r.buf[p]) {
+			n++
+		}
+		if n > 0 {
+			rr.Txt = make([]string, 0, n)
+		}
 		for r.pos < end {
 			n, err := r.u8()
 			if err != nil {
@@ -536,38 +640,55 @@ func (r *reader) rr() (RR, error) {
 	return rr, nil
 }
 
-// DecodeMessage parses a wire-format DNS message.
+// Smallest encodings, which bound how many entries the bytes left can
+// hold: a root name and its fixed fields.
+const (
+	minQuestionSize = 1 + 4
+	minRRSize       = 1 + 10
+)
+
+// decoded is a message allocated together with room for its question:
+// a query or an answer asks one.
+type decoded struct {
+	Message
+	q [1]Question
+}
+
+// DecodeMessage parses a wire-format DNS message. Its sections are
+// sized once from the header counts, bounded by the bytes left, and
+// its three record sections share one array.
 func DecodeMessage(buf []byte) (*Message, error) {
-	r := &reader{buf: buf}
-	m := &Message{}
+	r := reader{buf: buf}
+	d := &decoded{}
+	m := &d.Message
+	h := &m.Header
 	var err error
-	if m.Header.ID, err = r.u16(); err != nil {
+	if h.ID, err = r.u16(); err != nil {
 		return nil, err
 	}
 	flags, err := r.u16()
 	if err != nil {
 		return nil, err
 	}
-	m.Header.QR = flags&(1<<15) != 0
-	m.Header.Opcode = uint8(flags >> 11 & 0xF)
-	m.Header.AA = flags&(1<<10) != 0
-	m.Header.TC = flags&(1<<9) != 0
-	m.Header.RD = flags&(1<<8) != 0
-	m.Header.RA = flags&(1<<7) != 0
-	m.Header.Rcode = uint8(flags & 0xF)
-	if m.Header.QDCount, err = r.u16(); err != nil {
-		return nil, err
+	h.QR = flags&(1<<15) != 0
+	h.Opcode = uint8(flags >> 11 & 0xF)
+	h.AA = flags&(1<<10) != 0
+	h.TC = flags&(1<<9) != 0
+	h.RD = flags&(1<<8) != 0
+	h.RA = flags&(1<<7) != 0
+	h.Rcode = uint8(flags & 0xF)
+	for _, c := range []*uint16{&h.QDCount, &h.ANCount, &h.NSCount, &h.ARCount} {
+		if *c, err = r.u16(); err != nil {
+			return nil, err
+		}
 	}
-	if m.Header.ANCount, err = r.u16(); err != nil {
-		return nil, err
+	switch {
+	case h.QDCount == 1:
+		m.Questions = d.q[:0]
+	case h.QDCount > 1:
+		m.Questions = make([]Question, 0, min(int(h.QDCount), (len(buf)-r.pos)/minQuestionSize))
 	}
-	if m.Header.NSCount, err = r.u16(); err != nil {
-		return nil, err
-	}
-	if m.Header.ARCount, err = r.u16(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(m.Header.QDCount); i++ {
+	for i := 0; i < int(h.QDCount); i++ {
 		var q Question
 		if q.Name, err = r.name(); err != nil {
 			return nil, err
@@ -580,26 +701,26 @@ func DecodeMessage(buf []byte) (*Message, error) {
 		}
 		m.Questions = append(m.Questions, q)
 	}
-	for i := 0; i < int(m.Header.ANCount); i++ {
-		rr, err := r.rr()
-		if err != nil {
-			return nil, err
-		}
-		m.Answers = append(m.Answers, rr)
+	counts := [3]int{int(h.ANCount), int(h.NSCount), int(h.ARCount)}
+	total := counts[0] + counts[1] + counts[2]
+	if total == 0 {
+		return m, nil
 	}
-	for i := 0; i < int(m.Header.NSCount); i++ {
+	rrs := make([]RR, 0, min(total, (len(buf)-r.pos)/minRRSize))
+	for i := 0; i < total; i++ {
 		rr, err := r.rr()
 		if err != nil {
 			return nil, err
 		}
-		m.Authority = append(m.Authority, rr)
+		rrs = append(rrs, rr)
 	}
-	for i := 0; i < int(m.Header.ARCount); i++ {
-		rr, err := r.rr()
-		if err != nil {
-			return nil, err
+	secs := [3]*[]RR{&m.Answers, &m.Authority, &m.Additional}
+	at := 0
+	for i, n := range counts {
+		if n > 0 {
+			*secs[i] = rrs[at : at+n : at+n]
+			at += n
 		}
-		m.Additional = append(m.Additional, rr)
 	}
 	return m, nil
 }

@@ -76,7 +76,7 @@ func TestReusedIDsNeverStall(t *testing.T) {
 			defer wg.Done()
 			for time.Now().Before(end) {
 				start := time.Now()
-				_, err := r.LookupA(ctx, "emory.global")
+				_, err := r.Query(ctx, "emory.global", TypeA)
 				d := time.Since(start)
 				mu.Lock()
 				exchanges++

@@ -145,28 +145,40 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// queries recycles the copies serveUDP hands its handlers: a query
+// fits in maxUDPResponse bytes, and nothing keeps one once answered.
+var queries = sync.Pool{New: func() any { return new([maxUDPResponse]byte) }}
+
 func (s *Server) serveUDP() {
 	defer s.wg.Done()
 	buf := make([]byte, 64<<10)
 	for {
-		n, peer, err := s.udp.ReadFromUDP(buf)
+		n, peer, err := s.udp.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
-		pkt := make([]byte, n)
+		var q *[maxUDPResponse]byte
+		var pkt []byte
+		if n <= maxUDPResponse {
+			q = queries.Get().(*[maxUDPResponse]byte)
+			pkt = q[:n]
+		} else {
+			pkt = make([]byte, n)
+		}
 		copy(pkt, buf[:n])
 		s.wg.Add(1)
-		go func(pkt []byte, peer *net.UDPAddr) {
+		go func() {
 			defer s.wg.Done()
-			resp := s.handle(pkt)
-			if resp == nil {
-				return
+			if resp := s.handle(pkt); resp != nil {
+				if len(resp) > maxUDPResponse {
+					resp = s.truncate(pkt)
+				}
+				_, _ = s.udp.WriteToUDPAddrPort(resp, peer)
 			}
-			if len(resp) > maxUDPResponse {
-				resp = s.truncate(pkt)
+			if q != nil {
+				queries.Put(q)
 			}
-			_, _ = s.udp.WriteToUDP(resp, peer)
-		}(pkt, peer)
+		}()
 	}
 }
 

@@ -13,7 +13,11 @@ type Zone struct {
 	mu     sync.RWMutex
 	// records[name][type] -> RRs
 	records map[string]map[uint16][]RR
-	serial  uint32
+	// below[name] counts the names in records strictly below name, so
+	// a miss tells an empty non-terminal (NODATA) from NXDOMAIN without
+	// scanning the zone.
+	below  map[string]int
+	serial uint32
 }
 
 // NewZone creates a zone rooted at origin and installs a default SOA.
@@ -21,6 +25,7 @@ func NewZone(origin string) *Zone {
 	z := &Zone{
 		origin:  CanonicalName(origin),
 		records: map[string]map[uint16][]RR{},
+		below:   map[string]int{},
 		serial:  1,
 	}
 	z.Add(RR{
@@ -60,9 +65,26 @@ func (z *Zone) Add(rr RR) {
 	if !ok {
 		byType = map[uint16][]RR{}
 		z.records[rr.Name] = byType
+		z.countAncestorsLocked(rr.Name, 1)
 	}
 	byType[rr.Type] = append(byType[rr.Type], rr)
 	z.serial++
+}
+
+// countAncestorsLocked adds delta to the below count of every name
+// above name: each suffix that follows one of its dots.
+func (z *Zone) countAncestorsLocked(name string, delta int) {
+	for i := 0; i < len(name)-1; i++ {
+		if name[i] != '.' {
+			continue
+		}
+		a := name[i+1:]
+		if n := z.below[a] + delta; n > 0 {
+			z.below[a] = n
+		} else {
+			delete(z.below, a)
+		}
+	}
 }
 
 // Remove deletes all records of the given type at name; TypeANY removes
@@ -71,12 +93,13 @@ func (z *Zone) Remove(name string, typ uint16) {
 	name = CanonicalName(name)
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	if typ == TypeANY {
-		delete(z.records, name)
-	} else if byType, ok := z.records[name]; ok {
-		delete(byType, typ)
-		if len(byType) == 0 {
+	if byType, ok := z.records[name]; ok {
+		if typ != TypeANY {
+			delete(byType, typ)
+		}
+		if typ == TypeANY || len(byType) == 0 {
 			delete(z.records, name)
+			z.countAncestorsLocked(name, -1)
 		}
 	}
 	z.serial++
@@ -85,13 +108,6 @@ func (z *Zone) Remove(name string, typ uint16) {
 // Replace atomically swaps the records of one type at a name.
 func (z *Zone) Replace(name string, typ uint16, rrs ...RR) {
 	name = CanonicalName(name)
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	byType, ok := z.records[name]
-	if !ok {
-		byType = map[uint16][]RR{}
-		z.records[name] = byType
-	}
 	out := make([]RR, 0, len(rrs))
 	for _, rr := range rrs {
 		rr.Name = name
@@ -104,13 +120,21 @@ func (z *Zone) Replace(name string, typ uint16, rrs ...RR) {
 		}
 		out = append(out, rr)
 	}
-	if len(out) == 0 {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	byType, ok := z.records[name]
+	switch {
+	case len(out) > 0 && !ok:
+		z.records[name] = map[uint16][]RR{typ: out}
+		z.countAncestorsLocked(name, 1)
+	case len(out) > 0:
+		byType[typ] = out
+	case ok:
 		delete(byType, typ)
 		if len(byType) == 0 {
 			delete(z.records, name)
+			z.countAncestorsLocked(name, -1)
 		}
-	} else {
-		byType[typ] = out
 	}
 	z.serial++
 }
@@ -170,7 +194,7 @@ func (z *Zone) Lookup(qname string, qtype uint16) ([]RR, lookupResult) {
 			return answers, lookupNoData
 		}
 		// Name itself absent: empty non-terminal check.
-		if z.hasDescendantLocked(name) {
+		if z.below[name] > 0 {
 			return answers, lookupNoData
 		}
 		return answers, lookupNXDomain
@@ -193,78 +217,6 @@ func (z *Zone) liveSerialLocked(rrs []RR) []RR {
 		rrs[i].SOA = &soa
 	}
 	return rrs
-}
-
-func (z *Zone) hasDescendantLocked(name string) bool {
-	suffix := "." + name
-	for n := range z.records {
-		if strings.HasSuffix(n, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-// Exists reports whether a name exists in the zone (has records or
-// descendants).
-func (z *Zone) Exists(name string) bool {
-	name = CanonicalName(name)
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	if _, ok := z.records[name]; ok {
-		return true
-	}
-	return z.hasDescendantLocked(name)
-}
-
-// Children returns the distinct next labels below name, sorted — the basis
-// for the DNS provider's List operation.
-func (z *Zone) Children(name string) []string {
-	name = CanonicalName(name)
-	suffix := "." + name
-	if name == "." {
-		suffix = "."
-	}
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	set := map[string]bool{}
-	for n := range z.records {
-		if n == name || !strings.HasSuffix(n, suffix) {
-			continue
-		}
-		rest := strings.TrimSuffix(n, suffix)
-		// The immediate child label is the last dot-separated piece.
-		if i := strings.LastIndexByte(rest, '.'); i >= 0 {
-			rest = rest[i+1:]
-		}
-		if rest != "" {
-			set[rest] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RecordsAt returns copies of all records at a name, sorted by type — the
-// basis for the DNS provider's GetAttributes.
-func (z *Zone) RecordsAt(name string) []RR {
-	name = CanonicalName(name)
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	byType, ok := z.records[name]
-	if !ok {
-		return nil
-	}
-	var out []RR
-	for _, rrs := range byType {
-		out = append(out, rrs...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Type < out[j].Type })
-	return out
 }
 
 // AllRecords returns every record in the zone, SOA first (AXFR order).

@@ -169,14 +169,37 @@ var _ core.DirContext = (*Context)(nil)
 var _ core.Referenceable = (*Context)(nil)
 var _ core.Liveness = (*Context)(nil)
 
-// domainFor converts a path (topmost label first) to a canonical domain.
+// domainFor converts a path (topmost label first) to a canonical domain,
+// in one allocation when the path already is lower-case.
 func domainFor(n core.Name) string {
-	comps := n.Components()
-	rev := make([]string, len(comps))
-	for i, c := range comps {
-		rev[len(comps)-1-i] = c
+	if n.IsEmpty() {
+		return "."
 	}
-	return dnssrv.CanonicalName(strings.Join(rev, "."))
+	if top := n.Get(0); top == "" || !plainLabelEnd(top[len(top)-1]) {
+		// CanonicalName trims what the joined name ends in; join first.
+		labels := make([]string, n.Size())
+		for i := range labels {
+			labels[len(labels)-1-i] = n.Get(i)
+		}
+		return dnssrv.CanonicalName(strings.Join(labels, "."))
+	}
+	size := 0
+	for i := 0; i < n.Size(); i++ {
+		size += len(n.Get(i)) + 1
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := n.Size() - 1; i >= 0; i-- {
+		b.WriteString(n.Get(i))
+		b.WriteByte('.')
+	}
+	return dnssrv.CanonicalName(b.String())
+}
+
+// plainLabelEnd reports whether a domain may end in c followed by the
+// root dot: c is neither a dot nor a byte that may end white space.
+func plainLabelEnd(c byte) bool {
+	return c < 0x80 && c != '.' && c != ' ' && (c < '\t' || c > '\r')
 }
 
 func (c *Context) child(base core.Name) *Context {
@@ -201,7 +224,8 @@ func (c *Context) full(ctx context.Context, name string) (core.Name, error) {
 // records fetches all records at the named domain. It returns
 // (nil, false, nil) on NXDOMAIN.
 func (c *Context) records(ctx context.Context, n core.Name) ([]dnssrv.RR, bool, error) {
-	rrs, err := c.resolver.Query(ctx, domainFor(n), dnssrv.TypeANY)
+	domain := domainFor(n)
+	rrs, err := c.resolver.Query(ctx, domain, dnssrv.TypeANY)
 	if dnssrv.IsNXDomain(err) {
 		return nil, false, nil
 	}
@@ -210,7 +234,7 @@ func (c *Context) records(ctx context.Context, n core.Name) ([]dnssrv.RR, bool, 
 	}
 	// NODATA (an empty non-terminal) arrives as NoError with no answers:
 	// the name exists but carries no records.
-	c.ttl.note(domainFor(n), rrs)
+	c.ttl.note(domain, rrs)
 	return rrs, true, nil
 }
 
@@ -344,14 +368,15 @@ const AttrSOASerial = "soa-serial"
 // soaSerial fetches the domain's SOA serial with a single TypeSOA query.
 // It returns (0, false, nil) when the domain has no SOA record.
 func (c *Context) soaSerial(ctx context.Context, n core.Name) (uint32, bool, error) {
-	rrs, err := c.resolver.Query(ctx, domainFor(n), dnssrv.TypeSOA)
+	domain := domainFor(n)
+	rrs, err := c.resolver.Query(ctx, domain, dnssrv.TypeSOA)
 	if dnssrv.IsNXDomain(err) {
 		return 0, false, nil
 	}
 	if err != nil {
 		return 0, false, &core.CommunicationError{Endpoint: c.url, Err: err}
 	}
-	c.ttl.note(domainFor(n), rrs)
+	c.ttl.note(domain, rrs)
 	for _, rr := range rrs {
 		if rr.Type == dnssrv.TypeSOA && rr.SOA != nil {
 			return rr.SOA.Serial, true, nil

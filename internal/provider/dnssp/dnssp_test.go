@@ -243,6 +243,29 @@ func TestWritesUnsupported(t *testing.T) {
 	}
 }
 
+// domainFor builds the domain in one allocation and answers exactly as
+// canonicalizing the reversed, dot-joined labels does, also for labels
+// that canonicalizing trims or lower-cases.
+func TestDomainForMatchesJoin(t *testing.T) {
+	for _, labels := range [][]string{
+		{"global", "svc", "k1"}, {"Global", "SVC"}, {"a."}, {"", "a"}, {"a", "", "b"},
+		{"a "}, {" a", "b"}, {"a\t"}, {"x\u00a0"}, {"."}, {""}, {"ÄB", "c"},
+	} {
+		rev := make([]string, len(labels))
+		for i, l := range labels {
+			rev[len(labels)-1-i] = l
+		}
+		want := dnssrv.CanonicalName(strings.Join(rev, "."))
+		if got := domainFor(core.NewName(labels...)); got != want {
+			t.Errorf("domainFor(%q) = %q, want %q", labels, got, want)
+		}
+	}
+	n := core.NewName("global", "svc", "k1")
+	if a := testing.AllocsPerRun(100, func() { domainFor(n) }); a > 1 {
+		t.Errorf("domainFor costs %.0f allocations, want 1", a)
+	}
+}
+
 func TestDomainMapping(t *testing.T) {
 	if got := domainFor(core.MustParseName("global/emory/mathcs")); got != "mathcs.emory.global." {
 		t.Errorf("domainFor = %q", got)

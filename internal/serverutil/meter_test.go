@@ -121,7 +121,7 @@ func TestServersMeterThroughPipeline(t *testing.T) {
 			srv.AddZone(z)
 			r := dnssrv.NewResolver(srv.Addr())
 			return func(ctx context.Context) error {
-				_, err := r.LookupA(ctx, "a.meter")
+				_, err := r.Query(ctx, "a.meter", dnssrv.TypeA)
 				return err
 			}
 		}, false},

@@ -367,19 +367,28 @@ stage_allocs() {
     echo "== ldap message codec alloc gate =="
     go test -count=1 -run 'TestLDAPMessageAllocs|TestLDAPGoldenBytes' ./internal/ldapsrv/
 
+    # Every DNS message is appended into one buffer and its names are
+    # read in place: a one-question query decodes in <= 2 allocations
+    # and a TXT answer in <= 6, and a loopback Query, client and server
+    # together, costs <= 11. The golden bytes pin the wire format.
+    echo "== dns message codec + exchange alloc gates =="
+    go test -count=1 -run 'TestDecodeMessageAllocs|TestDNSExchangeAllocs|TestDNSWireGolden' ./internal/dnssrv/
+
     # Codec fuzz targets over their checked-in seed corpora: the frame
     # reader, the WAL record codec, the hdns request codec (whose target
     # also feeds the hdns WAL op and replication frame decoders), the
-    # jini registrar codec, the bound-value codec and the LDAP message
-    # codec must reject exactly and recover from torn tails. Deterministic here;
+    # jini registrar codec, the bound-value codec, the LDAP message codec
+    # and the DNS message codec must reject exactly and recover from torn
+    # tails. Deterministic here;
     # set CHECK_FUZZ_TIME=10s to actually explore locally.
-    echo "== frame + WAL record + snapshot container + hdns wire + jini wire + bound-value + ldap message fuzz seeds =="
+    echo "== frame + WAL record + snapshot container + hdns wire + jini wire + bound-value + ldap message + dns message fuzz seeds =="
     go test -count=1 -run 'FuzzReadFrame' ./internal/rpc/
     go test -count=1 -run 'FuzzWALRecord' ./internal/wal/
     go test -count=1 -run 'FuzzSnapshotDecode|FuzzHDNSWire' ./internal/hdns/
     go test -count=1 -run 'FuzzJiniWire' ./internal/jini/
     go test -count=1 -run 'FuzzValue' ./internal/core/
     go test -count=1 -run 'FuzzLDAPMessage' ./internal/ldapsrv/
+    go test -count=1 -run 'FuzzDNSMessage' ./internal/dnssrv/
     if [ -n "$CHECK_FUZZ_TIME" ]; then
         echo "== fuzzing for $CHECK_FUZZ_TIME each =="
         go test -count=1 -run '^$' -fuzz 'FuzzReadFrame' -fuzztime "$CHECK_FUZZ_TIME" ./internal/rpc/
@@ -389,6 +398,7 @@ stage_allocs() {
         go test -count=1 -run '^$' -fuzz 'FuzzJiniWire' -fuzztime "$CHECK_FUZZ_TIME" ./internal/jini/
         go test -count=1 -run '^$' -fuzz 'FuzzValue' -fuzztime "$CHECK_FUZZ_TIME" ./internal/core/
         go test -count=1 -run '^$' -fuzz 'FuzzLDAPMessage' -fuzztime "$CHECK_FUZZ_TIME" ./internal/ldapsrv/
+        go test -count=1 -run '^$' -fuzz 'FuzzDNSMessage' -fuzztime "$CHECK_FUZZ_TIME" ./internal/dnssrv/
     fi
 }
 
