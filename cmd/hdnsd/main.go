@@ -6,9 +6,11 @@
 //	      -bind 127.0.0.1:9001 -peers 127.0.0.1:9002,127.0.0.1:9003 \
 //	      -snapshot /var/lib/hdns/replica.snap
 //
-// Multiple replicas on different machines list each other in -peers; a
-// restarted replica reloads its snapshot and resynchronizes from the
-// group (§4.1 of the paper). -mode selects the §4.2 protocol suite.
+// Multiple replicas on different machines list each other in -peers. A
+// durable replica (-snapshot or -wal; the other defaults to its sibling)
+// logs every applied op, and on restart reloads its snapshot, replays
+// the log tail and resynchronizes from the group (§4.1 of the paper).
+// -mode selects the §4.2 protocol suite.
 package main
 
 import (
@@ -29,11 +31,11 @@ func main() {
 	group := flag.String("group", "hdns", "replication group name")
 	bind := flag.String("bind", "127.0.0.1:0", "group transport UDP address")
 	peers := flag.String("peers", "", "comma-separated peer transport addresses")
-	snapshot := flag.String("snapshot", "", "replica snapshot file (empty = no persistence)")
-	interval := flag.Duration("snapshot-interval", 5*time.Second, "snapshot sync period")
+	snapshot := flag.String("snapshot", "", "replica snapshot file (empty with -wal empty = memory only; default with -wal: <wal>.snap)")
+	interval := flag.Duration("snapshot-interval", 5*time.Second, "WAL fsync and compaction-check period")
 	secret := flag.String("secret", "", "write secret required from clients")
 	mode := flag.String("mode", "bimodal", "protocol suite: bimodal or vsync")
-	walDir := flag.String("wal", "", "write-ahead log directory (empty = snapshot-only persistence)")
+	walDir := flag.String("wal", "", "write-ahead log directory (default with -snapshot: <snapshot>.wal)")
 	compactBytes := flag.Int64("wal-compact-bytes", 0, "WAL size that triggers snapshot compaction (0 = 8 MiB)")
 	flag.Parse()
 	opts := shared.Options("hdns")
@@ -73,7 +75,7 @@ func main() {
 		node.Addr(), *group, tr.Addr(), view.Members)
 	if d := node.Damage(); d.Corrupt() {
 		fmt.Printf("hdnsd: local state quarantined (%d files); serving degraded until repaired: %v\n",
-			len(d.WALQuarantined), d.Err)
+			d.Files(), d.Err)
 	}
 	if osrv, err := obs.Serve(opts.ObsAddr); err != nil {
 		log.Fatalf("hdnsd: obs: %v", err)

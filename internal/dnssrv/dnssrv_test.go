@@ -31,6 +31,23 @@ func TestCanonicalName(t *testing.T) {
 	}
 }
 
+// Every empty label is refused, wherever it sits: a name's only empty
+// label is the root, which ends it.
+func TestEncodeRefusesEmptyLabels(t *testing.T) {
+	for _, name := range []string{"a..", "a...", "a.b..", ".a", "..", "a..b", "a..b."} {
+		m := &Message{Questions: []Question{{Name: name, Type: TypeA, Class: ClassIN}}}
+		if b, err := m.Encode(); !errors.Is(err, ErrBadName) {
+			t.Errorf("encode %q = %x, %v; want ErrBadName", name, b, err)
+		}
+	}
+	for _, name := range []string{"", ".", "a", "a.b."} {
+		m := &Message{Questions: []Question{{Name: name, Type: TypeA, Class: ClassIN}}}
+		if _, err := m.Encode(); err != nil {
+			t.Errorf("encode %q: %v", name, err)
+		}
+	}
+}
+
 func mustEncode(t *testing.T, m *Message) []byte {
 	t.Helper()
 	b, err := m.Encode()

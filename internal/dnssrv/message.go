@@ -208,10 +208,14 @@ func (b *builder) remember(s string, off int) {
 
 // name encodes a domain name. Compressed, it ends in a pointer at the
 // longest suffix already written, and its own suffixes become pointer
-// targets.
+// targets. Every label must be 1-63 bytes: the root is the one empty
+// label, and it ends the name.
 func (b *builder) name(s string, compress bool) error {
 	s = CanonicalName(s)
-	for s != "." {
+	if s == "." {
+		s = ""
+	}
+	for s != "" {
 		if compress {
 			if off, ok := b.offset(s); ok {
 				b.u16(0xC000 | uint16(off))
@@ -229,9 +233,6 @@ func (b *builder) name(s string, compress bool) error {
 		b.buf = append(b.buf, byte(len(label)))
 		b.buf = append(b.buf, label...)
 		s = s[dot+1:]
-		if s == "" {
-			s = "."
-		}
 	}
 	b.buf = append(b.buf, 0)
 	return nil

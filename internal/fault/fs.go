@@ -181,13 +181,6 @@ func (f *FS) ReadDir(dir string) ([]fs.DirEntry, error) {
 	return f.base.ReadDir(dir)
 }
 
-func (f *FS) Stat(name string) (fs.FileInfo, error) {
-	if f.dead() {
-		return nil, ErrCrashed
-	}
-	return f.base.Stat(name)
-}
-
 func (f *FS) ReadFile(name string) ([]byte, error) {
 	if f.dead() {
 		return nil, ErrCrashed

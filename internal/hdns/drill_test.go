@@ -43,9 +43,8 @@ func buildReplicaState(snapshotPath, walDir string, entries, walTail int) error 
 			return err
 		}
 	}
-	p.sync()
-	if p.log != nil {
-		return p.log.Close()
+	if err := p.sync(); err != nil {
+		return err
 	}
-	return nil
+	return p.log.Close()
 }

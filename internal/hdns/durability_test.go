@@ -65,8 +65,7 @@ func seedState(t *testing.T, dir string, n, tail int) (string, string) {
 func TestOpenQuarantinesCorruptWAL(t *testing.T) {
 	dir := t.TempDir()
 	snap, walDir := seedState(t, dir, 40, 30)
-	// No clean marker was written (buildReplicaState closes the log
-	// directly), so this boot scrubs. Corrupt an early WAL record.
+	// Corrupt an early WAL record.
 	segs, err := filepath.Glob(filepath.Join(walDir, "seg-*.wal"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v", err)
@@ -134,8 +133,8 @@ func TestOpenQuarantinesCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// A clean shutdown writes the marker; the next boot consumes it (one
-// boot per voucher) and restores everything.
+// A clean shutdown leaves state the next boot restores whole, with no
+// damage reported.
 func TestCleanShutdownMarkerRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -160,10 +159,6 @@ func TestCleanShutdownMarkerRoundTrip(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	marker := filepath.Join(walDir, cleanMarkerName)
-	if _, err := os.Stat(marker); err != nil {
-		t.Fatalf("clean close left no marker: %v", err)
-	}
 
 	st, info, err := RestoreStoreFS(nil, snap, walDir)
 	if err != nil {
@@ -174,9 +169,6 @@ func TestCleanShutdownMarkerRoundTrip(t *testing.T) {
 	}
 	if st.Version() != wantVer || st.Len() != 10 {
 		t.Fatalf("restored ver=%d len=%d, want ver=%d len=10", st.Version(), st.Len(), wantVer)
-	}
-	if _, err := os.Stat(marker); !os.IsNotExist(err) {
-		t.Fatalf("marker not consumed: %v", err)
 	}
 }
 

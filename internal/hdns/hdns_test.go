@@ -138,9 +138,9 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	apply(t, s, &Op{Kind: OpCreateCtx, Name: []string{"c"}})
 	apply(t, s, &Op{Kind: OpBind, Name: []string{"c", "x"}, Obj: []byte("payload"),
 		Attrs: map[string][]string{"a": {"1", "2"}}, LeaseMillis: 60000, Now: 1000})
-	b, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	ver, b, err := s.SnapshotVersioned()
+	if err != nil || ver != s.Version() {
+		t.Fatalf("snapshot at version %d (store at %d): %v", ver, s.Version(), err)
 	}
 	s2 := NewStore()
 	if err := s2.Restore(b); err != nil {

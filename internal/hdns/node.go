@@ -30,18 +30,19 @@ type NodeConfig struct {
 	Stack jgroups.Config
 	// ListenAddr is the client-facing TCP address ("127.0.0.1:0").
 	ListenAddr string
-	// SnapshotPath persists the replica ("" disables persistence).
+	// SnapshotPath and WALDir make the replica durable: every applied op
+	// is appended to the write-ahead log in WALDir, the snapshot at
+	// SnapshotPath is the log's compaction point, and a restart loads the
+	// snapshot and replays the log tail past it. Either one is enough;
+	// the missing one is its sibling (WALDir = SnapshotPath+".wal",
+	// SnapshotPath = WALDir+".snap"). Both "" keeps the replica in memory
+	// only.
 	SnapshotPath string
-	// SnapshotInterval is the periodic sync period (§4.1: "synchronized
-	// in fixed time intervals and upon process exit"); 0 means 5s. With a
-	// WALDir it becomes the WAL fsync + compaction-check cadence — the
-	// log, not the snapshot, is then the unit of durability.
+	WALDir       string
+	// SnapshotInterval is the WAL fsync and compaction-check period
+	// (§4.1: "synchronized in fixed time intervals and upon process
+	// exit"); 0 means 5s.
 	SnapshotInterval time.Duration
-	// WALDir enables the replica's write-ahead log: every applied op is
-	// appended there and restart replays snapshot + WAL tail, so a large
-	// replica restarts from its last compaction point instead of its
-	// last whole-table snapshot. "" keeps snapshot-only persistence.
-	WALDir string
 	// CompactBytes triggers background snapshot compaction once the WAL
 	// outgrows it; 0 means 8 MiB.
 	CompactBytes int64
@@ -128,11 +129,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg.ReplBatch = 64
 	}
 	// Crash recovery (§4.1 "the service can thus recover the state after
-	// a complete shutdown/restart"): restore the snapshot, then replay
-	// the WAL tail past it when a WALDir is configured. A boot whose
-	// clean-shutdown marker is missing scrubs instead of replaying:
-	// verified damage is quarantined and the node starts degraded,
-	// repairing from the group rather than refusing to start.
+	// a complete shutdown/restart"): restore the snapshot, then scrub the
+	// WAL tail past it. Verified damage is quarantined and the node
+	// starts degraded, repairing from the group rather than refusing to
+	// start.
 	pers, store, damage, err := openPersistence(cfg.FS, cfg.SnapshotPath, cfg.WALDir, cfg.CompactBytes)
 	if err != nil {
 		return nil, err
@@ -151,10 +151,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		// Arm the repair before Connect: joining an existing group pulls
 		// state via SetState, which is the repair itself.
 		n.needsRepair.Store(true)
-		gQuarantined.Add(int64(len(damage.WALQuarantined)))
-		if damage.SnapshotQuarantined != "" {
-			gQuarantined.Add(1)
-		}
+		gQuarantined.Add(int64(damage.Files()))
 	}
 	n.ch = jgroups.NewChannel(cfg.Transport, cfg.Stack)
 	recv := jgroups.Receiver{
@@ -205,7 +202,7 @@ func (n *Node) snapshotState() []byte {
 	if n.needsRepair.Load() {
 		return nil
 	}
-	b, err := n.store.Snapshot()
+	_, b, err := n.store.SnapshotVersioned()
 	if err != nil {
 		return nil
 	}
@@ -218,9 +215,10 @@ func (n *Node) restoreState(b []byte) {
 	}
 	_ = n.store.Restore(b)
 	// The transferred tree replaces local history wholesale, so the
-	// local WAL now describes an abandoned lineage; snapshot the new
-	// state and drop the old log before any new record is appended.
-	n.pers.resetAfterStateTransfer(n.store)
+	// local WAL now describes an abandoned lineage; compacting snapshots
+	// the new state and drops the old log before any new record is
+	// appended.
+	_ = n.pers.compact(n.store)
 	// If this boot quarantined corrupt state, the transfer is its
 	// repair: the store is now anchored to the group's history again.
 	n.markRepaired()
@@ -259,11 +257,7 @@ func (n *Node) markRepaired() {
 	obs.Default.Counter("gondi_store_repairs_total",
 		"Durable-state repairs completed after corruption quarantine.",
 		obs.Label{K: "source", V: "state-transfer"}).Inc()
-	q := int64(len(n.damage.WALQuarantined))
-	if n.damage.SnapshotQuarantined != "" {
-		q++
-	}
-	gQuarantined.Add(-q)
+	gQuarantined.Add(-int64(n.damage.Files()))
 }
 
 // NeedsRepair reports whether scrub-on-start quarantined state that no
@@ -451,9 +445,9 @@ func (n *Node) submit(op *Op) error {
 	return err
 }
 
-// housekeeping runs snapshots and the lease reaper. The reaper runs
-// inline, so a pass still waiting for an ack delays the next one rather
-// than overlapping it.
+// housekeeping runs WAL syncs, compaction checks and the lease reaper.
+// The reaper runs inline, so a pass still waiting for an ack delays the
+// next one rather than overlapping it.
 func (n *Node) housekeeping() {
 	defer n.wg.Done()
 	snap := time.NewTicker(n.cfg.SnapshotInterval)
@@ -465,7 +459,7 @@ func (n *Node) housekeeping() {
 		case <-n.done:
 			return
 		case <-snap.C:
-			_ = n.persist()
+			_ = n.pers.sync()
 			n.pers.maybeCompact(n.store)
 		case <-leases.C:
 			// The coordinator reaps expired leases for the whole
@@ -489,27 +483,14 @@ func (n *Node) reap(names [][]string) {
 	}
 }
 
-// persist syncs durable state on the housekeeping tick. Without a WAL
-// this is the paper's periodic whole-table snapshot; with one, the far
-// cheaper fsync of appended records (the snapshot then only advances at
-// compaction and exit).
-func (n *Node) persist() error {
-	if n.pers.log != nil {
-		n.pers.sync()
-		return nil
-	}
-	return n.pers.writeSnapshot(n.store)
-}
-
 // SyncDurable forces the housekeeping durability pass now: an fsync of
-// the WAL tail (or, without a WAL, a full snapshot). After it returns,
-// every previously acked write survives power loss.
-func (n *Node) SyncDurable() error { return n.persist() }
+// the WAL tail. After it returns nil, every previously acked write
+// survives power loss.
+func (n *Node) SyncDurable() error { return n.pers.sync() }
 
-// Kill stops the node abruptly — no exit-time snapshot, no WAL rotate,
-// no clean-shutdown marker — leaving the durable state exactly as the
-// last synced append wrote it, the way a power cut would. Crash-drill
-// and conformance-test surface.
+// Kill stops the node abruptly — no exit-time snapshot, no WAL rotate —
+// leaving the durable state exactly as the last append wrote it, the way
+// a power cut would. Crash-drill and conformance-test surface.
 func (n *Node) Kill() {
 	n.mu.Lock()
 	if n.closed {
@@ -520,9 +501,7 @@ func (n *Node) Kill() {
 	n.mu.Unlock()
 	close(n.done)
 	n.wg.Wait()
-	if n.pers.log != nil {
-		_ = n.pers.log.Close()
-	}
+	n.pers.kill()
 	n.srv.Close()
 	_ = n.ch.Close()
 }

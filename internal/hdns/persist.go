@@ -3,7 +3,6 @@ package hdns
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -13,13 +12,14 @@ import (
 	"gondi/internal/wal"
 )
 
-// persister owns one node's durable state: an optional whole-tree
-// snapshot file plus an optional WAL. With a WAL, the
-// snapshot stops being the unit of durability (the paper's §4.1
-// whole-table sync) and becomes a compaction artifact: every applied op
-// is appended to the log, and a restart replays snapshot + WAL tail, so
-// a replica holding millions of entries restarts from its last compaction
-// point instead of its last full dump.
+// persister owns a durable node's state: a whole-tree snapshot file
+// plus a WAL. Every applied op is appended to the log, and the snapshot
+// is a compaction artifact rather than the unit of durability (the
+// paper's §4.1 whole-table sync): a restart loads the snapshot and
+// replays the WAL tail past it, so a replica holding millions of
+// entries restarts from its last compaction point instead of its last
+// full dump. A memory-only node has no persister: each method a Node
+// calls is a no-op on a nil receiver.
 //
 // Compaction never blocks appliers for the duration of a snapshot. The
 // order is Rotate (fast, starts a fresh segment), then snapshot (slow,
@@ -29,23 +29,23 @@ import (
 // new segment. Replay skips records at or below the snapshot's version.
 //
 // Durability faults are first-class. Snapshots are written in the
-// checksummed container (snapfile.go) and verified at load; the WAL is
-// scrubbed on any boot a clean-shutdown marker does not vouch for. A
-// pure crash signature (torn tail) is healed by truncation; anything
-// else — a CRC mismatch mid-log, a snapshot that fails verification, a
-// hole in the version chain — is quarantined aside and reported in a
-// DamageReport so the node can repair from a healthy replica instead of
-// refusing to start or silently un-acking history.
+// checksummed container (snapfile.go) and verified at load; every boot
+// scrubs the WAL. A pure crash signature (torn tail) is healed by
+// truncation; anything else — a CRC mismatch anywhere, a snapshot that
+// fails verification, a hole in the version chain — is quarantined
+// aside and reported in a DamageReport so the node can repair from a
+// healthy replica instead of refusing to start or silently un-acking
+// history.
 type persister struct {
 	fs           wal.FS
 	snapshotPath string
 	walDir       string
 	compactBytes int64
-	log          *wal.Log // nil = WAL disabled (legacy snapshot-only mode)
-	replayed     int      // records applied during open (restart diagnostics)
+	log          *wal.Log
+	replayed     int // records applied during open (restart diagnostics)
 
 	compacting atomic.Bool
-	mu         sync.Mutex // serializes snapshot writes
+	mu         sync.Mutex // serializes compactions
 }
 
 var (
@@ -59,13 +59,6 @@ var (
 
 // defaultCompactBytes triggers compaction once the WAL outgrows this.
 const defaultCompactBytes = 8 << 20
-
-// cleanMarkerName is the clean-shutdown marker file, written next to the
-// WAL segments after a fully successful close (final snapshot, prune,
-// sync, close). Its presence lets the next boot take the fast Replay
-// path; it is consumed — removed — at open, so the marker vouches for
-// exactly one boot and any crash afterwards forces a scrub.
-const cleanMarkerName = "CLEAN"
 
 // errChainBroken marks a WAL record stream whose version chain cannot
 // continue: a hole (acked history missing) or an undecodable op inside an
@@ -90,18 +83,35 @@ type DamageReport struct {
 	Err *core.DataCorruptionError
 }
 
+// Files counts the durable files quarantined, snapshot and segments.
+func (d *DamageReport) Files() int {
+	n := len(d.WALQuarantined)
+	if d.SnapshotQuarantined != "" {
+		n++
+	}
+	return n
+}
+
 // Corrupt reports whether anything was quarantined — the node's local
 // state is incomplete and it should repair from a replica.
-func (d *DamageReport) Corrupt() bool {
-	return d != nil && (d.SnapshotQuarantined != "" || len(d.WALQuarantined) > 0)
-}
+func (d *DamageReport) Corrupt() bool { return d != nil && d.Files() > 0 }
 
 // openPersistence restores durable state into a fresh store and returns
 // the persister managing it plus the damage scrub-on-start found (never
-// nil; check Corrupt). Either path may be empty; with both empty the
-// node is memory-only (the persister is still returned, inert). fsys nil
-// means the real filesystem.
+// nil; check Corrupt). Either path makes the node durable, and the
+// missing one is its sibling: the WAL directory snapshotPath+".wal", or
+// the snapshot walDir+".snap". With both empty the node is memory-only
+// and the persister is nil. fsys nil means the real filesystem.
 func openPersistence(fsys wal.FS, snapshotPath, walDir string, compactBytes int64) (*persister, *Store, *DamageReport, error) {
+	damage := &DamageReport{}
+	switch {
+	case snapshotPath == "" && walDir == "":
+		return nil, NewStore(), damage, nil
+	case walDir == "":
+		walDir = snapshotPath + ".wal"
+	case snapshotPath == "":
+		snapshotPath = filepath.Clean(walDir) + ".snap"
+	}
 	if fsys == nil {
 		fsys = wal.OS
 	}
@@ -109,76 +119,59 @@ func openPersistence(fsys wal.FS, snapshotPath, walDir string, compactBytes int6
 		compactBytes = defaultCompactBytes
 	}
 	p := &persister{fs: fsys, snapshotPath: snapshotPath, walDir: walDir, compactBytes: compactBytes}
-	damage := &DamageReport{}
 	store := NewStore()
-	if snapshotPath != "" {
-		if b, err := fsys.ReadFile(snapshotPath); err == nil {
-			ver, raw, legacy, derr := decodeSnapshotFile(b)
-			if derr == nil {
-				if rerr := store.Restore(raw); rerr != nil {
-					derr = fmt.Errorf("%w: tree decode: %v", ErrSnapshotCorrupt, rerr)
-				} else if !legacy && ver != store.Version() {
-					derr = fmt.Errorf("%w: lineage header says version %d, tree decodes to %d",
-						ErrSnapshotCorrupt, ver, store.Version())
-				}
+	if b, err := fsys.ReadFile(snapshotPath); err == nil {
+		ver, raw, legacy, derr := decodeSnapshotFile(b)
+		if derr == nil {
+			if rerr := store.Restore(raw); rerr != nil {
+				derr = fmt.Errorf("%w: tree decode: %v", ErrSnapshotCorrupt, rerr)
+			} else if !legacy && ver != store.Version() {
+				derr = fmt.Errorf("%w: lineage header says version %d, tree decodes to %d",
+					ErrSnapshotCorrupt, ver, store.Version())
 			}
-			if derr != nil {
-				qp := snapshotPath + wal.QuarantineSuffix
-				if rerr := fsys.Rename(snapshotPath, qp); rerr != nil {
-					return nil, nil, nil, fmt.Errorf("hdns: quarantine snapshot: %v (while handling: %w)", rerr, derr)
-				}
-				damage.SnapshotQuarantined = qp
-				damage.Err = &core.DataCorruptionError{Path: snapshotPath, Detail: "snapshot failed verification", Err: derr}
-				mScrubErrs.Inc()
-				store = NewStore() // a partial Restore must not leak
+		}
+		if derr != nil {
+			qp := snapshotPath + wal.QuarantineSuffix
+			if rerr := fsys.Rename(snapshotPath, qp); rerr != nil {
+				return nil, nil, nil, fmt.Errorf("hdns: quarantine snapshot: %v (while handling: %w)", rerr, derr)
 			}
+			damage.SnapshotQuarantined = qp
+			damage.Err = &core.DataCorruptionError{Path: snapshotPath, Detail: "snapshot failed verification", Err: derr}
+			mScrubErrs.Inc()
+			store = NewStore() // a partial Restore must not leak
 		}
 	}
-	if walDir != "" {
-		l, err := wal.OpenFS(fsys, walDir)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("hdns: wal: %w", err)
+	l, err := wal.OpenFS(fsys, walDir)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("hdns: wal: %w", err)
+	}
+	p.log = l
+	if damage.SnapshotQuarantined != "" {
+		// The log's lineage anchor is gone: every record's version is
+		// relative to a snapshot that failed verification, so replaying
+		// would hit a gap at the first record. Preserve it all aside.
+		q, qerr := l.QuarantineAll()
+		if qerr != nil {
+			l.Close()
+			return nil, nil, nil, fmt.Errorf("hdns: wal quarantine: %w", qerr)
 		}
-		p.log = l
-		clean := p.consumeCleanMarker()
-		switch {
-		case damage.SnapshotQuarantined != "":
-			// The log's lineage anchor is gone: every record's version is
-			// relative to a snapshot that failed verification, so replaying
-			// would hit a gap at the first record. Preserve it all aside.
-			q, qerr := l.QuarantineAll()
-			if qerr != nil {
-				l.Close()
-				return nil, nil, nil, fmt.Errorf("hdns: wal quarantine: %w", qerr)
-			}
-			damage.WALQuarantined = q
-		case clean:
-			// Clean shutdown vouched for the log: fast replay, no
-			// re-verification beyond the per-record CRC. If the marker
-			// turns out to have lied (at-rest damage since), fall back to
-			// the scrub — records already applied are version-skipped.
-			if _, rerr := l.Replay(func(b []byte) error { return p.applyRecord(store, b) }); rerr == nil {
-				break
-			}
-			fallthrough
-		default:
-			if serr := p.scrubInto(store, l, damage); serr != nil {
-				l.Close()
-				return nil, nil, nil, serr
-			}
-		}
+		damage.WALQuarantined = q
+	} else if serr := p.scrub(store, damage); serr != nil {
+		l.Close()
+		return nil, nil, nil, serr
 	}
 	return p, store, damage, nil
 }
 
-// scrubInto is the dirty-boot load path: verify + replay with damage
+// scrub is the one load path: verify + replay with damage
 // classification, quarantining what cannot be proven. Returns an error
 // only for I/O failures that prevent even the scrub.
-func (p *persister) scrubInto(store *Store, l *wal.Log, damage *DamageReport) error {
+func (p *persister) scrub(store *Store, damage *DamageReport) error {
+	l := p.log
 	res, serr := l.Scrub(func(b []byte) error { return p.applyRecord(store, b) })
-	damage.TornTail = damage.TornTail || res.TornTail
+	damage.TornTail = res.TornTail
 	if len(res.Quarantined) > 0 {
-		damage.WALQuarantined = append(damage.WALQuarantined, res.Quarantined...)
+		damage.WALQuarantined = res.Quarantined
 		damage.Err = &core.DataCorruptionError{Path: res.Quarantined[0], Detail: "wal segment failed verification", Err: res.Corruption}
 		mScrubErrs.Inc()
 	}
@@ -204,32 +197,6 @@ func (p *persister) scrubInto(store *Store, l *wal.Log, damage *DamageReport) er
 		return fmt.Errorf("hdns: wal scrub: %w", serr)
 	}
 	return nil
-}
-
-// consumeCleanMarker reports whether the previous shutdown was clean,
-// removing the marker so it vouches for this boot only.
-func (p *persister) consumeCleanMarker() bool {
-	if p.walDir == "" {
-		return false
-	}
-	mp := filepath.Join(p.walDir, cleanMarkerName)
-	if _, err := p.fs.Stat(mp); err != nil {
-		return false
-	}
-	return p.fs.Remove(mp) == nil
-}
-
-// writeCleanMarker records a fully successful shutdown so the next boot
-// may skip the scrub.
-func (p *persister) writeCleanMarker() error {
-	if p.walDir == "" {
-		return nil
-	}
-	f, err := p.fs.OpenFile(filepath.Join(p.walDir, cleanMarkerName), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	return writeSync(f, []byte("clean\n"))
 }
 
 // writeSync writes b to f, fsyncs and closes it; the first failure wins.
@@ -284,10 +251,12 @@ func RestoreStoreFS(fsys wal.FS, snapshotPath, walDir string) (*Store, *RestoreI
 	if err != nil {
 		return nil, nil, err
 	}
-	if p.log != nil {
-		_ = p.log.Close()
+	info := &RestoreInfo{Damage: damage}
+	if p != nil {
+		info.Replayed = p.replayed
+		p.kill()
 	}
-	return store, &RestoreInfo{Replayed: p.replayed, Damage: damage}, nil
+	return store, info, nil
 }
 
 // RestoreStore is RestoreStoreFS on the real filesystem, returning the
@@ -310,7 +279,7 @@ func RestoreStore(snapshotPath, walDir string) (*Store, int, error) {
 // storage unavailability instead of silently dropping durability; the
 // next compaction attempt rotates onto fresh space and unseals.
 func (p *persister) appendOp(version uint64, op *Op) error {
-	if p.log == nil {
+	if p == nil {
 		return nil
 	}
 	buf := encBufPool.Get().(*[]byte)
@@ -334,10 +303,7 @@ var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return 
 // housekeeping cadence). Single-flight: an in-progress compaction
 // absorbs later triggers.
 func (p *persister) maybeCompact(store *Store) {
-	if p.log == nil || p.snapshotPath == "" {
-		return
-	}
-	if p.log.Size() < p.compactBytes && p.log.Sealed() == nil {
+	if p == nil || p.log.Size() < p.compactBytes && p.log.Sealed() == nil {
 		return
 	}
 	if !p.compacting.CompareAndSwap(false, true) {
@@ -345,16 +311,26 @@ func (p *persister) maybeCompact(store *Store) {
 	}
 	go func() {
 		defer p.compacting.Store(false)
-		_ = p.compact(store)
+		if p.compact(store) == nil {
+			mCompactions.Inc()
+		}
 	}()
 }
 
-// compact rotates, snapshots, prunes. Safe to run concurrently with
-// appliers; p.mu keeps snapshot writers from interleaving.
+// compact rotates, snapshots, prunes. It is also how durable state is
+// re-anchored after a jgroups state transfer replaced the store
+// wholesale (crash-rejoin pull, PRIMARY PARTITION resync, or corruption
+// repair): the local WAL then describes an abandoned lineage, and the
+// prune drops it once the transferred tree is snapshotted. Safe to run
+// concurrently with appliers; p.mu serializes compactions, so a slower
+// one never writes an older snapshot over a newer one whose prune has
+// already dropped the records between them.
 func (p *persister) compact(store *Store) error {
-	if p.log == nil || p.snapshotPath == "" {
+	if p == nil {
 		return nil
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	boundary, err := p.log.Rotate()
 	if err != nil {
 		return err
@@ -362,50 +338,18 @@ func (p *persister) compact(store *Store) error {
 	if err := p.writeSnapshot(store); err != nil {
 		return err
 	}
-	if err := p.log.Prune(boundary); err != nil {
-		return err
-	}
-	mCompactions.Inc()
-	return nil
-}
-
-// resetAfterStateTransfer re-anchors durable state after the store was
-// wholesale replaced by a jgroups state transfer (crash-rejoin pull,
-// PRIMARY PARTITION resync, or corruption repair). The local WAL
-// describes the abandoned lineage — its versions are unrelated to the
-// transferred tree — so the transferred state is snapshotted and the old
-// log dropped before any new op is appended.
-func (p *persister) resetAfterStateTransfer(store *Store) {
-	if p.log == nil {
-		return
-	}
-	boundary, err := p.log.Rotate()
-	if err != nil {
-		return
-	}
-	if p.snapshotPath != "" {
-		if err := p.writeSnapshot(store); err != nil {
-			return
-		}
-	}
-	_ = p.log.Prune(boundary)
+	return p.log.Prune(boundary)
 }
 
 // writeSnapshot persists the tree atomically (tmp + fsync + rename) in
 // the checksummed container.
 func (p *persister) writeSnapshot(store *Store) error {
-	if p.snapshotPath == "" {
-		return nil
-	}
 	ver, raw, err := store.SnapshotVersioned()
 	if err != nil {
 		return err
 	}
 	b := encodeSnapshotFile(ver, raw)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	dir := filepath.Dir(p.snapshotPath)
-	tmp, err := p.fs.CreateTemp(dir, ".hdns-snap-*")
+	tmp, err := p.fs.CreateTemp(filepath.Dir(p.snapshotPath), ".hdns-snap-*")
 	if err != nil {
 		return err
 	}
@@ -418,29 +362,31 @@ func (p *persister) writeSnapshot(store *Store) error {
 
 // sync flushes appended records to stable storage (periodic, from
 // housekeeping — the durability analog of the paper's snapshot cadence).
-func (p *persister) sync() {
-	if p.log != nil {
-		_ = p.log.Sync()
+func (p *persister) sync() error {
+	if p == nil {
+		return nil
 	}
+	return p.log.Sync()
 }
 
-// close performs the §4.1 exit persistence — a final snapshot — then
-// prunes the now-covered log, closes it, and, when every step succeeded,
-// writes the clean-shutdown marker so the next boot may skip the scrub.
+// close performs the §4.1 exit persistence — a final compaction, so the
+// snapshot holds the whole table and the log is empty — then closes the
+// log.
 func (p *persister) close(store *Store) error {
-	err := p.writeSnapshot(store)
-	if p.log != nil {
-		if err == nil && p.snapshotPath != "" {
-			if boundary, rerr := p.log.Rotate(); rerr == nil {
-				_ = p.log.Prune(boundary)
-			}
-		}
-		if cerr := p.log.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = p.writeCleanMarker()
-		}
+	if p == nil {
+		return nil
+	}
+	err := p.compact(store)
+	if cerr := p.log.Close(); err == nil {
+		err = cerr
 	}
 	return err
+}
+
+// kill closes the log as it stands — no snapshot, no rotation — leaving
+// the durable state a power cut would.
+func (p *persister) kill() {
+	if p != nil {
+		_ = p.log.Close()
+	}
 }

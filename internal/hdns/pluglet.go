@@ -27,7 +27,9 @@ const PlugletType = "hdns.Node"
 //	listen    client TCP address (default "127.0.0.1:0")
 //	bind      transport UDP address (default "127.0.0.1:0")
 //	peers     comma-separated transport peers
-//	snapshot  replica snapshot path ("" disables persistence)
+//	snapshot  replica snapshot path; the write-ahead log is the sibling
+//	          directory <snapshot>.wal ("" keeps the replica in memory)
+//	snapshot-interval-ms  WAL fsync and compaction-check period (default 5000)
 //	secret    client write secret
 //	mode      "bimodal" (default) or "vsync"
 //

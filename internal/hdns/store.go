@@ -507,20 +507,10 @@ func (s *Store) ExpiredLeases(nowMillis int64) [][]string {
 	return out
 }
 
-// Snapshot serializes the full tree (persistence and state transfer).
-func (s *Store) Snapshot() ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snapshotV1{Version: s.version, Root: s.root}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// SnapshotVersioned is Snapshot plus the version it captures, read under
-// one lock so the pair is consistent for the checksummed snapshot
-// container's lineage header.
+// SnapshotVersioned serializes the full tree with the version it
+// captures, read under one lock so the pair is consistent: state
+// transfer sends the tree, and the snapshot file's lineage header
+// carries the version.
 func (s *Store) SnapshotVersioned() (uint64, []byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -23,7 +23,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Truncate(name string, size int64) error
-	Stat(name string) (fs.FileInfo, error)
 }
 
 // File is the open-file surface FS hands out.
@@ -45,7 +44,6 @@ func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(n
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
-func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {

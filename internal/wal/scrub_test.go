@@ -156,7 +156,7 @@ func TestScrubHealsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if _, err := l2.Replay(func([]byte) error { n++; return nil }); err != nil || n != 5 {
+	if _, err := l2.Scrub(func([]byte) error { n++; return nil }); err != nil || n != 5 {
 		t.Fatalf("replay after heal: n=%d err=%v", n, err)
 	}
 }
@@ -288,7 +288,7 @@ func TestQuarantineAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if _, err := l.Replay(func([]byte) error { n++; return nil }); err != nil || n != 1 {
+	if _, err := l.Scrub(func([]byte) error { n++; return nil }); err != nil || n != 1 {
 		t.Fatalf("replay after quarantine-all: n=%d err=%v", n, err)
 	}
 }

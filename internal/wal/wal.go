@@ -9,7 +9,7 @@
 // Record framing follows the rpc codec discipline: a record either
 // parses exactly or is rejected, encoding appends into a pooled buffer,
 // and the tail of the last segment — the only place a crash can tear a
-// record — is truncated back to the last whole record on replay.
+// record — is truncated back to the last whole record by Scrub.
 //
 // Storage faults are first-class: a failed write or fsync seals the log
 // (ErrSealed — callers surface unavailability instead of silently
@@ -53,7 +53,7 @@ const QuarantineSuffix = ".quarantined"
 var (
 	// ErrTruncated marks an incomplete record: the framing promises more
 	// bytes than remain. At the tail of the last segment this is the
-	// benign crash signature and replay heals it by truncation.
+	// benign crash signature and Scrub heals it by truncation.
 	ErrTruncated = errors.New("wal: truncated record")
 	// ErrCorrupt marks a record that is structurally complete but wrong:
 	// CRC mismatch or an oversized length. Corruption is never healed
@@ -129,9 +129,9 @@ type Log struct {
 func segName(seq uint64) string { return fmt.Sprintf("seg-%016d.wal", seq) }
 
 // Open creates dir if needed, discovers existing segments, and opens the
-// newest for append (creating seg 1 in an empty directory). Call Replay
-// or Scrub before the first Append after a crash so a torn tail is
-// truncated away rather than buried mid-file.
+// newest for append (creating seg 1 in an empty directory). Call Scrub
+// before the first Append so a torn tail is truncated away rather than
+// buried mid-file.
 func Open(dir string) (*Log, error) { return OpenFS(OS, dir) }
 
 // OpenFS is Open over an explicit filesystem (fault injection; OS
@@ -333,55 +333,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Replay feeds every record across all segments, oldest first, to fn.
-// A torn tail — ErrTruncated, or ErrCorrupt, at the end of the *last*
-// segment, the crash-mid-append signature — is truncated away so the log
-// is clean for appending, and replay returns the healthy record count.
-// Damage anywhere else is returned as an error: acked data is missing
-// and silently dropping it would un-ack history.
-//
-// Replay is the fast path for boots a clean-shutdown marker has vouched
-// for; after an unclean shutdown use Scrub, which classifies the damage
-// and quarantines instead of refusing.
-//
-// Replay holds the log lock; run it before serving, not concurrently
-// with Append.
-func (l *Log) Replay(fn func(payload []byte) error) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	count := 0
-	for i := range l.segs {
-		s := &l.segs[i]
-		data, err := l.fs.ReadFile(s.path)
-		if err != nil {
-			return count, err
-		}
-		off := 0
-		rest := data
-		for len(rest) > 0 {
-			payload, next, err := ReadRecord(rest)
-			if err != nil {
-				if i == len(l.segs)-1 {
-					// Torn tail: truncate the active segment back to the
-					// last whole record and carry on.
-					if terr := l.truncateActiveLocked(int64(off)); terr != nil {
-						return count, terr
-					}
-					return count, nil
-				}
-				return count, fmt.Errorf("wal: segment %s offset %d: %w", s.path, off, err)
-			}
-			if err := fn(payload); err != nil {
-				return count, err
-			}
-			count++
-			off += headerSize + len(payload)
-			rest = next
-		}
-	}
-	return count, nil
-}
-
 // ScrubResult reports what a Scrub pass found and repaired.
 type ScrubResult struct {
 	// Records is the count of healthy records fed to fn.
@@ -404,7 +355,7 @@ type ScrubResult struct {
 //   - A torn tail — ErrTruncated at the very end of the last segment,
 //     the only signature a pure crash can leave (a tear always shortens
 //     the final frame, it cannot corrupt a checksum mid-file) — is
-//     truncated away, exactly like Replay.
+//     truncated away.
 //   - Anything else — a CRC mismatch anywhere, or a short record in a
 //     non-final segment — is real corruption: the damaged segment and
 //     every segment after it (their records are unanchored once the

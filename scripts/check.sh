@@ -20,6 +20,9 @@
 # imports no gondi package; internal/core keeps one gob fallback pair),
 # the hdns replication guard (no gob in internal/hdns outside the
 # store's snapshot codec; no time.After timer per write), the
+# one-persistence-mode guard (a durable hdns replica is always snapshot
+# + WAL and boots through wal.Scrub: no clean-shutdown marker, no
+# Log.Replay, no snapshot-only or WAL-only branch), the
 # registrar protocol guard (no gob in internal/jini or internal/jxta),
 # the no-mirror guard (the sync engine and its seams stay deleted:
 # clients read live deployments, never a private copy), and the
@@ -148,6 +151,12 @@ stage_lint() {
     fi
     if git ls-files 'internal/hdns/*.go' | grep -v '_test\.go$' | xargs grep -n 'time\.After(' /dev/null; then
         echo "internal/hdns arms a time.After timer, which stays live until it fires; use time.NewTimer and Stop it" >&2
+        exit 1
+    fi
+    echo "== lint: one persistence mode (a durable hdns replica is snapshot + WAL, booted by one scrub) =="
+    if git ls-files 'internal/hdns/*.go' 'internal/wal/*.go' | grep -v '_test\.go$' |
+        xargs grep -nE 'cleanMarkerName|CleanMarker|[.)] ?Replay\(|snapshot-only|log == nil' /dev/null; then
+        echo "a second persistence mode or boot path in internal/hdns or internal/wal; a durable replica always keeps snapshot + WAL (a memory-only node has no persister) and every boot runs wal.Scrub" >&2
         exit 1
     fi
     echo "== lint: the jini registrar and jxta rendezvous protocols are binary =="
@@ -428,7 +437,7 @@ stage_durability() {
     echo "== disk fault injector + WAL scrub/quarantine (-race) =="
     go test -race -count=1 ./internal/fault/ ./internal/wal/
     echo "== crash-point matrix + quarantine/repair drills (-race) =="
-    go test -race -count=1 -run 'TestCrashPointMatrix|TestOpenQuarantines|TestCleanShutdownMarkerRoundTrip|TestCorruptNodeRepairsViaStateTransfer|TestSealedWALSurfacesStorageUnavailable' ./internal/hdns/
+    go test -race -count=1 -run 'TestCrashPointMatrix|TestEveryDurableConfig|TestOpenQuarantines|TestCleanShutdownMarkerRoundTrip|TestCorruptNodeRepairsViaStateTransfer|TestSealedWALSurfacesStorageUnavailable' ./internal/hdns/
     echo "== durability conformance: crash safety + replica-driven repair (-race) =="
     go test -race -count=1 -run 'TestHDNSDurabilityConformance' ./internal/provider/ptest/
 }
