@@ -68,7 +68,7 @@ func DialContext(ctx context.Context, addr, secret string, timeout time.Duration
 	// handshake always round-trips an auth, with the empty secret when
 	// none is set. Multi-endpoint failover then skips to the next
 	// replica at dial time instead of failing the first operation.
-	if _, err := c.call(ctx, mAuth, &Req{Secret: secret}); err != nil {
+	if _, err := c.call(ctx, mAuth, &Op{Secret: secret}); err != nil {
 		rc.Close()
 		return nil, err
 	}
@@ -87,11 +87,11 @@ func (c *Client) Closed() bool { return c.rc.Closed() }
 // (server-side watches die with the connection).
 func (c *Client) Done() <-chan struct{} { return c.rc.Done() }
 
-func (c *Client) call(ctx context.Context, method string, req *Req) (*Rsp, error) {
+func (c *Client) call(ctx context.Context, method string, op *Op) (*Rsp, error) {
 	// rpc copies the body into its own frame buffer before Call returns,
 	// so the encode buffer goes straight back to the pool.
 	buf := encBufPool.Get().(*[]byte)
-	*buf = appendReq((*buf)[:0], req)
+	*buf = appendReq((*buf)[:0], op)
 	body, err := c.rc.Call(ctx, method, *buf)
 	encBufPool.Put(buf)
 	if err != nil {
@@ -102,7 +102,7 @@ func (c *Client) call(ctx context.Context, method string, req *Req) (*Rsp, error
 
 // Lookup reads the entry at name.
 func (c *Client) Lookup(ctx context.Context, name []string) (NodeView, error) {
-	rsp, err := c.call(ctx, mLookup, &Req{Name: name})
+	rsp, err := c.call(ctx, mLookup, &Op{Name: name})
 	if err != nil {
 		return NodeView{}, err
 	}
@@ -111,31 +111,31 @@ func (c *Client) Lookup(ctx context.Context, name []string) (NodeView, error) {
 
 // Bind binds atomically (fails if bound). leaseMillis > 0 grants a lease.
 func (c *Client) Bind(ctx context.Context, name []string, obj []byte, attrs map[string][]string, leaseMillis int64) error {
-	_, err := c.call(ctx, mBind, &Req{Name: name, Obj: obj, Attrs: attrs, LeaseMillis: leaseMillis})
+	_, err := c.call(ctx, mBind, &Op{Name: name, Obj: obj, Attrs: attrs, LeaseMillis: leaseMillis})
 	return err
 }
 
 // Rebind overwrites; replaceAttrs selects attribute semantics.
 func (c *Client) Rebind(ctx context.Context, name []string, obj []byte, attrs map[string][]string, replaceAttrs bool, leaseMillis int64) error {
-	_, err := c.call(ctx, mRebind, &Req{Name: name, Obj: obj, Attrs: attrs, ReplaceAttrs: replaceAttrs, LeaseMillis: leaseMillis})
+	_, err := c.call(ctx, mRebind, &Op{Name: name, Obj: obj, Attrs: attrs, ReplaceAttrs: replaceAttrs, LeaseMillis: leaseMillis})
 	return err
 }
 
 // Unbind removes a binding (absent names succeed).
 func (c *Client) Unbind(ctx context.Context, name []string) error {
-	_, err := c.call(ctx, mUnbind, &Req{Name: name})
+	_, err := c.call(ctx, mUnbind, &Op{Name: name})
 	return err
 }
 
 // Rename moves a binding.
 func (c *Client) Rename(ctx context.Context, oldName, newName []string) error {
-	_, err := c.call(ctx, mRename, &Req{Name: oldName, Name2: newName})
+	_, err := c.call(ctx, mRename, &Op{Name: oldName, Name2: newName})
 	return err
 }
 
 // List enumerates a context.
 func (c *Client) List(ctx context.Context, name []string) ([]ListEntry, error) {
-	rsp, err := c.call(ctx, mList, &Req{Name: name})
+	rsp, err := c.call(ctx, mList, &Op{Name: name})
 	if err != nil {
 		return nil, err
 	}
@@ -144,26 +144,26 @@ func (c *Client) List(ctx context.Context, name []string) ([]ListEntry, error) {
 
 // CreateCtx creates a subcontext.
 func (c *Client) CreateCtx(ctx context.Context, name []string, attrs map[string][]string) error {
-	_, err := c.call(ctx, mCreateCtx, &Req{Name: name, Attrs: attrs})
+	_, err := c.call(ctx, mCreateCtx, &Op{Name: name, Attrs: attrs})
 	return err
 }
 
 // DestroyCtx removes an empty subcontext.
 func (c *Client) DestroyCtx(ctx context.Context, name []string) error {
-	_, err := c.call(ctx, mDestroyCtx, &Req{Name: name})
+	_, err := c.call(ctx, mDestroyCtx, &Op{Name: name})
 	return err
 }
 
 // ModAttrs applies attribute modifications.
 func (c *Client) ModAttrs(ctx context.Context, name []string, mods []ModRec) error {
-	_, err := c.call(ctx, mModAttrs, &Req{Name: name, Mods: mods})
+	_, err := c.call(ctx, mModAttrs, &Op{Name: name, Mods: mods})
 	return err
 }
 
 // Search evaluates an RFC 4515 filter (scope: 0 object, 1 one-level,
 // 2 subtree).
 func (c *Client) Search(ctx context.Context, name []string, filterStr string, scope, limit int) ([]SearchHit, error) {
-	rsp, err := c.call(ctx, mSearch, &Req{Name: name, Filter: filterStr, Scope: scope, Limit: limit})
+	rsp, err := c.call(ctx, mSearch, &Op{Name: name, Filter: filterStr, Scope: scope, Limit: limit})
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func (c *Client) Search(ctx context.Context, name []string, filterStr string, sc
 
 // RenewLease extends (or with leaseMillis == 0 cancels) a lease.
 func (c *Client) RenewLease(ctx context.Context, name []string, leaseMillis int64) (expiry int64, err error) {
-	rsp, err := c.call(ctx, mLease, &Req{Name: name, LeaseMillis: leaseMillis})
+	rsp, err := c.call(ctx, mLease, &Op{Name: name, LeaseMillis: leaseMillis})
 	if err != nil {
 		return 0, err
 	}
@@ -182,7 +182,7 @@ func (c *Client) RenewLease(ctx context.Context, name []string, leaseMillis int6
 // Watch subscribes to changes under target; events arrive on fn until
 // cancel is called or the connection closes.
 func (c *Client) Watch(ctx context.Context, target []string, scope int, fn func(EventMsg)) (cancel func(), err error) {
-	rsp, err := c.call(ctx, mWatch, &Req{Name: target, Scope: scope})
+	rsp, err := c.call(ctx, mWatch, &Op{Name: target, Scope: scope})
 	if err != nil {
 		return nil, err
 	}
@@ -194,14 +194,8 @@ func (c *Client) Watch(ctx context.Context, target []string, scope int, fn func(
 		c.mu.Lock()
 		delete(c.handlers, id)
 		c.mu.Unlock()
-		_, _ = c.call(context.Background(), mUnwatch, &Req{WatchID: id})
+		_, _ = c.call(context.Background(), mUnwatch, &Op{WatchID: id})
 	}, nil
-}
-
-// batchOp is one operation in a callMany batch.
-type batchOp struct {
-	Method string
-	Req    *Req
 }
 
 // BatchRsp is one operation's outcome from a batch call: the decoded response
@@ -211,24 +205,24 @@ type BatchRsp struct {
 	Err error
 }
 
-// callMany sends every operation in one batch frame over the shared rpc
-// connection. The node executes items sequentially in submission order
-// and each item fails independently; the call-level error is reserved for
-// transport failures and whole-batch shedding.
-func (c *Client) callMany(ctx context.Context, ops []batchOp) ([]BatchRsp, error) {
+// callMany sends every op as one method call in one batch frame over the
+// shared rpc connection. The node executes items sequentially in
+// submission order and each item fails independently; the call-level
+// error is reserved for transport failures and whole-batch shedding.
+func (c *Client) callMany(ctx context.Context, method string, ops []Op) ([]BatchRsp, error) {
 	// Every body is encoded back to back into one pooled buffer and sliced
 	// out once the buffer has stopped growing.
 	buf := encBufPool.Get().(*[]byte)
 	b := (*buf)[:0]
 	items := make([]rpc.BatchItem, len(ops))
 	ends := make([]int, len(ops))
-	for i, op := range ops {
-		b = appendReq(b, op.Req)
+	for i := range ops {
+		b = appendReq(b, &ops[i])
 		ends[i] = len(b)
 	}
 	start := 0
-	for i, op := range ops {
-		items[i] = rpc.BatchItem{Method: op.Method, Body: b[start:ends[i]:ends[i]]}
+	for i := range ops {
+		items[i] = rpc.BatchItem{Method: method, Body: b[start:ends[i]:ends[i]]}
 		start = ends[i]
 	}
 	results, err := c.rc.CallBatch(ctx, items)
@@ -251,29 +245,16 @@ func (c *Client) callMany(ctx context.Context, ops []batchOp) ([]BatchRsp, error
 // LookupMany reads many entries in one round trip (one BatchRsp per name,
 // in order).
 func (c *Client) LookupMany(ctx context.Context, names [][]string) ([]BatchRsp, error) {
-	ops := make([]batchOp, len(names))
+	ops := make([]Op, len(names))
 	for i, name := range names {
-		ops[i] = batchOp{Method: mLookup, Req: &Req{Name: name}}
+		ops[i].Name = name
 	}
-	return c.callMany(ctx, ops)
+	return c.callMany(ctx, mLookup, ops)
 }
 
-// BindManyOp describes one bind for BindMany.
-type BindManyOp struct {
-	Name        []string
-	Obj         []byte
-	Attrs       map[string][]string
-	LeaseMillis int64
-}
-
-// BindMany binds many entries in one round trip; items apply sequentially
+// BindMany binds many entries in one round trip, each op's Name, Obj,
+// Attrs and LeaseMillis as Bind takes them; items apply sequentially
 // server-side and fail independently.
-func (c *Client) BindMany(ctx context.Context, binds []BindManyOp) ([]BatchRsp, error) {
-	ops := make([]batchOp, len(binds))
-	for i, b := range binds {
-		ops[i] = batchOp{Method: mBind, Req: &Req{
-			Name: b.Name, Obj: b.Obj, Attrs: b.Attrs, LeaseMillis: b.LeaseMillis,
-		}}
-	}
-	return c.callMany(ctx, ops)
+func (c *Client) BindMany(ctx context.Context, binds []Op) ([]BatchRsp, error) {
+	return c.callMany(ctx, mBind, binds)
 }

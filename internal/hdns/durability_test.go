@@ -287,3 +287,39 @@ func refused(err, reason error) bool {
 	var sue *core.ServiceUnavailableError
 	return errors.As(err, &sue) && strings.Contains(err.Error(), reason.Error())
 }
+
+// A state transfer that does not decode changes nothing and repairs
+// nothing: a node booted on damaged state stays quarantined, a healthy
+// one starts awaiting repair, and neither donates its store.
+func TestUndecodableStateTransferRepairsNothing(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "replica.snap")
+	if err := os.WriteFile(snap, []byte("garbage snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := jgroups.NewFabric()
+	damaged := startTestNode(t, f, "d", "gbadstate-d", snap)
+	defer damaged.Close()
+	healthy := startTestNode(t, f, "h", "gbadstate-h", "")
+	defer healthy.Close()
+	apply(t, healthy.Store(), &Op{Kind: OpBind, Name: []string{"kept"}, Obj: []byte("x")})
+	if !damaged.NeedsRepair() || healthy.NeedsRepair() {
+		t.Fatalf("before: NeedsRepair damaged=%v healthy=%v", damaged.NeedsRepair(), healthy.NeedsRepair())
+	}
+	for _, n := range []*Node{damaged, healthy} {
+		errs, ver := mStateErrs.Value(), n.Store().Version()
+		n.restoreState([]byte("garbage state"))
+		if !n.NeedsRepair() || n.Repairs() != 0 || n.snapshotState() != nil {
+			t.Errorf("after a garbage transfer: NeedsRepair=%v Repairs=%d, donates=%v", n.NeedsRepair(), n.Repairs(), n.snapshotState() != nil)
+		}
+		if got := mStateErrs.Value(); got != errs+1 {
+			t.Errorf("state transfer error counter %d -> %d, want +1", errs, got)
+		}
+		if n.Store().Version() != ver {
+			t.Errorf("store version %d -> %d, want unchanged", ver, n.Store().Version())
+		}
+	}
+	if !healthy.Store().Lookup([]string{"kept"}).Exists {
+		t.Error("healthy node lost its store")
+	}
+}

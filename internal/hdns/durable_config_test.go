@@ -149,6 +149,31 @@ func TestEveryDurableConfig(t *testing.T) {
 	}
 }
 
+// A write burst compacts the log as it passes CompactBytes, not at the
+// next housekeeping tick, which here is an hour away.
+func TestWriteBurstCompacts(t *testing.T) {
+	const compactBytes = 4096
+	snap := filepath.Join(t.TempDir(), "replica.snap")
+	n, err := NewNode(NodeConfig{
+		Group: "gburst", Transport: jgroups.NewFabric().Endpoint("n1"), Stack: testStack(),
+		ListenAddr: "127.0.0.1:0", SnapshotPath: snap, CompactBytes: compactBytes,
+		SnapshotInterval: time.Hour, WriteTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	c := dialNode(t, n)
+	for i := 0; i < 2000; i++ {
+		if err := c.Rebind(context.Background(), []string{"svc"}, []byte(fmt.Sprintf("obj%d", i)), nil, false, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "wal compacted below 2 x CompactBytes", func() bool {
+		return walBytes(t, snap+".wal") <= 2*compactBytes
+	})
+}
+
 // walBytes sums the WAL segment files in dir.
 func walBytes(t *testing.T, dir string) int64 {
 	t.Helper()

@@ -1,7 +1,9 @@
 package hdns
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -14,9 +16,10 @@ import (
 	"gondi/internal/filter"
 	"gondi/internal/jgroups"
 	"gondi/internal/rpc"
+	"gondi/internal/wire"
 )
 
-func apply(t *testing.T, s *Store, op *Op) []Change {
+func apply(t testing.TB, s *Store, op *Op) []Change {
 	t.Helper()
 	ch, _, errStr := s.ApplyVersioned(op)
 	if errStr != "" {
@@ -138,9 +141,9 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	apply(t, s, &Op{Kind: OpCreateCtx, Name: []string{"c"}})
 	apply(t, s, &Op{Kind: OpBind, Name: []string{"c", "x"}, Obj: []byte("payload"),
 		Attrs: map[string][]string{"a": {"1", "2"}}, LeaseMillis: 60000, Now: 1000})
-	ver, b, err := s.SnapshotVersioned()
-	if err != nil || ver != s.Version() {
-		t.Fatalf("snapshot at version %d (store at %d): %v", ver, s.Version(), err)
+	ver, b := s.SnapshotVersioned()
+	if ver != s.Version() {
+		t.Fatalf("snapshot at version %d (store at %d)", ver, s.Version())
 	}
 	s2 := NewStore()
 	if err := s2.Restore(b); err != nil {
@@ -162,6 +165,19 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := s2.Restore([]byte("garbage")); err == nil {
 		t.Error("garbage restore succeeded")
+	}
+	// An op that fails fails the whole snapshot, and the store keeps its
+	// tree.
+	bad := binary.AppendUvarint(append([]byte{snapV1}, 9), 1)
+	bad = wire.PrefixBytes(appendOp(bad, &Op{Kind: OpBind, Name: []string{"missing", "x"}}), len(bad))
+	if err := s2.Restore(bad); err == nil || s2.Version() != s.Version() || !s2.Lookup([]string{"c", "x"}).Exists {
+		t.Errorf("restore of a failing op: err %v, version %d", err, s2.Version())
+	}
+	// The whole tree survives, lease expiries and root attributes too.
+	tree := storeOf(t, sampleTree())
+	_, b = tree.SnapshotVersioned()
+	if err := s2.Restore(b); err != nil || s2.Version() != tree.Version() || !reflect.DeepEqual(s2.root, tree.root) {
+		t.Fatalf("sample tree round trip: err %v, version %d of %d", err, s2.Version(), tree.Version())
 	}
 }
 
@@ -192,10 +208,16 @@ func TestStoreDeterminism(t *testing.T) {
 	if s1.Version() != s2.Version() {
 		t.Fatal("version diverged")
 	}
+	_, b1 := s1.SnapshotVersioned()
+	_, b2 := s2.SnapshotVersioned()
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("snapshots differ:\n%x\n%x", b1, b2)
+	}
 }
 
-// storesEqual compares two stores semantically (gob snapshots encode maps
-// in nondeterministic order, so byte comparison is too strict).
+// storesEqual compares two stores through the read API, entry by entry:
+// what a client can see. Lease expiries and root attributes are not
+// read; TestStoreSnapshotRoundTrip compares whole trees.
 func storesEqual(t *testing.T, a, b *Store, path []string) bool {
 	t.Helper()
 	la, ea := a.List(path)

@@ -202,10 +202,7 @@ func (n *Node) snapshotState() []byte {
 	if n.needsRepair.Load() {
 		return nil
 	}
-	_, b, err := n.store.SnapshotVersioned()
-	if err != nil {
-		return nil
-	}
+	_, b := n.store.SnapshotVersioned()
 	return b
 }
 
@@ -213,7 +210,13 @@ func (n *Node) restoreState(b []byte) {
 	if len(b) == 0 {
 		return
 	}
-	_ = n.store.Restore(b)
+	if err := n.store.Restore(b); err != nil {
+		// The store is as it was, and not the group's: it must not be
+		// donated, and the next transfer is its repair.
+		mStateErrs.Inc()
+		n.needsRepair.Store(true)
+		return
+	}
 	// The transferred tree replaces local history wholesale, so the
 	// local WAL now describes an abandoned lineage; compacting snapshots
 	// the new state and drops the old log before any new record is
@@ -237,6 +240,8 @@ var (
 		"Ops coalesced per replicated HDNS group frame (count encoded as µs).")
 	mReplFrameErrs = obs.Default.Counter("gondi_hdns_repl_frame_errors_total",
 		"Replication frames rejected undecoded (malformed, or an unknown format byte); none of their ops applied.")
+	mStateErrs = obs.Default.Counter("gondi_hdns_state_transfer_errors_total",
+		"State transfers rejected undecoded; the node kept its store and awaits repair.")
 )
 
 // gQuarantined tracks durable files quarantined by scrub-on-start and
@@ -278,6 +283,7 @@ func (n *Node) deliver(src jgroups.Address, payload []byte) {
 		mReplFrameErrs.Inc()
 		return
 	}
+	var aerr error
 	for i := range ops {
 		op := &ops[i]
 		changes, version, errStr := n.store.ApplyVersioned(op)
@@ -288,7 +294,8 @@ func (n *Node) deliver(src jgroups.Address, payload []byte) {
 		// unavailability: the op is applied in memory and on the other
 		// replicas, but this node cannot promise it durable, and a client
 		// told "ok" must never lose the write to a local power cut.
-		if aerr := n.pers.appendOp(version, op); aerr != nil && errors.Is(aerr, wal.ErrSealed) && err == nil {
+		aerr = n.pers.appendOp(version, op)
+		if aerr != nil && errors.Is(aerr, wal.ErrSealed) && err == nil {
 			err = n.unavailable(errStorageUnavailable)
 		}
 		n.applied.Add(1)
@@ -296,6 +303,11 @@ func (n *Node) deliver(src jgroups.Address, payload []byte) {
 		for _, c := range changes {
 			n.fanOut(c)
 		}
+	}
+	if aerr == nil {
+		// A write burst must not outgrow CompactBytes until the next
+		// tick. A sealed log retries on the tick.
+		n.pers.maybeCompact(n.store)
 	}
 }
 
@@ -596,22 +608,18 @@ func (n *Node) replErr(err error) error {
 }
 
 func (n *Node) registerHandlers() {
-	write := func(kind OpKind) func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-		return func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+	write := func(kind OpKind) func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
+		return func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
 			if !n.authed(sc) {
 				return nil, errDenied
 			}
-			op := &Op{
-				Kind: kind, Name: req.Name, Name2: req.Name2, Obj: req.Obj,
-				Attrs: req.Attrs, ReplaceAttrs: req.ReplaceAttrs,
-				Mods: req.Mods, LeaseMillis: req.LeaseMillis,
-			}
+			op.Kind = kind
 			if err := n.submit(op); err != nil {
 				return nil, err
 			}
 			rsp := &Rsp{}
-			if req.LeaseMillis > 0 {
-				rsp.Expiry = time.Now().UnixMilli() + req.LeaseMillis
+			if op.LeaseMillis > 0 {
+				rsp.Expiry = time.Now().UnixMilli() + op.LeaseMillis
 			}
 			return rsp, nil
 		}
@@ -620,21 +628,21 @@ func (n *Node) registerHandlers() {
 	for _, m := range []struct {
 		method string
 		class  admission.Class
-		fn     func(sc *rpc.ServerConn, req *Req) (*Rsp, error)
+		fn     func(sc *rpc.ServerConn, op *Op) (*Rsp, error)
 	}{
 		// Every dial's handshake (Client.DialContext).
-		{mAuth, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+		{mAuth, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
 			switch {
-			case req.Secret == "": // anonymous: reads only on a node that has a secret
-			case n.cfg.Secret != "" && req.Secret != n.cfg.Secret:
+			case op.Secret == "": // anonymous: reads only on a node that has a secret
+			case n.cfg.Secret != "" && op.Secret != n.cfg.Secret:
 				return nil, errBadSecret
 			default:
 				sc.Set("authed", true)
 			}
 			return &Rsp{}, nil
 		}},
-		{mLookup, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-			return &Rsp{View: n.store.Lookup(req.Name)}, nil
+		{mLookup, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
+			return &Rsp{View: n.store.Lookup(op.Name)}, nil
 		}},
 		{mBind, admission.Write, write(OpBind)},
 		{mRebind, admission.Write, write(OpRebind)},
@@ -644,25 +652,25 @@ func (n *Node) registerHandlers() {
 		{mDestroyCtx, admission.Write, write(OpDestroyCtx)},
 		{mModAttrs, admission.Write, write(OpModAttrs)},
 		{mLease, admission.Write, write(OpLeaseRenew)},
-		{mList, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-			list, errStr := n.store.List(req.Name)
+		{mList, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
+			list, errStr := n.store.List(op.Name)
 			if err := storeErr(errStr); err != nil {
 				return nil, err
 			}
 			return &Rsp{List: list}, nil
 		}},
-		{mSearch, admission.Search, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
-			f, err := filter.Parse(req.Filter)
+		{mSearch, admission.Search, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
+			f, err := filter.Parse(op.Filter)
 			if err != nil {
 				return nil, err
 			}
-			hits, errStr := n.store.Search(req.Name, f, req.Scope, req.Limit)
+			hits, errStr := n.store.Search(op.Name, f, op.Scope, op.Limit)
 			if err := storeErr(errStr); err != nil {
 				return nil, err
 			}
 			return &Rsp{Hits: hits}, nil
 		}},
-		{mWatch, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+		{mWatch, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			n.nextWatch++
@@ -672,14 +680,14 @@ func (n *Node) registerHandlers() {
 				ws = map[uint64]watchSpec{}
 				n.watches[sc] = ws
 			}
-			ws[id] = watchSpec{target: req.Name, scope: req.Scope}
+			ws[id] = watchSpec{target: op.Name, scope: op.Scope}
 			return &Rsp{WatchID: id}, nil
 		}},
-		{mUnwatch, admission.Read, func(sc *rpc.ServerConn, req *Req) (*Rsp, error) {
+		{mUnwatch, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			if ws := n.watches[sc]; ws != nil {
-				delete(ws, req.WatchID)
+				delete(ws, op.WatchID)
 			}
 			return &Rsp{}, nil
 		}},

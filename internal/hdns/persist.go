@@ -301,7 +301,8 @@ var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return 
 // the threshold — or when a storage failure sealed it, since compaction
 // begins with the Rotate that unseals (recovery retries ride the
 // housekeeping cadence). Single-flight: an in-progress compaction
-// absorbs later triggers.
+// absorbs later triggers, so it goes again if the records that landed
+// meanwhile outgrew the threshold too.
 func (p *persister) maybeCompact(store *Store) {
 	if p == nil || p.log.Size() < p.compactBytes && p.log.Sealed() == nil {
 		return
@@ -310,10 +311,14 @@ func (p *persister) maybeCompact(store *Store) {
 		return
 	}
 	go func() {
-		defer p.compacting.Store(false)
-		if p.compact(store) == nil {
+		for p.compact(store) == nil {
 			mCompactions.Inc()
+			p.compacting.Store(false)
+			if p.log.Size() < p.compactBytes || !p.compacting.CompareAndSwap(false, true) {
+				return
+			}
 		}
+		p.compacting.Store(false)
 	}()
 }
 
@@ -344,11 +349,7 @@ func (p *persister) compact(store *Store) error {
 // writeSnapshot persists the tree atomically (tmp + fsync + rename) in
 // the checksummed container.
 func (p *persister) writeSnapshot(store *Store) error {
-	ver, raw, err := store.SnapshotVersioned()
-	if err != nil {
-		return err
-	}
-	b := encodeSnapshotFile(ver, raw)
+	b := encodeSnapshotFile(store.SnapshotVersioned())
 	tmp, err := p.fs.CreateTemp(filepath.Dir(p.snapshotPath), ".hdns-snap-*")
 	if err != nil {
 		return err

@@ -7,11 +7,11 @@ import (
 	"hash/crc32"
 )
 
-// Snapshot file container: the store's gob snapshot wrapped in a
-// checksummed, chunked frame so at-rest corruption — a flipped bit, a
-// torn page, a truncated file — is detected at load instead of being
-// gob-decoded into a silently wrong tree. The layout follows the wal
-// framing discipline (big-endian, reject-exactly):
+// Snapshot file container: the store's snapshot (walrec.go's op stream)
+// wrapped in a checksummed, chunked frame so at-rest corruption — a
+// flipped bit, a torn page, a truncated file — is detected at load
+// instead of being decoded into a silently wrong tree. The layout
+// follows the wal framing discipline (big-endian, reject-exactly):
 //
 //	magic    "GSNAP1\n"
 //	version  uint64    lineage header: store version at snapshot time,
@@ -23,8 +23,9 @@ import (
 //	  crc    uint32    CRC-32C (Castagnoli) of the chunk payload
 //	  payload
 //
-// A file without the magic is a legacy (pre-issue-10) raw gob snapshot
-// and is accepted as-is, so existing replicas upgrade in place.
+// A file without the magic is an older build's bare gob snapshot
+// (snapgob.go) and is accepted as-is, so existing replicas upgrade in
+// place; so is a gob inside the container.
 
 const snapMagic = "GSNAP1\n"
 
@@ -69,8 +70,8 @@ func encodeSnapshotFile(version uint64, raw []byte) []byte {
 }
 
 // decodeSnapshotFile verifies and unwraps a snapshot file. legacy
-// reports a pre-container raw gob snapshot (returned as-is, version 0 —
-// the gob carries its own). Verification failure returns an error
+// reports a bare gob snapshot (returned as-is, version 0 — the gob
+// carries its own). Verification failure returns an error
 // matching ErrSnapshotCorrupt; the caller quarantines, never restores.
 func decodeSnapshotFile(b []byte) (version uint64, raw []byte, legacy bool, err error) {
 	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != snapMagic {

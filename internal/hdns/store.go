@@ -9,8 +9,7 @@
 package hdns
 
 import (
-	"bytes"
-	"encoding/gob"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -50,16 +49,18 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
-// ModRec is one attribute modification: core.AttributeMod in the wire
-// and WAL layout, its ID and values flattened.
+// ModRec is one attribute modification: core.AttributeMod in the op
+// layout, its ID and values flattened.
 type ModRec struct {
-	Op   int // 0 add, 1 replace, 2 remove
+	Op   uint8 // 0 add, 1 replace, 2 remove
 	ID   string
 	Vals []string
 }
 
 // Op is a replicated write, applied deterministically on every replica in
-// delivery order.
+// delivery order. It is also every client request: the node stamps Kind,
+// ID and Now on a write, and the read tail (Filter to Secret) travels
+// only in requests.
 type Op struct {
 	ID    string // issuing node + sequence, for client ack matching
 	Kind  OpKind
@@ -76,6 +77,12 @@ type Op struct {
 	// Now is the issuer's clock (unix millis); lease expiries derive
 	// from it deterministically on every replica.
 	Now int64
+
+	Filter  string // search filter (RFC 4515)
+	Scope   int    // search and watch scope, numbered as core.SearchScope
+	Limit   int    // search result limit, 0 none
+	WatchID uint64 // the watch an unwatch cancels
+	Secret  string // the auth handshake's secret
 }
 
 // Change describes an applied mutation for event distribution.
@@ -98,6 +105,7 @@ const (
 	errUnsupportedK = "unsupported op"
 )
 
+// entry's field names are also the gob snapshot's (snapgob.go).
 type entry struct {
 	Obj      []byte
 	Attrs    map[string][]string
@@ -208,9 +216,7 @@ func (s *Store) applyLocked(op *Op) (changes []Change, errStr string) {
 		default:
 			ne.Attrs = old.Attrs
 		}
-		if op.LeaseMillis > 0 {
-			ne.LeaseExpiry = op.Now + op.LeaseMillis
-		}
+		ne.LeaseExpiry = leaseExpiry(op)
 		parent.Children[last] = ne
 		ch := Change{Kind: OpBind, Name: op.Name, Obj: op.Obj}
 		if exists {
@@ -327,11 +333,7 @@ func (s *Store) applyLocked(op *Op) (changes []Change, errStr string) {
 		if e != "" {
 			return nil, e
 		}
-		if op.LeaseMillis > 0 {
-			ent.LeaseExpiry = op.Now + op.LeaseMillis
-		} else {
-			ent.LeaseExpiry = 0
-		}
+		ent.LeaseExpiry = leaseExpiry(op)
 		return nil, ""
 	case OpExpire:
 		if parent, last, e := s.resolveParent(op.Name); e == "" {
@@ -344,6 +346,15 @@ func (s *Store) applyLocked(op *Op) (changes []Change, errStr string) {
 	default:
 		return nil, errUnsupportedK
 	}
+}
+
+// leaseExpiry is when op's lease ends (unix millis), or 0 for none: a
+// LeaseMillis that is not positive, or an expiry past the int64 range.
+func leaseExpiry(op *Op) int64 {
+	if exp := op.Now + op.LeaseMillis; op.LeaseMillis > 0 && exp > 0 {
+		return exp
+	}
+	return 0
 }
 
 func copyAttrs(in map[string][]string) map[string][]string {
@@ -461,12 +472,7 @@ func (s *Store) Search(name []string, f *filter.Node, scope int, limit int) ([]S
 		if !v.ent.isCtx() || !sc.Descends(depth) {
 			continue
 		}
-		names := make([]string, 0, len(v.ent.Children))
-		for n := range v.ent.Children {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range sortedKeys(v.ent.Children) {
 			queue = append(queue, visit{v.ent.Children[n], append(v.rel[:depth:depth], n)})
 		}
 	}
@@ -507,40 +513,84 @@ func (s *Store) ExpiredLeases(nowMillis int64) [][]string {
 	return out
 }
 
-// SnapshotVersioned serializes the full tree with the version it
-// captures, read under one lock so the pair is consistent: state
-// transfer sends the tree, and the snapshot file's lineage header
-// carries the version.
-func (s *Store) SnapshotVersioned() (uint64, []byte, error) {
+// SnapshotVersioned encodes the full tree with the version it captures,
+// read under one lock so the pair is consistent: state transfer sends
+// the snapshot, and the snapshot file's lineage header carries the
+// version.
+func (s *Store) SnapshotVersioned() (uint64, []byte) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snapshotV1{Version: s.version, Root: s.root}); err != nil {
-		return 0, nil, err
-	}
-	return s.version, buf.Bytes(), nil
+	return s.version, appendSnapshot(nil, s.version, s.root)
 }
 
-// Restore replaces the tree from a snapshot.
+// Restore replaces the tree and version from a snapshot. Its ops apply
+// to a fresh tree through the one apply path; an op that fails rejects
+// the whole snapshot and leaves the store as it was.
 func (s *Store) Restore(b []byte) error {
-	var snap snapshotV1
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&snap); err != nil {
+	fresh, failed := NewStore(), error(nil)
+	read := decodeSnapshot
+	if len(b) == 0 || b[0] != snapV1 {
+		read = decodeGobSnapshot
+	}
+	version, err := read(b, func(op *Op) {
+		if _, e := fresh.applyLocked(op); e != "" && failed == nil {
+			failed = fmt.Errorf("hdns: snapshot %v %q: %s", op.Kind, op.Name, e)
+		}
+	})
+	if err = cmp.Or(err, failed); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if snap.Root == nil {
-		snap.Root = newCtxEntry()
-	}
-	s.root = snap.Root
-	s.version = snap.Version
+	s.root, s.version = fresh.root, version
+	s.mu.Unlock()
 	s.leased.Store(true) // the next scan finds out
 	return nil
 }
 
-type snapshotV1 struct {
-	Version uint64
-	Root    *entry
+// treeOps hands fn the ops that rebuild the tree under root: the root's
+// attributes as one OpModAttrs on the empty name, then every entry,
+// parents before children and siblings in name order. A context is an
+// OpCreateCtx, and a leased one (the root too) an OpLeaseRenew whose
+// LeaseMillis is its absolute expiry, at Now 0; a binding is an OpBind
+// leased the same way. op.Name is reused between calls.
+func treeOps(root *entry, fn func(op *Op)) {
+	var mods []ModRec
+	for _, k := range sortedKeys(root.Attrs) {
+		// Replace (1) keeps the values as they are, but with none it
+		// deletes the key, which add (0) keeps.
+		mods = append(mods, ModRec{Op: uint8(min(len(root.Attrs[k]), 1)), ID: k, Vals: root.Attrs[k]})
+	}
+	if mods != nil {
+		fn(&Op{Kind: OpModAttrs, Mods: mods})
+	}
+	var path []string
+	var walk func(ctx *entry)
+	walk = func(ctx *entry) {
+		if ctx.LeaseExpiry > 0 {
+			fn(&Op{Kind: OpLeaseRenew, Name: path, LeaseMillis: ctx.LeaseExpiry})
+		}
+		for _, name := range sortedKeys(ctx.Children) {
+			c := ctx.Children[name]
+			path = append(path, name)
+			if c.isCtx() {
+				fn(&Op{Kind: OpCreateCtx, Name: path, Attrs: c.Attrs})
+				walk(c)
+			} else {
+				fn(&Op{Kind: OpBind, Name: path, Obj: c.Obj, Attrs: c.Attrs, LeaseMillis: c.LeaseExpiry})
+			}
+			path = path[:len(path)-1]
+		}
+	}
+	walk(root)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Len returns the total number of entries (excluding the root).

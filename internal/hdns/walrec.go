@@ -4,32 +4,42 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gondi/internal/wire"
 )
 
-// One op layout, two containers, on internal/wire's helpers: a WAL
-// record and a replication frame both carry the op body below. Encoding
-// appends to the caller's buffer; decoding parses exactly or rejects.
-// Not gob: it costs a type description per record, and its decoder
-// compiles a type engine for every frame on every replica.
+// One op layout, four containers, on internal/wire's helpers: a client
+// request, a WAL record, a replication frame and a snapshot all carry
+// the op body below. Encoding appends to the caller's buffer; decoding
+// parses exactly or rejects. Not gob: its bytes depend on Go field names
+// and map order, it costs a type description per record, and its
+// decoder compiles a type engine for every frame on every replica.
 //
 //	op body     kind uint8, replace uint8 (ReplaceAttrs),
 //	            lease uvarint (LeaseMillis), now uvarint (issuer clock, unix ms),
 //	            id str, name strs, name2 strs, obj str, attrs attrs,
 //	            mods uvarint count, then per entry: op uint8, id str, vals strs
+//	request     reqV1, op body, read tail (wirecodec.go)
 //	WAL record  version uvarint (store version after the op), op body
 //	frame       frameV1, uvarint op count, then per op: uvarint length, op body
+//	snapshot    snapV1, version uvarint, uvarint op count, then per op:
+//	            uvarint length, op body (treeOps' walk of the tree)
+//
+// Attribute keys are written in sorted order, so a tree encodes to one
+// snapshot.
 const (
-	// frameV1 lies in 0x80–0xF7, where no gob stream starts (its first
-	// byte is a length, 0x01–0x7F or 0xF8–0xFF): an older binary's gob
-	// frame is rejected by its first byte.
+	// The format bytes lie in 0x80–0xF7, where no gob stream starts (its
+	// first byte is a length, 0x01–0x7F or 0xF8–0xFF): an older binary's
+	// gob is told apart by its first byte.
 	frameV1 byte = 0x80
+	snapV1  byte = 0x81
+	reqV1   byte = 0x82
 	// minOpBody is the shortest op body, one byte per field.
 	minOpBody = 10
 )
 
-var errFrameFormat = fmt.Errorf("%w: unknown replication frame format", wire.ErrMalformed)
+var errFormat = fmt.Errorf("%w: unknown format byte", wire.ErrMalformed)
 
 // appendOp appends op's body to dst.
 func appendOp(dst []byte, op *Op) []byte {
@@ -50,9 +60,10 @@ func appendOp(dst []byte, op *Op) []byte {
 	return dst
 }
 
-// decodeOp reads one op body from d into op. The op's byte fields are
-// copied: a WAL buffer is reused across records, and a frame is kept by
-// the sender's retransmit store while the op lives on in the tree.
+// decodeOp reads one op body from d into op. Obj aliases d's input, as
+// a request's may; the containers whose ops live on in the tree copy it
+// (a WAL buffer is reused across records, a frame is kept by the
+// sender's retransmit store, and a snapshot is one large buffer).
 func decodeOp(d *wire.Decoder, op *Op) {
 	*op = Op{
 		Kind:         OpKind(d.Byte()),
@@ -62,13 +73,13 @@ func decodeOp(d *wire.Decoder, op *Op) {
 		ID:           d.Str(),
 		Name:         d.Strs(),
 		Name2:        d.Strs(),
-		Obj:          bytes.Clone(d.Bytes()),
+		Obj:          d.Bytes(),
 		Attrs:        d.Attrs(),
 	}
 	if n := d.Count(3); n > 0 { // a mod is at least op + id len + val count
 		op.Mods = make([]ModRec, n)
 		for i := range op.Mods {
-			op.Mods[i] = ModRec{Op: int(d.Byte()), ID: d.Str(), Vals: d.Strs()}
+			op.Mods[i] = ModRec{Op: d.Byte(), ID: d.Str(), Vals: d.Strs()}
 		}
 	}
 }
@@ -87,6 +98,7 @@ func decodeWALOp(b []byte) (version uint64, op *Op, err error) {
 	if err := d.Finish(); err != nil {
 		return 0, nil, fmt.Errorf("hdns: wal record: %w", err)
 	}
+	op.Obj = bytes.Clone(op.Obj)
 	return version, op, nil
 }
 
@@ -111,18 +123,57 @@ func encodeFrame(ops []*Op) []byte {
 func decodeFrame(b []byte) ([]Op, error) {
 	d := wire.NewDecoder(b)
 	if d.Byte() != frameV1 {
-		d.Fail(errFrameFormat)
+		d.Fail(errFormat)
 	}
 	ops := make([]Op, d.Count(1+minOpBody))
 	for i := range ops {
-		od := wire.NewDecoder(d.Bytes())
-		decodeOp(&od, &ops[i])
-		if err := od.Finish(); err != nil {
-			d.Fail(err)
-		}
+		_ = decodeOpBytes(&d, &ops[i])
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("hdns: replication frame: %w", err)
 	}
 	return ops, nil
+}
+
+// decodeOpBytes reads one length-prefixed op body from d into op, with
+// Obj copied. A body that does not parse fails d too.
+func decodeOpBytes(d *wire.Decoder, op *Op) error {
+	od := wire.NewDecoder(d.Bytes())
+	decodeOp(&od, op)
+	if err := od.Finish(); err != nil {
+		d.Fail(err)
+		return err
+	}
+	op.Obj = bytes.Clone(op.Obj)
+	return nil
+}
+
+// appendSnapshot appends the snapshot of the tree under root at version.
+func appendSnapshot(dst []byte, version uint64, root *entry) []byte {
+	dst = binary.AppendUvarint(append(dst, snapV1), version)
+	at, n := len(dst), 0
+	treeOps(root, func(op *Op) {
+		body := len(dst)
+		dst = wire.PrefixBytes(appendOp(dst, op), body)
+		n++
+	})
+	return slices.Insert(dst, at, binary.AppendUvarint(nil, uint64(n))...)
+}
+
+// decodeSnapshot hands apply each op of a snapshot in turn and returns
+// the store version it captured.
+func decodeSnapshot(b []byte, apply func(op *Op)) (uint64, error) {
+	d := wire.NewDecoder(b)
+	if d.Byte() != snapV1 {
+		d.Fail(errFormat)
+	}
+	version := d.Uvarint()
+	var op Op
+	for n := d.Count(1 + minOpBody); n > 0 && decodeOpBytes(&d, &op) == nil; n-- {
+		apply(&op)
+	}
+	if err := d.Finish(); err != nil {
+		return 0, fmt.Errorf("hdns: snapshot: %w", err)
+	}
+	return version, nil
 }

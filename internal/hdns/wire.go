@@ -1,32 +1,27 @@
 package hdns
 
 // Wire types exchanged between HDNS clients and nodes as rpc frame
-// bodies, in the hand-rolled binary encoding of wirecodec.go (the
-// replication frame between nodes and the WAL record are in walrec.go).
+// bodies, in the hand-rolled binary encoding of wirecodec.go. A request
+// is an Op (store.go) in walrec.go's op layout, the one the replication
+// frame, the WAL record and the snapshot carry.
 //
-// Field encodings: str is a uvarint length + bytes, strs a uvarint
-// count + that many str, bytes a str that decodes aliasing the body,
-// attrs a uvarint count, then per entry a key str and a vals strs; bool
-// is one byte, 0 or 1; varint is zig-zag (signed), uvarint unsigned. A
-// zero-length bytes/strs/attrs/list decodes to nil, as gob's omitted
-// zero values did. Fields follow in the order listed with no tags, so a
-// new field means a new line here, in the codec and nowhere else — the
-// reflection-filled round trip in wirecodec_test.go fails until it has one.
+// Field encodings are internal/wire's; bytes decode aliasing the body,
+// and a zero-length bytes/strs/attrs/list decodes to nil. Fields follow
+// in the order listed with no tags, so a new field means a new line
+// here, in the codec and nowhere else — the reflection-filled round trip
+// in wirecodec_test.go fails until it has one.
 //
-// Req:
+// Request (every method's body): the format byte reqV1, walrec.go's op
+// body, then the read tail:
 //
-//	name     strs
-//	name2    strs
-//	obj      bytes
-//	attrs    attrs
-//	replace  bool        (ReplaceAttrs)
-//	mods     uvarint count, then per entry: op varint, id str, vals strs
 //	filter   str
 //	scope    varint
 //	limit    varint
-//	lease    varint      (LeaseMillis)
 //	watchID  uvarint
 //	secret   str
+//
+// The node stamps a write's kind from the method, and its id and clock
+// itself: whatever the client put there is overwritten.
 //
 // Rsp:
 //
@@ -48,22 +43,6 @@ package hdns
 //
 // Trailing bytes after the last field are a decode error, as in the rpc
 // frame codec: a message parses exactly or is rejected.
-
-// Req is the universal request body.
-type Req struct {
-	Name         []string
-	Name2        []string
-	Obj          []byte
-	Attrs        map[string][]string
-	ReplaceAttrs bool
-	Mods         []ModRec
-	Filter       string
-	Scope        int
-	Limit        int
-	LeaseMillis  int64
-	WatchID      uint64
-	Secret       string
-}
 
 // Rsp is the universal response body.
 type Rsp struct {

@@ -9,7 +9,8 @@ import (
 )
 
 // Binary codec for the request path's three messages (layouts in
-// wire.go), on internal/wire's helpers like rpc/codec.go and walrec.go:
+// wire.go; a request is walrec.go's op body plus a read tail), on
+// internal/wire's helpers like rpc/codec.go:
 // append-only encode into the caller's buffer — every value has an
 // encoding, so encoding cannot fail — and a strict decode that either
 // parses its input exactly or rejects it with errWireMalformed.
@@ -24,52 +25,33 @@ import (
 // errWireMalformed is what every decode failure wraps.
 var errWireMalformed = errors.New("hdns: malformed wire message")
 
-func appendReq(dst []byte, r *Req) []byte {
-	dst = wire.AppendStrings(dst, r.Name)
-	dst = wire.AppendStrings(dst, r.Name2)
-	dst = wire.AppendBytes(dst, r.Obj)
-	dst = wire.AppendAttrs(dst, r.Attrs)
-	dst = wire.AppendBool(dst, r.ReplaceAttrs)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Mods)))
-	for i := range r.Mods {
-		m := &r.Mods[i]
-		dst = binary.AppendVarint(dst, int64(m.Op))
-		dst = wire.AppendString(dst, m.ID)
-		dst = wire.AppendStrings(dst, m.Vals)
-	}
-	dst = wire.AppendString(dst, r.Filter)
-	dst = binary.AppendVarint(dst, int64(r.Scope))
-	dst = binary.AppendVarint(dst, int64(r.Limit))
-	dst = binary.AppendVarint(dst, r.LeaseMillis)
-	dst = binary.AppendUvarint(dst, r.WatchID)
-	return wire.AppendString(dst, r.Secret)
+// appendReq appends a request: reqV1, op's body (walrec.go), then the
+// read tail.
+func appendReq(dst []byte, op *Op) []byte {
+	dst = appendOp(append(dst, reqV1), op)
+	dst = wire.AppendString(dst, op.Filter)
+	dst = binary.AppendVarint(dst, int64(op.Scope))
+	dst = binary.AppendVarint(dst, int64(op.Limit))
+	dst = binary.AppendUvarint(dst, op.WatchID)
+	return wire.AppendString(dst, op.Secret)
 }
 
-func decodeReq(body []byte) (*Req, error) {
+func decodeReq(body []byte) (*Op, error) {
 	d := wire.NewDecoder(body)
-	r := &Req{
-		Name:         d.Strs(),
-		Name2:        d.Strs(),
-		Obj:          d.Bytes(),
-		Attrs:        d.Attrs(),
-		ReplaceAttrs: d.Bool(),
+	if d.Byte() != reqV1 {
+		d.Fail(errFormat)
 	}
-	if n := d.Count(3); n > 0 { // a mod is at least op + id len + val count
-		r.Mods = make([]ModRec, n)
-		for i := range r.Mods {
-			r.Mods[i] = ModRec{Op: int(d.Varint()), ID: d.Str(), Vals: d.Strs()}
-		}
-	}
-	r.Filter = d.Str()
-	r.Scope = int(d.Varint())
-	r.Limit = int(d.Varint())
-	r.LeaseMillis = d.Varint()
-	r.WatchID = d.Uvarint()
-	r.Secret = d.Str()
+	op := new(Op)
+	decodeOp(&d, op)
+	op.Filter = d.Str()
+	op.Scope = int(d.Varint())
+	op.Limit = int(d.Varint())
+	op.WatchID = d.Uvarint()
+	op.Secret = d.Str()
 	if err := finish(&d, "req"); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return op, nil
 }
 
 // Bits of NodeView's flags byte.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -12,9 +13,9 @@ import (
 	"gondi/internal/wire/wiretest"
 )
 
-func filledMessages() (*Req, *Rsp, *EventMsg) {
+func filledMessages() (*Op, *Rsp, *EventMsg) {
 	var (
-		req Req
+		req Op
 		rsp Rsp
 		ev  EventMsg
 	)
@@ -75,7 +76,7 @@ func TestWireRejectsPrefixesAndTrailingBytes(t *testing.T) {
 func TestWireCodecSemantics(t *testing.T) {
 	t.Run("zero length decodes to nil", func(t *testing.T) {
 		empty := map[string][]string{}
-		req, err := decodeReq(appendReq(nil, &Req{Name2: []string{}, Obj: []byte{}, Attrs: empty, Mods: []ModRec{}}))
+		req, err := decodeReq(appendReq(nil, &Op{Name2: []string{}, Obj: []byte{}, Attrs: empty, Mods: []ModRec{}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestWireCodecSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, v := range map[string]any{
-			"Req.Name": req.Name, "Req.Name2": req.Name2, "Req.Obj": req.Obj, "Req.Attrs": req.Attrs, "Req.Mods": req.Mods,
+			"Op.Name": req.Name, "Op.Name2": req.Name2, "Op.Obj": req.Obj, "Op.Attrs": req.Attrs, "Op.Mods": req.Mods,
 			"View.Obj": rsp.View.Obj, "View.Attrs": rsp.View.Attrs, "Rsp.List": rsp.List, "Rsp.Hits": rsp.Hits,
 			"Event.Name": ev.Name, "Event.Obj": ev.Obj, "Event.Old": ev.Old, "Event.Name2": ev.Name2,
 		} {
@@ -98,13 +99,13 @@ func TestWireCodecSemantics(t *testing.T) {
 				t.Errorf("%s = %#v, want nil", name, v)
 			}
 		}
-		if !reflect.DeepEqual(req, &Req{}) || !reflect.DeepEqual(rsp, &Rsp{}) || !reflect.DeepEqual(ev, EventMsg{}) {
+		if !reflect.DeepEqual(req, &Op{}) || !reflect.DeepEqual(rsp, &Rsp{}) || !reflect.DeepEqual(ev, EventMsg{}) {
 			t.Errorf("empty messages do not decode to zero values: %+v %+v %+v", req, rsp, ev)
 		}
 	})
 
 	t.Run("signed fields carry negatives", func(t *testing.T) {
-		in := &Req{Scope: -1, Limit: -2, LeaseMillis: -3, Mods: []ModRec{{Op: -4}}}
+		in := &Op{Scope: -1, Limit: -2, LeaseMillis: -3, Now: -4}
 		req, err := decodeReq(appendReq(nil, in))
 		if err != nil || !reflect.DeepEqual(req, in) {
 			t.Fatalf("req = %+v, %v", req, err)
@@ -120,7 +121,7 @@ func TestWireCodecSemantics(t *testing.T) {
 		// No []byte field is set: those alias the body by contract (see
 		// wirecodec.go), strings must survive the body being overwritten.
 		attrs := map[string][]string{"k": {"v1", "v2"}}
-		req := &Req{Name: []string{"a", "b"}, Name2: []string{"c"}, Attrs: attrs,
+		req := &Op{ID: "i", Name: []string{"a", "b"}, Name2: []string{"c"}, Attrs: attrs,
 			Mods: []ModRec{{ID: "m", Vals: []string{"x"}}}, Filter: "(f=*)", Secret: "s3"}
 		rsp := &Rsp{View: NodeView{Attrs: attrs}, List: []ListEntry{{Name: "n"}},
 			Hits: []SearchHit{{Name: []string{"h"}, Attrs: attrs}}}
@@ -147,8 +148,10 @@ func TestWireCodecSemantics(t *testing.T) {
 	t.Run("a corrupt count is rejected before it allocates", func(t *testing.T) {
 		huge := binary.AppendUvarint(nil, 1<<40)
 		// Each prefix ends where a count is read: Name, Obj, Attrs, Mods
-		// of a Req; Obj, Attrs, List, Hits of a Rsp.
-		reqPrefixes := [][]byte{{}, {0, 0}, {0, 0, 0}, {0, 0, 0, 0, 0}}
+		// of a request (after its format, kind, replace, lease, now and
+		// id); Obj, Attrs, List, Hits of a Rsp.
+		op := []byte{reqV1, 0, 0, 0, 0, 0}
+		reqPrefixes := [][]byte{op, append(op, 0, 0), append(op, 0, 0, 0), append(op, 0, 0, 0, 0)}
 		rspPrefixes := [][]byte{{0}, {0, 0}, {0, 0, 0}, {0, 0, 0, 0}}
 		pad := make([]byte, 64) // so the bound, not the end of input, rejects
 		var ms runtime.MemStats
@@ -173,10 +176,10 @@ func TestWireCodecSemantics(t *testing.T) {
 
 // TestLookupWireAllocs is an allocations gate cited by check.sh: the
 // codec's whole share of one uncached lookup — encode and decode of a
-// one-component Req and of a 220-byte-object, one-attribute Rsp — stays
+// one-component request and of a 220-byte-object, one-attribute Rsp — stays
 // ≤ 12 allocations (four per-call gob codecs put the rung at ~700).
 func TestLookupWireAllocs(t *testing.T) {
-	req := &Req{Name: []string{"k00042"}}
+	req := &Op{Name: []string{"k00042"}}
 	rsp := &Rsp{View: NodeView{Exists: true, Obj: make([]byte, 220), Attrs: map[string][]string{"type": {"printer"}}}}
 	var reqBuf, rspBuf []byte
 	n := testing.AllocsPerRun(200, func() {
@@ -190,21 +193,22 @@ func TestLookupWireAllocs(t *testing.T) {
 		}
 	})
 	if n > 12 {
-		t.Fatalf("lookup Req+Rsp encode+decode allocates %.1f per op, want <= 12", n)
+		t.Fatalf("lookup request+Rsp encode+decode allocates %.1f per op, want <= 12", n)
 	}
-	t.Logf("lookup Req+Rsp encode+decode: %.1f allocs", n)
+	t.Logf("lookup request+Rsp encode+decode: %.1f allocs", n)
 }
 
 // FuzzHDNSWire feeds one input to every strict decoder in the package —
-// the three request-path messages, the WAL record and the replication
-// frame — which must never panic, and anything one of them accepts must
-// re-encode to something that decodes equal.
+// the three request-path messages, the WAL record, the replication
+// frame and the snapshot's op stream — which must never panic, and
+// anything one of them accepts must re-encode to something that decodes
+// equal.
 func FuzzHDNSWire(f *testing.F) {
 	for _, c := range wireCodecs() {
 		f.Add(c.enc)
 		f.Add(c.enc[:len(c.enc)/2])
 	}
-	f.Add(appendReq(nil, &Req{Name: []string{"k00042"}}))
+	f.Add(appendReq(nil, &Op{Name: []string{"k00042"}}))
 	f.Add(appendRsp(nil, &Rsp{}))
 	f.Add(appendEvent(nil, &EventMsg{WatchID: 1, Kind: OpUnbind, Name: []string{"a"}, Old: []byte("x")}))
 	f.Add(appendEvent(nil, &EventMsg{WatchID: 2, Kind: OpRename, Name: []string{"a", "x"}, Obj: []byte("o"),
@@ -218,6 +222,16 @@ func FuzzHDNSWire(f *testing.F) {
 	all := encodeFrame(frameOps())
 	f.Add(all[:len(all)-3])
 	f.Add(encodeFrame(nil))
+	_, snap := storeOf(f, sampleTree()).SnapshotVersioned()
+	f.Add(snap)
+	f.Add(snap[:len(snap)/2])
+	// State the round trip must keep: a lease on the root, and a bind
+	// whose expiry overflows int64 (stored as no lease).
+	for _, op := range []*Op{{Kind: OpLeaseRenew, LeaseMillis: 5, Now: 1},
+		{Kind: OpBind, Name: []string{"x"}, LeaseMillis: 10, Now: math.MaxInt64 - 1}} {
+		b := binary.AppendUvarint(append([]byte{snapV1}, 1), 1)
+		f.Add(wire.PrefixBytes(appendOp(b, op), len(b)))
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if req, err := decodeReq(b); err == nil {
@@ -245,6 +259,16 @@ func FuzzHDNSWire(f *testing.F) {
 			ver2, again, err := decodeWALOp(appendWALOp(nil, ver, op))
 			if err != nil || ver2 != ver || !reflect.DeepEqual(again, op) {
 				t.Fatalf("wal op does not round trip: %d %+v / %d %+v, %v", ver, op, ver2, again, err)
+			}
+		}
+		if len(b) > 0 && b[0] == snapV1 { // any other first byte is the gob reader's
+			s := NewStore()
+			if s.Restore(b) == nil {
+				ver, snap := s.SnapshotVersioned()
+				again := NewStore()
+				if err := again.Restore(snap); err != nil || again.Version() != ver || !reflect.DeepEqual(again.root, s.root) {
+					t.Fatalf("snapshot does not round trip: %v", err)
+				}
 			}
 		}
 		if ops, err := decodeFrame(b); err == nil {

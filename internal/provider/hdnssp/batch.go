@@ -64,7 +64,7 @@ func (c *Context) lookupMany(ctx context.Context, op core.Op) ([]core.BatchResul
 func (c *Context) bindMany(ctx context.Context, op core.Op) ([]core.BatchResult, error) {
 	out := make([]core.BatchResult, len(op.Binds))
 	fulls := make([]core.Name, len(op.Binds))
-	binds := make([]hdns.BindManyOp, 0, len(op.Binds))
+	binds := make([]hdns.Op, 0, len(op.Binds))
 	idx := make([]int, 0, len(op.Binds))
 	for i, r := range op.Binds {
 		comps, full, err := c.full(ctx, r.Name)
@@ -81,7 +81,7 @@ func (c *Context) bindMany(ctx context.Context, op core.Op) ([]core.BatchResult,
 			continue
 		}
 		fulls[i] = full
-		binds = append(binds, hdns.BindManyOp{
+		binds = append(binds, hdns.Op{
 			Name:        comps,
 			Obj:         data,
 			Attrs:       r.Attrs.ToMap(),

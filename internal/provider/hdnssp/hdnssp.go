@@ -236,7 +236,7 @@ func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err erro
 	case core.OpModifyAttributes:
 		recs := make([]hdns.ModRec, len(op.Mods))
 		for i, m := range op.Mods {
-			recs[i] = hdns.ModRec{Op: int(m.Op), ID: m.Attr.ID, Vals: m.Attr.Values}
+			recs[i] = hdns.ModRec{Op: uint8(m.Op), ID: m.Attr.ID, Vals: m.Attr.Values}
 		}
 		err = c.resolve(ctx, op.Kind, full, c.sh.client.ModAttrs(ctx, comps, recs))
 	case core.OpSearch:

@@ -17,7 +17,8 @@
 //	bytes    uvarint length, then the bytes
 //	string   as bytes
 //	strings  uvarint count, then a string each
-//	attrs    uvarint count, then per entry: key string, values strings
+//	attrs    uvarint count, then per entry in key order: key string,
+//	         values strings
 //	strmap   uvarint count, then per entry: key string, value string
 //
 // The package imports no other gondi package.
@@ -27,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrMalformed is what every decode failure wraps.
@@ -74,12 +76,19 @@ func AppendStrings(dst []byte, ss []string) []byte {
 	return dst
 }
 
-// AppendAttrs appends an attribute map in iteration order.
+// AppendAttrs appends an attribute map, keys in sorted order, so equal
+// maps encode to equal bytes.
 func AppendAttrs(dst []byte, attrs map[string][]string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(attrs)))
-	for k, vals := range attrs {
+	var small [8]string // no allocation for the common few keys
+	keys := small[:0]
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		dst = AppendString(dst, k)
-		dst = AppendStrings(dst, vals)
+		dst = AppendStrings(dst, attrs[k])
 	}
 	return dst
 }

@@ -19,7 +19,9 @@
 # per-sender bimodal path), the one-helper-set guard (length-prefix append/take helpers live in internal/wire, which
 # imports no gondi package; internal/core keeps one gob fallback pair),
 # the hdns replication guard (no gob in internal/hdns outside the
-# store's snapshot codec; no time.After timer per write), the
+# decode-only legacy snapshot reader, no gob encoder at all; no
+# time.After timer per write), the one-op-layout guard (no Req type:
+# an hdns request is an Op), the
 # one-persistence-mode guard (a durable hdns replica is always snapshot
 # + WAL and boots through wal.Scrub: no clean-shutdown marker, no
 # Log.Replay, no snapshot-only or WAL-only branch), the
@@ -144,9 +146,15 @@ stage_lint() {
         exit 1
     fi
     echo "== lint: hdns replication is binary and a write stops its timer =="
-    if git ls-files 'internal/hdns/*.go' | grep -v -e '_test\.go$' -e '^internal/hdns/store\.go$' |
-        xargs grep -n 'encoding/gob' /dev/null; then
-        echo "internal/hdns uses gob outside store.go's snapshot codec; encode with internal/wire (walrec.go holds the op layout)" >&2
+    if git ls-files 'internal/hdns/*.go' | grep -v -e '_test\.go$' -e '^internal/hdns/snapgob\.go$' |
+        xargs grep -n 'encoding/gob' /dev/null ||
+        git ls-files 'internal/hdns/*.go' | grep -v '_test\.go$' | xargs grep -n 'gob\.NewEncoder' /dev/null; then
+        echo "internal/hdns uses gob outside snapgob.go's decode-only legacy snapshot reader; encode with internal/wire (walrec.go holds the op layout)" >&2
+        exit 1
+    fi
+    echo "== lint: one op layout (an hdns request is an Op in walrec.go's layout) =="
+    if git ls-files 'internal/hdns/*.go' | xargs grep -nE 'type Req struct|\*Req\b' /dev/null; then
+        echo "internal/hdns declares a request type of its own; a request is an Op (store.go) encoded by appendReq" >&2
         exit 1
     fi
     if git ls-files 'internal/hdns/*.go' | grep -v '_test\.go$' | xargs grep -n 'time\.After(' /dev/null; then
@@ -437,7 +445,7 @@ stage_durability() {
     echo "== disk fault injector + WAL scrub/quarantine (-race) =="
     go test -race -count=1 ./internal/fault/ ./internal/wal/
     echo "== crash-point matrix + quarantine/repair drills (-race) =="
-    go test -race -count=1 -run 'TestCrashPointMatrix|TestEveryDurableConfig|TestOpenQuarantines|TestCleanShutdownMarkerRoundTrip|TestCorruptNodeRepairsViaStateTransfer|TestSealedWALSurfacesStorageUnavailable' ./internal/hdns/
+    go test -race -count=1 -run 'TestCrashPointMatrix|TestEveryDurableConfig|TestWriteBurstCompacts|TestOpenQuarantines|TestCleanShutdownMarkerRoundTrip|TestCorruptNodeRepairsViaStateTransfer|TestUndecodableStateTransferRepairsNothing|TestSealedWALSurfacesStorageUnavailable|TestSnapshotGolden|TestStoreSnapshotRoundTrip|TestStoreDeterminism|TestGobSnapshotStillLoads' ./internal/hdns/
     echo "== durability conformance: crash safety + replica-driven repair (-race) =="
     go test -race -count=1 -run 'TestHDNSDurabilityConformance' ./internal/provider/ptest/
 }
