@@ -165,7 +165,7 @@ func BenchmarkFig4HDNSLookup(b *testing.B) {
 	}
 	defer raw.Close()
 	data, _ := core.Marshal("payload")
-	if err := raw.Bind(ctx, []string{"target"}, data, nil, 0); err != nil {
+	if _, err := raw.Do(ctx, &hdns.Op{Kind: hdns.OpBind, Name: []string{"target"}, Obj: data}); err != nil {
 		b.Fatal(err)
 	}
 	pc, err := hdnssp.Open(ctx, node.Addr(), map[string]any{core.EnvPoolID: "bench-fig4"})

@@ -232,7 +232,7 @@ func newHDNSWorld(group string, costs func() *costmodel.Costs, stack jgroups.Con
 		return nil, nil, err
 	}
 	data, _ := core.Marshal(spiPayload)
-	if err := seed.Bind(context.Background(), []string{"target"}, data, map[string][]string{"type": {"bench"}}, 0); err != nil {
+	if _, err := seed.Do(context.Background(), &hdns.Op{Kind: hdns.OpBind, Name: []string{"target"}, Obj: data, Attrs: map[string][]string{"type": {"bench"}}}); err != nil {
 		seed.Close()
 		n2.Close()
 		n1.Close()

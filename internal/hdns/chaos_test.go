@@ -30,7 +30,7 @@ func TestChaosPartitionCrashRejoin(t *testing.T) {
 	})
 	c1 := dialNode(t, n1)
 	c3 := dialNode(t, n3)
-	if err := c1.Bind(ctx, []string{"base"}, []byte("v0"), nil, 0); err != nil {
+	if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{"base"}, Obj: []byte("v0")}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "pre-fault sync", func() bool {
@@ -53,10 +53,10 @@ func TestChaosPartitionCrashRejoin(t *testing.T) {
 
 	// Both sides write; then the minority node crashes, taking its
 	// (doomed) write into the snapshot file.
-	if err := c1.Bind(ctx, []string{"majority-write"}, []byte("keep"), nil, 0); err != nil {
+	if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{"majority-write"}, Obj: []byte("keep")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c3.Bind(ctx, []string{"minority-write"}, []byte("lose"), nil, 0); err != nil {
+	if _, err := c3.Do(ctx, &Op{Kind: OpBind, Name: []string{"minority-write"}, Obj: []byte("lose")}); err != nil {
 		t.Fatal(err)
 	}
 	c3.Close()
@@ -64,7 +64,7 @@ func TestChaosPartitionCrashRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The majority keeps serving writes while n3 is down.
-	if err := c1.Bind(ctx, []string{"during-crash"}, []byte("v1"), nil, 0); err != nil {
+	if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{"during-crash"}, Obj: []byte("v1")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,7 +96,7 @@ func TestChaosPartitionCrashRejoin(t *testing.T) {
 
 	// Post-rejoin writes flow both ways again.
 	c3b := dialNode(t, n3b)
-	if err := c3b.Bind(ctx, []string{"after-rejoin"}, []byte("ok"), nil, 0); err != nil {
+	if _, err := c3b.Do(ctx, &Op{Kind: OpBind, Name: []string{"after-rejoin"}, Obj: []byte("ok")}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 4*time.Second, "post-rejoin replication", func() bool {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"gondi/internal/core"
 	"gondi/internal/retry"
 	"gondi/internal/rpc"
 )
@@ -68,7 +69,7 @@ func DialContext(ctx context.Context, addr, secret string, timeout time.Duration
 	// handshake always round-trips an auth, with the empty secret when
 	// none is set. Multi-endpoint failover then skips to the next
 	// replica at dial time instead of failing the first operation.
-	if _, err := c.call(ctx, mAuth, &Op{Secret: secret}); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpAuth, Secret: secret}); err != nil {
 		rc.Close()
 		return nil, err
 	}
@@ -87,115 +88,42 @@ func (c *Client) Closed() bool { return c.rc.Closed() }
 // (server-side watches die with the connection).
 func (c *Client) Done() <-chan struct{} { return c.rc.Done() }
 
-func (c *Client) call(ctx context.Context, method string, op *Op) (*Rsp, error) {
+// NoMethodError refuses an op whose kind no rpc method carries: OpExpire,
+// which only the coordinator's reaper issues, or a kind this build does
+// not know. Nothing was sent. It is core.ErrNotSupported to errors.Is.
+type NoMethodError struct{ Kind OpKind }
+
+func (e *NoMethodError) Error() string { return "hdns: no rpc method for op kind " + e.Kind.String() }
+func (e *NoMethodError) Unwrap() error { return core.ErrNotSupported }
+
+// method is the rpc method an op of kind k travels on.
+func method(k OpKind) (string, error) {
+	if int(k) < len(methods) && methods[k].name != "" {
+		return methods[k].name, nil
+	}
+	return "", &NoMethodError{Kind: k}
+}
+
+// Do sends op on the rpc method that the methods table (node.go) gives
+// its kind, and returns the node's answer. Every request is an Op: a
+// write carries the fields it replicates, a read the ones it reads
+// (Filter, Scope, Limit, WatchID, Secret), and the node ignores the
+// rest. A kind with no method is refused with a *NoMethodError, unsent.
+func (c *Client) Do(ctx context.Context, op *Op) (*Rsp, error) {
+	m, err := method(op.Kind)
+	if err != nil {
+		return nil, err
+	}
 	// rpc copies the body into its own frame buffer before Call returns,
 	// so the encode buffer goes straight back to the pool.
 	buf := encBufPool.Get().(*[]byte)
 	*buf = appendReq((*buf)[:0], op)
-	body, err := c.rc.Call(ctx, method, *buf)
+	body, err := c.rc.Call(ctx, m, *buf)
 	encBufPool.Put(buf)
 	if err != nil {
 		return nil, err
 	}
 	return decodeRsp(body)
-}
-
-// Lookup reads the entry at name.
-func (c *Client) Lookup(ctx context.Context, name []string) (NodeView, error) {
-	rsp, err := c.call(ctx, mLookup, &Op{Name: name})
-	if err != nil {
-		return NodeView{}, err
-	}
-	return rsp.View, nil
-}
-
-// Bind binds atomically (fails if bound). leaseMillis > 0 grants a lease.
-func (c *Client) Bind(ctx context.Context, name []string, obj []byte, attrs map[string][]string, leaseMillis int64) error {
-	_, err := c.call(ctx, mBind, &Op{Name: name, Obj: obj, Attrs: attrs, LeaseMillis: leaseMillis})
-	return err
-}
-
-// Rebind overwrites; replaceAttrs selects attribute semantics.
-func (c *Client) Rebind(ctx context.Context, name []string, obj []byte, attrs map[string][]string, replaceAttrs bool, leaseMillis int64) error {
-	_, err := c.call(ctx, mRebind, &Op{Name: name, Obj: obj, Attrs: attrs, ReplaceAttrs: replaceAttrs, LeaseMillis: leaseMillis})
-	return err
-}
-
-// Unbind removes a binding (absent names succeed).
-func (c *Client) Unbind(ctx context.Context, name []string) error {
-	_, err := c.call(ctx, mUnbind, &Op{Name: name})
-	return err
-}
-
-// Rename moves a binding.
-func (c *Client) Rename(ctx context.Context, oldName, newName []string) error {
-	_, err := c.call(ctx, mRename, &Op{Name: oldName, Name2: newName})
-	return err
-}
-
-// List enumerates a context.
-func (c *Client) List(ctx context.Context, name []string) ([]ListEntry, error) {
-	rsp, err := c.call(ctx, mList, &Op{Name: name})
-	if err != nil {
-		return nil, err
-	}
-	return rsp.List, nil
-}
-
-// CreateCtx creates a subcontext.
-func (c *Client) CreateCtx(ctx context.Context, name []string, attrs map[string][]string) error {
-	_, err := c.call(ctx, mCreateCtx, &Op{Name: name, Attrs: attrs})
-	return err
-}
-
-// DestroyCtx removes an empty subcontext.
-func (c *Client) DestroyCtx(ctx context.Context, name []string) error {
-	_, err := c.call(ctx, mDestroyCtx, &Op{Name: name})
-	return err
-}
-
-// ModAttrs applies attribute modifications.
-func (c *Client) ModAttrs(ctx context.Context, name []string, mods []ModRec) error {
-	_, err := c.call(ctx, mModAttrs, &Op{Name: name, Mods: mods})
-	return err
-}
-
-// Search evaluates an RFC 4515 filter (scope: 0 object, 1 one-level,
-// 2 subtree).
-func (c *Client) Search(ctx context.Context, name []string, filterStr string, scope, limit int) ([]SearchHit, error) {
-	rsp, err := c.call(ctx, mSearch, &Op{Name: name, Filter: filterStr, Scope: scope, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return rsp.Hits, nil
-}
-
-// RenewLease extends (or with leaseMillis == 0 cancels) a lease.
-func (c *Client) RenewLease(ctx context.Context, name []string, leaseMillis int64) (expiry int64, err error) {
-	rsp, err := c.call(ctx, mLease, &Op{Name: name, LeaseMillis: leaseMillis})
-	if err != nil {
-		return 0, err
-	}
-	return rsp.Expiry, nil
-}
-
-// Watch subscribes to changes under target; events arrive on fn until
-// cancel is called or the connection closes.
-func (c *Client) Watch(ctx context.Context, target []string, scope int, fn func(EventMsg)) (cancel func(), err error) {
-	rsp, err := c.call(ctx, mWatch, &Op{Name: target, Scope: scope})
-	if err != nil {
-		return nil, err
-	}
-	id := rsp.WatchID
-	c.mu.Lock()
-	c.handlers[id] = fn
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		delete(c.handlers, id)
-		c.mu.Unlock()
-		_, _ = c.call(context.Background(), mUnwatch, &Op{WatchID: id})
-	}, nil
 }
 
 // BatchRsp is one operation's outcome from a batch call: the decoded response
@@ -205,24 +133,33 @@ type BatchRsp struct {
 	Err error
 }
 
-// callMany sends every op as one method call in one batch frame over the
-// shared rpc connection. The node executes items sequentially in
-// submission order and each item fails independently; the call-level
-// error is reserved for transport failures and whole-batch shedding.
-func (c *Client) callMany(ctx context.Context, method string, ops []Op) ([]BatchRsp, error) {
+// DoMany sends every op in one batch frame over the shared rpc
+// connection, each on its own kind's method, so a batch may mix kinds.
+// The node executes items sequentially in submission order and each
+// item fails independently; the call-level error is reserved for
+// transport failures, whole-batch shedding and a kind with no method
+// (then nothing is sent).
+func (c *Client) DoMany(ctx context.Context, ops []Op) ([]BatchRsp, error) {
+	items := make([]rpc.BatchItem, len(ops))
+	for i := range ops {
+		m, err := method(ops[i].Kind)
+		if err != nil {
+			return nil, err
+		}
+		items[i].Method = m
+	}
 	// Every body is encoded back to back into one pooled buffer and sliced
 	// out once the buffer has stopped growing.
 	buf := encBufPool.Get().(*[]byte)
 	b := (*buf)[:0]
-	items := make([]rpc.BatchItem, len(ops))
 	ends := make([]int, len(ops))
 	for i := range ops {
 		b = appendReq(b, &ops[i])
 		ends[i] = len(b)
 	}
 	start := 0
-	for i := range ops {
-		items[i] = rpc.BatchItem{Method: method, Body: b[start:ends[i]:ends[i]]}
+	for i := range items {
+		items[i].Body = b[start:ends[i]:ends[i]]
 		start = ends[i]
 	}
 	results, err := c.rc.CallBatch(ctx, items)
@@ -242,19 +179,49 @@ func (c *Client) callMany(ctx context.Context, method string, ops []Op) ([]Batch
 	return out, nil
 }
 
-// LookupMany reads many entries in one round trip (one BatchRsp per name,
-// in order).
+// Watch subscribes to changes under target; events arrive on fn until
+// cancel is called or the connection closes.
+func (c *Client) Watch(ctx context.Context, target []string, scope int, fn func(EventMsg)) (cancel func(), err error) {
+	rsp, err := c.Do(ctx, &Op{Kind: OpWatch, Name: target, Scope: scope})
+	if err != nil {
+		return nil, err
+	}
+	id := rsp.WatchID
+	c.mu.Lock()
+	c.handlers[id] = fn
+	c.mu.Unlock()
+	return func() {
+		c.mu.Lock()
+		delete(c.handlers, id)
+		c.mu.Unlock()
+		_, _ = c.Do(context.Background(), &Op{Kind: OpUnwatch, WatchID: id})
+	}, nil
+}
+
+// Lookup reads the entry at name. It is Do spelled for the benchmark's
+// ladder (bench/ladder.go), which calls it, and goes when the benchmark
+// next changes.
+func (c *Client) Lookup(ctx context.Context, name []string) (NodeView, error) {
+	rsp, err := c.Do(ctx, &Op{Kind: OpLookup, Name: name})
+	if err != nil {
+		return NodeView{}, err
+	}
+	return rsp.View, nil
+}
+
+// LookupMany reads many entries in one round trip (one BatchRsp per
+// name, in order). It is DoMany spelled for bench/ladder.go, as Lookup.
 func (c *Client) LookupMany(ctx context.Context, names [][]string) ([]BatchRsp, error) {
 	ops := make([]Op, len(names))
 	for i, name := range names {
-		ops[i].Name = name
+		ops[i] = Op{Kind: OpLookup, Name: name}
 	}
-	return c.callMany(ctx, mLookup, ops)
+	return c.DoMany(ctx, ops)
 }
 
-// BindMany binds many entries in one round trip, each op's Name, Obj,
-// Attrs and LeaseMillis as Bind takes them; items apply sequentially
-// server-side and fail independently.
-func (c *Client) BindMany(ctx context.Context, binds []Op) ([]BatchRsp, error) {
-	return c.callMany(ctx, mBind, binds)
+// Rebind overwrites; replaceAttrs selects attribute semantics. It is Do
+// spelled for bench/ladder.go, as Lookup.
+func (c *Client) Rebind(ctx context.Context, name []string, obj []byte, attrs map[string][]string, replaceAttrs bool, leaseMillis int64) error {
+	_, err := c.Do(ctx, &Op{Kind: OpRebind, Name: name, Obj: obj, Attrs: attrs, ReplaceAttrs: replaceAttrs, LeaseMillis: leaseMillis})
+	return err
 }

@@ -151,7 +151,7 @@ func TestCleanShutdownMarkerRoundTrip(t *testing.T) {
 	}
 	c := dialNode(t, n)
 	for i := 0; i < 10; i++ {
-		if err := c.Bind(ctx, []string{fmt.Sprintf("svc%d", i)}, []byte("obj"), nil, 0); err != nil {
+		if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{fmt.Sprintf("svc%d", i)}, Obj: []byte("obj")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestCorruptNodeRepairsViaStateTransfer(t *testing.T) {
 	b := startTestNode(t, f, "b", "grep", "")
 	cb := dialNode(t, b)
 	for i := 0; i < 20; i++ {
-		if err := cb.Bind(ctx, []string{fmt.Sprintf("svc%d", i)}, []byte("obj"), nil, 0); err != nil {
+		if _, err := cb.Do(ctx, &Op{Kind: OpBind, Name: []string{fmt.Sprintf("svc%d", i)}, Obj: []byte("obj")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,12 +259,12 @@ func TestSealedWALSurfacesStorageUnavailable(t *testing.T) {
 	}
 	defer n.Close()
 	c := dialNode(t, n)
-	if err := c.Bind(ctx, []string{"before"}, []byte("x"), nil, 0); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"before"}, Obj: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 
 	ffs.SetEnabled(true) // every write now fails: the disk is full
-	err = c.Bind(ctx, []string{"doomed"}, []byte("x"), nil, 0)
+	_, err = c.Do(ctx, &Op{Kind: OpBind, Name: []string{"doomed"}, Obj: []byte("x")})
 	if !refused(err, errStorageUnavailable) {
 		t.Fatalf("write on sealed WAL: err=%v, want storage-unavailable", err)
 	}
@@ -276,7 +276,7 @@ func TestSealedWALSurfacesStorageUnavailable(t *testing.T) {
 	if err := n.pers.compact(n.store); err != nil {
 		t.Fatalf("recovery compaction: %v", err)
 	}
-	if err := c.Bind(ctx, []string{"after"}, []byte("x"), nil, 0); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"after"}, Obj: []byte("x")}); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 }

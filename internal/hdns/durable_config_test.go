@@ -6,10 +6,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gondi/internal/jgroups"
+	"gondi/internal/wal"
 )
 
 // Every way of naming a durable replica — the snapshot path, the WAL
@@ -55,7 +57,7 @@ func TestEveryDurableConfig(t *testing.T) {
 			t.Helper()
 			c := dialNode(t, n)
 			for i := 0; i < names; i++ {
-				if err := c.Bind(context.Background(), []string{fmt.Sprintf("svc%d", i)}, []byte("obj"), nil, 0); err != nil {
+				if _, err := c.Do(context.Background(), &Op{Kind: OpBind, Name: []string{fmt.Sprintf("svc%d", i)}, Obj: []byte("obj")}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -213,5 +215,108 @@ func copyDir(t *testing.T, src, dst string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A snapshot is as readable as the log it compacts: after a compaction
+// its permission bits are a WAL segment's (compared file to file, so the
+// umask does not matter).
+func TestSnapshotModeMatchesWAL(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "replica.snap")
+	n := startTestNode(t, jgroups.NewFabric(), "n1", "gmode", snap)
+	if _, err := dialNode(t, n).Do(context.Background(), &Op{Kind: OpBind, Name: []string{"svc"}, Obj: []byte("obj")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.pers.compact(n.store); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(snap+".wal", "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment after compaction: %v %v", segs, err)
+	}
+	snapInfo, err := os.Stat(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segInfo, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapInfo.Mode().Perm() != segInfo.Mode().Perm() {
+		t.Fatalf("snapshot mode %v, WAL segment mode %v", snapInfo.Mode().Perm(), segInfo.Mode().Perm())
+	}
+}
+
+// openFiles is a wal.FS that counts the files it opened and has not
+// closed.
+type openFiles struct {
+	wal.FS
+	open atomic.Int64
+}
+
+func (f *openFiles) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	return f.count(f.FS.OpenFile(name, flag, perm))
+}
+
+func (f *openFiles) CreateTemp(dir, pattern string) (wal.File, error) {
+	return f.count(f.FS.CreateTemp(dir, pattern))
+}
+
+func (f *openFiles) count(file wal.File, err error) (wal.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	f.open.Add(1)
+	return &countedFile{File: file, fs: f}, nil
+}
+
+type countedFile struct {
+	wal.File
+	fs     *openFiles
+	closed bool
+}
+
+func (f *countedFile) Close() error {
+	if !f.closed {
+		f.closed = true
+		f.fs.open.Add(-1)
+	}
+	return f.File.Close()
+}
+
+// A NewNode that fails after opening its persistence closes what it
+// opened: no WAL file stays open, and a quarantine it counted is taken
+// back off the gauge.
+func TestFailedNewNodeClosesWhatItOpened(t *testing.T) {
+	fsys := &openFiles{FS: wal.OS}
+	quarantined := gQuarantined.Value()
+	for i := 0; i < 4; i++ {
+		dir := t.TempDir()
+		snap := filepath.Join(dir, "replica.snap")
+		if i%2 == 1 {
+			// A snapshot that fails verification: the boot quarantines it.
+			if err := os.WriteFile(snap, []byte("not a snapshot"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := NewNode(NodeConfig{
+			Group:        fmt.Sprintf("gleak%d", i),
+			Transport:    jgroups.NewFabric().Endpoint("n1"),
+			Stack:        testStack(),
+			ListenAddr:   "256.0.0.1:0",
+			SnapshotPath: snap,
+			WALDir:       filepath.Join(dir, "wal"),
+			FS:           fsys,
+		})
+		if err == nil {
+			n.Close()
+			t.Fatal("NewNode listened on 256.0.0.1")
+		}
+	}
+	if open := fsys.open.Load(); open != 0 {
+		t.Errorf("%d files left open by failed NewNode calls", open)
+	}
+	if got := gQuarantined.Value(); got != quarantined {
+		t.Errorf("quarantine gauge %d after failed NewNode calls, want %d", got, quarantined)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -307,42 +309,108 @@ func TestNodeSingleBasicOps(t *testing.T) {
 	n := startTestNode(t, f, "n1", "g1", "")
 	c := dialNode(t, n)
 
-	if err := c.Bind(ctx, []string{"svc"}, []byte("obj"), map[string][]string{"type": {"db"}}, 0); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"svc"}, Obj: []byte("obj"), Attrs: map[string][]string{"type": {"db"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Bind(ctx, []string{"svc"}, nil, nil, 0); !errors.Is(err, core.ErrAlreadyBound) {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"svc"}}); !errors.Is(err, core.ErrAlreadyBound) {
 		t.Errorf("dup bind: %v", err)
 	}
 	v, err := c.Lookup(ctx, []string{"svc"})
 	if err != nil || !v.Exists || string(v.Obj) != "obj" {
 		t.Fatalf("lookup: %+v %v", v, err)
 	}
-	if err := c.CreateCtx(ctx, []string{"dir"}, nil); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpCreateCtx, Name: []string{"dir"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Bind(ctx, []string{"dir", "inner"}, []byte("x"), nil, 0); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"dir", "inner"}, Obj: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	list, err := c.List(ctx, nil)
-	if err != nil || len(list) != 2 {
+	list, err := c.Do(ctx, &Op{Kind: OpList})
+	if err != nil || len(list.List) != 2 {
 		t.Fatalf("list: %+v %v", list, err)
 	}
-	hits, err := c.Search(ctx, nil, "(type=db)", 2, 0)
-	if err != nil || len(hits) != 1 || hits[0].Name[0] != "svc" {
+	hits, err := c.Do(ctx, &Op{Kind: OpSearch, Filter: "(type=db)", Scope: 2})
+	if err != nil || len(hits.Hits) != 1 || hits.Hits[0].Name[0] != "svc" {
 		t.Fatalf("search: %+v %v", hits, err)
 	}
-	if err := c.Rename(ctx, []string{"svc"}, []string{"svc2"}); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpRename, Name: []string{"svc"}, Name2: []string{"svc2"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Unbind(ctx, []string{"svc2"}); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpUnbind, Name: []string{"svc2"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ModAttrs(ctx, []string{"dir", "inner"}, []ModRec{{Op: 0, ID: "k", Vals: []string{"v"}}}); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpModAttrs, Name: []string{"dir", "inner"}, Mods: []ModRec{{Op: 0, ID: "k", Vals: []string{"v"}}}}); err != nil {
 		t.Fatal(err)
 	}
 	v, _ = c.Lookup(ctx, []string{"dir", "inner"})
 	if v.Attrs["k"][0] != "v" {
 		t.Errorf("attrs: %+v", v.Attrs)
+	}
+}
+
+// The method a request arrives on names its kind, and the client takes
+// the method from the kind by the same table. A body's kind never
+// overrides its method; OpExpire has no method, so Do refuses it typed
+// and sends nothing; and every other kind reaches a handler.
+func TestMethodNamesTheKind(t *testing.T) {
+	ctx := context.Background()
+	n := startTestNode(t, jgroups.NewFabric(), "n1", "gkind", "")
+	rc, err := rpc.Dial(n.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for _, kind := range []OpKind{OpUnbind, OpExpire} {
+		name := []string{"sent-as-" + kind.String()}
+		body := appendReq(nil, &Op{Kind: kind, Name: name, Obj: []byte("v")})
+		if _, err := rc.Call(ctx, "hdns.bind", body); err != nil {
+			t.Fatalf("hdns.bind with body kind %v: %v", kind, err)
+		}
+		if v := n.Store().Lookup(name); !v.Exists || string(v.Obj) != "v" {
+			t.Errorf("hdns.bind with body kind %v was not applied as a bind: %+v", kind, v)
+		}
+	}
+
+	// A client over a connection that nothing serves: whatever Do sends
+	// arrives here.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	quiet, err := rpc.Dial(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quiet.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	qc := &Client{rc: quiet, handlers: map[uint64]func(EventMsg){}}
+	expire := Op{Kind: OpExpire, Name: []string{"x"}}
+	if _, err := qc.Do(ctx, &expire); !errors.As(err, new(*NoMethodError)) || !errors.Is(err, core.ErrNotSupported) {
+		t.Errorf("Do(OpExpire) = %v, want a *NoMethodError", err)
+	}
+	if _, err := qc.DoMany(ctx, []Op{{Kind: OpLookup, Name: []string{"x"}}, expire}); !errors.As(err, new(*NoMethodError)) {
+		t.Errorf("DoMany with an OpExpire item = %v, want a *NoMethodError", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if k, _ := conn.Read(make([]byte, 1)); k != 0 {
+		t.Error("a refused op put bytes on the wire")
+	}
+
+	c := dialNode(t, n)
+	for k, m := range methods {
+		if m.name == "" {
+			continue
+		}
+		kind := OpKind(k)
+		_, err := c.Do(ctx, &Op{Kind: kind, Name: []string{"probe"}})
+		if errors.As(err, new(*NoMethodError)) || err != nil && strings.Contains(err.Error(), "unknown method") {
+			t.Errorf("%v reached no handler: %v", kind, err)
+		}
 	}
 }
 
@@ -361,7 +429,7 @@ func TestReplicationReadAnyWriteAll(t *testing.T) {
 	c1 := dialNode(t, n1)
 	c2 := dialNode(t, n2)
 	// Write through node 1, read from node 2 (the §4.1 design point).
-	if err := c1.Bind(ctx, []string{"replicated"}, []byte("data"), nil, 0); err != nil {
+	if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{"replicated"}, Obj: []byte("data")}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "replica convergence", func() bool {
@@ -402,7 +470,7 @@ func TestContestedBindOneWinner(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						errs[i] = c.Bind(ctx, name, []byte(fmt.Sprintf("n%d", i+1)), nil, 0)
+						_, errs[i] = c.Do(ctx, &Op{Kind: OpBind, Name: name, Obj: []byte(fmt.Sprintf("n%d", i+1))})
 					}()
 				}
 				wg.Wait()
@@ -449,7 +517,7 @@ func TestWriteThroughNewCoordinator(t *testing.T) {
 			})
 			c1 := dialNode(t, n1)
 			for i := 0; i < 5; i++ {
-				if err := c1.Bind(ctx, []string{fmt.Sprintf("e%d", i)}, []byte("v"), nil, 0); err != nil {
+				if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{fmt.Sprintf("e%d", i)}, Obj: []byte("v")}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -463,7 +531,7 @@ func TestWriteThroughNewCoordinator(t *testing.T) {
 			bctx, cancel := context.WithTimeout(ctx, time.Second)
 			defer cancel()
 			start := time.Now()
-			if err := c2.Bind(bctx, []string{"after"}, []byte("v"), nil, 0); err != nil {
+			if _, err := c2.Do(bctx, &Op{Kind: OpBind, Name: []string{"after"}, Obj: []byte("v")}); err != nil {
 				t.Fatalf("bind through the new coordinator: %v after %v", err, time.Since(start))
 			}
 			waitFor(t, 3*time.Second, "the write on the other survivor", func() bool {
@@ -485,7 +553,7 @@ func TestJoinerDoesNotReplayHistory(t *testing.T) {
 			n1 := startNode(t, f, "n1", "replay", "", stack)
 			c1 := dialNode(t, n1)
 			for i := 0; i < 42; i++ {
-				if err := c1.Bind(ctx, []string{fmt.Sprintf("pre%d", i)}, []byte("v"), nil, 0); err != nil {
+				if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{fmt.Sprintf("pre%d", i)}, Obj: []byte("v")}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -494,7 +562,7 @@ func TestJoinerDoesNotReplayHistory(t *testing.T) {
 				v := n1.Channel().View()
 				return v != nil && len(v.Members) == 2
 			})
-			if err := c1.Bind(ctx, []string{"post"}, []byte("v"), nil, 0); err != nil {
+			if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{"post"}, Obj: []byte("v")}); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, 4*time.Second, "the joiner applies the write", func() bool {
@@ -513,7 +581,7 @@ func TestJoinerPullsState(t *testing.T) {
 	n1 := startTestNode(t, f, "n1", "g3", "")
 	c1 := dialNode(t, n1)
 	for i := 0; i < 5; i++ {
-		if err := c1.Bind(ctx, []string{fmt.Sprintf("e%d", i)}, []byte("v"), nil, 0); err != nil {
+		if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{fmt.Sprintf("e%d", i)}, Obj: []byte("v")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -530,7 +598,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	f := jgroups.NewFabric()
 	n := startTestNode(t, f, "n1", "g4", snap)
 	c := dialNode(t, n)
-	if err := c.Bind(ctx, []string{"durable"}, []byte("gold"), nil, 0); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"durable"}, Obj: []byte("gold")}); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -558,7 +626,7 @@ func TestCrashedNodeRejoinsAndResyncs(t *testing.T) {
 		return v != nil && len(v.Members) == 2
 	})
 	c1 := dialNode(t, n1)
-	if err := c1.Bind(ctx, []string{"before"}, []byte("1"), nil, 0); err != nil {
+	if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{"before"}, Obj: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "replicated", func() bool { return n2.Store().Len() == 1 })
@@ -569,7 +637,7 @@ func TestCrashedNodeRejoinsAndResyncs(t *testing.T) {
 		v := n1.Channel().View()
 		return v != nil && len(v.Members) == 1
 	})
-	if err := c1.Bind(ctx, []string{"during"}, []byte("2"), nil, 0); err != nil {
+	if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{"during"}, Obj: []byte("2")}); err != nil {
 		t.Fatal(err)
 	}
 	n2b := startTestNode(t, f, "n2b", "g5", filepath.Join(dir, "n2.snap"))
@@ -590,7 +658,7 @@ func TestPartitionPrimaryResync(t *testing.T) {
 	})
 	c1 := dialNode(t, n1)
 	c3 := dialNode(t, n3)
-	if err := c1.Bind(ctx, []string{"shared"}, []byte("base"), nil, 0); err != nil {
+	if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{"shared"}, Obj: []byte("base")}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "pre-partition sync", func() bool {
@@ -602,10 +670,10 @@ func TestPartitionPrimaryResync(t *testing.T) {
 		v1, v3 := n1.Channel().View(), n3.Channel().View()
 		return v1 != nil && len(v1.Members) == 2 && v3 != nil && len(v3.Members) == 1
 	})
-	if err := c1.Bind(ctx, []string{"majority-write"}, []byte("keep"), nil, 0); err != nil {
+	if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{"majority-write"}, Obj: []byte("keep")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c3.Bind(ctx, []string{"minority-write"}, []byte("lose"), nil, 0); err != nil {
+	if _, err := c3.Do(ctx, &Op{Kind: OpBind, Name: []string{"minority-write"}, Obj: []byte("lose")}); err != nil {
 		t.Fatal(err)
 	}
 	// Heal: PRIMARY PARTITION keeps the majority's state; n3 resyncs.
@@ -625,7 +693,7 @@ func TestPartitionPrimaryResync(t *testing.T) {
 		return v.Exists && !lost.Exists
 	})
 	// Post-merge writes flow everywhere.
-	if err := c3.Bind(ctx, []string{"after-merge"}, []byte("ok"), nil, 0); err != nil {
+	if _, err := c3.Do(ctx, &Op{Kind: OpBind, Name: []string{"after-merge"}, Obj: []byte("ok")}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 4*time.Second, "post-merge replication", func() bool {
@@ -638,12 +706,12 @@ func TestLeaseExpiry(t *testing.T) {
 	f := jgroups.NewFabric()
 	n := startTestNode(t, f, "n1", "g7", "")
 	c := dialNode(t, n)
-	if err := c.Bind(ctx, []string{"leased"}, []byte("x"), nil, 600); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"leased"}, Obj: []byte("x"), LeaseMillis: 600}); err != nil {
 		t.Fatal(err)
 	}
 	// Renew keeps it alive past the original expiry.
 	time.Sleep(300 * time.Millisecond)
-	if _, err := c.RenewLease(ctx, []string{"leased"}, 600); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpLeaseRenew, Name: []string{"leased"}, LeaseMillis: 600}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(400 * time.Millisecond)
@@ -672,13 +740,13 @@ func TestWatchEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Bind(ctx, []string{"w"}, []byte("1"), nil, 0); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"w"}, Obj: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Rebind(ctx, []string{"w"}, []byte("2"), nil, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Unbind(ctx, []string{"w"}); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpUnbind, Name: []string{"w"}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "3 events", func() bool {
@@ -695,7 +763,7 @@ func TestWatchEvents(t *testing.T) {
 	}
 	mu.Unlock()
 	cancel()
-	if err := c.Bind(ctx, []string{"w2"}, nil, nil, 0); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"w2"}}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond)
@@ -776,7 +844,7 @@ func TestNodeAuth(t *testing.T) {
 	if _, err := c.Lookup(ctx, []string{"x"}); err != nil {
 		t.Fatalf("anonymous read: %v", err)
 	}
-	if err := c.Bind(ctx, []string{"x"}, nil, nil, 0); !errors.Is(err, core.ErrNoPermission) {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"x"}}); !errors.Is(err, core.ErrNoPermission) {
 		t.Fatalf("anonymous write: err=%v, want core.ErrNoPermission", err)
 	}
 	// Correct secret: writes work.
@@ -785,7 +853,7 @@ func TestNodeAuth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if err := c2.Bind(ctx, []string{"x"}, []byte("v"), nil, 0); err != nil {
+	if _, err := c2.Do(ctx, &Op{Kind: OpBind, Name: []string{"x"}, Obj: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -809,7 +877,7 @@ func TestConcurrentWritesConverge(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < per; k++ {
 				name := []string{fmt.Sprintf("w%d-%d", i, k)}
-				if err := c.Bind(ctx, name, []byte("v"), nil, 0); err != nil {
+				if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: name, Obj: []byte("v")}); err != nil {
 					t.Errorf("bind %v: %v", name, err)
 					return
 				}

@@ -164,12 +164,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Merge:    n.onMerge,
 	}
 	if err := n.ch.Connect(cfg.Group, recv); err != nil {
-		return nil, err
+		return n.abort(err)
 	}
 	srv, err := rpc.NewServer(cfg.ListenAddr)
 	if err != nil {
-		n.ch.Close()
-		return nil, err
+		return n.abort(err)
 	}
 	n.srv = srv
 	n.registerHandlers()
@@ -181,6 +180,18 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.wg.Add(1)
 	go n.housekeeping()
 	return n, nil
+}
+
+// abort undoes a NewNode that failed once its persistence was open: it
+// leaves the group, closes the WAL, and retires the node's share of the
+// quarantine gauge.
+func (n *Node) abort(err error) (*Node, error) {
+	_ = n.ch.Close()
+	n.pers.kill()
+	if n.needsRepair.CompareAndSwap(true, false) {
+		gQuarantined.Add(-int64(n.damage.Files()))
+	}
+	return nil, err
 }
 
 // Addr returns the client-facing TCP address.
@@ -607,91 +618,120 @@ func (n *Node) replErr(err error) error {
 	return err
 }
 
+// methods is the one kind-to-method table: each row is the rpc method
+// an op of that kind travels on, its admission class, and the handler
+// that serves it. Client.Do and DoMany take a request's method from it,
+// and registerHandlers serves every row. OpExpire has no row: only the
+// coordinator's reaper issues it. The method names are the server's
+// {proto,method} metric labels, so they do not change.
+var methods = [...]struct {
+	name  string
+	class admission.Class
+	serve func(n *Node, sc *rpc.ServerConn, op *Op) (*Rsp, error)
+}{
+	OpBind:       {"hdns.bind", admission.Write, (*Node).write},
+	OpRebind:     {"hdns.rebind", admission.Write, (*Node).write},
+	OpUnbind:     {"hdns.unbind", admission.Write, (*Node).write},
+	OpRename:     {"hdns.rename", admission.Write, (*Node).write},
+	OpCreateCtx:  {"hdns.createCtx", admission.Write, (*Node).write},
+	OpDestroyCtx: {"hdns.destroyCtx", admission.Write, (*Node).write},
+	OpModAttrs:   {"hdns.modAttrs", admission.Write, (*Node).write},
+	OpLeaseRenew: {"hdns.lease", admission.Write, (*Node).write},
+	OpLookup:     {"hdns.lookup", admission.Read, (*Node).lookup},
+	OpList:       {"hdns.list", admission.Read, (*Node).list},
+	OpSearch:     {"hdns.search", admission.Search, (*Node).search},
+	OpWatch:      {"hdns.watch", admission.Read, (*Node).watch},
+	OpUnwatch:    {"hdns.unwatch", admission.Read, (*Node).unwatch},
+	OpAuth:       {"hdns.auth", admission.Read, (*Node).auth}, // every dial's handshake
+}
+
+// registerHandlers serves every row of methods through the one server
+// pipeline. The method a request arrived on names its kind: whatever
+// kind the body carries is overwritten, so a write applies as the
+// method it was sent on.
 func (n *Node) registerHandlers() {
-	write := func(kind OpKind) func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
-		return func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
-			if !n.authed(sc) {
-				return nil, errDenied
-			}
-			op.Kind = kind
-			if err := n.submit(op); err != nil {
-				return nil, err
-			}
-			rsp := &Rsp{}
-			if op.LeaseMillis > 0 {
-				rsp.Expiry = time.Now().UnixMilli() + op.LeaseMillis
-			}
-			return rsp, nil
-		}
-	}
 	p := serverutil.NewPipeline("hdns", n.Addr(), n.cfg.Admission, n.cfg.Costs)
-	for _, m := range []struct {
-		method string
-		class  admission.Class
-		fn     func(sc *rpc.ServerConn, op *Op) (*Rsp, error)
-	}{
-		// Every dial's handshake (Client.DialContext).
-		{mAuth, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
-			switch {
-			case op.Secret == "": // anonymous: reads only on a node that has a secret
-			case n.cfg.Secret != "" && op.Secret != n.cfg.Secret:
-				return nil, errBadSecret
-			default:
-				sc.Set("authed", true)
-			}
-			return &Rsp{}, nil
-		}},
-		{mLookup, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
-			return &Rsp{View: n.store.Lookup(op.Name)}, nil
-		}},
-		{mBind, admission.Write, write(OpBind)},
-		{mRebind, admission.Write, write(OpRebind)},
-		{mUnbind, admission.Write, write(OpUnbind)},
-		{mRename, admission.Write, write(OpRename)},
-		{mCreateCtx, admission.Write, write(OpCreateCtx)},
-		{mDestroyCtx, admission.Write, write(OpDestroyCtx)},
-		{mModAttrs, admission.Write, write(OpModAttrs)},
-		{mLease, admission.Write, write(OpLeaseRenew)},
-		{mList, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
-			list, errStr := n.store.List(op.Name)
-			if err := storeErr(errStr); err != nil {
-				return nil, err
-			}
-			return &Rsp{List: list}, nil
-		}},
-		{mSearch, admission.Search, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
-			f, err := filter.Parse(op.Filter)
-			if err != nil {
-				return nil, err
-			}
-			hits, errStr := n.store.Search(op.Name, f, op.Scope, op.Limit)
-			if err := storeErr(errStr); err != nil {
-				return nil, err
-			}
-			return &Rsp{Hits: hits}, nil
-		}},
-		{mWatch, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			n.nextWatch++
-			id := n.nextWatch
-			ws := n.watches[sc]
-			if ws == nil {
-				ws = map[uint64]watchSpec{}
-				n.watches[sc] = ws
-			}
-			ws[id] = watchSpec{target: op.Name, scope: op.Scope}
-			return &Rsp{WatchID: id}, nil
-		}},
-		{mUnwatch, admission.Read, func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			if ws := n.watches[sc]; ws != nil {
-				delete(ws, op.WatchID)
-			}
-			return &Rsp{}, nil
-		}},
-	} {
-		serverutil.HandleRPC(n.srv, p.Stage(m.method, m.class), decodeReq, encodeRsp, m.fn)
+	for k, m := range methods {
+		if m.name == "" {
+			continue
+		}
+		serverutil.HandleRPC(n.srv, p.Stage(m.name, m.class), decodeReq, encodeRsp,
+			func(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
+				op.Kind = OpKind(k)
+				return m.serve(n, sc, op)
+			})
 	}
+}
+
+// write replicates op and answers once this replica has applied it.
+func (n *Node) write(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
+	if !n.authed(sc) {
+		return nil, errDenied
+	}
+	if err := n.submit(op); err != nil {
+		return nil, err
+	}
+	rsp := &Rsp{}
+	if op.LeaseMillis > 0 {
+		rsp.Expiry = time.Now().UnixMilli() + op.LeaseMillis
+	}
+	return rsp, nil
+}
+
+func (n *Node) auth(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
+	switch {
+	case op.Secret == "": // anonymous: reads only on a node that has a secret
+	case n.cfg.Secret != "" && op.Secret != n.cfg.Secret:
+		return nil, errBadSecret
+	default:
+		sc.Set("authed", true)
+	}
+	return &Rsp{}, nil
+}
+
+func (n *Node) lookup(_ *rpc.ServerConn, op *Op) (*Rsp, error) {
+	return &Rsp{View: n.store.Lookup(op.Name)}, nil
+}
+
+func (n *Node) list(_ *rpc.ServerConn, op *Op) (*Rsp, error) {
+	list, errStr := n.store.List(op.Name)
+	if err := storeErr(errStr); err != nil {
+		return nil, err
+	}
+	return &Rsp{List: list}, nil
+}
+
+func (n *Node) search(_ *rpc.ServerConn, op *Op) (*Rsp, error) {
+	f, err := filter.Parse(op.Filter)
+	if err != nil {
+		return nil, err
+	}
+	hits, errStr := n.store.Search(op.Name, f, op.Scope, op.Limit)
+	if err := storeErr(errStr); err != nil {
+		return nil, err
+	}
+	return &Rsp{Hits: hits}, nil
+}
+
+func (n *Node) watch(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.nextWatch++
+	id := n.nextWatch
+	ws := n.watches[sc]
+	if ws == nil {
+		ws = map[uint64]watchSpec{}
+		n.watches[sc] = ws
+	}
+	ws[id] = watchSpec{target: op.Name, scope: op.Scope}
+	return &Rsp{WatchID: id}, nil
+}
+
+func (n *Node) unwatch(sc *rpc.ServerConn, op *Op) (*Rsp, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if ws := n.watches[sc]; ws != nil {
+		delete(ws, op.WatchID)
+	}
+	return &Rsp{}, nil
 }

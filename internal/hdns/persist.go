@@ -3,6 +3,7 @@ package hdns
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -347,18 +348,21 @@ func (p *persister) compact(store *Store) error {
 }
 
 // writeSnapshot persists the tree atomically (tmp + fsync + rename) in
-// the checksummed container.
+// the checksummed container, with the WAL segments' mode: whoever can
+// read the log can read the snapshot it depends on. The temp name is
+// fixed, which is safe because p.mu serializes compactions.
 func (p *persister) writeSnapshot(store *Store) error {
 	b := encodeSnapshotFile(store.SnapshotVersioned())
-	tmp, err := p.fs.CreateTemp(filepath.Dir(p.snapshotPath), ".hdns-snap-*")
+	tmp := p.snapshotPath + ".tmp"
+	f, err := p.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := writeSync(tmp, b); err != nil {
-		p.fs.Remove(tmp.Name())
+	if err := writeSync(f, b); err != nil {
+		p.fs.Remove(tmp)
 		return err
 	}
-	return p.fs.Rename(tmp.Name(), p.snapshotPath)
+	return p.fs.Rename(tmp, p.snapshotPath)
 }
 
 // sync flushes appended records to stable storage (periodic, from

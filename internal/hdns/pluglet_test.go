@@ -75,7 +75,7 @@ func TestPlugletLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Bind(ctx, []string{"hosted"}, []byte("v"), nil, 0); err != nil {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"hosted"}, Obj: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

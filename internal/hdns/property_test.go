@@ -117,7 +117,7 @@ func randomOpsConverge(t *testing.T, group string, stack jgroups.Config, writerN
 	}
 	ctxNames := [][]string{{"d0"}, {"d1"}}
 	for _, cn := range ctxNames {
-		_ = c1.CreateCtx(ctx, cn, nil)
+		_, _ = c1.Do(ctx, &Op{Kind: OpCreateCtx, Name: cn})
 	}
 	for i := 0; i < 12; i++ {
 		names = append(names, []string{ctxNames[i%2][0], fmt.Sprintf("n%d", i)})
@@ -129,15 +129,15 @@ func randomOpsConverge(t *testing.T, group string, stack jgroups.Config, writerN
 		name := names[r.Intn(len(names))]
 		switch r.Intn(5) {
 		case 0:
-			_ = c.Bind(ctx, name, []byte(fmt.Sprintf("v%d", i)), map[string][]string{"seq": {fmt.Sprint(i)}}, 0)
+			_, _ = c.Do(ctx, &Op{Kind: OpBind, Name: name, Obj: []byte(fmt.Sprintf("v%d", i)), Attrs: map[string][]string{"seq": {fmt.Sprint(i)}}})
 		case 1:
 			_ = c.Rebind(ctx, name, []byte(fmt.Sprintf("r%d", i)), nil, false, 0)
 		case 2:
-			_ = c.Unbind(ctx, name)
+			_, _ = c.Do(ctx, &Op{Kind: OpUnbind, Name: name})
 		case 3:
-			_ = c.ModAttrs(ctx, name, []ModRec{{Op: 0, ID: "touched", Vals: []string{fmt.Sprint(i)}}})
+			_, _ = c.Do(ctx, &Op{Kind: OpModAttrs, Name: name, Mods: []ModRec{{Op: 0, ID: "touched", Vals: []string{fmt.Sprint(i)}}}})
 		case 4:
-			_, _ = clients[r.Intn(2)].Search(ctx, nil, "(seq=*)", 2, 0)
+			_, _ = clients[r.Intn(2)].Do(ctx, &Op{Kind: OpSearch, Filter: "(seq=*)", Scope: 2})
 		}
 	}
 
@@ -159,14 +159,14 @@ func TestLateJoinerConvergence(t *testing.T) {
 	n1 := startTestNode(t, f, "lj-n1", "lj", "")
 	c1 := dialNode(t, n1)
 	for i := 0; i < 40; i++ {
-		if err := c1.Bind(ctx, []string{fmt.Sprintf("pre%d", i)}, []byte("x"), nil, 0); err != nil {
+		if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{fmt.Sprintf("pre%d", i)}, Obj: []byte("x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	n2 := startTestNode(t, f, "lj-n2", "lj", "")
 	// Keep writing while the joiner synchronizes.
 	for i := 0; i < 40; i++ {
-		if err := c1.Bind(ctx, []string{fmt.Sprintf("post%d", i)}, []byte("y"), nil, 0); err != nil {
+		if _, err := c1.Do(ctx, &Op{Kind: OpBind, Name: []string{fmt.Sprintf("post%d", i)}, Obj: []byte("y")}); err != nil {
 			t.Fatal(err)
 		}
 	}

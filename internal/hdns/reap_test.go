@@ -25,7 +25,7 @@ func TestReapSparesWritesAfterScan(t *testing.T) {
 			return c.Rebind(ctx, name, []byte("rebound"), nil, false, 0)
 		}},
 		{"renew", func(c *Client, name []string) error {
-			_, err := c.RenewLease(ctx, name, time.Minute.Milliseconds())
+			_, err := c.Do(ctx, &Op{Kind: OpLeaseRenew, Name: name, LeaseMillis: time.Minute.Milliseconds()})
 			return err
 		}},
 	} {
@@ -33,10 +33,10 @@ func TestReapSparesWritesAfterScan(t *testing.T) {
 			n := startTestNode(t, jgroups.NewFabric(), "n1", "g-reap-"+tc.name, "")
 			c := dialNode(t, n)
 			kept, lapsed := []string{"kept"}, []string{"lapsed"}
-			if err := c.Bind(ctx, kept, []byte("v"), nil, time.Minute.Milliseconds()); err != nil {
+			if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: kept, Obj: []byte("v"), LeaseMillis: time.Minute.Milliseconds()}); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Bind(ctx, lapsed, []byte("v"), nil, 1); err != nil {
+			if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: lapsed, Obj: []byte("v"), LeaseMillis: 1}); err != nil {
 				t.Fatal(err)
 			}
 			time.Sleep(5 * time.Millisecond) // past lapsed's 1 ms lease
@@ -69,7 +69,7 @@ func TestReapRebindSweepLosesNothing(t *testing.T) {
 	lost := 0
 	for i := 0; i < 200; i++ {
 		name := []string{fmt.Sprintf("s%03d", i)}
-		if err := c.Bind(ctx, name, []byte("leased"), nil, 1); err != nil {
+		if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: name, Obj: []byte("leased"), LeaseMillis: 1}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond) // past the 1 ms lease

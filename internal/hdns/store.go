@@ -21,10 +21,12 @@ import (
 	"gondi/internal/filter"
 )
 
-// OpKind identifies a replicated write operation.
+// OpKind identifies an operation: a replicated write, or a read request.
+// Its rpc method is its row in node.go's methods table.
 type OpKind uint8
 
-// Replicated operations.
+// Replicated operations. Their numbers are in the WAL, the replication
+// frame and the snapshot, so they never change.
 const (
 	OpBind OpKind = iota + 1
 	OpRebind
@@ -38,11 +40,20 @@ const (
 	// coordinator's reaper issues it, and a renewal or rebind sequenced
 	// after the reaper's scan wins. It has no wire method.
 	OpExpire
+	// Read requests: a client sends them, and no replica applies or logs
+	// them (Store.apply refuses them).
+	OpLookup
+	OpList
+	OpSearch
+	OpWatch
+	OpUnwatch
+	OpAuth
 )
 
 func (k OpKind) String() string {
 	names := [...]string{"?", "bind", "rebind", "unbind", "rename",
-		"createCtx", "destroyCtx", "modAttrs", "leaseRenew", "expire"}
+		"createCtx", "destroyCtx", "modAttrs", "leaseRenew", "expire",
+		"lookup", "list", "search", "watch", "unwatch", "auth"}
 	if int(k) < len(names) {
 		return names[k]
 	}

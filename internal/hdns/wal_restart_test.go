@@ -67,12 +67,12 @@ func TestWALCrashRestartReplay(t *testing.T) {
 	defer n.Close()
 	c := dialNode(t, n)
 	for i := 0; i < 50; i++ {
-		if err := c.Bind(ctx, []string{fmt.Sprintf("svc%d", i)}, []byte("obj"), nil, 0); err != nil {
+		if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{fmt.Sprintf("svc%d", i)}, Obj: []byte("obj")}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A failed op consumes a version too; replay must reproduce it.
-	if err := c.Bind(ctx, []string{"svc0"}, nil, nil, 0); !errors.Is(err, core.ErrAlreadyBound) {
+	if _, err := c.Do(ctx, &Op{Kind: OpBind, Name: []string{"svc0"}}); !errors.Is(err, core.ErrAlreadyBound) {
 		t.Fatalf("dup bind: %v", err)
 	}
 	n.pers.sync()

@@ -12,7 +12,8 @@ package hdns
 // in wirecodec_test.go fails until it has one.
 //
 // Request (every method's body): the format byte reqV1, walrec.go's op
-// body, then the read tail:
+// body, then the read tail. Client.Do sends it on the method that
+// node.go's methods table gives its kind:
 //
 //	filter   str
 //	scope    varint
@@ -20,8 +21,8 @@ package hdns
 //	watchID  uvarint
 //	secret   str
 //
-// The node stamps a write's kind from the method, and its id and clock
-// itself: whatever the client put there is overwritten.
+// The node stamps the kind from the method it arrived on, and a write's
+// id and clock itself: whatever the client put there is overwritten.
 //
 // Rsp:
 //
@@ -63,21 +64,6 @@ type EventMsg struct {
 	Name2   []string // a rename's new name
 }
 
-// RPC method names.
-const (
-	mAuth       = "hdns.auth"
-	mLookup     = "hdns.lookup"
-	mBind       = "hdns.bind"
-	mRebind     = "hdns.rebind"
-	mUnbind     = "hdns.unbind"
-	mRename     = "hdns.rename"
-	mList       = "hdns.list"
-	mCreateCtx  = "hdns.createCtx"
-	mDestroyCtx = "hdns.destroyCtx"
-	mModAttrs   = "hdns.modAttrs"
-	mSearch     = "hdns.search"
-	mWatch      = "hdns.watch"
-	mUnwatch    = "hdns.unwatch"
-	mLease      = "hdns.lease"
-	mEvent      = "hdns.event" // push
-)
+// mEvent is the push method a watch's events arrive on. A request's
+// method is its kind's row in node.go's methods table.
+const mEvent = "hdns.event"

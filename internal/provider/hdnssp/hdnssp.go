@@ -2,9 +2,11 @@
 // the paper's two new providers (§5.2). HDNS was designed with the JNDI
 // mapping in mind, so unlike the Jini provider no distributed locking is
 // needed: every DirContext method maps onto a native, atomic HDNS
-// operation. The provider shares the Jini provider's object/state factory
-// mechanism (values are marshalled through the core codec) and the same
-// lease-renewal approach.
+// operation. That mapping is one function, wireOp, from a core.Op to the
+// hdns.Op that performs it; hdns.Client.Do sends it on the rpc method its
+// kind names, and a batch's items ride one DoMany frame. The provider
+// shares the Jini provider's object/state factory mechanism (values are
+// marshalled through the core codec) and the same lease-renewal approach.
 package hdnssp
 
 import (
@@ -157,102 +159,143 @@ func (c *Context) resolve(ctx context.Context, kind core.OpKind, full core.Name,
 	return core.Resolve(ctx, kind, c.base, full, rpc.CoreError(c.sh.url, err), c.probe)
 }
 
-// probe is the name-resolution rule's probe: one node Lookup.
+// probe is the name-resolution rule's probe: one node lookup.
 func (c *Context) probe(ctx context.Context, n core.Name) (core.Bound, any, error) {
-	v, err := c.sh.client.Lookup(ctx, n.Components())
+	rsp, err := c.sh.client.Do(ctx, &hdns.Op{Kind: hdns.OpLookup, Name: n.Components()})
 	switch {
 	case err != nil:
 		return core.BoundNothing, nil, rpc.CoreError(c.sh.url, err)
-	case !v.Exists:
+	case !rsp.View.Exists:
 		return core.BoundNothing, nil, nil
-	case v.IsCtx:
+	case rsp.View.IsCtx:
 		return core.BoundContext, nil, nil
 	}
-	obj, err := core.Unmarshal(v.Obj)
+	obj, err := core.Unmarshal(rsp.View.Obj)
 	return core.BoundObject, obj, err
 }
 
-// Do implements core.Doer. Every operation maps onto one native HDNS
-// call (§5.2): Bind is the node's own test-and-set, Rename and
-// ModifyAttributes are atomic server-side, and a batch rides one frame.
+// Do implements core.Doer. Every operation is one native HDNS op
+// (§5.2), built by wireOp and sent by one Client.Do: Bind is the node's
+// own test-and-set, Rename and ModifyAttributes are atomic server-side,
+// and a batch rides one frame (doMany).
 func (c *Context) Do(ctx context.Context, op core.Op) (res core.Result, err error) {
 	if c.sh.Released() {
 		return res, core.OpErr(op, core.ErrClosed)
 	}
 	switch op.Kind {
-	case core.OpLookupMany, core.OpGetAttributesMany:
-		res.Batch, err = c.lookupMany(ctx, op)
-		return res, err
-	case core.OpBindMany:
-		res.Batch, err = c.bindMany(ctx, op)
+	case core.OpLookupMany, core.OpGetAttributesMany, core.OpBindMany:
+		res.Batch, err = c.doMany(ctx, op)
 		return res, err
 	}
 	comps, full, err := c.full(ctx, op.Name)
 	if err != nil {
 		return res, core.OpErr(op, err)
 	}
+	w, err := c.wireOp(ctx, op, comps, op.Attrs.ToMap())
+	if err != nil {
+		return res, core.OpErr(op, err)
+	}
+	var s *core.Search
 	switch op.Kind {
-	case core.OpLookup, core.OpLookupLink, core.OpGetAttributes:
-		v, lerr := c.sh.client.Lookup(ctx, comps)
-		if lerr == nil {
-			res, lerr = c.view(op, full, v)
+	case core.OpSearch:
+		if s, err = core.NewSearch(ctx, op); err != nil {
+			return res, core.OpErr(op, err)
 		}
-		err = c.resolve(ctx, op.Kind, full, lerr)
-	case core.OpBind, core.OpRebind:
-		var data []byte
-		if data, err = core.Marshal(op.Obj); err != nil {
-			break
-		}
-		if op.Kind == core.OpBind {
-			err = c.sh.client.Bind(ctx, comps, data, op.Attrs.ToMap(), c.sh.lease.Milliseconds())
-		} else {
-			// No attributes keeps the bound ones (JNDI semantics).
-			err = c.sh.client.Rebind(ctx, comps, data, op.Attrs.ToMap(), op.Attrs != nil, c.sh.lease.Milliseconds())
-		}
-		if err = c.resolve(ctx, op.Kind, full, err); err == nil {
-			c.startRenewal(comps, full.String())
+		// One hit past the count limit, so that Done can tell a limit
+		// that was exceeded from one that was only met.
+		w.Scope, w.Limit = int(s.Controls.Scope), s.Controls.CountLimit
+		if w.Limit > 0 {
+			w.Limit++
 		}
 	case core.OpUnbind:
 		c.sh.renew.Stop(full.String())
-		err = c.resolve(ctx, op.Kind, full, c.sh.client.Unbind(ctx, comps))
-	case core.OpRename:
-		newC, _, perr := c.full(ctx, op.NewName)
-		if perr != nil {
-			err = core.OnNewName(perr)
-			break
+	}
+	switch op.Kind {
+	case core.OpList, core.OpListBindings, core.OpSearch, core.OpWatch:
+		// A junction on the way to full, or at it, is found by a walk
+		// before the call.
+		if err := core.Resolve(ctx, op.Kind, c.base, full, nil, c.probe); err != nil {
+			return res, core.OpErr(op, err)
 		}
-		err = c.resolve(ctx, op.Kind, full, c.sh.client.Rename(ctx, comps, newC))
-	case core.OpList, core.OpListBindings:
-		var bs []core.Binding
-		if bs, err = c.list(ctx, comps, full); err == nil {
-			res = core.ListResult(op.Kind, bs)
-		}
-	case core.OpCreateSubcontext:
-		if err = c.resolve(ctx, op.Kind, full, c.sh.client.CreateCtx(ctx, comps, op.Attrs.ToMap())); err == nil {
-			res.Context = c.child(full)
-		}
-	case core.OpDestroySubcontext:
-		err = c.resolve(ctx, op.Kind, full, c.sh.client.DestroyCtx(ctx, comps))
-	case core.OpModifyAttributes:
-		recs := make([]hdns.ModRec, len(op.Mods))
-		for i, m := range op.Mods {
-			recs[i] = hdns.ModRec{Op: uint8(m.Op), ID: m.Attr.ID, Vals: m.Attr.Values}
-		}
-		err = c.resolve(ctx, op.Kind, full, c.sh.client.ModAttrs(ctx, comps, recs))
-	case core.OpSearch:
-		var s *core.Search
-		if s, err = core.NewSearch(ctx, op); err == nil {
-			if err = c.search(ctx, s, comps, full, op.Filter); err == nil {
-				res.Found, err = s.Done()
-				return res, err // a stopped search's partial results, as they are
-			}
-		}
-	case core.OpWatch:
+	}
+	if op.Kind == core.OpWatch {
 		res.Cancel, err = c.watch(ctx, comps, full, op)
+		return res, core.OpErr(op, err)
+	}
+	rsp, err := c.sh.client.Do(ctx, &w)
+	if err == nil && op.Kind == core.OpSearch {
+		c.offer(s, rsp.Hits)
+		res.Found, err = s.Done()
+		return res, err // a stopped search's partial results, as they are
+	}
+	res, err = c.answer(ctx, op, full, comps, rsp, err)
+	return res, core.OpErr(op, err)
+}
+
+// wireOp is the provider's one mapping: it builds the native HDNS op
+// that performs op on comps, op.Name parsed under the context base.
+// Unary and batch operations both go through it. The caller makes attrs
+// (op.Attrs.ToMap()) and reads the name from its own comps afterwards,
+// not from the returned op: that keeps a unary op and its attribute map
+// in Do's stack frame.
+func (c *Context) wireOp(ctx context.Context, op core.Op, comps []string, attrs map[string][]string) (w hdns.Op, err error) {
+	w.Name = comps
+	switch op.Kind {
+	case core.OpLookup, core.OpLookupLink, core.OpGetAttributes:
+		w.Kind = hdns.OpLookup
+	case core.OpBind, core.OpRebind:
+		w.Kind = hdns.OpBind
+		if op.Kind == core.OpRebind {
+			// No attributes keeps the bound ones (JNDI semantics).
+			w.Kind, w.ReplaceAttrs = hdns.OpRebind, op.Attrs != nil
+		}
+		w.Attrs, w.LeaseMillis = attrs, c.sh.lease.Milliseconds()
+		w.Obj, err = core.Marshal(op.Obj)
+	case core.OpUnbind:
+		w.Kind = hdns.OpUnbind
+	case core.OpRename:
+		w.Kind = hdns.OpRename
+		if w.Name2, _, err = c.full(ctx, op.NewName); err != nil {
+			err = core.OnNewName(err)
+		}
+	case core.OpList, core.OpListBindings:
+		w.Kind = hdns.OpList
+	case core.OpCreateSubcontext:
+		w.Kind, w.Attrs = hdns.OpCreateCtx, attrs
+	case core.OpDestroySubcontext:
+		w.Kind = hdns.OpDestroyCtx
+	case core.OpModifyAttributes:
+		w.Kind, w.Mods = hdns.OpModAttrs, make([]hdns.ModRec, len(op.Mods))
+		for i, m := range op.Mods {
+			w.Mods[i] = hdns.ModRec{Op: uint8(m.Op), ID: m.Attr.ID, Vals: m.Attr.Values}
+		}
+	case core.OpSearch:
+		w.Kind, w.Filter = hdns.OpSearch, op.Filter // scope and limit: Do, from the core.Search
+	case core.OpWatch:
+		w.Kind, w.Scope = hdns.OpWatch, int(op.Scope)
 	default:
 		err = core.ErrNotSupported
 	}
-	return res, core.OpErr(op, err)
+	return w, err
+}
+
+// answer is op's result from the node's reply to its wire op on comps.
+// A failure, and a lookup of nothing, are answered by the
+// name-resolution rule.
+func (c *Context) answer(ctx context.Context, op core.Op, full core.Name, comps []string, rsp *hdns.Rsp, err error) (res core.Result, _ error) {
+	if err == nil {
+		switch op.Kind {
+		case core.OpLookup, core.OpLookupLink, core.OpGetAttributes:
+			res, err = c.view(op, full, rsp.View)
+		case core.OpBind, core.OpRebind:
+			c.startRenewal(comps, full.String())
+		case core.OpList, core.OpListBindings:
+			res = core.ListResult(op.Kind, c.bindings(full, rsp.List))
+		case core.OpCreateSubcontext:
+			res.Context = c.child(full)
+		}
+	}
+	return res, c.resolve(ctx, op.Kind, full, err)
 }
 
 // view answers Lookup, LookupLink or GetAttributes from the node's view
@@ -282,22 +325,15 @@ func (c *Context) startRenewal(comps []string, key string) {
 		go func() {
 			defer end()
 			_ = lease.Renew(ctx, sh.lease, func(ctx context.Context) error {
-				_, err := sh.client.RenewLease(ctx, comps, sh.lease.Milliseconds())
+				_, err := sh.client.Do(ctx, &hdns.Op{Kind: hdns.OpLeaseRenew, Name: comps, LeaseMillis: sh.lease.Milliseconds()})
 				return err
 			}, nil)
 		}()
 	}
 }
 
-// list is the bindings of the context at full.
-func (c *Context) list(ctx context.Context, comps []string, full core.Name) ([]core.Binding, error) {
-	if err := core.Resolve(ctx, core.OpList, c.base, full, nil, c.probe); err != nil {
-		return nil, err
-	}
-	entries, err := c.sh.client.List(ctx, comps)
-	if err != nil {
-		return nil, c.resolve(ctx, core.OpList, full, err)
-	}
+// bindings are the entries the node listed under full.
+func (c *Context) bindings(full core.Name, entries []hdns.ListEntry) []core.Binding {
 	out := make([]core.Binding, 0, len(entries))
 	for _, e := range entries {
 		b := core.Binding{Name: e.Name}
@@ -314,46 +350,30 @@ func (c *Context) list(ctx context.Context, comps []string, full core.Name) ([]c
 		}
 		out = append(out, b)
 	}
-	return out, nil
+	return out
 }
 
-// search runs filterStr server-side and offers each hit. It asks for one
-// hit past the count limit, so that Done can tell a limit that was
-// exceeded from one that was only met.
-func (c *Context) search(ctx context.Context, s *core.Search, comps []string, full core.Name, filterStr string) error {
-	if err := core.Resolve(ctx, core.OpSearch, c.base, full, nil, c.probe); err != nil {
-		return err
-	}
-	limit := s.Controls.CountLimit
-	if limit > 0 {
-		limit++
-	}
-	hits, err := c.sh.client.Search(ctx, comps, filterStr, int(s.Controls.Scope), limit)
-	if err != nil {
-		return c.resolve(ctx, core.OpSearch, full, err)
-	}
+// offer hands each hit the node's search found to s.
+func (c *Context) offer(s *core.Search, hits []hdns.SearchHit) {
 	for _, h := range hits {
 		if s.Stopped() {
 			break
 		}
 		var obj any
 		if !h.IsCtx {
+			var err error
 			if obj, err = core.Unmarshal(h.Obj); err != nil {
 				continue
 			}
 		}
 		s.Add(core.NewName(h.Name...), core.AttributesFromMap(h.Attrs), obj, h.IsCtx)
 	}
-	return nil
 }
 
 // watch registers op.Listener through HDNS's distributed event
 // notification (inherited from the H2O event mechanism in the paper).
 // Server-side watches die with the connection: a loss of the watch.
 func (c *Context) watch(ctx context.Context, comps []string, full core.Name, op core.Op) (func(), error) {
-	if err := core.Resolve(ctx, core.OpWatch, c.base, full, nil, c.probe); err != nil {
-		return nil, err
-	}
 	unwatch, err := c.sh.client.Watch(ctx, comps, int(op.Scope), func(e hdns.EventMsg) {
 		name, oldName := core.NewName(e.Name...), core.Name{}
 		var typ core.EventType

@@ -19,6 +19,10 @@ type FS interface {
 	// OpenFile opens for writing (the log's append path); read paths go
 	// through ReadFile so a whole segment is one injection point.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
+	// CreateTemp is no longer called by the log or the snapshot writer
+	// (a snapshot is written through OpenFile, with the segments' mode).
+	// It stays because the benchmark's countingFS (bench/trace.go) calls
+	// it on the FS it wraps; it goes when the benchmark next changes.
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error

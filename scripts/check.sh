@@ -24,7 +24,11 @@
 # an hdns request is an Op), the
 # one-persistence-mode guard (a durable hdns replica is always snapshot
 # + WAL and boots through wal.Scrub: no clean-shutdown marker, no
-# Log.Replay, no snapshot-only or WAL-only branch), the
+# Log.Replay, no snapshot-only or WAL-only branch), the one-hdns-client-
+# call guard (hdns.Client sends every op through Do/DoMany, the rpc
+# method taken from Op.Kind by one table: no typed Bind, Unbind, Rename,
+# List, CreateCtx, DestroyCtx, ModAttrs, Search, RenewLease, BindMany or
+# callMany method), the
 # registrar protocol guard (no gob in internal/jini or internal/jxta),
 # the no-mirror guard (the sync engine and its seams stay deleted:
 # clients read live deployments, never a private copy), and the
@@ -165,6 +169,12 @@ stage_lint() {
     if git ls-files 'internal/hdns/*.go' 'internal/wal/*.go' | grep -v '_test\.go$' |
         xargs grep -nE 'cleanMarkerName|CleanMarker|[.)] ?Replay\(|snapshot-only|log == nil' /dev/null; then
         echo "a second persistence mode or boot path in internal/hdns or internal/wal; a durable replica always keeps snapshot + WAL (a memory-only node has no persister) and every boot runs wal.Scrub" >&2
+        exit 1
+    fi
+    echo "== lint: one hdns client call (Client.Do/DoMany, the method taken from Op.Kind by node.go's methods table) =="
+    if git ls-files 'internal/hdns/*.go' | grep -v '_test\.go$' |
+        xargs grep -nE 'func \(c \*Client\) (Bind|Unbind|Rename|List|CreateCtx|DestroyCtx|ModAttrs|Search|RenewLease|BindMany|callMany)\(' /dev/null; then
+        echo "internal/hdns spells an operation as a typed Client method; send an Op through Client.Do or DoMany (only Watch, and Lookup/LookupMany/Rebind for bench/ladder.go, stay)" >&2
         exit 1
     fi
     echo "== lint: the jini registrar and jxta rendezvous protocols are binary =="
